@@ -3,7 +3,7 @@ piecewise-affine 3D system (saddle periodic orbit in the left zone, saddle
 equilibrium in the right zone)."""
 
 from ._integrate import StepControl
-from .flows import FlowPoint, PlanarVdpState, left_flow, numeric_flow, right_flow
+from .flows import left_flow, numeric_flow, right_flow
 from .hybrid import (
     CrosscheckReport,
     HybridTrajectory,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CrosscheckReport",
-    "FlowPoint",
     "CycleCertificate",
     "CycleVerdict",
     "DerivedGeometry",
@@ -68,7 +67,6 @@ __all__ = [
     "LimitCycle",
     "OrbitSample",
     "PlanarLinearSystem",
-    "PlanarVdpState",
     "SpiralWindow",
     "StaySet",
     "StepControl",

@@ -5,6 +5,14 @@ closed-form solutions and integrates raw vector fields.  States are plain
 float tuples (2 or 3 components); scalar arithmetic is several times faster
 here than small-array numpy and the speed matters for the brute-force
 verification sweeps.
+
+Events are crossings of an affine plane n . x = c, located on the cubic
+Hermite dense output of each accepted step (Shampine & Thompson, "Event
+location for ordinary differential equations", 2000).  Along one step the
+switching function g(s) = n . x(s) - c is itself an exact scalar cubic
+whose end slopes are h n . f, so its extrema are the roots of a quadratic:
+checking g there and at the step ends finds every crossing and every
+tangential touch of the interpolant without sampling.
 """
 
 from __future__ import annotations
@@ -26,6 +34,16 @@ _B1, _B3, _B4, _B5, _B6 = 16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.
 # Difference between the 4th- and 5th-order solutions (local error estimate).
 _E1, _E3, _E4, _E5, _E6 = 1.0 / 360.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0
 
+#: Required residual |g| of localized event states.
+EVENT_RESIDUAL = 1e-10
+
+#: |g| a checked value must exceed on the destination side to be a crossing.
+_DECISIVE = 1e-12
+
+#: Largest |g| of an interior extremum recorded as a tangential touch
+#: (tangency cannot be resolved below the integration accuracy).
+GRAZE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class StepControl:
@@ -33,9 +51,7 @@ class StepControl:
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_init: Optional[float] = None
     h_min: float = 1e-13
-    h_max: Optional[float] = None
     max_steps: int = 2_000_000
 
 
@@ -45,9 +61,9 @@ class IntegrationResult:
 
     ``ts``/``xs``/``fs`` hold the accepted mesh, states, and field values
     (the field values make cubic-Hermite dense output possible between any
-    two consecutive entries).  When an event function was supplied and a
-    decisive zero crossing occurred, the run is truncated at the localized
-    event and ``event_t``/``event_x`` are set.
+    two consecutive entries).  When a plane was supplied and a decisive
+    crossing occurred, the run is truncated at the localized event and
+    ``event_t``/``event_x`` are set.
     """
 
     ts: list
@@ -56,10 +72,6 @@ class IntegrationResult:
     event_t: Optional[float] = None
     event_x: Optional[tuple] = None
     grazes: Optional[list] = None  # list of (t, x) tangential touches
-
-    @property
-    def t_end(self) -> float:
-        return self.ts[-1] if self.event_t is None else self.event_t
 
     @property
     def x_end(self) -> tuple:
@@ -90,15 +102,14 @@ def _initial_step(f0, x0, span: float, ctl: StepControl) -> float:
     return min(h, span)
 
 
-def _bisect_hermite(g, x0, f0, x1, f1, h, s_lo, s_hi, g_lo, g_hi, target_sign,
-                    residual_tol=1e-10, max_iter=200):
+def _bisect_hermite(g, x0, f0, x1, f1, h, s_lo, s_hi, g_lo, g_hi, target_sign):
     """Bisect g along the Hermite interpolant until both bracket values are
-    below ``residual_tol``; return the endpoint whose sign matches
+    within ``EVENT_RESIDUAL``; return the endpoint whose sign matches
     ``target_sign`` so the hand-off state lands on the destination side."""
     a, b = s_lo, s_hi
     ga, gb = g_lo, g_hi
-    for _ in range(max_iter):
-        if abs(ga) <= residual_tol and abs(gb) <= residual_tol:
+    for _ in range(200):
+        if abs(ga) <= EVENT_RESIDUAL and abs(gb) <= EVENT_RESIDUAL:
             break
         m = 0.5 * (a + b)
         xm = hermite(x0, f0, x1, f1, h, m)
@@ -110,44 +121,11 @@ def _bisect_hermite(g, x0, f0, x1, f1, h, s_lo, s_hi, g_lo, g_hi, target_sign,
         if b - a < 1e-17:
             break
     # Prefer the endpoint on the destination side of the plane.
-    if target_sign is not None:
-        if ga * target_sign >= 0.0 and abs(ga) <= abs(gb):
-            return a
-        if gb * target_sign >= 0.0:
-            return b
+    if ga * target_sign >= 0.0 and abs(ga) <= abs(gb):
+        return a
+    if gb * target_sign >= 0.0:
+        return b
     return a if abs(ga) <= abs(gb) else b
-
-
-def _refine_extremum(g, x0, f0, x1, f1, h, s_lo, s_hi, max_iter=80):
-    """Locate an interior extremum of g along the interpolant by bisecting
-    the (finite-difference) slope sign; returns (s, g(s))."""
-    ds = 1e-7
-    a, b = s_lo, s_hi
-
-    def slope(s):
-        lo = max(0.0, s - ds)
-        hi = min(1.0, s + ds)
-        gl = g(hermite(x0, f0, x1, f1, h, lo))
-        gh = g(hermite(x0, f0, x1, f1, h, hi))
-        return (gh - gl) / (hi - lo)
-
-    sa, sb = slope(a), slope(b)
-    if sa == 0.0:
-        return a, g(hermite(x0, f0, x1, f1, h, a))
-    if (sa > 0.0) == (sb > 0.0):
-        # no slope change; return the smaller-|g| endpoint
-        ga = g(hermite(x0, f0, x1, f1, h, a))
-        gb = g(hermite(x0, f0, x1, f1, h, b))
-        return (a, ga) if abs(ga) <= abs(gb) else (b, gb)
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        sm = slope(m)
-        if (sm > 0.0) == (sa > 0.0):
-            a, sa = m, sm
-        else:
-            b, sb = m, sm
-    m = 0.5 * (a + b)
-    return m, g(hermite(x0, f0, x1, f1, h, m))
 
 
 def rk45(
@@ -156,21 +134,19 @@ def rk45(
     t0: float,
     t1: float,
     control: Optional[StepControl] = None,
-    event: Optional[Callable[[tuple], float]] = None,
+    plane: Optional[tuple] = None,
     event_side: float = 0.0,
-    graze_tol: float = 1e-8,
     record: bool = True,
 ) -> IntegrationResult:
     """Integrate the autonomous field ``f`` from ``t0`` to ``t1`` (t1 > t0).
 
-    ``event``, when given, is a scalar function of the state; integration
-    stops at its first decisive sign change away from ``event_side`` (the
-    sign of the region the trajectory starts in: -1, +1, or 0 to infer from
-    the initial state).  Tangential touches of zero without a sign change
-    are collected in ``grazes`` and do not stop the run; ``graze_tol`` is
-    the detection resolution (tangency cannot be resolved below the
-    integration accuracy), and recorded graze states are projected onto
-    {event = 0}.
+    ``plane``, when given, is ``(normal, offset)`` of the event plane
+    n . x = c; integration stops at the first decisive crossing away from
+    ``event_side`` (the sign of n . x - c in the region the trajectory
+    starts in: -1, +1, or 0 to infer from the initial state).  Tangential
+    touches within ``GRAZE_TOL`` of the plane without a crossing are
+    collected in ``grazes``, projected onto the plane, and do not stop the
+    run.
 
     Raises StepFailure when the controller underflows ``h_min`` or exceeds
     ``max_steps``.
@@ -181,22 +157,16 @@ def rk45(
     x = tuple(float(v) for v in x0)
     t = t0
     fx = f(x)
-    span = t1 - t0
-    h = ctl.h_init if ctl.h_init is not None else _initial_step(fx, x, span, ctl)
-    if ctl.h_max is not None:
-        h = min(h, ctl.h_max)
+    h = _initial_step(fx, x, t1 - t0, ctl)
 
     ts = [t]
     xs = [x]
     fs = [fx]
     grazes: list = []
 
-    g_prev = None
     side = event_side
-    if event is not None:
-        g_prev = event(x)
-        if side == 0.0:
-            side = 1.0 if g_prev > 0.0 else -1.0
+    if plane is not None and side == 0.0:
+        side = 1.0 if _dot(plane[0], x) - plane[1] > 0.0 else -1.0
 
     steps = 0
     while t < t1:
@@ -243,11 +213,10 @@ def rk45(
         f_new = f(x_new)
         t_new = t + h
 
-        if event is not None:
-            stop = _handle_event(event, side, x, fx, x_new, f_new, h, t,
-                                 g_prev, grazes, graze_tol)
-            if stop is not None:
-                s_ev, x_ev = stop
+        if plane is not None:
+            s_ev = _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes)
+            if s_ev is not None:
+                x_ev = hermite(x, fx, x_new, f_new, h, s_ev)
                 t_ev = t + s_ev * h
                 if record:
                     ts.append(t_ev)
@@ -255,7 +224,6 @@ def rk45(
                     fs.append(f(x_ev))
                 return IntegrationResult(ts, xs, fs, event_t=t_ev, event_x=x_ev,
                                          grazes=grazes)
-            g_prev = event(x_new)
 
         t, x, fx = t_new, x_new, f_new
         if record:
@@ -265,90 +233,69 @@ def rk45(
         steps += 1
         fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= fac
-        if ctl.h_max is not None:
-            h = min(h, ctl.h_max)
 
     if not record:
         ts, xs, fs = [t], [x], [fx]
     return IntegrationResult(ts, xs, fs, grazes=grazes)
 
 
-def _handle_event(g, side, x, fx, x_new, f_new, h, t, g0, grazes, graze_tol):
+
+
+def _dot(a, b) -> float:
+    return sum(u * v for u, v in zip(a, b))
+
+
+def _unit_roots(a: float, b: float, c: float) -> list:
+    """Real roots of a s^2 + b s + c strictly inside (0, 1), ascending."""
+    if a == 0.0:
+        roots = [-c / b] if b != 0.0 else []
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return []
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = [q / a, c / q] if q != 0.0 else [0.0]
+    return sorted(s for s in roots if 0.0 < s < 1.0)
+
+
+def _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes):
     """Scan one accepted step for a decisive crossing or a grazing touch.
 
-    Returns (s, x_at_event) for a crossing, else None (possibly after
-    appending a graze record).
+    Returns the step fraction of a crossing (bisected onto the destination
+    side), else None, possibly after appending a graze record.
     """
-    g1 = g(x_new)
+    normal, offset = plane
+    g0 = _dot(normal, x) - offset
+    g1 = _dot(normal, x_new) - offset
+    m0 = h * _dot(normal, fx)
+    m1 = h * _dot(normal, f_new)
+    # g(s) is the cubic with end values g0, g1 and end slopes m0, m1; it is
+    # monotone between consecutive roots of g', so only those are checked.
+    crit = _unit_roots(6.0 * (g0 - g1) + 3.0 * (m0 + m1),
+                       6.0 * (g1 - g0) - 4.0 * m0 - 2.0 * m1, m0)
+    checks = [(0.0, g0)]
+    for s in crit:
+        s2 = s * s
+        checks.append((s, (2.0 * s2 * s - 3.0 * s2 + 1.0) * g0
+                          + (s2 * s - 2.0 * s2 + s) * m0
+                          + (3.0 * s2 - 2.0 * s2 * s) * g1
+                          + (s2 * s - s2) * m1))
+    checks.append((1.0, g1))
+
     target = -side
-    decisive = 1e-12
+    for (s_lo, g_lo), (s_hi, g_hi) in zip(checks, checks[1:]):
+        if g_hi * target > _DECISIVE:
+            return _bisect_hermite(lambda y: _dot(normal, y) - offset,
+                                   x, fx, x_new, f_new, h,
+                                   s_lo, s_hi, g_lo, g_hi, target)
 
-    # Interior subsampling is only needed when an endpoint already crossed
-    # or when |g| at an endpoint is within reach of zero over one step
-    # (|g| < step * |dg/dt| bound, with slack).
-    n_sub = 8
-    samples = [(0.0, g0)]
-    need_scan = (g1 * target > decisive) or \
-        min(abs(g0), abs(g1)) < 10.0 * h * _rate_bound(g, x, fx, x_new, f_new)
-    if need_scan:
-        for i in range(1, n_sub):
-            s = i / n_sub
-            samples.append((s, g(hermite(x, fx, x_new, f_new, h, s))))
-    samples.append((1.0, g1))
-
-    prev_s, prev_g = samples[0]
-    for s, gs in samples[1:]:
-        if gs * target > decisive:
-            s_ev = _bisect_hermite(g, x, fx, x_new, f_new, h,
-                                   prev_s, s, prev_g, gs, target)
-            x_ev = hermite(x, fx, x_new, f_new, h, s_ev)
-            return s_ev, x_ev
-        prev_s, prev_g = s, gs
-
-    # No decisive exit: a tangential touch shows up as an interior dip of
-    # |g| below both endpoint magnitudes.  The subsample grid can miss a
-    # sharp extremum by O((h/n)^2 |g''|), so the trigger uses the parabola
-    # vertex through the minimal triple rather than the raw sample.
-    if need_scan and len(samples) > 2:
-        idx = min(range(1, len(samples) - 1), key=lambda i: abs(samples[i][1]))
-        s_min, g_min = samples[idx]
-        if abs(g_min) < min(abs(g0), abs(g1)):
-            (s1, y1), (s2, y2), (s3, y3) = samples[idx - 1], samples[idx], samples[idx + 1]
-            curv = y1 - 2.0 * y2 + y3
-            vertex = y2 if curv == 0.0 else y2 - (y3 - y1) ** 2 / (8.0 * curv)
-            if abs(vertex) <= 1e-6:
-                s_ext, g_ext = _refine_extremum(g, x, fx, x_new, f_new, h, s1, s3)
-                if abs(g_ext) <= graze_tol:
-                    x_ext = hermite(x, fx, x_new, f_new, h, s_ext)
-                    grazes.append((t + s_ext * h, _project_onto_zero(g, x_ext)))
+    # No crossing: an interior extremum nearer the plane than both ends is
+    # a tangential touch; it is projected onto the plane exactly.
+    if crit:
+        s_t, g_t = min(checks[1:-1], key=lambda c: abs(c[1]))
+        if abs(g_t) <= GRAZE_TOL and abs(g_t) < min(abs(g0), abs(g1)):
+            x_t = hermite(x, fx, x_new, f_new, h, s_t)
+            shift = (_dot(normal, x_t) - offset) / _dot(normal, normal)
+            grazes.append((t + s_t * h,
+                           tuple(v - shift * n for v, n in zip(x_t, normal))))
     return None
-
-
-def _project_onto_zero(g, x, iters: int = 3):
-    """Newton-project a near-touch state onto {g = 0} so recorded event
-    states meet the residual contract (exact in one step for affine g)."""
-    eps = 1e-8
-    for _ in range(iters):
-        gx = g(x)
-        if abs(gx) <= 1e-14:
-            break
-        grad = tuple((g(tuple(v + (eps if j == i else 0.0)
-                              for j, v in enumerate(x))) - gx) / eps
-                     for i in range(len(x)))
-        nsq = sum(v * v for v in grad)
-        if nsq == 0.0:
-            break
-        x = tuple(v - gx * gv / nsq for v, gv in zip(x, grad))
-    return x
-
-
-def _rate_bound(g, x, fx, x_new, f_new):
-    """Finite-difference bound on |dg/dt| at the step endpoints."""
-    eps = 1e-8
-    gx = g(x)
-    gx_eps = g(tuple(a + eps * b for a, b in zip(x, fx)))
-    r0 = abs(gx_eps - gx) / eps
-    gy = g(x_new)
-    gy_eps = g(tuple(a + eps * b for a, b in zip(x_new, f_new)))
-    r1 = abs(gy_eps - gy) / eps
-    return max(r0, r1)

@@ -293,10 +293,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)}),
-              file=sys.stderr)
-        return 1
     except HetcycleError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

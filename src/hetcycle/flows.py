@@ -23,7 +23,6 @@ Runge-Kutta oracle and exists solely to cross-check the formulas above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,28 +36,14 @@ from .model import SystemParams
 _REPEATED_ROOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FlowPoint:
-    """A state tagged with its (signed) flight time."""
-
-    t: float
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class PlanarVdpState:
+def to_polar(x1: float, x2: float) -> tuple:
     """Polar image (r, theta) of the planar left-zone coordinates."""
-
-    r: float
-    theta: float
+    return (math.hypot(x1, x2), math.atan2(x2, x1))
 
 
-def to_polar(x1: float, x2: float) -> PlanarVdpState:
-    return PlanarVdpState(math.hypot(x1, x2), math.atan2(x2, x1))
-
-
-def from_polar(state: PlanarVdpState) -> tuple:
-    return (state.r * math.cos(state.theta), state.r * math.sin(state.theta))
+def from_polar(state) -> tuple:
+    r, theta = state
+    return (r * math.cos(theta), r * math.sin(theta))
 
 
 def radial_blowup_time(r0_sq: float, rho: float) -> float:

@@ -2,15 +2,17 @@
 
 This simulator knows nothing about the closed-form solutions: it
 integrates whichever zone field is active with the adaptive Runge-Kutta
-oracle and watches the switching function x1 + x3 - d.  A sign change
-within a step is localized by bisection on the dense-output interpolant
-until the event residual is at or below 1e-10, the state is handed to the
-other zone, and integration continues.  The plane itself belongs to the
-left zone (rule "<= d"), and the incoming side integrates up to the
-localized event time before the switch.
+oracle and hands it the switching plane x1 + x3 = d as (C_NORMAL, d).
+Along each accepted step the switching function is an exact cubic of the
+step's dense-output interpolant; a crossing is localized by bisection on
+that interpolant until the event residual is at or below 1e-10, the state
+is handed to the other zone, and integration continues.  The plane itself
+belongs to the left zone (rule "<= d"), and the incoming side integrates
+up to the localized event time before the switch.
 
-Tangential touches of the plane (zero without a sign change) are recorded
-as grazing events and do not switch sides.  If at an event both zone
+Tangential touches of the plane (an extremum of the cubic within 1e-8 of
+zero, without a sign change) are recorded as grazing events, projected
+onto the plane, and do not switch sides.  If at an event both zone
 fields point at the plane the crossing dynamics are undefined; the
 simulator raises SlidingDetected rather than inventing a sliding mode.
 
@@ -28,16 +30,10 @@ from typing import Optional
 import numpy as np
 
 from ._integrate import StepControl, rk45
-from .errors import EventStorm, SlidingDetected
+from .errors import EventStorm, HetcycleError, SlidingDetected
 from .flows import left_field, left_flow, right_field, right_flow
-from .model import SystemParams
-
-#: Required residual |x1 + x3 - d| of localized event states.
-EVENT_RESIDUAL = 1e-10
-
-#: Detection resolution for tangential touches (bounded below by the
-#: integration accuracy; recorded graze states are projected to the plane).
-GRAZE_RESOLUTION = 1e-8
+from .model import C_NORMAL, SystemParams
+from .orbits import CSV_HEADER, write_csv
 
 
 @dataclass(frozen=True)
@@ -83,11 +79,7 @@ def integrate_hybrid(params: SystemParams, x0, t_span,
         raise ValueError("integrate_hybrid requires t1 > t0 (forward only)")
     ctl = control or StepControl()
     fields = {"left": left_field(params), "right": right_field(params)}
-    d = params.d
-
-    def g(x):
-        return x[0] + x[2] - d
-
+    plane = (C_NORMAL, params.d)
     x = tuple(float(v) for v in np.asarray(x0, dtype=float))
     side = active_side(params, x)
     t = t0
@@ -99,9 +91,8 @@ def integrate_hybrid(params: SystemParams, x0, t_span,
     n_switches = 0
 
     while t < t1:
-        res = rk45(fields[side], x, t, t1, control=ctl, event=g,
-                   event_side=-1.0 if side == "left" else 1.0,
-                   graze_tol=GRAZE_RESOLUTION)
+        res = rk45(fields[side], x, t, t1, control=ctl, plane=plane,
+                   event_side=-1.0 if side == "left" else 1.0)
         offset = 1 if ts and res.ts and res.ts[0] == ts[-1] else 0
         ts.extend(res.ts[offset:])
         xs.extend(res.xs[offset:])
@@ -161,10 +152,7 @@ def crosscheck_closed_forms(params: SystemParams, trials: int, seed: int,
     margin = 0.05 * max(1.0, d)
     sr = params.sqrt_rho
     fields = {"left": left_field(params), "right": right_field(params)}
-
-    def g(x):
-        return x[0] + x[2] - d
-
+    plane = (C_NORMAL, d)
     max_err = 0.0
     worst = None
     for i in range(trials):
@@ -172,9 +160,8 @@ def crosscheck_closed_forms(params: SystemParams, trials: int, seed: int,
         x0 = _draw_start(params, side, rng, margin, sr)
         # First simulator segment only: up to the first switching event or
         # the horizon (what happens at the hand-off is irrelevant here).
-        res = rk45(fields[side], x0, 0.0, horizon, control=ctl, event=g,
-                   event_side=-1.0 if side == "left" else 1.0,
-                   graze_tol=GRAZE_RESOLUTION)
+        res = rk45(fields[side], x0, 0.0, horizon, control=ctl, plane=plane,
+                   event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, x in zip(res.ts, res.xs):
             ref = flow(x0, t, params)
@@ -203,32 +190,21 @@ def _draw_start(params, side, rng, margin, sr):
             x = (x1, x2, x3)
             if params.plane_residual(x) >= margin:
                 return x
-    raise RuntimeError(f"could not sample a start inside the {side} zone")
-
-
-CSV_HEADER = ("t", "x1", "x2", "x3", "side", "role")
-EVENTS_HEADER = ("t", "x1", "x2", "x3", "direction")
+    raise HetcycleError(
+        f"could not sample a start inside the {side} zone at distance "
+        f"{margin!r} from the plane")
 
 
 def write_trajectory_csv(traj: HybridTrajectory, path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t, x, side in zip(traj.ts, traj.xs, traj.sides):
-            writer.writerow([repr(float(t)), repr(float(x[0])),
-                             repr(float(x[1])), repr(float(x[2])),
-                             side, "hybrid"])
+    """One row per sample, labelled with its zone and the role 'hybrid'."""
+    sides = traj.sides
+    cuts = [i for i in range(len(sides)) if i == 0 or sides[i] != sides[i - 1]]
+    cuts.append(len(sides))
+    write_csv(path, ((traj.ts[a:b], traj.xs[a:b], (sides[a], "hybrid"))
+                     for a, b in zip(cuts, cuts[1:])))
 
 
 def write_events_csv(traj: HybridTrajectory, path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for e in traj.events:
-            writer.writerow([repr(float(e.t)), repr(float(e.x[0])),
-                             repr(float(e.x[1])), repr(float(e.x[2])),
-                             e.direction])
+    """One row per event, labelled with its direction."""
+    write_csv(path, (((e.t,), (e.x,), (e.direction,)) for e in traj.events),
+              header=CSV_HEADER[:4] + ("direction",))

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateFailure, HypothesisFailure
-from .flows import FlowPoint, left_flow, right_flow
+from .flows import left_flow, right_flow
 from .model import LimitCycle, SystemParams, classify_2x2
 from .verifier import CycleVerdict
 
@@ -60,10 +60,6 @@ class OrbitSample:
     role: str
     containment_margin: float
     requirement: str
-
-    @property
-    def points(self) -> list:
-        return [FlowPoint(float(t), x.copy()) for t, x in zip(self.ts, self.xs)]
 
 
 @dataclass(frozen=True)
@@ -142,6 +138,32 @@ def _margin(params: SystemParams, ts, xs, requirement: str, pos=None) -> float:
     return float(vals.min())
 
 
+def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
+             role: str, requirement: str, where: str,
+             tol_containment: float) -> OrbitSample:
+    """Sample the closed-form orbit of x0 on [t0, t1] and check its
+    containment.  A 'plus' requirement is the equilibrium side (right
+    zone), a 'minus' one the cycle side (left zone); ``where`` names the
+    segment in the CertificateFailure raised when the margin is violated.
+    """
+    plus = requirement.startswith("plus")
+    flow = right_flow if plus else left_flow
+    pos = lambda t: flow(x0, t, params)  # noqa: E731
+    ts, xs = _sample_times(pos, t0, t1, n_init)
+    margin = _margin(params, ts, xs, requirement, pos)
+    if margin < -tol_containment:
+        raise CertificateFailure(
+            f"{'equilibrium' if plus else 'cycle'}-side containment violated "
+            f"on {where} (margin {margin!r})")
+    return OrbitSample(ts, xs, "right" if plus else "left", role, margin,
+                       requirement)
+
+
+def _per_revolution(params: SystemParams, span: float) -> int:
+    """Initial sample count of a left-zone segment: 64 per revolution."""
+    return int(span * params.omega / (2.0 * math.pi) * 64) + 2
+
+
 def build_gamma1(params: SystemParams, verdict: CycleVerdict,
                  t_back: Optional[float] = None,
                  t_fwd: Optional[float] = None,
@@ -164,28 +186,11 @@ def build_gamma1(params: SystemParams, verdict: CycleVerdict,
     # a hypothesis, exact up to tol); snapping the planar coordinates keeps
     # the backward right flow from amplifying that rounding exponentially.
     q0_back = np.array([params.q1, params.q2, 0.0])
-
-    pos_b = lambda t: right_flow(q0_back, t, params)  # noqa: E731
-    n_init = 129
-    ts_b, xs_b = _sample_times(pos_b, -tb, 0.0, n_init)
-    margin_b = _margin(params, ts_b, xs_b, "plus_strict", pos_b)
-    if margin_b < -tol_containment:
-        raise CertificateFailure(
-            f"equilibrium-side containment violated on gamma1 backward "
-            f"segment (margin {margin_b!r})")
-    back = OrbitSample(ts_b, xs_b, "right", "gamma1_back", margin_b,
-                       "plus_strict")
-
-    pos_f = lambda t: left_flow(q0, t, params)  # noqa: E731
-    n_init = int(tf * params.omega / (2.0 * math.pi) * 64) + 2
-    ts_f, xs_f = _sample_times(pos_f, 0.0, tf, n_init)
-    margin_f = _margin(params, ts_f, xs_f, "minus_closed")
-    if margin_f < -tol_containment:
-        raise CertificateFailure(
-            f"cycle-side containment violated on gamma1 forward segment "
-            f"(margin {margin_f!r})")
-    fwd = OrbitSample(ts_f, xs_f, "left", "gamma1_fwd", margin_f,
-                      "minus_closed")
+    back = _segment(params, q0_back, -tb, 0.0, 129, "gamma1_back",
+                    "plus_strict", "gamma1 backward segment", tol_containment)
+    fwd = _segment(params, q0, 0.0, tf, _per_revolution(params, tf),
+                   "gamma1_fwd", "minus_closed", "gamma1 forward segment",
+                   tol_containment)
     return back, fwd
 
 
@@ -204,31 +209,16 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     tb = t_back if t_back is not None else horizons["gamma_up_back"]
     tf = t_fwd if t_fwd is not None else horizons["gamma_up_fwd"]
     p = np.asarray(p, dtype=float)
-
-    pos_b = lambda t: left_flow(p, t, params)  # noqa: E731
-    n_init = int(tb * params.omega / (2.0 * math.pi) * 64) + 2
-    ts_b, xs_b = _sample_times(pos_b, -tb, 0.0, n_init)
-    margin_b = _margin(params, ts_b, xs_b, "minus_strict", pos_b)
-    if margin_b < -tol_containment:
-        raise CertificateFailure(
-            f"cycle-side containment violated on backward cylinder segment "
-            f"(margin {margin_b!r})")
-    back = OrbitSample(ts_b, xs_b, "left", "gamma_up_back", margin_b,
-                       "minus_strict")
-
+    back = _segment(params, p, -tb, 0.0, _per_revolution(params, tb),
+                    "gamma_up_back", "minus_strict",
+                    "backward cylinder segment", tol_containment)
     # Forward, p lies on the stable plane {x3 = q3} (the subcase selection
     # guarantees this up to tol); snapping the vertical coordinate keeps
     # the unstable vertical rate from amplifying that rounding.
     p_fwd = np.array([p[0], p[1], params.q3])
-    pos_f = lambda t: right_flow(p_fwd, t, params)  # noqa: E731
-    ts_f, xs_f = _sample_times(pos_f, 0.0, tf, 257)
-    margin_f = _margin(params, ts_f, xs_f, "plus_strict", pos_f)
-    if margin_f < -tol_containment:
-        raise CertificateFailure(
-            f"equilibrium-side containment violated on forward segment "
-            f"from {tuple(p)} (margin {margin_f!r})")
-    fwd = OrbitSample(ts_f, xs_f, "right", "gamma_up_fwd", margin_f,
-                      "plus_strict")
+    fwd = _segment(params, p_fwd, 0.0, tf, 257, "gamma_up_fwd",
+                   "plus_strict", f"forward segment from {tuple(p)}",
+                   tol_containment)
     return back, fwd
 
 
@@ -277,20 +267,29 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
     return certificates
 
 
+#: Columns of the trajectory CSVs: time, state, then the rows' labels.
 CSV_HEADER = ("t", "x1", "x2", "x3", "side", "role")
+
+
+def write_csv(path, blocks, header=CSV_HEADER) -> None:
+    """Write ``header``, then for each block ``(ts, xs, labels)`` one row
+    per sample: t, x1, x2, x3 by ``repr`` (exact round trip) followed by
+    the block's labels."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for ts, xs, labels in blocks:
+            writer.writerows(
+                [repr(t), repr(x1), repr(x2), repr(x3), *labels]
+                for t, (x1, x2, x3) in zip(np.asarray(ts, dtype=float).tolist(),
+                                           np.asarray(xs, dtype=float).tolist()))
 
 
 def write_segments_csv(segments, path) -> None:
     """All segments concatenated into one CSV, distinguished by the role
     column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for seg in segments:
-            for t, x in zip(seg.ts, seg.xs):
-                writer.writerow([repr(float(t)), repr(float(x[0])),
-                                 repr(float(x[1])), repr(float(x[2])),
-                                 seg.side, seg.role])
+    write_csv(path, ((seg.ts, seg.xs, (seg.side, seg.role))
+                     for seg in segments))
 
 
 def write_segments_csv_dir(segments, dirpath) -> list:

@@ -147,7 +147,7 @@ def _first_backward_line_crossing(flow, line_value, period, t_floor, scale,
 
     t_prev = -eps
     f_prev = line_value(flow(t_prev))
-    t_neg, f_neg = (t_prev, f_prev) if f_prev <= 0.0 else (None, None)
+    t_neg = t_prev if f_prev <= 0.0 else None
     j = 1
     hit_floor = False
     while True:
@@ -165,7 +165,7 @@ def _first_backward_line_crossing(flow, line_value, period, t_floor, scale,
         f_cur = line_value(flow(t_cur))
         if f_cur > guard:
             if t_neg is None:
-                t_neg, f_neg = t_prev, min(f_prev, 0.0)
+                t_neg = t_prev
             lo, hi = t_cur, t_neg  # lo < hi <= 0; value(lo) > 0 >= value(hi)
             while hi - lo > 1e-12:
                 mid = 0.5 * (lo + hi)
@@ -176,7 +176,7 @@ def _first_backward_line_crossing(flow, line_value, period, t_floor, scale,
             t_root = 0.5 * (lo + hi)
             return flow(t_root), t_root
         if f_cur <= 0.0:
-            t_neg, f_neg = t_cur, f_cur
+            t_neg = t_cur
         t_prev, f_prev = t_cur, f_cur
         j += 1
 

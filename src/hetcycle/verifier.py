@@ -2,19 +2,19 @@
 
 A verdict certifies (or declines to certify) heteroclinic cycles between
 the left zone's saddle periodic orbit and the right zone's saddle
-equilibrium.  Two certification routes exist, selected by the spectrum of
-the right planar block:
+equilibrium.  One certification route serves both theorems, named by the
+spectrum of the right planar block; they differ only in the test at the
+connection points p:
 
-* ``real_saddle`` (stable node): the connection point p must satisfy the
-  outward half-plane condition (1,0,1) . B (p - q) >= 0,
+* ``real_saddle`` (stable node): p must satisfy the outward half-plane
+  condition (1,0,1) . B (p - q) >= 0,
 * ``saddle_focus`` (stable focus): p must lie in the half-open spiral
   stay window [x_minus, x_plus) on the in-plane line L2.
 
-Both routes share the same skeleton.  The regime compares d^2 - rho with
-omega^2 / (4 d^2): in ``case_i`` every point of L1 flows inward and stays,
-so the equilibrium-to-cycle orbit needs no further condition; in
-``case_ii`` the ordinate q2 must sit in an explicit window derived from
-the first backward return v_star on L1.  The subcase is selected by where
+The regime compares d^2 - rho with omega^2 / (4 d^2): in ``case_i`` every
+point of L1 flows inward and stays, so the equilibrium-to-cycle orbit
+needs no further condition; in ``case_ii`` the ordinate q2 must sit in an
+explicit window derived from the first backward return v_star on L1.  The subcase is selected by where
 q3 sits relative to the plane heights d -/+ sqrt(rho) of the cylinder rim:
 at the bottom ('a', one cycle through p0), at the top ('b', one cycle
 through p1, plus the cone condition omega^2 rho < mu^2 (d^2 - rho)), or
@@ -44,7 +44,7 @@ from .model import (
     interval_contains,
     validate_hypotheses,
 )
-from .planar import PlanarLinearSystem, analyze_vdp_line, focus_stay_window
+from .planar import PlanarLinearSystem, StaySet, analyze_vdp_line, focus_stay_window
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,19 @@ def check_q2_window(params: SystemParams, v_star, tol: float = DEFAULT_TOL,
     if sigma_minus - band <= v2_star <= sigma_plus + band:
         raise UngenericBranch(
             f"v2* = {v2_star!r} within tolerance of the tangency ordinates")
-    q2 = params.q2
-    if v2_star > sigma_plus:
-        passed = (sigma_plus - band <= q2 <= v2_star + band)
-        return Evidence("q2_window", q2,
+    # The stay set on L1 widened by the tolerance band: the interval between
+    # the band edges on the "above" branch, its closed complement "below".
+    lo, hi = sorted((sigma_plus - band, v2_star + band))
+    above = v2_star > sigma_plus
+    stay = StaySet("interval" if above else "complement", lo=lo, hi=hi,
+                   lo_in=True, hi_in=True)
+    passed = stay.contains(params.q2)
+    if above:
+        return Evidence("q2_window", params.q2,
                         f"[{sigma_plus!r}, {v2_star!r}]", passed,
                         note="branch: v2* above sigma_plus")
-    passed = (q2 <= v2_star + band) or (q2 >= sigma_plus - band)
     return Evidence(
-        "q2_window", q2,
+        "q2_window", params.q2,
         f"(-inf, {v2_star!r}] u [{sigma_plus!r}, +inf)", passed,
         note="branch: v2* below sigma_minus; left-infinite interval used "
              "(the mirrored sign reading is inconsistent with the stay set)")
@@ -191,23 +195,22 @@ def _none_verdict(evidence: list) -> CycleVerdict:
     return CycleVerdict("none", None, "none", 0, (), None, tuple(evidence))
 
 
-def _hypothesis_evidence(report: HypothesisReport, want: str) -> list:
+#: Spectral gate of each route: (evidence name, block spectrum, other route).
+_GATES = {"real_saddle": ("h1", "real stable", "saddle-focus"),
+          "saddle_focus": ("h2", "complex stable", "real-saddle")}
+
+
+def _hypothesis_evidence(report: HypothesisReport, theorem: str) -> list:
     """Evidence entries for the spectral gate and the placement checks."""
-    ev = []
-    if want == "real_saddle":
-        note = "" if report.h1_holds else (
-            "spectral type is " + report.spectral_type +
-            ("; saddle-focus route applies" if report.h2_holds else ""))
-        ev.append(Evidence("h1", 1.0 if report.h1_holds else 0.0,
-                           "right planar block real stable", report.h1_holds,
-                           note=note))
-    else:
-        note = "" if report.h2_holds else (
-            "spectral type is " + report.spectral_type +
-            ("; real-saddle route applies" if report.h1_holds else ""))
-        ev.append(Evidence("h2", 1.0 if report.h2_holds else 0.0,
-                           "right planar block complex stable", report.h2_holds,
-                           note=note))
+    name, spectrum, other_route = _GATES[theorem]
+    holds, other_holds = ((report.h1_holds, report.h2_holds)
+                          if theorem == "real_saddle" else
+                          (report.h2_holds, report.h1_holds))
+    note = "" if holds else (
+        "spectral type is " + report.spectral_type +
+        (f"; {other_route} route applies" if other_holds else ""))
+    ev = [Evidence(name, 1.0 if holds else 0.0,
+                   f"right planar block {spectrum}", holds, note=note)]
     worst = min(report.h3_details, key=lambda c: c.passed)
     ev.append(Evidence("h3", 1.0 if report.h3_holds else 0.0,
                        "placement hypothesis", report.h3_holds,
@@ -236,53 +239,19 @@ def _case_ii_gate(params, geometry, evidence, tol):
     return tuple(float(v) for v in v_star)
 
 
-def certify_real_saddle(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
-    """Certification route for a stable-node right block.
+def _certify_route(params: SystemParams, report: HypothesisReport,
+                   theorem: str, tol: float) -> CycleVerdict:
+    """The certification skeleton shared by both theorems.
 
-    Subcase conditions are the outward half-plane checks
-    (1,0,1) . B (p - q) >= 0 at each candidate connection point (plus the
-    cone condition in subcases b/c); in case_ii the q2 window gates the
-    shared equilibrium-to-cycle orbit.
+    In case_ii the q2 window gates the shared equilibrium-to-cycle orbit;
+    subcases b/c add the cone condition.  Only the test at the candidate
+    connection points depends on ``theorem``: the outward half-plane check
+    (1,0,1) . B (p - q) >= 0 for a node block ('real_saddle'), membership
+    of the spiral stay window [x_minus, x_plus) on L2 for a focus block
+    ('saddle_focus').
     """
-    report = validate_hypotheses(params, tol)
-    evidence = _hypothesis_evidence(report, "real_saddle")
-    if not (report.h1_holds and report.h3_holds):
-        return _none_verdict(evidence)
-    geometry = derive_geometry(params, tol)
-    regime = regime_classify(params, tol)
-
-    v_star = None
-    if regime == "case_ii":
-        v_star = _case_ii_gate(params, geometry, evidence, tol)
-
-    subcase, sub_ev = _subcase_of_q3(params, tol)
-    evidence.append(sub_ev)
-    points = _candidate_points(geometry, subcase)
-
-    if subcase in ("b", "c"):
-        evidence.append(cone_condition(params))
-    for label, p in points:
-        value = _halfplane_value(params, p)
-        # closed condition: the tangential boundary value 0 counts as
-        # staying, so equality gets the global tolerance
-        scale = max(1.0, float(np.linalg.norm(params.b_full @ (np.asarray(p) - params.q))))
-        evidence.append(Evidence(f"halfplane_{label}", value, ">= 0",
-                                 value >= -tol * scale))
-
-    return _assemble("real_saddle", regime, subcase, points, params,
-                     evidence, v_star, None, tol)
-
-
-def certify_saddle_focus(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
-    """Certification route for a stable-focus right block.
-
-    Identical skeleton to the real-saddle route with the half-plane
-    conditions replaced by membership of the candidate points in the
-    spiral stay window [x_minus, x_plus) on L2.
-    """
-    report = validate_hypotheses(params, tol)
-    evidence = _hypothesis_evidence(report, "saddle_focus")
-    if not (report.h2_holds and report.h3_holds):
+    evidence = _hypothesis_evidence(report, theorem)
+    if not (evidence[0].passed and report.h3_holds):
         return _none_verdict(evidence)
     geometry = derive_geometry(params, tol)
     regime = regime_classify(params, tol)
@@ -298,19 +267,48 @@ def certify_saddle_focus(params: SystemParams, tol: float = DEFAULT_TOL) -> Cycl
     if subcase in ("b", "c"):
         evidence.append(cone_condition(params))
 
-    window = _window_on_l2(params, tol)
-    if points:
+    window = None
+    if theorem == "real_saddle":
+        for label, p in points:
+            # (1,0,1) . B (p - q) >= 0: the forward right-zone orbit of p
+            # stays on the equilibrium side of the plane.  Closed condition:
+            # the tangential boundary value 0 counts as staying, so equality
+            # gets the global tolerance.
+            bp = params.b_full @ (np.asarray(p, dtype=float) - params.q)
+            value = float(bp[0] + bp[2])
+            scale = max(1.0, float(np.linalg.norm(bp)))
+            evidence.append(Evidence(f"halfplane_{label}", value, ">= 0",
+                                     value >= -tol * scale))
+    else:
+        window = _window_on_l2(params, tol)
         iv = Interval3D(np.array(window[0]), np.array(window[1]),
                         closed_a=True, closed_b=False)
         for label, p in points:
             lam = _interval_parameter(window[0], window[1], p)
-            inside = interval_contains(iv, p, tol)
             evidence.append(Evidence(
                 f"window_{label}", lam, "in [0, 1) along [x_minus, x_plus)",
-                inside))
+                interval_contains(iv, p, tol)))
 
-    return _assemble("saddle_focus", regime, subcase, points, params,
-                     evidence, v_star, window, tol)
+    if subcase == "none" or not all(e.passed for e in evidence):
+        count, connecting = 0, ()
+    else:
+        count = 2 if subcase == "c" else 1
+        connecting = tuple(tuple(float(v) for v in p) for _, p in points)
+    return CycleVerdict(theorem, regime, subcase, count, connecting,
+                        (params.d, params.q2, 0.0), tuple(evidence), v_star,
+                        window)
+
+
+def certify_real_saddle(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
+    """Certification route for a stable-node right block."""
+    return _certify_route(params, validate_hypotheses(params, tol),
+                          "real_saddle", tol)
+
+
+def certify_saddle_focus(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
+    """Certification route for a stable-focus right block."""
+    return _certify_route(params, validate_hypotheses(params, tol),
+                          "saddle_focus", tol)
 
 
 def _window_on_l2(params: SystemParams, tol: float) -> tuple:
@@ -332,14 +330,6 @@ def _interval_parameter(a, b, x) -> float:
     return float(np.dot(x - a, u) / np.dot(u, u))
 
 
-def _halfplane_value(params: SystemParams, p) -> float:
-    """(1,0,1) . B (p - q); nonnegative means the forward right-zone orbit
-    of p stays on the equilibrium side of the plane."""
-    y = np.asarray(p, dtype=float) - params.q
-    bp = params.b_full @ y
-    return float(bp[0] + bp[2])
-
-
 def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:
     if subcase == "a":
         return [("p0", geometry.p0)]
@@ -350,27 +340,13 @@ def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:
     return []
 
 
-def _assemble(theorem, regime, subcase, points, params, evidence, v_star,
-              window, tol) -> CycleVerdict:
-    all_pass = all(e.passed for e in evidence)
-    if subcase == "none" or not all_pass:
-        count = 0
-        connecting = ()
-    else:
-        count = 2 if subcase == "c" else 1
-        connecting = tuple(tuple(float(v) for v in p) for _, p in points)
-    q0 = (params.d, params.q2, 0.0)
-    return CycleVerdict(theorem, regime, subcase, count, connecting, q0,
-                        tuple(evidence), v_star, window)
-
-
 def certify(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
     """Dispatch to the route matching the right block's spectrum."""
     report = validate_hypotheses(params, tol)
     if report.h1_holds:
-        return certify_real_saddle(params, tol)
+        return _certify_route(params, report, "real_saddle", tol)
     if report.h2_holds:
-        return certify_saddle_focus(params, tol)
+        return _certify_route(params, report, "saddle_focus", tol)
     evidence = [Evidence("spectral_type", 0.0,
                          "real stable or complex stable", False,
                          note=f"got {report.spectral_type}")]

@@ -162,3 +162,19 @@ def test_reports_are_deterministic(cfg, tmp_path):
     ra.pop("timing")
     rb.pop("timing")
     assert ra == rb
+
+
+def test_simulate_oracle_undrawable_start_exit_1(tmp_path, capsys):
+    # h3 holds, but no right-zone start 0.05 d from the plane fits the
+    # oracle's draw box around q: a typed error, not a traceback
+    path = tmp_path / "far.cfg"
+    path.write_text("rho = 1\nomega = 3\nmu = 4\nb11 = -3.5\nb12 = 6\n"
+                    "b21 = -6\nb22 = -3.5\nlambda = 2\nq1 = 20\nq2 = 0\n"
+                    "q3 = 0.5\nd = 20\n")
+    code = main(["simulate", str(path), "--x0", "0.5,0,0", "--t1", "1",
+                 "--oracle", "2", "--out", str(tmp_path / "sim.json"),
+                 "--out-traj", str(tmp_path / "t.csv"),
+                 "--out-events", str(tmp_path / "e.csv")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "HetcycleError" and "right zone" in err["message"]

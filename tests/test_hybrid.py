@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import EventStorm, SlidingDetected
 from hetcycle.flows import left_flow, numeric_flow, right_flow
 from hetcycle.hybrid import (
@@ -145,3 +146,25 @@ def test_csv_outputs(tmp_path, ex1):
     erows = list(csv.reader(open(epath, newline="")))
     assert erows[0] == ["t", "x1", "x2", "x3", "direction"]
     assert len(erows) - 1 == len(tr.events)
+
+
+def test_rk45_plane_crossing_linear_field():
+    # x1 = e^t, x3 = 0: the plane x1 + x3 = e is crossed at t = 1
+    res = rk45(lambda x: (x[0], -x[1], 0.0), (1.0, 1.0, 0.0), 0.0, 3.0,
+               plane=((1.0, 0.0, 1.0), math.e), event_side=-1.0)
+    assert res.event_t == pytest.approx(1.0, abs=1e-8)
+    assert abs(res.event_x[0] + res.event_x[2] - math.e) <= 1e-10
+    assert res.ts[-1] == res.event_t and res.grazes == []
+
+
+def test_rk45_plane_graze_on_tangent_circle():
+    # unit circle through (cos 1, -sin 1) touches the plane x1 = 1 at t = 1
+    ctl = StepControl(rtol=1e-12, atol=1e-14)
+    res = rk45(lambda x: (-x[1], x[0], 0.0),
+               (math.cos(1.0), -math.sin(1.0), 0.0), 0.0, 2.0, control=ctl,
+               plane=((1.0, 0.0, 0.0), 1.0), event_side=-1.0)
+    assert res.event_t is None and res.ts[-1] == 2.0
+    assert len(res.grazes) == 1
+    t_g, x_g = res.grazes[0]
+    assert t_g == pytest.approx(1.0, abs=1e-6)
+    assert abs(x_g[0] - 1.0) <= 1e-15

@@ -208,3 +208,22 @@ def test_uncovered_no_backward_return():
     v = certify(p)
     assert v.cycle_count == 0
     assert not {e.name: e for e in v.evidence}["v_star_exists"].passed
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0])
+def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
+    # x -> s x, t -> t / s^2 maps the system onto itself with rates scaled
+    # by s^2 and positions by s; powers of two keep the arithmetic exact
+    s2 = s * s
+    for p in (ex1, ex2, ex3):
+        scaled = replace(p, rho=s2 * p.rho, omega=s2 * p.omega,
+                         mu=s2 * p.mu, b11=s2 * p.b11, b12=s2 * p.b12,
+                         b21=s2 * p.b21, b22=s2 * p.b22, lam=s2 * p.lam,
+                         q1=s * p.q1, q2=s * p.q2, q3=s * p.q3, d=s * p.d)
+        a, b = certify(p), certify(scaled)
+        assert (b.theorem, b.regime, b.subcase, b.cycle_count) == (
+            a.theorem, a.regime, a.subcase, a.cycle_count)
+        assert [(e.name, e.passed) for e in b.evidence] == [
+            (e.name, e.passed) for e in a.evidence]
+        assert b.connecting_points == tuple(
+            tuple(s * v for v in pt) for pt in a.connecting_points)
