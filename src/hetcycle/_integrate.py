@@ -2,9 +2,14 @@
 
 This is the numeric oracle side of the package: it knows nothing about the
 closed-form solutions and integrates raw vector fields.  States are plain
-float tuples (2 or 3 components); scalar arithmetic is several times faster
-here than small-array numpy and the speed matters for the brute-force
-verification sweeps.
+float tuples of 2 or 3 components.  One stepper serves both: the six
+Fehlberg stages, the 5th-order update and the error norm are written out
+for 3 components on local floats, which is several times faster here than
+small-array numpy or per-component loops, and the speed matters for the
+brute-force verification sweeps.  A 2-component state is padded with a
+zero third component whose field is x3' = 0; the padding stays exactly 0,
+adds 0 / atol = 0 to the error norm, and is stripped on return, so the
+mesh and states are the ones of a 2-component stepper.
 
 Events are crossings of an affine plane n . x = c, located on the cubic
 Hermite dense output of each accepted step (Shampine & Thompson, "Event
@@ -12,7 +17,11 @@ location for ordinary differential equations", 2000).  Along one step the
 switching function g(s) = n . x(s) - c is itself an exact scalar cubic
 whose end slopes are h n . f, so its extrema are the roots of a quadratic:
 checking g there and at the step ends finds every crossing and every
-tangential touch of the interpolant without sampling.
+tangential touch of the interpolant without sampling.  Most steps are far
+from the plane and skip that check: the cubic is a convex blend of its end
+values plus at most 4/27 (|m0| + |m1|) from its end slopes, so a step
+whose ends clear the plane on the starting side by more than that (plus
+2 GRAZE_TOL) can neither cross nor graze.
 """
 
 from __future__ import annotations
@@ -44,6 +53,13 @@ _DECISIVE = 1e-12
 #: (tangency cannot be resolved below the integration accuracy).
 GRAZE_TOL = 1e-8
 
+#: Largest |h10(s)| and |h11(s)| on [0, 1]: how far the end slopes can bend
+#: the Hermite cubic away from the blend h00 g0 + h01 g1 of its end values.
+_BULGE = 4.0 / 27.0
+
+#: Relative allowance for rounding in the evaluated cubic of a large step.
+_ROUNDING = 1e-12
+
 
 @dataclass(frozen=True)
 class StepControl:
@@ -53,6 +69,12 @@ class StepControl:
     atol: float = 1e-12
     h_min: float = 1e-13
     max_steps: int = 2_000_000
+
+    def __post_init__(self):
+        # The error norm divides by atol wherever a component sits at 0.
+        if not (self.atol > 0.0 and self.rtol >= 0.0):
+            raise ValueError(f"StepControl needs atol > 0 and rtol >= 0, "
+                             f"got atol={self.atol!r}, rtol={self.rtol!r}")
 
 
 @dataclass
@@ -140,20 +162,36 @@ def rk45(
 ) -> IntegrationResult:
     """Integrate the autonomous field ``f`` from ``t0`` to ``t1`` (t1 > t0).
 
+    ``x0`` has 2 or 3 components (``f`` maps a tuple of that length to one
+    of that length); a 2-component run is padded to 3 and stripped again,
+    so every returned state, field value and event has the length of
+    ``x0``.  Other lengths raise ValueError.
+
     ``plane``, when given, is ``(normal, offset)`` of the event plane
-    n . x = c; integration stops at the first decisive crossing away from
-    ``event_side`` (the sign of n . x - c in the region the trajectory
-    starts in: -1, +1, or 0 to infer from the initial state).  Tangential
-    touches within ``GRAZE_TOL`` of the plane without a crossing are
-    collected in ``grazes``, projected onto the plane, and do not stop the
-    run.
+    n . x = c (the normal has the length of ``x0``); integration stops at
+    the first decisive crossing away from ``event_side`` (the sign of
+    n . x - c in the region the trajectory starts in: -1, +1, or 0 to infer
+    from the initial state).  Tangential touches within ``GRAZE_TOL`` of the
+    plane without a crossing are collected in ``grazes``, projected onto the
+    plane, and do not stop the run.
 
     Raises StepFailure when the controller underflows ``h_min`` or exceeds
     ``max_steps``.
     """
     if not t1 > t0:
         raise ValueError("rk45 requires t1 > t0")
+    dim = len(x0)
+    if dim == 2:
+        field = f
+        f = lambda x: (*field(x[:2]), 0.0)  # noqa: E731
+        x0 = (*x0, 0.0)
+        if plane is not None:
+            plane = ((*plane[0], 0.0), plane[1])
+    elif dim != 3:
+        raise ValueError(f"rk45 integrates 2 or 3 components, got {dim}")
     ctl = control or StepControl()
+    atol, rtol, h_min, max_steps = ctl.atol, ctl.rtol, ctl.h_min, ctl.max_steps
+    isfinite = math.isfinite
     x = tuple(float(v) for v in x0)
     t = t0
     fx = f(x)
@@ -163,69 +201,86 @@ def rk45(
     xs = [x]
     fs = [fx]
     grazes: list = []
+    event_t = event_x = None
 
-    side = event_side
-    if plane is not None and side == 0.0:
-        side = 1.0 if _dot(plane[0], x) - plane[1] > 0.0 else -1.0
+    x1, x2, x3 = x
+    a1, a2, a3 = fx
+    if plane is not None:
+        (n1, n2, n3), offset = plane
+        # n . x - c and n . f at the start of the current step
+        g0 = n1 * x1 + n2 * x2 + n3 * x3 - offset
+        r0 = n1 * a1 + n2 * a2 + n3 * a3
+        side = event_side
+        if side == 0.0:
+            side = 1.0 if g0 > 0.0 else -1.0
 
     steps = 0
     while t < t1:
-        if steps >= ctl.max_steps:
-            raise StepFailure(f"exceeded max_steps={ctl.max_steps} at t={t!r}")
+        if steps >= max_steps:
+            raise StepFailure(f"exceeded max_steps={max_steps} at t={t!r}")
         h = min(h, t1 - t)
 
-        k1 = fx
-        y = tuple(xi + h * _A21 * a for xi, a in zip(x, k1))
-        k2 = f(y)
-        y = tuple(xi + h * (_A31 * a + _A32 * b) for xi, a, b in zip(x, k1, k2))
-        k3 = f(y)
-        y = tuple(xi + h * (_A41 * a + _A42 * b + _A43 * c)
-                  for xi, a, b, c in zip(x, k1, k2, k3))
-        k4 = f(y)
-        y = tuple(xi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                  for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
-        k5 = f(y)
-        y = tuple(xi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                  for xi, a, b, c, d, e in zip(x, k1, k2, k3, k4, k5))
-        k6 = f(y)
+        # Stages k1..k6 have components a, b, c, d, e, p.
+        ha = h * _A21
+        b1, b2, b3 = f((x1 + ha * a1, x2 + ha * a2, x3 + ha * a3))
+        c1, c2, c3 = f((x1 + h * (_A31 * a1 + _A32 * b1),
+                        x2 + h * (_A31 * a2 + _A32 * b2),
+                        x3 + h * (_A31 * a3 + _A32 * b3)))
+        d1, d2, d3 = f((x1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+                        x2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+                        x3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3)))
+        e1, e2, e3 = f((x1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+                        x2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+                        x3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3)))
+        p1, p2, p3 = f((
+            x1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+            x2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+            x3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3)))
 
-        x_new = tuple(
-            xi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g6)
-            for xi, a, c, d, e, g6 in zip(x, k1, k3, k4, k5, k6)
-        )
-        err = 0.0
-        for xi, xn, a, c, d, e, g6 in zip(x, x_new, k1, k3, k4, k5, k6):
-            le = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g6)
-            if not math.isfinite(le) or not math.isfinite(xn):
-                err = math.inf
-                break
-            sc = ctl.atol + ctl.rtol * max(abs(xi), abs(xn))
-            err = max(err, abs(le) / sc)
+        y1 = x1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * p1)
+        y2 = x2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * p2)
+        y3 = x3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * p3)
+        l1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * p1)
+        l2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * p2)
+        l3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * p3)
+        if (isfinite(l1) and isfinite(y1) and isfinite(l2) and isfinite(y2)
+                and isfinite(l3) and isfinite(y3)):
+            err = max(abs(l1) / (atol + rtol * max(abs(x1), abs(y1))),
+                      abs(l2) / (atol + rtol * max(abs(x2), abs(y2))),
+                      abs(l3) / (atol + rtol * max(abs(x3), abs(y3))))
+        else:
+            err = math.inf
 
         if not err <= 1.0:  # rejects NaN/inf error estimates too
-            shrink = 0.2 if not math.isfinite(err) else max(0.2, 0.9 * err ** -0.2)
+            shrink = 0.2 if not isfinite(err) else max(0.2, 0.9 * err ** -0.2)
             h *= shrink
-            if h < ctl.h_min:
+            if h < h_min:
                 raise StepFailure(f"step size underflow at t={t!r} (h={h!r})")
             steps += 1
             continue
 
+        x_new = (y1, y2, y3)
         f_new = f(x_new)
-        t_new = t + h
+        u1, u2, u3 = f_new
 
         if plane is not None:
-            s_ev = _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes)
-            if s_ev is not None:
-                x_ev = hermite(x, fx, x_new, f_new, h, s_ev)
-                t_ev = t + s_ev * h
-                if record:
-                    ts.append(t_ev)
-                    xs.append(x_ev)
-                    fs.append(f(x_ev))
-                return IntegrationResult(ts, xs, fs, event_t=t_ev, event_x=x_ev,
-                                         grazes=grazes)
+            g1 = n1 * y1 + n2 * y2 + n3 * y3 - offset
+            r1 = n1 * u1 + n2 * u2 + n3 * u3
+            if not _clears_plane(side * g0, side * g1, h * r0, h * r1):
+                s_ev = _plane_event(plane, side, x, fx, x_new, f_new, h, t,
+                                    grazes)
+                if s_ev is not None:
+                    event_x = hermite(x, fx, x_new, f_new, h, s_ev)
+                    event_t = t + s_ev * h
+                    if record:
+                        ts.append(event_t)
+                        xs.append(event_x)
+                        fs.append(f(event_x))
+                    break
+            g0, r0 = g1, r1
 
-        t, x, fx = t_new, x_new, f_new
+        t, x, fx = t + h, x_new, f_new
+        x1, x2, x3, a1, a2, a3 = y1, y2, y3, u1, u2, u3
         if record:
             ts.append(t)
             xs.append(x)
@@ -234,11 +289,33 @@ def rk45(
         fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= fac
 
-    if not record:
+    if not record and event_t is None:
         ts, xs, fs = [t], [x], [fx]
-    return IntegrationResult(ts, xs, fs, grazes=grazes)
+    if dim == 2:
+        xs = [v[:2] for v in xs]
+        fs = [v[:2] for v in fs]
+        event_x = None if event_x is None else event_x[:2]
+        grazes = [(tg, xg[:2]) for tg, xg in grazes]
+    return IntegrationResult(ts, xs, fs, event_t=event_t, event_x=event_x,
+                             grazes=grazes)
 
 
+def _clears_plane(w0: float, w1: float, m0: float, m1: float) -> bool:
+    """True when a step whose ends lie at signed distances ``w0``, ``w1``
+    (positive on the starting side) and whose end slopes are ``m0``, ``m1``
+    can neither cross the plane nor graze it.
+
+    g(s) = h00 g0 + h01 g1 + h10 m0 + h11 m1 with h00, h01 in [0, 1]
+    summing to 1 and |h10|, |h11| <= 4/27, so along the whole step the
+    distance is at least min(w0, w1) - 4/27 (|m0| + |m1|).  Requiring more
+    than 2 GRAZE_TOL (and a relative rounding allowance) on top keeps the
+    evaluated cubic of ``_plane_event`` above GRAZE_TOL, which finds
+    nothing there either.
+    """
+    bend = abs(m0) + abs(m1)
+    lim = (_BULGE * bend + 2.0 * GRAZE_TOL
+           + _ROUNDING * (abs(w0) + abs(w1) + bend))
+    return w0 > lim and w1 > lim
 
 
 def _dot(a, b) -> float:

@@ -141,7 +141,12 @@ def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
 
 
 def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
-    """Closed-form right-zone flow q + e^{Bt} (x0 - q)."""
+    """Closed-form right-zone flow q + e^{Bt} (x0 - q).
+
+    A start on the stable plane x3 = q3 stays on it for every t; its
+    e^{lam t} is not evaluated, because at the long forward horizons of a
+    slow stable block it overflows.
+    """
     x0 = np.asarray(x0, dtype=float)
     y1 = x0[0] - params.q1
     y2 = x0[1] - params.q2
@@ -151,7 +156,7 @@ def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     return np.array([
         params.q1 + m11 * y1 + m12 * y2,
         params.q2 + m21 * y1 + m22 * y2,
-        params.q3 + y3 * math.exp(params.lam * t),
+        params.q3 + (y3 * math.exp(params.lam * t) if y3 != 0.0 else y3),
     ])
 
 

@@ -164,8 +164,8 @@ def crosscheck_closed_forms(params: SystemParams, trials: int, seed: int,
                    event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, x in zip(res.ts, res.xs):
-            ref = flow(x0, t, params)
-            err = float(np.max(np.abs(np.asarray(x) - ref)))
+            ref = flow(x0, t, params).tolist()
+            err = max(abs(a - b) for a, b in zip(x, ref))
             if err > max_err:
                 max_err = err
                 worst = {"trial": i, "side": side, "t": float(t),

@@ -178,3 +178,23 @@ def test_simulate_oracle_undrawable_start_exit_1(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "HetcycleError" and "right zone" in err["message"]
+
+
+def test_check_certify_slow_stable_block_no_overflow(tmp_path, capsys):
+    # node block with a tiny slowest stable rate: the gamma_up_fwd horizon
+    # is about 722, past where exp(lambda t) overflows; the snapped start
+    # sits on x3 = q3, so the certificate is built, not a traceback
+    path = tmp_path / "slow.cfg"
+    path.write_text(
+        "rho = 1.663478517453099\nomega = 11.88700412079646\n"
+        "mu = 3.7225731281970327\nb11 = -0.6671102548207155\n"
+        "b12 = -5.719677999307166\nb21 = -0.057196779993071656\n"
+        "b22 = -0.5239972379697723\nlambda = 2.6735900665775407\n"
+        "q1 = 1.4081048818266706\nq2 = 0.8738271740816232\n"
+        "q3 = 0.11834578902945414\nd = 1.4081048818266706\n")
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--certify", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"]["cycle_count"] >= 1
+    assert report["certificates"]
+    assert all(c["containment_ok"] for c in report["certificates"])

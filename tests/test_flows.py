@@ -75,6 +75,16 @@ def test_right_flow_stable_plane_invariance(ex3):
         assert right_flow(x0, t, ex3)[2] == pytest.approx(ex3.q3, abs=1e-13)
 
 
+def test_right_flow_stable_plane_past_exp_overflow(ex3):
+    # e^{lam t} overflows at this t; a start with x3 = q3 never needs it
+    t = 800.0 / ex3.lam
+    with pytest.raises(OverflowError):
+        math.exp(ex3.lam * t)
+    x = right_flow((ex3.q1 + 0.3, ex3.q2 - 0.2, ex3.q3), t, ex3)
+    assert x[2] == ex3.q3
+    np.testing.assert_allclose(x[:2], (ex3.q1, ex3.q2), atol=1e-12)
+
+
 def test_right_flow_unstable_line_invariance(ex3):
     x0 = (ex3.q1, ex3.q2, ex3.q3 + 0.4)
     for t in (-3.0, -0.5, 0.8):

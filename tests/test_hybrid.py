@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hetcycle._integrate import StepControl, rk45
+from hetcycle._integrate import (
+    GRAZE_TOL,
+    StepControl,
+    _clears_plane,
+    _plane_event,
+    hermite,
+    rk45,
+)
 from hetcycle.errors import EventStorm, SlidingDetected
 from hetcycle.flows import left_flow, numeric_flow, right_flow
 from hetcycle.hybrid import (
@@ -168,3 +175,129 @@ def test_rk45_plane_graze_on_tangent_circle():
     t_g, x_g = res.grazes[0]
     assert t_g == pytest.approx(1.0, abs=1e-6)
     assert abs(x_g[0] - 1.0) <= 1e-15
+
+
+def test_integrate_hybrid_example1_sample_count(ex1):
+    tr = integrate_hybrid(ex1, (0.5, 0.0, 0.0), (0.0, 10.0))
+    assert len(tr.ts) == 2353
+    assert tr.xs.shape == (2353, 3)
+
+
+def test_rk45_two_components_match_padded_field():
+    def f2(x):
+        rr = x[0] * x[0] + x[1] * x[1]
+        return (0.8 * x[0] - 3.0 * x[1] - x[0] * rr,
+                3.0 * x[0] + 0.8 * x[1] - x[1] * rr)
+
+    def f3(x):
+        return (*f2(x[:2]), 0.0)
+
+    ctl = StepControl(rtol=1e-10, atol=1e-13)
+    two = rk45(f2, (1.3, -0.2), 0.0, 4.0, control=ctl)
+    three = rk45(f3, (1.3, -0.2, 0.0), 0.0, 4.0, control=ctl)
+    assert two.ts == three.ts
+    assert two.xs == [x[:2] for x in three.xs]
+    assert two.fs == [v[:2] for v in three.fs]
+    assert all(len(x) == 2 for x in two.xs)
+    assert all(x[2] == 0.0 for x in three.xs)
+
+
+def test_rk45_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        rk45(lambda x: x, (1.0, 0.0, 0.0, 0.0), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        rk45(lambda x: x, (1.0,), 0.0, 1.0)
+
+
+def test_step_control_needs_positive_atol():
+    with pytest.raises(ValueError):
+        StepControl(atol=0.0)
+    with pytest.raises(ValueError):
+        StepControl(rtol=-1e-9)
+
+
+def _cubic(g0, g1, m0, m1, s):
+    s2 = s * s
+    s3 = s2 * s
+    return ((2 * s3 - 3 * s2 + 1) * g0 + (s3 - 2 * s2 + s) * m0
+            + (3 * s2 - 2 * s3) * g1 + (s3 - s2) * m1)
+
+
+def test_plane_clearance_bound_is_sound():
+    # steps the bound skips: the cubic stays more than GRAZE_TOL on the
+    # starting side on a dense grid, and the full scan finds nothing
+    rng = np.random.default_rng(2024)
+    s = np.linspace(0.0, 1.0, 4001)
+    plane = ((1.0, 0.0, 0.0), 0.0)
+    skipped = 0
+    for i in range(3000):
+        side = 1.0 if i % 2 else -1.0
+        scale = 10.0 ** rng.uniform(-10.0, 3.0)
+        m0, m1 = rng.uniform(0.0, 1.0, size=2) * scale
+        if i % 3:  # slope into the plane at the start, out at the end
+            m0, m1 = -side * m0, side * m1 * 10.0 ** rng.uniform(-8.0, 0.0)
+        else:
+            m0, m1 = m0 * rng.choice((-1.0, 1.0)), m1 * rng.choice((-1.0, 1.0))
+        floor = 4.0 / 27.0 * (abs(m0) + abs(m1)) + 2.0 * GRAZE_TOL
+        # end distances from a third of the bound to twice it
+        w0, w1 = floor * 10.0 ** rng.uniform(-0.5, 0.3, size=2)
+        if not _clears_plane(w0, w1, m0, m1):
+            continue
+        skipped += 1
+        g0, g1 = side * w0, side * w1
+        assert (side * _cubic(g0, g1, m0, m1, s)).min() > GRAZE_TOL
+        grazes = []
+        assert _plane_event(plane, side, (g0, 0.0, 0.0), (m0, 0.0, 0.0),
+                            (g1, 0.0, 0.0), (m1, 0.0, 0.0), 1.0, 0.0,
+                            grazes) is None
+        assert grazes == []
+    assert skipped > 300
+    # ends clear by 0.1, but the start slope bends the cubic through the
+    # plane near s = 1/3: not skipped
+    assert (_cubic(0.1, 0.1, -0.7, 0.0, s)).min() < 0.0
+    assert not _clears_plane(0.1, 0.1, -0.7, 0.0)
+
+
+def _circle_step_over_peak():
+    """Unit-circle run at loose tolerance whose step straddling the peak
+    x1 = 1 (t = 1) has both ends well below it."""
+    f = lambda x: (-x[1], x[0], 0.0)  # noqa: E731
+    x0 = (math.cos(1.0), -math.sin(1.0), 0.0)
+    ctl = StepControl(rtol=1e-3, atol=1e-9)
+    free = rk45(f, x0, 0.0, 2.0, control=ctl)
+    i = next(k for k in range(len(free.ts) - 1)
+             if free.ts[k] < 1.0 < free.ts[k + 1])
+    return f, x0, ctl, free, i
+
+
+def test_rk45_crossing_inside_a_step_with_clear_ends():
+    f, x0, ctl, free, i = _circle_step_over_peak()
+    c = 0.99
+    assert 1.0 - free.xs[i][0] > 0.04 and 1.0 - free.xs[i + 1][0] > 0.04
+    res = rk45(f, x0, 0.0, 2.0, control=ctl, plane=((1.0, 0.0, 0.0), c),
+               event_side=-1.0)
+    assert res.ts[:-1] == free.ts[:i + 1]
+    assert free.ts[i] < res.event_t < 1.0
+    assert res.event_t == pytest.approx(1.0 - math.acos(c), abs=1e-2)
+    assert abs(res.event_x[0] - c) <= 1e-10
+
+
+def test_rk45_graze_inside_a_step_with_clear_ends():
+    f, x0, ctl, free, i = _circle_step_over_peak()
+    xa, fa, xb, fb = free.xs[i], free.fs[i], free.xs[i + 1], free.fs[i + 1]
+    h = free.ts[i + 1] - free.ts[i]
+    lo, hi = 0.0, 1.0
+    for _ in range(200):  # ternary search for the interpolant's peak in x1
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if hermite(xa, fa, xb, fb, h, m1)[0] < hermite(xa, fa, xb, fb, h, m2)[0]:
+            lo = m1
+        else:
+            hi = m2
+    c = hermite(xa, fa, xb, fb, h, 0.5 * (lo + hi))[0] + 5e-9
+    res = rk45(f, x0, 0.0, 2.0, control=ctl, plane=((1.0, 0.0, 0.0), c),
+               event_side=-1.0)
+    assert res.event_t is None and res.ts == free.ts
+    assert len(res.grazes) == 1
+    t_g, x_g = res.grazes[0]
+    assert free.ts[i] < t_g < free.ts[i + 1]
+    assert abs(x_g[0] - c) <= 1e-15
