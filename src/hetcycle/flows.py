@@ -71,7 +71,8 @@ def radial_sq(r0_sq: float, t: float, rho: float) -> float:
         if s >= 0.0:
             t_blow = math.log(-a) / (2.0 * rho)
             raise BackwardBlowup(
-                f"radial solution escapes at t={t_blow!r}; requested t={t!r}")
+                f"radial solution escapes at t={t_blow!r}; "
+                f"requested t={float(t)!r}")
         return rho / (1.0 - math.exp(s))
     if s > 0.0:
         es = math.exp(-s)
@@ -83,20 +84,22 @@ def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     """Closed-form left-zone flow.
 
     Raises BackwardBlowup for starts outside the cycle evaluated at or past
-    their finite backward escape time.
+    their finite backward escape time.  A tuple ``x0`` is read as it is
+    (callers that evaluate one start many times pass a float tuple); any
+    other sequence is converted to floats first.
     """
-    x0 = np.asarray(x0, dtype=float)
-    r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
+    if not isinstance(x0, tuple):
+        x0 = np.asarray(x0, dtype=float).tolist()
+    a, b = x0[0], x0[1]
+    r0_sq = a * a + b * b
     if r0_sq == 0.0:
         x1 = x2 = 0.0
     else:
-        r_sq = radial_sq(r0_sq, t, params.rho)
-        r = math.sqrt(r_sq)
-        theta = math.atan2(x0[1], x0[0]) + params.omega * t
+        r = math.sqrt(radial_sq(r0_sq, t, params.rho))
+        theta = math.atan2(b, a) + params.omega * t
         x1 = r * math.cos(theta)
         x2 = r * math.sin(theta)
-    x3 = x0[2] * math.exp(params.mu * t)
-    return np.array([x1, x2, x3])
+    return np.array((x1, x2, x0[2] * math.exp(params.mu * t)))
 
 
 def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
@@ -145,19 +148,21 @@ def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
 
     A start on the stable plane x3 = q3 stays on it for every t; its
     e^{lam t} is not evaluated, because at the long forward horizons of a
-    slow stable block it overflows.
+    slow stable block it overflows.  ``x0`` is read as in ``left_flow``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    y1 = x0[0] - params.q1
-    y2 = x0[1] - params.q2
-    y3 = x0[2] - params.q3
+    if not isinstance(x0, tuple):
+        x0 = np.asarray(x0, dtype=float).tolist()
+    q1, q2, q3 = params.q1, params.q2, params.q3
+    y1 = x0[0] - q1
+    y2 = x0[1] - q2
+    y3 = x0[2] - q3
     m11, m12, m21, m22 = planar_matrix_exp(
         params.b11, params.b12, params.b21, params.b22, t)
-    return np.array([
-        params.q1 + m11 * y1 + m12 * y2,
-        params.q2 + m21 * y1 + m22 * y2,
-        params.q3 + (y3 * math.exp(params.lam * t) if y3 != 0.0 else y3),
-    ])
+    return np.array((
+        q1 + m11 * y1 + m12 * y2,
+        q2 + m21 * y1 + m22 * y2,
+        q3 + (y3 * math.exp(params.lam * t) if y3 != 0.0 else y3),
+    ))
 
 
 def left_field(params: SystemParams):

@@ -22,7 +22,6 @@ not misreported.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -96,7 +95,7 @@ def _sample_times(pos, t0: float, t1: float, n_init: int,
     """Sample pos(t) on [t0, t1], inserting midpoints until consecutive
     samples are within max_gap (Euclidean)."""
     ts = np.linspace(t0, t1, max(n_init, 2))
-    xs = np.array([pos(t) for t in ts])
+    xs = np.array([pos(t) for t in ts.tolist()])
     for _ in range(48):
         gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         bad = np.where(gaps > max_gap)[0]
@@ -104,7 +103,7 @@ def _sample_times(pos, t0: float, t1: float, n_init: int,
             break
         mids = 0.5 * (ts[bad] + ts[bad + 1])
         ts = np.sort(np.concatenate([ts, mids]))
-        xs = np.array([pos(t) for t in ts])
+        xs = np.array([pos(t) for t in ts.tolist()])
     return ts, xs
 
 
@@ -131,7 +130,7 @@ def _margin(params: SystemParams, ts, xs, requirement: str, pos=None) -> float:
             t_hi = kept_ts[min(len(kept_ts) - 1, i + 1)]
             fine = np.linspace(t_lo, t_hi, 33)
             fine = fine[fine != 0.0]
-            fx = np.array([pos(t) for t in fine])
+            fx = np.array([pos(t) for t in fine.tolist()])
             fr = sign * (fx[:, 0] + fx[:, 2] - params.d)
             worst = min(worst, float(fr.min()))
         return worst
@@ -148,6 +147,7 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
     """
     plus = requirement.startswith("plus")
     flow = right_flow if plus else left_flow
+    x0 = tuple(np.asarray(x0, dtype=float).tolist())
     pos = lambda t: flow(x0, t, params)  # noqa: E731
     ts, xs = _sample_times(pos, t0, t1, n_init)
     margin = _margin(params, ts, xs, requirement, pos)
@@ -181,14 +181,13 @@ def build_gamma1(params: SystemParams, verdict: CycleVerdict,
     horizons = default_horizons(params)
     tb = t_back if t_back is not None else horizons["gamma1_back"]
     tf = t_fwd if t_fwd is not None else horizons["gamma1_fwd"]
-    q0 = np.array(verdict.q0, dtype=float)
     # Backward, q0 lies on the unstable line {x1 = q1, x2 = q2} (q1 = d is
     # a hypothesis, exact up to tol); snapping the planar coordinates keeps
     # the backward right flow from amplifying that rounding exponentially.
-    q0_back = np.array([params.q1, params.q2, 0.0])
+    q0_back = (params.q1, params.q2, 0.0)
     back = _segment(params, q0_back, -tb, 0.0, 129, "gamma1_back",
                     "plus_strict", "gamma1 backward segment", tol_containment)
-    fwd = _segment(params, q0, 0.0, tf, _per_revolution(params, tf),
+    fwd = _segment(params, verdict.q0, 0.0, tf, _per_revolution(params, tf),
                    "gamma1_fwd", "minus_closed", "gamma1 forward segment",
                    tol_containment)
     return back, fwd
@@ -208,16 +207,16 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     horizons = default_horizons(params)
     tb = t_back if t_back is not None else horizons["gamma_up_back"]
     tf = t_fwd if t_fwd is not None else horizons["gamma_up_fwd"]
-    p = np.asarray(p, dtype=float)
+    p = tuple(np.asarray(p, dtype=float).tolist())
     back = _segment(params, p, -tb, 0.0, _per_revolution(params, tb),
                     "gamma_up_back", "minus_strict",
                     "backward cylinder segment", tol_containment)
     # Forward, p lies on the stable plane {x3 = q3} (the subcase selection
     # guarantees this up to tol); snapping the vertical coordinate keeps
     # the unstable vertical rate from amplifying that rounding.
-    p_fwd = np.array([p[0], p[1], params.q3])
+    p_fwd = (p[0], p[1], params.q3)
     fwd = _segment(params, p_fwd, 0.0, tf, 257, "gamma_up_fwd",
-                   "plus_strict", f"forward segment from {tuple(p)}",
+                   "plus_strict", f"forward segment from {p}",
                    tol_containment)
     return back, fwd
 
@@ -271,16 +270,27 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
 CSV_HEADER = ("t", "x1", "x2", "x3", "side", "role")
 
 
+def _plain(fields) -> tuple:
+    """``fields`` unchanged; ValueError for one that ``csv.writer`` would
+    quote or that is not a string."""
+    for v in fields:
+        if not isinstance(v, str) or any(c in v for c in ',"\r\n'):
+            raise ValueError(f"CSV field is not a plain string: {v!r}")
+    return fields
+
+
 def write_csv(path, blocks, header=CSV_HEADER) -> None:
     """Write ``header``, then for each block ``(ts, xs, labels)`` one row
     per sample: t, x1, x2, x3 by ``repr`` (exact round trip) followed by
-    the block's labels."""
+    the block's labels.  The bytes are those of ``csv.writer``; the header
+    and labels must be strings it would not quote."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_plain(header)) + "\r\n")
         for ts, xs, labels in blocks:
-            writer.writerows(
-                [repr(t), repr(x1), repr(x2), repr(x3), *labels]
+            fields = [v.replace("%", "%%") for v in _plain(labels)]
+            row = ",".join(["%r,%r,%r,%r", *fields]) + "\r\n"
+            fh.writelines(
+                row % (t, x1, x2, x3)
                 for t, (x1, x2, x3) in zip(np.asarray(ts, dtype=float).tolist(),
                                            np.asarray(xs, dtype=float).tolist()))
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from hetcycle._integrate import StepControl, hermite, rk45
+from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup
 from hetcycle.flows import left_flow, right_flow
 
@@ -45,15 +45,32 @@ def affine_field(a11, a12, a21, a22, c1, c2):
 def max_functional(f, x0, t_end, g, ctl=BRUTE_CTL, n_sub=8):
     """Max of g over the trajectory of f from x0 on (0, t_end], evaluated
     on the accepted mesh plus Hermite subsamples (the start itself is
-    excluded: these checks are about the forward orbit)."""
+    excluded: these checks are about the forward orbit).  Planar states
+    only; each subsample is ``hermite(..., h, j / n_sub)`` bit for bit."""
     res = rk45(f, x0, 0.0, t_end, control=ctl)
+    # hermite's basis weights at s = j / n_sub, computed once
+    weights = []
+    for j in range(1, n_sub + 1):
+        s = j / n_sub
+        s2 = s * s
+        s3 = s2 * s
+        weights.append((2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s,
+                        -2.0 * s3 + 3.0 * s2, s3 - s2))
+    ts, xs, fs = res.ts, res.xs, res.fs
     best = -math.inf
-    for i in range(len(res.ts) - 1):
-        h = res.ts[i + 1] - res.ts[i]
-        for j in range(1, n_sub + 1):
-            s = j / n_sub
-            best = max(best, g(hermite(res.xs[i], res.fs[i],
-                                       res.xs[i + 1], res.fs[i + 1], h, s)))
+    for i in range(len(ts) - 1):
+        h = ts[i + 1] - ts[i]
+        a1, a2 = xs[i]
+        fa1, fa2 = fs[i]
+        b1, b2 = xs[i + 1]
+        fb1, fb2 = fs[i + 1]
+        for h00, h10, h01, h11 in weights:
+            c10 = h10 * h
+            c11 = h11 * h
+            v = g((h00 * a1 + c10 * fa1 + h01 * b1 + c11 * fb1,
+                   h00 * a2 + c10 * fa2 + h01 * b2 + c11 * fb2))
+            if v > best:
+                best = v
     return best
 
 

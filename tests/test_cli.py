@@ -198,3 +198,24 @@ def test_check_certify_slow_stable_block_no_overflow(tmp_path, capsys):
     assert report["verdict"]["cycle_count"] >= 1
     assert report["certificates"]
     assert all(c["containment_ok"] for c in report["certificates"])
+
+
+def test_check_certify_backward_blowup_message_has_plain_floats(tmp_path,
+                                                                 capsys):
+    # known hole (a): the rim point sits a rounding error outside the
+    # cycle, so the backward cylinder segment passes its escape time; the
+    # CLI reports it as a typed error whose message prints plain floats
+    path = tmp_path / "rim.cfg"
+    path.write_text(
+        "rho = 1.9004247445208617\nomega = 2.352318023969346\n"
+        "mu = 0.9706928032968544\nb11 = -1.442104934913899\n"
+        "b12 = -2.619717922297823\nb21 = 0\n"
+        "b22 = -3.0669601247005716\nlambda = 2.2681717795125236\n"
+        "q1 = 1.5995872181210298\nq2 = 1.9194542129300656\n"
+        "q3 = 0.22102828049055545\nd = 1.5995872181210298\n")
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--certify", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BackwardBlowup"
+    assert "requested t=" in err["message"]
+    assert "np.float64" not in err["message"]

@@ -184,3 +184,102 @@ def test_polar_round_trip():
         y1, y2 = from_polar(to_polar(x1, x2))
         assert y1 == pytest.approx(x1, rel=1e-12, abs=1e-12)
         assert y2 == pytest.approx(x2, rel=1e-12, abs=1e-12)
+
+
+# The numpy-array closed forms as they stood before the flows moved to
+# Python floats; the float path must reproduce them bit for bit.
+def _array_left_flow(x0, t, params):
+    from hetcycle.flows import radial_sq
+
+    x0 = np.asarray(x0, dtype=float)
+    r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
+    if r0_sq == 0.0:
+        x1 = x2 = 0.0
+    else:
+        r_sq = radial_sq(r0_sq, t, params.rho)
+        r = math.sqrt(r_sq)
+        theta = math.atan2(x0[1], x0[0]) + params.omega * t
+        x1 = r * math.cos(theta)
+        x2 = r * math.sin(theta)
+    x3 = x0[2] * math.exp(params.mu * t)
+    return np.array([x1, x2, x3])
+
+
+def _array_right_flow(x0, t, params):
+    from hetcycle.flows import planar_matrix_exp
+
+    x0 = np.asarray(x0, dtype=float)
+    y1 = x0[0] - params.q1
+    y2 = x0[1] - params.q2
+    y3 = x0[2] - params.q3
+    m11, m12, m21, m22 = planar_matrix_exp(
+        params.b11, params.b12, params.b21, params.b22, t)
+    return np.array([
+        params.q1 + m11 * y1 + m12 * y2,
+        params.q2 + m21 * y1 + m22 * y2,
+        params.q3 + (y3 * math.exp(params.lam * t) if y3 != 0.0 else y3),
+    ])
+
+
+def _outcome(flow, x0, t, params):
+    """The returned bytes, or the type of the exception raised."""
+    try:
+        x = flow(x0, t, params)
+    except (BackwardBlowup, OverflowError) as exc:
+        return type(exc)
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64
+    assert x.shape == (3,)
+    return x.tobytes()
+
+
+def _assert_float_path_matches(flow, ref, x0, t, params):
+    want = _outcome(ref, x0, t, params)
+    for start in (tuple(x0), list(x0), np.array(x0)):
+        for time in (float(t), np.float64(t)):
+            assert _outcome(flow, start, time, params) == want, (start, time)
+
+
+def test_left_flow_float_path_matches_array_reference(ex1, ex2, ex3):
+    rng = np.random.default_rng(20)
+    for p in (ex1, ex2, ex3):
+        sr = p.sqrt_rho
+        for _ in range(150):
+            r = sr * rng.uniform(0.05, 2.5)  # inside and outside the cycle
+            th = rng.uniform(-math.pi, math.pi)
+            x0 = (r * math.cos(th), r * math.sin(th), rng.uniform(-1.0, 1.0))
+            t = rng.uniform(-3.0, 6.0)
+            _assert_float_path_matches(left_flow, _array_left_flow, x0, t, p)
+        # the origin of the plane (r0 = 0), a start on the cycle, and the
+        # backward escape time of a start outside it, at and just past it
+        for x0, t in (((0.0, 0.0, 0.3), -2.0), ((0.0, 0.0, 0.0), 5.0),
+                      ((sr, 0.0, 0.1), -4.0)):
+            _assert_float_path_matches(left_flow, _array_left_flow, x0, t, p)
+        x0 = (1.5 * sr, -0.2 * sr, 0.4)
+        t_blow = radial_blowup_time(x0[0] * x0[0] + x0[1] * x0[1],
+                                    p.rho)
+        for t in (t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow + 1e-3):
+            _assert_float_path_matches(left_flow, _array_left_flow, x0, t, p)
+        assert _outcome(left_flow, x0, t_blow, p) is BackwardBlowup
+        with pytest.raises(BackwardBlowup) as info:
+            left_flow(np.array(x0), np.float64(t_blow - 1.0), p)
+        assert "np.float64" not in str(info.value)
+
+
+def test_right_flow_float_path_matches_array_reference(ex1, ex2, ex3):
+    from hetcycle.model import SystemParams
+
+    repeated = SystemParams(rho=1, omega=1, mu=1, b11=-1.0, b12=1.0, b21=0.0,
+                            b22=-1.0, lam=1, q1=1.2, q2=0, q3=0.2, d=1.2)
+    rng = np.random.default_rng(21)
+    for p in (ex1, ex2, ex3, repeated):
+        for _ in range(150):
+            x0 = tuple(p.q + rng.uniform(-2.0, 2.0, size=3))
+            t = rng.uniform(-2.0, 8.0)
+            _assert_float_path_matches(right_flow, _array_right_flow, x0, t, p)
+        # a start on the stable plane (y3 = 0), also past where e^{lam t}
+        # overflows, the equilibrium itself, and an overflowing y3 != 0
+        on_plane = (p.q1 + 0.3, p.q2 - 0.2, p.q3)
+        for x0, t in ((on_plane, 2.5), (on_plane, 800.0 / p.lam),
+                      (tuple(p.q), -3.0), ((p.q1, p.q2, p.q3 + 0.1),
+                                           800.0 / p.lam)):
+            _assert_float_path_matches(right_flow, _array_right_flow, x0, t, p)

@@ -7,10 +7,12 @@ import pytest
 from hetcycle.errors import CertificateFailure, HypothesisFailure
 from hetcycle.model import LimitCycle
 from hetcycle.orbits import (
+    CSV_HEADER,
     assemble_cycle,
     build_gamma1,
     build_gamma_up,
     default_horizons,
+    write_csv,
     write_segments_csv,
     write_segments_csv_dir,
 )
@@ -159,3 +161,75 @@ def test_csv_schema_round_trip(tmp_path, ex1, verdicts):
 def test_example3_certificates_share_gamma1(ex3, verdicts):
     certs = assemble_cycle(ex3, verdicts[3])
     assert certs[0].orbit_segments[0] is certs[1].orbit_segments[0]
+
+
+def _csv_writer_bytes(path, blocks, header):
+    """What ``csv.writer`` writes for the same rows (repr of each number)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for ts, xs, labels in blocks:
+            writer.writerows(
+                [repr(t), repr(x1), repr(x2), repr(x3), *labels]
+                for t, (x1, x2, x3) in zip(np.asarray(ts, dtype=float).tolist(),
+                                           np.asarray(xs, dtype=float).tolist()))
+    return path.read_bytes()
+
+
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 2.0,
+               math.inf, -math.inf, 0.1, 123456789.125, 2.0 ** -1074 * 3)
+
+
+@pytest.mark.parametrize("header,labels", [
+    (CSV_HEADER, [("right", "gamma1_back"), ("left", "gamma1_fwd"),
+                  ("left", "gamma_up_back"), ("right", "gamma_up_fwd")]),
+    (CSV_HEADER, [("left", "hybrid"), ("right", "hybrid")]),
+    (CSV_HEADER[:4] + ("direction",),
+     [("left_to_right",), ("right_to_left",), ("graze_left",),
+      ("graze_right",)]),
+])
+def test_write_csv_bytes_match_csv_writer(tmp_path, header, labels):
+    rng = np.random.default_rng(7)
+    blocks = []
+    for i, lab in enumerate(labels):
+        n = (0, 1, 5, 40)[i % 4]
+        ts = rng.choice(EDGE_VALUES, size=n)
+        xs = rng.choice(EDGE_VALUES, size=(n, 3))
+        # ndarrays, lists of floats and tuples of numpy scalars alike
+        if i % 3 == 1:
+            ts, xs = ts.tolist(), xs.tolist()
+        elif i % 3 == 2:
+            ts = tuple(np.float64(t) for t in ts)
+            xs = [tuple(np.float64(v) for v in x) for x in xs]
+        blocks.append((ts, xs, lab))
+    blocks.append((EDGE_VALUES, [EDGE_VALUES[j:j + 3] for j in range(11)]
+                   + [EDGE_VALUES[-3:], EDGE_VALUES[:3]], labels[0]))
+    path = tmp_path / "new.csv"
+    write_csv(path, blocks, header=header)
+    want = _csv_writer_bytes(tmp_path / "ref.csv", blocks, header)
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "x"', "a\nb", "a\rb", 3])
+def test_write_csv_refuses_labels_csv_would_quote(tmp_path, label):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", [((0.0,), ((1.0, 2.0, 3.0),),
+                                        ("left", label))])
+
+
+def test_write_csv_percent_label(tmp_path):
+    blocks = [((0.5,), ((1.0, 2.0, 3.0),), ("left", "100%r"))]
+    path = tmp_path / "p.csv"
+    write_csv(path, blocks)
+    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv",
+                                                  blocks, CSV_HEADER)
+
+
+def test_forward_failure_message_has_plain_floats(ex1, verdicts):
+    # p starts on the cycle side of the plane, so the forward right-zone
+    # segment fails its containment; the message names p as plain floats
+    with pytest.raises(CertificateFailure) as info:
+        build_gamma_up(ex1, verdicts[1], np.array([-1.0, 0.0, 0.2]))
+    msg = str(info.value)
+    assert "forward segment from (-1.0, 0.0, 0.2)" in msg
+    assert "np.float64" not in msg
