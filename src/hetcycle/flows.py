@@ -102,21 +102,37 @@ def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     return np.array((x1, x2, x0[2] * math.exp(params.mu * t)))
 
 
-def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
-    """Planar restriction of the left flow (the x3 = 0 dynamics)."""
+def planar_left_orbit(xy, rho: float, omega: float):
+    """The planar left flow (the x3 = 0 dynamics) from the start ``xy`` as
+    a function ``t -> (x1, x2)``.
+
+    The start's squared radius and angle are computed once, so a scan that
+    samples one orbit many times pays only for the t-dependent part.
+    """
     r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
     if r0_sq == 0.0:
-        return (0.0, 0.0)
-    r = math.sqrt(radial_sq(r0_sq, t, rho))
-    theta = math.atan2(xy[1], xy[0]) + omega * t
-    return (r * math.cos(theta), r * math.sin(theta))
+        return lambda t: (0.0, 0.0)
+    theta0 = math.atan2(xy[1], xy[0])
+
+    def orbit(t):
+        r = math.sqrt(radial_sq(r0_sq, t, rho))
+        theta = theta0 + omega * t
+        return (r * math.cos(theta), r * math.sin(theta))
+
+    return orbit
 
 
-def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
-                      t: float) -> tuple:
-    """Entries (m11, m12, m21, m22) of exp(t * A) for a 2x2 matrix A.
+def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
+    """Planar restriction of the left flow (the x3 = 0 dynamics)."""
+    return planar_left_orbit(xy, rho, omega)(t)
 
-    Branches on the sign of the trace/determinant discriminant; the
+
+def block_exp(a11: float, a12: float, a21: float, a22: float):
+    """exp(t * A) of a fixed 2x2 matrix A as a function
+    ``t -> (m11, m12, m21, m22)``.
+
+    Branches once on the sign of the trace/determinant discriminant; only
+    the exponentials and trigonometric factors are left to each t.  The
     distinct-real branch is written with the two scalar exponentials
     directly so large |t| cannot overflow through cosh/sinh when the
     combined exponent is moderate.
@@ -126,21 +142,56 @@ def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
     disc = tr * tr - 4.0 * det
     a = 0.5 * tr
     scale = max(1.0, tr * tr, abs(det))
+    d11 = a11 - a
+    d22 = a22 - a
     if abs(disc) <= _REPEATED_ROOT_TOL * scale:
-        e = math.exp(a * t)
-        c, sl = e, e * t
+        def exp_ta(t):
+            c = math.exp(a * t)
+            sl = c * t
+            return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
     elif disc > 0.0:
         w = 0.5 * math.sqrt(disc)
-        e_hi = math.exp((a + w) * t)
-        e_lo = math.exp((a - w) * t)
-        c = 0.5 * (e_hi + e_lo)
-        sl = 0.5 * (e_hi - e_lo) / w
+        hi = a + w
+        lo = a - w
+
+        def exp_ta(t):
+            e_hi = math.exp(hi * t)
+            e_lo = math.exp(lo * t)
+            c = 0.5 * (e_hi + e_lo)
+            sl = 0.5 * (e_hi - e_lo) / w
+            return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
     else:
         w = 0.5 * math.sqrt(-disc)
-        e = math.exp(a * t)
-        c = e * math.cos(w * t)
-        sl = e * math.sin(w * t) / w
-    return (c + (a11 - a) * sl, a12 * sl, a21 * sl, c + (a22 - a) * sl)
+
+        def exp_ta(t):
+            e = math.exp(a * t)
+            c = e * math.cos(w * t)
+            sl = e * math.sin(w * t) / w
+            return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
+    return exp_ta
+
+
+def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
+                      t: float) -> tuple:
+    """Entries (m11, m12, m21, m22) of exp(t * A) for a 2x2 matrix A."""
+    return block_exp(a11, a12, a21, a22)(t)
+
+
+# One-entry memo of the right-zone block exponential, keyed by the identity
+# of a (frozen) SystemParams: the orbit sampler evaluates one parameter set
+# thousands of times in a row.  Identity, not equality, because == would
+# share an entry between b12 = -0.0 and 0.0; the strong reference keeps the
+# key's address from being reused while the entry lives.
+_right_block = (None, None)
+
+
+def _right_block_exp(params: SystemParams):
+    global _right_block
+    owner, exp_tb = _right_block
+    if owner is not params:
+        exp_tb = block_exp(params.b11, params.b12, params.b21, params.b22)
+        _right_block = (params, exp_tb)
+    return exp_tb
 
 
 def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
@@ -156,8 +207,7 @@ def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     y1 = x0[0] - q1
     y2 = x0[1] - q2
     y3 = x0[2] - q3
-    m11, m12, m21, m22 = planar_matrix_exp(
-        params.b11, params.b12, params.b21, params.b22, t)
+    m11, m12, m21, m22 = _right_block_exp(params)(t)
     return np.array((
         q1 + m11 * y1 + m12 * y2,
         q2 + m21 * y1 + m22 * y2,

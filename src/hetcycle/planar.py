@@ -43,7 +43,16 @@ from .errors import (
     WrongSpectralType,
     ZeroNormal,
 )
-from .flows import planar_left_flow, planar_matrix_exp, radial_blowup_time
+# planar_left_flow and planar_matrix_exp are unused here but stay in this
+# module's namespace: the per-call kernels are looked up on it by name
+# (perfbench/tracing.py counts calls through them).
+from .flows import (  # noqa: F401
+    block_exp,
+    planar_left_flow,
+    planar_left_orbit,
+    planar_matrix_exp,
+    radial_blowup_time,
+)
 from .model import DEFAULT_TOL, classify_2x2
 
 
@@ -100,7 +109,7 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     # at all (possible for strong radial rates), which the classical
     # dichotomy does not cover: branch 'no_backward_return'.
     x_star, t_star = _first_backward_line_crossing(
-        lambda t: planar_left_flow(u1, t, rho, omega),
+        planar_left_orbit(u1, rho, omega),
         line_value=lambda p: p[0] - k,
         period=2.0 * math.pi / omega,
         t_floor=radial_blowup_time(k * k + vp * vp, rho),
@@ -146,8 +155,7 @@ def _first_backward_line_crossing(flow, line_value, period, t_floor, scale,
     t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -max_revs * period
 
     t_prev = -eps
-    f_prev = line_value(flow(t_prev))
-    t_neg = t_prev if f_prev <= 0.0 else None
+    t_neg = t_prev if line_value(flow(t_prev)) <= 0.0 else None
     j = 1
     hit_floor = False
     while True:
@@ -177,7 +185,7 @@ def _first_backward_line_crossing(flow, line_value, period, t_floor, scale,
             return flow(t_root), t_root
         if f_cur <= 0.0:
             t_neg = t_cur
-        t_prev, f_prev = t_cur, f_cur
+        t_prev = t_cur
         j += 1
 
 
@@ -352,20 +360,30 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
     if k1 == 0.0 and k2 == 0.0:
         raise ZeroNormal("line normal must be nonzero")
     x_in = _window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, (k1, k2))
+    exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
+    u, v = x_in
 
     def flow(t):
-        m11, m12, m21, m22 = planar_matrix_exp(sys.a11, sys.a12, sys.a21, sys.a22, t)
-        return (m11 * x_in[0] + m12 * x_in[1], m21 * x_in[0] + m22 * x_in[1])
+        m11, m12, m21, m22 = exp_ta(t)
+        return (m11 * u + m12 * v, m21 * u + m22 * v)
 
     period = 2.0 * math.pi / sys.beta
-    x_out, t_out = _first_backward_line_crossing(
-        flow,
-        line_value=lambda p: k1 * p[0] + k2 * p[1] - 1.0,
-        period=period,
-        t_floor=-math.inf,
-        scale=1.0,
-        max_revs=10.0,
-    )
+    try:
+        x_out, t_out = _first_backward_line_crossing(
+            flow,
+            line_value=lambda p: k1 * p[0] + k2 * p[1] - 1.0,
+            period=period,
+            t_floor=-math.inf,
+            scale=1.0,
+            max_revs=10.0,
+        )
+    except OverflowError as exc:
+        # e^{alpha t} (alpha < 0) grows by e^{2 pi |alpha| / beta} per
+        # backward turn; for a slowly rotating focus it passes the float
+        # range (about e^709) before the spiral comes back to the line
+        raise RootSearchError(
+            "the backward spiral leaves float range before returning to "
+            f"the line (alpha={sys.alpha!r}, beta={sys.beta!r})") from exc
     # project the refined return exactly onto the line (residual is already
     # ~1e-12 * field speed)
     resid = k1 * x_out[0] + k2 * x_out[1] - 1.0

@@ -219,3 +219,22 @@ def test_check_certify_backward_blowup_message_has_plain_floats(tmp_path,
     assert err["error"] == "BackwardBlowup"
     assert "requested t=" in err["message"]
     assert "np.float64" not in err["message"]
+
+
+@pytest.mark.parametrize("alpha,beta", [(-4.0, 0.01), (-1.0, 0.001)])
+def test_check_certify_slow_focus_no_overflow(tmp_path, capsys, alpha, beta):
+    # example 2 with a slowly rotating focus block: the backward spiral
+    # grows by e^{2 pi |alpha| / beta} per turn and leaves float range
+    # before it returns to L2; a typed error, not an OverflowError
+    d = math.sqrt(35.0 / 11.0)
+    path = tmp_path / "slow_focus.cfg"
+    path.write_text(
+        f"rho = 1.0\nomega = {math.sqrt(35.0)!r}\nmu = 5.0\n"
+        f"b11 = {alpha!r}\nb12 = {beta!r}\nb21 = {-beta!r}\n"
+        f"b22 = {alpha!r}\nlambda = 2.0\nq1 = {d!r}\nq2 = -4.5\n"
+        f"q3 = {d + 1.0!r}\nd = {d!r}\n")
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--certify", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RootSearchError"
+    assert "float range" in err["message"]

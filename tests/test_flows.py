@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -283,3 +284,166 @@ def test_right_flow_float_path_matches_array_reference(ex1, ex2, ex3):
                       (tuple(p.q), -3.0), ((p.q1, p.q2, p.q3 + 0.1),
                                            800.0 / p.lam)):
             _assert_float_path_matches(right_flow, _array_right_flow, x0, t, p)
+
+
+# The per-call planar kernels as they stood before each was split into a
+# factory that binds its t-independent part once; the factories must
+# reproduce them bit for bit.
+def _ref_planar_left_flow(xy, t, rho, omega):
+    from hetcycle.flows import radial_sq
+
+    r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
+    if r0_sq == 0.0:
+        return (0.0, 0.0)
+    r = math.sqrt(radial_sq(r0_sq, t, rho))
+    theta = math.atan2(xy[1], xy[0]) + omega * t
+    return (r * math.cos(theta), r * math.sin(theta))
+
+
+def _ref_planar_matrix_exp(a11, a12, a21, a22, t):
+    from hetcycle.flows import _REPEATED_ROOT_TOL
+
+    tr = a11 + a22
+    det = a11 * a22 - a12 * a21
+    disc = tr * tr - 4.0 * det
+    a = 0.5 * tr
+    scale = max(1.0, tr * tr, abs(det))
+    if abs(disc) <= _REPEATED_ROOT_TOL * scale:
+        e = math.exp(a * t)
+        c, sl = e, e * t
+    elif disc > 0.0:
+        w = 0.5 * math.sqrt(disc)
+        e_hi = math.exp((a + w) * t)
+        e_lo = math.exp((a - w) * t)
+        c = 0.5 * (e_hi + e_lo)
+        sl = 0.5 * (e_hi - e_lo) / w
+    else:
+        w = 0.5 * math.sqrt(-disc)
+        e = math.exp(a * t)
+        c = e * math.cos(w * t)
+        sl = e * math.sin(w * t) / w
+    return (c + (a11 - a) * sl, a12 * sl, a21 * sl, c + (a22 - a) * sl)
+
+
+def _bits(values):
+    """The exact doubles of a tuple (tells -0.0 from 0.0)."""
+    return tuple(struct.pack("<d", v) for v in values)
+
+
+def _kernel_outcome(fn, *args):
+    """The returned values with their exact bits, or the raised error."""
+    try:
+        got = fn(*args)
+    except (BackwardBlowup, OverflowError) as exc:
+        return type(exc), str(exc)
+    return got, _bits(got)
+
+
+def _branch(a11, a12, a21, a22):
+    from hetcycle.flows import _REPEATED_ROOT_TOL
+
+    tr = a11 + a22
+    disc = tr * tr - 4.0 * (a11 * a22 - a12 * a21)
+    scale = max(1.0, tr * tr, abs(a11 * a22 - a12 * a21))
+    if abs(disc) <= _REPEATED_ROOT_TOL * scale:
+        return "repeated"
+    return "real" if disc > 0.0 else "complex"
+
+
+def test_block_exp_matches_per_call_reference():
+    from hetcycle.flows import block_exp, planar_matrix_exp
+
+    rng = np.random.default_rng(30)
+    blocks = []
+    for _ in range(60):
+        a, b = -rng.uniform(0.1, 4.0), rng.uniform(0.1, 8.0)
+        blocks.append((a, b * 1.3, -b / 1.3, a))  # complex pair
+        blocks.append((-rng.uniform(0.1, 4.0), rng.uniform(-3.0, 3.0),
+                       0.0, -rng.uniform(0.1, 4.0)))  # distinct real
+        c = -rng.uniform(0.1, 4.0)
+        blocks.append((c, rng.uniform(-3.0, 3.0), 0.0, c))  # exact repeat
+    # the repeated-root threshold: disc = 4 eps against 1e-12 * scale with
+    # scale = tr^2 = 4, just inside and just outside on both sides
+    for eps in (0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12, 1e-12, -1e-12):
+        blocks.append((-1.0, 1.0, eps, -1.0))
+    branches = {_branch(*m) for m in blocks}
+    assert branches == {"repeated", "real", "complex"}
+    assert [_branch(-1.0, 1.0, e, -1.0) for e in (0.9e-12, -0.9e-12)] == [
+        "repeated", "repeated"]
+    assert [_branch(-1.0, 1.0, e, -1.0) for e in (1.1e-12, -1.1e-12)] == [
+        "real", "complex"]
+    ts = [0.0, -0.0, 1e-9, -1e-9] + list(rng.uniform(-6.0, 6.0, size=20))
+    ts += [-400.0, -800.0, 800.0]  # exp overflows on the backward side
+    for m in blocks:
+        exp_ta = block_exp(*m)
+        for t in ts:
+            t = float(t)
+            want = _kernel_outcome(_ref_planar_matrix_exp, *m, t)
+            assert _kernel_outcome(exp_ta, t) == want, (m, t)
+            assert _kernel_outcome(planar_matrix_exp, *m, t) == want, (m, t)
+
+
+def test_planar_left_orbit_matches_per_call_reference():
+    from hetcycle.flows import planar_left_flow, planar_left_orbit
+
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        rho = rng.uniform(0.3, 2.0)
+        omega = rng.uniform(0.5, 15.0)
+        sr = math.sqrt(rho)
+        starts = [(0.0, 0.0), (sr, 0.0), (0.0, -sr)]  # r0 = 0, on the cycle
+        for scale in (0.05, 0.7, 1.0, 1.3, 2.5):  # inside, on, outside
+            th = rng.uniform(-math.pi, math.pi)
+            starts.append((scale * sr * math.cos(th), scale * sr * math.sin(th)))
+        for xy in starts:
+            orbit = planar_left_orbit(xy, rho, omega)
+            ts = [0.0, -0.0] + list(rng.uniform(-4.0, 6.0, size=12))
+            r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
+            t_blow = radial_blowup_time(r0_sq, rho)
+            if t_blow > -math.inf:  # the backward escape, at and around it
+                ts += [t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow - 1.0]
+            for t in ts:
+                t = float(t)
+                want = _kernel_outcome(_ref_planar_left_flow, xy, t, rho, omega)
+                assert _kernel_outcome(orbit, t) == want, (xy, t)
+                assert _kernel_outcome(planar_left_flow, xy, t, rho,
+                                       omega) == want, (xy, t)
+    # a start outside the cycle raises at its escape time, same message
+    orbit = planar_left_orbit((2.0, 0.0), 1.0, 3.0)
+    with pytest.raises(BackwardBlowup, match="requested t="):
+        orbit(radial_blowup_time(4.0, 1.0))
+
+
+def test_right_flow_block_memo_follows_the_params_object(ex2, ex3,
+                                                        monkeypatch):
+    import dataclasses
+
+    from hetcycle import flows
+    from hetcycle.model import SystemParams
+
+    # the array reference above, on the per-call matrix exponential
+    # (right_flow itself no longer calls planar_matrix_exp)
+    monkeypatch.setattr(flows, "planar_matrix_exp", _ref_planar_matrix_exp)
+    fields = {f.name: getattr(ex2, f.name) for f in dataclasses.fields(ex2)}
+    twin_a, twin_b = SystemParams(**fields), SystemParams(**fields)
+    assert twin_a == twin_b and twin_a is not twin_b
+    # equal under == (0.0 == -0.0), yet their blocks differ in m12's sign
+    base = dict(fields, q1=-0.0, q2=-0.0, b11=-1.5, b22=-0.5, b21=0.7)
+    pos = SystemParams(**dict(base, b12=0.0))
+    neg = SystemParams(**dict(base, b12=-0.0))
+    assert pos == neg
+    rng = np.random.default_rng(32)
+    for p, other in ((ex2, ex3), (twin_a, twin_b), (pos, neg)):
+        for _ in range(10):
+            for params in (p, other, p, p, other):
+                for x0 in (tuple(params.q),
+                           tuple(params.q + rng.uniform(-1.0, 1.0, 3))):
+                    t = float(rng.uniform(-2.0, 3.0))
+                    got = flows.right_flow(x0, t, params)
+                    want = _array_right_flow(x0, t, params)
+                    assert got.tobytes() == want.tobytes()
+                    assert (np.signbit(got) == np.signbit(want)).all()
+    # the memo hands each object its own block: m12 keeps the sign of b12
+    for params in (pos, neg, pos):
+        m12 = flows._right_block_exp(params)(0.5)[1]
+        assert math.copysign(1.0, m12) == math.copysign(1.0, params.b12)
