@@ -180,8 +180,8 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
 class Line3D:
     """A line inside the switching plane: point + direction."""
 
-    point: np.ndarray
-    direction: np.ndarray
+    point: tuple
+    direction: tuple
 
 
 @dataclass(frozen=True)
@@ -213,49 +213,53 @@ class DerivedGeometry:
     heights; ``x_minus`` is the tangency point of the right-zone spiral on
     the in-plane line L2.  sigma_plus/minus are the ordinates on L1 where
     the left planar field is tangent to the line x1 = d (present only when
-    the tangency quadratic has real roots).
+    the tangency quadratic has real roots).  Points are float 3-tuples.
     """
 
-    p0: np.ndarray
-    p1: np.ndarray
-    q0: np.ndarray
+    p0: tuple
+    p1: tuple
+    q0: tuple
     sigma_plus: Optional[float]
     sigma_minus: Optional[float]
-    v1: Optional[np.ndarray]
-    p_plus: Optional[np.ndarray]
-    p_minus: Optional[np.ndarray]
-    x_minus: Optional[np.ndarray]
+    v1: Optional[tuple]
+    p_plus: Optional[tuple]
+    p_minus: Optional[tuple]
+    x_minus: Optional[tuple]
     L1: Line3D
     L2: Line3D
 
 
-def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL) -> DerivedGeometry:
+def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
+                    report: Optional[HypothesisReport] = None) -> DerivedGeometry:
     """Compute every switching-plane object by its closed formula.
 
     Requires the placement hypothesis (h3); raises HypothesisFailure
-    otherwise.  ``x_minus`` needs the planar block to be invertible with a
-    nonzero in-plane tangency denominator: for a focus-type block that is
-    automatic; for other spectra a vanishing denominator simply leaves
-    ``x_minus`` unset unless the block itself is singular and the spectrum
-    is focus-type, in which case SingularMatrix is raised.
+    otherwise.  ``report`` is ``validate_hypotheses(params, tol)`` when the
+    caller already holds it.  ``x_minus`` needs the planar block to be
+    invertible with a nonzero in-plane tangency denominator: for a
+    focus-type block that is automatic; for other spectra a vanishing
+    denominator simply leaves ``x_minus`` unset unless the block itself is
+    singular and the spectrum is focus-type, in which case SingularMatrix is
+    raised.
     """
-    report = validate_hypotheses(params, tol)
+    if report is None:
+        report = validate_hypotheses(params, tol)
     if not report.h3_holds:
         failed = [c.name for c in report.h3_details if not c.passed]
         raise HypothesisFailure(f"placement hypothesis fails: {', '.join(failed)}")
 
     d = params.d
     sr = params.sqrt_rho
-    p0 = _ro(np.array([sr, 0.0, d - sr]))
-    p1 = _ro(np.array([-sr, 0.0, d + sr]))
-    q0 = _ro(np.array([d, params.q2, 0.0]))
+    p0 = (sr, 0.0, d - sr)
+    p1 = (-sr, 0.0, d + sr)
+    q0 = (d, params.q2, 0.0)
 
     disc = params.omega ** 2 - 4.0 * d * d * (d * d - params.rho)
     if disc >= 0.0:
         root = math.sqrt(disc)
         sigma_plus = (-params.omega + root) / (2.0 * d)
         sigma_minus = (-params.omega - root) / (2.0 * d)
-        v1 = _ro(np.array([d, sigma_plus, 0.0]))
+        v1 = (d, sigma_plus, 0.0)
     else:
         sigma_plus = sigma_minus = None
         v1 = None
@@ -266,16 +270,15 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL) -> DerivedGe
     band = tol * max(1.0, abs(lo), abs(hi))
     if lo + band < params.q3 < hi - band:
         y = math.sqrt(max(params.rho - (d - params.q3) ** 2, 0.0))
-        p_plus = _ro(np.array([d - params.q3, y, params.q3]))
-        p_minus = _ro(np.array([d - params.q3, -y, params.q3]))
+        p_plus = (d - params.q3, y, params.q3)
+        p_minus = (d - params.q3, -y, params.q3)
     else:
         p_plus = p_minus = None
 
     x_minus = _x_minus_or_none(params, report.spectral_type)
 
-    L1 = Line3D(_ro(np.array([d, 0.0, 0.0])), _ro(np.array([0.0, 1.0, 0.0])))
-    L2 = Line3D(_ro(np.array([d - params.q3, 0.0, params.q3])),
-                _ro(np.array([0.0, 1.0, 0.0])))
+    L1 = Line3D((d, 0.0, 0.0), (0.0, 1.0, 0.0))
+    L2 = Line3D((d - params.q3, 0.0, params.q3), (0.0, 1.0, 0.0))
     return DerivedGeometry(p0, p1, q0, sigma_plus, sigma_minus, v1,
                            p_plus, p_minus, x_minus, L1, L2)
 
@@ -300,7 +303,7 @@ def _x_minus_or_none(params: SystemParams, spectral_type: str):
                 "B^{-1} c-perp vanishes")
         return None
     s = (params.d - (params.q1 + params.q3)) / denom
-    return _ro(np.array([params.q1 + s * w1, params.q2 + s * w2, params.q3]))
+    return (params.q1 + s * w1, params.q2 + s * w2, params.q3)
 
 
 @dataclass(frozen=True)
@@ -309,8 +312,8 @@ class Interval3D:
     endpoints.  Membership is the collinear test: x = a + lam (b - a) with
     lam in [0, 1], respecting the endpoint flags."""
 
-    endpoint_a: np.ndarray
-    endpoint_b: np.ndarray
+    endpoint_a: tuple
+    endpoint_b: tuple
     closed_a: bool = True
     closed_b: bool = True
 
@@ -324,18 +327,21 @@ def interval_contains(iv: Interval3D, x, tol: float = DEFAULT_TOL) -> bool:
 
     ``tol`` is an absolute distance; at the endpoints it maps to a
     parameter-space band of width tol/|b - a| (closed endpoints include the
-    band, open endpoints exclude it).
+    band, open endpoints exclude it).  Endpoints and x are any 3-sequences.
     """
-    a = np.asarray(iv.endpoint_a, dtype=float)
-    b = np.asarray(iv.endpoint_b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    u = b - a
-    length = float(np.linalg.norm(u))
+    a0, a1, a2 = (float(v) for v in iv.endpoint_a)
+    b0, b1, b2 = (float(v) for v in iv.endpoint_b)
+    x0, x1, x2 = (float(v) for v in x)
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+    uu = u0 * u0 + u1 * u1 + u2 * u2
+    length = math.sqrt(uu)
     if length <= tol:
         raise DegenerateInterval("interval endpoints coincide within tolerance")
-    lam = float(np.dot(x - a, u) / np.dot(u, u))
-    perp = x - (a + lam * u)
-    if float(np.linalg.norm(perp)) > tol * max(1.0, length):
+    lam = ((x0 - a0) * u0 + (x1 - a1) * u1 + (x2 - a2) * u2) / uu
+    p0 = x0 - (a0 + lam * u0)
+    p1 = x1 - (a1 + lam * u1)
+    p2 = x2 - (a2 + lam * u2)
+    if math.sqrt(p0 * p0 + p1 * p1 + p2 * p2) > tol * max(1.0, length):
         return False
     lam_tol = tol / length
     if iv.closed_a:

@@ -17,12 +17,17 @@ Two questions drive the cycle certification and both are planar:
   Focus case: exactly on the half-open window [x_star_in, x_star_out)
   between the field-tangency point and its first backward return.
 
-Root finding here runs on the closed-form flows: crossings are bracketed
-by sampling 64 points per revolution and refined by bisection to 1e-12 in
-time.  The scan starts a sliver before zero because the seed points
-themselves sit on the line (tangentially), and near-tangent returns are
-classified as an explicit 'ungeneric' branch instead of being forced into
-the generic dichotomy.
+Root finding here runs on the closed-form flows, and both first returns
+are bracketed from the orbit's closed form.  The focus return lies on one
+monotone branch between two analytically known times, so it needs no
+sampling.  The oscillator return is sampled at 64 points per revolution,
+but only inside the angular windows where the growing radius lets the
+orbit reach the line.  Each bracket is refined by safeguarded false
+position (``_refine``) until it is at most 1e-12 wide in time.  The seed
+points themselves sit on the line (tangentially), so a sampled scan starts
+a sliver before zero, and near-tangent returns are classified as an
+explicit 'ungeneric' branch instead of being forced into the generic
+dichotomy.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .flows import (  # noqa: F401
     planar_left_orbit,
     planar_matrix_exp,
     radial_blowup_time,
+    radial_sq,
 )
 from .model import DEFAULT_TOL, classify_2x2
 
@@ -67,7 +73,8 @@ class VdpLineAnalysis:
     ``x_star`` is the first intersection of the backward orbit of u1 with
     the line, and ``branch`` records whether its ordinate lies above
     varrho_plus or below varrho_minus ('ungeneric' within tolerance of
-    either).
+    either).  ``evaluations`` counts the closed-form orbit evaluations the
+    search for x_star made (0 in the supercritical regime).
     """
 
     rho: float
@@ -82,6 +89,7 @@ class VdpLineAnalysis:
     x_star: Optional[tuple] = None
     t_star: Optional[float] = None
     branch: Optional[str] = None
+    evaluations: int = 0
 
 
 def analyze_vdp_line(rho: float, omega: float, k: float,
@@ -108,17 +116,11 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
     # dichotomy does not cover: branch 'no_backward_return'.
-    x_star, t_star = _first_backward_line_crossing(
-        planar_left_orbit(u1, rho, omega),
-        line_value=lambda p: p[0] - k,
-        period=2.0 * math.pi / omega,
-        t_floor=radial_blowup_time(k * k + vp * vp, rho),
-        scale=max(1.0, k),
-        allow_missing=True,
-    )
+    x_star, t_star, evals = _vdp_backward_return(u1, rho, omega)
     if x_star is None:
         return VdpLineAnalysis(rho, omega, k, "subcritical", disc, vp, vm,
-                               u1, u2, None, None, "no_backward_return")
+                               u1, u2, None, None, "no_backward_return",
+                               evals)
     span = max(1.0, abs(vp), abs(vm))
     if abs(x_star[1] - vp) <= tol * span or abs(x_star[1] - vm) <= tol * span:
         branch = "ungeneric"
@@ -131,62 +133,133 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
             f"first backward return ordinate {x_star[1]!r} lies strictly "
             f"between the tangency ordinates ({vm!r}, {vp!r})")
     return VdpLineAnalysis(rho, omega, k, "subcritical", disc, vp, vm,
-                           u1, u2, x_star, t_star, branch)
+                           u1, u2, x_star, t_star, branch, evals)
 
 
-def _first_backward_line_crossing(flow, line_value, period, t_floor, scale,
-                                  samples_per_rev: int = 64,
-                                  max_revs: float = 40.0,
-                                  allow_missing: bool = False):
-    """First t < 0 with line_value(flow(t)) = 0, excluding the seed at t=0.
+def _vdp_backward_return(u1, rho, omega):
+    """First t < 0 at which the orbit of the tangency point u1 = (k, v)
+    returns to the line x1 = k, excluding the seed at t = 0.
 
-    The seed sits tangentially on the line, so its residual is machine
-    noise; the scan therefore starts at -dt*1e-6 and looks for the first
-    sample decisively past the line (value > guard), bracketing against the
-    latest earlier sample at or below zero.  Bisection refines to 1e-12 in t.
+    Returns (point, t, evaluations), or (None, None, evaluations) when the
+    orbit escapes (or the 40-revolution cap is reached) first.
 
-    When the scan floor (backward escape time or revolution cap) is reached
-    without a crossing: (None, None) if ``allow_missing``, else
-    RootSearchError.
+    The orbit is x1 = r(t) cos(theta0 + omega t) with r growing backward
+    (u1 lies outside the cycle), so a crossing needs
+    cos(theta) >= k / r(t) >= k / r_max, with r_max the radius at the far
+    edge of the current cos > 0 window.  Only the grid points
+    t_j = -eps - j dt (dt = period / 64) inside those sub-windows are
+    sampled, plus the first one past each far edge; the grid points skipped
+    cannot be past the line.  The seed sits tangentially on the line, so
+    its residual is machine noise: a crossing is the first sample
+    decisively past the line (value > guard), bracketed against the latest
+    earlier sample at or below zero and refined by ``_refine``.  The scan
+    floor is a sliver inside the backward escape time; the first grid point
+    past it is replaced by one last probe at the floor, because the radius
+    explodes within a fraction of dt.
     """
-    dt = period / samples_per_rev
+    k = u1[0]
+    orbit = planar_left_orbit(u1, rho, omega)
+    r0_sq = k * k + u1[1] * u1[1]
+    theta0 = math.atan2(u1[1], k)
+    t_floor = radial_blowup_time(r0_sq, rho)
+    period = 2.0 * math.pi / omega
+    dt = period / 64.0
     eps = dt * 1e-6
-    guard = 1e-10 * scale
-    t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -max_revs * period
+    guard = 1e-10 * max(1.0, k)
+    t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -40.0 * period
 
-    t_prev = -eps
-    t_neg = t_prev if line_value(flow(t_prev)) <= 0.0 else None
-    j = 1
-    hit_floor = False
+    def value(t):
+        return orbit(t)[0] - k
+
+    # The seed is on the line only up to rounding, so it closes a bracket
+    # with no value: NaN makes the refine bisect until that end moves.
+    t_neg, f_neg = -eps, math.nan
+    evals = 0
+    j_done = 0
+    n = 0
     while True:
-        t_cur = -eps - j * dt
-        if t_cur <= t_stop:
-            if hit_floor:
-                if allow_missing:
-                    return None, None
-                raise RootSearchError(
-                    "no backward line crossing found before the scan floor")
-            # one last probe at the floor itself: near the escape time the
-            # radius explodes within a fraction of dt
-            t_cur = t_stop
-            hit_floor = True
-        f_cur = line_value(flow(t_cur))
-        if f_cur > guard:
-            if t_neg is None:
-                t_neg = t_prev
-            lo, hi = t_cur, t_neg  # lo < hi <= 0; value(lo) > 0 >= value(hi)
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if line_value(flow(mid)) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_root = 0.5 * (lo + hi)
-            return flow(t_root), t_root
-        if f_cur <= 0.0:
-            t_neg = t_cur
-        t_prev = t_cur
-        j += 1
+        centre = 2.0 * math.pi * n - theta0  # omega t where cos(theta) = 1
+        t_edge = (centre - 0.5 * math.pi) / omega
+        if t_edge > t_stop:
+            r_max = math.sqrt(radial_sq(r0_sq, t_edge, rho))
+            half = math.acos(min(1.0, k / r_max))
+        else:
+            half = 0.5 * math.pi
+        t_near = (centre + half) / omega
+        if t_near <= t_stop:
+            return None, None, evals
+        j = max(j_done + 1, math.ceil((-eps - t_near) / dt))
+        j_end = math.ceil((-eps - (centre - half) / omega) / dt)
+        while j <= j_end:
+            t = -eps - j * dt
+            at_floor = t <= t_stop
+            if at_floor:
+                t = t_stop
+            f = value(t)
+            evals += 1
+            if f > guard:
+                t_root, steps = _refine(value, t, f, t_neg, f_neg)
+                return orbit(t_root), t_root, evals + steps + 1
+            if at_floor:
+                return None, None, evals
+            if f <= 0.0:
+                t_neg, f_neg = t, f
+            j += 1
+        j_done = max(j_done, j_end)
+        n -= 1
+
+
+#: Width in t below which a refined bracket is accepted; its midpoint is
+#: the returned root.
+ROOT_BRACKET = 1e-12
+#: Steps after which a refine that has not halved its bracket bisects.
+_STALL_STEPS = 10
+
+
+def _refine(value, lo, f_lo, hi, f_hi):
+    """Root of ``value`` in a bracket lo < hi with value(lo) > 0 >= value(hi)
+    (the sign convention of a backward scan: lo is the earlier time).
+
+    False position with the Anderson-Bjorck weight: when the same end moves
+    twice in a row, the value kept at the other end is scaled by
+    1 - f_new / f_old (by 1/2 when that is not positive).  Each step lands
+    at least half the final width inside the bracket, so a step next to the
+    root straddles it and collapses the bracket.  The midpoint is taken
+    instead when the interpolant leaves the bracket (as with a non-finite
+    end value) or when the last ``_STALL_STEPS`` steps have not halved the
+    bracket.  Stops once hi - lo <= ROOT_BRACKET and returns
+    (midpoint, evaluations).
+    """
+    nudge = 0.5 * ROOT_BRACKET
+    moved = 0  # +1: lo moved last, -1: hi moved last
+    evals = 0
+    widths = [math.inf] * _STALL_STEPS  # bracket widths of the last steps
+    while hi - lo > ROOT_BRACKET:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
+        span = f_lo - f_hi  # 0 only if a weight underflowed onto f_hi = 0
+        t = lo + (hi - lo) * (f_lo / span) if span > 0.0 else math.nan
+        if hi - lo > 0.5 * widths[evals % _STALL_STEPS] or not lo <= t <= hi:
+            t = mid
+        else:
+            t = min(max(t, lo + nudge), hi - nudge)
+        widths[evals % _STALL_STEPS] = hi - lo
+        f = value(t)
+        evals += 1
+        if f <= 0.0:
+            if moved == -1:
+                m = 1.0 - f / f_hi if f_hi < 0.0 else 0.5
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi = t, f
+            moved = -1
+        else:  # past the line, or NaN where the orbit overflowed
+            if moved == 1:
+                m = 1.0 - f / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo = t, f
+            moved = 1
+    return 0.5 * (lo + hi), evals
 
 
 @dataclass(frozen=True)
@@ -336,12 +409,14 @@ class SpiralWindow:
     """Half-open stay window [x_star_in, x_star_out) on the line {k.x = 1}
     for a stable-focus system: x_star_in is the point where the field is
     parallel to the line, x_star_out the first backward return of its
-    orbit to the line."""
+    orbit to the line, reached at t_star_out after ``evaluations``
+    closed-form flow evaluations."""
 
     x_star_in: tuple
     x_star_out: tuple
     k_vec: tuple
     t_star_out: float
+    evaluations: int = 0
 
 
 def focus_stay_window(sys: PlanarLinearSystem, k_vec,
@@ -350,8 +425,10 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
 
     The tangency point is A^{-1} k-perp / (k . A^{-1} k-perp) with
     k-perp = (-k2, k1); the window's far end is the first intersection of
-    its backward (expanding) spiral with the line, bracketed at 64 samples
-    per turn and bisected to 1e-12 in time.
+    its backward (expanding) spiral with the line.  That return is
+    bracketed in closed form within the spiral's next backward turn and
+    refined to 1e-12 in time.  RootSearchError when the spiral leaves the
+    float range before it returns.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(
@@ -367,16 +444,30 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
         m11, m12, m21, m22 = exp_ta(t)
         return (m11 * u + m12 * v, m21 * u + m22 * v)
 
-    period = 2.0 * math.pi / sys.beta
+    def value(t):
+        try:
+            x1, x2 = flow(t)
+        except OverflowError:
+            return math.inf  # only beyond the root, where e^{alpha t} grows
+        return k1 * x1 + k2 * x2 - 1.0
+
+    # Along the orbit, k . x(t) = e^{alpha t} C cos(beta t - phi) with
+    # C cos(phi) = 1 and tan(phi) = -alpha / beta (x_in is on the line and
+    # the field is parallel to it there).  Backward from t = 0, the value
+    # first exceeds 1 on the monotone branch between t_near, where the
+    # cosine turns positive again (k . x = 0), and the next maximum at
+    # t_far = -2 pi / beta (k . x = e^{-2 pi alpha / beta} > 1).
+    alpha, beta = sys.alpha, sys.beta
+    t_near = (-math.atan(alpha / beta) - 1.5 * math.pi) / beta
+    growth = -2.0 * math.pi * alpha / beta  # log of k . x at t_far
     try:
-        x_out, t_out = _first_backward_line_crossing(
-            flow,
-            line_value=lambda p: k1 * p[0] + k2 * p[1] - 1.0,
-            period=period,
-            t_floor=-math.inf,
-            scale=1.0,
-            max_revs=10.0,
-        )
+        # the return lies beyond t_near: e^{alpha t} overflowing there
+        # overflows it at the return too
+        math.exp(alpha * t_near)
+        t_out, steps = _refine(
+            value, -2.0 * math.pi / beta,
+            math.expm1(growth) if growth < 709.0 else math.inf, t_near, -1.0)
+        x_out = flow(t_out)
     except OverflowError as exc:
         # e^{alpha t} (alpha < 0) grows by e^{2 pi |alpha| / beta} per
         # backward turn; for a slowly rotating focus it passes the float
@@ -389,7 +480,7 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
     resid = k1 * x_out[0] + k2 * x_out[1] - 1.0
     nsq = k1 * k1 + k2 * k2
     x_out = (x_out[0] - resid * k1 / nsq, x_out[1] - resid * k2 / nsq)
-    return SpiralWindow(tuple(x_in), x_out, (k1, k2), t_out)
+    return SpiralWindow(tuple(x_in), x_out, (k1, k2), t_out, steps + 1)
 
 
 def _window_tangency(a11, a12, a21, a22, k):

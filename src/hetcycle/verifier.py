@@ -28,6 +28,7 @@ with zero slack; equality-type checks use the global tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -253,7 +254,7 @@ def _certify_route(params: SystemParams, report: HypothesisReport,
     evidence = _hypothesis_evidence(report, theorem)
     if not (evidence[0].passed and report.h3_holds):
         return _none_verdict(evidence)
-    geometry = derive_geometry(params, tol)
+    geometry = derive_geometry(params, tol, report)
     regime = regime_classify(params, tol)
 
     v_star = None
@@ -274,15 +275,17 @@ def _certify_route(params: SystemParams, report: HypothesisReport,
             # stays on the equilibrium side of the plane.  Closed condition:
             # the tangential boundary value 0 counts as staying, so equality
             # gets the global tolerance.
-            bp = params.b_full @ (np.asarray(p, dtype=float) - params.q)
-            value = float(bp[0] + bp[2])
-            scale = max(1.0, float(np.linalg.norm(bp)))
+            y1, y2, y3 = p[0] - params.q1, p[1] - params.q2, p[2] - params.q3
+            b1 = params.b11 * y1 + params.b12 * y2
+            b2 = params.b21 * y1 + params.b22 * y2
+            b3 = params.lam * y3
+            value = b1 + b3
+            scale = max(1.0, math.sqrt(b1 * b1 + b2 * b2 + b3 * b3))
             evidence.append(Evidence(f"halfplane_{label}", value, ">= 0",
                                      value >= -tol * scale))
     else:
         window = _window_on_l2(params, tol)
-        iv = Interval3D(np.array(window[0]), np.array(window[1]),
-                        closed_a=True, closed_b=False)
+        iv = Interval3D(window[0], window[1], closed_a=True, closed_b=False)
         for label, p in points:
             lam = _interval_parameter(window[0], window[1], p)
             evidence.append(Evidence(
@@ -323,11 +326,9 @@ def _window_on_l2(params: SystemParams, tol: float) -> tuple:
 
 
 def _interval_parameter(a, b, x) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    u = b - a
-    return float(np.dot(x - a, u) / np.dot(u, u))
+    u1, u2, u3 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    return (((x[0] - a[0]) * u1 + (x[1] - a[1]) * u2 + (x[2] - a[2]) * u3)
+            / (u1 * u1 + u2 * u2 + u3 * u3))
 
 
 def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:

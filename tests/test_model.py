@@ -180,6 +180,40 @@ def test_interval_degenerate():
         interval_contains(Interval3D(np.zeros(3), np.zeros(3)), np.zeros(3))
 
 
+def _interval_contains_reference(iv, x, tol):
+    """The numpy form of interval_contains, kept as its reference."""
+    a = np.asarray(iv.endpoint_a, dtype=float)
+    b = np.asarray(iv.endpoint_b, dtype=float)
+    x = np.asarray(x, dtype=float)
+    u = b - a
+    length = float(np.linalg.norm(u))
+    lam = float(np.dot(x - a, u) / np.dot(u, u))
+    if float(np.linalg.norm(x - (a + lam * u))) > tol * max(1.0, length):
+        return False
+    lam_tol = tol / length
+    lo_ok = lam >= -lam_tol if iv.closed_a else lam > lam_tol
+    hi_ok = lam <= 1.0 + lam_tol if iv.closed_b else lam < 1.0 - lam_tol
+    return lo_ok and hi_ok
+
+
+def test_interval_contains_matches_array_reference():
+    # points on, near and off segments of three scales, at and around both
+    # endpoints and the tolerance bands, as tuples and as arrays
+    rng = np.random.default_rng(41)
+    for _ in range(4000):
+        a = rng.normal(size=3) * rng.choice([1e-3, 1.0, 1e3])
+        b = a + rng.normal(size=3)
+        lam = rng.choice([0.0, 1.0, 1e-10, 1.0 - 1e-10, rng.uniform(-0.2, 1.2)])
+        x = a + lam * (b - a) + rng.normal(size=3) * rng.choice(
+            [0.0, 1e-12, 1e-9, 1e-6])
+        iv = Interval3D(tuple(a), tuple(b), bool(rng.integers(2)),
+                        bool(rng.integers(2)))
+        want = _interval_contains_reference(iv, x, 1e-9)
+        assert interval_contains(iv, tuple(x), 1e-9) == want
+        assert interval_contains(Interval3D(a, b, iv.closed_a, iv.closed_b),
+                                 x, 1e-9) == want
+
+
 CONFIG_TEXT = """
 # comments are allowed
 rho = 1.0

@@ -13,15 +13,23 @@ from hetcycle.errors import (
     DegenerateWindow,
     InvalidLine,
     OffLine,
+    RootSearchError,
     SingularMatrix,
     UngenericBranch,
     WrongSpectralType,
 )
-from hetcycle.flows import planar_left_flow
+from hetcycle.flows import (
+    block_exp,
+    planar_left_flow,
+    planar_left_orbit,
+    radial_blowup_time,
+)
 from hetcycle.model import Interval3D, interval_contains
 from hetcycle.planar import (
+    ROOT_BRACKET,
     PlanarLinearSystem,
     StaySet,
+    _refine,
     _window_tangency,
     analyze_vdp_line,
     focus_stay_window,
@@ -272,3 +280,234 @@ def test_vdp_stay_set_vs_brute_force_sample():
     s = forward_stay_set(a, strict=True)
     for y in (-1.0, 0.0, 1.5, 2.8, a.varrho_plus + 0.05, a.x_star[1] - 0.05):
         assert s.contains(y) == brute_vdp_stays(1.0, 10.0, 1.2, y)
+
+
+# --- first-return scans against a dense reference ---------------------------
+
+
+def _reference_crossing(flow, line_value, period, t_floor, scale,
+                        samples_per_rev, max_revs=40.0, allow_missing=False):
+    """The sampled scan the closed-form brackets replaced, kept as the
+    reference: samples_per_rev points per revolution backward from a sliver
+    before t = 0, the first sample past ``scale`` * 1e-10 bracketed against
+    the latest earlier sample at or below zero, bisected to 1e-12 in t."""
+    dt = period / samples_per_rev
+    eps = dt * 1e-6
+    guard = 1e-10 * scale
+    t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -max_revs * period
+
+    t_prev = -eps
+    t_neg = t_prev if line_value(flow(t_prev)) <= 0.0 else None
+    j = 1
+    hit_floor = False
+    while True:
+        t_cur = -eps - j * dt
+        if t_cur <= t_stop:
+            if hit_floor:
+                if allow_missing:
+                    return None, None
+                raise RootSearchError("no backward line crossing")
+            t_cur = t_stop
+            hit_floor = True
+        f_cur = line_value(flow(t_cur))
+        if f_cur > guard:
+            if t_neg is None:
+                t_neg = t_prev
+            lo, hi = t_cur, t_neg
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if line_value(flow(mid)) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            t_root = 0.5 * (lo + hi)
+            return flow(t_root), t_root
+        if f_cur <= 0.0:
+            t_neg = t_cur
+        t_prev = t_cur
+        j += 1
+
+
+def _reference_vdp_return(a, samples_per_rev=4096):
+    """(x_star, t_star) of a subcritical analysis by the reference scan."""
+    u1 = a.u1
+    return _reference_crossing(
+        planar_left_orbit(u1, a.rho, a.omega), lambda p: p[0] - a.k,
+        2.0 * math.pi / a.omega,
+        radial_blowup_time(u1[0] * u1[0] + u1[1] * u1[1], a.rho),
+        max(1.0, a.k), samples_per_rev, allow_missing=True)
+
+
+def _reference_focus_return(sys, k_vec, samples_per_rev=4096):
+    """t_star_out of the spiral window by the reference scan."""
+    k1, k2 = k_vec
+    u, v = _window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, k_vec)
+    exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
+
+    def flow(t):
+        m11, m12, m21, m22 = exp_ta(t)
+        return (m11 * u + m12 * v, m21 * u + m22 * v)
+
+    try:
+        return _reference_crossing(
+            flow, lambda p: k1 * p[0] + k2 * p[1] - 1.0,
+            2.0 * math.pi / sys.beta, -math.inf, 1.0, samples_per_rev,
+            max_revs=10.0)[1]
+    except OverflowError as exc:
+        raise RootSearchError("float range") from exc
+
+
+def _seeded_scans(seed, n):
+    """n oscillator lines x1 = d and n focus systems on their line
+    {x1 = d - q3 - q1 = -q3}, drawn as the benchmark's generator draws
+    them (omega log-uniform on [0.5, 15], |alpha| / beta in [1/40, 8])."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        rho = rng.uniform(0.3, 2.0)
+        d = math.sqrt(rho) * rng.uniform(1.02, 1.6)
+        omega = math.exp(rng.uniform(math.log(0.5), math.log(15.0)))
+        alpha = -rng.uniform(0.2, 4.0)
+        beta = rng.uniform(0.5, 8.0)
+        s = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        sys = PlanarLinearSystem.from_matrix([[alpha, beta * s],
+                                              [-beta / s, alpha]])
+        q3 = rng.uniform(0.05, d + math.sqrt(rho) + 2.0)
+        out.append(((rho, omega, d), sys, (-1.0 / q3, 0.0)))
+    return out
+
+
+def _same_return(t_new, t_ref, rate, scale):
+    """Both scans find no return, or both find the same one: to 1e-12 in t
+    plus the band in which rounding of the line value (a few ulp of
+    ``scale``) hides its sign at the crossing rate ``rate``.  The
+    reference, sampling 64 times as densely, finds none earlier."""
+    if t_new is None or t_ref is None:
+        return t_new is None and t_ref is None
+    band = ROOT_BRACKET + 8.0 * math.ulp(scale) / abs(rate)
+    return abs(t_new - t_ref) <= band and t_ref <= t_new + band
+
+
+def test_scans_match_dense_reference():
+    for (rho, omega, k), sys, k_vec in _seeded_scans(606, 500):
+        a = analyze_vdp_line(rho, omega, k)
+        if a.regime == "subcritical":
+            _, t_ref = _reference_vdp_return(a)
+            rate = None
+            if a.x_star is not None:  # x1' of the planar field at x_star
+                x1, x2 = a.x_star
+                rate = rho * x1 - omega * x2 - x1 * (x1 * x1 + x2 * x2)
+            assert _same_return(a.t_star, t_ref, rate, max(1.0, k)), (
+                rho, omega, k)
+        w = focus_stay_window(sys, k_vec)
+        rate = np.dot(k_vec, sys.apply(w.x_star_out))
+        assert _same_return(w.t_star_out, _reference_focus_return(sys, k_vec),
+                            rate, 1.0)
+
+
+def test_slow_focus_scan_matches_dense_reference():
+    # 2 pi |alpha| / beta past the float range of exp: the far end of the
+    # bracket overflows while the return itself is representable (both
+    # scans find it), or the return overflows too (both raise)
+    for beta, finite in ((1.0 / 150.0, True), (1.0 / 200.0, True),
+                         (1.0 / 400.0, False)):
+        sys = PlanarLinearSystem.from_matrix([[-1.0, 3.0 * beta],
+                                              [-beta / 3.0, -1.0]])
+        if finite:
+            w = focus_stay_window(sys, (0.5, 0.0))
+            t_ref = _reference_focus_return(sys, (0.5, 0.0), 64)
+            assert abs(w.t_star_out - t_ref) <= 1e-12
+        else:
+            for scan in (focus_stay_window, _reference_focus_return):
+                with pytest.raises(RootSearchError):
+                    scan(sys, (0.5, 0.0))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 3.0])
+def test_focus_window_time_rescaling(s):
+    # e^{t sA} = e^{(st) A}: the same window, reached at t_star_out / s.
+    # Each return time is within ROOT_BRACKET / 2 of the root in its own
+    # time units, so s * t_s and t differ by at most (1 + s) ROOT_BRACKET / 2
+    # and x_star_out by that times the speed |A x_star_out| along the line.
+    for _, sys, k_vec in _seeded_scans(707, 40):
+        m = [[sys.a11, sys.a12], [sys.a21, sys.a22]]
+        w = focus_stay_window(sys, k_vec)
+        ws = focus_stay_window(PlanarLinearSystem.from_matrix(
+            [[s * v for v in row] for row in m]), k_vec)
+        np.testing.assert_allclose(ws.x_star_in, w.x_star_in, rtol=1e-13)
+        dt = 0.5 * (1.0 + s) * ROOT_BRACKET
+        assert abs(s * ws.t_star_out - w.t_star_out) <= dt * (1.0 + 1e-6)
+        x, y = w.x_star_out
+        speed = math.hypot(*sys.apply((x, y)))
+        assert math.dist(ws.x_star_out, w.x_star_out) <= (
+            speed * dt * (1.0 + 1e-6) + 1e-14 * math.hypot(x, y))
+
+
+#: Ceilings on the closed-form evaluations of one scan, and on their mean
+#: over a seeded batch.  A focus scan needs no sampling; an oscillator scan
+#: samples only where the orbit can reach the line (about 21 per scan if it
+#: sampled every cos(theta) > 0 window).
+FOCUS_EVALUATIONS = 16
+VDP_EVALUATIONS = 48
+FOCUS_MEAN_EVALUATIONS = 8.0
+VDP_MEAN_EVALUATIONS = 14.0
+
+
+def test_scan_evaluation_ceilings(ex1, ex2, ex3):
+    for p in (ex1, ex2, ex3):
+        a = analyze_vdp_line(p.rho, p.omega, p.d)
+        assert a.evaluations <= VDP_EVALUATIONS
+    for p in (ex2, ex3):
+        sys = PlanarLinearSystem.from_matrix([[p.b11, p.b12], [p.b21, p.b22]])
+        w = focus_stay_window(sys, (1.0 / (p.d - p.q3 - p.q1), 0.0))
+        assert 1 <= w.evaluations <= FOCUS_EVALUATIONS
+    vdp, focus = [], []
+    for (rho, omega, k), sys, k_vec in _seeded_scans(808, 1000):
+        a = analyze_vdp_line(rho, omega, k)
+        assert (a.evaluations == 0) == (a.regime == "supercritical")
+        if a.evaluations:
+            vdp.append(a.evaluations)
+        focus.append(focus_stay_window(sys, k_vec).evaluations)
+    assert max(vdp) <= VDP_EVALUATIONS and max(focus) <= FOCUS_EVALUATIONS
+    assert sum(vdp) <= VDP_MEAN_EVALUATIONS * len(vdp)
+    assert sum(focus) <= FOCUS_MEAN_EVALUATIONS * len(focus)
+
+
+def test_refine_brackets_to_the_contract():
+    # a smooth root, and a steep exponential on which false position keeps
+    # one end for thousands of steps unless the stall safeguard bisects:
+    # the midpoint of a bracket no wider than ROOT_BRACKET, in few steps
+    for root in (-0.3, -2.0 / 3.0, -5.123456789):
+        for shape, most in ((lambda u: 1e3 * math.tanh(u), 12),
+                            (lambda u: math.expm1(50.0 * u), 100)):
+            calls = []
+
+            def value(t):
+                calls.append(t)
+                if len(calls) > 1000:
+                    raise RuntimeError("the refine does not converge")
+                return shape(root - t)
+
+            t, steps = _refine(value, -6.0, value(-6.0), 0.0, value(0.0))
+            assert abs(t - root) <= 0.5 * ROOT_BRACKET
+            assert steps == len(calls) - 2 and steps <= most
+
+
+@pytest.mark.parametrize("rho, omega, k, t_star", [
+    (1.7693183051964239, 5.590415157751715, 1.9532276223541516,
+     -0.008377325053451639),
+    (0.31573010960822756, 1.1425572126983963, 0.8662376617072363,
+     -0.033009704169945364),
+    (1.789921316810826, 5.993859105831948, 2.0056512427656723,
+     -0.001081577175719856),
+])
+def test_vdp_return_within_the_first_sample_step(rho, omega, k, t_star):
+    # the orbit returns before the first grid sample, so the bracket closes
+    # on the seed, whose line value is rounding noise: the refine must not
+    # interpolate on it and settle next to the seed (t_star from the
+    # sampled scan this one replaced)
+    a = analyze_vdp_line(rho, omega, k)
+    assert a.branch == "x2star_below"
+    assert a.t_star == pytest.approx(t_star, abs=1e-12)
+    _, t_ref = _reference_vdp_return(a)
+    assert a.t_star == pytest.approx(t_ref, abs=1e-12)

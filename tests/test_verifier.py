@@ -227,3 +227,24 @@ def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
             (e.name, e.passed) for e in a.evidence]
         assert b.connecting_points == tuple(
             tuple(s * v for v in pt) for pt in a.connecting_points)
+
+
+def test_certify_checks_the_hypotheses_once(ex1, ex2, ex3, monkeypatch):
+    # certify hands its hypothesis report to derive_geometry instead of
+    # having it validated a second time
+    import hetcycle.model as model
+    import hetcycle.verifier as verifier
+
+    calls = []
+    validate = model.validate_hypotheses
+
+    def counted(params, tol=model.DEFAULT_TOL):
+        calls.append(params)
+        return validate(params, tol)
+
+    for mod in (model, verifier):
+        monkeypatch.setattr(mod, "validate_hypotheses", counted)
+    for p in (ex1, ex2, ex3):
+        calls.clear()
+        assert certify(p).certified
+        assert calls == [p]
