@@ -6,10 +6,15 @@ float tuples of 2 or 3 components.  One stepper serves both: the six
 Fehlberg stages, the 5th-order update and the error norm are written out
 for 3 components on local floats, which is several times faster here than
 small-array numpy or per-component loops, and the speed matters for the
-brute-force verification sweeps.  A 2-component state is padded with a
-zero third component whose field is x3' = 0; the padding stays exactly 0,
-adds 0 / atol = 0 to the error norm, and is stripped on return, so the
-mesh and states are the ones of a 2-component stepper.
+brute-force verification sweeps.  The error norm is the largest of the
+three scaled component errors, taken by comparisons (``v if v > u else
+u``, the pick ``max`` makes) rather than ``max`` calls; comparisons drop a
+NaN instead of propagating it, so a step with any non-finite update or
+error component is given err = inf before the norm is formed, and is
+retried at 0.2 h.  A 2-component state is padded with a zero third
+component whose field is x3' = 0; the padding stays exactly 0, adds
+0 / atol = 0 to the error norm, and is stripped on return, so the mesh and
+states are the ones of a 2-component stepper.
 
 Events are crossings of an affine plane n . x = c, located on the cubic
 Hermite dense output of each accepted step (Shampine & Thompson, "Event
@@ -21,7 +26,10 @@ tangential touch of the interpolant without sampling.  Most steps are far
 from the plane and skip that check: the cubic is a convex blend of its end
 values plus at most 4/27 (|m0| + |m1|) from its end slopes, so a step
 whose ends clear the plane on the starting side by more than that (plus
-2 GRAZE_TOL) can neither cross nor graze.
+2 GRAZE_TOL) can neither cross nor graze.  A crossing is bisected on the
+same interpolant, written out for 3 components: each midpoint state is
+``hermite`` of that fraction bit for bit, and n . x is summed in component
+order.
 """
 
 from __future__ import annotations
@@ -124,18 +132,32 @@ def _initial_step(f0, x0, span: float, ctl: StepControl) -> float:
     return min(h, span)
 
 
-def _bisect_hermite(g, x0, f0, x1, f1, h, s_lo, s_hi, g_lo, g_hi, target_sign):
-    """Bisect g along the Hermite interpolant until both bracket values are
-    within ``EVENT_RESIDUAL``; return the endpoint whose sign matches
-    ``target_sign`` so the hand-off state lands on the destination side."""
-    a, b = s_lo, s_hi
-    ga, gb = g_lo, g_hi
+def _bisect_event(plane, x0, f0, x1, f1, h, a, b, ga, gb, target_sign):
+    """Bisect g = n . x - c along the Hermite interpolant of one
+    3-component step, from the bracket [a, b] with values ``ga``, ``gb``,
+    until both bracket values are within ``EVENT_RESIDUAL``; return the
+    endpoint whose sign matches ``target_sign`` so the hand-off state lands
+    on the destination side.  Each midpoint state is ``hermite(..., m)``
+    bit for bit, and its g is summed in component order."""
+    (n1, n2, n3), offset = plane
+    xa1, xa2, xa3 = x0
+    fa1, fa2, fa3 = f0
+    xb1, xb2, xb3 = x1
+    fb1, fb2, fb3 = f1
     for _ in range(200):
         if abs(ga) <= EVENT_RESIDUAL and abs(gb) <= EVENT_RESIDUAL:
             break
         m = 0.5 * (a + b)
-        xm = hermite(x0, f0, x1, f1, h, m)
-        gm = g(xm)
+        m2 = m * m
+        m3 = m2 * m
+        h00 = 2.0 * m3 - 3.0 * m2 + 1.0
+        c10 = (m3 - 2.0 * m2 + m) * h
+        h01 = -2.0 * m3 + 3.0 * m2
+        c11 = (m3 - m2) * h
+        gm = (n1 * (h00 * xa1 + c10 * fa1 + h01 * xb1 + c11 * fb1)
+              + n2 * (h00 * xa2 + c10 * fa2 + h01 * xb2 + c11 * fb2)
+              + n3 * (h00 * xa3 + c10 * fa3 + h01 * xb3 + c11 * fb3)
+              - offset)
         if (gm > 0.0) == (ga > 0.0):
             a, ga = m, gm
         else:
@@ -218,7 +240,9 @@ def rk45(
     while t < t1:
         if steps >= max_steps:
             raise StepFailure(f"exceeded max_steps={max_steps} at t={t!r}")
-        h = min(h, t1 - t)
+        rest = t1 - t
+        if rest < h:
+            h = rest
 
         # Stages k1..k6 have components a, b, c, d, e, p.
         ha = h * _A21
@@ -245,9 +269,18 @@ def rk45(
         l3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * p3)
         if (isfinite(l1) and isfinite(y1) and isfinite(l2) and isfinite(y2)
                 and isfinite(l3) and isfinite(y3)):
-            err = max(abs(l1) / (atol + rtol * max(abs(x1), abs(y1))),
-                      abs(l2) / (atol + rtol * max(abs(x2), abs(y2))),
-                      abs(l3) / (atol + rtol * max(abs(x3), abs(y3))))
+            # max() written out: ``v if v > u else u`` is its pick, and on
+            # these finite values nothing else can differ.
+            u, v = abs(x1), abs(y1)
+            err = abs(l1) / (atol + rtol * (v if v > u else u))
+            u, v = abs(x2), abs(y2)
+            e = abs(l2) / (atol + rtol * (v if v > u else u))
+            if e > err:
+                err = e
+            u, v = abs(x3), abs(y3)
+            e = abs(l3) / (atol + rtol * (v if v > u else u))
+            if e > err:
+                err = e
         else:
             err = math.inf
 
@@ -286,8 +319,10 @@ def rk45(
             xs.append(x)
             fs.append(fx)
         steps += 1
-        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h *= fac
+        # Growth factor min(5, 0.9 err^-0.2), the min written out; an
+        # accepted err <= 1 keeps it >= 0.9, so no 0.2 floor can bind.
+        fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+        h *= fac if fac < 5.0 else 5.0
 
     if not record and event_t is None:
         ts, xs, fs = [t], [x], [fx]
@@ -318,10 +353,6 @@ def _clears_plane(w0: float, w1: float, m0: float, m1: float) -> bool:
     return w0 > lim and w1 > lim
 
 
-def _dot(a, b) -> float:
-    return sum(u * v for u, v in zip(a, b))
-
-
 def _unit_roots(a: float, b: float, c: float) -> list:
     """Real roots of a s^2 + b s + c strictly inside (0, 1), ascending."""
     if a == 0.0:
@@ -341,11 +372,11 @@ def _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes):
     Returns the step fraction of a crossing (bisected onto the destination
     side), else None, possibly after appending a graze record.
     """
-    normal, offset = plane
-    g0 = _dot(normal, x) - offset
-    g1 = _dot(normal, x_new) - offset
-    m0 = h * _dot(normal, fx)
-    m1 = h * _dot(normal, f_new)
+    (n1, n2, n3), offset = plane
+    g0 = n1 * x[0] + n2 * x[1] + n3 * x[2] - offset
+    g1 = n1 * x_new[0] + n2 * x_new[1] + n3 * x_new[2] - offset
+    m0 = h * (n1 * fx[0] + n2 * fx[1] + n3 * fx[2])
+    m1 = h * (n1 * f_new[0] + n2 * f_new[1] + n3 * f_new[2])
     # g(s) is the cubic with end values g0, g1 and end slopes m0, m1; it is
     # monotone between consecutive roots of g', so only those are checked.
     crit = _unit_roots(6.0 * (g0 - g1) + 3.0 * (m0 + m1),
@@ -362,17 +393,17 @@ def _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes):
     target = -side
     for (s_lo, g_lo), (s_hi, g_hi) in zip(checks, checks[1:]):
         if g_hi * target > _DECISIVE:
-            return _bisect_hermite(lambda y: _dot(normal, y) - offset,
-                                   x, fx, x_new, f_new, h,
-                                   s_lo, s_hi, g_lo, g_hi, target)
+            return _bisect_event(plane, x, fx, x_new, f_new, h,
+                                 s_lo, s_hi, g_lo, g_hi, target)
 
     # No crossing: an interior extremum nearer the plane than both ends is
     # a tangential touch; it is projected onto the plane exactly.
     if crit:
         s_t, g_t = min(checks[1:-1], key=lambda c: abs(c[1]))
         if abs(g_t) <= GRAZE_TOL and abs(g_t) < min(abs(g0), abs(g1)):
-            x_t = hermite(x, fx, x_new, f_new, h, s_t)
-            shift = (_dot(normal, x_t) - offset) / _dot(normal, normal)
-            grazes.append((t + s_t * h,
-                           tuple(v - shift * n for v, n in zip(x_t, normal))))
+            v1, v2, v3 = hermite(x, fx, x_new, f_new, h, s_t)
+            shift = ((n1 * v1 + n2 * v2 + n3 * v3 - offset)
+                     / (n1 * n1 + n2 * n2 + n3 * n3))
+            grazes.append((t + s_t * h, (v1 - shift * n1, v2 - shift * n2,
+                                         v3 - shift * n3)))
     return None

@@ -220,10 +220,11 @@ def left_field(params: SystemParams):
     rho, omega, mu = params.rho, params.omega, params.mu
 
     def f(x):
-        rr = x[0] * x[0] + x[1] * x[1]
-        return (rho * x[0] - omega * x[1] - x[0] * rr,
-                omega * x[0] + rho * x[1] - x[1] * rr,
-                mu * x[2])
+        x1, x2, x3 = x
+        rr = x1 * x1 + x2 * x2
+        return (rho * x1 - omega * x2 - x1 * rr,
+                omega * x1 + rho * x2 - x2 * rr,
+                mu * x3)
 
     return f
 
@@ -234,9 +235,10 @@ def right_field(params: SystemParams):
     q1, q2, q3 = params.q1, params.q2, params.q3
 
     def f(x):
-        y1 = x[0] - q1
-        y2 = x[1] - q2
-        return (b11 * y1 + b12 * y2, b21 * y1 + b22 * y2, lam * (x[2] - q3))
+        x1, x2, x3 = x
+        y1 = x1 - q1
+        y2 = x2 - q2
+        return (b11 * y1 + b12 * y2, b21 * y1 + b22 * y2, lam * (x3 - q3))
 
     return f
 

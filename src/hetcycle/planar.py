@@ -372,7 +372,13 @@ class PlanarLinearSystem:
     @classmethod
     def from_matrix(cls, m) -> "PlanarLinearSystem":
         m = np.asarray(m, dtype=float)
-        a11, a12, a21, a22 = float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1])
+        return cls.from_entries(float(m[0, 0]), float(m[0, 1]),
+                                float(m[1, 0]), float(m[1, 1]))
+
+    @classmethod
+    def from_entries(cls, a11: float, a12: float, a21: float,
+                     a22: float) -> "PlanarLinearSystem":
+        """The system of [[a11, a12], [a21, a22]], entries given as floats."""
         kind, eigs = classify_2x2(a11, a12, a21, a22)
         if kind == "complex_stable":
             alpha, beta = eigs[0].real, eigs[0].imag

@@ -318,7 +318,8 @@ def _window_on_l2(params: SystemParams, tol: float) -> tuple:
     """Spiral stay window on L2, lifted to 3D (the in-plane dynamics at
     height q3 is the planar right block centered at (q1, q2))."""
     c0 = params.d - params.q3 - params.q1  # line offset in centered coords
-    sys = PlanarLinearSystem.from_matrix(params.b0)
+    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
+                                          params.b21, params.b22)
     w = focus_stay_window(sys, (1.0 / c0, 0.0), tol)
     x_minus = (w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2, params.q3)
     x_plus = (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2, params.q3)

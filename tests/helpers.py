@@ -1,7 +1,9 @@
 """Brute-force oracles shared by the unit and acceptance tests.
 
-Everything here goes through the numeric integrator on raw vector fields;
-nothing uses the closed forms or the stay-set formulas being tested.
+The brute checks go through the numeric integrator on raw vector fields
+and use neither the closed forms nor the stay-set formulas being tested.
+``reference_crosscheck`` keeps an earlier form of the package's own
+self-test as a reference for the current one.
 """
 
 import math
@@ -10,7 +12,9 @@ import numpy as np
 
 from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup
-from hetcycle.flows import left_flow, right_flow
+from hetcycle.flows import left_field, left_flow, right_field, right_flow
+from hetcycle.hybrid import CrosscheckReport, _draw_start
+from hetcycle.model import C_NORMAL
 
 BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 
@@ -145,3 +149,34 @@ def semigroup_max_rel_err(params, side, n, seed):
         worst = max(worst, rel)
         accepted += 1
     return worst
+
+
+def reference_crosscheck(params, trials, seed, horizon=5.0, control=None):
+    """``hybrid.crosscheck_closed_forms`` as it stood with the per-sample
+    error taken by ``max`` over a generator; the written-out maximum must
+    give the same report bit for bit."""
+    if trials <= 0:
+        return CrosscheckReport(0, 0.0)
+    rng = np.random.default_rng(seed)
+    ctl = control or StepControl()
+    d = params.d
+    margin = 0.05 * max(1.0, d)
+    sr = params.sqrt_rho
+    fields = {"left": left_field(params), "right": right_field(params)}
+    plane = (C_NORMAL, d)
+    max_err = 0.0
+    worst = None
+    for i in range(trials):
+        side = "left" if i % 2 == 0 else "right"
+        x0 = _draw_start(params, side, rng, margin, sr)
+        res = rk45(fields[side], x0, 0.0, horizon, control=ctl, plane=plane,
+                   event_side=-1.0 if side == "left" else 1.0)
+        flow = left_flow if side == "left" else right_flow
+        for t, x in zip(res.ts, res.xs):
+            ref = flow(x0, t, params).tolist()
+            err = max(abs(a - b) for a, b in zip(x, ref))
+            if err > max_err:
+                max_err = err
+                worst = {"trial": i, "side": side, "t": float(t),
+                         "x0": [float(v) for v in x0]}
+    return CrosscheckReport(trials, max_err, worst)

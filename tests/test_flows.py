@@ -10,9 +10,11 @@ from hetcycle._integrate import StepControl
 from hetcycle.errors import BackwardBlowup, StepFailure
 from hetcycle.flows import (
     from_polar,
+    left_field,
     left_flow,
     numeric_flow,
     radial_blowup_time,
+    right_field,
     right_flow,
     to_polar,
 )
@@ -447,3 +449,44 @@ def test_right_flow_block_memo_follows_the_params_object(ex2, ex3,
     for params in (pos, neg, pos):
         m12 = flows._right_block_exp(params)(0.5)[1]
         assert math.copysign(1.0, m12) == math.copysign(1.0, params.b12)
+
+
+# The zone fields as they stood with every component read by index; the
+# fields that unpack the state once must return the same bits.
+def _indexed_left_field(params):
+    rho, omega, mu = params.rho, params.omega, params.mu
+
+    def f(x):
+        rr = x[0] * x[0] + x[1] * x[1]
+        return (rho * x[0] - omega * x[1] - x[0] * rr,
+                omega * x[0] + rho * x[1] - x[1] * rr,
+                mu * x[2])
+
+    return f
+
+
+def _indexed_right_field(params):
+    b11, b12, b21, b22 = params.b11, params.b12, params.b21, params.b22
+    lam, q1, q2, q3 = params.lam, params.q1, params.q2, params.q3
+
+    def f(x):
+        y1 = x[0] - q1
+        y2 = x[1] - q2
+        return (b11 * y1 + b12 * y2, b21 * y1 + b22 * y2, lam * (x[2] - q3))
+
+    return f
+
+
+def test_zone_fields_match_indexed_reference(ex1, ex2, ex3):
+    rng = np.random.default_rng(22)
+    for p in (ex1, ex2, ex3):
+        pairs = ((left_field(p), _indexed_left_field(p)),
+                 (right_field(p), _indexed_right_field(p)))
+        states = [tuple((rng.uniform(-3.0, 3.0, size=3)
+                         * 10.0 ** rng.uniform(-6.0, 3.0)).tolist())
+                  for _ in range(300)]
+        states += [tuple(p.q), (0.0, -0.0, 0.0)]
+        for x in states:
+            for field, ref in pairs:
+                assert (struct.pack("<3d", *field(x))
+                        == struct.pack("<3d", *ref(x)))

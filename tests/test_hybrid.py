@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_crosscheck
+
 from hetcycle._integrate import (
     GRAZE_TOL,
     StepControl,
@@ -132,6 +134,17 @@ def test_crosscheck_all_examples(ex1, ex2, ex3):
         rep = crosscheck_closed_forms(p, 40, seed=seed)
         assert rep.trials == 40
         assert rep.max_error <= 1e-6
+
+
+def test_crosscheck_matches_generator_max_reference(ex1, ex2, ex3):
+    for p in (ex1, ex2, ex3):
+        for seed in (0, 1, 2):
+            got = crosscheck_closed_forms(p, 40, seed)
+            want = reference_crosscheck(p, 40, seed)
+            assert got.trials == want.trials
+            assert got.max_error.hex() == want.max_error.hex()
+            assert got.worst_trial == want.worst_trial
+            assert got.worst_trial is not None
 
 
 def test_crosscheck_zero_trials(ex1):

@@ -511,3 +511,15 @@ def test_vdp_return_within_the_first_sample_step(rho, omega, k, t_star):
     assert a.t_star == pytest.approx(t_star, abs=1e-12)
     _, t_ref = _reference_vdp_return(a)
     assert a.t_star == pytest.approx(t_ref, abs=1e-12)
+
+
+def test_system_from_entries_is_from_matrix(ex1, ex2, ex3):
+    # the certify route builds the right block from the parameter floats;
+    # the matrix constructor (read-only array, nested lists) gives the same
+    for p in (ex1, ex2, ex3):
+        sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
+        for m in (p.b0, [[p.b11, p.b12], [p.b21, p.b22]]):
+            assert repr(PlanarLinearSystem.from_matrix(m)) == repr(sys)
+        values = (sys.a11, sys.a12, sys.a21, sys.a22, sys.alpha, sys.beta)
+        assert all(v is None or type(v) is float for v in values)
+    assert PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0).alpha is None
