@@ -13,6 +13,14 @@ Three commands:
 
 Reports are JSON with floats serialized by ``repr`` (shortest string that
 round-trips the exact double), so a report parsed back compares equal.
+
+``main(argv)`` returns the exit code instead of exiting, so it can be
+called from Python.  It builds its argument parser on the first call and
+reuses it for every later call in the process (importing this module
+builds nothing; ``make_parser()`` still returns a fresh parser).  Typed
+errors, ``ValueError`` and ``OSError`` (an output path that cannot be
+written) are reported as one JSON object ``{"error", "message"}`` on
+stderr with exit 1; a usage error exits 2 through argparse.
 """
 
 from __future__ import annotations
@@ -288,12 +296,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and reused: parse_args keeps no state
+# on the parser between calls, and every call gets a fresh Namespace.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except HetcycleError as exc:
+    except (HetcycleError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

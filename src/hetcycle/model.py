@@ -85,19 +85,6 @@ class SystemParams:
         return _ro(np.array([self.q1, self.q2, self.q3]))
 
     @property
-    def b0(self) -> np.ndarray:
-        """Planar block of the right-zone matrix."""
-        return _ro(np.array([[self.b11, self.b12], [self.b21, self.b22]]))
-
-    @property
-    def b_full(self) -> np.ndarray:
-        return _ro(np.array([
-            [self.b11, self.b12, 0.0],
-            [self.b21, self.b22, 0.0],
-            [0.0, 0.0, self.lam],
-        ]))
-
-    @property
     def sqrt_rho(self) -> float:
         return math.sqrt(self.rho)
 

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hetcycle.cli import main
+from hetcycle import cli
+from hetcycle.cli import main, make_parser
 
 CONFIG = """
 rho = 1.0
@@ -238,3 +242,97 @@ def test_check_certify_slow_focus_no_overflow(tmp_path, capsys, alpha, beta):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "RootSearchError"
     assert "float range" in err["message"]
+
+
+def test_check_unwritable_out_exit_1(cfg, tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "r.json"
+    assert main(["check", cfg, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileNotFoundError"
+    assert str(out) in err["message"]
+
+
+def test_example_csv_dir_is_a_file_exit_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["example", "1", "--out", str(tmp_path / "r.json"),
+                 "--csv-dir", str(taken)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileExistsError"
+    assert str(taken) in err["message"]
+
+
+def test_simulate_out_traj_is_a_directory_exit_1(cfg, tmp_path, capsys):
+    assert main(["simulate", cfg, "--x0", "0.5,0,0", "--t1", "1",
+                 "--out", str(tmp_path / "sim.json"),
+                 "--out-traj", str(tmp_path),
+                 "--out-events", str(tmp_path / "e.csv")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IsADirectoryError"
+    assert str(tmp_path) in err["message"]
+
+
+def test_main_builds_its_parser_once(cfg, tmp_path, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "make_parser", counting)
+    for _ in range(3):
+        assert main(["check", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 1
+    assert make_parser() is not make_parser()
+
+
+def test_import_builds_no_parser():
+    code = ("import hetcycle.cli as cli, sys; "
+            "sys.exit(0 if cli._parser is None else 3)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _run_fresh(argv):
+    """``main`` with a parser built for this call alone."""
+    args = make_parser().parse_args(argv)
+    return args.fn(args)
+
+
+def test_reused_parser_leaks_no_state(cfg, tmp_path, capsys, monkeypatch):
+    # one parser for the whole sequence: an override, the same command
+    # without it, a usage error and another command must each give what a
+    # parser built for that call alone gives
+    monkeypatch.setattr(cli, "_parser", None)
+    out = tmp_path / "r.json"
+    calls = [
+        ["check", cfg, "--set", "rho=1.2", "--out", str(out)],
+        ["check", cfg, "--out", str(out)],
+        ["check", "--out", str(out)],
+        ["simulate", cfg, "--x0", "0.5,0,0", "--t1", "2", "--oracle", "2",
+         "--out", str(out), "--out-traj", str(tmp_path / "t.csv"),
+         "--out-events", str(tmp_path / "e.csv")],
+    ]
+    outcomes = []
+    for argv in calls:
+        got = []
+        for run in (main, _run_fresh):
+            out.unlink(missing_ok=True)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            report = json.loads(out.read_text()) if out.exists() else None
+            if report is not None:
+                report.pop("timing", None)
+            got.append((code, report, capsys.readouterr().err))
+        assert got[0] == got[1]
+        outcomes.append(got[0])
+    assert cli._parser is not None
+    (_, over, _), (_, plain, _), (usage, none, err), (sim, report, _) = outcomes
+    assert over["params_echo"]["rho"] == 1.2
+    assert plain["params_echo"]["rho"] == 1.0
+    assert usage == 2 and none is None and "config" in err
+    assert sim == 0 and report["oracle"]["trials"] == 2

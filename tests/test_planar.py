@@ -518,7 +518,10 @@ def test_system_from_entries_is_from_matrix(ex1, ex2, ex3):
     # the matrix constructor (read-only array, nested lists) gives the same
     for p in (ex1, ex2, ex3):
         sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
-        for m in (p.b0, [[p.b11, p.b12], [p.b21, p.b22]]):
+        entries = [[p.b11, p.b12], [p.b21, p.b22]]
+        read_only = np.array(entries)
+        read_only.setflags(write=False)
+        for m in (read_only, entries):
             assert repr(PlanarLinearSystem.from_matrix(m)) == repr(sys)
         values = (sys.a11, sys.a12, sys.a21, sys.a22, sys.alpha, sys.beta)
         assert all(v is None or type(v) is float for v in values)
