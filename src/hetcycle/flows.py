@@ -16,6 +16,17 @@ Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
 closed form, split by eigenvalue type (distinct real / repeated / complex
 pair).
 
+Both closed forms keep a one-entry memo of their t-independent part,
+because the orbit sampler and the closed-form cross-check evaluate one
+start under one parameter set many times in a row: ``left_flow`` keeps
+the start's squared radius, angle and the radial law's log-space offset,
+keyed by the identities of the ``x0`` tuple and the ``params`` object;
+``right_flow`` keeps the block exponential, keyed by the ``params``
+object.  Identity, not equality, because == would share an entry between
+0.0 and -0.0; each memo holds strong references to its keys, so their
+addresses cannot be reused while the entry lives.  A hit does the same
+operations in the same order as a miss, so results are bit-identical.
+
 ``numeric_flow`` integrates the raw Cartesian fields with the adaptive
 Runge-Kutta oracle and exists solely to cross-check the formulas above.
 """
@@ -80,26 +91,74 @@ def radial_sq(r0_sq: float, t: float, rho: float) -> float:
     return rho / (1.0 + math.exp(s))
 
 
+# One-entry memo of the left-zone start: (x0, params, bound part), keyed by
+# the identities of the x0 tuple and the params object (see the module
+# docstring).  The bound part is (rho, omega, mu, x3, theta0, log_a,
+# outside): theta0 is None at r0 = 0, log_a is None on the cycle, and
+# log_a = log|rho/r0^2 - 1| is radial_sq's log-space offset otherwise.
+# Keys and bound part sit in one tuple, replaced whole, so a reader never
+# pairs one start's keys with another start's bound part.
+_left_start = (None, None, None)
+
+
+def _bind_left_start(x0: tuple, params: SystemParams) -> tuple:
+    a, b = x0[0], x0[1]
+    r0_sq = a * a + b * b
+    rho = params.rho
+    theta0 = log_a = None
+    outside = False
+    if r0_sq != 0.0:
+        theta0 = math.atan2(b, a)
+        offset = rho / r0_sq - 1.0
+        if offset != 0.0:
+            log_a = math.log(abs(offset))
+            outside = offset < 0.0
+    return (rho, params.omega, params.mu, x0[2], theta0, log_a, outside)
+
+
 def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     """Closed-form left-zone flow.
 
     Raises BackwardBlowup for starts outside the cycle evaluated at or past
     their finite backward escape time.  A tuple ``x0`` is read as it is
-    (callers that evaluate one start many times pass a float tuple); any
-    other sequence is converted to floats first.
+    (callers that evaluate one start many times pass one float tuple, and
+    its t-independent part is then computed once); any other sequence is
+    converted to floats first.  The radial law is ``radial_sq``'s, in the
+    same operation order.
     """
+    global _left_start
     if not isinstance(x0, tuple):
-        x0 = np.asarray(x0, dtype=float).tolist()
-    a, b = x0[0], x0[1]
-    r0_sq = a * a + b * b
-    if r0_sq == 0.0:
+        x0 = tuple(np.asarray(x0, dtype=float).tolist())
+    key_x0, key_params, bound = _left_start
+    if key_x0 is not x0 or key_params is not params:
+        bound = _bind_left_start(x0, params)
+        _left_start = (x0, params, bound)
+    rho, omega, mu, x3, theta0, log_a, outside = bound
+    if theta0 is None:
         x1 = x2 = 0.0
     else:
-        r = math.sqrt(radial_sq(r0_sq, t, params.rho))
-        theta = math.atan2(b, a) + params.omega * t
+        if log_a is None:
+            r_sq = rho
+        else:
+            s = log_a - 2.0 * rho * t
+            if outside:
+                # denominator 1 - e^s vanishes at the blow-up
+                if s >= 0.0:
+                    t_blow = log_a / (2.0 * rho)
+                    raise BackwardBlowup(
+                        f"radial solution escapes at t={t_blow!r}; "
+                        f"requested t={float(t)!r}")
+                r_sq = rho / (1.0 - math.exp(s))
+            elif s > 0.0:
+                es = math.exp(-s)
+                r_sq = rho * es / (1.0 + es)
+            else:
+                r_sq = rho / (1.0 + math.exp(s))
+        r = math.sqrt(r_sq)
+        theta = theta0 + omega * t
         x1 = r * math.cos(theta)
         x2 = r * math.sin(theta)
-    return np.array((x1, x2, x0[2] * math.exp(params.mu * t)))
+    return np.array((x1, x2, x3 * math.exp(mu * t)))
 
 
 def planar_left_orbit(xy, rho: float, omega: float):
@@ -177,11 +236,10 @@ def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
     return block_exp(a11, a12, a21, a22)(t)
 
 
-# One-entry memo of the right-zone block exponential, keyed by the identity
-# of a (frozen) SystemParams: the orbit sampler evaluates one parameter set
-# thousands of times in a row.  Identity, not equality, because == would
-# share an entry between b12 = -0.0 and 0.0; the strong reference keeps the
-# key's address from being reused while the entry lives.
+# One-entry memo of the right-zone block exponential: (params, exp_tb),
+# keyed by the identity of the params object (see the module docstring;
+# under == b12 = -0.0 and 0.0 would share an entry).  right_flow reads it
+# inline and calls _right_block_exp only on a miss.
 _right_block = (None, None)
 
 
@@ -207,7 +265,10 @@ def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     y1 = x0[0] - q1
     y2 = x0[1] - q2
     y3 = x0[2] - q3
-    m11, m12, m21, m22 = _right_block_exp(params)(t)
+    owner, exp_tb = _right_block
+    if owner is not params:
+        exp_tb = _right_block_exp(params)
+    m11, m12, m21, m22 = exp_tb(t)
     return np.array((
         q1 + m11 * y1 + m12 * y2,
         q2 + m21 * y1 + m22 * y2,

@@ -23,12 +23,14 @@ not misreported.
 from __future__ import annotations
 
 import math
+import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateFailure, HypothesisFailure
+from .errors import CertificateFailure, ConfigError, HypothesisFailure
 from .flows import left_flow, right_flow
 from .model import LimitCycle, SystemParams, classify_2x2
 from .verifier import CycleVerdict
@@ -90,12 +92,23 @@ def default_horizons(params: SystemParams, target: float = HORIZON_TARGET) -> di
     }
 
 
-def _sample_times(pos, t0: float, t1: float, n_init: int,
+def _check_horizons(t_back, t_fwd) -> None:
+    """ConfigError unless each horizon override is None or a positive
+    finite time."""
+    for name, value in (("t_back", t_back), ("t_fwd", t_fwd)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(
+                f"horizon {name} must be a positive finite time, "
+                f"got {value!r}")
+
+
+def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
+                  t1: float, n_init: int,
                   max_gap: float = MAX_SAMPLE_GAP) -> tuple:
-    """Sample pos(t) on [t0, t1], inserting midpoints until consecutive
-    samples are within max_gap (Euclidean)."""
+    """Sample flow(x0, t, params) on [t0, t1], inserting midpoints until
+    consecutive samples are within max_gap (Euclidean)."""
     ts = np.linspace(t0, t1, max(n_init, 2))
-    xs = np.array([pos(t) for t in ts.tolist()])
+    xs = np.array([flow(x0, t, params) for t in ts.tolist()])
     for _ in range(48):
         gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         bad = np.where(gaps > max_gap)[0]
@@ -103,18 +116,20 @@ def _sample_times(pos, t0: float, t1: float, n_init: int,
             break
         mids = 0.5 * (ts[bad] + ts[bad + 1])
         ts = np.sort(np.concatenate([ts, mids]))
-        xs = np.array([pos(t) for t in ts.tolist()])
+        xs = np.array([flow(x0, t, params) for t in ts.tolist()])
     return ts, xs
 
 
-def _margin(params: SystemParams, ts, xs, requirement: str, pos=None) -> float:
+def _margin(params: SystemParams, ts, xs, requirement: str, flow,
+            x0: tuple) -> float:
     """Worst signed margin of the containment requirement over the samples.
 
     requirement 'plus_strict'  : x1 + x3 - d > 0 for t != 0
     requirement 'minus_strict' : d - x1 - x3 > 0 for t != 0
     requirement 'minus_closed' : d - x1 - x3 >= -tol everywhere
     A strict margin at or below zero is re-examined on a 16x finer local
-    grid before being accepted as the minimum (tangency guard).
+    grid of flow(x0, t, params) before being accepted as the minimum
+    (tangency guard).
     """
     resid = xs[:, 0] + xs[:, 2] - params.d
     sign = 1.0 if requirement.startswith("plus") else -1.0
@@ -124,13 +139,13 @@ def _margin(params: SystemParams, ts, xs, requirement: str, pos=None) -> float:
         vals = vals[mask]
         kept_ts = ts[mask]
         worst = float(vals.min())
-        if worst <= 0.0 and pos is not None:
+        if worst <= 0.0:
             i = int(vals.argmin())
             t_lo = kept_ts[max(0, i - 1)]
             t_hi = kept_ts[min(len(kept_ts) - 1, i + 1)]
             fine = np.linspace(t_lo, t_hi, 33)
             fine = fine[fine != 0.0]
-            fx = np.array([pos(t) for t in fine.tolist()])
+            fx = np.array([flow(x0, t, params) for t in fine.tolist()])
             fr = sign * (fx[:, 0] + fx[:, 2] - params.d)
             worst = min(worst, float(fr.min()))
         return worst
@@ -148,9 +163,8 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
     plus = requirement.startswith("plus")
     flow = right_flow if plus else left_flow
     x0 = tuple(np.asarray(x0, dtype=float).tolist())
-    pos = lambda t: flow(x0, t, params)  # noqa: E731
-    ts, xs = _sample_times(pos, t0, t1, n_init)
-    margin = _margin(params, ts, xs, requirement, pos)
+    ts, xs = _sample_times(flow, x0, params, t0, t1, n_init)
+    margin = _margin(params, ts, xs, requirement, flow, x0)
     if margin < -tol_containment:
         raise CertificateFailure(
             f"{'equilibrium' if plus else 'cycle'}-side containment violated "
@@ -173,9 +187,11 @@ def build_gamma1(params: SystemParams, verdict: CycleVerdict,
     (closed cycle side).  Returns (backward, forward) with residuals
     available via ``endpoint_residuals`` of the enclosing certificate.
 
-    Raises HypothesisFailure when the verdict certifies nothing and
+    Raises ConfigError for a horizon that is not a positive finite time,
+    HypothesisFailure when the verdict certifies nothing and
     CertificateFailure when a containment margin is violated.
     """
+    _check_horizons(t_back, t_fwd)
     if not verdict.certified:
         raise HypothesisFailure("verdict does not certify a cycle")
     horizons = default_horizons(params)
@@ -201,7 +217,8 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     left-zone segment winding down the unstable cylinder (strictly on the
     cycle side; this is the numeric replacement for the tangent-angle
     argument) and forward right-zone segment inside the stable plane of q
-    (strictly on the equilibrium side)."""
+    (strictly on the equilibrium side).  Errors as in ``build_gamma1``."""
+    _check_horizons(t_back, t_fwd)
     if not verdict.certified:
         raise HypothesisFailure("verdict does not certify a cycle")
     horizons = default_horizons(params)
@@ -228,8 +245,10 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
     """One certificate per certified cycle (none for a failed verdict).
 
     ``t_back``/``t_fwd`` override both families' horizons when given; the
-    default horizons are per-family contraction times.
+    default horizons are per-family contraction times.  An override that
+    is not a positive finite time raises ConfigError.
     """
+    _check_horizons(t_back, t_fwd)
     if not verdict.certified:
         return []
     cycle = LimitCycle.from_params(params)
@@ -279,20 +298,48 @@ def _plain(fields) -> tuple:
     return fields
 
 
+#: Rows formatted and written per ``write`` call: bounds the memory held
+#: by the joined text of a long block.
+CSV_CHUNK_ROWS = 512
+
+
+def _constant_repr(col: np.ndarray):
+    """``repr`` of the value of a float64 column whose values share one
+    64-bit pattern, else None.  Patterns, not values, are compared, so a
+    column mixing 0.0 and -0.0 is not constant."""
+    bits = col.view(np.uint64)
+    # min/max, not bits == bits[0]: that bool temporary per column raised
+    # the peak RSS of a process writing many blocks by about 0.3 MB
+    if len(bits) and bits.min() == bits.max():
+        return repr(float(col[0]))
+    return None
+
+
 def write_csv(path, blocks, header=CSV_HEADER) -> None:
     """Write ``header``, then for each block ``(ts, xs, labels)`` one row
     per sample: t, x1, x2, x3 by ``repr`` (exact round trip) followed by
     the block's labels.  The bytes are those of ``csv.writer``; the header
-    and labels must be strings it would not quote."""
+    and labels must be strings it would not quote.
+
+    A block is formatted column by column, ``CSV_CHUNK_ROWS`` rows per
+    write; a constant column (``_constant_repr``) is formatted once.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_plain(header)) + "\r\n")
         for ts, xs, labels in blocks:
-            fields = [v.replace("%", "%%") for v in _plain(labels)]
-            row = ",".join(["%r,%r,%r,%r", *fields]) + "\r\n"
-            fh.writelines(
-                row % (t, x1, x2, x3)
-                for t, (x1, x2, x3) in zip(np.asarray(ts, dtype=float).tolist(),
-                                           np.asarray(xs, dtype=float).tolist()))
+            tail = "".join("," + v for v in _plain(labels)) + "\r\n"
+            # reshape: an empty block may come as [] rather than (0, 3)
+            x1, x2, x3 = np.asarray(xs, dtype=float).reshape(len(xs), 3).T
+            cols = (np.asarray(ts, dtype=float), x1, x2, x3)
+            consts = [_constant_repr(col) for col in cols]
+            n = min(map(len, cols))
+            for lo in range(0, n, CSV_CHUNK_ROWS):
+                hi = min(lo + CSV_CHUNK_ROWS, n)
+                chunk = [map(repr, col[lo:hi].tolist()) if const is None
+                         else [const] * (hi - lo)
+                         for col, const in zip(cols, consts)]
+                fh.write("".join([f"{t},{a},{b},{c}{tail}"
+                                  for t, a, b, c in zip(*chunk)]))
 
 
 def write_segments_csv(segments, path) -> None:
@@ -302,14 +349,28 @@ def write_segments_csv(segments, path) -> None:
                      for seg in segments))
 
 
-def write_segments_csv_dir(segments, dirpath) -> list:
-    """One CSV per segment, named ``<index>_<role>.csv``; returns paths."""
-    import os
+#: Names of the per-segment CSVs: ``<index>_<role>.csv``.
+_SEGMENT_CSV_NAME = re.compile(
+    r"[0-9]{2,}_(gamma1_back|gamma1_fwd|gamma_up_back|gamma_up_fwd)\.csv")
 
+
+def write_segments_csv_dir(segments, dirpath) -> list:
+    """One CSV per segment, named ``<index>_<role>.csv``; returns paths.
+
+    Files of that naming scheme that an earlier run left in ``dirpath``
+    and this one does not write are removed, so the directory holds only
+    this run's segments; any other file is left alone.
+    """
     os.makedirs(dirpath, exist_ok=True)
     paths = []
     for i, seg in enumerate(segments):
         path = os.path.join(dirpath, f"{i:02d}_{seg.role}.csv")
         write_segments_csv([seg], path)
         paths.append(path)
+    written = {os.path.basename(path) for path in paths}
+    for name in os.listdir(dirpath):
+        path = os.path.join(dirpath, name)
+        if (name not in written and _SEGMENT_CSV_NAME.fullmatch(name)
+                and os.path.isfile(path)):
+            os.remove(path)
     return paths

@@ -97,6 +97,36 @@ def test_example3_emits_six_segments(tmp_path):
     assert len(list(data.iterdir())) == 6
 
 
+def test_reused_csv_dir_holds_only_this_runs_segments(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    foreign = ("notes.txt", "07_other.csv", "4_gamma1_fwd.csv",
+               "04_gamma_up_back.csv.bak")
+    for name in foreign:
+        (data / name).write_text("keep\n")
+    assert main(["example", "3", "--out", str(tmp_path / "r3.json"),
+                 "--csv-dir", str(data)]) == 0
+    assert main(["example", "1", "--out", str(tmp_path / "r1.json"),
+                 "--csv-dir", str(data)]) == 0
+    names = sorted(p.name for p in data.iterdir() if p.name not in foreign)
+    assert names == ["00_gamma1_back.csv", "01_gamma1_fwd.csv",
+                     "02_gamma_up_back.csv", "03_gamma_up_fwd.csv"]
+    for name in foreign:
+        assert (data / name).read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "nan", "-1"])
+@pytest.mark.parametrize("option", ["--tback", "--tfwd"])
+def test_bad_horizon_exit_1(tmp_path, capsys, option, value):
+    assert main(["example", "1", "--out", str(tmp_path / "r.json"),
+                 "--csv-dir", str(tmp_path / "data"),
+                 f"{option}={value}"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "must be a positive finite time" in err["message"]
+    assert not (tmp_path / "data").exists()
+
+
 def test_example_override_window_failure(tmp_path):
     assert main(["example", "3", "--set", "q2=10",
                  "--out", str(tmp_path / "r.json")]) == 2

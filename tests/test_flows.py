@@ -268,6 +268,59 @@ def test_left_flow_float_path_matches_array_reference(ex1, ex2, ex3):
         assert "np.float64" not in str(info.value)
 
 
+def _flow_outcome(flow, x0, t, params):
+    """The returned bytes, or the BackwardBlowup message."""
+    try:
+        return flow(x0, t, params).tobytes()
+    except BackwardBlowup as exc:
+        return ("BackwardBlowup", str(exc))
+
+
+def test_left_flow_start_memo_matches_array_reference(ex1, ex2, ex3):
+    p = _plain_params()
+    twin = _plain_params()
+    assert twin == p and twin is not p
+    starts = [
+        (0.3, 0.4, 0.2), (2.0, -0.5, 0.4),  # inside and outside the cycle
+        (0.0, 0.0, 0.3), (-0.0, -0.0, -0.3),  # r0 = 0
+        (0.0, -1.0, 0.2),  # exactly on the cycle of p (rho = 1)
+        # pairs equal under == whose results differ in sign bits: the
+        # angle is pi or -pi, x3 is 0.0 or -0.0
+        (-1.0, 0.0, 0.0), (-1.0, -0.0, -0.0),
+        (0.5, 0.0, 0.1), (0.5, -0.0, -0.0),
+    ]
+    assert p.rho / (0.0 * 0.0 + (-1.0) * (-1.0)) - 1.0 == 0.0
+    t_blow = radial_blowup_time(2.0 * 2.0 + 0.5 * 0.5, p.rho)
+    times = (-0.7, 0.0, -0.0, 0.3, 4.0, t_blow, t_blow - 1e-9,
+             t_blow + 1e-9)
+    assert isinstance(_flow_outcome(_array_left_flow, starts[1], t_blow, p),
+                      tuple)
+    rng = np.random.default_rng(33)
+    for _ in range(4):
+        for i in rng.permutation(len(starts)):
+            held = tuple(list(starts[i]))  # a new tuple object each time
+            # one tuple object under alternating params
+            for t in times:
+                for params in (p, twin, ex1, ex2, ex3, p):
+                    want = _flow_outcome(_array_left_flow, starts[i], t,
+                                         params)
+                    assert _flow_outcome(left_flow, held, t, params) == want
+                    assert _flow_outcome(left_flow, held, np.float64(t),
+                                         params) == want
+            # an equal but distinct tuple, a list and an ndarray
+            for params in (p, twin, ex1, ex2, ex3, p):
+                t = times[int(rng.integers(len(times)))]
+                want = _flow_outcome(_array_left_flow, starts[i], t, params)
+                for x0 in (tuple(list(held)), list(held), np.array(held)):
+                    assert _flow_outcome(left_flow, x0, t, params) == want
+    # the equal pairs back to back, in both orders
+    for pair in (starts[5:7], starts[7:9]):
+        for a, b in (pair, pair[::-1]):
+            for x0 in (a, b):
+                assert (_flow_outcome(left_flow, x0, 0.3, p)
+                        == _flow_outcome(_array_left_flow, x0, 0.3, p))
+
+
 def test_right_flow_float_path_matches_array_reference(ex1, ex2, ex3):
     from hetcycle.model import SystemParams
 

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hetcycle.errors import CertificateFailure, HypothesisFailure
+from hetcycle import orbits
+from hetcycle.errors import CertificateFailure, ConfigError, HypothesisFailure
 from hetcycle.model import LimitCycle
 from hetcycle.orbits import (
+    CSV_CHUNK_ROWS,
     CSV_HEADER,
     assemble_cycle,
     build_gamma1,
@@ -137,6 +139,44 @@ def test_horizon_overrides(ex1, verdicts):
         assert cert.horizons["gamma_up_fwd"] == 6.0
 
 
+@pytest.mark.parametrize("value", [math.inf, 0.0, math.nan, -1.0])
+def test_horizon_overrides_must_be_positive_and_finite(ex3, verdicts, value):
+    v = verdicts[3]
+    calls = (lambda **kw: assemble_cycle(ex3, v, **kw),
+             lambda **kw: build_gamma1(ex3, v, **kw),
+             lambda **kw: build_gamma_up(ex3, v, v.connecting_points[0], **kw))
+    for call in calls:
+        for name in ("t_back", "t_fwd"):
+            with pytest.raises(ConfigError, match=f"horizon {name} must be "
+                               "a positive finite time"):
+                call(**{name: value})
+
+
+# Closed-form flow calls of assemble_cycle per example (left, right): one
+# call per sample, refinement and tangency samples included.
+ORBIT_FLOW_CALLS = {1: (4585, 386), 2: (7943, 5770), 3: (3342, 2973)}
+
+
+def test_assemble_cycle_flow_call_counts(ex1, ex2, ex3, verdicts,
+                                         monkeypatch):
+    calls = {"left": 0, "right": 0}
+
+    def counted(side, flow):
+        def wrapper(x0, t, params):
+            calls[side] += 1
+            return flow(x0, t, params)
+        return wrapper
+
+    monkeypatch.setattr(orbits, "left_flow",
+                        counted("left", orbits.left_flow))
+    monkeypatch.setattr(orbits, "right_flow",
+                        counted("right", orbits.right_flow))
+    for n, params in ((1, ex1), (2, ex2), (3, ex3)):
+        calls.update(left=0, right=0)
+        assemble_cycle(params, verdicts[n])
+        assert (calls["left"], calls["right"]) == ORBIT_FLOW_CALLS[n]
+
+
 def test_csv_schema_round_trip(tmp_path, ex1, verdicts):
     certs = assemble_cycle(ex1, verdicts[1])
     segments = list(certs[0].orbit_segments)
@@ -204,10 +244,43 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, header, labels):
         blocks.append((ts, xs, lab))
     blocks.append((EDGE_VALUES, [EDGE_VALUES[j:j + 3] for j in range(11)]
                    + [EDGE_VALUES[-3:], EDGE_VALUES[:3]], labels[0]))
+    blocks.append(([], [], labels[-1]))
     path = tmp_path / "new.csv"
     write_csv(path, blocks, header=header)
     want = _csv_writer_bytes(tmp_path / "ref.csv", blocks, header)
     assert path.read_bytes() == want
+
+
+# Columns whose values share one bit pattern are formatted once; 0.0 and
+# -0.0 are equal as values but not as patterns.
+SPECIAL_COLUMNS = {
+    "neg_zero": lambda n: np.full(n, -0.0),
+    "mixed_zero": lambda n: np.where(np.arange(n) % 2 == 0, 0.0, -0.0),
+    "mixed_zero_neg_first": lambda n: np.where(np.arange(n) % 3 == 0, -0.0,
+                                               0.0),
+    "nan": lambda n: np.full(n, math.nan),
+    "inf": lambda n: np.full(n, -math.inf),
+}
+
+
+@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("column", sorted(SPECIAL_COLUMNS))
+def test_write_csv_constant_columns_match_csv_writer(tmp_path, column, n):
+    special = SPECIAL_COLUMNS[column](n)
+    rng = np.random.default_rng(n)
+    blocks = []
+    for j in range(4):
+        # the special column in each position, beside a varying and a
+        # constant column
+        cols = [rng.uniform(-1.0, 1.0, n), np.full(n, 2.5),
+                np.linspace(0.0, 1.0, n), special]
+        cols = cols[j:] + cols[:j]
+        blocks.append((cols[0], np.column_stack(cols[1:]),
+                       ("left", f"block{j}")))
+    path = tmp_path / "new.csv"
+    write_csv(path, blocks)
+    assert path.read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv",
+                                                  blocks, CSV_HEADER)
 
 
 @pytest.mark.parametrize("label", ["a,b", 'say "x"', "a\nb", "a\rb", 3])
