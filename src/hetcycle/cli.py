@@ -182,8 +182,6 @@ def _emit_segments(certificates, csv_path, csv_dir) -> None:
             if id(seg) not in seen:
                 seen.add(id(seg))
                 segments.append(seg)
-    if not segments:
-        return
     if csv_path:
         orbits.write_segments_csv(segments, csv_path)
     if csv_dir:

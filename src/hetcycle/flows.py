@@ -10,20 +10,20 @@ linear drift in theta and an exponential in x3.  For r0 > sqrt(rho) the
 radial solution escapes to infinity at the finite backward time
 t = log(1 - rho/r0^2) / (2 rho); evaluation at or past it raises
 BackwardBlowup rather than clamping, because silent saturation would
-corrupt the root finding built on top of this flow.
+corrupt the root finding built on top of this flow.  Only ``radial_law``
+evaluates the law; a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
 
 Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
 closed form, split by eigenvalue type (distinct real / repeated / complex
 pair).
 
-Both closed forms keep a one-entry memo of their t-independent part,
-because the orbit sampler and the closed-form cross-check evaluate one
-start under one parameter set many times in a row: ``left_flow`` keeps
-the start's squared radius, angle and the radial law's log-space offset,
-keyed by the identities of the ``x0`` tuple and the ``params`` object;
-``right_flow`` keeps the block exponential, keyed by the ``params``
-object.  Identity, not equality, because == would share an entry between
-0.0 and -0.0; each memo holds strong references to its keys, so their
+Each zone binds one start once as an orbit ``t -> x(t)`` (``left_orbit``,
+``right_orbit``) holding every t-independent part, and ``left_flow`` /
+``right_flow`` keep their last orbit in a one-entry memo: the orbit
+sampler and the closed-form cross-check evaluate one start under one
+parameter set many times in a row.  The memo is keyed by the identities
+of the ``x0`` tuple and the ``params`` object (== would share an entry
+between 0.0 and -0.0) and holds strong references to them, so their
 addresses cannot be reused while the entry lives.  A hit does the same
 operations in the same order as a miss, so results are bit-identical.
 
@@ -46,135 +46,91 @@ from .model import SystemParams
 #: repeated-root exponential branch is used (stability near coalescence).
 _REPEATED_ROOT_TOL = 1e-12
 
+#: Band of |rho / r0^2 - 1| within which a start is on the limit cycle
+#: (r^2 = rho for every t).  A point built on the cycle lies on it only up
+#: to rounding, which the law's backward repulsion at rate 2 rho would grow
+#: into a spurious blow-up or a large residual.
+ON_CYCLE_BAND = 1e-12
 
-def to_polar(x1: float, x2: float) -> tuple:
-    """Polar image (r, theta) of the planar left-zone coordinates."""
-    return (math.hypot(x1, x2), math.atan2(x2, x1))
 
-
-def from_polar(state) -> tuple:
-    r, theta = state
-    return (r * math.cos(theta), r * math.sin(theta))
+def _offset(r0_sq: float, rho: float) -> float:
+    """The radial law's offset rho / r0^2 - 1 of a start with r0 != 0,
+    as 0.0 inside ``ON_CYCLE_BAND``."""
+    a = rho / r0_sq - 1.0
+    return 0.0 if abs(a) <= ON_CYCLE_BAND else a
 
 
 def radial_blowup_time(r0_sq: float, rho: float) -> float:
     """Finite backward escape time of the radial law; -inf when the start
-    radius is on or inside the limit cycle."""
-    if r0_sq <= rho:
+    radius is inside the limit cycle or on it (``ON_CYCLE_BAND``)."""
+    a = _offset(r0_sq, rho) if r0_sq > rho else 0.0
+    if a == 0.0:
         return -math.inf
-    return math.log(1.0 - rho / r0_sq) / (2.0 * rho)
+    return math.log(-a) / (2.0 * rho)
+
+
+def radial_law(r0_sq: float, rho: float):
+    """The squared radius under r' = r(rho - r^2) from the squared start
+    radius ``r0_sq``, as a function ``t -> r(t)^2``.
+
+    Evaluated in log space so that neither deep forward times (r -> cycle)
+    nor deep backward times (r -> 0 from inside) overflow.  A start outside
+    the cycle raises BackwardBlowup at or past its backward escape time.
+    """
+    if r0_sq == 0.0:
+        return lambda t: 0.0
+    a = _offset(r0_sq, rho)
+    if a == 0.0:
+        return lambda t: rho
+    log_a = math.log(abs(a))
+    two_rho = 2.0 * rho
+    if a < 0.0:
+        def law(t):
+            s = log_a - two_rho * t
+            # outside the cycle: the denominator 1 - e^s vanishes at the
+            # blow-up, and in rounding already where e^s rounds to 1
+            den = 1.0 - math.exp(s) if s < 0.0 else 0.0
+            if den == 0.0:
+                raise BackwardBlowup(
+                    f"radial solution escapes at t={log_a / two_rho!r}; "
+                    f"requested t={float(t)!r}")
+            return rho / den
+    else:
+        def law(t):
+            s = log_a - two_rho * t
+            if s > 0.0:
+                es = math.exp(-s)
+                return rho * es / (1.0 + es)
+            return rho / (1.0 + math.exp(s))
+    return law
 
 
 def radial_sq(r0_sq: float, t: float, rho: float) -> float:
-    """Squared radius after time t under r' = r(rho - r^2).
-
-    Evaluated in log space so that neither deep forward times (r -> cycle)
-    nor deep backward times (r -> 0 from inside) overflow.
-    """
-    if r0_sq == 0.0:
-        return 0.0
-    a = rho / r0_sq - 1.0
-    if a == 0.0:
-        return rho
-    s = math.log(abs(a)) - 2.0 * rho * t
-    if a < 0.0:
-        # outside the cycle: denominator 1 - e^s vanishes at the blow-up
-        if s >= 0.0:
-            t_blow = math.log(-a) / (2.0 * rho)
-            raise BackwardBlowup(
-                f"radial solution escapes at t={t_blow!r}; "
-                f"requested t={float(t)!r}")
-        return rho / (1.0 - math.exp(s))
-    if s > 0.0:
-        es = math.exp(-s)
-        return rho * es / (1.0 + es)
-    return rho / (1.0 + math.exp(s))
+    """Squared radius after time t under r' = r(rho - r^2)."""
+    return radial_law(r0_sq, rho)(t)
 
 
-# One-entry memo of the left-zone start: (x0, params, bound part), keyed by
-# the identities of the x0 tuple and the params object (see the module
-# docstring).  The bound part is (rho, omega, mu, x3, theta0, log_a,
-# outside): theta0 is None at r0 = 0, log_a is None on the cycle, and
-# log_a = log|rho/r0^2 - 1| is radial_sq's log-space offset otherwise.
-# Keys and bound part sit in one tuple, replaced whole, so a reader never
-# pairs one start's keys with another start's bound part.
-_left_start = (None, None, None)
-
-
-def _bind_left_start(x0: tuple, params: SystemParams) -> tuple:
-    a, b = x0[0], x0[1]
-    r0_sq = a * a + b * b
-    rho = params.rho
-    theta0 = log_a = None
-    outside = False
-    if r0_sq != 0.0:
-        theta0 = math.atan2(b, a)
-        offset = rho / r0_sq - 1.0
-        if offset != 0.0:
-            log_a = math.log(abs(offset))
-            outside = offset < 0.0
-    return (rho, params.omega, params.mu, x0[2], theta0, log_a, outside)
-
-
-def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
-    """Closed-form left-zone flow.
-
-    Raises BackwardBlowup for starts outside the cycle evaluated at or past
-    their finite backward escape time.  A tuple ``x0`` is read as it is
-    (callers that evaluate one start many times pass one float tuple, and
-    its t-independent part is then computed once); any other sequence is
-    converted to floats first.  The radial law is ``radial_sq``'s, in the
-    same operation order.
-    """
-    global _left_start
-    if not isinstance(x0, tuple):
-        x0 = tuple(np.asarray(x0, dtype=float).tolist())
-    key_x0, key_params, bound = _left_start
-    if key_x0 is not x0 or key_params is not params:
-        bound = _bind_left_start(x0, params)
-        _left_start = (x0, params, bound)
-    rho, omega, mu, x3, theta0, log_a, outside = bound
-    if theta0 is None:
-        x1 = x2 = 0.0
-    else:
-        if log_a is None:
-            r_sq = rho
-        else:
-            s = log_a - 2.0 * rho * t
-            if outside:
-                # denominator 1 - e^s vanishes at the blow-up
-                if s >= 0.0:
-                    t_blow = log_a / (2.0 * rho)
-                    raise BackwardBlowup(
-                        f"radial solution escapes at t={t_blow!r}; "
-                        f"requested t={float(t)!r}")
-                r_sq = rho / (1.0 - math.exp(s))
-            elif s > 0.0:
-                es = math.exp(-s)
-                r_sq = rho * es / (1.0 + es)
-            else:
-                r_sq = rho / (1.0 + math.exp(s))
-        r = math.sqrt(r_sq)
-        theta = theta0 + omega * t
-        x1 = r * math.cos(theta)
-        x2 = r * math.sin(theta)
-    return np.array((x1, x2, x3 * math.exp(mu * t)))
+def _plane_rate(c: float, rate: float) -> float:
+    """The rate to evaluate c e^{rate t} with: 0.0 on the invariant plane
+    c = 0, where e^{rate t} could overflow and c e^{0 t} is c bit for bit."""
+    return rate if c != 0.0 else 0.0
 
 
 def planar_left_orbit(xy, rho: float, omega: float):
     """The planar left flow (the x3 = 0 dynamics) from the start ``xy`` as
     a function ``t -> (x1, x2)``.
 
-    The start's squared radius and angle are computed once, so a scan that
+    The start's radial law and angle are bound once, so a scan that
     samples one orbit many times pays only for the t-dependent part.
     """
     r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
     if r0_sq == 0.0:
         return lambda t: (0.0, 0.0)
+    law = radial_law(r0_sq, rho)
     theta0 = math.atan2(xy[1], xy[0])
 
     def orbit(t):
-        r = math.sqrt(radial_sq(r0_sq, t, rho))
+        r = math.sqrt(law(t))
         theta = theta0 + omega * t
         return (r * math.cos(theta), r * math.sin(theta))
 
@@ -184,6 +140,28 @@ def planar_left_orbit(xy, rho: float, omega: float):
 def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
     """Planar restriction of the left flow (the x3 = 0 dynamics)."""
     return planar_left_orbit(xy, rho, omega)(t)
+
+
+def left_orbit(x0, params: SystemParams):
+    """The left-zone flow from the start ``x0`` as ``t -> ndarray``.  The
+    planar part is ``planar_left_orbit``'s, written out because a nested
+    call per sample would add about a tenth to each."""
+    x3 = x0[2]
+    mu = _plane_rate(x3, params.mu)
+    r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
+    if r0_sq == 0.0:
+        return lambda t: np.array((0.0, 0.0, x3 * math.exp(mu * t)))
+    law = radial_law(r0_sq, params.rho)
+    theta0 = math.atan2(x0[1], x0[0])
+    omega = params.omega
+
+    def orbit(t):
+        r = math.sqrt(law(t))
+        theta = theta0 + omega * t
+        return np.array((r * math.cos(theta), r * math.sin(theta),
+                         x3 * math.exp(mu * t)))
+
+    return orbit
 
 
 def block_exp(a11: float, a12: float, a21: float, a22: float):
@@ -236,44 +214,58 @@ def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
     return block_exp(a11, a12, a21, a22)(t)
 
 
-# One-entry memo of the right-zone block exponential: (params, exp_tb),
-# keyed by the identity of the params object (see the module docstring;
-# under == b12 = -0.0 and 0.0 would share an entry).  right_flow reads it
-# inline and calls _right_block_exp only on a miss.
-_right_block = (None, None)
-
-
-def _right_block_exp(params: SystemParams):
-    global _right_block
-    owner, exp_tb = _right_block
-    if owner is not params:
-        exp_tb = block_exp(params.b11, params.b12, params.b21, params.b22)
-        _right_block = (params, exp_tb)
-    return exp_tb
-
-
-def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
-    """Closed-form right-zone flow q + e^{Bt} (x0 - q).
-
-    A start on the stable plane x3 = q3 stays on it for every t; its
-    e^{lam t} is not evaluated, because at the long forward horizons of a
-    slow stable block it overflows.  ``x0`` is read as in ``left_flow``.
-    """
-    if not isinstance(x0, tuple):
-        x0 = np.asarray(x0, dtype=float).tolist()
+def right_orbit(x0, params: SystemParams):
+    """The right-zone flow q + e^{Bt} (x0 - q) from the start ``x0`` as a
+    function ``t -> ndarray``."""
     q1, q2, q3 = params.q1, params.q2, params.q3
     y1 = x0[0] - q1
     y2 = x0[1] - q2
     y3 = x0[2] - q3
-    owner, exp_tb = _right_block
-    if owner is not params:
-        exp_tb = _right_block_exp(params)
-    m11, m12, m21, m22 = exp_tb(t)
-    return np.array((
-        q1 + m11 * y1 + m12 * y2,
-        q2 + m21 * y1 + m22 * y2,
-        q3 + (y3 * math.exp(params.lam * t) if y3 != 0.0 else y3),
-    ))
+    lam = _plane_rate(y3, params.lam)
+    exp_tb = block_exp(params.b11, params.b12, params.b21, params.b22)
+
+    def orbit(t):
+        m11, m12, m21, m22 = exp_tb(t)
+        return np.array((q1 + m11 * y1 + m12 * y2,
+                         q2 + m21 * y1 + m22 * y2,
+                         q3 + y3 * math.exp(lam * t)))
+
+    return orbit
+
+
+# One-entry memo of each zone's last orbit, (x0, params, orbit), replaced
+# whole so a reader never pairs one start's keys with another's orbit.
+_left_memo = _right_memo = (None, None, None)
+
+
+def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
+    """Closed-form left-zone flow, ``left_orbit(x0, params)(t)``.
+
+    Raises BackwardBlowup for starts outside the cycle evaluated at or past
+    their finite backward escape time.  A tuple ``x0`` is read as it is;
+    any other sequence is converted to a tuple of floats first.
+    """
+    global _left_memo
+    if not isinstance(x0, tuple):
+        x0 = tuple(np.asarray(x0, dtype=float).tolist())
+    key_x0, key_params, orbit = _left_memo
+    if key_x0 is not x0 or key_params is not params:
+        orbit = left_orbit(x0, params)
+        _left_memo = (x0, params, orbit)
+    return orbit(t)
+
+
+def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
+    """Closed-form right-zone flow, ``right_orbit(x0, params)(t)``; ``x0``
+    is read as in ``left_flow``."""
+    global _right_memo
+    if not isinstance(x0, tuple):
+        x0 = tuple(np.asarray(x0, dtype=float).tolist())
+    key_x0, key_params, orbit = _right_memo
+    if key_x0 is not x0 or key_params is not params:
+        orbit = right_orbit(x0, params)
+        _right_memo = (x0, params, orbit)
+    return orbit(t)
 
 
 def left_field(params: SystemParams):

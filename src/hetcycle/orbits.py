@@ -103,15 +103,14 @@ def _check_horizons(t_back, t_fwd) -> None:
 
 
 def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
-                  t1: float, n_init: int,
-                  max_gap: float = MAX_SAMPLE_GAP) -> tuple:
+                  t1: float, n_init: int) -> tuple:
     """Sample flow(x0, t, params) on [t0, t1], inserting midpoints until
-    consecutive samples are within max_gap (Euclidean)."""
+    consecutive samples are within MAX_SAMPLE_GAP (Euclidean)."""
     ts = np.linspace(t0, t1, max(n_init, 2))
     xs = np.array([flow(x0, t, params) for t in ts.tolist()])
     for _ in range(48):
         gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
-        bad = np.where(gaps > max_gap)[0]
+        bad = np.where(gaps > MAX_SAMPLE_GAP)[0]
         if bad.size == 0:
             break
         mids = 0.5 * (ts[bad] + ts[bad + 1])
@@ -153,8 +152,7 @@ def _margin(params: SystemParams, ts, xs, requirement: str, flow,
 
 
 def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
-             role: str, requirement: str, where: str,
-             tol_containment: float) -> OrbitSample:
+             role: str, requirement: str, where: str) -> OrbitSample:
     """Sample the closed-form orbit of x0 on [t0, t1] and check its
     containment.  A 'plus' requirement is the equilibrium side (right
     zone), a 'minus' one the cycle side (left zone); ``where`` names the
@@ -165,7 +163,7 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
     x0 = tuple(np.asarray(x0, dtype=float).tolist())
     ts, xs = _sample_times(flow, x0, params, t0, t1, n_init)
     margin = _margin(params, ts, xs, requirement, flow, x0)
-    if margin < -tol_containment:
+    if margin < -TOL_CONTAINMENT:
         raise CertificateFailure(
             f"{'equilibrium' if plus else 'cycle'}-side containment violated "
             f"on {where} (margin {margin!r})")
@@ -180,8 +178,7 @@ def _per_revolution(params: SystemParams, span: float) -> int:
 
 def build_gamma1(params: SystemParams, verdict: CycleVerdict,
                  t_back: Optional[float] = None,
-                 t_fwd: Optional[float] = None,
-                 tol_containment: float = TOL_CONTAINMENT) -> tuple:
+                 t_fwd: Optional[float] = None) -> tuple:
     """Equilibrium-to-cycle orbit through q0: backward right-zone segment
     (strictly on the equilibrium side) and forward left-zone segment
     (closed cycle side).  Returns (backward, forward) with residuals
@@ -202,17 +199,15 @@ def build_gamma1(params: SystemParams, verdict: CycleVerdict,
     # the backward right flow from amplifying that rounding exponentially.
     q0_back = (params.q1, params.q2, 0.0)
     back = _segment(params, q0_back, -tb, 0.0, 129, "gamma1_back",
-                    "plus_strict", "gamma1 backward segment", tol_containment)
+                    "plus_strict", "gamma1 backward segment")
     fwd = _segment(params, verdict.q0, 0.0, tf, _per_revolution(params, tf),
-                   "gamma1_fwd", "minus_closed", "gamma1 forward segment",
-                   tol_containment)
+                   "gamma1_fwd", "minus_closed", "gamma1 forward segment")
     return back, fwd
 
 
 def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
                    t_back: Optional[float] = None,
-                   t_fwd: Optional[float] = None,
-                   tol_containment: float = TOL_CONTAINMENT) -> tuple:
+                   t_fwd: Optional[float] = None) -> tuple:
     """Cycle-to-equilibrium orbit through the connection point p: backward
     left-zone segment winding down the unstable cylinder (strictly on the
     cycle side; this is the numeric replacement for the tangent-angle
@@ -225,23 +220,24 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     tb = t_back if t_back is not None else horizons["gamma_up_back"]
     tf = t_fwd if t_fwd is not None else horizons["gamma_up_fwd"]
     p = tuple(np.asarray(p, dtype=float).tolist())
+    # Backward, p lies on the cylinder x1^2 + x2^2 = rho up to rounding;
+    # the radial law treats it as on the cycle (flows.ON_CYCLE_BAND), so
+    # its repulsion at rate 2 rho does not amplify that rounding.
     back = _segment(params, p, -tb, 0.0, _per_revolution(params, tb),
                     "gamma_up_back", "minus_strict",
-                    "backward cylinder segment", tol_containment)
+                    "backward cylinder segment")
     # Forward, p lies on the stable plane {x3 = q3} (the subcase selection
     # guarantees this up to tol); snapping the vertical coordinate keeps
     # the unstable vertical rate from amplifying that rounding.
     p_fwd = (p[0], p[1], params.q3)
     fwd = _segment(params, p_fwd, 0.0, tf, 257, "gamma_up_fwd",
-                   "plus_strict", f"forward segment from {p}",
-                   tol_containment)
+                   "plus_strict", f"forward segment from {p}")
     return back, fwd
 
 
 def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
                    t_back: Optional[float] = None,
-                   t_fwd: Optional[float] = None,
-                   tol_containment: float = TOL_CONTAINMENT) -> list:
+                   t_fwd: Optional[float] = None) -> list:
     """One certificate per certified cycle (none for a failed verdict).
 
     ``t_back``/``t_fwd`` override both families' horizons when given; the
@@ -263,14 +259,12 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
 
     g1_back, g1_fwd = build_gamma1(params, verdict,
                                    horizons["gamma1_back"],
-                                   horizons["gamma1_fwd"],
-                                   tol_containment)
+                                   horizons["gamma1_fwd"])
     certificates = []
     for p in verdict.connecting_points:
         up_back, up_fwd = build_gamma_up(params, verdict, p,
                                          horizons["gamma_up_back"],
-                                         horizons["gamma_up_fwd"],
-                                         tol_containment)
+                                         horizons["gamma_up_fwd"])
         segments = (g1_back, g1_fwd, up_back, up_fwd)
         residuals = {
             "gamma1_back_to_q": float(np.linalg.norm(g1_back.xs[0] - q)),
@@ -279,7 +273,7 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
             "gamma_up_fwd_to_q": float(np.linalg.norm(up_fwd.xs[-1] - q)),
         }
         ok = all(
-            seg.containment_margin >= -tol_containment for seg in segments)
+            seg.containment_margin >= -TOL_CONTAINMENT for seg in segments)
         certificates.append(CycleCertificate(segments, residuals, ok,
                                              dict(horizons)))
     return certificates

@@ -234,11 +234,12 @@ def test_check_certify_slow_stable_block_no_overflow(tmp_path, capsys):
     assert all(c["containment_ok"] for c in report["certificates"])
 
 
-def test_check_certify_backward_blowup_message_has_plain_floats(tmp_path,
-                                                                 capsys):
-    # known hole (a): the rim point sits a rounding error outside the
-    # cycle, so the backward cylinder segment passes its escape time; the
-    # CLI reports it as a typed error whose message prints plain floats
+def test_check_certify_rim_point_on_cycle_builds_certificates(tmp_path,
+                                                               capsys):
+    # hole (a): the connection point sits a rounding error outside the
+    # cycle; the radial law treats it as on the cycle, so the backward
+    # cylinder segment winds down at radius sqrt(rho) instead of passing
+    # a spurious escape time
     path = tmp_path / "rim.cfg"
     path.write_text(
         "rho = 1.9004247445208617\nomega = 2.352318023969346\n"
@@ -248,11 +249,38 @@ def test_check_certify_backward_blowup_message_has_plain_floats(tmp_path,
         "q1 = 1.5995872181210298\nq2 = 1.9194542129300656\n"
         "q3 = 0.22102828049055545\nd = 1.5995872181210298\n")
     out = tmp_path / "report.json"
-    assert main(["check", str(path), "--certify", "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "BackwardBlowup"
-    assert "requested t=" in err["message"]
-    assert "np.float64" not in err["message"]
+    assert main(["check", str(path), "--certify", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["certificates"]
+    for cert in report["certificates"]:
+        assert cert["containment_ok"]
+        assert max(cert["endpoint_residuals"].values()) <= 1e-3
+
+
+def test_example1_long_forward_horizon_no_overflow(tmp_path):
+    # gamma1's forward start q0 has x3 = 0, and at this horizon e^{mu t}
+    # overflows: the left zone must not evaluate it
+    out = tmp_path / "r.json"
+    assert main(["example", "1", "--tfwd", "150", "--out", str(out),
+                 "--csv-dir", str(tmp_path / "data")]) == 0
+    cert = json.loads(out.read_text())["certificates"][0]
+    assert cert["containment_ok"]
+    assert cert["horizons"]["gamma1_fwd"] == 150.0
+
+
+def test_uncertified_check_clears_stale_segment_files(cfg, tmp_path):
+    data = tmp_path / "data"
+    assert main(["example", "1", "--out", str(tmp_path / "r1.json"),
+                 "--csv-dir", str(data)]) == 0
+    assert len(list(data.iterdir())) == 4
+    # q3 far above the rims: nothing is certified (exit 2)
+    assert main(["check", cfg, "--set", "q3=5.0", "--certify",
+                 "--out", str(tmp_path / "r2.json"), "--csv-dir", str(data),
+                 "--csv", str(tmp_path / "all.csv")]) == 2
+    assert list(data.iterdir()) == []
+    rows = list(csv.reader(open(tmp_path / "all.csv", newline="")))
+    assert rows == [["t", "x1", "x2", "x3", "side", "role"]]
 
 
 @pytest.mark.parametrize("alpha,beta", [(-4.0, 0.01), (-1.0, 0.001)])

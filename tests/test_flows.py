@@ -9,14 +9,15 @@ from helpers import semigroup_max_rel_err
 from hetcycle._integrate import StepControl
 from hetcycle.errors import BackwardBlowup, StepFailure
 from hetcycle.flows import (
-    from_polar,
+    ON_CYCLE_BAND,
     left_field,
     left_flow,
     numeric_flow,
     radial_blowup_time,
+    radial_law,
+    radial_sq,
     right_field,
     right_flow,
-    to_polar,
 )
 
 TIGHT = StepControl(rtol=1e-12, atol=1e-14)
@@ -178,28 +179,135 @@ def test_left_flow_radial_monotonicity(ex1):
     assert all(b < a for a, b in zip(outside, outside[1:]))
 
 
-def test_polar_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        x1, x2 = rng.uniform(-3, 3, size=2)
-        if math.hypot(x1, x2) < 1e-6:
-            continue
-        y1, y2 = from_polar(to_polar(x1, x2))
-        assert y1 == pytest.approx(x1, rel=1e-12, abs=1e-12)
-        assert y2 == pytest.approx(x2, rel=1e-12, abs=1e-12)
+# The radial law as it stood before the on-cycle band, written out per
+# call; radial_law must reproduce it bit for bit outside the band.
+def _frozen_radial_sq(r0_sq, t, rho):
+    if r0_sq == 0.0:
+        return 0.0
+    a = rho / r0_sq - 1.0
+    if a == 0.0:
+        return rho
+    s = math.log(abs(a)) - 2.0 * rho * t
+    if a < 0.0:
+        if s >= 0.0:
+            t_blow = math.log(-a) / (2.0 * rho)
+            raise BackwardBlowup(
+                f"radial solution escapes at t={t_blow!r}; "
+                f"requested t={float(t)!r}")
+        return rho / (1.0 - math.exp(s))
+    if s > 0.0:
+        es = math.exp(-s)
+        return rho * es / (1.0 + es)
+    return rho / (1.0 + math.exp(s))
+
+
+def _in_band(r0_sq, rho):
+    return r0_sq != 0.0 and abs(rho / r0_sq - 1.0) <= ON_CYCLE_BAND
+
+
+def _ref_radial_sq(r0_sq, t, rho):
+    """The frozen law, with rho for a start inside the on-cycle band."""
+    return rho if _in_band(r0_sq, rho) else _frozen_radial_sq(r0_sq, t, rho)
+
+
+def _band_starts(rho):
+    """Squared start radii just inside and just outside the band on both
+    sides of the cycle, with the offset each gives."""
+    out = []
+    for rel in (0.5e-12, 0.99e-12, 1.01e-12, 2e-12, 1e-9):
+        for sign in (1.0, -1.0):
+            r0_sq = rho / (1.0 + sign * rel)
+            out.append((r0_sq, rho / r0_sq - 1.0))
+    return out
+
+
+def test_radial_law_matches_frozen_reference():
+    rng = np.random.default_rng(40)
+    inside = outside = near_escape = 0
+    for _ in range(60):
+        rho = rng.uniform(0.3, 2.0)
+        starts = [0.0, rho] + [rho * rng.uniform(0.01, 3.0) for _ in range(6)]
+        starts += [r0_sq for r0_sq, _ in _band_starts(rho)]
+        for r0_sq in starts:
+            law = radial_law(r0_sq, rho)
+            ts = [0.0, -0.0] + list(rng.uniform(-40.0, 40.0, size=8))
+            t_blow = radial_blowup_time(r0_sq, rho)
+            if t_blow > -math.inf:
+                ts += [t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow - 1.0]
+            for t in ts:
+                t = float(t)
+                got = _kernel_outcome(lambda t: (law(t),), t)
+                if _in_band(r0_sq, rho):
+                    assert got == ((rho,), _bits((rho,))), (r0_sq, t)
+                    inside += 1
+                else:
+                    try:
+                        want = _kernel_outcome(
+                            lambda t: (_frozen_radial_sq(r0_sq, t, rho),), t)
+                    except ZeroDivisionError:
+                        # e^s rounded to 1 just inside the escape time: the
+                        # frozen law divided by zero, the live one raises
+                        assert got[0] is BackwardBlowup, (r0_sq, t)
+                        near_escape += 1
+                        continue
+                    assert got == want, (r0_sq, t)
+                    outside += 1
+                assert _kernel_outcome(lambda t: (radial_sq(r0_sq, t, rho),),
+                                       t) == got
+    assert inside and outside and near_escape
+
+
+def test_on_cycle_band_edges():
+    rho = 1.3
+    for r0_sq, a in _band_starts(rho):
+        t_blow = radial_blowup_time(r0_sq, rho)
+        if abs(a) <= ON_CYCLE_BAND:
+            # on the cycle: no escape time, r^2 = rho at every time
+            assert t_blow == -math.inf
+            assert radial_law(r0_sq, rho)(-1e3) == rho
+        elif a < 0.0:
+            assert t_blow == math.log(1.0 - rho / r0_sq) / (2.0 * rho)
+            with pytest.raises(BackwardBlowup, match="requested t="):
+                radial_law(r0_sq, rho)(t_blow * (1.0 + 1e-9))
+        else:
+            assert t_blow == -math.inf
+    # the band reaches both sides of the cycle at each edge
+    assert sorted(abs(a) <= ON_CYCLE_BAND for _, a in _band_starts(rho)) \
+        == [False] * 6 + [True] * 4
+
+
+def test_left_flow_on_cycle_start_stays_on_the_cylinder(ex1):
+    # a start a rounding error off the cycle winds down the cylinder over
+    # a long backward horizon at radius sqrt(rho), with no spurious blow-up
+    sr = ex1.sqrt_rho
+    for scale in (1.0 + 4e-16, 1.0 - 4e-16):
+        x0 = (sr * scale * math.cos(0.3), sr * scale * math.sin(0.3), 0.2)
+        assert _in_band(x0[0] * x0[0] + x0[1] * x0[1], ex1.rho)
+        x = left_flow(x0, -30.0, ex1)
+        assert math.hypot(x[0], x[1]) == pytest.approx(sr, rel=1e-15)
+
+
+def test_left_flow_stable_plane_past_exp_overflow(ex1):
+    # e^{mu t} overflows at this t; a start with x3 = +-0.0 never needs it
+    t = 800.0 / ex1.mu
+    with pytest.raises(OverflowError):
+        math.exp(ex1.mu * t)
+    for x3 in (0.0, -0.0):
+        x = left_flow((0.4, -0.3, x3), t, ex1)
+        assert _bits((x[2],)) == _bits((x3,))
+        assert math.hypot(x[0], x[1]) == pytest.approx(ex1.sqrt_rho,
+                                                       rel=1e-12)
 
 
 # The numpy-array closed forms as they stood before the flows moved to
 # Python floats; the float path must reproduce them bit for bit.
 def _array_left_flow(x0, t, params):
-    from hetcycle.flows import radial_sq
-
     x0 = np.asarray(x0, dtype=float)
     r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
     if r0_sq == 0.0:
         x1 = x2 = 0.0
     else:
-        r_sq = radial_sq(r0_sq, t, params.rho)
+        r_sq = _ref_radial_sq(r0_sq, t, params.rho)
         r = math.sqrt(r_sq)
         theta = math.atan2(x0[1], x0[0]) + params.omega * t
         x1 = r * math.cos(theta)
@@ -345,12 +453,10 @@ def test_right_flow_float_path_matches_array_reference(ex1, ex2, ex3):
 # factory that binds its t-independent part once; the factories must
 # reproduce them bit for bit.
 def _ref_planar_left_flow(xy, t, rho, omega):
-    from hetcycle.flows import radial_sq
-
     r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
     if r0_sq == 0.0:
         return (0.0, 0.0)
-    r = math.sqrt(radial_sq(r0_sq, t, rho))
+    r = math.sqrt(_ref_radial_sq(r0_sq, t, rho))
     theta = math.atan2(xy[1], xy[0]) + omega * t
     return (r * math.cos(theta), r * math.sin(theta))
 
@@ -498,10 +604,13 @@ def test_right_flow_block_memo_follows_the_params_object(ex2, ex3,
                     want = _array_right_flow(x0, t, params)
                     assert got.tobytes() == want.tobytes()
                     assert (np.signbit(got) == np.signbit(want)).all()
-    # the memo hands each object its own block: m12 keeps the sign of b12
+    # each params object binds its own block, so m12 keeps the sign of
+    # b12: with q1 = -0.0 and m11 y1 underflowing to -0.0, x1 = m12 y2
+    x0 = (-5e-324, 1.0, 0.0)
     for params in (pos, neg, pos):
-        m12 = flows._right_block_exp(params)(0.5)[1]
-        assert math.copysign(1.0, m12) == math.copysign(1.0, params.b12)
+        want = math.copysign(1.0, params.b12)
+        assert math.copysign(1.0, flows.right_orbit(x0, params)(2.0)[0]) == want
+        assert math.copysign(1.0, flows.right_flow(x0, 2.0, params)[0]) == want
 
 
 # The zone fields as they stood with every component read by index; the

@@ -306,3 +306,83 @@ def test_forward_failure_message_has_plain_floats(ex1, verdicts):
     msg = str(info.value)
     assert "forward segment from (-1.0, 0.0, 0.2)" in msg
     assert "np.float64" not in msg
+
+
+# Hole (c): a rim set whose connection point sits a rounding error off the
+# cycle.  With 2 rho / mu > 2 the backward horizon ln(1e6) / mu would grow
+# that offset past 1e12-fold, to a gamma_up_back_to_cycle of about 5e-3.
+HOLE_C = dict(rho=1.681778615395399, omega=6.832316448056439,
+              mu=1.4862551450148846, b11=-3.846188764775684,
+              b12=-1.069824779259898, b21=0.0, b22=-2.60648400206475,
+              lam=3.912252603773707, q1=1.3290438572550978,
+              q2=0.5115104807437101, q3=0.03220978329058366,
+              d=1.3290438572550978)
+
+
+def test_backward_cylinder_segment_stays_on_the_cycle():
+    from hetcycle.model import SystemParams
+
+    params = SystemParams(**HOLE_C)
+    assert 2.0 * params.rho / params.mu > 2.0
+    verdict = certify(params)
+    assert verdict.certified
+    certs = assemble_cycle(params, verdict)
+    assert certs
+    for cert in certs:
+        assert cert.containment_ok
+        assert cert.endpoint_residuals["gamma_up_back_to_cycle"] <= 1e-6
+        up_back = cert.orbit_segments[2]
+        radius = np.hypot(up_back.xs[:, 0], up_back.xs[:, 1])
+        assert np.abs(radius - params.sqrt_rho).max() <= 1e-12
+
+
+def _rim_sets(seed, n):
+    """Generated sets with q3 on a cylinder rim or between the rims, where
+    the connection point is built on the cycle; the other draws follow the
+    ranges that the hypotheses allow."""
+    from hetcycle.model import SystemParams
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        rho = rng.uniform(0.3, 2.0)
+        sr = math.sqrt(rho)
+        d = sr * rng.uniform(1.02, 1.6)
+        if i % 2 == 0:  # node block
+            b11, b22 = -rng.uniform(0.2, 4.0), -rng.uniform(0.2, 4.0)
+            b12, b21 = rng.uniform(-6.0, 6.0), 0.0
+        else:  # focus block alpha +/- i beta
+            alpha, beta = -rng.uniform(0.2, 4.0), rng.uniform(0.5, 8.0)
+            b11, b12, b21, b22 = alpha, beta, -beta, alpha
+        q3 = (d - sr, d + sr, rng.uniform(d - sr, d + sr))[i % 3]
+        out.append(SystemParams(
+            rho=rho, omega=math.exp(rng.uniform(math.log(0.5), math.log(8.0))),
+            mu=math.exp(rng.uniform(math.log(0.5), math.log(4.0))),
+            b11=b11, b12=b12, b21=b21, b22=b22, lam=rng.uniform(0.5, 4.0),
+            q1=d, q2=rng.uniform(-5.0, 5.0), q3=q3, d=d))
+    return out
+
+
+def test_certified_verdicts_yield_certificates():
+    from hetcycle.errors import HetcycleError
+
+    certified = built = 0
+    for params in _rim_sets(50, 400):
+        try:
+            verdict = certify(params)
+        except HetcycleError:
+            continue
+        if not verdict.certified:
+            continue
+        certified += 1
+        try:
+            certs = assemble_cycle(params, verdict)
+        except HetcycleError:
+            continue
+        assert certs
+        for cert in certs:
+            assert cert.containment_ok, params
+            assert max(cert.endpoint_residuals.values()) <= 1e-3, params
+        built += 1
+    # typed errors are allowed, but they must stay rare
+    assert certified >= 50 and built >= 0.95 * certified
