@@ -117,9 +117,10 @@ def integrate_hybrid(params: SystemParams, x0, t_span,
             raise EventStorm(f"more than {max_events} switching events")
         side = "right" if side == "left" else "left"
 
-    order = np.argsort([e.t for e in events], kind="stable")
-    events = tuple(events[i] for i in order)
-    return HybridTrajectory(np.array(ts), np.array(xs), tuple(sides), events)
+    # in time order: a run's grazes precede its crossing, where the next
+    # run starts
+    return HybridTrajectory(np.array(ts), np.array(xs), tuple(sides),
+                            tuple(events))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ Three structural hypotheses gate everything downstream:
   the equilibrium strictly in the right zone and the limit cycle strictly
   in the left zone, with the plane geometrically between them.
 
+Two decisions of the certification are stated here, once: the subcase
+of q3 against the rim band (``rim_subcase``) and the tangency ordinates
+on a line x1 = k (``tangency_ordinates``); ``derive_geometry``, ``planar``
+and ``verifier`` all read them from here.
+
 Everything here is an immutable value; every function is pure.
 """
 
@@ -196,11 +201,10 @@ class DerivedGeometry:
     ``p0``/``p1`` are where the cycle's unstable cylinder meets the plane
     at its lowest/highest vertical height; ``q0`` is where the equilibrium's
     unstable line meets the plane; ``p_plus``/``p_minus`` are the cylinder-
-    plane-stable-plane intersections when q3 lies strictly between the two
-    heights; ``x_minus`` is the tangency point of the right-zone spiral on
-    the in-plane line L2.  sigma_plus/minus are the ordinates on L1 where
-    the left planar field is tangent to the line x1 = d (present only when
-    the tangency quadratic has real roots).  Points are float 3-tuples.
+    plane-stable-plane intersections, present exactly in ``rim_subcase``
+    'c'; ``x_minus`` is the tangency point of the right-zone spiral on the
+    in-plane line L2.  sigma_plus/minus are the ``tangency_ordinates`` of
+    L1 (k = d), when real.  Points are float 3-tuples.
     """
 
     p0: tuple
@@ -241,21 +245,10 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     p1 = (-sr, 0.0, d + sr)
     q0 = (d, params.q2, 0.0)
 
-    disc = params.omega ** 2 - 4.0 * d * d * (d * d - params.rho)
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        sigma_plus = (-params.omega + root) / (2.0 * d)
-        sigma_minus = (-params.omega - root) / (2.0 * d)
-        v1 = (d, sigma_plus, 0.0)
-    else:
-        sigma_plus = sigma_minus = None
-        v1 = None
+    _, sigma_plus, sigma_minus = tangency_ordinates(params.rho, params.omega, d)
+    v1 = None if sigma_plus is None else (d, sigma_plus, 0.0)
 
-    # strict interior with the same tolerance band the subcase selection
-    # uses, so q3 values within rounding of a rim height keep p0/p1 instead
-    lo, hi = d - sr, d + sr
-    band = tol * max(1.0, abs(lo), abs(hi))
-    if lo + band < params.q3 < hi - band:
+    if rim_subcase(params, tol)[0] == "c":
         y = math.sqrt(max(params.rho - (d - params.q3) ** 2, 0.0))
         p_plus = (d - params.q3, y, params.q3)
         p_minus = (d - params.q3, -y, params.q3)
@@ -268,6 +261,32 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     L2 = Line3D((d - params.q3, 0.0, params.q3), (0.0, 1.0, 0.0))
     return DerivedGeometry(p0, p1, q0, sigma_plus, sigma_minus, v1,
                            p_plus, p_minus, x_minus, L1, L2)
+
+
+def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:
+    """(disc, y_plus, y_minus): discriminant and roots y_plus >= y_minus
+    (None if disc < 0) of k y^2 + omega y + k (k^2 - rho) = 0, the
+    ordinates where the left planar field is tangent to the line x1 = k."""
+    disc = omega * omega - 4.0 * k * k * (k * k - rho)
+    if disc < 0.0:
+        return disc, None, None
+    root = math.sqrt(disc)
+    return disc, (-omega + root) / (2.0 * k), (-omega - root) / (2.0 * k)
+
+
+def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
+    """(subcase, lo, hi) of q3 against the rim heights lo, hi = d -/+
+    sqrt(rho): 'a' within the band tol * max(1, |lo|, |hi|) of lo, 'b'
+    within it of hi, else 'c' strictly between them, else 'none'."""
+    lo = params.d - params.sqrt_rho
+    hi = params.d + params.sqrt_rho
+    band = tol * max(1.0, abs(lo), abs(hi))
+    q3 = params.q3
+    if abs(q3 - lo) <= band:
+        return "a", lo, hi
+    if abs(q3 - hi) <= band:
+        return "b", lo, hi
+    return ("c" if lo < q3 < hi else "none"), lo, hi
 
 
 def _x_minus_or_none(params: SystemParams, spectral_type: str):
@@ -377,9 +396,6 @@ def parse_config(text: str) -> SystemParams:
         if not math.isfinite(fval):
             raise ConfigError(f"line {lineno}: non-finite value for {key!r}")
         values[key] = fval
-    missing = [k for k in CONFIG_KEYS if k not in values]
-    if missing:
-        raise ConfigError(f"missing keys: {', '.join(missing)}")
     return params_from_dict(values)
 
 

@@ -93,13 +93,26 @@ def default_horizons(params: SystemParams, target: float = HORIZON_TARGET) -> di
 
 
 def _check_horizons(t_back, t_fwd) -> None:
-    """ConfigError unless each horizon override is None or a positive
-    finite time."""
+    """ConfigError unless each override is None or a positive finite time."""
     for name, value in (("t_back", t_back), ("t_fwd", t_fwd)):
         if value is not None and not 0.0 < value < math.inf:
             raise ConfigError(
                 f"horizon {name} must be a positive finite time, "
                 f"got {value!r}")
+
+
+def _horizons(params: SystemParams, verdict: CycleVerdict, t_back,
+              t_fwd) -> dict:
+    """The four horizons, ``t_back``/``t_fwd`` overriding the defaults
+    (computed only if one is missing).  Raises as in ``build_gamma1``."""
+    _check_horizons(t_back, t_fwd)
+    if not verdict.certified:
+        raise HypothesisFailure("verdict does not certify a cycle")
+    if t_back is None or t_fwd is None:
+        return {key: (t_back if key.endswith("back") else t_fwd) or value
+                for key, value in default_horizons(params).items()}
+    return {"gamma1_back": t_back, "gamma1_fwd": t_fwd,
+            "gamma_up_back": t_back, "gamma_up_fwd": t_fwd}
 
 
 def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
@@ -188,12 +201,8 @@ def build_gamma1(params: SystemParams, verdict: CycleVerdict,
     HypothesisFailure when the verdict certifies nothing and
     CertificateFailure when a containment margin is violated.
     """
-    _check_horizons(t_back, t_fwd)
-    if not verdict.certified:
-        raise HypothesisFailure("verdict does not certify a cycle")
-    horizons = default_horizons(params)
-    tb = t_back if t_back is not None else horizons["gamma1_back"]
-    tf = t_fwd if t_fwd is not None else horizons["gamma1_fwd"]
+    horizons = _horizons(params, verdict, t_back, t_fwd)
+    tb, tf = horizons["gamma1_back"], horizons["gamma1_fwd"]
     # Backward, q0 lies on the unstable line {x1 = q1, x2 = q2} (q1 = d is
     # a hypothesis, exact up to tol); snapping the planar coordinates keeps
     # the backward right flow from amplifying that rounding exponentially.
@@ -213,12 +222,8 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     cycle side; this is the numeric replacement for the tangent-angle
     argument) and forward right-zone segment inside the stable plane of q
     (strictly on the equilibrium side).  Errors as in ``build_gamma1``."""
-    _check_horizons(t_back, t_fwd)
-    if not verdict.certified:
-        raise HypothesisFailure("verdict does not certify a cycle")
-    horizons = default_horizons(params)
-    tb = t_back if t_back is not None else horizons["gamma_up_back"]
-    tf = t_fwd if t_fwd is not None else horizons["gamma_up_fwd"]
+    horizons = _horizons(params, verdict, t_back, t_fwd)
+    tb, tf = horizons["gamma_up_back"], horizons["gamma_up_fwd"]
     p = tuple(np.asarray(p, dtype=float).tolist())
     # Backward, p lies on the cylinder x1^2 + x2^2 = rho up to rounding;
     # the radial law treats it as on the cycle (flows.ON_CYCLE_BAND), so
@@ -244,19 +249,12 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
     default horizons are per-family contraction times.  An override that
     is not a positive finite time raises ConfigError.
     """
-    _check_horizons(t_back, t_fwd)
     if not verdict.certified:
+        _check_horizons(t_back, t_fwd)
         return []
+    horizons = _horizons(params, verdict, t_back, t_fwd)
     cycle = LimitCycle.from_params(params)
     q = params.q
-    horizons = default_horizons(params)
-    if t_back is not None:
-        horizons = {k: (t_back if k.endswith("back") else v)
-                    for k, v in horizons.items()}
-    if t_fwd is not None:
-        horizons = {k: (t_fwd if k.endswith("fwd") else v)
-                    for k, v in horizons.items()}
-
     g1_back, g1_fwd = build_gamma1(params, verdict,
                                    horizons["gamma1_back"],
                                    horizons["gamma1_fwd"])

@@ -5,11 +5,14 @@ Two questions drive the cycle certification and both are planar:
 * For the limit-cycle oscillator, which points of a vertical line
   L = {x1 = k} (k > sqrt(rho), so L clears the cycle) have forward orbits
   that never re-enter {x1 >= k}?  The answer is a dichotomy on the
-  tangency quadratic k y^2 + omega y + k (k^2 - rho) = 0: with no real
-  roots every point of L flows into {x1 < k} and stays; with two real
-  roots the stay set is an explicit interval (or complement of one)
-  bounded by the upper tangency point u1 and the first backward return
-  x_star of the orbit through u1.
+  tangency quadratic k y^2 + omega y + k (k^2 - rho) = 0 (solved by
+  ``model.tangency_ordinates``): with no real roots every point of L
+  flows into {x1 < k} and stays; with two real roots the stay set is an
+  explicit interval (or complement of one) bounded by the upper tangency
+  point u1 and the first backward return x_star of the orbit through u1.
+  ``return_branch`` decides which, with the band ``tangency_band``, and
+  ``forward_stay_set`` states the stay set; the verifier's q2 window is
+  that set, non-strict, widened by the same band.
 
 * For a stable planar linear system and a line {k . x = 1}, when does the
   forward orbit of a line point stay in {k . x < 1}?  Node case: exactly
@@ -38,28 +41,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateWindow,
-    InvalidLine,
-    OffLine,
-    RootSearchError,
-    SingularMatrix,
-    UngenericBranch,
-    WrongSpectralType,
-    ZeroNormal,
-)
+from .errors import (DegenerateWindow, InvalidLine, OffLine, RootSearchError,
+                     SingularMatrix, UngenericBranch, WrongSpectralType,
+                     ZeroNormal)
 # planar_left_flow and planar_matrix_exp are unused here but stay in this
 # module's namespace: the per-call kernels are looked up on it by name
 # (perfbench/tracing.py counts calls through them).
-from .flows import (  # noqa: F401
-    block_exp,
-    planar_left_flow,
-    planar_left_orbit,
-    planar_matrix_exp,
-    radial_blowup_time,
-    radial_sq,
-)
-from .model import DEFAULT_TOL, classify_2x2
+from .flows import (block_exp, planar_left_flow,  # noqa: F401
+                    planar_left_orbit, planar_matrix_exp, radial_blowup_time,
+                    radial_sq)
+from .model import DEFAULT_TOL, classify_2x2, tangency_ordinates
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,11 @@ class VdpLineAnalysis:
     and 'subcritical' otherwise.  In the subcritical regime ``u1``/``u2``
     are the tangency points (ordinates ``varrho_plus`` >= ``varrho_minus``),
     ``x_star`` is the first intersection of the backward orbit of u1 with
-    the line, and ``branch`` records whether its ordinate lies above
-    varrho_plus or below varrho_minus ('ungeneric' within tolerance of
-    either).  ``evaluations`` counts the closed-form orbit evaluations the
-    search for x_star made (0 in the supercritical regime).
+    the line, and ``branch`` is the ``return_branch`` of its ordinate:
+    above varrho_plus, below varrho_minus, or 'ungeneric' within
+    ``tangency_band`` of either.  ``evaluations`` counts the closed-form
+    orbit evaluations the search for x_star made (0 in the supercritical
+    regime).
     """
 
     rho: float
@@ -103,37 +95,40 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
         raise ValueError("rho and omega must be positive")
     if not k > math.sqrt(rho):
         raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, sqrt(rho)={math.sqrt(rho)!r}")
-    disc = omega * omega - 4.0 * k * k * (k * k - rho)
+    disc, vp, vm = tangency_ordinates(rho, omega, k)
     if disc <= 0.0:
         return VdpLineAnalysis(rho, omega, k, "supercritical", disc)
 
-    root = math.sqrt(disc)
-    vp = (-omega + root) / (2.0 * k)
-    vm = (-omega - root) / (2.0 * k)
-    u1 = (k, vp)
-    u2 = (k, vm)
     # The backward orbit escapes to infinity in finite time; when its total
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
     # dichotomy does not cover: branch 'no_backward_return'.
-    x_star, t_star, evals = _vdp_backward_return(u1, rho, omega)
-    if x_star is None:
-        return VdpLineAnalysis(rho, omega, k, "subcritical", disc, vp, vm,
-                               u1, u2, None, None, "no_backward_return",
-                               evals)
-    span = max(1.0, abs(vp), abs(vm))
-    if abs(x_star[1] - vp) <= tol * span or abs(x_star[1] - vm) <= tol * span:
-        branch = "ungeneric"
-    elif x_star[1] > vp:
-        branch = "x2star_above"
-    elif x_star[1] < vm:
-        branch = "x2star_below"
-    else:
-        raise UngenericBranch(
-            f"first backward return ordinate {x_star[1]!r} lies strictly "
-            f"between the tangency ordinates ({vm!r}, {vp!r})")
+    x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
+    branch = ("no_backward_return" if x_star is None
+              else return_branch(x_star[1], vp, vm, tol))
     return VdpLineAnalysis(rho, omega, k, "subcritical", disc, vp, vm,
-                           u1, u2, x_star, t_star, branch, evals)
+                           (k, vp), (k, vm), x_star, t_star, branch, evals)
+
+
+def tangency_band(vp: float, vm: float, tol: float = DEFAULT_TOL) -> float:
+    """Half-width of the 'ungeneric' band around tangency ordinates."""
+    return tol * max(1.0, abs(vp), abs(vm))
+
+
+def return_branch(x2: float, vp: float, vm: float,
+                  tol: float = DEFAULT_TOL) -> str:
+    """Branch of a first-return ordinate x2 against the tangency ordinates
+    vm <= vp; strictly between them (outside the band) UngenericBranch."""
+    band = tangency_band(vp, vm, tol)
+    if abs(x2 - vp) <= band or abs(x2 - vm) <= band:
+        return "ungeneric"
+    if x2 > vp:
+        return "x2star_above"
+    if x2 < vm:
+        return "x2star_below"
+    raise UngenericBranch(
+        f"first backward return ordinate {x2!r} lies strictly "
+        f"between the tangency ordinates ({vm!r}, {vp!r})")
 
 
 def _vdp_backward_return(u1, rho, omega):
@@ -296,6 +291,15 @@ class StaySet:
             return lo_ok or hi_ok
         raise ValueError(f"unknown stay-set kind {self.kind!r}")
 
+    def widened(self, band: float) -> "StaySet":
+        """This set grown by ``band`` at each finite end: an interval's
+        ends move apart, a complement's gap closes in from both sides."""
+        if self.kind not in ("interval", "complement"):
+            return self
+        out = band if self.kind == "interval" else -band
+        return StaySet(self.kind, self.lo - out, self.hi + out, self.lo_in,
+                       self.hi_in)
+
 
 def forward_stay_set(analysis: VdpLineAnalysis, strict: bool,
                      transversal: bool = False) -> StaySet:
@@ -320,23 +324,17 @@ def forward_stay_set(analysis: VdpLineAnalysis, strict: bool,
         raise UngenericBranch(
             "first backward return is within tolerance of a tangency "
             "ordinate; the generic dichotomy does not apply")
-    vp = analysis.varrho_plus
-    xs = analysis.x_star[1]
+    vp, xs = analysis.varrho_plus, analysis.x_star[1]
+    # the tangency end belongs unless transversal; the return end only to
+    # the non-strict set
+    vp_in, xs_in = not transversal, not (strict or transversal)
     if analysis.branch == "x2star_above":
         # stay interval between the upper tangency (below) and the first
         # backward return (above)
-        if transversal:
-            return StaySet("interval", lo=vp, hi=xs, lo_in=False, hi_in=False)
-        if strict:
-            return StaySet("interval", lo=vp, hi=xs, lo_in=True, hi_in=False)
-        return StaySet("interval", lo=vp, hi=xs, lo_in=True, hi_in=True)
+        return StaySet("interval", lo=vp, hi=xs, lo_in=vp_in, hi_in=xs_in)
     # x2star_below: the excluded window runs from the return (below) up to
     # the upper tangency
-    if transversal:
-        return StaySet("complement", lo=xs, hi=vp, lo_in=False, hi_in=False)
-    if strict:
-        return StaySet("complement", lo=xs, hi=vp, lo_in=False, hi_in=True)
-    return StaySet("complement", lo=xs, hi=vp, lo_in=True, hi_in=True)
+    return StaySet("complement", lo=xs, hi=vp, lo_in=xs_in, hi_in=vp_in)
 
 
 def reduce_general_line(k_vec) -> tuple:

@@ -14,8 +14,9 @@ connection points p:
 The regime compares d^2 - rho with omega^2 / (4 d^2): in ``case_i`` every
 point of L1 flows inward and stays, so the equilibrium-to-cycle orbit
 needs no further condition; in ``case_ii`` the ordinate q2 must sit in an
-explicit window derived from the first backward return v_star on L1.  The subcase is selected by where
-q3 sits relative to the plane heights d -/+ sqrt(rho) of the cylinder rim:
+explicit window read, with v_star, from one ``analyze_vdp_line`` of L1.
+The subcase is ``model.rim_subcase``: where q3 sits relative to the plane
+heights d -/+ sqrt(rho) of the cylinder rim,
 at the bottom ('a', one cycle through p0), at the top ('b', one cycle
 through p1, plus the cone condition omega^2 rho < mu^2 (d^2 - rho)), or
 strictly between ('c', two cycles through p_plus/p_minus, plus the cone
@@ -32,20 +33,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import RootSearchError, UngenericBranch
-from .model import (
-    DEFAULT_TOL,
-    DerivedGeometry,
-    HypothesisReport,
-    Interval3D,
-    SystemParams,
-    derive_geometry,
-    interval_contains,
-    validate_hypotheses,
-)
-from .planar import PlanarLinearSystem, StaySet, analyze_vdp_line, focus_stay_window
+from .model import (DEFAULT_TOL, DerivedGeometry, HypothesisReport,
+                    Interval3D, SystemParams, derive_geometry,
+                    interval_contains, rim_subcase, tangency_ordinates,
+                    validate_hypotheses)
+from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
+                     focus_stay_window, forward_stay_set, return_branch,
+                     tangency_band)
 
 
 @dataclass(frozen=True)
@@ -96,15 +91,8 @@ def regime_classify(params: SystemParams, tol: float = DEFAULT_TOL) -> str:
     return "case_i" if lhs >= rhs - tol * scale else "case_ii"
 
 
-def compute_v_star(params: SystemParams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """First backward intersection v_star = (d, v2*, 0) of the orbit of the
-    upper tangency point v1 on L1 (the plane x3 = 0 is flow-invariant, so
-    this is the planar line analysis at k = d, lifted).
-
-    Raises RootSearchError when the backward orbit escapes before returning
-    to L1 (a configuration the certification does not cover).
-    """
-    analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
+def _v_star(analysis: VdpLineAnalysis) -> tuple:
+    """v_star = (d, v2*, 0) from the analysis of L1 (k = d)."""
     if analysis.regime != "subcritical":
         raise UngenericBranch(
             "v_star is defined only in the tangential regime (case_ii)")
@@ -112,7 +100,18 @@ def compute_v_star(params: SystemParams, tol: float = DEFAULT_TOL) -> np.ndarray
         raise RootSearchError(
             "the backward orbit of v1 escapes before returning to L1; "
             "v_star does not exist for these parameters")
-    return np.array([params.d, analysis.x_star[1], 0.0])
+    return (analysis.k, analysis.x_star[1], 0.0)
+
+
+def compute_v_star(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
+    """First backward intersection v_star = (d, v2*, 0) of the orbit of the
+    upper tangency point v1 on L1 (the plane x3 = 0 is flow-invariant, so
+    this is the planar line analysis at k = d, lifted).
+
+    Raises RootSearchError when the backward orbit escapes before returning
+    to L1 (a configuration the certification does not cover).
+    """
+    return _v_star(analyze_vdp_line(params.rho, params.omega, params.d, tol))
 
 
 def cone_condition(params: SystemParams) -> Evidence:
@@ -123,12 +122,31 @@ def cone_condition(params: SystemParams) -> Evidence:
     return Evidence("cone", lhs, f"< {rhs!r}", lhs < rhs)
 
 
+def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
+               tol: float) -> Evidence:
+    """The non-strict stay set of L1 widened by ``tangency_band``; an
+    'ungeneric' branch raises UngenericBranch in ``forward_stay_set``."""
+    vp, v2_star = analysis.varrho_plus, analysis.x_star[1]
+    stay = forward_stay_set(analysis, strict=False).widened(
+        tangency_band(vp, analysis.varrho_minus, tol))
+    passed = stay.contains(params.q2)
+    if analysis.branch == "x2star_above":
+        return Evidence("q2_window", params.q2, f"[{vp!r}, {v2_star!r}]",
+                        passed, note="branch: v2* above sigma_plus")
+    return Evidence(
+        "q2_window", params.q2,
+        f"(-inf, {v2_star!r}] u [{vp!r}, +inf)", passed,
+        note="branch: v2* below sigma_minus; left-infinite interval used "
+             "(the mirrored sign reading is inconsistent with the stay set)")
+
+
 def check_q2_window(params: SystemParams, v_star, tol: float = DEFAULT_TOL,
                     sigma_plus: Optional[float] = None,
                     sigma_minus: Optional[float] = None) -> Evidence:
     """Window condition on q2 in the tangential regime (case_ii).
 
-    ``v_star`` may be the lifted 3-vector (d, v2*, 0) or the bare ordinate.
+    ``v_star`` may be the lifted 3-vector (d, v2*, 0) or the bare ordinate;
+    the tangency ordinates default to ``tangency_ordinates`` at k = d.
     When the first backward return lands above the upper tangency ordinate
     (v2* > sigma_plus): q2 must lie in [sigma_plus, v2*].  When it lands
     below the lower one (v2* < sigma_minus): q2 must lie in
@@ -137,59 +155,33 @@ def check_q2_window(params: SystemParams, v_star, tol: float = DEFAULT_TOL,
     interval of L1 between v1 and v_star).  Within tolerance of the
     tangency ordinates the dichotomy does not apply (UngenericBranch).
     """
-    v2_star = float(np.asarray(v_star).reshape(-1)[1]
-                    if np.asarray(v_star).size == 3 else v_star)
+    v2_star = float(v_star[1] if hasattr(v_star, "__len__") else v_star)
+    disc, vp, vm = tangency_ordinates(params.rho, params.omega, params.d)
     if sigma_plus is None or sigma_minus is None:
-        geometry = derive_geometry(params, tol)
-        sigma_plus = geometry.sigma_plus
-        sigma_minus = geometry.sigma_minus
+        sigma_plus, sigma_minus = vp, vm
     if sigma_plus is None:
         raise UngenericBranch(
             "tangency ordinates are not real; the q2 window applies only "
             "in the tangential regime (case_ii)")
-    scale = max(1.0, abs(sigma_plus), abs(sigma_minus))
-    band = tol * scale
-    if sigma_minus - band <= v2_star <= sigma_plus + band:
-        raise UngenericBranch(
-            f"v2* = {v2_star!r} within tolerance of the tangency ordinates")
-    # The stay set on L1 widened by the tolerance band: the interval between
-    # the band edges on the "above" branch, its closed complement "below".
-    lo, hi = sorted((sigma_plus - band, v2_star + band))
-    above = v2_star > sigma_plus
-    stay = StaySet("interval" if above else "complement", lo=lo, hi=hi,
-                   lo_in=True, hi_in=True)
-    passed = stay.contains(params.q2)
-    if above:
-        return Evidence("q2_window", params.q2,
-                        f"[{sigma_plus!r}, {v2_star!r}]", passed,
-                        note="branch: v2* above sigma_plus")
-    return Evidence(
-        "q2_window", params.q2,
-        f"(-inf, {v2_star!r}] u [{sigma_plus!r}, +inf)", passed,
-        note="branch: v2* below sigma_minus; left-infinite interval used "
-             "(the mirrored sign reading is inconsistent with the stay set)")
+    analysis = VdpLineAnalysis(
+        params.rho, params.omega, params.d, "subcritical", disc, sigma_plus,
+        sigma_minus, x_star=(params.d, v2_star),
+        branch=return_branch(v2_star, sigma_plus, sigma_minus, tol))
+    return _q2_window(params, analysis, tol)
 
 
 def _subcase_of_q3(params: SystemParams, tol: float) -> tuple:
-    """('a'|'b'|'c'|'none', Evidence) by the position of q3 relative to
-    the cylinder rim heights d - sqrt(rho) and d + sqrt(rho)."""
-    lo = params.d - params.sqrt_rho
-    hi = params.d + params.sqrt_rho
-    scale = max(1.0, abs(lo), abs(hi))
-    band = tol * scale
-    q3 = params.q3
-    if abs(q3 - lo) <= band:
-        return "a", Evidence("q3_subcase", q3, f"= {lo!r} (bottom rim)", True,
-                             note="subcase a")
-    if abs(q3 - hi) <= band:
-        return "b", Evidence("q3_subcase", q3, f"= {hi!r} (top rim)", True,
-                             note="subcase b")
-    if lo < q3 < hi:
-        return "c", Evidence("q3_subcase", q3, f"in ({lo!r}, {hi!r})", True,
-                             note="subcase c")
-    return "none", Evidence(
-        "q3_subcase", q3, f"within [{lo!r}, {hi!r}]", False,
-        note="q3 outside certification coverage")
+    """('a'|'b'|'c'|'none', Evidence) by ``rim_subcase``."""
+    subcase, lo, hi = rim_subcase(params, tol)
+    if subcase == "none":
+        return "none", Evidence(
+            "q3_subcase", params.q3, f"within [{lo!r}, {hi!r}]", False,
+            note="q3 outside certification coverage")
+    threshold = (f"= {lo!r} (bottom rim)" if subcase == "a" else
+                 f"= {hi!r} (top rim)" if subcase == "b" else
+                 f"in ({lo!r}, {hi!r})")
+    return subcase, Evidence("q3_subcase", params.q3, threshold, True,
+                             note=f"subcase {subcase}")
 
 
 def _none_verdict(evidence: list) -> CycleVerdict:
@@ -220,24 +212,20 @@ def _hypothesis_evidence(report: HypothesisReport, theorem: str) -> list:
     return ev
 
 
-def _case_ii_gate(params, geometry, evidence, tol):
-    """Run the q2-window machinery; returns (v_star tuple or None).
-
-    A missing first backward return (the orbit of v1 escapes first) is a
-    coverage gap, recorded as failed evidence rather than an exception.
-    """
+def _case_ii_gate(params, analysis, evidence, tol):
+    """The q2 window of the analysis of L1; returns v_star, or None when
+    the orbit of v1 escapes before returning (a coverage gap, recorded as
+    failed evidence rather than an exception)."""
     try:
-        v_star = compute_v_star(params, tol)
+        v_star = _v_star(analysis)
     except RootSearchError:
         evidence.append(Evidence(
             "v_star_exists", 0.0, "backward orbit of v1 returns to L1", False,
             note="the backward orbit escapes before returning; "
                  "configuration outside certification coverage"))
         return None
-    evidence.append(check_q2_window(params, v_star, tol,
-                                    sigma_plus=geometry.sigma_plus,
-                                    sigma_minus=geometry.sigma_minus))
-    return tuple(float(v) for v in v_star)
+    evidence.append(_q2_window(params, analysis, tol))
+    return v_star
 
 
 def _certify_route(params: SystemParams, report: HypothesisReport,
@@ -259,7 +247,8 @@ def _certify_route(params: SystemParams, report: HypothesisReport,
 
     v_star = None
     if regime == "case_ii":
-        v_star = _case_ii_gate(params, geometry, evidence, tol)
+        analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
+        v_star = _case_ii_gate(params, analysis, evidence, tol)
 
     subcase, sub_ev = _subcase_of_q3(params, tol)
     evidence.append(sub_ev)
@@ -333,13 +322,9 @@ def _interval_parameter(a, b, x) -> float:
 
 
 def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:
-    if subcase == "a":
-        return [("p0", geometry.p0)]
-    if subcase == "b":
-        return [("p1", geometry.p1)]
-    if subcase == "c":
-        return [("p_plus", geometry.p_plus), ("p_minus", geometry.p_minus)]
-    return []
+    return {"a": [("p0", geometry.p0)], "b": [("p1", geometry.p1)],
+            "c": [("p_plus", geometry.p_plus), ("p_minus", geometry.p_minus)],
+            "none": []}[subcase]
 
 
 def certify(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:

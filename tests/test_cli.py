@@ -394,3 +394,17 @@ def test_reused_parser_leaks_no_state(cfg, tmp_path, capsys, monkeypatch):
     assert plain["params_echo"]["rho"] == 1.0
     assert usage == 2 and none is None and "config" in err
     assert sim == 0 and report["oracle"]["trials"] == 2
+
+
+@pytest.mark.parametrize("example, q3", [
+    ("1", "2.1999999978"), ("2", "0.7837651728154547"),
+    ("2", "2.783765167247924"), ("3", "1.000000003")])
+def test_example_at_rim_band_edge_reports_json(tmp_path, example, q3):
+    # q3 at the edge of the rim band: subcase c with both connection
+    # points, reported as a verdict rather than a raw traceback
+    out = tmp_path / "r.json"
+    code = main(["example", example, "--set", f"q3={q3}", "--out", str(out)])
+    assert code in (0, 2)
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["subcase"] == "c"
+    assert (code == 0) == (verdict["cycle_count"] == 2)

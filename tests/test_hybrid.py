@@ -314,3 +314,33 @@ def test_rk45_graze_inside_a_step_with_clear_ends():
     t_g, x_g = res.grazes[0]
     assert free.ts[i] < t_g < free.ts[i + 1]
     assert abs(x_g[0] - c) <= 1e-15
+
+
+def test_event_times_never_decrease(ex1, ex2, ex3):
+    # a graze followed by a crossing: the height x3 = 1e-12 grows at rate
+    # mu until the orbit leaves through the plane
+    geo = derive_geometry(ex1)
+    x0 = left_flow((geo.v1[0], geo.v1[1], 1e-12), -0.01, ex1)
+    tr = integrate_hybrid(ex1, x0, (0.0, 8.0))
+    assert [e.direction for e in tr.events] == ["graze_left", "left_to_right"]
+    rng = np.random.default_rng(3)
+    crossings = 0
+    for params in (ex1, ex2, ex3):
+        sr, q = params.sqrt_rho, params.q
+        for i in range(20):
+            if i % 2 == 0:  # a ring around the cycle at positive height
+                r, th = sr * rng.uniform(0.5, 1.3), rng.uniform(0, 2 * math.pi)
+                x0 = (r * math.cos(th), r * math.sin(th),
+                      rng.uniform(0.05, 0.4) * params.d)
+            else:  # a box just below the equilibrium
+                x0 = (q[0] + rng.uniform(-0.3, 0.3),
+                      q[1] + rng.uniform(-0.5, 0.5),
+                      q[2] - rng.uniform(0.05, 0.3))
+            try:
+                tr = integrate_hybrid(params, x0, (0.0, 10.0))
+            except SlidingDetected:
+                continue
+            ts = [e.t for e in tr.events]
+            assert ts == sorted(ts)
+            crossings += len(ts) >= 2
+    assert crossings > 0

@@ -386,3 +386,27 @@ def test_certified_verdicts_yield_certificates():
         built += 1
     # typed errors are allowed, but they must stay rare
     assert certified >= 50 and built >= 0.95 * certified
+
+
+def test_horizons_resolved_once_per_cycle(ex1, ex3, verdicts, monkeypatch):
+    # assemble_cycle computes the default horizons once and hands them on;
+    # with both overrides given they are not computed at all
+    calls = []
+    defaults = orbits.default_horizons
+
+    def counted(params, target=orbits.HORIZON_TARGET):
+        calls.append(params)
+        return defaults(params, target)
+
+    monkeypatch.setattr(orbits, "default_horizons", counted)
+    certs = assemble_cycle(ex3, verdicts[3])
+    assert len(certs) == 2 and calls == [ex3]
+    assert certs[0].horizons == defaults(ex3)
+    calls.clear()
+    assemble_cycle(ex1, verdicts[1], t_back=1.5, t_fwd=2.5)
+    build_gamma1(ex1, verdicts[1], t_back=1.5, t_fwd=2.5)
+    build_gamma_up(ex1, verdicts[1], verdicts[1].connecting_points[0],
+                   t_back=1.5, t_fwd=2.5)
+    assert calls == []
+    build_gamma1(ex1, verdicts[1], t_back=1.5)
+    assert calls == [ex1]

@@ -526,3 +526,40 @@ def test_system_from_entries_is_from_matrix(ex1, ex2, ex3):
         values = (sys.a11, sys.a12, sys.a21, sys.a22, sys.alpha, sys.beta)
         assert all(v is None or type(v) is float for v in values)
     assert PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0).alpha is None
+
+
+# Sets on which the tangency ordinates of the geometry and of the line
+# analysis once differed in the last bits (omega ** 2 against
+# omega * omega).
+TANGENCY_SETS = [
+    dict(rho=0.6408909575488191, omega=2.3622061567614465,
+         d=1.212107064424428),
+    dict(rho=1.177845558249385, omega=7.936709775687314,
+         d=1.6504817478401401),
+]
+
+
+def _tangency_sets():
+    rng = np.random.default_rng(5)
+    out = list(TANGENCY_SETS)
+    while len(out) < 60:
+        rho = rng.uniform(0.2, 2.0)
+        d = math.sqrt(rho) * rng.uniform(1.02, 1.5)
+        omega = math.exp(rng.uniform(math.log(0.5), math.log(20.0)))
+        if omega * omega > 4.0 * d * d * (d * d - rho):
+            out.append(dict(rho=rho, omega=omega, d=d))
+    return out
+
+
+@pytest.mark.parametrize("s", _tangency_sets())
+def test_geometry_and_line_analysis_share_the_tangency_solve(s):
+    from hetcycle.model import SystemParams, derive_geometry
+
+    p = SystemParams(rho=s["rho"], omega=s["omega"], mu=1.0, b11=-2.0,
+                     b12=1.0, b21=0.0, b22=-1.0, lam=1.0, q1=s["d"], q2=0.0,
+                     q3=0.1, d=s["d"])
+    geo = derive_geometry(p)
+    a = analyze_vdp_line(p.rho, p.omega, p.d)
+    assert a.regime == "subcritical"
+    assert geo.sigma_plus.hex() == a.varrho_plus.hex()
+    assert geo.sigma_minus.hex() == a.varrho_minus.hex()

@@ -248,3 +248,67 @@ def test_certify_checks_the_hypotheses_once(ex1, ex2, ex3, monkeypatch):
         calls.clear()
         assert certify(p).certified
         assert calls == [p]
+
+
+# q3 values at fl(hi - band) (or fl(lo + band)) of the rim band: the
+# subcase test and the construction of p_plus/p_minus once disagreed there,
+# and certify indexed a missing point.
+RIM_EDGE_Q3 = [(1, 2.1999999978), (2, 0.7837651728154547),
+               (2, 2.783765167247924), (3, 1.000000003)]
+
+
+@pytest.mark.parametrize("example, q3", RIM_EDGE_Q3)
+def test_rim_band_edge_certifies(example, q3):
+    from hetcycle.presets import example_params
+
+    p = replace(example_params(example), q3=q3)
+    v = certify(p)
+    assert v.subcase == "c"
+    assert derive_geometry(p).p_plus is not None
+    assert len(v.connecting_points) == v.cycle_count
+
+
+def _rim_edge_values(lo, hi, band):
+    """fl(lo -/+ band) and fl(hi -/+ band), each with the two floats on
+    either side of it."""
+    out = []
+    for x in (lo - band, lo + band, hi - band, hi + band):
+        x = math.nextafter(math.nextafter(x, -math.inf), -math.inf)
+        for _ in range(5):
+            out.append(x)
+            x = math.nextafter(x, math.inf)
+    return out
+
+
+def test_rim_band_edges_one_subcase_decision():
+    from hetcycle.errors import HetcycleError
+
+    rng = np.random.default_rng(11)
+    subcases = set()
+    for i in range(60):
+        rho = rng.uniform(0.3, 2.0)
+        d = math.sqrt(rho) * rng.uniform(1.02, 1.6)
+        if i % 2 == 0:  # node block
+            b11, b12, b21, b22 = (-rng.uniform(0.2, 4.0),
+                                  rng.uniform(-6.0, 6.0), 0.0,
+                                  -rng.uniform(0.2, 4.0))
+        else:  # focus block alpha +/- i beta
+            alpha, beta = -rng.uniform(0.2, 4.0), rng.uniform(0.5, 8.0)
+            b11, b12, b21, b22 = alpha, beta, -beta, alpha
+        base = SystemParams(
+            rho=rho, omega=math.exp(rng.uniform(math.log(0.5), math.log(8.0))),
+            mu=math.exp(rng.uniform(math.log(0.5), math.log(4.0))),
+            b11=b11, b12=b12, b21=b21, b22=b22, lam=rng.uniform(0.5, 4.0),
+            q1=d, q2=rng.uniform(-5.0, 5.0), q3=d, d=d)
+        lo, hi = d - base.sqrt_rho, d + base.sqrt_rho
+        band = 1e-9 * max(1.0, abs(lo), abs(hi))
+        for q3 in _rim_edge_values(lo, hi, band):
+            p = replace(base, q3=q3)
+            try:
+                v = certify(p)
+            except HetcycleError:
+                continue
+            subcases.add(v.subcase)
+            assert (v.subcase == "c") == (
+                derive_geometry(p).p_plus is not None), p
+    assert subcases == {"a", "b", "c", "none"}
