@@ -46,9 +46,6 @@ from .verifier import (
     CycleVerdict,
     Evidence,
     certify,
-    certify_real_saddle,
-    certify_saddle_focus,
-    compute_v_star,
     cone_condition,
     regime_classify,
 )
@@ -77,9 +74,6 @@ __all__ = [
     "build_gamma1",
     "build_gamma_up",
     "certify",
-    "certify_real_saddle",
-    "certify_saddle_focus",
-    "compute_v_star",
     "cone_condition",
     "crosscheck_closed_forms",
     "default_horizons",

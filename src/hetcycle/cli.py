@@ -121,14 +121,15 @@ def _certificate_dict(cert):
 
 def build_run_report(params: SystemParams, tol: float, certify_orbits: bool,
                      t_back=None, t_fwd=None):
-    """Run the full pipeline and return (report dict, verdict, certificates)."""
+    """Run the full pipeline and return (report dict, verdict, certificates).
+    The hypotheses are validated once; the verdict reuses that report."""
     timing = {}
     t0 = time.perf_counter()
     hyp = validate_hypotheses(params, tol)
     timing["hypotheses_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    verdict = certify(params, tol)
+    verdict = certify(params, tol, hyp)
     timing["verify_s"] = time.perf_counter() - t0
 
     certificates = None
@@ -246,7 +247,8 @@ def _add_common(p):
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config value (repeatable)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="global tolerance for equality-type checks")
+                   help="global tolerance for equality-type checks "
+                        "(finite, >= 0)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,9 @@ evaluates the law; a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
 
 Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
 closed form, split by eigenvalue type (distinct real / repeated / complex
-pair).
+pair).  On an invariant set through q (the stable plane x3 = q3, the
+unstable line x1 = q1, x2 = q2) the exponential of the zero offset is
+never evaluated, so a long horizon cannot overflow it.
 
 Each zone binds one start once as an orbit ``t -> x(t)`` (``left_orbit``,
 ``right_orbit``) holding every t-independent part, and ``left_flow`` /
@@ -222,6 +224,12 @@ def right_orbit(x0, params: SystemParams):
     y2 = x0[1] - q2
     y3 = x0[2] - q3
     lam = _plane_rate(y3, params.lam)
+    if y1 == 0.0 and y2 == 0.0:
+        # On the invariant line through q, where e^{Bt} could overflow,
+        # no exponential is built: e^{Bt} (0, 0) is added as +0.0, which
+        # is the full product's sum unless every term of it is -0.0.
+        x1, x2 = q1 + 0.0, q2 + 0.0
+        return lambda t: np.array((x1, x2, q3 + y3 * math.exp(lam * t)))
     exp_tb = block_exp(params.b11, params.b12, params.b21, params.b22)
 
     def orbit(t):

@@ -15,10 +15,14 @@ Three structural hypotheses gate everything downstream:
   the equilibrium strictly in the right zone and the limit cycle strictly
   in the left zone, with the plane geometrically between them.
 
-Two decisions of the certification are stated here, once: the subcase
-of q3 against the rim band (``rim_subcase``) and the tangency ordinates
-on a line x1 = k (``tangency_ordinates``); ``derive_geometry``, ``planar``
-and ``verifier`` all read them from here.
+Three objects of the certification are stated here, once: the subcase
+of q3 against the rim band (``rim_subcase``), the tangency ordinates on
+a line x1 = k (``tangency_ordinates``) and the tangency point of a planar
+linear field on a line {k . x = 1} (``window_tangency``, on L2 at
+``l2_normal``); ``derive_geometry``, ``planar`` and ``verifier`` all read
+them from here, so the geometry's ``x_minus`` is the verdict's spiral
+window start bit for bit.  ``validate_hypotheses`` is the one gate every
+certification passes, and the one check of the tolerance.
 
 Everything here is an immutable value; every function is pure.
 """
@@ -34,6 +38,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateInterval,
+    DegenerateWindow,
     HypothesisFailure,
     SingularMatrix,
 )
@@ -151,7 +156,12 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     * ``sqrt_rho_lt_d``: d - sqrt(rho) > 0 (strict, zero slack),
     * ``cq_gt_d``: q1 + q3 - d > 0 (strict, zero slack),
     * ``q1_eq_d``: |q1 - d| <= tol * max(1, |d|).
+
+    Every certification passes through here, so this is where a ``tol``
+    that is negative or not finite is rejected (ConfigError).
     """
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"tol must be finite and non-negative, got {tol!r}")
     kind, eigs = classify_2x2(params.b11, params.b12, params.b21, params.b22)
     h1 = kind == "real_stable"
     h2 = kind == "complex_stable"
@@ -226,12 +236,11 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
 
     Requires the placement hypothesis (h3); raises HypothesisFailure
     otherwise.  ``report`` is ``validate_hypotheses(params, tol)`` when the
-    caller already holds it.  ``x_minus`` needs the planar block to be
-    invertible with a nonzero in-plane tangency denominator: for a
-    focus-type block that is automatic; for other spectra a vanishing
-    denominator simply leaves ``x_minus`` unset unless the block itself is
-    singular and the spectrum is focus-type, in which case SingularMatrix is
-    raised.
+    caller already holds it.  ``x_minus`` is the ``window_tangency`` of
+    the planar block on L2 (``l2_normal``), lifted: the point the verdict's
+    spiral window starts at.  For a block that is not a focus it is None
+    where that solve is undefined; for a focus it always exists, and the
+    solve's SingularMatrix/DegenerateWindow guards propagate.
     """
     if report is None:
         report = validate_hypotheses(params, tol)
@@ -255,7 +264,14 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     else:
         p_plus = p_minus = None
 
-    x_minus = _x_minus_or_none(params, report.spectral_type)
+    try:
+        u, v = window_tangency(params.b11, params.b12, params.b21,
+                               params.b22, l2_normal(params))
+        x_minus = (u + params.q1, v + params.q2, params.q3)
+    except (SingularMatrix, DegenerateWindow):
+        if report.h2_holds:
+            raise
+        x_minus = None
 
     L1 = Line3D((d, 0.0, 0.0), (0.0, 1.0, 0.0))
     L2 = Line3D((d - params.q3, 0.0, params.q3), (0.0, 1.0, 0.0))
@@ -289,27 +305,28 @@ def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
     return ("c" if lo < q3 < hi else "none"), lo, hi
 
 
-def _x_minus_or_none(params: SystemParams, spectral_type: str):
-    """Tangency point of the right-zone planar flow on L2, via the inverse
-    of the full block matrix applied to the in-plane direction (0, 1, 0)."""
-    det = params.b11 * params.b22 - params.b12 * params.b21
-    focus = spectral_type == "complex_stable"
+def l2_normal(params: SystemParams) -> tuple:
+    """Normal k of L2 as the line {k . y = 1} in the right block's planar
+    coordinates y = (x1 - q1, x2 - q2) at height q3."""
+    return (1.0 / (params.d - params.q3 - params.q1), 0.0)
+
+
+def window_tangency(a11, a12, a21, a22, k) -> tuple:
+    """Point of {k.x = 1} where the planar field A x is parallel to the
+    line: A^{-1} k-perp / (k . A^{-1} k-perp) with k-perp = (-k2, k1)."""
+    det = a11 * a22 - a12 * a21
     if det == 0.0:
-        if focus:  # unreachable for a true focus (det = alpha^2 + beta^2 > 0)
-            raise SingularMatrix("right planar block is singular")
-        return None
-    # B^{-1} (0,1,0) = (B0^{-1} (0,1), 0); first component is -b12/det.
-    w1 = -params.b12 / det
-    w2 = params.b11 / det
-    denom = w1  # = (1,0,1) . B^{-1} (0,1,0)
-    if denom == 0.0:
-        if focus:
-            raise SingularMatrix(
-                "degenerate spiral geometry: plane-normal component of "
-                "B^{-1} c-perp vanishes")
-        return None
-    s = (params.d - (params.q1 + params.q3)) / denom
-    return (params.q1 + s * w1, params.q2 + s * w2, params.q3)
+        raise SingularMatrix("planar system matrix is singular")
+    kp = (-k[1], k[0])
+    # w = A^{-1} k-perp
+    w = ((a22 * kp[0] - a12 * kp[1]) / det, (-a21 * kp[0] + a11 * kp[1]) / det)
+    denom = k[0] * w[0] + k[1] * w[1]
+    scale = math.hypot(*k) * math.hypot(*w)
+    # Unreachable for a genuinely complex spectrum (the zero set of the
+    # denominator requires a real discriminant); kept as a guard.
+    if abs(denom) <= 1e-14 * max(1.0, scale):
+        raise DegenerateWindow("k . A^{-1} k-perp vanishes")
+    return (w[0] / denom, w[1] / denom)
 
 
 @dataclass(frozen=True)

@@ -41,16 +41,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateWindow, InvalidLine, OffLine, RootSearchError,
-                     SingularMatrix, UngenericBranch, WrongSpectralType,
-                     ZeroNormal)
+from .errors import (InvalidLine, OffLine, RootSearchError, UngenericBranch,
+                     WrongSpectralType, ZeroNormal)
 # planar_left_flow and planar_matrix_exp are unused here but stay in this
 # module's namespace: the per-call kernels are looked up on it by name
 # (perfbench/tracing.py counts calls through them).
 from .flows import (block_exp, planar_left_flow,  # noqa: F401
                     planar_left_orbit, planar_matrix_exp, radial_blowup_time,
                     radial_sq)
-from .model import DEFAULT_TOL, classify_2x2, tangency_ordinates
+from .model import (DEFAULT_TOL, classify_2x2, tangency_ordinates,
+                    window_tangency)
 
 
 @dataclass(frozen=True)
@@ -427,12 +427,11 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
                       tol: float = DEFAULT_TOL) -> SpiralWindow:
     """Stay window of a stable-focus system on the line {k . x = 1}.
 
-    The tangency point is A^{-1} k-perp / (k . A^{-1} k-perp) with
-    k-perp = (-k2, k1); the window's far end is the first intersection of
-    its backward (expanding) spiral with the line.  That return is
-    bracketed in closed form within the spiral's next backward turn and
-    refined to 1e-12 in time.  RootSearchError when the spiral leaves the
-    float range before it returns.
+    The tangency point is ``model.window_tangency``; the window's far end
+    is the first intersection of its backward (expanding) spiral with the
+    line.  That return is bracketed in closed form within the spiral's
+    next backward turn and refined to 1e-12 in time.  RootSearchError
+    when the spiral leaves the float range before it returns.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(
@@ -440,7 +439,7 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
     k1, k2 = float(k_vec[0]), float(k_vec[1])
     if k1 == 0.0 and k2 == 0.0:
         raise ZeroNormal("line normal must be nonzero")
-    x_in = _window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, (k1, k2))
+    x_in = window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, (k1, k2))
     exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
     u, v = x_in
 
@@ -485,20 +484,3 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec,
     nsq = k1 * k1 + k2 * k2
     x_out = (x_out[0] - resid * k1 / nsq, x_out[1] - resid * k2 / nsq)
     return SpiralWindow(tuple(x_in), x_out, (k1, k2), t_out, steps + 1)
-
-
-def _window_tangency(a11, a12, a21, a22, k):
-    """Point of {k.x = 1} where the field A x is parallel to the line."""
-    det = a11 * a22 - a12 * a21
-    if det == 0.0:
-        raise SingularMatrix("planar system matrix is singular")
-    kp = (-k[1], k[0])
-    # w = A^{-1} k-perp
-    w = ((a22 * kp[0] - a12 * kp[1]) / det, (-a21 * kp[0] + a11 * kp[1]) / det)
-    denom = k[0] * w[0] + k[1] * w[1]
-    scale = math.hypot(*k) * math.hypot(*w)
-    # Unreachable for a genuinely complex spectrum (the zero set of the
-    # denominator requires a real discriminant); kept as a guard.
-    if abs(denom) <= 1e-14 * max(1.0, scale):
-        raise DegenerateWindow("k . A^{-1} k-perp vanishes")
-    return (w[0] / denom, w[1] / denom)

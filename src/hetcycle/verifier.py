@@ -2,9 +2,10 @@
 
 A verdict certifies (or declines to certify) heteroclinic cycles between
 the left zone's saddle periodic orbit and the right zone's saddle
-equilibrium.  One certification route serves both theorems, named by the
-spectrum of the right planar block; they differ only in the test at the
-connection points p:
+equilibrium.  ``certify`` is the only way to one: the spectrum of the
+right planar block names the theorem (never the caller), and both
+theorems share one route that differs only in the test at the connection
+points p:
 
 * ``real_saddle`` (stable node): p must satisfy the outward half-plane
   condition (1,0,1) . B (p - q) >= 0,
@@ -33,14 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RootSearchError, UngenericBranch
+from .errors import UngenericBranch
 from .model import (DEFAULT_TOL, DerivedGeometry, HypothesisReport,
                     Interval3D, SystemParams, derive_geometry,
-                    interval_contains, rim_subcase, tangency_ordinates,
+                    interval_contains, l2_normal, rim_subcase,
                     validate_hypotheses)
 from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
-                     focus_stay_window, forward_stay_set, return_branch,
-                     tangency_band)
+                     focus_stay_window, forward_stay_set, tangency_band)
 
 
 @dataclass(frozen=True)
@@ -91,29 +91,6 @@ def regime_classify(params: SystemParams, tol: float = DEFAULT_TOL) -> str:
     return "case_i" if lhs >= rhs - tol * scale else "case_ii"
 
 
-def _v_star(analysis: VdpLineAnalysis) -> tuple:
-    """v_star = (d, v2*, 0) from the analysis of L1 (k = d)."""
-    if analysis.regime != "subcritical":
-        raise UngenericBranch(
-            "v_star is defined only in the tangential regime (case_ii)")
-    if analysis.x_star is None:
-        raise RootSearchError(
-            "the backward orbit of v1 escapes before returning to L1; "
-            "v_star does not exist for these parameters")
-    return (analysis.k, analysis.x_star[1], 0.0)
-
-
-def compute_v_star(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
-    """First backward intersection v_star = (d, v2*, 0) of the orbit of the
-    upper tangency point v1 on L1 (the plane x3 = 0 is flow-invariant, so
-    this is the planar line analysis at k = d, lifted).
-
-    Raises RootSearchError when the backward orbit escapes before returning
-    to L1 (a configuration the certification does not cover).
-    """
-    return _v_star(analyze_vdp_line(params.rho, params.omega, params.d, tol))
-
-
 def cone_condition(params: SystemParams) -> Evidence:
     """Backward-containment condition on the cylinder: the vertical field
     must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly."""
@@ -140,36 +117,6 @@ def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
              "(the mirrored sign reading is inconsistent with the stay set)")
 
 
-def check_q2_window(params: SystemParams, v_star, tol: float = DEFAULT_TOL,
-                    sigma_plus: Optional[float] = None,
-                    sigma_minus: Optional[float] = None) -> Evidence:
-    """Window condition on q2 in the tangential regime (case_ii).
-
-    ``v_star`` may be the lifted 3-vector (d, v2*, 0) or the bare ordinate;
-    the tangency ordinates default to ``tangency_ordinates`` at k = d.
-    When the first backward return lands above the upper tangency ordinate
-    (v2* > sigma_plus): q2 must lie in [sigma_plus, v2*].  When it lands
-    below the lower one (v2* < sigma_minus): q2 must lie in
-    (-inf, v2*] u [sigma_plus, +inf); the left-infinite reading is the one
-    consistent with the stay-set geometry (the excluded set is the open
-    interval of L1 between v1 and v_star).  Within tolerance of the
-    tangency ordinates the dichotomy does not apply (UngenericBranch).
-    """
-    v2_star = float(v_star[1] if hasattr(v_star, "__len__") else v_star)
-    disc, vp, vm = tangency_ordinates(params.rho, params.omega, params.d)
-    if sigma_plus is None or sigma_minus is None:
-        sigma_plus, sigma_minus = vp, vm
-    if sigma_plus is None:
-        raise UngenericBranch(
-            "tangency ordinates are not real; the q2 window applies only "
-            "in the tangential regime (case_ii)")
-    analysis = VdpLineAnalysis(
-        params.rho, params.omega, params.d, "subcritical", disc, sigma_plus,
-        sigma_minus, x_star=(params.d, v2_star),
-        branch=return_branch(v2_star, sigma_plus, sigma_minus, tol))
-    return _q2_window(params, analysis, tol)
-
-
 def _subcase_of_q3(params: SystemParams, tol: float) -> tuple:
     """('a'|'b'|'c'|'none', Evidence) by ``rim_subcase``."""
     subcase, lo, hi = rim_subcase(params, tol)
@@ -188,59 +135,83 @@ def _none_verdict(evidence: list) -> CycleVerdict:
     return CycleVerdict("none", None, "none", 0, (), None, tuple(evidence))
 
 
-#: Spectral gate of each route: (evidence name, block spectrum, other route).
-_GATES = {"real_saddle": ("h1", "real stable", "saddle-focus"),
-          "saddle_focus": ("h2", "complex stable", "real-saddle")}
+#: Route of each certifiable spectrum: (theorem, gate evidence, spectrum).
+_ROUTES = {"real_stable": ("real_saddle", "h1", "real stable"),
+           "complex_stable": ("saddle_focus", "h2", "complex stable")}
 
 
-def _hypothesis_evidence(report: HypothesisReport, theorem: str) -> list:
-    """Evidence entries for the spectral gate and the placement checks."""
-    name, spectrum, other_route = _GATES[theorem]
-    holds, other_holds = ((report.h1_holds, report.h2_holds)
-                          if theorem == "real_saddle" else
-                          (report.h2_holds, report.h1_holds))
-    note = "" if holds else (
-        "spectral type is " + report.spectral_type +
-        (f"; {other_route} route applies" if other_holds else ""))
-    ev = [Evidence(name, 1.0 if holds else 0.0,
-                   f"right planar block {spectrum}", holds, note=note)]
+def _h3_evidence(report: HypothesisReport) -> Evidence:
     worst = min(report.h3_details, key=lambda c: c.passed)
-    ev.append(Evidence("h3", 1.0 if report.h3_holds else 0.0,
-                       "placement hypothesis", report.h3_holds,
-                       note="" if report.h3_holds else
-                       f"failing sub-check: {worst.name}"))
-    return ev
+    return Evidence("h3", 1.0 if report.h3_holds else 0.0,
+                    "placement hypothesis", report.h3_holds,
+                    note="" if report.h3_holds else
+                    f"failing sub-check: {worst.name}")
 
 
 def _case_ii_gate(params, analysis, evidence, tol):
-    """The q2 window of the analysis of L1; returns v_star, or None when
-    the orbit of v1 escapes before returning (a coverage gap, recorded as
-    failed evidence rather than an exception)."""
-    try:
-        v_star = _v_star(analysis)
-    except RootSearchError:
+    """The q2 window of the analysis of L1; returns v_star = (d, v2*, 0),
+    or None when the orbit of v1 escapes before returning (a coverage gap,
+    recorded as failed evidence rather than an exception)."""
+    if analysis.regime != "subcritical":
+        raise UngenericBranch(
+            "v_star is defined only in the tangential regime (case_ii)")
+    if analysis.x_star is None:
         evidence.append(Evidence(
             "v_star_exists", 0.0, "backward orbit of v1 returns to L1", False,
             note="the backward orbit escapes before returning; "
                  "configuration outside certification coverage"))
         return None
     evidence.append(_q2_window(params, analysis, tol))
-    return v_star
+    return (analysis.k, analysis.x_star[1], 0.0)
 
 
-def _certify_route(params: SystemParams, report: HypothesisReport,
-                   theorem: str, tol: float) -> CycleVerdict:
-    """The certification skeleton shared by both theorems.
+def _window_on_l2(params: SystemParams, tol: float) -> tuple:
+    """Spiral stay window on L2, lifted to 3D (the in-plane dynamics at
+    height q3 is the planar right block centered at (q1, q2))."""
+    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
+                                          params.b21, params.b22)
+    w = focus_stay_window(sys, l2_normal(params), tol)
+    x_minus = (w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2, params.q3)
+    x_plus = (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2, params.q3)
+    return x_minus, x_plus
 
-    In case_ii the q2 window gates the shared equilibrium-to-cycle orbit;
+
+def _interval_parameter(a, b, x) -> float:
+    u1, u2, u3 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    return (((x[0] - a[0]) * u1 + (x[1] - a[1]) * u2 + (x[2] - a[2]) * u3)
+            / (u1 * u1 + u2 * u2 + u3 * u3))
+
+
+def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:
+    return {"a": [("p0", geometry.p0)], "b": [("p1", geometry.p1)],
+            "c": [("p_plus", geometry.p_plus), ("p_minus", geometry.p_minus)],
+            "none": []}[subcase]
+
+
+def certify(params: SystemParams, tol: float = DEFAULT_TOL,
+            report: Optional[HypothesisReport] = None) -> CycleVerdict:
+    """The verdict on ``params``: the one certification entry point.
+
+    The right block's spectrum picks the theorem (a node block
+    'real_saddle', a focus block 'saddle_focus', any other 'none').  In
+    case_ii the q2 window gates the shared equilibrium-to-cycle orbit;
     subcases b/c add the cone condition.  Only the test at the candidate
-    connection points depends on ``theorem``: the outward half-plane check
-    (1,0,1) . B (p - q) >= 0 for a node block ('real_saddle'), membership
-    of the spiral stay window [x_minus, x_plus) on L2 for a focus block
-    ('saddle_focus').
+    connection points depends on the theorem: the outward half-plane check
+    (1,0,1) . B (p - q) >= 0 for a node block, membership of the spiral
+    stay window [x_minus, x_plus) on L2 for a focus block.  ``report`` is
+    ``validate_hypotheses(params, tol)`` when the caller already holds it.
     """
-    evidence = _hypothesis_evidence(report, theorem)
-    if not (evidence[0].passed and report.h3_holds):
+    if report is None:
+        report = validate_hypotheses(params, tol)
+    if report.spectral_type not in _ROUTES:
+        return _none_verdict([
+            Evidence("spectral_type", 0.0, "real stable or complex stable",
+                     False, note=f"got {report.spectral_type}"),
+            _h3_evidence(report)])
+    theorem, gate, spectrum = _ROUTES[report.spectral_type]
+    evidence = [Evidence(gate, 1.0, f"right planar block {spectrum}", True),
+                _h3_evidence(report)]
+    if not report.h3_holds:
         return _none_verdict(evidence)
     geometry = derive_geometry(params, tol, report)
     regime = regime_classify(params, tol)
@@ -289,53 +260,3 @@ def _certify_route(params: SystemParams, report: HypothesisReport,
     return CycleVerdict(theorem, regime, subcase, count, connecting,
                         (params.d, params.q2, 0.0), tuple(evidence), v_star,
                         window)
-
-
-def certify_real_saddle(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
-    """Certification route for a stable-node right block."""
-    return _certify_route(params, validate_hypotheses(params, tol),
-                          "real_saddle", tol)
-
-
-def certify_saddle_focus(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
-    """Certification route for a stable-focus right block."""
-    return _certify_route(params, validate_hypotheses(params, tol),
-                          "saddle_focus", tol)
-
-
-def _window_on_l2(params: SystemParams, tol: float) -> tuple:
-    """Spiral stay window on L2, lifted to 3D (the in-plane dynamics at
-    height q3 is the planar right block centered at (q1, q2))."""
-    c0 = params.d - params.q3 - params.q1  # line offset in centered coords
-    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
-                                          params.b21, params.b22)
-    w = focus_stay_window(sys, (1.0 / c0, 0.0), tol)
-    x_minus = (w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2, params.q3)
-    x_plus = (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2, params.q3)
-    return x_minus, x_plus
-
-
-def _interval_parameter(a, b, x) -> float:
-    u1, u2, u3 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    return (((x[0] - a[0]) * u1 + (x[1] - a[1]) * u2 + (x[2] - a[2]) * u3)
-            / (u1 * u1 + u2 * u2 + u3 * u3))
-
-
-def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:
-    return {"a": [("p0", geometry.p0)], "b": [("p1", geometry.p1)],
-            "c": [("p_plus", geometry.p_plus), ("p_minus", geometry.p_minus)],
-            "none": []}[subcase]
-
-
-def certify(params: SystemParams, tol: float = DEFAULT_TOL) -> CycleVerdict:
-    """Dispatch to the route matching the right block's spectrum."""
-    report = validate_hypotheses(params, tol)
-    if report.h1_holds:
-        return _certify_route(params, report, "real_saddle", tol)
-    if report.h2_holds:
-        return _certify_route(params, report, "saddle_focus", tol)
-    evidence = [Evidence("spectral_type", 0.0,
-                         "real stable or complex stable", False,
-                         note=f"got {report.spectral_type}")]
-    evidence += _hypothesis_evidence(report, "real_saddle")[1:]
-    return _none_verdict(evidence)

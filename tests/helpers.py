@@ -14,7 +14,7 @@ from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup
 from hetcycle.flows import left_field, left_flow, right_field, right_flow
 from hetcycle.hybrid import CrosscheckReport, _draw_start
-from hetcycle.model import C_NORMAL
+from hetcycle.model import C_NORMAL, SystemParams
 
 BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 
@@ -180,3 +180,29 @@ def reference_crosscheck(params, trials, seed, horizon=5.0, control=None):
                 worst = {"trial": i, "side": side, "t": float(t),
                          "x0": [float(v) for v in x0]}
     return CrosscheckReport(trials, max_err, worst)
+
+
+def rim_sets(seed, n):
+    """Generated sets with q3 on a cylinder rim or between the rims, where
+    the connection point is built on the cycle; the other draws follow the
+    ranges that the hypotheses allow.  Even entries have a node block, odd
+    ones a focus block."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        rho = rng.uniform(0.3, 2.0)
+        sr = math.sqrt(rho)
+        d = sr * rng.uniform(1.02, 1.6)
+        if i % 2 == 0:  # node block
+            b11, b22 = -rng.uniform(0.2, 4.0), -rng.uniform(0.2, 4.0)
+            b12, b21 = rng.uniform(-6.0, 6.0), 0.0
+        else:  # focus block alpha +/- i beta
+            alpha, beta = -rng.uniform(0.2, 4.0), rng.uniform(0.5, 8.0)
+            b11, b12, b21, b22 = alpha, beta, -beta, alpha
+        q3 = (d - sr, d + sr, rng.uniform(d - sr, d + sr))[i % 3]
+        out.append(SystemParams(
+            rho=rho, omega=math.exp(rng.uniform(math.log(0.5), math.log(8.0))),
+            mu=math.exp(rng.uniform(math.log(0.5), math.log(4.0))),
+            b11=b11, b12=b12, b21=b21, b22=b22, lam=rng.uniform(0.5, 4.0),
+            q1=d, q2=rng.uniform(-5.0, 5.0), q3=q3, d=d))
+    return out

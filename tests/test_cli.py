@@ -127,6 +127,53 @@ def test_bad_horizon_exit_1(tmp_path, capsys, option, value):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_bad_tol_exit_1(cfg, tmp_path, capsys, value):
+    # an infinite tol widens every band and would certify q3 = 5
+    out = tmp_path / "r.json"
+    assert main(["check", cfg, "--set", "q3=5.0", f"--tol={value}",
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "tol" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["1", "--tback", "400"], ["3", "--tback", "250"],
+    ["2", "--tback", "1500"], ["1", "--set", "lambda=1e-300"]])
+def test_example_long_backward_horizon_no_overflow(tmp_path, argv):
+    # gamma1 runs backward on the unstable line of q past where e^{Bt}
+    # overflows
+    out = tmp_path / "r.json"
+    assert main(["example"] + argv + ["--out", str(out), "--csv-dir",
+                                      str(tmp_path / "data")]) == 0
+    certs = json.loads(out.read_text())["certificates"]
+    assert certs and all(c["containment_ok"] for c in certs)
+
+
+def test_run_validates_hypotheses_once(cfg, tmp_path, monkeypatch):
+    # the report's hypothesis check is the one certify uses
+    import hetcycle.model as model
+    import hetcycle.verifier as verifier
+
+    calls = []
+    validate = model.validate_hypotheses
+
+    def counted(params, tol=model.DEFAULT_TOL):
+        calls.append(params)
+        return validate(params, tol)
+
+    for mod in (cli, model, verifier):
+        monkeypatch.setattr(mod, "validate_hypotheses", counted)
+    out = str(tmp_path / "r.json")
+    for argv in (["check", cfg, "--certify"], ["check", cfg, "--set=q3=5"],
+                 ["example", "2", "--csv-dir", str(tmp_path / "d")],
+                 ["example", "3", "--csv-dir", str(tmp_path / "d")]):
+        calls.clear()
+        assert main(argv + ["--out", out]) in (0, 2)
+        assert len(calls) == 1, argv
+
+
 def test_example_override_window_failure(tmp_path):
     assert main(["example", "3", "--set", "q2=10",
                  "--out", str(tmp_path / "r.json")]) == 2

@@ -89,6 +89,16 @@ def test_right_flow_stable_plane_past_exp_overflow(ex3):
     np.testing.assert_allclose(x[:2], (ex3.q1, ex3.q2), atol=1e-12)
 
 
+def test_right_flow_unstable_line_past_exp_overflow(ex1, ex2, ex3):
+    # e^{Bt} overflows at this t; a start on the line through q never
+    # needs it (the backward start of gamma1 is snapped onto that line)
+    for p in (ex1, ex2, ex3):
+        t = -800.0 / min(abs(p.b11), abs(p.b22))
+        x = right_flow((p.q1, p.q2, p.q3 + 0.5), t, p)
+        assert (x[0], x[1]) == (p.q1, p.q2)
+        assert x[2] == p.q3 + 0.5 * math.exp(p.lam * t)
+
+
 def test_right_flow_unstable_line_invariance(ex3):
     x0 = (ex3.q1, ex3.q2, ex3.q3 + 0.4)
     for t in (-3.0, -0.5, 0.8):

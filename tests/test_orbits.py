@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import rim_sets
+
 from hetcycle import orbits
 from hetcycle.errors import CertificateFailure, ConfigError, HypothesisFailure
 from hetcycle.model import LimitCycle
@@ -336,38 +338,11 @@ def test_backward_cylinder_segment_stays_on_the_cycle():
         assert np.abs(radius - params.sqrt_rho).max() <= 1e-12
 
 
-def _rim_sets(seed, n):
-    """Generated sets with q3 on a cylinder rim or between the rims, where
-    the connection point is built on the cycle; the other draws follow the
-    ranges that the hypotheses allow."""
-    from hetcycle.model import SystemParams
-
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        rho = rng.uniform(0.3, 2.0)
-        sr = math.sqrt(rho)
-        d = sr * rng.uniform(1.02, 1.6)
-        if i % 2 == 0:  # node block
-            b11, b22 = -rng.uniform(0.2, 4.0), -rng.uniform(0.2, 4.0)
-            b12, b21 = rng.uniform(-6.0, 6.0), 0.0
-        else:  # focus block alpha +/- i beta
-            alpha, beta = -rng.uniform(0.2, 4.0), rng.uniform(0.5, 8.0)
-            b11, b12, b21, b22 = alpha, beta, -beta, alpha
-        q3 = (d - sr, d + sr, rng.uniform(d - sr, d + sr))[i % 3]
-        out.append(SystemParams(
-            rho=rho, omega=math.exp(rng.uniform(math.log(0.5), math.log(8.0))),
-            mu=math.exp(rng.uniform(math.log(0.5), math.log(4.0))),
-            b11=b11, b12=b12, b21=b21, b22=b22, lam=rng.uniform(0.5, 4.0),
-            q1=d, q2=rng.uniform(-5.0, 5.0), q3=q3, d=d))
-    return out
-
-
 def test_certified_verdicts_yield_certificates():
     from hetcycle.errors import HetcycleError
 
     certified = built = 0
-    for params in _rim_sets(50, 400):
+    for params in rim_sets(50, 400):
         try:
             verdict = certify(params)
         except HetcycleError:
@@ -386,6 +361,25 @@ def test_certified_verdicts_yield_certificates():
         built += 1
     # typed errors are allowed, but they must stay rare
     assert certified >= 50 and built >= 0.95 * certified
+
+
+def test_slow_vertical_rate_certified_sets_build():
+    # gamma1's backward horizon is log(1e6) / lambda; for a slow vertical
+    # rate it takes e^{Bt} past the float range, which the start on the
+    # unstable line of q (planar offset 0) must never evaluate
+    from dataclasses import replace
+
+    rng = np.random.default_rng(7)
+    certified = 0
+    for params in rim_sets(52, 120):
+        params = replace(params, lam=10.0 ** rng.uniform(-4.0, -1.0))
+        verdict = certify(params)
+        if not verdict.certified:
+            continue
+        certified += 1
+        certs = assemble_cycle(params, verdict)
+        assert certs and all(c.containment_ok for c in certs), params
+    assert certified >= 15
 
 
 def test_horizons_resolved_once_per_cycle(ex1, ex3, verdicts, monkeypatch):

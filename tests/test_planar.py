@@ -24,13 +24,12 @@ from hetcycle.flows import (
     planar_left_orbit,
     radial_blowup_time,
 )
-from hetcycle.model import Interval3D, interval_contains
+from hetcycle.model import Interval3D, interval_contains, window_tangency
 from hetcycle.planar import (
     ROOT_BRACKET,
     PlanarLinearSystem,
     StaySet,
     _refine,
-    _window_tangency,
     analyze_vdp_line,
     focus_stay_window,
     forward_stay_set,
@@ -268,11 +267,11 @@ def test_focus_window_errors():
     with pytest.raises(WrongSpectralType):
         focus_stay_window(node, (1.0, 0.0))
     with pytest.raises(SingularMatrix):
-        _window_tangency(1.0, 0.0, 0.0, 0.0, (1.0, 0.0))
+        window_tangency(1.0, 0.0, 0.0, 0.0, (1.0, 0.0))
     # degenerate denominator is impossible for a true focus; exercise the
     # guard on a real-spectrum matrix directly
     with pytest.raises(DegenerateWindow):
-        _window_tangency(-1.0, 0.0, 0.0, -2.0, (1.0, 0.0))
+        window_tangency(-1.0, 0.0, 0.0, -2.0, (1.0, 0.0))
 
 
 def test_vdp_stay_set_vs_brute_force_sample():
@@ -341,7 +340,7 @@ def _reference_vdp_return(a, samples_per_rev=4096):
 def _reference_focus_return(sys, k_vec, samples_per_rev=4096):
     """t_star_out of the spiral window by the reference scan."""
     k1, k2 = k_vec
-    u, v = _window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, k_vec)
+    u, v = window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, k_vec)
     exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
 
     def flow(t):

@@ -4,16 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hetcycle.errors import UngenericBranch
+from helpers import rim_sets
+
+from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow
-from hetcycle.model import SystemParams, derive_geometry
+from hetcycle.model import SystemParams, derive_geometry, validate_hypotheses
+from hetcycle.planar import return_branch
 from hetcycle.verifier import (
     Evidence,
     certify,
-    certify_real_saddle,
-    certify_saddle_focus,
-    check_q2_window,
-    compute_v_star,
     cone_condition,
     regime_classify,
 )
@@ -29,14 +28,18 @@ def test_regime_classification(ex1, ex3):
     assert regime_classify(p) == "case_i"
 
 
+def _evidence(verdict, name):
+    return {e.name: e for e in verdict.evidence}[name]
+
+
 def test_v_star_example1(ex1):
-    v = compute_v_star(ex1)
+    v = certify(ex1).v_star
     assert v[1] == pytest.approx(2.363, abs=5e-3)
     assert v[0] == ex1.d and v[2] == 0.0
 
 
 def test_v_star_example2(ex2):
-    v = compute_v_star(ex2)
+    v = certify(ex2).v_star
     assert v[1] == pytest.approx(-4.4162, abs=5e-3)
 
 
@@ -50,28 +53,28 @@ def test_v_star_closed_form_residual(ex1):
 
 
 def test_q2_window_branch1_pass(ex1):
-    ev = check_q2_window(ex1, 2.363)
+    ev = _evidence(certify(ex1), "q2_window")
     assert ev.passed and "above" in ev.note
 
 
 def test_q2_window_branch1_closed_endpoint(ex1):
     geo = derive_geometry(ex1)
     p = replace(ex1, q2=geo.sigma_plus)  # exactly at the closed endpoint
-    ev = check_q2_window(p, 2.363)
-    assert ev.passed
+    assert _evidence(certify(p), "q2_window").passed
 
 
 def test_q2_window_branch2_pass(ex2):
-    # a lifted 3-vector works too
-    ev = check_q2_window(ex2, (ex2.d, -4.4162, 0.0))
+    ev = _evidence(certify(ex2), "q2_window")
     assert ev.passed and "below" in ev.note
 
 
 def test_q2_window_ungeneric_raises(ex1):
+    # a first return strictly between the tangency ordinates is neither
+    # branch of the dichotomy
     geo = derive_geometry(ex1)
     mid = 0.5 * (geo.sigma_plus + geo.sigma_minus)
     with pytest.raises(UngenericBranch):
-        check_q2_window(ex1, mid)
+        return_branch(mid, geo.sigma_plus, geo.sigma_minus)
 
 
 def test_cone_condition_examples(ex2, ex3):
@@ -142,13 +145,6 @@ def test_negative_control_window_failure(ex3):
     assert "window_p_plus" in failed
 
 
-def test_wrong_route_yields_none_verdict(ex2):
-    v = certify_real_saddle(ex2)  # focus-type params on the node route
-    assert v.theorem == "none" and v.cycle_count == 0
-    h1 = {e.name: e for e in v.evidence}["h1"]
-    assert not h1.passed and "saddle-focus" in h1.note
-
-
 def test_neither_spectrum_none_verdict(ex1):
     p = replace(ex1, b11=2.0, b12=0.0, b21=0.0, b22=-1.0)  # saddle block
     v = certify(p)
@@ -187,7 +183,7 @@ def test_q2_sweep_inside_window(ex1):
     half-plane value c.B(p0 - q) = 0.4 - q2 stays nonnegative; past 0.4 that
     condition (which also depends on q2) flips the verdict."""
     geo = derive_geometry(ex1)
-    v2 = float(compute_v_star(ex1)[1])
+    v2 = certify(ex1).v_star[1]
     for q2 in np.linspace(geo.sigma_plus + 1e-6, 0.4, 9):
         v = certify(replace(ex1, q2=float(q2)))
         assert v.cycle_count == 1
@@ -248,6 +244,37 @@ def test_certify_checks_the_hypotheses_once(ex1, ex2, ex3, monkeypatch):
         calls.clear()
         assert certify(p).certified
         assert calls == [p]
+
+
+def test_certify_reuses_a_given_report(ex1, ex2, ex3):
+    for p in (ex1, ex2, ex3, replace(ex1, q3=5.0), replace(ex1, b11=2.0)):
+        for tol in (0.0, 1e-9, 1e-3):
+            assert certify(p, tol, validate_hypotheses(p, tol)) == certify(
+                p, tol)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_invalid_tol_is_a_config_error(ex1, tol):
+    for check in (validate_hypotheses, derive_geometry, certify):
+        with pytest.raises(ConfigError):
+            check(ex1, tol)
+
+
+def test_geometry_x_minus_is_the_window_start(ex1, ex2, ex3):
+    # one solve of the spiral tangency point on L2: the geometry's x_minus
+    # and the verdict's window agree bit for bit
+    assert certify(ex1).window is None
+    checked = 0
+    for p in [ex2, ex3] + rim_sets(12, 400)[1::2]:  # the focus blocks
+        try:
+            window = certify(p).window
+        except HetcycleError:
+            continue
+        assert derive_geometry(p).x_minus == window[0], p
+        checked += 1
+    assert checked >= 150
+    # for a block that is not a focus, x_minus is None where undefined
+    assert derive_geometry(replace(ex1, b12=0.0)).x_minus is None
 
 
 # q3 values at fl(hi - band) (or fl(lo + band)) of the rim band: the
