@@ -68,15 +68,19 @@ _BULGE = 4.0 / 27.0
 #: Relative allowance for rounding in the evaluated cubic of a large step.
 _ROUNDING = 1e-12
 
+#: Step-size floor and budget of steps (accepted or rejected) of every
+#: ``rk45`` run; StepFailure past either.
+H_MIN = 1e-13
+MAX_STEPS = 2_000_000
+
 
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances and limits for the adaptive step controller."""
+    """Tolerances of the adaptive step controller.  The limits every run
+    shares are the module constants ``H_MIN`` and ``MAX_STEPS``."""
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_min: float = 1e-13
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         # The error norm divides by atol wherever a component sits at 0.
@@ -197,8 +201,8 @@ def rk45(
     plane without a crossing are collected in ``grazes``, projected onto the
     plane, and do not stop the run.
 
-    Raises StepFailure when the controller underflows ``h_min`` or exceeds
-    ``max_steps``.
+    Raises StepFailure when the controller underflows ``H_MIN`` or exceeds
+    ``MAX_STEPS``.
     """
     if not t1 > t0:
         raise ValueError("rk45 requires t1 > t0")
@@ -212,7 +216,7 @@ def rk45(
     elif dim != 3:
         raise ValueError(f"rk45 integrates 2 or 3 components, got {dim}")
     ctl = control or StepControl()
-    atol, rtol, h_min, max_steps = ctl.atol, ctl.rtol, ctl.h_min, ctl.max_steps
+    atol, rtol = ctl.atol, ctl.rtol
     isfinite = math.isfinite
     x = tuple(float(v) for v in x0)
     t = t0
@@ -238,8 +242,8 @@ def rk45(
 
     steps = 0
     while t < t1:
-        if steps >= max_steps:
-            raise StepFailure(f"exceeded max_steps={max_steps} at t={t!r}")
+        if steps >= MAX_STEPS:
+            raise StepFailure(f"exceeded max_steps={MAX_STEPS} at t={t!r}")
         rest = t1 - t
         if rest < h:
             h = rest
@@ -287,7 +291,7 @@ def rk45(
         if not err <= 1.0:  # rejects NaN/inf error estimates too
             shrink = 0.2 if not isfinite(err) else max(0.2, 0.9 * err ** -0.2)
             h *= shrink
-            if h < h_min:
+            if h < H_MIN:
                 raise StepFailure(f"step size underflow at t={t!r} (h={h!r})")
             steps += 1
             continue

@@ -5,14 +5,19 @@ Three commands:
 * ``check CONFIG``    - load a config, run the hypothesis checks and the
   cycle certification, optionally build orbit certificates, and write a
   JSON report.  Exit 0 when a cycle is certified, 2 when not, 1 on error.
-* ``example N``       - run the built-in system N (1, 2, 3) with
-  certificates and emit trajectory CSVs for re-plotting.
+* ``example N``       - the same run on the built-in system N (1, 2, 3),
+  always with certificates, emitting trajectory CSVs for re-plotting.
 * ``simulate CONFIG`` - event-detecting simulation from a given state;
   writes trajectory and events CSVs, optionally cross-checks the closed
   forms.
 
-Reports are JSON with floats serialized by ``repr`` (shortest string that
-round-trips the exact double), so a report parsed back compares equal.
+``check`` and ``example`` share one run function and one set of options
+(``--tol``, ``--tback``/``--tfwd``, ``--csv``/``--csv-dir``); ``simulate``
+certifies nothing and takes none of them.
+
+Reports are built from plain Python values and written as JSON with
+floats serialized by ``repr`` (shortest string that round-trips the exact
+double), so a report parsed back compares equal.
 
 ``main(argv)`` returns the exit code instead of exiting, so it can be
 called from Python.  It builds its argument parser on the first call and
@@ -29,8 +34,6 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
 
 from . import orbits
 from .errors import ConfigError, HetcycleError
@@ -51,23 +54,6 @@ from .model import (
 )
 from .presets import example_params
 from .verifier import certify
-
-
-def _jsonable(obj):
-    """Recursively convert report pieces to plain JSON types."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _hypotheses_dict(report):
@@ -123,14 +109,11 @@ def build_run_report(params: SystemParams, tol: float, certify_orbits: bool,
                      t_back=None, t_fwd=None):
     """Run the full pipeline and return (report dict, verdict, certificates).
     The hypotheses are validated once; the verdict reuses that report."""
-    timing = {}
     t0 = time.perf_counter()
     hyp = validate_hypotheses(params, tol)
-    timing["hypotheses_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     verdict = certify(params, tol, hyp)
-    timing["verify_s"] = time.perf_counter() - t0
+    timing = {"hypotheses_s": t1 - t0, "verify_s": time.perf_counter() - t1}
 
     certificates = None
     if certify_orbits and verdict.certified:
@@ -148,7 +131,7 @@ def build_run_report(params: SystemParams, tol: float, certify_orbits: bool,
                          if certificates is not None else None),
         "timing": timing,
     }
-    return _jsonable(report), verdict, certificates
+    return report, verdict, certificates
 
 
 def _apply_sets(values: dict, set_args) -> dict:
@@ -176,44 +159,37 @@ def _emit_report(report: dict, out_path) -> None:
 
 
 def _emit_segments(certificates, csv_path, csv_dir) -> None:
-    segments = []
-    seen = set()
-    for cert in certificates or ():
-        for seg in cert.orbit_segments:
-            if id(seg) not in seen:
-                seen.add(id(seg))
-                segments.append(seg)
+    # each segment once, in first-seen order (cycles share gamma1)
+    segments = list({id(seg): seg for cert in certificates or ()
+                     for seg in cert.orbit_segments}.values())
     if csv_path:
         orbits.write_segments_csv(segments, csv_path)
     if csv_dir:
         orbits.write_segments_csv_dir(segments, csv_dir)
 
 
-def _cmd_check(args) -> int:
-    values = params_to_dict(load_config(args.config))
-    params = params_from_dict(_apply_sets(values, args.set))
-    report, verdict, certs = build_run_report(
-        params, args.tol, args.certify, args.tback, args.tfwd)
-    _emit_report(report, args.out)
-    _emit_segments(certs, args.csv, args.csv_dir)
-    return 0 if verdict.certified else 2
+def _params(args) -> SystemParams:
+    """The command's system: built-in example ``n`` or the config file,
+    with the ``--set`` overrides applied."""
+    base = (example_params(args.n) if args.command == "example"
+            else load_config(args.config))
+    return params_from_dict(_apply_sets(params_to_dict(base), args.set))
 
 
-def _cmd_example(args) -> int:
-    params = example_params(args.n)
-    if args.set:
-        params = params_from_dict(_apply_sets(params_to_dict(params), args.set))
+def _cmd_run(args) -> int:
+    """``check`` and ``example``: certify, build the orbit certificates
+    (always for ``example``), write the report and the segment CSVs."""
     report, verdict, certs = build_run_report(
-        params, args.tol, True, args.tback, args.tfwd)
+        _params(args), args.tol, args.certify, args.tback, args.tfwd)
     _emit_report(report, args.out)
-    csv_dir = args.csv_dir or f"example{args.n}_data"
+    csv_dir = args.csv_dir or (f"example{args.n}_data"
+                               if args.command == "example" else None)
     _emit_segments(certs, args.csv, csv_dir)
     return 0 if verdict.certified else 2
 
 
 def _cmd_simulate(args) -> int:
-    values = params_to_dict(load_config(args.config))
-    params = params_from_dict(_apply_sets(values, args.set))
+    params = _params(args)
     try:
         x0 = tuple(float(v) for v in args.x0.split(","))
     except ValueError:
@@ -238,7 +214,7 @@ def _cmd_simulate(args) -> int:
         rep = crosscheck_closed_forms(params, args.oracle, seed=args.seed)
         report["oracle"] = {"trials": rep.trials, "max_error": rep.max_error,
                             "worst_trial": rep.worst_trial}
-    _emit_report(_jsonable(report), args.out)
+    _emit_report(report, args.out)
     return 0
 
 
@@ -246,9 +222,22 @@ def _add_common(p):
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config value (repeatable)")
+
+
+def _add_run(p):
+    """Options of the certifying commands, ``check`` and ``example``."""
+    _add_common(p)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="global tolerance for equality-type checks "
                         "(finite, >= 0)")
+    p.add_argument("--tback", type=float, default=None,
+                   help="override backward horizons")
+    p.add_argument("--tfwd", type=float, default=None,
+                   help="override forward horizons")
+    p.add_argument("--csv", help="write all orbit segments to one CSV")
+    p.add_argument("--csv-dir", help="write one CSV per orbit segment "
+                                     "(example: default example<n>_data)")
+    p.set_defaults(fn=_cmd_run)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -260,26 +249,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="certify a config")
     p.add_argument("config")
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--certify", action="store_true",
                    help="also build orbit certificates")
-    p.add_argument("--tback", type=float, default=None,
-                   help="override backward horizons")
-    p.add_argument("--tfwd", type=float, default=None,
-                   help="override forward horizons")
-    p.add_argument("--csv", help="write all orbit segments to one CSV")
-    p.add_argument("--csv-dir", help="write one CSV per orbit segment")
-    p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("example", help="run a built-in example system")
     p.add_argument("n", type=int, choices=(1, 2, 3))
-    _add_common(p)
-    p.add_argument("--tback", type=float, default=None)
-    p.add_argument("--tfwd", type=float, default=None)
-    p.add_argument("--csv", help="write all orbit segments to one CSV")
-    p.add_argument("--csv-dir",
-                   help="per-segment CSV directory (default example<n>_data)")
-    p.set_defaults(fn=_cmd_example)
+    _add_run(p)
+    p.set_defaults(certify=True)
 
     p = sub.add_parser("simulate", help="event-detecting simulation")
     p.add_argument("config")

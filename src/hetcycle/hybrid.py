@@ -17,8 +17,9 @@ fields point at the plane the crossing dynamics are undefined; the
 simulator raises SlidingDetected rather than inventing a sliding mode.
 
 ``crosscheck_closed_forms`` is the package's standing self-test: random
-starts strictly inside one zone, simulated to the first event or a
-horizon, compared sample-by-sample against that zone's closed form.
+starts strictly inside one zone, simulated to the first event or
+``CROSSCHECK_HORIZON``, compared sample-by-sample against that zone's
+closed form.  Both run the stepper at its default ``StepControl()``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._integrate import StepControl, rk45
+from ._integrate import rk45
 from .errors import EventStorm, HetcycleError, SlidingDetected
 from .flows import left_field, left_flow, right_field, right_flow
 from .model import C_NORMAL, SystemParams
@@ -66,9 +67,9 @@ def active_side(params: SystemParams, x) -> str:
 
 
 def integrate_hybrid(params: SystemParams, x0, t_span,
-                     control: Optional[StepControl] = None,
                      max_events: int = 10_000) -> HybridTrajectory:
-    """Forward simulation of the switched system over t_span = (t0, t1).
+    """Forward simulation of the switched system over t_span = (t0, t1),
+    at the stepper's default ``StepControl()``.
 
     Raises EventStorm past ``max_events`` switchings (chattering guard),
     SlidingDetected when both fields point at the plane at an event, and
@@ -77,7 +78,6 @@ def integrate_hybrid(params: SystemParams, x0, t_span,
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("integrate_hybrid requires t1 > t0 (forward only)")
-    ctl = control or StepControl()
     fields = {"left": left_field(params), "right": right_field(params)}
     plane = (C_NORMAL, params.d)
     x = tuple(float(v) for v in np.asarray(x0, dtype=float))
@@ -91,7 +91,7 @@ def integrate_hybrid(params: SystemParams, x0, t_span,
     n_switches = 0
 
     while t < t1:
-        res = rk45(fields[side], x, t, t1, control=ctl, plane=plane,
+        res = rk45(fields[side], x, t, t1, plane=plane,
                    event_side=-1.0 if side == "left" else 1.0)
         offset = 1 if ts and res.ts and res.ts[0] == ts[-1] else 0
         ts.extend(res.ts[offset:])
@@ -132,12 +132,15 @@ class CrosscheckReport:
     worst_trial: Optional[dict] = None
 
 
-def crosscheck_closed_forms(params: SystemParams, trials: int, seed: int,
-                            horizon: float = 5.0,
-                            control: Optional[StepControl] = None) -> CrosscheckReport:
+#: Time each ``crosscheck_closed_forms`` trial runs for at most.
+CROSSCHECK_HORIZON = 5.0
+
+
+def crosscheck_closed_forms(params: SystemParams, trials: int,
+                            seed: int) -> CrosscheckReport:
     """Random starts strictly inside one zone, simulated until the first
-    switching event or the horizon, compared componentwise against the
-    closed form of that zone at every sample time.
+    switching event or ``CROSSCHECK_HORIZON``, compared componentwise
+    against the closed form of that zone at every sample time.
 
     Starts are drawn in the dynamically relevant region: left-zone starts
     around the limit cycle with nonnegative height (so trajectories either
@@ -148,7 +151,6 @@ def crosscheck_closed_forms(params: SystemParams, trials: int, seed: int,
     if trials <= 0:
         return CrosscheckReport(0, 0.0)
     rng = np.random.default_rng(seed)
-    ctl = control or StepControl()
     d = params.d
     margin = 0.05 * max(1.0, d)
     sr = params.sqrt_rho
@@ -161,7 +163,7 @@ def crosscheck_closed_forms(params: SystemParams, trials: int, seed: int,
         x0 = _draw_start(params, side, rng, margin, sr)
         # First simulator segment only: up to the first switching event or
         # the horizon (what happens at the hand-off is irrelevant here).
-        res = rk45(fields[side], x0, 0.0, horizon, control=ctl, plane=plane,
+        res = rk45(fields[side], x0, 0.0, CROSSCHECK_HORIZON, plane=plane,
                    event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, (x1, x2, x3) in zip(res.ts, res.xs):

@@ -199,9 +199,9 @@ class LimitCycle:
         return cls(params.sqrt_rho)
 
     def distance(self, x) -> float:
-        """Radial-plus-vertical distance |r - radius| + |x3|."""
-        x = np.asarray(x, dtype=float)
-        return abs(math.hypot(x[0], x[1]) - self.radius) + abs(x[2])
+        """Radial-plus-vertical distance |r - radius| + |x3|, a float."""
+        x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+        return abs(math.hypot(x1, x2) - self.radius) + abs(x3)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ HORIZON_TARGET = 1e-6
 #: Maximum Euclidean gap between consecutive samples after refinement.
 MAX_SAMPLE_GAP = 0.05
 
+#: Most samples one segment may hold, checked before each grid is built.
+MAX_SEGMENT_SAMPLES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class OrbitSample:
@@ -115,17 +118,27 @@ def _horizons(params: SystemParams, verdict: CycleVerdict, t_back,
             "gamma_up_back": t_back, "gamma_up_fwd": t_fwd}
 
 
+def _check_size(n: int, where: str) -> None:
+    """CertificateFailure naming ``where`` if n > MAX_SEGMENT_SAMPLES."""
+    if n > MAX_SEGMENT_SAMPLES:
+        raise CertificateFailure(
+            f"{where} needs {n} samples, more than {MAX_SEGMENT_SAMPLES}")
+
+
 def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
-                  t1: float, n_init: int) -> tuple:
+                  t1: float, n_init: int, where: str) -> tuple:
     """Sample flow(x0, t, params) on [t0, t1], inserting midpoints until
-    consecutive samples are within MAX_SAMPLE_GAP (Euclidean)."""
-    ts = np.linspace(t0, t1, max(n_init, 2))
+    consecutive samples are within MAX_SAMPLE_GAP (Euclidean).  Each grid
+    is checked against MAX_SEGMENT_SAMPLES before it is sampled."""
+    _check_size(n_init, where)
+    ts = np.linspace(t0, t1, n_init)
     xs = np.array([flow(x0, t, params) for t in ts.tolist()])
     for _ in range(48):
         gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         bad = np.where(gaps > MAX_SAMPLE_GAP)[0]
         if bad.size == 0:
             break
+        _check_size(len(ts) + bad.size, where)
         mids = 0.5 * (ts[bad] + ts[bad + 1])
         ts = np.sort(np.concatenate([ts, mids]))
         xs = np.array([flow(x0, t, params) for t in ts.tolist()])
@@ -169,12 +182,13 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
     """Sample the closed-form orbit of x0 on [t0, t1] and check its
     containment.  A 'plus' requirement is the equilibrium side (right
     zone), a 'minus' one the cycle side (left zone); ``where`` names the
-    segment in the CertificateFailure raised when the margin is violated.
+    segment in the CertificateFailure raised when the margin is violated
+    or the samples would exceed MAX_SEGMENT_SAMPLES.
     """
     plus = requirement.startswith("plus")
     flow = right_flow if plus else left_flow
     x0 = tuple(np.asarray(x0, dtype=float).tolist())
-    ts, xs = _sample_times(flow, x0, params, t0, t1, n_init)
+    ts, xs = _sample_times(flow, x0, params, t0, t1, n_init, where)
     margin = _margin(params, ts, xs, requirement, flow, x0)
     if margin < -TOL_CONTAINMENT:
         raise CertificateFailure(
@@ -186,7 +200,8 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
 
 def _per_revolution(params: SystemParams, span: float) -> int:
     """Initial sample count of a left-zone segment: 64 per revolution."""
-    return int(span * params.omega / (2.0 * math.pi) * 64) + 2
+    n = span * params.omega / (2.0 * math.pi) * 64
+    return int(n) + 2 if n < math.inf else n  # inf: _sample_times refuses it
 
 
 def build_gamma1(params: SystemParams, verdict: CycleVerdict,
@@ -199,7 +214,8 @@ def build_gamma1(params: SystemParams, verdict: CycleVerdict,
 
     Raises ConfigError for a horizon that is not a positive finite time,
     HypothesisFailure when the verdict certifies nothing and
-    CertificateFailure when a containment margin is violated.
+    CertificateFailure when a containment margin is violated or a segment
+    needs more than MAX_SEGMENT_SAMPLES samples.
     """
     horizons = _horizons(params, verdict, t_back, t_fwd)
     tb, tf = horizons["gamma1_back"], horizons["gamma1_fwd"]

@@ -98,7 +98,7 @@ def test_criterion_3_example3_reproduction(ex3):
 def test_criterion_4_closed_form_crosscheck(ex1, ex2, ex3):
     with Budget("4 closed-form vs oracle crosscheck", 10.0):
         for params, seed in ((ex1, 101), (ex2, 102), (ex3, 103)):
-            rep = crosscheck_closed_forms(params, 100, seed=seed, horizon=5.0)
+            rep = crosscheck_closed_forms(params, 100, seed=seed)
             assert rep.trials == 100
             assert rep.max_error <= 1e-6, rep.worst_trial
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -57,11 +58,35 @@ def test_check_certify_builds_certificates(cfg, tmp_path):
     assert rows[0] == ["t", "x1", "x2", "x3", "side", "role"]
 
 
-def test_report_round_trips_losslessly(cfg, tmp_path):
+def _plain_leaves(obj):
+    """Every leaf of a report: a str, int, float, bool or None, nothing
+    numpy or otherwise typed."""
+    if isinstance(obj, dict):
+        return [v for x in obj.values() for v in _plain_leaves(x)]
+    if isinstance(obj, list):
+        return [v for x in obj for v in _plain_leaves(x)]
+    return [obj]
+
+
+def test_report_round_trips_losslessly(cfg, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
-    main(["check", cfg, "--certify", "--out", str(out)])
-    report = json.loads(out.read_text())
-    assert json.loads(json.dumps(report)) == report
+    # each report as built, before serialization, to see its leaf types
+    built = []
+    emit = cli._emit_report
+    monkeypatch.setattr(cli, "_emit_report",
+                        lambda report, path: built.append(report)
+                        or emit(report, path))
+    for argv in (["check", cfg, "--certify"],
+                 ["simulate", cfg, "--x0", "0.5,0,0", "--t1", "3",
+                  "--oracle", "4", "--out-traj", str(tmp_path / "t.csv"),
+                  "--out-events", str(tmp_path / "e.csv")]):
+        built.clear()
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert json.loads(json.dumps(report)) == report
+        assert len(built) == 1
+        assert all(type(v) in (str, int, float, bool, type(None))
+                   for v in _plain_leaves(built[0])), argv[0]
 
 
 def test_check_not_certified_exit_2(cfg, tmp_path):
@@ -226,6 +251,36 @@ def test_simulate_with_oracle(cfg, tmp_path):
     last = rows[-1]
     r_end = math.hypot(float(last[1]), float(last[2]))
     assert abs(r_end - 1.0) <= 1e-4
+
+
+def test_simulate_takes_no_tol(cfg, tmp_path):
+    # only the certifying commands have a tolerance to set
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", cfg, "--x0", "0.5,0,0", "--t1", "1", "--tol", "1e-9",
+              "--out", str(tmp_path / "sim.json"),
+              "--out-traj", str(tmp_path / "t.csv"),
+              "--out-events", str(tmp_path / "e.csv")])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("sets", [
+    # ln(1e6) / mu ~ 127,700 at 64 samples per revolution: ~13M samples
+    ["mu=0.000108157206071524", "b12=0.00020812073504237238"],
+    # a sample count past the float range
+    ["mu=1e-306"],
+])
+def test_oversized_orbit_segment_exit_1(tmp_path, capsys, sets):
+    # a slow vertical rate stretches the backward cylinder horizon to
+    # ln(1e6) / mu: refused before any grid is built, as a typed error
+    t0 = time.perf_counter()
+    code = main(["example", "1", *(f"--set={v}" for v in sets),
+                 "--out", str(tmp_path / "r.json"),
+                 "--csv-dir", str(tmp_path / "d")])
+    assert code == 1
+    assert time.perf_counter() - t0 < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CertificateFailure"
+    assert "backward cylinder segment" in err["message"]
 
 
 def test_simulate_bad_x0(cfg, capsys):

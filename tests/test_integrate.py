@@ -179,6 +179,22 @@ def _both_bisections(plane, step, a, b, ga, gb, target):
     return _bits(got), _bits(want)
 
 
+def test_step_limits_are_module_constants(monkeypatch):
+    # every run shares the step budget and the step-size floor
+    from hetcycle import _integrate
+    from hetcycle.errors import StepFailure
+
+    circle = lambda x: (-x[1], x[0])  # noqa: E731
+    assert not hasattr(StepControl(), "max_steps")
+    monkeypatch.setattr(_integrate, "MAX_STEPS", 3)
+    with pytest.raises(StepFailure, match="max_steps=3"):
+        rk45(circle, (1.0, 0.0), 0.0, 10.0)
+    monkeypatch.setattr(_integrate, "MAX_STEPS", 2_000_000)
+    monkeypatch.setattr(_integrate, "H_MIN", 1.0)
+    with pytest.raises(StepFailure, match="underflow"):
+        rk45(circle, (1.0, 0.0), 0.0, 10.0)
+
+
 def test_event_bisection_matches_generic_reference():
     rng = np.random.default_rng(77)
     crossings = 0

@@ -109,6 +109,14 @@ def test_certificate_margins_and_residuals(ex1, ex2, ex3, verdicts):
                 assert r <= 1e-3, (n, name, r)
 
 
+def test_endpoint_residuals_are_plain_floats(ex1, ex2, ex3, verdicts):
+    # reports serialize these without conversion, so no numpy scalar
+    for n, p in ((1, ex1), (2, ex2), (3, ex3)):
+        for cert in assemble_cycle(p, verdicts[n]):
+            for name, r in cert.endpoint_residuals.items():
+                assert type(r) is float, (n, name, type(r))
+
+
 def test_sampling_contract(ex2, verdicts):
     for cert in assemble_cycle(ex2, verdicts[2]):
         for seg in cert.orbit_segments:
