@@ -15,14 +15,14 @@ Three structural hypotheses gate everything downstream:
   the equilibrium strictly in the right zone and the limit cycle strictly
   in the left zone, with the plane geometrically between them.
 
-Three objects of the certification are stated here, once: the subcase
-of q3 against the rim band (``rim_subcase``), the tangency ordinates on
-a line x1 = k (``tangency_ordinates``) and the tangency point of a planar
-linear field on a line {k . x = 1} (``window_tangency``, on L2 at
-``l2_normal``); ``derive_geometry``, ``planar`` and ``verifier`` all read
-them from here, so the geometry's ``x_minus`` is the verdict's spiral
-window start bit for bit.  ``validate_hypotheses`` is the one gate every
-certification passes, and the one check of the tolerance.
+The plane objects of the certification are stated here, once: q3's
+subcase and connection points (``rim_subcase``), the tangency ordinates
+on a line x1 = k (``tangency_ordinates``), the tangency point of a planar
+linear field on {k . x = 1} (``window_tangency``, on L2 at ``l2_normal``)
+and a point's parameter along a segment (``Interval3D.project``); the
+geometry (``derive_geometry``) and the verdict read the same floats.
+``validate_hypotheses`` is the one gate every certification passes, and
+the one check of the tolerance.
 
 Everything here is an immutable value; every function is pure.
 """
@@ -212,9 +212,9 @@ class DerivedGeometry:
     at its lowest/highest vertical height; ``q0`` is where the equilibrium's
     unstable line meets the plane; ``p_plus``/``p_minus`` are the cylinder-
     plane-stable-plane intersections, present exactly in ``rim_subcase``
-    'c'; ``x_minus`` is the tangency point of the right-zone spiral on the
-    in-plane line L2.  sigma_plus/minus are the ``tangency_ordinates`` of
-    L1 (k = d), when real.  Points are float 3-tuples.
+    'c', which builds them; ``x_minus`` is the tangency point of the
+    right-zone spiral on L2.  sigma_plus/minus are the ``tangency_ordinates``
+    of L1 (k = d), when real.  Points are float 3-tuples.
     """
 
     p0: tuple
@@ -257,12 +257,8 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     _, sigma_plus, sigma_minus = tangency_ordinates(params.rho, params.omega, d)
     v1 = None if sigma_plus is None else (d, sigma_plus, 0.0)
 
-    if rim_subcase(params, tol)[0] == "c":
-        y = math.sqrt(max(params.rho - (d - params.q3) ** 2, 0.0))
-        p_plus = (d - params.q3, y, params.q3)
-        p_minus = (d - params.q3, -y, params.q3)
-    else:
-        p_plus = p_minus = None
+    rim_points = dict(rim_subcase(params, tol)[3])
+    p_plus, p_minus = rim_points.get("p_plus"), rim_points.get("p_minus")
 
     try:
         u, v = window_tangency(params.b11, params.b12, params.b21,
@@ -291,18 +287,23 @@ def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:
 
 
 def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
-    """(subcase, lo, hi) of q3 against the rim heights lo, hi = d -/+
-    sqrt(rho): 'a' within the band tol * max(1, |lo|, |hi|) of lo, 'b'
-    within it of hi, else 'c' strictly between them, else 'none'."""
-    lo = params.d - params.sqrt_rho
-    hi = params.d + params.sqrt_rho
+    """(subcase, lo, hi, points) of q3 against the rim heights lo, hi =
+    d -/+ sqrt(rho): 'a' within the band tol * max(1, |lo|, |hi|) of lo,
+    'b' within it of hi, else 'c' strictly between them, else 'none'.
+    ``points`` pairs each connection point the subcase implies (p0, p1,
+    or p_plus and p_minus) with its label, as a float 3-tuple."""
+    d, sr, q3 = params.d, params.sqrt_rho, params.q3
+    lo, hi = d - sr, d + sr
     band = tol * max(1.0, abs(lo), abs(hi))
-    q3 = params.q3
     if abs(q3 - lo) <= band:
-        return "a", lo, hi
+        return "a", lo, hi, (("p0", (sr, 0.0, lo)),)
     if abs(q3 - hi) <= band:
-        return "b", lo, hi
-    return ("c" if lo < q3 < hi else "none"), lo, hi
+        return "b", lo, hi, (("p1", (-sr, 0.0, hi)),)
+    if not lo < q3 < hi:
+        return "none", lo, hi, ()
+    y = math.sqrt(max(params.rho - (d - q3) ** 2, 0.0))
+    return "c", lo, hi, (("p_plus", (d - q3, y, q3)),
+                         ("p_minus", (d - q3, -y, q3)))
 
 
 def l2_normal(params: SystemParams) -> tuple:
@@ -340,31 +341,35 @@ class Interval3D:
     closed_a: bool = True
     closed_b: bool = True
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return interval_contains(self, x, tol)
+    def project(self, x, tol: float = DEFAULT_TOL) -> tuple:
+        """(lam, offset, length): x is ``offset`` from a + lam (b - a), and
+        length = |b - a| > tol (else DegenerateInterval, before lam)."""
+        a0, a1, a2 = (float(v) for v in self.endpoint_a)
+        b0, b1, b2 = (float(v) for v in self.endpoint_b)
+        x0, x1, x2 = (float(v) for v in x)
+        u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+        uu = u0 * u0 + u1 * u1 + u2 * u2
+        length = math.sqrt(uu)
+        if length <= tol:
+            raise DegenerateInterval(
+                "interval endpoints coincide within tolerance")
+        lam = ((x0 - a0) * u0 + (x1 - a1) * u1 + (x2 - a2) * u2) / uu
+        p0 = x0 - (a0 + lam * u0)
+        p1 = x1 - (a1 + lam * u1)
+        p2 = x2 - (a2 + lam * u2)
+        return lam, math.sqrt(p0 * p0 + p1 * p1 + p2 * p2), length
 
 
 def interval_contains(iv: Interval3D, x, tol: float = DEFAULT_TOL) -> bool:
     """True iff x lies within ``tol`` of the segment and its parameter
-    respects the open/closed endpoint flags.
+    (``Interval3D.project``) respects the open/closed endpoint flags.
 
     ``tol`` is an absolute distance; at the endpoints it maps to a
     parameter-space band of width tol/|b - a| (closed endpoints include the
     band, open endpoints exclude it).  Endpoints and x are any 3-sequences.
     """
-    a0, a1, a2 = (float(v) for v in iv.endpoint_a)
-    b0, b1, b2 = (float(v) for v in iv.endpoint_b)
-    x0, x1, x2 = (float(v) for v in x)
-    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
-    uu = u0 * u0 + u1 * u1 + u2 * u2
-    length = math.sqrt(uu)
-    if length <= tol:
-        raise DegenerateInterval("interval endpoints coincide within tolerance")
-    lam = ((x0 - a0) * u0 + (x1 - a1) * u1 + (x2 - a2) * u2) / uu
-    p0 = x0 - (a0 + lam * u0)
-    p1 = x1 - (a1 + lam * u1)
-    p2 = x2 - (a2 + lam * u2)
-    if math.sqrt(p0 * p0 + p1 * p1 + p2 * p2) > tol * max(1.0, length):
+    lam, offset, length = iv.project(x, tol)
+    if offset > tol * max(1.0, length):
         return False
     lam_tol = tol / length
     if iv.closed_a:
@@ -407,24 +412,24 @@ def parse_config(text: str) -> SystemParams:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            fval = float(val)
+            values[key] = float(val)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid number for {key!r}: {val!r}")
-        if not math.isfinite(fval):
-            raise ConfigError(f"line {lineno}: non-finite value for {key!r}")
-        values[key] = fval
     return params_from_dict(values)
 
 
 def params_from_dict(values: dict) -> SystemParams:
-    """Build SystemParams from a config-key dict, naming the offending key
-    in every error."""
+    """Build SystemParams from a config-key dict (a config file, ``--set``),
+    naming the offending key in every ConfigError, a non-finite value's too."""
     unknown = [k for k in values if k not in CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
+    for k in CONFIG_KEYS:
+        if not math.isfinite(values[k]):
+            raise ConfigError(f"non-finite value for {k!r}: {values[k]!r}")
     for k in _POSITIVE_KEYS:
         if not values[k] > 0:
             raise ConfigError(f"{k} must be positive, got {values[k]!r}")

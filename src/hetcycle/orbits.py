@@ -47,6 +47,9 @@ MAX_SAMPLE_GAP = 0.05
 #: Most samples one segment may hold, checked before each grid is built.
 MAX_SEGMENT_SAMPLES = 2 ** 22
 
+#: Samples evaluated per block into a segment's (n, 3) array.
+SAMPLE_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class OrbitSample:
@@ -127,21 +130,23 @@ def _check_size(n: int, where: str) -> None:
 
 def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
                   t1: float, n_init: int, where: str) -> tuple:
-    """Sample flow(x0, t, params) on [t0, t1], inserting midpoints until
-    consecutive samples are within MAX_SAMPLE_GAP (Euclidean).  Each grid
-    is checked against MAX_SEGMENT_SAMPLES before it is sampled."""
+    """Sample flow(x0, t, params) on [t0, t1] into an (n, 3) array, adding
+    midpoints (48 passes at most) until consecutive samples are within
+    MAX_SAMPLE_GAP (Euclidean); a grid over MAX_SEGMENT_SAMPLES raises."""
     _check_size(n_init, where)
     ts = np.linspace(t0, t1, n_init)
-    xs = np.array([flow(x0, t, params) for t in ts.tolist()])
-    for _ in range(48):
+    for passes in range(49):
+        xs = np.empty((len(ts), 3))
+        for lo in range(0, len(ts), SAMPLE_CHUNK_ROWS):
+            chunk = ts[lo:lo + SAMPLE_CHUNK_ROWS].tolist()
+            xs[lo:lo + len(chunk)] = [flow(x0, t, params) for t in chunk]
         gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         bad = np.where(gaps > MAX_SAMPLE_GAP)[0]
-        if bad.size == 0:
+        if bad.size == 0 or passes == 48:
             break
         _check_size(len(ts) + bad.size, where)
         mids = 0.5 * (ts[bad] + ts[bad + 1])
         ts = np.sort(np.concatenate([ts, mids]))
-        xs = np.array([flow(x0, t, params) for t in ts.tolist()])
     return ts, xs
 
 

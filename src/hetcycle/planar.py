@@ -423,8 +423,7 @@ class SpiralWindow:
     evaluations: int = 0
 
 
-def focus_stay_window(sys: PlanarLinearSystem, k_vec,
-                      tol: float = DEFAULT_TOL) -> SpiralWindow:
+def focus_stay_window(sys: PlanarLinearSystem, k_vec) -> SpiralWindow:
     """Stay window of a stable-focus system on the line {k . x = 1}.
 
     The tangency point is ``model.window_tangency``; the window's far end

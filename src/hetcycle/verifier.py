@@ -16,12 +16,12 @@ The regime compares d^2 - rho with omega^2 / (4 d^2): in ``case_i`` every
 point of L1 flows inward and stays, so the equilibrium-to-cycle orbit
 needs no further condition; in ``case_ii`` the ordinate q2 must sit in an
 explicit window read, with v_star, from one ``analyze_vdp_line`` of L1.
-The subcase is ``model.rim_subcase``: where q3 sits relative to the plane
-heights d -/+ sqrt(rho) of the cylinder rim,
-at the bottom ('a', one cycle through p0), at the top ('b', one cycle
-through p1, plus the cone condition omega^2 rho < mu^2 (d^2 - rho)), or
-strictly between ('c', two cycles through p_plus/p_minus, plus the cone
-condition).
+The subcase and its connection points are one ``model.rim_subcase``:
+where q3 sits relative to the plane heights d -/+ sqrt(rho) of the
+cylinder rim, at the bottom ('a', one cycle through p0), at the top ('b',
+one cycle through p1, plus the cone condition omega^2 rho < mu^2 (d^2 -
+rho)), or strictly between ('c', two cycles through p_plus/p_minus, plus
+the cone condition).  No ``DerivedGeometry`` is built on the way.
 
 All conditions here are sufficient only: cycle_count 0 means "not
 certified", never "no cycle exists".  Strict inequalities are evaluated
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import UngenericBranch
-from .model import (DEFAULT_TOL, DerivedGeometry, HypothesisReport,
-                    Interval3D, SystemParams, derive_geometry,
-                    interval_contains, l2_normal, rim_subcase,
-                    validate_hypotheses)
+# derive_geometry is unused here; perfbench/tracing.py wraps it by name.
+from .model import (DEFAULT_TOL, HypothesisReport, Interval3D,  # noqa: F401
+                    SystemParams, derive_geometry, interval_contains,
+                    l2_normal, rim_subcase, validate_hypotheses)
 from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
                      focus_stay_window, forward_stay_set, tangency_band)
 
@@ -91,11 +91,19 @@ def regime_classify(params: SystemParams, tol: float = DEFAULT_TOL) -> str:
     return "case_i" if lhs >= rhs - tol * scale else "case_ii"
 
 
+def _square(x: float) -> float:
+    """x ** 2 (not x * x, which rounds some squares apart), inf on overflow."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def cone_condition(params: SystemParams) -> Evidence:
     """Backward-containment condition on the cylinder: the vertical field
     must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly."""
-    lhs = params.omega ** 2 * params.rho
-    rhs = params.mu ** 2 * (params.d ** 2 - params.rho)
+    lhs = _square(params.omega) * params.rho
+    rhs = _square(params.mu) * (_square(params.d) - params.rho)
     return Evidence("cone", lhs, f"< {rhs!r}", lhs < rhs)
 
 
@@ -117,18 +125,16 @@ def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
              "(the mirrored sign reading is inconsistent with the stay set)")
 
 
-def _subcase_of_q3(params: SystemParams, tol: float) -> tuple:
-    """('a'|'b'|'c'|'none', Evidence) by ``rim_subcase``."""
-    subcase, lo, hi = rim_subcase(params, tol)
+def _q3_evidence(q3: float, subcase: str, lo: float, hi: float) -> Evidence:
+    """The ``rim_subcase`` decision of q3 against the rims lo, hi."""
     if subcase == "none":
-        return "none", Evidence(
-            "q3_subcase", params.q3, f"within [{lo!r}, {hi!r}]", False,
-            note="q3 outside certification coverage")
+        return Evidence("q3_subcase", q3, f"within [{lo!r}, {hi!r}]", False,
+                        note="q3 outside certification coverage")
     threshold = (f"= {lo!r} (bottom rim)" if subcase == "a" else
                  f"= {hi!r} (top rim)" if subcase == "b" else
                  f"in ({lo!r}, {hi!r})")
-    return subcase, Evidence("q3_subcase", params.q3, threshold, True,
-                             note=f"subcase {subcase}")
+    return Evidence("q3_subcase", q3, threshold, True,
+                    note=f"subcase {subcase}")
 
 
 def _none_verdict(evidence: list) -> CycleVerdict:
@@ -165,27 +171,15 @@ def _case_ii_gate(params, analysis, evidence, tol):
     return (analysis.k, analysis.x_star[1], 0.0)
 
 
-def _window_on_l2(params: SystemParams, tol: float) -> tuple:
+def _window_on_l2(params: SystemParams) -> tuple:
     """Spiral stay window on L2, lifted to 3D (the in-plane dynamics at
     height q3 is the planar right block centered at (q1, q2))."""
     sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
                                           params.b21, params.b22)
-    w = focus_stay_window(sys, l2_normal(params), tol)
+    w = focus_stay_window(sys, l2_normal(params))
     x_minus = (w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2, params.q3)
     x_plus = (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2, params.q3)
     return x_minus, x_plus
-
-
-def _interval_parameter(a, b, x) -> float:
-    u1, u2, u3 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    return (((x[0] - a[0]) * u1 + (x[1] - a[1]) * u2 + (x[2] - a[2]) * u3)
-            / (u1 * u1 + u2 * u2 + u3 * u3))
-
-
-def _candidate_points(geometry: DerivedGeometry, subcase: str) -> list:
-    return {"a": [("p0", geometry.p0)], "b": [("p1", geometry.p1)],
-            "c": [("p_plus", geometry.p_plus), ("p_minus", geometry.p_minus)],
-            "none": []}[subcase]
 
 
 def certify(params: SystemParams, tol: float = DEFAULT_TOL,
@@ -213,7 +207,6 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
                 _h3_evidence(report)]
     if not report.h3_holds:
         return _none_verdict(evidence)
-    geometry = derive_geometry(params, tol, report)
     regime = regime_classify(params, tol)
 
     v_star = None
@@ -221,9 +214,8 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
         analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
         v_star = _case_ii_gate(params, analysis, evidence, tol)
 
-    subcase, sub_ev = _subcase_of_q3(params, tol)
-    evidence.append(sub_ev)
-    points = _candidate_points(geometry, subcase)
+    subcase, lo, hi, points = rim_subcase(params, tol)
+    evidence.append(_q3_evidence(params.q3, subcase, lo, hi))
 
     if subcase in ("b", "c"):
         evidence.append(cone_condition(params))
@@ -244,19 +236,17 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
             evidence.append(Evidence(f"halfplane_{label}", value, ">= 0",
                                      value >= -tol * scale))
     else:
-        window = _window_on_l2(params, tol)
+        window = _window_on_l2(params)
         iv = Interval3D(window[0], window[1], closed_a=True, closed_b=False)
         for label, p in points:
-            lam = _interval_parameter(window[0], window[1], p)
             evidence.append(Evidence(
-                f"window_{label}", lam, "in [0, 1) along [x_minus, x_plus)",
+                f"window_{label}", iv.project(p, tol)[0],
+                "in [0, 1) along [x_minus, x_plus)",
                 interval_contains(iv, p, tol)))
 
-    if subcase == "none" or not all(e.passed for e in evidence):
-        count, connecting = 0, ()
-    else:
-        count = 2 if subcase == "c" else 1
-        connecting = tuple(tuple(float(v) for v in p) for _, p in points)
-    return CycleVerdict(theorem, regime, subcase, count, connecting,
+    # subcase 'none' implies no points and fails the q3_subcase evidence
+    connecting = (tuple(p for _, p in points)
+                  if all(e.passed for e in evidence) else ())
+    return CycleVerdict(theorem, regime, subcase, len(connecting), connecting,
                         (params.d, params.q2, 0.0), tuple(evidence), v_star,
                         window)

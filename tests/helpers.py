@@ -7,6 +7,7 @@ self-test as a reference for the current one.
 """
 
 import math
+import time
 
 import numpy as np
 
@@ -20,6 +21,28 @@ BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 
 #: Excursions above this count as "leaves the half-plane" in brute checks.
 EXIT_THRESHOLD = 1e-9
+
+
+class Budget:
+    """Asserts that the ``with`` block ends within ``seconds``."""
+
+    def __init__(self, name, seconds):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.perf_counter() - self.t0
+        if exc_type is None:
+            assert elapsed < self.seconds, \
+                f"{self.name}: runtime {elapsed:.2f}s exceeds {self.seconds}s"
+            print(f"ACCEPTANCE {self.name}: PASS ({elapsed:.2f}s)")
+        else:
+            print(f"ACCEPTANCE {self.name}: FAIL ({elapsed:.2f}s)")
+        return False
 
 
 def vdp_planar_field(rho, omega):

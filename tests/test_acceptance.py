@@ -7,13 +7,13 @@ to see the lines.
 """
 
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (
+    Budget,
     brute_affine_stays_above,
     brute_linear_stays,
     brute_vdp_stays,
@@ -32,26 +32,6 @@ from hetcycle.planar import (
     node_stay_check,
 )
 from hetcycle.verifier import certify
-
-
-class Budget:
-    def __init__(self, name, seconds):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.t0
-        if exc_type is None:
-            assert elapsed < self.seconds, \
-                f"{self.name}: runtime {elapsed:.2f}s exceeds {self.seconds}s"
-            print(f"ACCEPTANCE {self.name}: PASS ({elapsed:.2f}s)")
-        else:
-            print(f"ACCEPTANCE {self.name}: FAIL ({elapsed:.2f}s)")
-        return False
 
 
 def test_criterion_1_example1_reproduction(ex1):

@@ -8,8 +8,11 @@ import time
 
 import pytest
 
+from helpers import Budget
+
 from hetcycle import cli
 from hetcycle.cli import main, make_parser
+from hetcycle.model import CONFIG_KEYS
 
 CONFIG = """
 rho = 1.0
@@ -510,3 +513,29 @@ def test_example_at_rim_band_edge_reports_json(tmp_path, example, q3):
     verdict = json.loads(out.read_text())["verdict"]
     assert verdict["subcase"] == "c"
     assert (code == 0) == (verdict["cycle_count"] == 2)
+
+
+def test_extreme_set_values_exit_with_json(tmp_path, capsys):
+    # every key of every example at the ends of the float range: a verdict
+    # (exit 0/2) or one JSON error object (exit 1), never a raw exception
+    # (the cone condition's squares can overflow, and the spiral window's
+    # ends can coincide); a value that is not finite is an input error
+    # naming its key
+    out, data = str(tmp_path / "r.json"), str(tmp_path / "data")
+    with Budget("extreme --set sweep", 15.0):
+        for n in ("1", "2", "3"):
+            for key in CONFIG_KEYS:
+                for value in ("1e300", "-1e300", "1e160", "1e-300",
+                              "5e-324", "nan", "inf"):
+                    case = (n, key, value)
+                    code = main(["example", n, "--set", f"{key}={value}",
+                                 "--out", out, "--csv-dir", data])
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2), case
+                    assert (code == 1) == bool(err), case
+                    if err:
+                        error = json.loads(err)
+                        assert set(error) == {"error", "message"}, case
+                    if value in ("nan", "inf"):
+                        assert error["error"] == "ConfigError", case
+                        assert repr(key) in error["message"], case

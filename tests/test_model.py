@@ -178,6 +178,10 @@ def test_interval_membership_example2(ex2):
 def test_interval_degenerate():
     with pytest.raises(DegenerateInterval):
         interval_contains(Interval3D(np.zeros(3), np.zeros(3)), np.zeros(3))
+    # the parameter along the segment is formed only past that check
+    with pytest.raises(DegenerateInterval):
+        Interval3D((1e100, 1.0, 0.0), (1e100, 1.0, 0.0)).project(
+            (0.0, 0.0, 0.0), tol=0.0)
 
 
 def _interval_contains_reference(iv, x, tol):
@@ -252,6 +256,20 @@ def test_parse_config_missing_key():
 def test_parse_config_bad_number():
     with pytest.raises(ConfigError, match="invalid number"):
         parse_config(CONFIG_TEXT.replace("10.0", "ten"))
+
+
+@pytest.mark.parametrize("key, line, value", [("q2", "q2 = 0.0", "nan"),
+                                              ("rho", "rho = 1.0", "inf"),
+                                              ("mu", "mu = 5.0", "1e400")])
+def test_nonfinite_value_named(key, line, value):
+    # one rule for a config file and for a dict (the --set path)
+    named = f"non-finite value for '{key}'"
+    with pytest.raises(ConfigError, match=named):
+        parse_config(CONFIG_TEXT.replace(line, f"{key} = {value}"))
+    values = params_to_dict(parse_config(CONFIG_TEXT))
+    values[key] = float(value)
+    with pytest.raises(ConfigError, match=named):
+        params_from_dict(values)
 
 
 def test_parse_config_nonpositive_named():

@@ -84,6 +84,11 @@ def test_cone_condition_examples(ex2, ex3):
     assert ev3.passed and ev3.value == pytest.approx(9.0)
     tiny_mu = replace(ex3, mu=1e-3)
     assert not cone_condition(tiny_mu).passed
+    # a square past the float range reads as inf, not OverflowError
+    huge_mu = cone_condition(replace(ex3, mu=1e300))
+    assert huge_mu.passed and huge_mu.threshold == "< inf"
+    huge_omega = cone_condition(replace(ex2, omega=1e160))
+    assert not huge_omega.passed and huge_omega.value == math.inf
 
 
 def test_verdict_example1(ex1):
@@ -226,8 +231,7 @@ def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
 
 
 def test_certify_checks_the_hypotheses_once(ex1, ex2, ex3, monkeypatch):
-    # certify hands its hypothesis report to derive_geometry instead of
-    # having it validated a second time
+    # certify validates its parameters once and never a second time
     import hetcycle.model as model
     import hetcycle.verifier as verifier
 
@@ -293,6 +297,42 @@ def test_rim_band_edge_certifies(example, q3):
     assert v.subcase == "c"
     assert derive_geometry(p).p_plus is not None
     assert len(v.connecting_points) == v.cycle_count
+
+
+def test_connecting_points_are_the_geometry_points():
+    # one rim_subcase builds the verdict's connection points and the
+    # geometry's p0, p1 and p_plus/p_minus: the same floats bit for bit
+    from hetcycle.presets import example_params
+
+    sets = rim_sets(13, 300) + [replace(example_params(n), q3=q3)
+                                for n, q3 in RIM_EDGE_Q3]
+    certified = 0
+    for p in sets:
+        try:
+            v = certify(p)
+        except HetcycleError:
+            continue
+        geo = derive_geometry(p)
+        want = {"a": (geo.p0,), "b": (geo.p1,),
+                "c": (geo.p_plus, geo.p_minus)}.get(v.subcase)
+        got = v.connecting_points
+        assert repr(got) == repr(want if v.certified else ()), p
+        certified += v.certified
+    assert certified >= 50
+
+
+def test_certify_builds_no_geometry(ex1, ex2, ex3, monkeypatch):
+    import hetcycle.verifier as verifier
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("derive_geometry called on the verdict path")
+
+    monkeypatch.setattr(verifier, "derive_geometry", no_geometry)
+    for p in [ex1, ex2, ex3] + rim_sets(14, 40):
+        try:
+            certify(p)
+        except HetcycleError:
+            pass
 
 
 def _rim_edge_values(lo, hi, band):
