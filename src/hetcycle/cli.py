@@ -15,9 +15,9 @@ Three commands:
 (``--tol``, ``--tback``/``--tfwd``, ``--csv``/``--csv-dir``); ``simulate``
 certifies nothing and takes none of them.
 
-Reports are built from plain Python values and written as JSON with
-floats serialized by ``repr`` (shortest string that round-trips the exact
-double), so a report parsed back compares equal.
+Reports are built from plain Python values and written as strict JSON
+with floats serialized by ``repr`` (a non-finite one as the string "inf",
+"-inf" or "nan"), so a report parsed back compares equal.
 
 ``main(argv)`` returns the exit code instead of exiting, so it can be
 called from Python.  It builds its argument parser on the first call and
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -45,11 +46,11 @@ from .hybrid import (
 )
 from .model import (
     DEFAULT_TOL,
-    CONFIG_KEYS,
     SystemParams,
     load_config,
     params_from_dict,
     params_to_dict,
+    read_assignment,
     validate_hypotheses,
 )
 from .presets import example_params
@@ -134,23 +135,19 @@ def build_run_report(params: SystemParams, tol: float, certify_orbits: bool,
     return report, verdict, certificates
 
 
-def _apply_sets(values: dict, set_args) -> dict:
-    for item in set_args or ():
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, val = item.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        try:
-            values[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"--set: invalid number for {key!r}: {val!r}")
-    return values
+def _strict(value):
+    """``value`` with each non-finite float leaf as its repr string."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _emit_report(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(_strict(report), indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -173,7 +170,9 @@ def _params(args) -> SystemParams:
     with the ``--set`` overrides applied."""
     base = (example_params(args.n) if args.command == "example"
             else load_config(args.config))
-    return params_from_dict(_apply_sets(params_to_dict(base), args.set))
+    values = params_to_dict(base)
+    values.update(read_assignment(item, "--set") for item in args.set or ())
+    return params_from_dict(values)
 
 
 def _cmd_run(args) -> int:

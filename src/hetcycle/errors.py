@@ -5,8 +5,8 @@ class HetcycleError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ConfigError(HetcycleError):
-    """Invalid or incomplete configuration input."""
+class ConfigError(HetcycleError, ValueError):
+    """Invalid or incomplete configuration input; also a ValueError."""
 
 
 class HypothesisFailure(HetcycleError):

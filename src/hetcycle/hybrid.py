@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ._integrate import rk45
-from .errors import EventStorm, HetcycleError, SlidingDetected
+from .errors import ConfigError, EventStorm, HetcycleError, SlidingDetected
 from .flows import left_field, left_flow, right_field, right_flow
 from .model import C_NORMAL, SystemParams
 from .orbits import CSV_HEADER, write_csv
@@ -66,21 +66,27 @@ def active_side(params: SystemParams, x) -> str:
     return "left" if params.plane_residual(x) <= 0.0 else "right"
 
 
-def integrate_hybrid(params: SystemParams, x0, t_span,
-                     max_events: int = 10_000) -> HybridTrajectory:
+#: Switching events after which ``integrate_hybrid`` gives up (EventStorm).
+MAX_EVENTS = 10_000
+
+
+def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     """Forward simulation of the switched system over t_span = (t0, t1),
     at the stepper's default ``StepControl()``.
 
-    Raises EventStorm past ``max_events`` switchings (chattering guard),
-    SlidingDetected when both fields point at the plane at an event, and
-    StepFailure from the underlying stepper.
+    Raises ConfigError for an x0 or t_span that is not finite, ValueError
+    unless t1 > t0, EventStorm past ``MAX_EVENTS`` switchings (chattering
+    guard), SlidingDetected when both fields point at the plane at an
+    event, and StepFailure from the underlying stepper.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    x = tuple(float(v) for v in np.asarray(x0, dtype=float))
+    if not all(map(math.isfinite, (*x, t0, t1))):
+        raise ConfigError(f"non-finite x0 {x!r} or t_span {(t0, t1)!r}")
     if not t1 > t0:
         raise ValueError("integrate_hybrid requires t1 > t0 (forward only)")
     fields = {"left": left_field(params), "right": right_field(params)}
     plane = (C_NORMAL, params.d)
-    x = tuple(float(v) for v in np.asarray(x0, dtype=float))
     side = active_side(params, x)
     t = t0
 
@@ -113,8 +119,8 @@ def integrate_hybrid(params: SystemParams, x0, t_span,
         direction = "left_to_right" if side == "left" else "right_to_left"
         events.append(SwitchEvent(t, x, direction))
         n_switches += 1
-        if n_switches > max_events:
-            raise EventStorm(f"more than {max_events} switching events")
+        if n_switches > MAX_EVENTS:
+            raise EventStorm(f"more than {MAX_EVENTS} switching events")
         side = "right" if side == "left" else "left"
 
     # in time order: a run's grazes precede its crossing, where the next

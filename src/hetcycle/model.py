@@ -24,13 +24,18 @@ geometry (``derive_geometry``) and the verdict read the same floats.
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.
 
+The fields of ``SystemParams`` are the parameter schema: they name
+``CONFIG_KEYS`` (``lam`` as ``lambda``), and constructing one is the one
+check of the values.  ``read_assignment`` is the one reader of a
+``key = value`` item, for config lines and ``--set`` alike.
+
 Everything here is an immutable value; every function is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -79,16 +84,15 @@ class SystemParams:
     d: float
 
     def __post_init__(self):
-        for name in ("rho", "omega", "mu", "b11", "b12", "b21", "b22",
-                     "lam", "q1", "q2", "q3", "d"):
+        for name, key in _FIELD_KEYS:
             v = float(getattr(self, name))
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+                raise ConfigError(f"non-finite value for {key!r}: {v!r}")
             object.__setattr__(self, name, v)
-        for name in ("rho", "omega", "mu", "lam", "d"):
+        for name, key in _POSITIVE_FIELD_KEYS:
             if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)!r}")
+                raise ConfigError(
+                    f"{key} must be positive, got {getattr(self, name)!r}")
 
     @property
     def q(self) -> np.ndarray:
@@ -102,6 +106,17 @@ class SystemParams:
         """Signed offset of x from the switching plane (positive = right zone)."""
         x = np.asarray(x, dtype=float)
         return float(x[0] + x[2] - self.d)
+
+
+#: Config key of each field whose name differs from it.
+_RENAMED = {"lam": "lambda"}
+#: (field, config key) of each field, in order, and of the positive ones.
+_FIELD_KEYS = tuple((f.name, _RENAMED.get(f.name, f.name))
+                    for f in fields(SystemParams))
+_POSITIVE_FIELD_KEYS = tuple(
+    fk for fk in _FIELD_KEYS if fk[1] in ("rho", "omega", "mu", "lambda", "d"))
+#: The config keys, in field order: the schema of the text format.
+CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 
 
 def classify_2x2(a11: float, a12: float, a21: float, a22: float):
@@ -179,14 +194,6 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
 
 
 @dataclass(frozen=True)
-class Line3D:
-    """A line inside the switching plane: point + direction."""
-
-    point: tuple
-    direction: tuple
-
-
-@dataclass(frozen=True)
 class LimitCycle:
     """The left zone's saddle periodic orbit: the circle of radius
     sqrt(rho) in the plane x3 = 0.  Its stable set is that punctured plane;
@@ -206,15 +213,16 @@ class LimitCycle:
 
 @dataclass(frozen=True)
 class DerivedGeometry:
-    """Named points and lines on the switching plane.
+    """Named points on the switching plane.
 
     ``p0``/``p1`` are where the cycle's unstable cylinder meets the plane
     at its lowest/highest vertical height; ``q0`` is where the equilibrium's
     unstable line meets the plane; ``p_plus``/``p_minus`` are the cylinder-
     plane-stable-plane intersections, present exactly in ``rim_subcase``
     'c', which builds them; ``x_minus`` is the tangency point of the
-    right-zone spiral on L2.  sigma_plus/minus are the ``tangency_ordinates``
-    of L1 (k = d), when real.  Points are float 3-tuples.
+    right-zone spiral on L2 = {x3 = q3}.  sigma_plus/minus are the
+    ``tangency_ordinates`` of L1 = {x1 = d, x3 = 0}, when real.  Points are
+    float 3-tuples.
     """
 
     p0: tuple
@@ -226,8 +234,6 @@ class DerivedGeometry:
     p_plus: Optional[tuple]
     p_minus: Optional[tuple]
     x_minus: Optional[tuple]
-    L1: Line3D
-    L2: Line3D
 
 
 def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
@@ -269,10 +275,8 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
             raise
         x_minus = None
 
-    L1 = Line3D((d, 0.0, 0.0), (0.0, 1.0, 0.0))
-    L2 = Line3D((d - params.q3, 0.0, params.q3), (0.0, 1.0, 0.0))
     return DerivedGeometry(p0, p1, q0, sigma_plus, sigma_minus, v1,
-                           p_plus, p_minus, x_minus, L1, L2)
+                           p_plus, p_minus, x_minus)
 
 
 def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:
@@ -385,75 +389,60 @@ def interval_contains(iv: Interval3D, x, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-CONFIG_KEYS = ("rho", "omega", "mu", "b11", "b12", "b21", "b22",
-               "lambda", "q1", "q2", "q3", "d")
-_POSITIVE_KEYS = ("rho", "omega", "mu", "lambda", "d")
+def read_assignment(text: str, where: str) -> tuple:
+    """(key, value) of one ``key = value`` item, the key one of
+    ``CONFIG_KEYS`` and the value a number with '.' as the decimal
+    separator, regardless of locale; every ConfigError starts with
+    ``where``."""
+    key, eq, val = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, val = key.strip(), val.strip()
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return key, float(val)
+    except ValueError:
+        raise ConfigError(
+            f"{where}: invalid number for {key!r}: {val!r}") from None
 
 
 def parse_config(text: str) -> SystemParams:
-    """Parse the flat key-value config format.
-
-    One ``key = value`` pair per line; ``#`` starts a comment; all twelve
-    keys are required, unknown keys are an error.  Numbers use '.' as the
-    decimal separator regardless of locale.
-    """
+    """Parse the flat config format: one ``read_assignment`` per line,
+    ``#`` starting a comment, each of the twelve keys exactly once."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        key, value = read_assignment(line, f"line {lineno}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: invalid number for {key!r}: {val!r}")
+        values[key] = value
     return params_from_dict(values)
 
 
 def params_from_dict(values: dict) -> SystemParams:
-    """Build SystemParams from a config-key dict (a config file, ``--set``),
-    naming the offending key in every ConfigError, a non-finite value's too."""
+    """Build SystemParams from a config-key dict (a config file, ``--set``);
+    an unknown or missing key is a ConfigError here, a bad value one from
+    ``SystemParams``."""
     unknown = [k for k in values if k not in CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
-    for k in CONFIG_KEYS:
-        if not math.isfinite(values[k]):
-            raise ConfigError(f"non-finite value for {k!r}: {values[k]!r}")
-    for k in _POSITIVE_KEYS:
-        if not values[k] > 0:
-            raise ConfigError(f"{k} must be positive, got {values[k]!r}")
-    return SystemParams(
-        rho=values["rho"], omega=values["omega"], mu=values["mu"],
-        b11=values["b11"], b12=values["b12"], b21=values["b21"],
-        b22=values["b22"], lam=values["lambda"],
-        q1=values["q1"], q2=values["q2"], q3=values["q3"], d=values["d"],
-    )
+    return SystemParams(*[values[k] for k in CONFIG_KEYS])
 
 
 def load_config(path) -> SystemParams:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
 
 def params_to_dict(params: SystemParams) -> dict:
-    return {
-        "rho": params.rho, "omega": params.omega, "mu": params.mu,
-        "b11": params.b11, "b12": params.b12, "b21": params.b21,
-        "b22": params.b22, "lambda": params.lam,
-        "q1": params.q1, "q2": params.q2, "q3": params.q3, "d": params.d,
-    }
+    return {key: getattr(params, name) for name, key in _FIELD_KEYS}

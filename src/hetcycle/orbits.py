@@ -80,12 +80,12 @@ class CycleCertificate:
     horizons: dict
 
 
-def default_horizons(params: SystemParams, target: float = HORIZON_TARGET) -> dict:
-    """Truncation times from the contraction rates of the closed forms:
-    the right-zone vertical rate (toward q backward), the radial rate
-    2*rho at the cycle, the left vertical rate mu (cylinder unwinding),
-    and the slowest stable rate of the right planar block."""
-    span = math.log(1.0 / target)
+def default_horizons(params: SystemParams) -> dict:
+    """Truncation times to contract by ``HORIZON_TARGET`` at the rates of
+    the closed forms: the right-zone vertical rate (toward q backward), the
+    radial rate 2*rho at the cycle, the left vertical rate mu (cylinder
+    unwinding), and the slowest stable rate of the right planar block."""
+    span = math.log(1.0 / HORIZON_TARGET)
     kind, eigs = classify_2x2(params.b11, params.b12, params.b21, params.b22)
     slow = min(abs(e.real) for e in eigs)
     if slow == 0.0:

@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InvalidLine, OffLine, RootSearchError, UngenericBranch,
-                     WrongSpectralType, ZeroNormal)
+from .errors import (BackwardBlowup, InvalidLine, OffLine, RootSearchError,
+                     UngenericBranch, WrongSpectralType, ZeroNormal)
 # planar_left_flow and planar_matrix_exp are unused here but stay in this
 # module's namespace: the per-call kernels are looked up on it by name
 # (perfbench/tracing.py counts calls through them).
@@ -172,36 +172,39 @@ def _vdp_backward_return(u1, rho, omega):
     evals = 0
     j_done = 0
     n = 0
-    while True:
-        centre = 2.0 * math.pi * n - theta0  # omega t where cos(theta) = 1
-        t_edge = (centre - 0.5 * math.pi) / omega
-        if t_edge > t_stop:
-            r_max = math.sqrt(radial_sq(r0_sq, t_edge, rho))
-            half = math.acos(min(1.0, k / r_max))
-        else:
-            half = 0.5 * math.pi
-        t_near = (centre + half) / omega
-        if t_near <= t_stop:
-            return None, None, evals
-        j = max(j_done + 1, math.ceil((-eps - t_near) / dt))
-        j_end = math.ceil((-eps - (centre - half) / omega) / dt)
-        while j <= j_end:
-            t = -eps - j * dt
-            at_floor = t <= t_stop
-            if at_floor:
-                t = t_stop
-            f = value(t)
-            evals += 1
-            if f > guard:
-                t_root, steps = _refine(value, t, f, t_neg, f_neg)
-                return orbit(t_root), t_root, evals + steps + 1
-            if at_floor:
+    try:  # a radius escaping in rounding before the floor escapes too
+        while True:
+            centre = 2.0 * math.pi * n - theta0  # omega t at cos(theta) = 1
+            t_edge = (centre - 0.5 * math.pi) / omega
+            if t_edge > t_stop:
+                r_max = math.sqrt(radial_sq(r0_sq, t_edge, rho))
+                half = math.acos(min(1.0, k / r_max))
+            else:
+                half = 0.5 * math.pi
+            t_near = (centre + half) / omega
+            if t_near <= t_stop:
                 return None, None, evals
-            if f <= 0.0:
-                t_neg, f_neg = t, f
-            j += 1
-        j_done = max(j_done, j_end)
-        n -= 1
+            j = max(j_done + 1, math.ceil((-eps - t_near) / dt))
+            j_end = math.ceil((-eps - (centre - half) / omega) / dt)
+            while j <= j_end:
+                t = -eps - j * dt
+                at_floor = t <= t_stop
+                if at_floor:
+                    t = t_stop
+                f = value(t)
+                evals += 1
+                if f > guard:
+                    t_root, steps = _refine(value, t, f, t_neg, f_neg)
+                    return orbit(t_root), t_root, evals + steps + 1
+                if at_floor:
+                    return None, None, evals
+                if f <= 0.0:
+                    t_neg, f_neg = t, f
+                j += 1
+            j_done = max(j_done, j_end)
+            n -= 1
+    except BackwardBlowup:
+        return None, None, evals
 
 
 #: Width in t below which a refined bracket is accepted; its midpoint is

@@ -515,7 +515,55 @@ def test_example_at_rim_band_edge_reports_json(tmp_path, example, q3):
     assert (code == 0) == (verdict["cycle_count"] == 2)
 
 
-def test_extreme_set_values_exit_with_json(tmp_path, capsys):
+@pytest.mark.parametrize("item, message", [
+    ("rho", "--set: expected 'key = value', got 'rho'"),
+    ("rho= x ", "--set: invalid number for 'rho': 'x'"),
+    ("rho=1#2", "--set: invalid number for 'rho': '1#2'"),
+    ("nope=1", "--set: unknown key 'nope'"),
+])
+def test_bad_set_item_exit_1(tmp_path, capsys, item, message):
+    # one reader for config lines and --set items; '#' is no comment here
+    assert main(["example", "1", "--set", item,
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": message}
+
+
+def test_later_set_overrides_earlier(cfg, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["check", cfg, "--set", "q2=5", "--set", " q2 = -0.5 ",
+                 "--out", str(out)]) in (0, 2)
+    assert json.loads(out.read_text())["params_echo"]["q2"] == -0.5
+
+
+@pytest.mark.parametrize("rho", ["1e-300", "1e-16", "5e-324"])
+def test_tiny_radius_declines_through_v_star(tmp_path, capsys, rho):
+    # the radius escapes within rounding of the seed: no backward return,
+    # so the set is declined, not a BackwardBlowup
+    out = tmp_path / "r.json"
+    assert main(["example", "1", "--set", f"rho={rho}", "--out", str(out),
+                 "--csv-dir", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == ""
+    evidence = {e["name"]: e
+                for e in json.loads(out.read_text())["verdict"]["evidence"]}
+    assert not evidence["v_star_exists"]["passed"]
+
+
+def _reject_token(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_non_finite_report_value_is_strict_json(tmp_path):
+    # the cone evidence overflows to inf: written as the string "inf"
+    out = tmp_path / "r.json"
+    assert main(["example", "2", "--set", "omega=1e160", "--out", str(out),
+                 "--csv-dir", str(tmp_path / "d")]) == 2
+    report = json.loads(out.read_text(), parse_constant=_reject_token)
+    values = [e["value"] for e in report["verdict"]["evidence"]]
+    assert "inf" in values
+
+
+def test_extreme_set_values_exit_with_json(cfg, tmp_path, capsys):
     # every key of every example at the ends of the float range: a verdict
     # (exit 0/2) or one JSON error object (exit 1), never a raw exception
     # (the cone condition's squares can overflow, and the spiral window's
@@ -536,6 +584,21 @@ def test_extreme_set_values_exit_with_json(tmp_path, capsys):
                     if err:
                         error = json.loads(err)
                         assert set(error) == {"error", "message"}, case
+                    else:  # a report that strict JSON parsing accepts
+                        with open(out) as fh:
+                            json.load(fh, parse_constant=_reject_token)
                     if value in ("nan", "inf"):
                         assert error["error"] == "ConfigError", case
                         assert repr(key) in error["message"], case
+        # a start or horizon that is not finite: an input error at once,
+        # not a run until memory or the step limit gives out
+        for case in (["--x0=inf,0,0", "--t1", "1"],
+                     ["--x0=nan,0,0", "--t1", "1"],
+                     ["--x0=0.5,0,0", "--t1", "inf"],
+                     ["--x0=0.5,0,0", "--t1", "nan"],
+                     ["--x0=0.5,0,0", "--t0=-inf", "--t1", "1"]):
+            code = main(["simulate", cfg, *case, "--out", out,
+                         "--out-traj", str(tmp_path / "t.csv"),
+                         "--out-events", str(tmp_path / "e.csv")])
+            error = json.loads(capsys.readouterr().err)
+            assert code == 1 and error["error"] == "ConfigError", case

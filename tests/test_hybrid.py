@@ -13,7 +13,8 @@ from hetcycle._integrate import (
     hermite,
     rk45,
 )
-from hetcycle.errors import EventStorm, SlidingDetected
+from hetcycle import hybrid
+from hetcycle.errors import ConfigError, EventStorm, SlidingDetected
 from hetcycle.flows import left_flow, numeric_flow, right_flow
 from hetcycle.hybrid import (
     active_side,
@@ -83,10 +84,11 @@ def test_pre_event_segment_matches_closed_form(ex1):
         assert np.abs(x - right_flow(x0, t, ex1)).max() <= 1e-6
 
 
-def test_event_storm_guard(ex3):
+def test_event_storm_guard(ex3, monkeypatch):
     x0 = (2.0006068209275734, -2.049310280724067, 1.9712477042452798)
-    with pytest.raises(EventStorm):
-        integrate_hybrid(ex3, x0, (0.0, 6.0), max_events=2)
+    monkeypatch.setattr(hybrid, "MAX_EVENTS", 2)
+    with pytest.raises(EventStorm, match="more than 2 switching events"):
+        integrate_hybrid(ex3, x0, (0.0, 6.0))
 
 
 def test_sliding_detected(ex1):
@@ -112,6 +114,17 @@ def test_grazing_recorded_without_switch(ex1):
 def test_backward_only_rejected(ex1):
     with pytest.raises(ValueError):
         integrate_hybrid(ex1, (0.0, 0.0, 0.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("x0, t_span", [
+    ((math.inf, 0.0, 0.0), (0.0, 1.0)), ((0.5, math.nan, 0.0), (0.0, 1.0)),
+    ((0.5, 0.0, 0.0), (0.0, math.inf)), ((0.5, 0.0, 0.0), (0.0, math.nan)),
+    ((0.5, 0.0, 0.0), (-math.inf, 1.0))])
+def test_non_finite_start_rejected(ex1, x0, t_span):
+    # an input error, before any step: an infinite horizon would step
+    # until memory or MAX_STEPS ran out
+    with pytest.raises(ConfigError, match="non-finite x0"):
+        integrate_hybrid(ex1, x0, t_span)
 
 
 def test_reversibility_spot_check(ex1, ex3):

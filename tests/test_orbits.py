@@ -396,9 +396,9 @@ def test_horizons_resolved_once_per_cycle(ex1, ex3, verdicts, monkeypatch):
     calls = []
     defaults = orbits.default_horizons
 
-    def counted(params, target=orbits.HORIZON_TARGET):
+    def counted(params):
         calls.append(params)
-        return defaults(params, target)
+        return defaults(params)
 
     monkeypatch.setattr(orbits, "default_horizons", counted)
     certs = assemble_cycle(ex3, verdicts[3])
