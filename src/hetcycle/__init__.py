@@ -39,7 +39,6 @@ from .planar import (
     focus_stay_window,
     forward_stay_set,
     node_stay_check,
-    reduce_general_line,
 )
 from .presets import example_params
 from .verifier import (
@@ -88,7 +87,6 @@ __all__ = [
     "node_stay_check",
     "numeric_flow",
     "parse_config",
-    "reduce_general_line",
     "regime_classify",
     "right_flow",
     "validate_hypotheses",

@@ -35,6 +35,7 @@ Everything here is an immutable value; every function is pure.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -328,8 +329,9 @@ def window_tangency(a11, a12, a21, a22, k) -> tuple:
     denom = k[0] * w[0] + k[1] * w[1]
     scale = math.hypot(*k) * math.hypot(*w)
     # Unreachable for a genuinely complex spectrum (the zero set of the
-    # denominator requires a real discriminant); kept as a guard.
-    if abs(denom) <= 1e-14 * max(1.0, scale):
+    # denominator requires a real discriminant); kept as a guard, relative
+    # so that it does not depend on the units of x and t.
+    if abs(denom) <= 1e-14 * scale:
         raise DegenerateWindow("k . A^{-1} k-perp vanishes")
     return (w[0] / denom, w[1] / denom)
 
@@ -389,22 +391,26 @@ def interval_contains(iv: Interval3D, x, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
+#: A value ``read_assignment`` reads: an ASCII decimal literal, or nan or
+#: inf (which ``SystemParams`` then refuses, naming the key).
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                     r"|nan|inf)")
+
+
 def read_assignment(text: str, where: str) -> tuple:
     """(key, value) of one ``key = value`` item, the key one of
-    ``CONFIG_KEYS`` and the value a number with '.' as the decimal
-    separator, regardless of locale; every ConfigError starts with
-    ``where``."""
+    ``CONFIG_KEYS`` and the value a ``_NUMBER`` (no digit separators, no
+    other digits than 0-9, '.' as the decimal separator regardless of
+    locale); every ConfigError starts with ``where``."""
     key, eq, val = text.partition("=")
     if not eq:
         raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
     key, val = key.strip(), val.strip()
     if key not in CONFIG_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    try:
-        return key, float(val)
-    except ValueError:
-        raise ConfigError(
-            f"{where}: invalid number for {key!r}: {val!r}") from None
+    if not _NUMBER.fullmatch(val):
+        raise ConfigError(f"{where}: invalid number for {key!r}: {val!r}")
+    return key, float(val)
 
 
 def parse_config(text: str) -> SystemParams:

@@ -132,7 +132,9 @@ def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
                   t1: float, n_init: int, where: str) -> tuple:
     """Sample flow(x0, t, params) on [t0, t1] into an (n, 3) array, adding
     midpoints (48 passes at most) until consecutive samples are within
-    MAX_SAMPLE_GAP (Euclidean); a grid over MAX_SEGMENT_SAMPLES raises."""
+    MAX_SAMPLE_GAP (Euclidean); a grid over MAX_SEGMENT_SAMPLES raises, as
+    does a polyline through the samples too long for one: the orbit is no
+    shorter, so its final grid would need at least length / gap samples."""
     _check_size(n_init, where)
     ts = np.linspace(t0, t1, n_init)
     for passes in range(49):
@@ -141,6 +143,11 @@ def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
             chunk = ts[lo:lo + SAMPLE_CHUNK_ROWS].tolist()
             xs[lo:lo + len(chunk)] = [flow(x0, t, params) for t in chunk]
         gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
+        least = float(gaps.sum()) / MAX_SAMPLE_GAP + 1.0
+        if least > MAX_SEGMENT_SAMPLES:
+            raise CertificateFailure(
+                f"{where} needs at least {least:.6g} samples, more than "
+                f"{MAX_SEGMENT_SAMPLES}")
         bad = np.where(gaps > MAX_SAMPLE_GAP)[0]
         if bad.size == 0 or passes == 48:
             break

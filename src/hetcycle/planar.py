@@ -15,10 +15,12 @@ Two questions drive the cycle certification and both are planar:
   that set, non-strict, widened by the same band.
 
 * For a stable planar linear system and a line {k . x = 1}, when does the
-  forward orbit of a line point stay in {k . x < 1}?  Node case: exactly
-  when the field at the point does not push outward (k . A x0 <= 0).
-  Focus case: exactly on the half-open window [x_star_in, x_star_out)
-  between the field-tangency point and its first backward return.
+  forward orbit of a line point stay in {k . x < 1}?  Node case
+  (``node_stay_check``): exactly when the field at the point does not push
+  outward (k . A x0 <= 0).  Focus case (``focus_stay_window``): exactly on
+  the half-open window [x_star_in, x_star_out) between the field-tangency
+  point and its first backward return.  On L2 these are the verifier's
+  node and focus theorems.
 
 Root finding here runs on the closed-form flows, and both first returns
 are bracketed from the orbit's closed form.  The focus return lies on one
@@ -59,25 +61,23 @@ class VdpLineAnalysis:
 
     ``regime`` is 'supercritical' when the tangency quadratic has no two
     distinct real roots (every point of the line flows inside and stays)
-    and 'subcritical' otherwise.  In the subcritical regime ``u1``/``u2``
-    are the tangency points (ordinates ``varrho_plus`` >= ``varrho_minus``),
-    ``x_star`` is the first intersection of the backward orbit of u1 with
-    the line, and ``branch`` is the ``return_branch`` of its ordinate:
-    above varrho_plus, below varrho_minus, or 'ungeneric' within
-    ``tangency_band`` of either.  ``evaluations`` counts the closed-form
-    orbit evaluations the search for x_star made (0 in the supercritical
-    regime).
+    and 'subcritical' otherwise.  In the subcritical regime the tangency
+    ordinates are ``varrho_plus`` >= ``varrho_minus``, ``u1`` is the upper
+    tangency point, ``x_star`` is the first intersection of the backward
+    orbit of u1 with the line, and ``branch`` is the ``return_branch`` of
+    its ordinate: above varrho_plus, below varrho_minus, or 'ungeneric'
+    within ``tangency_band`` of either.  ``evaluations`` counts the
+    closed-form orbit evaluations the search for x_star made (0 in the
+    supercritical regime).
     """
 
     rho: float
     omega: float
     k: float
     regime: str
-    discriminant: float
     varrho_plus: Optional[float] = None
     varrho_minus: Optional[float] = None
     u1: Optional[tuple] = None
-    u2: Optional[tuple] = None
     x_star: Optional[tuple] = None
     t_star: Optional[float] = None
     branch: Optional[str] = None
@@ -97,7 +97,7 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
         raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, sqrt(rho)={math.sqrt(rho)!r}")
     disc, vp, vm = tangency_ordinates(rho, omega, k)
     if disc <= 0.0:
-        return VdpLineAnalysis(rho, omega, k, "supercritical", disc)
+        return VdpLineAnalysis(rho, omega, k, "supercritical")
 
     # The backward orbit escapes to infinity in finite time; when its total
     # rotation before the escape is too small it never returns to the line
@@ -106,8 +106,8 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
     branch = ("no_backward_return" if x_star is None
               else return_branch(x_star[1], vp, vm, tol))
-    return VdpLineAnalysis(rho, omega, k, "subcritical", disc, vp, vm,
-                           (k, vp), (k, vm), x_star, t_star, branch, evals)
+    return VdpLineAnalysis(rho, omega, k, "subcritical", vp, vm, (k, vp),
+                           x_star, t_star, branch, evals)
 
 
 def tangency_band(vp: float, vm: float, tol: float = DEFAULT_TOL) -> float:
@@ -265,8 +265,7 @@ class StaySet:
     """Subset of a line (parameterized by the free ordinate) whose forward
     orbits satisfy a stay requirement.
 
-    kind 'all': the whole line.  kind 'all_except_point': the whole line
-    minus one tangency ordinate.  kind 'interval': ordinates between lo and
+    kind 'all': the whole line.  kind 'interval': ordinates between lo and
     hi with endpoint flags.  kind 'complement': everything at or beyond lo
     and hi (the flags say whether lo/hi themselves belong).
     """
@@ -276,14 +275,11 @@ class StaySet:
     hi: Optional[float] = None
     lo_in: bool = False
     hi_in: bool = False
-    excluded_point: Optional[float] = None
 
     def contains(self, ordinate: float) -> bool:
         y = float(ordinate)
         if self.kind == "all":
             return True
-        if self.kind == "all_except_point":
-            return y != self.excluded_point
         if self.kind == "interval":
             lo_ok = y >= self.lo if self.lo_in else y > self.lo
             hi_ok = y <= self.hi if self.hi_in else y < self.hi
@@ -304,20 +300,13 @@ class StaySet:
                        self.hi_in)
 
 
-def forward_stay_set(analysis: VdpLineAnalysis, strict: bool,
-                     transversal: bool = False) -> StaySet:
+def forward_stay_set(analysis: VdpLineAnalysis, strict: bool) -> StaySet:
     """Stay set of the line per the tangency dichotomy.
 
     ``strict`` selects forward orbits confined to the open side {x1 < k};
-    non-strict allows touching the line.  ``transversal`` additionally
-    demands a transversal intersection at the starting point itself, which
-    drops the tangency endpoints (and, in the boundary supercritical case,
-    the single tangency ordinate -omega/(2k)).
+    non-strict allows touching the line.
     """
     if analysis.regime == "supercritical":
-        if transversal and analysis.discriminant == 0.0:
-            return StaySet("all_except_point",
-                           excluded_point=-analysis.omega / (2.0 * analysis.k))
         return StaySet("all")
     if analysis.branch == "no_backward_return":
         raise UngenericBranch(
@@ -328,34 +317,15 @@ def forward_stay_set(analysis: VdpLineAnalysis, strict: bool,
             "first backward return is within tolerance of a tangency "
             "ordinate; the generic dichotomy does not apply")
     vp, xs = analysis.varrho_plus, analysis.x_star[1]
-    # the tangency end belongs unless transversal; the return end only to
-    # the non-strict set
-    vp_in, xs_in = not transversal, not (strict or transversal)
+    # the tangency end always belongs; the return end only to the
+    # non-strict set
     if analysis.branch == "x2star_above":
         # stay interval between the upper tangency (below) and the first
         # backward return (above)
-        return StaySet("interval", lo=vp, hi=xs, lo_in=vp_in, hi_in=xs_in)
+        return StaySet("interval", lo=vp, hi=xs, lo_in=True, hi_in=not strict)
     # x2star_below: the excluded window runs from the return (below) up to
     # the upper tangency
-    return StaySet("complement", lo=xs, hi=vp, lo_in=xs_in, hi_in=vp_in)
-
-
-def reduce_general_line(k_vec) -> tuple:
-    """Rotation taking the vertical-line analysis onto a general line
-    {k . x = 1}.
-
-    Returns (R, k_tilde) where R is the rotation with columns
-    (k1, k2)/|k| and (-k2, k1)/|k|, k_tilde = 1/|k|, and R maps the
-    vertical line {x1 = k_tilde} onto {k . x = 1} isometrically.
-    """
-    k1, k2 = float(k_vec[0]), float(k_vec[1])
-    norm = math.hypot(k1, k2)
-    if norm == 0.0:
-        raise ZeroNormal("line normal must be nonzero")
-    kt = 1.0 / norm
-    r = np.array([[k1 * kt, -k2 * kt], [k2 * kt, k1 * kt]])
-    r.flags.writeable = False
-    return r, kt
+    return StaySet("complement", lo=xs, hi=vp, lo_in=not strict, hi_in=True)
 
 
 @dataclass(frozen=True)
@@ -392,23 +362,35 @@ class PlanarLinearSystem:
                 self.a21 * x[0] + self.a22 * x[1])
 
 
+#: Relative rounding of k . x0 that ``node_stay_check`` forgives on top
+#: of tol: a point built on the line is on it only up to rounding.
+_ROUNDING = 4.0 * math.ulp(1.0)
+
+
 def node_stay_check(sys: PlanarLinearSystem, k_vec, x0,
-                    tol: float = DEFAULT_TOL) -> bool:
-    """Stay criterion for a stable-node system at a point of {k . x = 1}:
-    the forward orbit remains in {k . x < 1} iff the field at the point
-    does not push outward, k . (A x0) <= 0 (tangential counts as staying).
+                    tol: float = DEFAULT_TOL) -> tuple:
+    """(stays, margin) of a stable-node system at a point x0 of
+    {k . x = 1}: the forward orbit remains in {k . x < 1} iff the field at
+    x0 does not push outward.  margin = -(k_hat . A x0), k_hat = k / |k|,
+    and stays is the closed band margin >= -tol * max(1, |A x0|), so a
+    tangential point stays.  OffLine for an x0 off the line by more than
+    tol (relative to |k| |x0|) and its rounding.
     """
     if sys.spectral_type != "real_stable":
         raise WrongSpectralType(
             f"node criterion needs a real stable spectrum, got {sys.spectral_type}")
     k1, k2 = float(k_vec[0]), float(k_vec[1])
-    x0 = (float(x0[0]), float(x0[1]))
-    on_line = k1 * x0[0] + k2 * x0[1]
-    scale = max(1.0, math.hypot(k1, k2) * math.hypot(*x0))
-    if abs(on_line - 1.0) > tol * scale:
+    norm = math.hypot(k1, k2)
+    if norm == 0.0:
+        raise ZeroNormal("line normal must be nonzero")
+    u, v = float(x0[0]), float(x0[1])
+    on_line = k1 * u + k2 * v
+    scale = max(1.0, norm * math.hypot(u, v))
+    if abs(on_line - 1.0) > (tol + _ROUNDING) * scale:
         raise OffLine(f"point is off the line: k.x0 = {on_line!r}")
-    ax = sys.apply(x0)
-    return k1 * ax[0] + k2 * ax[1] <= 0.0
+    a1, a2 = sys.apply((u, v))
+    margin = -(k1 / norm * a1 + k2 / norm * a2)
+    return margin >= -tol * max(1.0, math.hypot(a1, a2)), margin
 
 
 @dataclass(frozen=True)

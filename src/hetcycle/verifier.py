@@ -4,13 +4,14 @@ A verdict certifies (or declines to certify) heteroclinic cycles between
 the left zone's saddle periodic orbit and the right zone's saddle
 equilibrium.  ``certify`` is the only way to one: the spectrum of the
 right planar block names the theorem (never the caller), and both
-theorems share one route that differs only in the test at the connection
-points p:
+theorems share one route that differs only in the planar criterion it
+applies on L2 = {k . y = 1} (k = ``l2_normal``, y = (x1 - q1, x2 - q2) at
+height q3) at the connection points p:
 
-* ``real_saddle`` (stable node): p must satisfy the outward half-plane
-  condition (1,0,1) . B (p - q) >= 0,
-* ``saddle_focus`` (stable focus): p must lie in the half-open spiral
-  stay window [x_minus, x_plus) on the in-plane line L2.
+* ``real_saddle`` (stable node): ``planar.node_stay_check`` at the L2
+  point with p's ordinate,
+* ``saddle_focus`` (stable focus): p must lie in the half-open stay window
+  [x_minus, x_plus) of ``planar.focus_stay_window``.
 
 The regime compares d^2 - rho with omega^2 / (4 d^2): in ``case_i`` every
 point of L1 flows inward and stays, so the equilibrium-to-cycle orbit
@@ -40,7 +41,8 @@ from .model import (DEFAULT_TOL, HypothesisReport, Interval3D,  # noqa: F401
                     SystemParams, derive_geometry, interval_contains,
                     l2_normal, rim_subcase, validate_hypotheses)
 from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
-                     focus_stay_window, forward_stay_set, tangency_band)
+                     focus_stay_window, forward_stay_set, node_stay_check,
+                     tangency_band)
 
 
 @dataclass(frozen=True)
@@ -171,17 +173,6 @@ def _case_ii_gate(params, analysis, evidence, tol):
     return (analysis.k, analysis.x_star[1], 0.0)
 
 
-def _window_on_l2(params: SystemParams) -> tuple:
-    """Spiral stay window on L2, lifted to 3D (the in-plane dynamics at
-    height q3 is the planar right block centered at (q1, q2))."""
-    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
-                                          params.b21, params.b22)
-    w = focus_stay_window(sys, l2_normal(params))
-    x_minus = (w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2, params.q3)
-    x_plus = (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2, params.q3)
-    return x_minus, x_plus
-
-
 def certify(params: SystemParams, tol: float = DEFAULT_TOL,
             report: Optional[HypothesisReport] = None) -> CycleVerdict:
     """The verdict on ``params``: the one certification entry point.
@@ -189,10 +180,10 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     The right block's spectrum picks the theorem (a node block
     'real_saddle', a focus block 'saddle_focus', any other 'none').  In
     case_ii the q2 window gates the shared equilibrium-to-cycle orbit;
-    subcases b/c add the cone condition.  Only the test at the candidate
-    connection points depends on the theorem: the outward half-plane check
-    (1,0,1) . B (p - q) >= 0 for a node block, membership of the spiral
-    stay window [x_minus, x_plus) on L2 for a focus block.  ``report`` is
+    subcases b/c add the cone condition.  Only the planar criterion on L2
+    at the connection points depends on the theorem: ``node_stay_check``
+    for a node block (``halfplane_*`` evidence, its signed margin), the
+    spiral stay window for a focus block (``window_*``).  ``report`` is
     ``validate_hypotheses(params, tol)`` when the caller already holds it.
     """
     if report is None:
@@ -221,22 +212,23 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
         evidence.append(cone_condition(params))
 
     window = None
+    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
+                                          params.b21, params.b22)
+    k = l2_normal(params)
     if theorem == "real_saddle":
         for label, p in points:
-            # (1,0,1) . B (p - q) >= 0: the forward right-zone orbit of p
-            # stays on the equilibrium side of the plane.  Closed condition:
-            # the tangential boundary value 0 counts as staying, so equality
-            # gets the global tolerance.
-            y1, y2, y3 = p[0] - params.q1, p[1] - params.q2, p[2] - params.q3
-            b1 = params.b11 * y1 + params.b12 * y2
-            b2 = params.b21 * y1 + params.b22 * y2
-            b3 = params.lam * y3
-            value = b1 + b3
-            scale = max(1.0, math.sqrt(b1 * b1 + b2 * b2 + b3 * b3))
-            evidence.append(Evidence(f"halfplane_{label}", value, ">= 0",
-                                     value >= -tol * scale))
-    else:
-        window = _window_on_l2(params)
+            # the L2 point with p's ordinate: a rim point of subcase a or b
+            # itself sits up to the rim band off L2
+            y = (params.d - params.q3 - params.q1, p[1] - params.q2)
+            stays, margin = node_stay_check(sys, k, y, tol)
+            evidence.append(Evidence(f"halfplane_{label}", margin, ">= 0",
+                                     stays))
+    else:  # the planar window, lifted to 3D at height q3
+        w = focus_stay_window(sys, k)
+        window = ((w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2,
+                   params.q3),
+                  (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2,
+                   params.q3))
         iv = Interval3D(window[0], window[1], closed_a=True, closed_b=False)
         for label, p in points:
             evidence.append(Evidence(

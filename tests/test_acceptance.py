@@ -107,7 +107,7 @@ def test_criterion_6_node_stay_extensional():
             tau = tau_star + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0)
             x0 = base + tau * u
             sys = PlanarLinearSystem.from_matrix(m)
-            predicted = node_stay_check(sys, khat, x0)
+            predicted, _ = node_stay_check(sys, khat, x0)
             brute = brute_linear_stays(
                 (m[0, 0], m[0, 1], m[1, 0], m[1, 1]), khat, tuple(x0), slow)
             assert predicted == brute, (m, khat, tau - tau_star)

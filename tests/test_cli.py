@@ -204,7 +204,8 @@ def test_run_validates_hypotheses_once(cfg, tmp_path, monkeypatch):
 
 def test_example_override_window_failure(tmp_path):
     assert main(["example", "3", "--set", "q2=10",
-                 "--out", str(tmp_path / "r.json")]) == 2
+                 "--out", str(tmp_path / "r.json"),
+                 "--csv-dir", str(tmp_path / "d")]) == 2
 
 
 def test_config_error_exit_1(tmp_path, capsys):
@@ -284,6 +285,24 @@ def test_oversized_orbit_segment_exit_1(tmp_path, capsys, sets):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CertificateFailure"
     assert "backward cylinder segment" in err["message"]
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_unsampleable_spiral_exit_1(tmp_path, capsys, n):
+    # b21 = -1e300 makes the right block a focus turning at ~1e150 rad per
+    # unit time: a certified verdict, whose forward segment in the stable
+    # plane would need ~1e152 samples; refused from the length of its first
+    # grid, not after doubling the grid up to the cap
+    t0 = time.perf_counter()
+    code = main(["example", n, "--set", "b21=-1e300",
+                 "--out", str(tmp_path / "r.json"),
+                 "--csv-dir", str(tmp_path / "d")])
+    assert code == 1
+    assert time.perf_counter() - t0 < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CertificateFailure"
+    assert err["message"].startswith("forward segment from")
+    assert "needs at least" in err["message"]
 
 
 def test_simulate_bad_x0(cfg, capsys):
@@ -508,7 +527,8 @@ def test_example_at_rim_band_edge_reports_json(tmp_path, example, q3):
     # q3 at the edge of the rim band: subcase c with both connection
     # points, reported as a verdict rather than a raw traceback
     out = tmp_path / "r.json"
-    code = main(["example", example, "--set", f"q3={q3}", "--out", str(out)])
+    code = main(["example", example, "--set", f"q3={q3}", "--out", str(out),
+                 "--csv-dir", str(tmp_path / "d")])
     assert code in (0, 2)
     verdict = json.loads(out.read_text())["verdict"]
     assert verdict["subcase"] == "c"
@@ -519,6 +539,7 @@ def test_example_at_rim_band_edge_reports_json(tmp_path, example, q3):
     ("rho", "--set: expected 'key = value', got 'rho'"),
     ("rho= x ", "--set: invalid number for 'rho': 'x'"),
     ("rho=1#2", "--set: invalid number for 'rho': '1#2'"),
+    ("rho=1_0", "--set: invalid number for 'rho': '1_0'"),
     ("nope=1", "--set: unknown key 'nope'"),
 ])
 def test_bad_set_item_exit_1(tmp_path, capsys, item, message):

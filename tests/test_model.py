@@ -47,6 +47,19 @@ def test_config_keys_are_the_fields_with_lambda():
     ("lam = 2", "here: unknown key 'lam'"),
     ("rho = 1 # c", "here: invalid number for 'rho': '1 # c'"),
     ("rho = ", "here: invalid number for 'rho': ''"),
+    ("q2 = -inf", ("q2", -math.inf)),
+    ("mu = 1e400", ("mu", math.inf)),
+    ("rho = +.5E+1", ("rho", 5.0)),
+    ("rho = 5.", ("rho", 5.0)),
+    # only an ASCII decimal literal, nan or inf: no digit separators, no
+    # other spellings of nan and inf, no digits outside 0-9
+    ("rho = 1_0", "here: invalid number for 'rho': '1_0'"),
+    ("rho = infinity", "here: invalid number for 'rho': 'infinity'"),
+    ("rho = NaN", "here: invalid number for 'rho': 'NaN'"),
+    ("rho = \u0661", "here: invalid number for 'rho': '\u0661'"),
+    ("rho = 0x10", "here: invalid number for 'rho': '0x10'"),
+    ("rho = 1e", "here: invalid number for 'rho': '1e'"),
+    ("rho = .", "here: invalid number for 'rho': '.'"),
 ])
 def test_read_assignment(text, result):
     if isinstance(result, str):

@@ -17,6 +17,7 @@ from hetcycle.errors import (
     SingularMatrix,
     UngenericBranch,
     WrongSpectralType,
+    ZeroNormal,
 )
 from hetcycle.flows import (
     block_exp,
@@ -28,13 +29,11 @@ from hetcycle.model import Interval3D, interval_contains, window_tangency
 from hetcycle.planar import (
     ROOT_BRACKET,
     PlanarLinearSystem,
-    StaySet,
     _refine,
     analyze_vdp_line,
     focus_stay_window,
     forward_stay_set,
     node_stay_check,
-    reduce_general_line,
 )
 
 
@@ -124,29 +123,23 @@ def test_stay_set_endpoint_bookkeeping_case_below():
     assert not strict.contains(mid) and not loose.contains(mid)
 
 
-def test_stay_set_supercritical_and_transversal():
+def test_stay_set_supercritical():
     a = analyze_vdp_line(1.0, 1.0, 2.0)
     assert forward_stay_set(a, strict=True).kind == "all"
-    t = forward_stay_set(a, strict=True, transversal=True)
-    assert t.kind == "all"  # strictly supercritical: every point transversal
+    assert forward_stay_set(a, strict=False).contains(-0.25)
 
     a1 = analyze_vdp_line(1.0, 10.0, 1.2)
-    tr = forward_stay_set(a1, strict=True, transversal=True)
-    assert not tr.contains(a1.varrho_plus)  # tangency points dropped
-    assert tr.contains(0.0)
-
-    a2 = analyze_vdp_line(1.0, math.sqrt(35.0), math.sqrt(35.0 / 11.0))
-    tr2 = forward_stay_set(a2, strict=True, transversal=True)
-    assert not tr2.contains(a2.varrho_plus)
-    assert not tr2.contains(a2.x_star[1])
+    assert forward_stay_set(a1, strict=True).contains(0.0)
 
 
-def test_stay_set_boundary_discriminant_transversal():
-    # exact boundary: one tangency ordinate at -omega/(2k)
-    a = analyze_vdp_line(1.0, 1.0, 2.0)
-    boundary = StaySet("all_except_point", excluded_point=-0.25)
-    assert boundary.contains(0.0) and not boundary.contains(-0.25)
-    assert forward_stay_set(a, strict=False).contains(-0.25)
+def test_stay_set_boundary_discriminant():
+    # omega^2 = 4 k^2 (k^2 - rho) exactly: one tangency ordinate
+    # -omega / (2k) = -1, touched but never crossed, so the whole line stays
+    a = analyze_vdp_line(3.0, 4.0, 2.0)
+    assert a.regime == "supercritical"
+    for strict in (True, False):
+        stay = forward_stay_set(a, strict=strict)
+        assert stay.kind == "all" and stay.contains(-1.0)
 
 
 def test_ungeneric_branch_raises_on_stay_set():
@@ -156,45 +149,40 @@ def test_ungeneric_branch_raises_on_stay_set():
         forward_stay_set(forced, strict=True)
 
 
-def test_reduce_general_line_axis_cases():
-    r, kt = reduce_general_line((1.0, 0.0))
-    np.testing.assert_allclose(r, np.eye(2), atol=1e-15)
-    assert kt == 1.0
-    r, kt = reduce_general_line((0.0, 1.0))
-    np.testing.assert_allclose(r, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
-    assert kt == 1.0
-
-
-def test_reduce_general_line_properties():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        k = rng.uniform(-3, 3, size=2)
-        if np.linalg.norm(k) < 1e-3:
-            continue
-        r, kt = reduce_general_line(k)
-        np.testing.assert_allclose(r.T @ r, np.eye(2), atol=1e-12)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-        # the vertical line {x1 = kt} maps onto {k . x = 1}
-        for y in rng.uniform(-5, 5, size=3):
-            img = r @ np.array([kt, y])
-            assert k @ img == pytest.approx(1.0, abs=1e-12)
-
-
 def test_node_stay_check_example1_mapping(ex1):
     # planar reduction in the stable plane of q: line offset d - q3 - q1
     c0 = ex1.d - ex1.q3 - ex1.q1
     sys = PlanarLinearSystem.from_matrix([[ex1.b11, ex1.b12],
                                           [ex1.b21, ex1.b22]])
-    x0 = (1.0 - ex1.q1, 0.0 - ex1.q2)  # p0 minus q, planar part
-    assert node_stay_check(sys, (1.0 / c0, 0.0), x0)
+    x0 = (c0, 0.0 - ex1.q2)  # the L2 point with p0's ordinate
+    stays, margin = node_stay_check(sys, (1.0 / c0, 0.0), x0)
+    assert stays and margin == pytest.approx(0.4, abs=1e-12)
 
 
 def test_node_stay_check_boundary_counts_as_staying():
     sys = PlanarLinearSystem.from_matrix([[-1.0, 0.0], [0.0, -2.0]])
     # at (0, 1) on {x2 = 1}: field (0, -2) has k.Ax = -2 <= 0
-    assert node_stay_check(sys, (0.0, 1.0), (0.0, 1.0))
-    # tangential point: k.Ax = 0 exactly
-    assert node_stay_check(sys, (1.0, 0.0), (1.0, 0.0)) == (-1.0 <= 0.0)
+    assert node_stay_check(sys, (0.0, 1.0), (0.0, 1.0)) == (True, 2.0)
+    # at (1, 0) on {x1 = 1}: field (-1, 0), margin 1
+    assert node_stay_check(sys, (1.0, 0.0), (1.0, 0.0)) == (True, 1.0)
+    # the margin is along the unit normal: the same line as {x1/2 = 1}
+    assert node_stay_check(sys, (0.5, 0.0), (2.0, 0.0)) == (True, 2.0)
+    # tangential point: k.Ax = 0 exactly, margin 0, stays
+    shear = PlanarLinearSystem.from_matrix([[-1.0, 1.0], [0.0, -2.0]])
+    assert node_stay_check(shear, (1.0, 0.0), (1.0, 1.0)) == (True, 0.0)
+    # the closed band: an outward push within tol * max(1, |Ax|) stays
+    x = (1.0, 1.0 + 1e-10)
+    stays, margin = node_stay_check(shear, (1.0, 0.0), x)
+    assert stays and -1e-9 < margin < 0.0
+    assert not node_stay_check(shear, (1.0, 0.0), x, tol=1e-11)[0]
+
+
+def test_node_stay_check_takes_a_point_on_the_line_up_to_rounding():
+    # (1/49) * 49 rounds to 1 - 2^-53: on the line even with tol = 0
+    sys = PlanarLinearSystem.from_matrix([[-2.0, 1.0], [0.0, -1.0]])
+    assert (1.0 / 49.0) * 49.0 != 1.0
+    assert node_stay_check(sys, (1.0 / 49.0, 0.0), (49.0, 3.0), tol=0.0) == (
+        True, 95.0)
 
 
 def test_node_stay_check_errors():
@@ -204,6 +192,8 @@ def test_node_stay_check_errors():
     node = PlanarLinearSystem.from_matrix([[-1.0, 0.0], [0.0, -2.0]])
     with pytest.raises(OffLine):
         node_stay_check(node, (1.0, 0.0), (2.0, 0.0))
+    with pytest.raises(ZeroNormal):
+        node_stay_check(node, (0.0, 0.0), (2.0, 0.0), tol=2.0)
 
 
 def test_node_stay_check_vs_brute_force_sample():
@@ -221,10 +211,10 @@ def test_node_stay_check_vs_brute_force_sample():
         tau_star = -(khat @ (m @ base)) / (khat @ (m @ u))
         tau = tau_star + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0)
         x0 = base + tau * u
-        predicted = node_stay_check(sys, khat, x0)
+        predicted, margin = node_stay_check(sys, khat, x0)
         brute = brute_linear_stays((m[0, 0], m[0, 1], m[1, 0], m[1, 1]),
                                    khat, tuple(x0), slow)
-        assert predicted == brute
+        assert predicted == brute == (margin > 0.0)
         checked += 1
 
 

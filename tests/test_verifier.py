@@ -211,23 +211,40 @@ def test_uncovered_no_backward_return():
     assert not {e.name: e for e in v.evidence}["v_star_exists"].passed
 
 
-@pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0])
-def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
-    # x -> s x, t -> t / s^2 maps the system onto itself with rates scaled
-    # by s^2 and positions by s; powers of two keep the arithmetic exact
+def _scaled(p, s):
+    """x -> s x, t -> t / s^2 maps the system onto itself with rates scaled
+    by s^2 and positions by s; powers of two keep the arithmetic exact."""
     s2 = s * s
+    return replace(p, rho=s2 * p.rho, omega=s2 * p.omega, mu=s2 * p.mu,
+                   b11=s2 * p.b11, b12=s2 * p.b12, b21=s2 * p.b21,
+                   b22=s2 * p.b22, lam=s2 * p.lam, q1=s * p.q1, q2=s * p.q2,
+                   q3=s * p.q3, d=s * p.d)
+
+
+# 2^12 and 2^16 shrink the spiral tangency solve's denominator by s^-4,
+# below any absolute floor: its degeneracy guard is relative
+@pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0, 4096.0, 65536.0])
+def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
     for p in (ex1, ex2, ex3):
-        scaled = replace(p, rho=s2 * p.rho, omega=s2 * p.omega,
-                         mu=s2 * p.mu, b11=s2 * p.b11, b12=s2 * p.b12,
-                         b21=s2 * p.b21, b22=s2 * p.b22, lam=s2 * p.lam,
-                         q1=s * p.q1, q2=s * p.q2, q3=s * p.q3, d=s * p.d)
-        a, b = certify(p), certify(scaled)
+        a, b = certify(p), certify(_scaled(p, s))
         assert (b.theorem, b.regime, b.subcase, b.cycle_count) == (
             a.theorem, a.regime, a.subcase, a.cycle_count)
         assert [(e.name, e.passed) for e in b.evidence] == [
             (e.name, e.passed) for e in a.evidence]
         assert b.connecting_points == tuple(
             tuple(s * v for v in pt) for pt in a.connecting_points)
+
+
+def test_scaling_keeps_the_focus_verdicts():
+    for p in rim_sets(16, 120)[1::2]:  # the focus blocks
+        try:
+            a = certify(p)
+        except HetcycleError:
+            continue
+        b = certify(_scaled(p, 1024.0))
+        assert b.cycle_count == a.cycle_count, p
+        assert [e.passed for e in b.evidence] == [
+            e.passed for e in a.evidence], p
 
 
 def test_certify_checks_the_hypotheses_once(ex1, ex2, ex3, monkeypatch):
@@ -319,6 +336,87 @@ def test_connecting_points_are_the_geometry_points():
         assert repr(got) == repr(want if v.certified else ()), p
         certified += v.certified
     assert certified >= 50
+
+
+# Failed evidence of the node sets of rim_sets(15, 40) with q3 at
+# lo -/+ 0.99 band and at hi -/+ 0.99 band of the rim band: (at lo, at
+# hi), "-" where the verdict certifies one cycle.  These are the verdicts
+# the 3D half-plane test (1,0,1) . B (p - q) at the rim point gave.
+RIM_BAND_NODE_FAILS = [
+    ("halfplane_p0", "cone"),
+    ("q2_window", "q2_window,cone"),
+    ("v_star_exists,halfplane_p0", "v_star_exists,cone,halfplane_p1"),
+    ("-", "cone"),
+    ("-", "-"),
+    ("v_star_exists", "v_star_exists,cone"),
+    ("halfplane_p0", "cone"),
+    ("v_star_exists", "v_star_exists,cone"),
+    ("halfplane_p0", "cone"),
+    ("-", "cone"),
+    ("-", "cone"),
+    ("halfplane_p0", "halfplane_p1"),
+    ("-", "cone"),
+    ("q2_window,halfplane_p0", "q2_window,cone"),
+    ("halfplane_p0", "cone"),
+    ("-", "cone"),
+    ("-", "-"),
+    ("v_star_exists", "v_star_exists,cone"),
+    ("v_star_exists,halfplane_p0", "v_star_exists,cone"),
+    ("v_star_exists", "v_star_exists,cone"),
+]
+
+
+def test_node_route_across_the_rim_band():
+    # a rim point of subcase a or b sits up to the rim band off L2; the node
+    # criterion reads the L2 point with its ordinate, so every q3 in the
+    # band gives a verdict, the same one at both edges
+    for base, fails in zip(rim_sets(15, 40)[::2], RIM_BAND_NODE_FAILS):
+        lo, hi = base.d - base.sqrt_rho, base.d + base.sqrt_rho
+        band = 1e-9 * max(1.0, abs(lo), abs(hi))
+        for rim, subcase, want in ((lo, "a", fails[0]), (hi, "b", fails[1])):
+            for q3 in (rim - 0.99 * band, rim + 0.99 * band):
+                v = certify(replace(base, q3=q3))
+                failed = ",".join(e.name for e in v.evidence if not e.passed)
+                assert (v.subcase, failed or "-") == (subcase, want), q3
+                assert v.cycle_count == (not failed)
+
+
+@pytest.mark.parametrize("q3, margin", [(0.200000002, 0.400000004),
+                                        (0.199999998, 0.399999996)])
+def test_example1_across_the_rim_band(ex1, q3, margin):
+    v = certify(replace(ex1, q3=q3))
+    assert (v.subcase, v.cycle_count) == ("a", 1)
+    assert all(e.passed for e in v.evidence)
+    # -(k_hat . B y) = b11 (d - q3 - q1) + b12 (0 - q2) = 2 q3
+    assert _evidence(v, "halfplane_p0").value == pytest.approx(margin,
+                                                               abs=1e-15)
+
+
+def test_node_margin_is_planar_and_finite(ex1):
+    # |B y|^2 past the float range leaves the band finite: an outward push
+    # of 1e160 fails
+    v = certify(replace(ex1, q2=1e160))
+    assert _evidence(v, "halfplane_p0").value == -1e160
+    assert not _evidence(v, "halfplane_p0").passed
+    # no vertical term: lambda (p3 - q3) = -5.6e-17 lambda is rounding of
+    # the rim height, not an outward push
+    v = certify(replace(ex1, lam=1e160))
+    assert v.cycle_count == 1
+    assert _evidence(v, "halfplane_p0").value == pytest.approx(0.4,
+                                                               abs=1e-15)
+
+
+def test_node_route_with_zero_tolerance(ex1):
+    # (1 / c) * c rounds off 1 for some offsets c = d - q3 - q1 of L2; the
+    # node criterion still takes the L2 point as on the line
+    for p in [ex1] + rim_sets(17, 60)[::2]:
+        c = p.d - p.q3 - p.q1
+        v = certify(p, 0.0)
+        assert any(e.name.startswith("halfplane_") for e in v.evidence), p
+        if (1.0 / c) * c != 1.0:
+            break
+    else:
+        pytest.fail("no offset c with (1 / c) * c != 1")
 
 
 def test_certify_builds_no_geometry(ex1, ex2, ex3, monkeypatch):
