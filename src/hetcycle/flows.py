@@ -19,15 +19,15 @@ pair).  On an invariant set through q (the stable plane x3 = q3, the
 unstable line x1 = q1, x2 = q2) the exponential of the zero offset is
 never evaluated, so a long horizon cannot overflow it.
 
-Each zone binds one start once as an orbit ``t -> x(t)`` (``left_orbit``,
-``right_orbit``) holding every t-independent part, and ``left_flow`` /
-``right_flow`` keep their last orbit in a one-entry memo: the orbit
-sampler and the closed-form cross-check evaluate one start under one
-parameter set many times in a row.  The memo is keyed by the identities
-of the ``x0`` tuple and the ``params`` object (== would share an entry
-between 0.0 and -0.0) and holds strong references to them, so their
-addresses cannot be reused while the entry lives.  A hit does the same
-operations in the same order as a miss, so results are bit-identical.
+Each zone binds one start once as an orbit ``t -> (x1, x2, x3)``, a tuple
+of floats (an ndarray per call was half its cost), holding every
+t-independent part; ``left_flow`` / ``right_flow`` keep their last orbit
+in a one-entry memo, as the orbit sampler and the cross-check evaluate one
+start under one parameter set many times in a row.  The memo is keyed by
+the identities of the ``x0`` tuple and the ``params`` object (== would
+share an entry between 0.0 and -0.0) and holds strong references to them,
+so their addresses cannot be reused while the entry lives.  A hit does the
+same operations in the same order as a miss, so results are bit-identical.
 
 ``numeric_flow`` integrates the raw Cartesian fields with the adaptive
 Runge-Kutta oracle and exists solely to cross-check the formulas above.
@@ -145,14 +145,14 @@ def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
 
 
 def left_orbit(x0, params: SystemParams):
-    """The left-zone flow from the start ``x0`` as ``t -> ndarray``.  The
-    planar part is ``planar_left_orbit``'s, written out because a nested
-    call per sample would add about a tenth to each."""
+    """The left-zone flow from the start ``x0`` as ``t -> (x1, x2, x3)``,
+    a tuple of floats.  The planar part is ``planar_left_orbit``'s, written
+    out because a nested call per sample would add about a tenth to each."""
     x3 = x0[2]
     mu = _plane_rate(x3, params.mu)
     r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
     if r0_sq == 0.0:
-        return lambda t: np.array((0.0, 0.0, x3 * math.exp(mu * t)))
+        return lambda t: (0.0, 0.0, x3 * math.exp(mu * t))
     law = radial_law(r0_sq, params.rho)
     theta0 = math.atan2(x0[1], x0[0])
     omega = params.omega
@@ -160,8 +160,8 @@ def left_orbit(x0, params: SystemParams):
     def orbit(t):
         r = math.sqrt(law(t))
         theta = theta0 + omega * t
-        return np.array((r * math.cos(theta), r * math.sin(theta),
-                         x3 * math.exp(mu * t)))
+        return (r * math.cos(theta), r * math.sin(theta),
+                x3 * math.exp(mu * t))
 
     return orbit
 
@@ -218,7 +218,7 @@ def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
 
 def right_orbit(x0, params: SystemParams):
     """The right-zone flow q + e^{Bt} (x0 - q) from the start ``x0`` as a
-    function ``t -> ndarray``."""
+    function ``t -> (x1, x2, x3)``, a tuple of floats."""
     q1, q2, q3 = params.q1, params.q2, params.q3
     y1 = x0[0] - q1
     y2 = x0[1] - q2
@@ -229,14 +229,14 @@ def right_orbit(x0, params: SystemParams):
         # no exponential is built: e^{Bt} (0, 0) is added as +0.0, which
         # is the full product's sum unless every term of it is -0.0.
         x1, x2 = q1 + 0.0, q2 + 0.0
-        return lambda t: np.array((x1, x2, q3 + y3 * math.exp(lam * t)))
+        return lambda t: (x1, x2, q3 + y3 * math.exp(lam * t))
     exp_tb = block_exp(params.b11, params.b12, params.b21, params.b22)
 
     def orbit(t):
         m11, m12, m21, m22 = exp_tb(t)
-        return np.array((q1 + m11 * y1 + m12 * y2,
-                         q2 + m21 * y1 + m22 * y2,
-                         q3 + y3 * math.exp(lam * t)))
+        return (q1 + m11 * y1 + m12 * y2,
+                q2 + m21 * y1 + m22 * y2,
+                q3 + y3 * math.exp(lam * t))
 
     return orbit
 
@@ -246,8 +246,8 @@ def right_orbit(x0, params: SystemParams):
 _left_memo = _right_memo = (None, None, None)
 
 
-def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
-    """Closed-form left-zone flow, ``left_orbit(x0, params)(t)``.
+def left_flow(x0, t: float, params: SystemParams) -> tuple:
+    """Closed-form left-zone flow ``left_orbit(x0, params)(t)``, 3 floats.
 
     Raises BackwardBlowup for starts outside the cycle evaluated at or past
     their finite backward escape time.  A tuple ``x0`` is read as it is;
@@ -263,9 +263,8 @@ def left_flow(x0, t: float, params: SystemParams) -> np.ndarray:
     return orbit(t)
 
 
-def right_flow(x0, t: float, params: SystemParams) -> np.ndarray:
-    """Closed-form right-zone flow, ``right_orbit(x0, params)(t)``; ``x0``
-    is read as in ``left_flow``."""
+def right_flow(x0, t: float, params: SystemParams) -> tuple:
+    """``right_orbit(x0, params)(t)``, 3 floats; ``x0`` as in ``left_flow``."""
     global _right_memo
     if not isinstance(x0, tuple):
         x0 = tuple(np.asarray(x0, dtype=float).tolist())

@@ -173,7 +173,7 @@ def crosscheck_closed_forms(params: SystemParams, trials: int,
                    event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, (x1, x2, x3) in zip(res.ts, res.xs):
-            r1, r2, r3 = flow(x0, t, params).tolist()
+            r1, r2, r3 = flow(x0, t, params)
             # the componentwise max, written out as max() picks it
             err = abs(x1 - r1)
             e = abs(x2 - r2)

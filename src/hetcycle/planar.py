@@ -131,12 +131,20 @@ def return_branch(x2: float, vp: float, vm: float,
         f"between the tangency ordinates ({vm!r}, {vp!r})")
 
 
+#: Revolutions (about 8 us each) the backward-return scan steps through
+#: before it raises RootSearchError.  A fast oscillator reaches the line
+#: only after a number of them that grows with omega: 36,174 for example 1
+#: at omega = 1e15, 1e5 times as many at 1e20.
+MAX_RETURN_REVOLUTIONS = 10_000
+
+
 def _vdp_backward_return(u1, rho, omega):
     """First t < 0 at which the orbit of the tangency point u1 = (k, v)
     returns to the line x1 = k, excluding the seed at t = 0.
 
     Returns (point, t, evaluations), or (None, None, evaluations) when the
-    orbit escapes (or the 40-revolution cap is reached) first.
+    orbit escapes (or the 40-revolution cap is reached) first.  Raises
+    RootSearchError once MAX_RETURN_REVOLUTIONS revolutions held neither.
 
     The orbit is x1 = r(t) cos(theta0 + omega t) with r growing backward
     (u1 lies outside the cycle), so a crossing needs
@@ -173,7 +181,7 @@ def _vdp_backward_return(u1, rho, omega):
     j_done = 0
     n = 0
     try:  # a radius escaping in rounding before the floor escapes too
-        while True:
+        while n >= -MAX_RETURN_REVOLUTIONS:
             centre = 2.0 * math.pi * n - theta0  # omega t at cos(theta) = 1
             t_edge = (centre - 0.5 * math.pi) / omega
             if t_edge > t_stop:
@@ -205,6 +213,9 @@ def _vdp_backward_return(u1, rho, omega):
             n -= 1
     except BackwardBlowup:
         return None, None, evals
+    raise RootSearchError(
+        f"no backward return to the line x1={k!r} within "
+        f"{MAX_RETURN_REVOLUTIONS} revolutions (omega={omega!r})")
 
 
 #: Width in t below which a refined bracket is accepted; its midpoint is
@@ -347,10 +358,10 @@ class PlanarLinearSystem:
                                 float(m[1, 0]), float(m[1, 1]))
 
     @classmethod
-    def from_entries(cls, a11: float, a12: float, a21: float,
-                     a22: float) -> "PlanarLinearSystem":
-        """The system of [[a11, a12], [a21, a22]], entries given as floats."""
-        kind, eigs = classify_2x2(a11, a12, a21, a22)
+    def from_entries(cls, a11: float, a12: float, a21: float, a22: float,
+                     spectrum: Optional[tuple] = None) -> "PlanarLinearSystem":
+        """[[a11, a12], [a21, a22]]; ``spectrum`` is its ``classify_2x2``."""
+        kind, eigs = spectrum or classify_2x2(a11, a12, a21, a22)
         if kind == "complex_stable":
             alpha, beta = eigs[0].real, eigs[0].imag
         else:

@@ -212,8 +212,9 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
         evidence.append(cone_condition(params))
 
     window = None
-    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
-                                          params.b21, params.b22)
+    sys = PlanarLinearSystem.from_entries(
+        params.b11, params.b12, params.b21, params.b22,
+        (report.spectral_type, report.eigenvalues))
     k = l2_normal(params)
     if theorem == "real_saddle":
         for label, p in points:

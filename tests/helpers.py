@@ -160,9 +160,9 @@ def semigroup_max_rel_err(params, side, n, seed):
             x0 = params.q + rng.uniform(-2.0, 2.0, size=3)
             s, t = rng.uniform(-1.0, 1.0, size=2)
         try:
-            mid = flow(x0, s, params)
-            two_leg = flow(mid, t, params)
-            direct = flow(x0, s + t, params)
+            mid = np.asarray(flow(x0, s, params))
+            two_leg = np.asarray(flow(mid, t, params))
+            direct = np.asarray(flow(x0, s + t, params))
         except BackwardBlowup:
             continue
         if max(np.max(np.abs(mid)), np.max(np.abs(direct))) > 10.0 * max(1.0, sr, np.max(np.abs(params.q))):
@@ -196,7 +196,7 @@ def reference_crosscheck(params, trials, seed, horizon=5.0, control=None):
                    event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, x in zip(res.ts, res.xs):
-            ref = flow(x0, t, params).tolist()
+            ref = flow(x0, t, params)
             err = max(abs(a - b) for a, b in zip(x, ref))
             if err > max_err:
                 max_err = err

@@ -13,6 +13,7 @@ from helpers import Budget
 from hetcycle import cli
 from hetcycle.cli import main, make_parser
 from hetcycle.model import CONFIG_KEYS
+from hetcycle.planar import MAX_RETURN_REVOLUTIONS
 
 CONFIG = """
 rho = 1.0
@@ -568,6 +569,21 @@ def test_tiny_radius_declines_through_v_star(tmp_path, capsys, rho):
     evidence = {e["name"]: e
                 for e in json.loads(out.read_text())["verdict"]["evidence"]}
     assert not evidence["v_star_exists"]["passed"]
+
+
+@pytest.mark.parametrize("omega", ["1e17", "1e20"])
+def test_fast_oscillator_exits_with_json(tmp_path, capsys, omega):
+    # the tangency point barely moves outward in a revolution, so the
+    # backward return lies billions of revolutions back: the scan gives up
+    # after MAX_RETURN_REVOLUTIONS with one JSON error, not a hang
+    with Budget(f"omega={omega} backward-return scan", 1.0):
+        code = main(["example", "1", "--set", f"omega={omega}",
+                     "--out", str(tmp_path / "r.json"),
+                     "--csv-dir", str(tmp_path / "d")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "RootSearchError"
+    assert f"{MAX_RETURN_REVOLUTIONS} revolutions" in error["message"]
 
 
 def _reject_token(token):

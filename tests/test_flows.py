@@ -342,15 +342,31 @@ def _array_right_flow(x0, t, params):
     ])
 
 
+def _float3_bytes(x):
+    """The bytes of a closed form's value, which must be a tuple of three
+    floats."""
+    assert type(x) is tuple and len(x) == 3
+    assert all(isinstance(v, float) for v in x)
+    return np.array(x).tobytes()
+
+
+def _bytes(flow, x):
+    """The bytes of ``flow``'s value ``x``: a float64 array of shape (3,)
+    from an array reference, a tuple of three floats from a closed form."""
+    if flow in (_array_left_flow, _array_right_flow):
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64
+        assert x.shape == (3,)
+        return x.tobytes()
+    return _float3_bytes(x)
+
+
 def _outcome(flow, x0, t, params):
     """The returned bytes, or the type of the exception raised."""
     try:
         x = flow(x0, t, params)
     except (BackwardBlowup, OverflowError) as exc:
         return type(exc)
-    assert isinstance(x, np.ndarray) and x.dtype == np.float64
-    assert x.shape == (3,)
-    return x.tobytes()
+    return _bytes(flow, x)
 
 
 def _assert_float_path_matches(flow, ref, x0, t, params):
@@ -389,7 +405,7 @@ def test_left_flow_float_path_matches_array_reference(ex1, ex2, ex3):
 def _flow_outcome(flow, x0, t, params):
     """The returned bytes, or the BackwardBlowup message."""
     try:
-        return flow(x0, t, params).tobytes()
+        return _bytes(flow, flow(x0, t, params))
     except BackwardBlowup as exc:
         return ("BackwardBlowup", str(exc))
 
@@ -612,7 +628,7 @@ def test_right_flow_block_memo_follows_the_params_object(ex2, ex3,
                     t = float(rng.uniform(-2.0, 3.0))
                     got = flows.right_flow(x0, t, params)
                     want = _array_right_flow(x0, t, params)
-                    assert got.tobytes() == want.tobytes()
+                    assert _float3_bytes(got) == want.tobytes()
                     assert (np.signbit(got) == np.signbit(want)).all()
     # each params object binds its own block, so m12 keeps the sign of
     # b12: with q1 = -0.0 and m11 y1 underflowing to -0.0, x1 = m12 y2

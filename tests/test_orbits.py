@@ -8,6 +8,7 @@ from helpers import rim_sets
 
 from hetcycle import orbits
 from hetcycle.errors import CertificateFailure, ConfigError, HypothesisFailure
+from hetcycle.flows import left_flow, right_flow
 from hetcycle.model import LimitCycle
 from hetcycle.orbits import (
     CSV_CHUNK_ROWS,
@@ -185,6 +186,27 @@ def test_assemble_cycle_flow_call_counts(ex1, ex2, ex3, verdicts,
         calls.update(left=0, right=0)
         assemble_cycle(params, verdicts[n])
         assert (calls["left"], calls["right"]) == ORBIT_FLOW_CALLS[n]
+
+
+@pytest.mark.parametrize("chunk_rows", [orbits.SAMPLE_CHUNK_ROWS, 97])
+def test_segment_rows_are_the_flow_values(ex1, ex2, ex3, verdicts,
+                                          chunk_rows, monkeypatch):
+    # each segment's rows are the closed form at its times, also when they
+    # span several chunks (no segment of examples 1-3 exceeds 4096 rows);
+    # the starts are those build_gamma1/build_gamma_up bind
+    monkeypatch.setattr(orbits, "SAMPLE_CHUNK_ROWS", chunk_rows)
+    for n, params in ((1, ex1), (2, ex2), (3, ex3)):
+        verdict = verdicts[n]
+        for cert, p in zip(assemble_cycle(params, verdict),
+                           verdict.connecting_points):
+            p = tuple(np.asarray(p, dtype=float).tolist())
+            starts = ((params.q1, params.q2, 0.0),
+                      tuple(np.asarray(verdict.q0, dtype=float).tolist()),
+                      p, (p[0], p[1], params.q3))
+            for seg, x0 in zip(cert.orbit_segments, starts):
+                flow = right_flow if seg.side == "right" else left_flow
+                want = np.array([flow(x0, t, params) for t in seg.ts])
+                assert seg.xs.tobytes() == want.tobytes(), (n, seg.role)
 
 
 def test_csv_schema_round_trip(tmp_path, ex1, verdicts):

@@ -160,6 +160,25 @@ def test_verdict_determinism(ex2):
     assert certify(ex2) == certify(ex2)
 
 
+def test_certify_classifies_the_block_once(ex1, ex2, ex3, monkeypatch):
+    # the L2 planar system reuses the hypothesis report's spectrum
+    from hetcycle import model, planar
+
+    calls = []
+
+    def counted(*entries):
+        calls.append(entries)
+        return classify(*entries)
+
+    classify = model.classify_2x2
+    monkeypatch.setattr(model, "classify_2x2", counted)
+    monkeypatch.setattr(planar, "classify_2x2", counted)
+    for p in (ex1, ex2, ex3):
+        calls.clear()
+        assert certify(p).certified
+        assert calls == [(p.b11, p.b12, p.b21, p.b22)]
+
+
 def test_subcase_exclusivity_and_points(ex1, ex2, ex3):
     for p, want in ((ex1, "a"), (ex2, "b"), (ex3, "c")):
         v = certify(p)
