@@ -13,11 +13,9 @@ from .hybrid import (
 from .model import (
     DerivedGeometry,
     HypothesisReport,
-    Interval3D,
     LimitCycle,
     SystemParams,
     derive_geometry,
-    interval_contains,
     load_config,
     parse_config,
     validate_hypotheses,
@@ -36,6 +34,7 @@ from .planar import (
     StaySet,
     VdpLineAnalysis,
     analyze_vdp_line,
+    focus_stay_check,
     focus_stay_window,
     forward_stay_set,
     node_stay_check,
@@ -59,7 +58,6 @@ __all__ = [
     "Evidence",
     "HybridTrajectory",
     "HypothesisReport",
-    "Interval3D",
     "LimitCycle",
     "OrbitSample",
     "PlanarLinearSystem",
@@ -78,10 +76,10 @@ __all__ = [
     "default_horizons",
     "derive_geometry",
     "example_params",
+    "focus_stay_check",
     "focus_stay_window",
     "forward_stay_set",
     "integrate_hybrid",
-    "interval_contains",
     "left_flow",
     "load_config",
     "node_stay_check",

@@ -16,10 +16,10 @@ Three structural hypotheses gate everything downstream:
   in the left zone, with the plane geometrically between them.
 
 The plane objects of the certification are stated here, once: q3's
-subcase and connection points (``rim_subcase``), the tangency ordinates
-on a line x1 = k (``tangency_ordinates``), the tangency point of a planar
-linear field on {k . x = 1} (``window_tangency``, on L2 at ``l2_normal``)
-and a point's parameter along a segment (``Interval3D.project``); the
+subcase and connection points (``rim_subcase``), the discriminant and
+tangency ordinates on a line x1 = k (``tangency_ordinates``, which the
+verifier's regime reads too) and the tangency point of a planar linear
+field on {k . x = 1} (``window_tangency``, on L2 at ``l2_normal``); the
 geometry (``derive_geometry``) and the verdict read the same floats.
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.
@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateInterval,
     DegenerateWindow,
     HypothesisFailure,
     SingularMatrix,
@@ -283,12 +282,14 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
 def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:
     """(disc, y_plus, y_minus): discriminant and roots y_plus >= y_minus
     (None if disc < 0) of k y^2 + omega y + k (k^2 - rho) = 0, the
-    ordinates where the left planar field is tangent to the line x1 = k."""
+    ordinates where the left planar field is tangent to the line x1 = k
+    (omega, k > 0).  y_minus = (-omega - sqrt(disc)) / (2k) and y_plus =
+    (k^2 - rho) / y_minus, so neither root cancels at large omega."""
     disc = omega * omega - 4.0 * k * k * (k * k - rho)
     if disc < 0.0:
         return disc, None, None
-    root = math.sqrt(disc)
-    return disc, (-omega + root) / (2.0 * k), (-omega - root) / (2.0 * k)
+    y_minus = (-omega - math.sqrt(disc)) / (2.0 * k)
+    return disc, (k * k - rho) / y_minus, y_minus
 
 
 def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
@@ -334,61 +335,6 @@ def window_tangency(a11, a12, a21, a22, k) -> tuple:
     if abs(denom) <= 1e-14 * scale:
         raise DegenerateWindow("k . A^{-1} k-perp vanishes")
     return (w[0] / denom, w[1] / denom)
-
-
-@dataclass(frozen=True)
-class Interval3D:
-    """A segment between two 3D points with independently open or closed
-    endpoints.  Membership is the collinear test: x = a + lam (b - a) with
-    lam in [0, 1], respecting the endpoint flags."""
-
-    endpoint_a: tuple
-    endpoint_b: tuple
-    closed_a: bool = True
-    closed_b: bool = True
-
-    def project(self, x, tol: float = DEFAULT_TOL) -> tuple:
-        """(lam, offset, length): x is ``offset`` from a + lam (b - a), and
-        length = |b - a| > tol (else DegenerateInterval, before lam)."""
-        a0, a1, a2 = (float(v) for v in self.endpoint_a)
-        b0, b1, b2 = (float(v) for v in self.endpoint_b)
-        x0, x1, x2 = (float(v) for v in x)
-        u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
-        uu = u0 * u0 + u1 * u1 + u2 * u2
-        length = math.sqrt(uu)
-        if length <= tol:
-            raise DegenerateInterval(
-                "interval endpoints coincide within tolerance")
-        lam = ((x0 - a0) * u0 + (x1 - a1) * u1 + (x2 - a2) * u2) / uu
-        p0 = x0 - (a0 + lam * u0)
-        p1 = x1 - (a1 + lam * u1)
-        p2 = x2 - (a2 + lam * u2)
-        return lam, math.sqrt(p0 * p0 + p1 * p1 + p2 * p2), length
-
-
-def interval_contains(iv: Interval3D, x, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x lies within ``tol`` of the segment and its parameter
-    (``Interval3D.project``) respects the open/closed endpoint flags.
-
-    ``tol`` is an absolute distance; at the endpoints it maps to a
-    parameter-space band of width tol/|b - a| (closed endpoints include the
-    band, open endpoints exclude it).  Endpoints and x are any 3-sequences.
-    """
-    lam, offset, length = iv.project(x, tol)
-    if offset > tol * max(1.0, length):
-        return False
-    lam_tol = tol / length
-    if iv.closed_a:
-        if lam < -lam_tol:
-            return False
-    elif lam <= lam_tol:
-        return False
-    if iv.closed_b:
-        if lam > 1.0 + lam_tol:
-            return False
-    elif lam >= 1.0 - lam_tol:
-        return False
-    return True
 
 
 #: A value ``read_assignment`` reads: an ASCII decimal literal, or nan or

@@ -17,10 +17,12 @@ Two questions drive the cycle certification and both are planar:
 * For a stable planar linear system and a line {k . x = 1}, when does the
   forward orbit of a line point stay in {k . x < 1}?  Node case
   (``node_stay_check``): exactly when the field at the point does not push
-  outward (k . A x0 <= 0).  Focus case (``focus_stay_window``): exactly on
+  outward (k . A x0 <= 0).  Focus case (``focus_stay_check``): exactly on
   the half-open window [x_star_in, x_star_out) between the field-tangency
-  point and its first backward return.  On L2 these are the verifier's
-  node and focus theorems.
+  point and its first backward return (``focus_stay_window``).  Both
+  checks take a point of the line in planar coordinates, refuse one off it
+  (OffLine) with the same guard, and return (stays, value); on L2 they are
+  the verifier's node and focus theorems.
 
 Root finding here runs on the closed-form flows, and both first returns
 are bracketed from the orbit's closed form.  The focus return lies on one
@@ -43,8 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BackwardBlowup, InvalidLine, OffLine, RootSearchError,
-                     UngenericBranch, WrongSpectralType, ZeroNormal)
+from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine, OffLine,
+                     RootSearchError, UngenericBranch, WrongSpectralType,
+                     ZeroNormal)
 # planar_left_flow and planar_matrix_exp are unused here but stay in this
 # module's namespace: the per-call kernels are looked up on it by name
 # (perfbench/tracing.py counts calls through them).
@@ -102,8 +105,10 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     # The backward orbit escapes to infinity in finite time; when its total
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
-    # dichotomy does not cover: branch 'no_backward_return'.
-    x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
+    # dichotomy does not cover: branch 'no_backward_return'.  With omega^2
+    # past the float range u1 itself is not known, and is not followed.
+    x_star, t_star, evals = ((None, None, 0) if disc == math.inf else
+                             _vdp_backward_return((k, vp), rho, omega))
     branch = ("no_backward_return" if x_star is None
               else return_branch(x_star[1], vp, vm, tol))
     return VdpLineAnalysis(rho, omega, k, "subcritical", vp, vm, (k, vp),
@@ -373,9 +378,25 @@ class PlanarLinearSystem:
                 self.a21 * x[0] + self.a22 * x[1])
 
 
-#: Relative rounding of k . x0 that ``node_stay_check`` forgives on top
-#: of tol: a point built on the line is on it only up to rounding.
+#: Relative rounding of k . x0 that the stay checks forgive on top of
+#: tol: a point built on the line is on it only up to rounding.
 _ROUNDING = 4.0 * math.ulp(1.0)
+
+
+def _on_line(k_vec, x, tol):
+    """(k1, k2, |k|, x1, x2) as floats for a point x of {k . x = 1}:
+    ZeroNormal for k = 0, OffLine for an x off the line by more than tol
+    (relative to |k| |x|) and its rounding."""
+    k1, k2 = float(k_vec[0]), float(k_vec[1])
+    norm = math.hypot(k1, k2)
+    if norm == 0.0:
+        raise ZeroNormal("line normal must be nonzero")
+    u, v = float(x[0]), float(x[1])
+    on_line = k1 * u + k2 * v
+    if abs(on_line - 1.0) > (tol + _ROUNDING) * max(1.0,
+                                                    norm * math.hypot(u, v)):
+        raise OffLine(f"point is off the line: k.x0 = {on_line!r}")
+    return k1, k2, norm, u, v
 
 
 def node_stay_check(sys: PlanarLinearSystem, k_vec, x0,
@@ -390,15 +411,7 @@ def node_stay_check(sys: PlanarLinearSystem, k_vec, x0,
     if sys.spectral_type != "real_stable":
         raise WrongSpectralType(
             f"node criterion needs a real stable spectrum, got {sys.spectral_type}")
-    k1, k2 = float(k_vec[0]), float(k_vec[1])
-    norm = math.hypot(k1, k2)
-    if norm == 0.0:
-        raise ZeroNormal("line normal must be nonzero")
-    u, v = float(x0[0]), float(x0[1])
-    on_line = k1 * u + k2 * v
-    scale = max(1.0, norm * math.hypot(u, v))
-    if abs(on_line - 1.0) > (tol + _ROUNDING) * scale:
-        raise OffLine(f"point is off the line: k.x0 = {on_line!r}")
+    k1, k2, norm, u, v = _on_line(k_vec, x0, tol)
     a1, a2 = sys.apply((u, v))
     margin = -(k1 / norm * a1 + k2 / norm * a2)
     return margin >= -tol * max(1.0, math.hypot(a1, a2)), margin
@@ -479,3 +492,22 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec) -> SpiralWindow:
     nsq = k1 * k1 + k2 * k2
     x_out = (x_out[0] - resid * k1 / nsq, x_out[1] - resid * k2 / nsq)
     return SpiralWindow(tuple(x_in), x_out, (k1, k2), t_out, steps + 1)
+
+
+def focus_stay_check(window: SpiralWindow, y, tol: float = DEFAULT_TOL) -> tuple:
+    """(stays, lam) of a point y of the window's line {k . x = 1}: lam is
+    y's parameter along [x_star_in, x_star_out), and y stays iff
+    -tol / len <= lam < 1 - tol / len (len = |x_star_out - x_star_in|), so
+    the tangency end is closed and the return end open.  DegenerateInterval
+    when len <= tol, before lam is formed; OffLine as ``node_stay_check``.
+    """
+    u, v = _on_line(window.k_vec, y, tol)[3:]
+    a0, a1 = window.x_star_in
+    d0, d1 = window.x_star_out[0] - a0, window.x_star_out[1] - a1
+    dd = d0 * d0 + d1 * d1
+    length = math.sqrt(dd)
+    if length <= tol:
+        raise DegenerateInterval("window endpoints coincide within tolerance")
+    lam = ((u - a0) * d0 + (v - a1) * d1) / dd
+    band = tol / length
+    return -band <= lam < 1.0 - band, lam

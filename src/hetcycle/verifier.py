@@ -4,19 +4,20 @@ A verdict certifies (or declines to certify) heteroclinic cycles between
 the left zone's saddle periodic orbit and the right zone's saddle
 equilibrium.  ``certify`` is the only way to one: the spectrum of the
 right planar block names the theorem (never the caller), and both
-theorems share one route that differs only in the planar criterion it
+theorems share one route that differs only in the planar check it
 applies on L2 = {k . y = 1} (k = ``l2_normal``, y = (x1 - q1, x2 - q2) at
-height q3) at the connection points p:
+height q3), in one loop, to each connection point p at the L2 point with
+p's ordinate, y = (d - q3 - q1, p2 - q2):
 
-* ``real_saddle`` (stable node): ``planar.node_stay_check`` at the L2
-  point with p's ordinate,
-* ``saddle_focus`` (stable focus): p must lie in the half-open stay window
-  [x_minus, x_plus) of ``planar.focus_stay_window``.
+* ``real_saddle`` (stable node): ``planar.node_stay_check``,
+* ``saddle_focus`` (stable focus): ``planar.focus_stay_check`` on the
+  half-open stay window [x_minus, x_plus) of ``planar.focus_stay_window``.
 
-The regime compares d^2 - rho with omega^2 / (4 d^2): in ``case_i`` every
-point of L1 flows inward and stays, so the equilibrium-to-cycle orbit
-needs no further condition; in ``case_ii`` the ordinate q2 must sit in an
-explicit window read, with v_star, from one ``analyze_vdp_line`` of L1.
+The regime is the sign of the discriminant of ``model.tangency_ordinates``
+on L1 outside a tol band: in ``case_i`` every point of L1 flows inward and
+stays, so the equilibrium-to-cycle orbit needs no further condition; in
+``case_ii`` the ordinate q2 must sit in an explicit window read, with
+v_star, from one ``analyze_vdp_line`` of L1 (or v_star_exists fails).
 The subcase and its connection points are one ``model.rim_subcase``:
 where q3 sits relative to the plane heights d -/+ sqrt(rho) of the
 cylinder rim, at the bottom ('a', one cycle through p0), at the top ('b',
@@ -31,18 +32,18 @@ with zero slack; equality-type checks use the global tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UngenericBranch
 # derive_geometry is unused here; perfbench/tracing.py wraps it by name.
-from .model import (DEFAULT_TOL, HypothesisReport, Interval3D,  # noqa: F401
-                    SystemParams, derive_geometry, interval_contains,
-                    l2_normal, rim_subcase, validate_hypotheses)
+from .model import (DEFAULT_TOL, HypothesisReport, SystemParams,  # noqa: F401
+                    derive_geometry, l2_normal, rim_subcase,
+                    tangency_ordinates, validate_hypotheses)
 from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
-                     focus_stay_window, forward_stay_set, node_stay_check,
-                     tangency_band)
+                     focus_stay_check, focus_stay_window, forward_stay_set,
+                     node_stay_check, tangency_band)
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,16 @@ class CycleVerdict:
 
 
 def regime_classify(params: SystemParams, tol: float = DEFAULT_TOL) -> str:
-    """'case_i' when d^2 - rho >= omega^2/(4 d^2) (within tol), else
-    'case_ii'.  Assumes the placement hypothesis (so d^2 - rho > 0)."""
-    lhs = params.d * params.d - params.rho
-    rhs = params.omega * params.omega / (4.0 * params.d * params.d)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return "case_i" if lhs >= rhs - tol * scale else "case_ii"
+    """'case_ii' when the discriminant of ``tangency_ordinates`` on L1
+    exceeds 4 d^2 tol max(1, |d^2 - rho|, omega^2 / (4 d^2)), else 'case_i'
+    (d^2 - rho >= omega^2 / (4 d^2) within tol): case_ii is always the
+    subcritical regime of ``analyze_vdp_line``.  Assumes placement (h3)."""
+    d, rho, omega = params.d, params.rho, params.omega
+    disc = tangency_ordinates(rho, omega, d)[0]
+    scale = max(1.0, abs(d * d - rho), omega * omega / (4.0 * d * d))
+    bound = 4.0 * d * d * tol * scale if tol else 0.0  # not 0 * inf at tol 0
+    # an omega^2 past the float range makes disc and its band inf: case_ii
+    return "case_ii" if disc > bound or disc == math.inf else "case_i"
 
 
 def _square(x: float) -> float:
@@ -156,35 +161,21 @@ def _h3_evidence(report: HypothesisReport) -> Evidence:
                     f"failing sub-check: {worst.name}")
 
 
-def _case_ii_gate(params, analysis, evidence, tol):
-    """The q2 window of the analysis of L1; returns v_star = (d, v2*, 0),
-    or None when the orbit of v1 escapes before returning (a coverage gap,
-    recorded as failed evidence rather than an exception)."""
-    if analysis.regime != "subcritical":
-        raise UngenericBranch(
-            "v_star is defined only in the tangential regime (case_ii)")
-    if analysis.x_star is None:
-        evidence.append(Evidence(
-            "v_star_exists", 0.0, "backward orbit of v1 returns to L1", False,
-            note="the backward orbit escapes before returning; "
-                 "configuration outside certification coverage"))
-        return None
-    evidence.append(_q2_window(params, analysis, tol))
-    return (analysis.k, analysis.x_star[1], 0.0)
-
-
 def certify(params: SystemParams, tol: float = DEFAULT_TOL,
             report: Optional[HypothesisReport] = None) -> CycleVerdict:
     """The verdict on ``params``: the one certification entry point.
 
     The right block's spectrum picks the theorem (a node block
     'real_saddle', a focus block 'saddle_focus', any other 'none').  In
-    case_ii the q2 window gates the shared equilibrium-to-cycle orbit;
-    subcases b/c add the cone condition.  Only the planar criterion on L2
-    at the connection points depends on the theorem: ``node_stay_check``
-    for a node block (``halfplane_*`` evidence, its signed margin), the
-    spiral stay window for a focus block (``window_*``).  ``report`` is
-    ``validate_hypotheses(params, tol)`` when the caller already holds it.
+    case_ii the q2 window of the ``analyze_vdp_line`` of L1 gates the
+    shared equilibrium-to-cycle orbit, or v_star_exists fails when the
+    orbit of v1 escapes before returning; subcases b/c add the cone
+    condition.  Only the planar criterion on L2 at the connection points
+    depends on the theorem: ``node_stay_check`` for a node block
+    (``halfplane_*`` evidence, its signed margin), ``focus_stay_check``
+    for a focus block (``window_*``, the parameter along the spiral
+    window).  ``report`` is ``validate_hypotheses(params, tol)`` when the
+    caller already holds it.
     """
     if report is None:
         report = validate_hypotheses(params, tol)
@@ -203,7 +194,14 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     v_star = None
     if regime == "case_ii":
         analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
-        v_star = _case_ii_gate(params, analysis, evidence, tol)
+        if analysis.x_star is None:  # a coverage gap, not an exception
+            evidence.append(Evidence(
+                "v_star_exists", 0.0, "backward orbit of v1 returns to L1",
+                False, note="the backward orbit escapes before returning; "
+                            "configuration outside certification coverage"))
+        else:
+            evidence.append(_q2_window(params, analysis, tol))
+            v_star = (analysis.k, analysis.x_star[1], 0.0)
 
     subcase, lo, hi, points = rim_subcase(params, tol)
     evidence.append(_q3_evidence(params.q3, subcase, lo, hi))
@@ -211,31 +209,27 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     if subcase in ("b", "c"):
         evidence.append(cone_condition(params))
 
-    window = None
     sys = PlanarLinearSystem.from_entries(
         params.b11, params.b12, params.b21, params.b22,
         (report.spectral_type, report.eigenvalues))
     k = l2_normal(params)
     if theorem == "real_saddle":
-        for label, p in points:
-            # the L2 point with p's ordinate: a rim point of subcase a or b
-            # itself sits up to the rim band off L2
-            y = (params.d - params.q3 - params.q1, p[1] - params.q2)
-            stays, margin = node_stay_check(sys, k, y, tol)
-            evidence.append(Evidence(f"halfplane_{label}", margin, ">= 0",
-                                     stays))
-    else:  # the planar window, lifted to 3D at height q3
+        window = None
+        check = functools.partial(node_stay_check, sys, k)
+        prefix, threshold = "halfplane", ">= 0"
+    else:  # the report prints the planar window lifted to 3D at height q3
         w = focus_stay_window(sys, k)
-        window = ((w.x_star_in[0] + params.q1, w.x_star_in[1] + params.q2,
-                   params.q3),
-                  (w.x_star_out[0] + params.q1, w.x_star_out[1] + params.q2,
-                   params.q3))
-        iv = Interval3D(window[0], window[1], closed_a=True, closed_b=False)
-        for label, p in points:
-            evidence.append(Evidence(
-                f"window_{label}", iv.project(p, tol)[0],
-                "in [0, 1) along [x_minus, x_plus)",
-                interval_contains(iv, p, tol)))
+        window = tuple((x[0] + params.q1, x[1] + params.q2, params.q3)
+                       for x in (w.x_star_in, w.x_star_out))
+        check = functools.partial(focus_stay_check, w)
+        prefix, threshold = "window", "in [0, 1) along [x_minus, x_plus)"
+    for label, p in points:
+        # the L2 point with p's ordinate: a rim point of subcase a or b
+        # itself sits up to the rim band off L2
+        y = (params.d - params.q3 - params.q1, p[1] - params.q2)
+        stays, value = check(y, tol)
+        evidence.append(Evidence(f"{prefix}_{label}", value, threshold,
+                                 stays))
 
     # subcase 'none' implies no points and fails the q3_subcase evidence
     connecting = (tuple(p for _, p in points)

@@ -21,12 +21,13 @@ from helpers import (
     semigroup_max_rel_err,
 )
 
-from hetcycle.model import Interval3D, derive_geometry, interval_contains
+from hetcycle.model import derive_geometry, l2_normal
 from hetcycle.hybrid import crosscheck_closed_forms
 from hetcycle.orbits import assemble_cycle
 from hetcycle.planar import (
     PlanarLinearSystem,
     analyze_vdp_line,
+    focus_stay_check,
     focus_stay_window,
     forward_stay_set,
     node_stay_check,
@@ -45,6 +46,18 @@ def test_criterion_1_example1_reproduction(ex1):
         assert hp.value == pytest.approx(0.4, abs=1e-12)
 
 
+def _l2_window(params):
+    """The spiral stay window of the right block on L2."""
+    sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
+                                          params.b21, params.b22)
+    return focus_stay_window(sys, l2_normal(params))
+
+
+def _l2_point(params, p):
+    """The L2 point with the ordinate of p, in planar coordinates."""
+    return (params.d - params.q3 - params.q1, p[1] - params.q2)
+
+
 def test_criterion_2_example2_reproduction(ex2):
     with Budget("2 example-2 reproduction", 1.0):
         verdict = certify(ex2)
@@ -56,10 +69,10 @@ def test_criterion_2_example2_reproduction(ex2):
         x_minus, x_plus = verdict.window
         assert x_minus[1] == pytest.approx(-4.848, abs=1e-2)
         assert x_plus[1] == pytest.approx(0.0476, abs=5e-3)
-        iv = Interval3D(np.array(x_minus), np.array(x_plus),
-                        closed_a=True, closed_b=False)
+        # p1 = (-sqrt(rho), 0, d + sqrt(rho)), read at its L2 point
         p1 = (-math.sqrt(ex2.rho), 0.0, ex2.d + math.sqrt(ex2.rho))
-        assert interval_contains(iv, p1, tol=1e-9)
+        assert focus_stay_check(_l2_window(ex2), _l2_point(ex2, p1),
+                                tol=1e-9)[0]
 
 
 def test_criterion_3_example3_reproduction(ex3):
@@ -69,10 +82,9 @@ def test_criterion_3_example3_reproduction(ex3):
         x_minus, x_plus = verdict.window
         np.testing.assert_allclose(x_minus, [0.0, -1.1667, 2.0], atol=1e-3)
         np.testing.assert_allclose(x_plus, [0.0, 27.6586, 2.0], atol=5e-2)
-        iv = Interval3D(np.array(x_minus), np.array(x_plus),
-                        closed_a=True, closed_b=False)
-        assert interval_contains(iv, (0.0, 1.0, 2.0), tol=1e-9)
-        assert interval_contains(iv, (0.0, -1.0, 2.0), tol=1e-9)
+        w = _l2_window(ex3)
+        for p in ((0.0, 1.0, 2.0), (0.0, -1.0, 2.0)):
+            assert focus_stay_check(w, _l2_point(ex3, p), tol=1e-9)[0]
 
 
 def test_criterion_4_closed_form_crosscheck(ex1, ex2, ex3):

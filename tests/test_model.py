@@ -1,23 +1,24 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hetcycle.errors import ConfigError, DegenerateInterval, HypothesisFailure
+from hetcycle.errors import ConfigError, HypothesisFailure
 from hetcycle.model import (
     CONFIG_KEYS,
-    Interval3D,
     SystemParams,
     derive_geometry,
-    interval_contains,
     load_config,
     parse_config,
     params_from_dict,
     params_to_dict,
     read_assignment,
+    tangency_ordinates,
     validate_hypotheses,
 )
+from hetcycle.planar import analyze_vdp_line
 
 
 def test_construction_rejects_nonpositive_rates(ex1):
@@ -188,6 +189,30 @@ def test_sigma_vieta_identities():
         checked += 1
 
 
+def _exact_tangency_ordinates(rho, omega, k):
+    """(y_plus, y_minus) of k y^2 + omega y + k (k^2 - rho) = 0 in rational
+    arithmetic on the float inputs, sqrt(disc) to 400 bits, then rounded."""
+    rho, omega, k = Fraction(rho), Fraction(omega), Fraction(k)
+    disc = omega * omega - 4 * k * k * (k * k - rho)
+    bits = 400
+    root = Fraction(math.isqrt(disc.numerator * disc.denominator * 4 ** bits),
+                    disc.denominator * 2 ** bits)
+    y_minus = (-omega - root) / (2 * k)
+    return float((k * k - rho) / y_minus), float(y_minus)
+
+
+@pytest.mark.parametrize("omega", [1e3, 1e6, 1e12])
+def test_tangency_ordinates_are_stable_at_large_omega(omega):
+    # the small root is about -k (k^2 - rho) / omega; (-omega + root) / (2k)
+    # cancelled to 1.5e-5 relative at omega = 1e6 and to 0.0 at 1e12
+    disc, y_plus, y_minus = tangency_ordinates(1.0, omega, 1.2)
+    want_plus, want_minus = _exact_tangency_ordinates(1.0, omega, 1.2)
+    assert abs(y_plus - want_plus) <= 4 * math.ulp(want_plus)
+    assert abs(y_minus - want_minus) <= 4 * math.ulp(want_minus)
+    assert y_plus != 0.0
+    assert analyze_vdp_line(1.0, omega, 1.2).varrho_plus == y_plus
+
+
 def test_x_minus_reproduces_formula(ex2):
     geo = derive_geometry(ex2)
     x = geo.x_minus
@@ -203,73 +228,6 @@ def test_p_pm_on_cylinder(ex3):
     geo = derive_geometry(ex3)
     for x in (geo.p_plus, geo.p_minus):
         assert abs(x[0] ** 2 + x[1] ** 2 - ex3.rho) <= 1e-12 * ex3.rho
-
-
-def test_interval_midpoint_and_open_endpoint():
-    a = np.array([0.0, 0.0, 0.0])
-    b = np.array([2.0, 2.0, 0.0])
-    iv = Interval3D(a, b, closed_a=True, closed_b=False)
-    assert interval_contains(iv, 0.5 * (a + b), tol=1e-9)
-    assert not interval_contains(iv, b, tol=1e-9)
-    assert interval_contains(Interval3D(a, b), b, tol=1e-9)
-
-
-def test_interval_rejects_off_segment_points():
-    iv = Interval3D(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert not interval_contains(iv, [0.5, 0.1, 0.0], tol=1e-6)
-    assert not interval_contains(iv, [1.5, 0.0, 0.0], tol=1e-6)
-
-
-def test_interval_membership_example2(ex2):
-    # p1 = (-1, 0, d+1) inside [x_minus, x_star) on the in-plane line
-    d = ex2.d
-    x_minus = np.array([-1.0, -4.848, d + 1.0])
-    x_plus = np.array([-1.0, 0.0476, d + 1.0])
-    iv = Interval3D(x_minus, x_plus, closed_a=True, closed_b=False)
-    assert interval_contains(iv, [-1.0, 0.0, d + 1.0], tol=1e-9)
-
-
-def test_interval_degenerate():
-    with pytest.raises(DegenerateInterval):
-        interval_contains(Interval3D(np.zeros(3), np.zeros(3)), np.zeros(3))
-    # the parameter along the segment is formed only past that check
-    with pytest.raises(DegenerateInterval):
-        Interval3D((1e100, 1.0, 0.0), (1e100, 1.0, 0.0)).project(
-            (0.0, 0.0, 0.0), tol=0.0)
-
-
-def _interval_contains_reference(iv, x, tol):
-    """The numpy form of interval_contains, kept as its reference."""
-    a = np.asarray(iv.endpoint_a, dtype=float)
-    b = np.asarray(iv.endpoint_b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    u = b - a
-    length = float(np.linalg.norm(u))
-    lam = float(np.dot(x - a, u) / np.dot(u, u))
-    if float(np.linalg.norm(x - (a + lam * u))) > tol * max(1.0, length):
-        return False
-    lam_tol = tol / length
-    lo_ok = lam >= -lam_tol if iv.closed_a else lam > lam_tol
-    hi_ok = lam <= 1.0 + lam_tol if iv.closed_b else lam < 1.0 - lam_tol
-    return lo_ok and hi_ok
-
-
-def test_interval_contains_matches_array_reference():
-    # points on, near and off segments of three scales, at and around both
-    # endpoints and the tolerance bands, as tuples and as arrays
-    rng = np.random.default_rng(41)
-    for _ in range(4000):
-        a = rng.normal(size=3) * rng.choice([1e-3, 1.0, 1e3])
-        b = a + rng.normal(size=3)
-        lam = rng.choice([0.0, 1.0, 1e-10, 1.0 - 1e-10, rng.uniform(-0.2, 1.2)])
-        x = a + lam * (b - a) + rng.normal(size=3) * rng.choice(
-            [0.0, 1e-12, 1e-9, 1e-6])
-        iv = Interval3D(tuple(a), tuple(b), bool(rng.integers(2)),
-                        bool(rng.integers(2)))
-        want = _interval_contains_reference(iv, x, 1e-9)
-        assert interval_contains(iv, tuple(x), 1e-9) == want
-        assert interval_contains(Interval3D(a, b, iv.closed_a, iv.closed_b),
-                                 x, 1e-9) == want
 
 
 CONFIG_TEXT = """

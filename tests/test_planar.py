@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
 )
 
 from hetcycle.errors import (
+    DegenerateInterval,
     DegenerateWindow,
     InvalidLine,
     OffLine,
@@ -25,12 +27,14 @@ from hetcycle.flows import (
     planar_left_orbit,
     radial_blowup_time,
 )
-from hetcycle.model import Interval3D, interval_contains, window_tangency
+from hetcycle.model import l2_normal, window_tangency
 from hetcycle.planar import (
     ROOT_BRACKET,
     PlanarLinearSystem,
+    SpiralWindow,
     _refine,
     analyze_vdp_line,
+    focus_stay_check,
     focus_stay_window,
     forward_stay_set,
     node_stay_check,
@@ -240,16 +244,62 @@ def test_focus_window_example3(ex3):
     assert w.t_star_out < 0.0
 
 
-def test_focus_window_closed_start_membership(ex3):
+def _ex3_window(ex3):
     c0 = ex3.d - ex3.q3 - ex3.q1
     sys = PlanarLinearSystem.from_matrix([[ex3.b11, ex3.b12],
                                           [ex3.b21, ex3.b22]])
-    w = focus_stay_window(sys, (1.0 / c0, 0.0))
-    a = np.array([w.x_star_in[0], w.x_star_in[1], 0.0])
-    b = np.array([w.x_star_out[0], w.x_star_out[1], 0.0])
-    iv = Interval3D(a, b, closed_a=True, closed_b=False)
-    assert interval_contains(iv, a, tol=1e-9)       # tangency end included
-    assert not interval_contains(iv, b, tol=1e-9)   # return end excluded
+    return focus_stay_window(sys, (1.0 / c0, 0.0))
+
+
+def test_focus_window_closed_start_membership(ex3):
+    w = _ex3_window(ex3)
+    # tangency end included, return end excluded
+    assert focus_stay_check(w, w.x_star_in, tol=1e-9) == (True, 0.0)
+    assert focus_stay_check(w, w.x_star_out, tol=1e-9) == (False, 1.0)
+
+
+def test_focus_check_ends_and_bands(ex3):
+    # lam is the parameter along [x_star_in, x_star_out); the tangency end
+    # takes in the band tol / len below 0, the return end gives up the
+    # band below 1
+    w = _ex3_window(ex3)
+    a, b = w.x_star_in, w.x_star_out
+    length = math.hypot(b[0] - a[0], b[1] - a[1])
+    band = 1e-9 / length
+    for lam, stays in ((0.5, True), (-0.5 * band, True), (-2.0 * band, False),
+                       (1.0 - 2.0 * band, True), (1.0 - 0.5 * band, False),
+                       (1.5, False), (-0.5, False)):
+        y = (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1]))
+        got, got_lam = focus_stay_check(w, y, tol=1e-9)
+        assert got == stays, lam
+        assert got_lam == pytest.approx(lam, abs=1e-14)
+
+
+def test_focus_check_short_window_is_degenerate(ex3):
+    # ends at most tol apart raise before lam is formed, also at tol 0 for
+    # ends that coincide
+    same = SpiralWindow((1.0, 1e-200), (1.0, 1e-200), (1.0, 0.0), -1.0)
+    with pytest.raises(DegenerateInterval):
+        focus_stay_check(same, (1.0, 0.0), tol=0.0)
+    # a genuinely short window: L2 1e-12 from q, so the spiral's window on
+    # it is about 1e-11 long
+    p = replace(ex3, d=1.000000000001, q1=1.000000000001, q3=1e-12)
+    sys = PlanarLinearSystem.from_matrix([[p.b11, p.b12], [p.b21, p.b22]])
+    w = focus_stay_window(sys, l2_normal(p))
+    with pytest.raises(DegenerateInterval):
+        focus_stay_check(w, (p.d - p.q3 - p.q1, 0.0), tol=1e-9)
+
+
+def test_focus_check_refuses_off_line(ex3):
+    w = _ex3_window(ex3)
+    c0 = 1.0 / w.k_vec[0]
+    assert focus_stay_check(w, (c0 * (1.0 + 1e-10), 0.0), tol=1e-9)[0]
+    with pytest.raises(OffLine):
+        focus_stay_check(w, (c0 * (1.0 + 1e-6), 0.0), tol=1e-9)
+    # at tol 0 only the rounding of k . y is forgiven
+    focus_stay_check(w, (c0, 0.0), tol=0.0)
+    with pytest.raises(OffLine):
+        focus_stay_check(w, (c0 * (1.0 + 1e-12), 0.0), tol=0.0)
 
 
 def test_focus_window_errors():

@@ -9,7 +9,7 @@ from helpers import rim_sets
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow
 from hetcycle.model import SystemParams, derive_geometry, validate_hypotheses
-from hetcycle.planar import return_branch
+from hetcycle.planar import analyze_vdp_line, return_branch
 from hetcycle.verifier import (
     Evidence,
     certify,
@@ -26,6 +26,38 @@ def test_regime_classification(ex1, ex3):
                      b21=0, b22=-1, lam=1, q1=math.sqrt(2), q2=0, q3=0.5,
                      d=math.sqrt(2))
     assert regime_classify(p) == "case_i"
+
+
+def test_regime_reads_the_tangency_discriminant(ex1):
+    # d^2 - rho against omega^2 / (4 d^2) once rounded apart from the sign
+    # of omega^2 - 4 d^2 (d^2 - rho) at tol 0, and certify raised
+    # UngenericBranch; case_ii now always means a subcritical L1
+    boundary = 2.0 * ex1.d * math.sqrt(ex1.d * ex1.d - ex1.rho)
+    omegas = [1.5919798993705918]
+    for _ in range(4):
+        omegas = ([math.nextafter(omegas[0], 0.0)] + omegas
+                  + [math.nextafter(omegas[-1], math.inf)])
+    assert min(omegas) <= boundary <= max(omegas)
+    for omega in omegas:
+        p = replace(ex1, omega=omega)
+        for tol in (0.0, 1e-9):
+            v = certify(p, tol)
+            subcritical = analyze_vdp_line(p.rho, omega, p.d).regime == (
+                "subcritical")
+            assert v.regime == regime_classify(p, tol)
+            if v.regime == "case_ii":
+                assert subcritical, (omega, tol)
+    assert certify(replace(ex1, omega=1.5919798993705918), 0.0).regime == (
+        "case_i")
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_regime_with_omega_squared_past_the_float_range(ex1, tol):
+    # omega^2 = inf makes the discriminant and its band inf: still case_ii,
+    # where every point of L1 flowing inward (case_i) would certify
+    v = certify(replace(ex1, omega=1e160), tol)
+    assert (v.regime, v.cycle_count) == ("case_ii", 0)
+    assert not _evidence(v, "v_star_exists").passed
 
 
 def _evidence(verdict, name):
@@ -409,6 +441,66 @@ def test_example1_across_the_rim_band(ex1, q3, margin):
     # -(k_hat . B y) = b11 (d - q3 - q1) + b12 (0 - q2) = 2 q3
     assert _evidence(v, "halfplane_p0").value == pytest.approx(margin,
                                                                abs=1e-15)
+
+
+# q3 1.88e-9 below the bottom rim, inside the rim band: subcase a.  Read
+# at p0 itself, 1.88e-9 off L2, the window test refused a parameter of
+# 0.598 and certified nothing.
+RIM_BAND_FOCUS = SystemParams(
+    rho=1.494353607382925, omega=1.4018756184246681, mu=3.685042833953684,
+    b11=-1.3310750024284959, b12=-7.690045123412686, b21=2.665721813932171,
+    b22=-1.3310750024284959, lam=3.41328777317732, q1=1.5528248197509562,
+    q2=0.4415590456794085, q3=0.3303872499826238, d=1.5528248197509562)
+
+
+def test_focus_route_reads_the_l2_point():
+    from hetcycle.orbits import assemble_cycle
+
+    v = certify(RIM_BAND_FOCUS)
+    assert (v.theorem, v.subcase, v.cycle_count) == ("saddle_focus", "a", 1)
+    ev = _evidence(v, "window_p0")
+    assert ev.passed and 0.0 <= ev.value < 1.0
+    certs = assemble_cycle(RIM_BAND_FOCUS, v)
+    assert len(certs) == 1 and certs[0].containment_ok
+
+
+def test_rim_band_keeps_the_planar_flags():
+    # q3 anywhere within 0.99 rim band of a rim reads each connection point
+    # at the same L2 ordinate: every halfplane_*/window_* flag is the
+    # on-rim set's
+    rng = np.random.default_rng(5)
+    compared = 0
+    for i, base in enumerate(rim_sets(19, 150)):
+        if i % 3 == 2:
+            continue  # q3 between the rims
+        try:
+            want = _planar_flags(certify(base))
+        except HetcycleError:
+            continue
+        lo, hi = base.d - base.sqrt_rho, base.d + base.sqrt_rho
+        band = 1e-9 * max(1.0, abs(lo), abs(hi))
+        for u in rng.uniform(-0.99, 0.99, 4):
+            p = replace(base, q3=base.q3 + u * band)
+            assert _planar_flags(certify(p)) == want, p
+        compared += 1
+    assert compared >= 60
+
+
+def _planar_flags(verdict):
+    return [(e.name, e.passed) for e in verdict.evidence
+            if e.name.startswith(("halfplane_", "window_"))]
+
+
+def test_focus_window_is_planar_at_large_q2(ex3):
+    # lifted to 3D, both window ordinates round to q2 = 1e100 and the
+    # window read as degenerate; in planar coordinates it is the window of
+    # ex3, and the points lie far below it
+    for q2 in (1e100, 1e300):
+        v = certify(replace(ex3, q2=q2))
+        assert v.cycle_count == 0
+        for label in ("p_plus", "p_minus"):
+            ev = _evidence(v, f"window_{label}")
+            assert not ev.passed and ev.value < 0.0
 
 
 def test_node_margin_is_planar_and_finite(ex1):
