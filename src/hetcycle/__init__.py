@@ -31,13 +31,12 @@ from .orbits import (
 from .planar import (
     PlanarLinearSystem,
     SpiralWindow,
-    StaySet,
     VdpLineAnalysis,
     analyze_vdp_line,
     focus_stay_check,
     focus_stay_window,
-    forward_stay_set,
     node_stay_check,
+    vdp_stay_check,
 )
 from .presets import example_params
 from .verifier import (
@@ -45,7 +44,6 @@ from .verifier import (
     Evidence,
     certify,
     cone_condition,
-    regime_classify,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "OrbitSample",
     "PlanarLinearSystem",
     "SpiralWindow",
-    "StaySet",
     "StepControl",
     "SystemParams",
     "VdpLineAnalysis",
@@ -78,14 +75,13 @@ __all__ = [
     "example_params",
     "focus_stay_check",
     "focus_stay_window",
-    "forward_stay_set",
     "integrate_hybrid",
     "left_flow",
     "load_config",
     "node_stay_check",
     "numeric_flow",
     "parse_config",
-    "regime_classify",
     "right_flow",
     "validate_hypotheses",
+    "vdp_stay_check",
 ]

@@ -6,13 +6,15 @@ Two questions drive the cycle certification and both are planar:
   L = {x1 = k} (k > sqrt(rho), so L clears the cycle) have forward orbits
   that never re-enter {x1 >= k}?  The answer is a dichotomy on the
   tangency quadratic k y^2 + omega y + k (k^2 - rho) = 0 (solved by
-  ``model.tangency_ordinates``): with no real roots every point of L
-  flows into {x1 < k} and stays; with two real roots the stay set is an
-  explicit interval (or complement of one) bounded by the upper tangency
-  point u1 and the first backward return x_star of the orbit through u1.
-  ``return_branch`` decides which, with the band ``tangency_band``, and
-  ``forward_stay_set`` states the stay set; the verifier's q2 window is
-  that set, non-strict, widened by the same band.
+  ``model.tangency_ordinates``), decided once, in ``analyze_vdp_line``,
+  with a tol band on its discriminant: without two distinct real roots
+  every point of L flows into {x1 < k} and stays; with them the stay set
+  is an explicit interval (or complement of one) bounded by the upper
+  tangency point u1 and the first backward return x_star of the orbit
+  through u1.  ``return_branch`` decides which, with the band
+  ``tangency_band``, and ``vdp_stay_check`` tests a point of L against
+  that set, closed and widened by the same band; on L1 it is the
+  verifier's q2 window.
 
 * For a stable planar linear system and a line {k . x = 1}, when does the
   forward orbit of a line point stay in {k . x < 1}?  Node case
@@ -62,9 +64,11 @@ from .model import (DEFAULT_TOL, classify_2x2, tangency_ordinates,
 class VdpLineAnalysis:
     """Tangency data of the oscillator against the vertical line x1 = k.
 
-    ``regime`` is 'supercritical' when the tangency quadratic has no two
-    distinct real roots (every point of the line flows inside and stays)
-    and 'subcritical' otherwise.  In the subcritical regime the tangency
+    ``regime`` is 'supercritical' when the discriminant of the tangency
+    quadratic is at most 4 k^2 tol max(1, |k^2 - rho|, omega^2 / (4 k^2))
+    (every point of the line flows inside and stays, within tol) and
+    'subcritical' otherwise, also when omega^2 and so the discriminant
+    are past the float range.  In the subcritical regime the tangency
     ordinates are ``varrho_plus`` >= ``varrho_minus``, ``u1`` is the upper
     tangency point, ``x_star`` is the first intersection of the backward
     orbit of u1 with the line, and ``branch`` is the ``return_branch`` of
@@ -99,16 +103,20 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     if not k > math.sqrt(rho):
         raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, sqrt(rho)={math.sqrt(rho)!r}")
     disc, vp, vm = tangency_ordinates(rho, omega, k)
-    if disc <= 0.0:
+    scale = max(1.0, abs(k * k - rho), omega * omega / (4.0 * k * k))
+    band = 4.0 * k * k * tol * scale if tol else 0.0  # not 0 * inf at tol 0
+    if disc == math.inf:
+        # omega^2 past the float range makes the discriminant and its band
+        # inf: subcritical, but u1 itself is not known and is not followed
+        x_star, t_star, evals = None, None, 0
+    elif disc > band:
+        x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
+    else:
         return VdpLineAnalysis(rho, omega, k, "supercritical")
-
     # The backward orbit escapes to infinity in finite time; when its total
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
-    # dichotomy does not cover: branch 'no_backward_return'.  With omega^2
-    # past the float range u1 itself is not known, and is not followed.
-    x_star, t_star, evals = ((None, None, 0) if disc == math.inf else
-                             _vdp_backward_return((k, vp), rho, omega))
+    # dichotomy does not cover: branch 'no_backward_return'.
     branch = ("no_backward_return" if x_star is None
               else return_branch(x_star[1], vp, vm, tol))
     return VdpLineAnalysis(rho, omega, k, "subcritical", vp, vm, (k, vp),
@@ -134,6 +142,31 @@ def return_branch(x2: float, vp: float, vm: float,
     raise UngenericBranch(
         f"first backward return ordinate {x2!r} lies strictly "
         f"between the tangency ordinates ({vm!r}, {vp!r})")
+
+
+def vdp_stay_check(analysis: VdpLineAnalysis, y2: float,
+                   tol: float = DEFAULT_TOL) -> bool:
+    """Whether the forward orbit of the point (k, y2) of the analysed line
+    stays in {x1 <= k}, with each finite end of the stay set widened by
+    ``tangency_band``: the whole line when supercritical; for
+    'x2star_above' the interval [varrho_plus, x_star]; for 'x2star_below'
+    the complement (-inf, x_star] u [varrho_plus, +inf).  UngenericBranch
+    on a branch the dichotomy does not cover."""
+    if analysis.regime == "supercritical":
+        return True
+    if analysis.branch == "no_backward_return":
+        raise UngenericBranch(
+            "the backward orbit of the tangency point escapes before "
+            "returning to the line; the dichotomy does not cover this")
+    if analysis.branch == "ungeneric":
+        raise UngenericBranch(
+            "first backward return is within tolerance of a tangency "
+            "ordinate; the generic dichotomy does not apply")
+    vp, xs = analysis.varrho_plus, analysis.x_star[1]
+    band = tangency_band(vp, analysis.varrho_minus, tol)
+    if analysis.branch == "x2star_above":
+        return vp - band <= y2 <= xs + band
+    return y2 <= xs + band or y2 >= vp - band
 
 
 #: Revolutions (about 8 us each) the backward-return scan steps through
@@ -274,74 +307,6 @@ def _refine(value, lo, f_lo, hi, f_hi):
             lo, f_lo = t, f
             moved = 1
     return 0.5 * (lo + hi), evals
-
-
-@dataclass(frozen=True)
-class StaySet:
-    """Subset of a line (parameterized by the free ordinate) whose forward
-    orbits satisfy a stay requirement.
-
-    kind 'all': the whole line.  kind 'interval': ordinates between lo and
-    hi with endpoint flags.  kind 'complement': everything at or beyond lo
-    and hi (the flags say whether lo/hi themselves belong).
-    """
-
-    kind: str
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    lo_in: bool = False
-    hi_in: bool = False
-
-    def contains(self, ordinate: float) -> bool:
-        y = float(ordinate)
-        if self.kind == "all":
-            return True
-        if self.kind == "interval":
-            lo_ok = y >= self.lo if self.lo_in else y > self.lo
-            hi_ok = y <= self.hi if self.hi_in else y < self.hi
-            return lo_ok and hi_ok
-        if self.kind == "complement":
-            lo_ok = y <= self.lo if self.lo_in else y < self.lo
-            hi_ok = y >= self.hi if self.hi_in else y > self.hi
-            return lo_ok or hi_ok
-        raise ValueError(f"unknown stay-set kind {self.kind!r}")
-
-    def widened(self, band: float) -> "StaySet":
-        """This set grown by ``band`` at each finite end: an interval's
-        ends move apart, a complement's gap closes in from both sides."""
-        if self.kind not in ("interval", "complement"):
-            return self
-        out = band if self.kind == "interval" else -band
-        return StaySet(self.kind, self.lo - out, self.hi + out, self.lo_in,
-                       self.hi_in)
-
-
-def forward_stay_set(analysis: VdpLineAnalysis, strict: bool) -> StaySet:
-    """Stay set of the line per the tangency dichotomy.
-
-    ``strict`` selects forward orbits confined to the open side {x1 < k};
-    non-strict allows touching the line.
-    """
-    if analysis.regime == "supercritical":
-        return StaySet("all")
-    if analysis.branch == "no_backward_return":
-        raise UngenericBranch(
-            "the backward orbit of the tangency point escapes before "
-            "returning to the line; the dichotomy does not cover this")
-    if analysis.branch == "ungeneric":
-        raise UngenericBranch(
-            "first backward return is within tolerance of a tangency "
-            "ordinate; the generic dichotomy does not apply")
-    vp, xs = analysis.varrho_plus, analysis.x_star[1]
-    # the tangency end always belongs; the return end only to the
-    # non-strict set
-    if analysis.branch == "x2star_above":
-        # stay interval between the upper tangency (below) and the first
-        # backward return (above)
-        return StaySet("interval", lo=vp, hi=xs, lo_in=True, hi_in=not strict)
-    # x2star_below: the excluded window runs from the return (below) up to
-    # the upper tangency
-    return StaySet("complement", lo=xs, hi=vp, lo_in=not strict, hi_in=True)
 
 
 @dataclass(frozen=True)

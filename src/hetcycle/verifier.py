@@ -13,11 +13,12 @@ p's ordinate, y = (d - q3 - q1, p2 - q2):
 * ``saddle_focus`` (stable focus): ``planar.focus_stay_check`` on the
   half-open stay window [x_minus, x_plus) of ``planar.focus_stay_window``.
 
-The regime is the sign of the discriminant of ``model.tangency_ordinates``
-on L1 outside a tol band: in ``case_i`` every point of L1 flows inward and
-stays, so the equilibrium-to-cycle orbit needs no further condition; in
-``case_ii`` the ordinate q2 must sit in an explicit window read, with
-v_star, from one ``analyze_vdp_line`` of L1 (or v_star_exists fails).
+One ``analyze_vdp_line`` of L1 = {x1 = d} decides the regime and is the
+only reading of it: in ``case_i`` (supercritical) every point of L1 flows
+inward and stays, so the equilibrium-to-cycle orbit needs no further
+condition; in ``case_ii`` (subcritical) the ordinate q2 must pass
+``planar.vdp_stay_check``, the window between the upper tangency ordinate
+and v_star, the first backward return (or v_star_exists fails).
 The subcase and its connection points are one ``model.rim_subcase``:
 where q3 sits relative to the plane heights d -/+ sqrt(rho) of the
 cylinder rim, at the bottom ('a', one cycle through p0), at the top ('b',
@@ -40,10 +41,10 @@ from typing import Optional
 # derive_geometry is unused here; perfbench/tracing.py wraps it by name.
 from .model import (DEFAULT_TOL, HypothesisReport, SystemParams,  # noqa: F401
                     derive_geometry, l2_normal, rim_subcase,
-                    tangency_ordinates, validate_hypotheses)
+                    validate_hypotheses)
 from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
-                     focus_stay_check, focus_stay_window, forward_stay_set,
-                     node_stay_check, tangency_band)
+                     focus_stay_check, focus_stay_window, node_stay_check,
+                     vdp_stay_check)
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,6 @@ class CycleVerdict:
         return self.cycle_count >= 1
 
 
-def regime_classify(params: SystemParams, tol: float = DEFAULT_TOL) -> str:
-    """'case_ii' when the discriminant of ``tangency_ordinates`` on L1
-    exceeds 4 d^2 tol max(1, |d^2 - rho|, omega^2 / (4 d^2)), else 'case_i'
-    (d^2 - rho >= omega^2 / (4 d^2) within tol): case_ii is always the
-    subcritical regime of ``analyze_vdp_line``.  Assumes placement (h3)."""
-    d, rho, omega = params.d, params.rho, params.omega
-    disc = tangency_ordinates(rho, omega, d)[0]
-    scale = max(1.0, abs(d * d - rho), omega * omega / (4.0 * d * d))
-    bound = 4.0 * d * d * tol * scale if tol else 0.0  # not 0 * inf at tol 0
-    # an omega^2 past the float range makes disc and its band inf: case_ii
-    return "case_ii" if disc > bound or disc == math.inf else "case_i"
-
-
 def _square(x: float) -> float:
     """x ** 2 (not x * x, which rounds some squares apart), inf on overflow."""
     try:
@@ -116,12 +104,10 @@ def cone_condition(params: SystemParams) -> Evidence:
 
 def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
                tol: float) -> Evidence:
-    """The non-strict stay set of L1 widened by ``tangency_band``; an
-    'ungeneric' branch raises UngenericBranch in ``forward_stay_set``."""
+    """q2 against the stay set of L1 by ``vdp_stay_check``, which raises
+    UngenericBranch on an 'ungeneric' branch."""
+    passed = vdp_stay_check(analysis, params.q2, tol)
     vp, v2_star = analysis.varrho_plus, analysis.x_star[1]
-    stay = forward_stay_set(analysis, strict=False).widened(
-        tangency_band(vp, analysis.varrho_minus, tol))
-    passed = stay.contains(params.q2)
     if analysis.branch == "x2star_above":
         return Evidence("q2_window", params.q2, f"[{vp!r}, {v2_star!r}]",
                         passed, note="branch: v2* above sigma_plus")
@@ -166,9 +152,10 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     """The verdict on ``params``: the one certification entry point.
 
     The right block's spectrum picks the theorem (a node block
-    'real_saddle', a focus block 'saddle_focus', any other 'none').  In
-    case_ii the q2 window of the ``analyze_vdp_line`` of L1 gates the
-    shared equilibrium-to-cycle orbit, or v_star_exists fails when the
+    'real_saddle', a focus block 'saddle_focus', any other 'none').  One
+    ``analyze_vdp_line`` of L1 names the regime; in case_ii its
+    ``vdp_stay_check`` of q2 (the q2 window) gates the shared
+    equilibrium-to-cycle orbit, or v_star_exists fails when the
     orbit of v1 escapes before returning; subcases b/c add the cone
     condition.  Only the planar criterion on L2 at the connection points
     depends on the theorem: ``node_stay_check`` for a node block
@@ -189,11 +176,11 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
                 _h3_evidence(report)]
     if not report.h3_holds:
         return _none_verdict(evidence)
-    regime = regime_classify(params, tol)
+    analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
+    regime = "case_ii" if analysis.regime == "subcritical" else "case_i"
 
     v_star = None
     if regime == "case_ii":
-        analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
         if analysis.x_star is None:  # a coverage gap, not an exception
             evidence.append(Evidence(
                 "v_star_exists", 0.0, "backward orbit of v1 returns to L1",

@@ -29,8 +29,8 @@ from hetcycle.planar import (
     analyze_vdp_line,
     focus_stay_check,
     focus_stay_window,
-    forward_stay_set,
     node_stay_check,
+    vdp_stay_check,
 )
 from hetcycle.verifier import certify
 
@@ -129,18 +129,18 @@ def test_criterion_6_node_stay_extensional():
 def test_criterion_7_stay_set_and_window_extensional(ex1, ex2, ex3):
     with Budget("7 stay-set / spiral-window extensional checks", 60.0):
         margin = 1e-3
-        # vertical-line stay sets on L1 for each example's oscillator
+        # vertical-line stay sets on L1 for each example's oscillator, by
+        # the check certify runs on q2
         for params, lo, hi in ((ex1, -2.0, 4.0), (ex2, -7.0, 2.0),
                                (ex3, -4.0, 4.0)):
             a = analyze_vdp_line(params.rho, params.omega, params.d)
-            stay = forward_stay_set(a, strict=True)
             boundaries = []
             if a.regime == "subcritical":
                 boundaries = [a.varrho_plus, a.varrho_minus, a.x_star[1]]
             for y in np.linspace(lo, hi, 50):
                 if any(abs(y - b) < margin for b in boundaries):
                     continue
-                predicted = stay.contains(float(y))
+                predicted = vdp_stay_check(a, float(y))
                 brute = brute_vdp_stays(params.rho, params.omega, params.d,
                                         float(y))
                 assert predicted == brute, (params.d, float(y))

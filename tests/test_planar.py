@@ -36,8 +36,8 @@ from hetcycle.planar import (
     analyze_vdp_line,
     focus_stay_check,
     focus_stay_window,
-    forward_stay_set,
     node_stay_check,
+    vdp_stay_check,
 )
 
 
@@ -100,57 +100,55 @@ def test_x_star_residual_and_exclusion():
 
 def test_stay_set_example1_contains_q2():
     a = analyze_vdp_line(1.0, 10.0, 1.2)
-    s = forward_stay_set(a, strict=True)
-    assert s.contains(0.0)  # sigma_plus < 0 < x2*
+    assert vdp_stay_check(a, 0.0, 0.0)  # sigma_plus < 0 < x2*
 
 
 def test_stay_set_endpoint_bookkeeping_case_above():
+    # both ends of the interval [u1, x2*] are closed, and at tol 0 the
+    # next float outward is out
     a = analyze_vdp_line(1.0, 10.0, 1.2)
-    strict = forward_stay_set(a, strict=True)
-    loose = forward_stay_set(a, strict=False)
     u1 = a.varrho_plus
     xs = a.x_star[1]
-    assert strict.contains(u1) and loose.contains(u1)
-    assert not strict.contains(xs) and loose.contains(xs)
+    assert vdp_stay_check(a, u1, 0.0) and vdp_stay_check(a, xs, 0.0)
+    assert not vdp_stay_check(a, math.nextafter(u1, -math.inf), 0.0)
+    assert not vdp_stay_check(a, math.nextafter(xs, math.inf), 0.0)
 
 
 def test_stay_set_endpoint_bookkeeping_case_below():
     a = analyze_vdp_line(1.0, math.sqrt(35.0), math.sqrt(35.0 / 11.0))
-    strict = forward_stay_set(a, strict=True)
-    loose = forward_stay_set(a, strict=False)
     u1 = a.varrho_plus
     xs = a.x_star[1]
-    assert strict.contains(u1) and loose.contains(u1)
-    assert not strict.contains(xs) and loose.contains(xs)
+    assert vdp_stay_check(a, u1, 0.0) and vdp_stay_check(a, xs, 0.0)
+    assert not vdp_stay_check(a, math.nextafter(u1, -math.inf), 0.0)
+    assert not vdp_stay_check(a, math.nextafter(xs, math.inf), 0.0)
     # interior of the excluded wedge
-    mid = 0.5 * (u1 + xs)
-    assert not strict.contains(mid) and not loose.contains(mid)
+    assert not vdp_stay_check(a, 0.5 * (u1 + xs), 0.0)
 
 
 def test_stay_set_supercritical():
     a = analyze_vdp_line(1.0, 1.0, 2.0)
-    assert forward_stay_set(a, strict=True).kind == "all"
-    assert forward_stay_set(a, strict=False).contains(-0.25)
+    assert vdp_stay_check(a, -0.25, 0.0)
 
     a1 = analyze_vdp_line(1.0, 10.0, 1.2)
-    assert forward_stay_set(a1, strict=True).contains(0.0)
+    assert vdp_stay_check(a1, 0.0)
 
 
 def test_stay_set_boundary_discriminant():
     # omega^2 = 4 k^2 (k^2 - rho) exactly: one tangency ordinate
     # -omega / (2k) = -1, touched but never crossed, so the whole line stays
-    a = analyze_vdp_line(3.0, 4.0, 2.0)
-    assert a.regime == "supercritical"
-    for strict in (True, False):
-        stay = forward_stay_set(a, strict=strict)
-        assert stay.kind == "all" and stay.contains(-1.0)
+    for tol in (0.0, 1e-9):
+        a = analyze_vdp_line(3.0, 4.0, 2.0, tol)
+        assert a.regime == "supercritical" and a.evaluations == 0
+        assert vdp_stay_check(a, -1.0, tol)
 
 
 def test_ungeneric_branch_raises_on_stay_set():
     a = analyze_vdp_line(1.0, 10.0, 1.2)
-    forced = a.__class__(**{**a.__dict__, "branch": "ungeneric"})
-    with pytest.raises(UngenericBranch):
-        forward_stay_set(forced, strict=True)
+    for branch, words in (("ungeneric", "within tolerance"),
+                          ("no_backward_return", "escapes")):
+        forced = a.__class__(**{**a.__dict__, "branch": branch})
+        with pytest.raises(UngenericBranch, match=words):
+            vdp_stay_check(forced, 0.0)
 
 
 def test_node_stay_check_example1_mapping(ex1):
@@ -316,9 +314,8 @@ def test_focus_window_errors():
 
 def test_vdp_stay_set_vs_brute_force_sample():
     a = analyze_vdp_line(1.0, 10.0, 1.2)
-    s = forward_stay_set(a, strict=True)
     for y in (-1.0, 0.0, 1.5, 2.8, a.varrho_plus + 0.05, a.x_star[1] - 0.05):
-        assert s.contains(y) == brute_vdp_stays(1.0, 10.0, 1.2, y)
+        assert vdp_stay_check(a, y) == brute_vdp_stays(1.0, 10.0, 1.2, y)
 
 
 # --- first-return scans against a dense reference ---------------------------

@@ -10,22 +10,17 @@ from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow
 from hetcycle.model import SystemParams, derive_geometry, validate_hypotheses
 from hetcycle.planar import analyze_vdp_line, return_branch
-from hetcycle.verifier import (
-    Evidence,
-    certify,
-    cone_condition,
-    regime_classify,
-)
+from hetcycle.verifier import Evidence, certify, cone_condition
 
 
 def test_regime_classification(ex1, ex3):
-    assert regime_classify(ex1) == "case_ii"   # d^2 - rho = 0.44, small
-    assert regime_classify(ex3) == "case_i"    # d^2 - rho = 3 dominates
+    assert certify(ex1).regime == "case_ii"   # d^2 - rho = 0.44, small
+    assert certify(ex3).regime == "case_i"    # d^2 - rho = 3 dominates
     # exact boundary counts as case_i (closed inequality)
     p = SystemParams(rho=1, omega=math.sqrt(8.0), mu=1, b11=-2, b12=1,
                      b21=0, b22=-1, lam=1, q1=math.sqrt(2), q2=0, q3=0.5,
                      d=math.sqrt(2))
-    assert regime_classify(p) == "case_i"
+    assert certify(p).regime == "case_i"
 
 
 def test_regime_reads_the_tangency_discriminant(ex1):
@@ -42,13 +37,24 @@ def test_regime_reads_the_tangency_discriminant(ex1):
         p = replace(ex1, omega=omega)
         for tol in (0.0, 1e-9):
             v = certify(p, tol)
-            subcritical = analyze_vdp_line(p.rho, omega, p.d).regime == (
+            subcritical = analyze_vdp_line(p.rho, omega, p.d, tol).regime == (
                 "subcritical")
-            assert v.regime == regime_classify(p, tol)
-            if v.regime == "case_ii":
-                assert subcritical, (omega, tol)
+            assert (v.regime == "case_ii") == subcritical, (omega, tol)
     assert certify(replace(ex1, omega=1.5919798993705918), 0.0).regime == (
         "case_i")
+
+
+def test_regime_is_one_reading_of_the_line(ex1):
+    # omega just past the regime boundary: the discriminant (5.07e-10) is
+    # inside the band at tol 1e-9, so the line analysis and certify both
+    # read the supercritical case_i, without a scan; at tol 0 both read
+    # subcritical
+    p = replace(ex1, omega=1.5919798993705918 * (1 + 1e-10))
+    a = analyze_vdp_line(p.rho, p.omega, p.d, 1e-9)
+    assert (a.regime, a.evaluations) == ("supercritical", 0)
+    assert certify(p, 1e-9).regime == "case_i"
+    assert analyze_vdp_line(p.rho, p.omega, p.d, 0.0).regime == "subcritical"
+    assert certify(p, 0.0).regime == "case_ii"
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
@@ -93,6 +99,27 @@ def test_q2_window_branch1_closed_endpoint(ex1):
     geo = derive_geometry(ex1)
     p = replace(ex1, q2=geo.sigma_plus)  # exactly at the closed endpoint
     assert _evidence(certify(p), "q2_window").passed
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("example, branch", [(1, "x2star_above"),
+                                             (2, "x2star_below")])
+def test_q2_window_widened_ends(ex1, ex2, example, branch, tol):
+    # each end of the q2 window moves out by tol * max(1, |vp|, |vm|):
+    # q2 at a widened end passes, one float further out fails
+    p = ex1 if example == 1 else ex2
+    a = analyze_vdp_line(p.rho, p.omega, p.d, tol)
+    assert a.branch == branch
+    vp, vm, xs = a.varrho_plus, a.varrho_minus, a.x_star[1]
+    band = tol * max(1.0, abs(vp), abs(vm))
+    if branch == "x2star_above":  # [vp - band, xs + band]
+        ends = ((vp - band, -math.inf), (xs + band, math.inf))
+    else:  # (-inf, xs + band] u [vp - band, +inf)
+        ends = ((xs + band, math.inf), (vp - band, -math.inf))
+    for end, outward in ends:
+        assert _evidence(certify(replace(p, q2=end), tol), "q2_window").passed
+        beyond = replace(p, q2=math.nextafter(end, outward))
+        assert not _evidence(certify(beyond, tol), "q2_window").passed
 
 
 def test_q2_window_branch2_pass(ex2):
