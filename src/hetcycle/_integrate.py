@@ -2,19 +2,15 @@
 
 This is the numeric oracle side of the package: it knows nothing about the
 closed-form solutions and integrates raw vector fields.  States are plain
-float tuples of 2 or 3 components.  One stepper serves both: the six
-Fehlberg stages, the 5th-order update and the error norm are written out
-for 3 components on local floats, which is several times faster here than
-small-array numpy or per-component loops, and the speed matters for the
-brute-force verification sweeps.  The error norm is the largest of the
-three scaled component errors, taken by comparisons (``v if v > u else
-u``, the pick ``max`` makes) rather than ``max`` calls; comparisons drop a
-NaN instead of propagating it, so a step with any non-finite update or
-error component is given err = inf before the norm is formed, and is
-retried at 0.2 h.  A 2-component state is padded with a zero third
-component whose field is x3' = 0; the padding stays exactly 0, adds
-0 / atol = 0 to the error norm, and is stripped on return, so the mesh and
-states are the ones of a 2-component stepper.
+float 3-tuples.  The six Fehlberg stages, the 5th-order update and the
+error norm are written out for 3 components on local floats, which is
+several times faster here than small-array numpy or per-component loops,
+and the speed matters for the brute-force verification sweeps.  The error
+norm is the largest of the three scaled component errors, taken by
+comparisons (``v if v > u else u``, the pick ``max`` makes) rather than
+``max`` calls; comparisons drop a NaN instead of propagating it, so a step
+with any non-finite update or error component is given err = inf before
+the norm is formed, and is retried at 0.2 h.
 
 Events are crossings of an affine plane n . x = c, located on the cubic
 Hermite dense output of each accepted step (Shampine & Thompson, "Event
@@ -183,38 +179,32 @@ def rk45(
     t1: float,
     control: Optional[StepControl] = None,
     plane: Optional[tuple] = None,
-    event_side: float = 0.0,
+    event_side: Optional[float] = None,
     record: bool = True,
 ) -> IntegrationResult:
     """Integrate the autonomous field ``f`` from ``t0`` to ``t1`` (t1 > t0).
 
-    ``x0`` has 2 or 3 components (``f`` maps a tuple of that length to one
-    of that length); a 2-component run is padded to 3 and stripped again,
-    so every returned state, field value and event has the length of
-    ``x0``.  Other lengths raise ValueError.
+    ``x0`` has 3 components and ``f`` maps a 3-tuple to a 3-tuple; other
+    lengths of ``x0`` raise ValueError.
 
     ``plane``, when given, is ``(normal, offset)`` of the event plane
-    n . x = c (the normal has the length of ``x0``); integration stops at
-    the first decisive crossing away from ``event_side`` (the sign of
-    n . x - c in the region the trajectory starts in: -1, +1, or 0 to infer
-    from the initial state).  Tangential touches within ``GRAZE_TOL`` of the
-    plane without a crossing are collected in ``grazes``, projected onto the
-    plane, and do not stop the run.
+    n . x = c with a 3-component normal; integration stops at the first
+    decisive crossing away from ``event_side``, the sign (-1 or +1,
+    ValueError otherwise) of n . x - c in the region the trajectory starts
+    in.  Tangential touches within ``GRAZE_TOL`` of the plane without a
+    crossing are collected in ``grazes``, projected onto the plane, and do
+    not stop the run.
 
     Raises StepFailure when the controller underflows ``H_MIN`` or exceeds
     ``MAX_STEPS``.
     """
     if not t1 > t0:
         raise ValueError("rk45 requires t1 > t0")
-    dim = len(x0)
-    if dim == 2:
-        field = f
-        f = lambda x: (*field(x[:2]), 0.0)  # noqa: E731
-        x0 = (*x0, 0.0)
-        if plane is not None:
-            plane = ((*plane[0], 0.0), plane[1])
-    elif dim != 3:
-        raise ValueError(f"rk45 integrates 2 or 3 components, got {dim}")
+    if len(x0) != 3:
+        raise ValueError(f"rk45 integrates 3 components, got {len(x0)}")
+    if plane is not None and event_side not in (-1.0, 1.0):
+        raise ValueError(f"rk45 needs event_side -1 or +1 with a plane, "
+                         f"got {event_side!r}")
     ctl = control or StepControl()
     atol, rtol = ctl.atol, ctl.rtol
     isfinite = math.isfinite
@@ -237,8 +227,6 @@ def rk45(
         g0 = n1 * x1 + n2 * x2 + n3 * x3 - offset
         r0 = n1 * a1 + n2 * a2 + n3 * a3
         side = event_side
-        if side == 0.0:
-            side = 1.0 if g0 > 0.0 else -1.0
 
     steps = 0
     while t < t1:
@@ -330,11 +318,6 @@ def rk45(
 
     if not record and event_t is None:
         ts, xs, fs = [t], [x], [fx]
-    if dim == 2:
-        xs = [v[:2] for v in xs]
-        fs = [v[:2] for v in fs]
-        event_x = None if event_x is None else event_x[:2]
-        grazes = [(tg, xg[:2]) for tg, xg in grazes]
     return IntegrationResult(ts, xs, fs, event_t=event_t, event_x=event_x,
                              grazes=grazes)
 

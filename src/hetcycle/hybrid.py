@@ -54,12 +54,6 @@ class HybridTrajectory:
     sides: tuple
     events: tuple
 
-    def first_event_time(self) -> Optional[float]:
-        for e in self.events:
-            if e.direction in ("left_to_right", "right_to_left"):
-                return e.t
-        return None
-
 
 def active_side(params: SystemParams, x) -> str:
     """Zone owning the state; the plane itself belongs to the left zone."""

@@ -307,7 +307,7 @@ def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
         return "b", lo, hi, (("p1", (-sr, 0.0, hi)),)
     if not lo < q3 < hi:
         return "none", lo, hi, ()
-    y = math.sqrt(max(params.rho - (d - q3) ** 2, 0.0))
+    y = math.sqrt(max(params.rho - (d - q3) * (d - q3), 0.0))
     return "c", lo, hi, (("p_plus", (d - q3, y, q3)),
                          ("p_minus", (d - q3, -y, q3)))
 

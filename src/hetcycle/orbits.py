@@ -125,7 +125,7 @@ def _check_size(n: int, where: str) -> None:
     """CertificateFailure naming ``where`` if n > MAX_SEGMENT_SAMPLES."""
     if n > MAX_SEGMENT_SAMPLES:
         raise CertificateFailure(
-            f"{where} needs {n} samples, more than {MAX_SEGMENT_SAMPLES}")
+            f"{where} needs {n:.6g} samples, more than {MAX_SEGMENT_SAMPLES}")
 
 
 def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,

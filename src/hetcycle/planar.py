@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine, OffLine,
                      RootSearchError, UngenericBranch, WrongSpectralType,
                      ZeroNormal)
@@ -320,12 +318,6 @@ class PlanarLinearSystem:
     spectral_type: str
     alpha: Optional[float] = None
     beta: Optional[float] = None
-
-    @classmethod
-    def from_matrix(cls, m) -> "PlanarLinearSystem":
-        m = np.asarray(m, dtype=float)
-        return cls.from_entries(float(m[0, 0]), float(m[0, 1]),
-                                float(m[1, 0]), float(m[1, 1]))
 
     @classmethod
     def from_entries(cls, a11: float, a12: float, a21: float, a22: float,

@@ -34,7 +34,6 @@ with zero slack; equality-type checks use the global tolerance.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,19 +85,12 @@ class CycleVerdict:
         return self.cycle_count >= 1
 
 
-def _square(x: float) -> float:
-    """x ** 2 (not x * x, which rounds some squares apart), inf on overflow."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def cone_condition(params: SystemParams) -> Evidence:
     """Backward-containment condition on the cylinder: the vertical field
     must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly."""
-    lhs = _square(params.omega) * params.rho
-    rhs = _square(params.mu) * (_square(params.d) - params.rho)
+    omega, mu, d = params.omega, params.mu, params.d
+    lhs = omega * omega * params.rho
+    rhs = mu * mu * (d * d - params.rho)
     return Evidence("cone", lhs, f"< {rhs!r}", lhs < rhs)
 
 

@@ -45,18 +45,22 @@ class Budget:
         return False
 
 
+# The planar fields below act on 3-component states with x3' = 0, the
+# shape ``rk45`` integrates; x3 stays exactly 0 along their orbits.
+
+
 def vdp_planar_field(rho, omega):
     def f(x):
         rr = x[0] * x[0] + x[1] * x[1]
         return (rho * x[0] - omega * x[1] - x[0] * rr,
-                omega * x[0] + rho * x[1] - x[1] * rr)
+                omega * x[0] + rho * x[1] - x[1] * rr, 0.0)
 
     return f
 
 
 def linear_field(a11, a12, a21, a22):
     def f(x):
-        return (a11 * x[0] + a12 * x[1], a21 * x[0] + a22 * x[1])
+        return (a11 * x[0] + a12 * x[1], a21 * x[0] + a22 * x[1], 0.0)
 
     return f
 
@@ -64,17 +68,18 @@ def linear_field(a11, a12, a21, a22):
 def affine_field(a11, a12, a21, a22, c1, c2):
     def f(x):
         y1, y2 = x[0] - c1, x[1] - c2
-        return (a11 * y1 + a12 * y2, a21 * y1 + a22 * y2)
+        return (a11 * y1 + a12 * y2, a21 * y1 + a22 * y2, 0.0)
 
     return f
 
 
 def max_functional(f, x0, t_end, g, ctl=BRUTE_CTL, n_sub=8):
-    """Max of g over the trajectory of f from x0 on (0, t_end], evaluated
-    on the accepted mesh plus Hermite subsamples (the start itself is
-    excluded: these checks are about the forward orbit).  Planar states
-    only; each subsample is ``hermite(..., h, j / n_sub)`` bit for bit."""
-    res = rk45(f, x0, 0.0, t_end, control=ctl)
+    """Max of g over the trajectory of the planar field f (one of the
+    fields above) from the planar point x0 on (0, t_end], evaluated on the
+    accepted mesh plus Hermite subsamples (the start itself is excluded:
+    these checks are about the forward orbit).  g reads (x1, x2); each
+    subsample is ``hermite(..., h, j / n_sub)`` bit for bit in x1, x2."""
+    res = rk45(f, (*x0, 0.0), 0.0, t_end, control=ctl)
     # hermite's basis weights at s = j / n_sub, computed once
     weights = []
     for j in range(1, n_sub + 1):
@@ -87,10 +92,10 @@ def max_functional(f, x0, t_end, g, ctl=BRUTE_CTL, n_sub=8):
     best = -math.inf
     for i in range(len(ts) - 1):
         h = ts[i + 1] - ts[i]
-        a1, a2 = xs[i]
-        fa1, fa2 = fs[i]
-        b1, b2 = xs[i + 1]
-        fb1, fb2 = fs[i + 1]
+        a1, a2, _ = xs[i]
+        fa1, fa2, _ = fs[i]
+        b1, b2, _ = xs[i + 1]
+        fb1, fb2, _ = fs[i + 1]
         for h00, h10, h01, h11 in weights:
             c10 = h10 * h
             c11 = h11 * h

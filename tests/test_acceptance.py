@@ -118,7 +118,7 @@ def test_criterion_6_node_stay_extensional():
             # sample away from the tangency locus by at least 1e-3
             tau = tau_star + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0)
             x0 = base + tau * u
-            sys = PlanarLinearSystem.from_matrix(m)
+            sys = PlanarLinearSystem.from_entries(*map(float, m.ravel()))
             predicted, _ = node_stay_check(sys, khat, x0)
             brute = brute_linear_stays(
                 (m[0, 0], m[0, 1], m[1, 0], m[1, 1]), khat, tuple(x0), slow)
@@ -148,8 +148,8 @@ def test_criterion_7_stay_set_and_window_extensional(ex1, ex2, ex3):
         # spiral stay windows on L2 for the focus examples
         for params in (ex2, ex3):
             c0 = params.d - params.q3 - params.q1
-            sys = PlanarLinearSystem.from_matrix(
-                [[params.b11, params.b12], [params.b21, params.b22]])
+            sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
+                                                  params.b21, params.b22)
             w = focus_stay_window(sys, (1.0 / c0, 0.0))
             y_lo = w.x_star_in[1] + params.q2
             y_hi = w.x_star_out[1] + params.q2

@@ -273,6 +273,8 @@ def test_simulate_takes_no_tol(cfg, tmp_path):
     ["mu=0.000108157206071524", "b12=0.00020812073504237238"],
     # a sample count past the float range
     ["mu=1e-306"],
+    # a 204-digit sample count, written in 6 significant digits
+    ["mu=1e-200"],
 ])
 def test_oversized_orbit_segment_exit_1(tmp_path, capsys, sets):
     # a slow vertical rate stretches the backward cylinder horizon to
@@ -286,6 +288,7 @@ def test_oversized_orbit_segment_exit_1(tmp_path, capsys, sets):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CertificateFailure"
     assert "backward cylinder segment" in err["message"]
+    assert len(err["message"]) < 200
 
 
 @pytest.mark.parametrize("n", ["1", "2", "3"])
@@ -639,3 +642,73 @@ def test_extreme_set_values_exit_with_json(cfg, tmp_path, capsys):
                          "--out-events", str(tmp_path / "e.csv")])
             error = json.loads(capsys.readouterr().err)
             assert code == 1 and error["error"] == "ConfigError", case
+
+
+# A focus block with q3 1.88e-9 below the bottom rim: the spiral window is
+# read at the L2 point, one certified cycle.
+RIM_BAND_FOCUS = """
+rho = 1.494353607382925
+omega = 1.4018756184246681
+mu = 3.685042833953684
+b11 = -1.3310750024284959
+b12 = -7.690045123412686
+b21 = 2.665721813932171
+b22 = -1.3310750024284959
+lambda = 3.41328777317732
+q1 = 1.5528248197509562
+q2 = 0.4415590456794085
+q3 = 0.3303872499826238
+d = 1.5528248197509562
+"""
+
+
+def _evidence(report):
+    return {e["name"]: e for e in report["verdict"]["evidence"]}
+
+
+def _all_contained(report):
+    certs = report["certificates"]
+    return bool(certs) and all(c["containment_ok"] for c in certs)
+
+
+@pytest.mark.parametrize("argv, codes, error, check", [
+    # q2 8.28e-9 below the upper tangency ordinate, the closed end of the
+    # q2 window: inside the window's tol band, so it passes
+    (["example", "1", "--set", "q2=-0.053138856"], (0,), None,
+     lambda r: _evidence(r)["q2_window"]["passed"]),
+    (["check", "rim_band.cfg", "--certify"], (0,), None, _all_contained),
+    # omega on the regime boundary at tol 0: the regime is the sign of the
+    # tangency discriminant, a verdict and not UngenericBranch
+    (["example", "1", "--set", "omega=1.5919798993705918", "--tol", "0"],
+     (0, 2), None, None),
+    # q2 far from the spiral window, which is read in planar coordinates
+    (["example", "3", "--set", "q2=1e100"], (2,), None, None),
+    # a spiral window genuinely shorter than tol
+    (["example", "3", "--set", "d=1.000000000001",
+      "--set", "q1=1.000000000001", "--set", "q3=1e-12"],
+     (1,), "DegenerateInterval", None),
+    # a tolerance so wide that v2* is within it of a tangency ordinate
+    (["example", "1", "--tol", "0.5"], (1,), "UngenericBranch", None),
+    # q3 inside the rim band but off the bottom rim: the node criterion is
+    # read at the L2 point, a verdict with one cycle
+    (["example", "1", "--set", "q3=0.200000002"], (0,), None,
+     lambda r: (r["verdict"]["subcase"], r["verdict"]["cycle_count"])
+     == ("a", 1)),
+], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
+        "short_window", "wide_tol", "rim_band_node"])
+def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
+                                        error, check):
+    # inputs at the edges of the theorems' conditions: a verdict with
+    # stderr empty, or exactly one JSON error object of the expected type
+    (tmp_path / "rim_band.cfg").write_text(RIM_BAND_FOCUS)
+    out = tmp_path / "r.json"
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    code = main([*argv, "--out", str(out), "--csv-dir", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code in codes
+    if error is None:
+        assert err == ""
+        report = json.loads(out.read_text(), parse_constant=_reject_token)
+        assert check is None or check(report)
+    else:
+        assert json.loads(err)["error"] == error

@@ -77,7 +77,8 @@ def test_sides_consistent_with_plane(ex3):
 def test_pre_event_segment_matches_closed_form(ex1):
     x0 = np.array([1.21, 0.0, 0.01])
     tr = integrate_hybrid(ex1, x0, (0.0, 3.0))
-    t_ev = tr.first_event_time()
+    t_ev = next(e.t for e in tr.events
+                if e.direction in ("left_to_right", "right_to_left"))
     for t, x in zip(tr.ts, tr.xs):
         if t > t_ev:
             break
@@ -209,30 +210,17 @@ def test_integrate_hybrid_example1_sample_count(ex1):
     assert tr.xs.shape == (2353, 3)
 
 
-def test_rk45_two_components_match_padded_field():
-    def f2(x):
-        rr = x[0] * x[0] + x[1] * x[1]
-        return (0.8 * x[0] - 3.0 * x[1] - x[0] * rr,
-                3.0 * x[0] + 0.8 * x[1] - x[1] * rr)
-
-    def f3(x):
-        return (*f2(x[:2]), 0.0)
-
-    ctl = StepControl(rtol=1e-10, atol=1e-13)
-    two = rk45(f2, (1.3, -0.2), 0.0, 4.0, control=ctl)
-    three = rk45(f3, (1.3, -0.2, 0.0), 0.0, 4.0, control=ctl)
-    assert two.ts == three.ts
-    assert two.xs == [x[:2] for x in three.xs]
-    assert two.fs == [v[:2] for v in three.fs]
-    assert all(len(x) == 2 for x in two.xs)
-    assert all(x[2] == 0.0 for x in three.xs)
-
-
 def test_rk45_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        rk45(lambda x: x, (1.0, 0.0, 0.0, 0.0), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        rk45(lambda x: x, (1.0,), 0.0, 1.0)
+    for x0 in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0,)):
+        with pytest.raises(ValueError, match="3 components"):
+            rk45(lambda x: x, x0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("event_side", [None, 0.0, 0.5, math.nan])
+def test_rk45_plane_needs_a_side(event_side):
+    with pytest.raises(ValueError, match="event_side"):
+        rk45(lambda x: (x[0], -x[1], 0.0), (1.0, 1.0, 0.0), 0.0, 3.0,
+             plane=((1.0, 0.0, 1.0), math.e), event_side=event_side)
 
 
 def test_step_control_needs_positive_atol():

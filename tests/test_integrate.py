@@ -184,15 +184,15 @@ def test_step_limits_are_module_constants(monkeypatch):
     from hetcycle import _integrate
     from hetcycle.errors import StepFailure
 
-    circle = lambda x: (-x[1], x[0])  # noqa: E731
+    circle = lambda x: (-x[1], x[0], 0.0)  # noqa: E731
     assert not hasattr(StepControl(), "max_steps")
     monkeypatch.setattr(_integrate, "MAX_STEPS", 3)
     with pytest.raises(StepFailure, match="max_steps=3"):
-        rk45(circle, (1.0, 0.0), 0.0, 10.0)
+        rk45(circle, (1.0, 0.0, 0.0), 0.0, 10.0)
     monkeypatch.setattr(_integrate, "MAX_STEPS", 2_000_000)
     monkeypatch.setattr(_integrate, "H_MIN", 1.0)
     with pytest.raises(StepFailure, match="underflow"):
-        rk45(circle, (1.0, 0.0), 0.0, 10.0)
+        rk45(circle, (1.0, 0.0, 0.0), 0.0, 10.0)
 
 
 def test_event_bisection_matches_generic_reference():

@@ -154,15 +154,14 @@ def test_ungeneric_branch_raises_on_stay_set():
 def test_node_stay_check_example1_mapping(ex1):
     # planar reduction in the stable plane of q: line offset d - q3 - q1
     c0 = ex1.d - ex1.q3 - ex1.q1
-    sys = PlanarLinearSystem.from_matrix([[ex1.b11, ex1.b12],
-                                          [ex1.b21, ex1.b22]])
+    sys = PlanarLinearSystem.from_entries(ex1.b11, ex1.b12, ex1.b21, ex1.b22)
     x0 = (c0, 0.0 - ex1.q2)  # the L2 point with p0's ordinate
     stays, margin = node_stay_check(sys, (1.0 / c0, 0.0), x0)
     assert stays and margin == pytest.approx(0.4, abs=1e-12)
 
 
 def test_node_stay_check_boundary_counts_as_staying():
-    sys = PlanarLinearSystem.from_matrix([[-1.0, 0.0], [0.0, -2.0]])
+    sys = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
     # at (0, 1) on {x2 = 1}: field (0, -2) has k.Ax = -2 <= 0
     assert node_stay_check(sys, (0.0, 1.0), (0.0, 1.0)) == (True, 2.0)
     # at (1, 0) on {x1 = 1}: field (-1, 0), margin 1
@@ -170,7 +169,7 @@ def test_node_stay_check_boundary_counts_as_staying():
     # the margin is along the unit normal: the same line as {x1/2 = 1}
     assert node_stay_check(sys, (0.5, 0.0), (2.0, 0.0)) == (True, 2.0)
     # tangential point: k.Ax = 0 exactly, margin 0, stays
-    shear = PlanarLinearSystem.from_matrix([[-1.0, 1.0], [0.0, -2.0]])
+    shear = PlanarLinearSystem.from_entries(-1.0, 1.0, 0.0, -2.0)
     assert node_stay_check(shear, (1.0, 0.0), (1.0, 1.0)) == (True, 0.0)
     # the closed band: an outward push within tol * max(1, |Ax|) stays
     x = (1.0, 1.0 + 1e-10)
@@ -181,17 +180,17 @@ def test_node_stay_check_boundary_counts_as_staying():
 
 def test_node_stay_check_takes_a_point_on_the_line_up_to_rounding():
     # (1/49) * 49 rounds to 1 - 2^-53: on the line even with tol = 0
-    sys = PlanarLinearSystem.from_matrix([[-2.0, 1.0], [0.0, -1.0]])
+    sys = PlanarLinearSystem.from_entries(-2.0, 1.0, 0.0, -1.0)
     assert (1.0 / 49.0) * 49.0 != 1.0
     assert node_stay_check(sys, (1.0 / 49.0, 0.0), (49.0, 3.0), tol=0.0) == (
         True, 95.0)
 
 
 def test_node_stay_check_errors():
-    focus = PlanarLinearSystem.from_matrix([[-0.5, 4.0], [-4.0, -0.5]])
+    focus = PlanarLinearSystem.from_entries(-0.5, 4.0, -4.0, -0.5)
     with pytest.raises(WrongSpectralType):
         node_stay_check(focus, (1.0, 0.0), (1.0, 0.0))
-    node = PlanarLinearSystem.from_matrix([[-1.0, 0.0], [0.0, -2.0]])
+    node = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
     with pytest.raises(OffLine):
         node_stay_check(node, (1.0, 0.0), (2.0, 0.0))
     with pytest.raises(ZeroNormal):
@@ -209,7 +208,7 @@ def test_node_stay_check_vs_brute_force_sample():
         if abs(khat @ (m @ u)) < 0.5:
             continue
         base = khat  # |khat| = 1 so khat . base = 1
-        sys = PlanarLinearSystem.from_matrix(m)
+        sys = PlanarLinearSystem.from_entries(*map(float, m.ravel()))
         tau_star = -(khat @ (m @ base)) / (khat @ (m @ u))
         tau = tau_star + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0)
         x0 = base + tau * u
@@ -222,8 +221,7 @@ def test_node_stay_check_vs_brute_force_sample():
 
 def test_focus_window_example2(ex2):
     c0 = ex2.d - ex2.q3 - ex2.q1
-    sys = PlanarLinearSystem.from_matrix([[ex2.b11, ex2.b12],
-                                          [ex2.b21, ex2.b22]])
+    sys = PlanarLinearSystem.from_entries(ex2.b11, ex2.b12, ex2.b21, ex2.b22)
     w = focus_stay_window(sys, (1.0 / c0, 0.0))
     assert w.x_star_in[1] + ex2.q2 == pytest.approx(-4.848, abs=1e-2)
     assert w.x_star_out[1] + ex2.q2 == pytest.approx(0.0476, abs=5e-3)
@@ -233,8 +231,7 @@ def test_focus_window_example2(ex2):
 
 def test_focus_window_example3(ex3):
     c0 = ex3.d - ex3.q3 - ex3.q1
-    sys = PlanarLinearSystem.from_matrix([[ex3.b11, ex3.b12],
-                                          [ex3.b21, ex3.b22]])
+    sys = PlanarLinearSystem.from_entries(ex3.b11, ex3.b12, ex3.b21, ex3.b22)
     w = focus_stay_window(sys, (1.0 / c0, 0.0))
     assert w.x_star_in[1] + ex3.q2 == pytest.approx(-1.1667, abs=1e-3)
     assert w.x_star_out[1] + ex3.q2 == pytest.approx(27.6586, abs=5e-2)
@@ -244,8 +241,7 @@ def test_focus_window_example3(ex3):
 
 def _ex3_window(ex3):
     c0 = ex3.d - ex3.q3 - ex3.q1
-    sys = PlanarLinearSystem.from_matrix([[ex3.b11, ex3.b12],
-                                          [ex3.b21, ex3.b22]])
+    sys = PlanarLinearSystem.from_entries(ex3.b11, ex3.b12, ex3.b21, ex3.b22)
     return focus_stay_window(sys, (1.0 / c0, 0.0))
 
 
@@ -282,7 +278,7 @@ def test_focus_check_short_window_is_degenerate(ex3):
     # a genuinely short window: L2 1e-12 from q, so the spiral's window on
     # it is about 1e-11 long
     p = replace(ex3, d=1.000000000001, q1=1.000000000001, q3=1e-12)
-    sys = PlanarLinearSystem.from_matrix([[p.b11, p.b12], [p.b21, p.b22]])
+    sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
     w = focus_stay_window(sys, l2_normal(p))
     with pytest.raises(DegenerateInterval):
         focus_stay_check(w, (p.d - p.q3 - p.q1, 0.0), tol=1e-9)
@@ -301,7 +297,7 @@ def test_focus_check_refuses_off_line(ex3):
 
 
 def test_focus_window_errors():
-    node = PlanarLinearSystem.from_matrix([[-1.0, 0.0], [0.0, -2.0]])
+    node = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
     with pytest.raises(WrongSpectralType):
         focus_stay_window(node, (1.0, 0.0))
     with pytest.raises(SingularMatrix):
@@ -405,9 +401,9 @@ def _seeded_scans(seed, n):
         omega = math.exp(rng.uniform(math.log(0.5), math.log(15.0)))
         alpha = -rng.uniform(0.2, 4.0)
         beta = rng.uniform(0.5, 8.0)
-        s = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        sys = PlanarLinearSystem.from_matrix([[alpha, beta * s],
-                                              [-beta / s, alpha]])
+        s = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
+        sys = PlanarLinearSystem.from_entries(alpha, beta * s, -beta / s,
+                                              alpha)
         q3 = rng.uniform(0.05, d + math.sqrt(rho) + 2.0)
         out.append(((rho, omega, d), sys, (-1.0 / q3, 0.0)))
     return out
@@ -447,8 +443,7 @@ def test_slow_focus_scan_matches_dense_reference():
     # scans find it), or the return overflows too (both raise)
     for beta, finite in ((1.0 / 150.0, True), (1.0 / 200.0, True),
                          (1.0 / 400.0, False)):
-        sys = PlanarLinearSystem.from_matrix([[-1.0, 3.0 * beta],
-                                              [-beta / 3.0, -1.0]])
+        sys = PlanarLinearSystem.from_entries(-1.0, 3.0 * beta, -beta / 3.0, -1.0)
         if finite:
             w = focus_stay_window(sys, (0.5, 0.0))
             t_ref = _reference_focus_return(sys, (0.5, 0.0), 64)
@@ -466,10 +461,9 @@ def test_focus_window_time_rescaling(s):
     # time units, so s * t_s and t differ by at most (1 + s) ROOT_BRACKET / 2
     # and x_star_out by that times the speed |A x_star_out| along the line.
     for _, sys, k_vec in _seeded_scans(707, 40):
-        m = [[sys.a11, sys.a12], [sys.a21, sys.a22]]
         w = focus_stay_window(sys, k_vec)
-        ws = focus_stay_window(PlanarLinearSystem.from_matrix(
-            [[s * v for v in row] for row in m]), k_vec)
+        ws = focus_stay_window(PlanarLinearSystem.from_entries(
+            s * sys.a11, s * sys.a12, s * sys.a21, s * sys.a22), k_vec)
         np.testing.assert_allclose(ws.x_star_in, w.x_star_in, rtol=1e-13)
         dt = 0.5 * (1.0 + s) * ROOT_BRACKET
         assert abs(s * ws.t_star_out - w.t_star_out) <= dt * (1.0 + 1e-6)
@@ -494,7 +488,7 @@ def test_scan_evaluation_ceilings(ex1, ex2, ex3):
         a = analyze_vdp_line(p.rho, p.omega, p.d)
         assert a.evaluations <= VDP_EVALUATIONS
     for p in (ex2, ex3):
-        sys = PlanarLinearSystem.from_matrix([[p.b11, p.b12], [p.b21, p.b22]])
+        sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
         w = focus_stay_window(sys, (1.0 / (p.d - p.q3 - p.q1), 0.0))
         assert 1 <= w.evaluations <= FOCUS_EVALUATIONS
     vdp, focus = [], []
@@ -547,21 +541,6 @@ def test_vdp_return_within_the_first_sample_step(rho, omega, k, t_star):
     assert a.t_star == pytest.approx(t_star, abs=1e-12)
     _, t_ref = _reference_vdp_return(a)
     assert a.t_star == pytest.approx(t_ref, abs=1e-12)
-
-
-def test_system_from_entries_is_from_matrix(ex1, ex2, ex3):
-    # the certify route builds the right block from the parameter floats;
-    # the matrix constructor (read-only array, nested lists) gives the same
-    for p in (ex1, ex2, ex3):
-        sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
-        entries = [[p.b11, p.b12], [p.b21, p.b22]]
-        read_only = np.array(entries)
-        read_only.setflags(write=False)
-        for m in (read_only, entries):
-            assert repr(PlanarLinearSystem.from_matrix(m)) == repr(sys)
-        values = (sys.a11, sys.a12, sys.a21, sys.a22, sys.alpha, sys.beta)
-        assert all(v is None or type(v) is float for v in values)
-    assert PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0).alpha is None
 
 
 # Sets on which the tangency ordinates of the geometry and of the line

@@ -313,6 +313,37 @@ def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
             tuple(s * v for v in pt) for pt in a.connecting_points)
 
 
+#: Power of s by which each evidence value scales under ``_scaled(p, s)``:
+#: hypothesis margins are ratios, q2 and the rim heights are positions,
+#: the half-plane margins are a rate times a position (s^2 s), and the
+#: cone sides are a rate squared times a rate (s^4 s^2).
+EVIDENCE_POWER = {"h1": 0, "h2": 0, "h3": 0, "v_star_exists": 0,
+                  "q2_window": 1, "q3_subcase": 1, "halfplane": 3,
+                  "cone": 6}
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5, 8.0])
+def test_scaling_keeps_verdict_on_rim_sets(s):
+    # The metamorphic relation on a batch of node and focus sets on and
+    # between the rims: the same verdict and flags, and every evidence
+    # value scaled exactly by its power of s.  The window evidence is read
+    # off return times bracketed to an absolute ROOT_BRACKET, so it agrees
+    # only to that bracket.
+    for p in rim_sets(7, 600):
+        a, b = certify(p), certify(_scaled(p, s))
+        assert (b.theorem, b.regime, b.subcase, b.cycle_count) == (
+            a.theorem, a.regime, a.subcase, a.cycle_count), p
+        assert [(e.name, e.passed) for e in b.evidence] == [
+            (e.name, e.passed) for e in a.evidence], p
+        for ea, eb in zip(a.evidence, b.evidence):
+            kind = ea.name.split("_")[0]
+            if kind == "window":
+                assert eb.value == pytest.approx(ea.value, rel=1e-9), p
+            else:
+                k = EVIDENCE_POWER[kind if kind == "halfplane" else ea.name]
+                assert eb.value == ea.value * s ** k, (p, ea.name)
+
+
 def test_scaling_keeps_the_focus_verdicts():
     for p in rim_sets(16, 120)[1::2]:  # the focus blocks
         try:
