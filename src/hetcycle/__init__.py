@@ -13,7 +13,6 @@ from .hybrid import (
 from .model import (
     DerivedGeometry,
     HypothesisReport,
-    LimitCycle,
     SystemParams,
     derive_geometry,
     load_config,
@@ -56,7 +55,6 @@ __all__ = [
     "Evidence",
     "HybridTrajectory",
     "HypothesisReport",
-    "LimitCycle",
     "OrbitSample",
     "PlanarLinearSystem",
     "SpiralWindow",

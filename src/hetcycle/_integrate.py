@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import StepFailure
+from .model import point
 
 # Fehlberg 4(5) embedded pair (nodes 0, 1/4, 3/8, 12/13, 1, 1/2).
 _A21 = 0.25
@@ -200,15 +201,13 @@ def rk45(
     """
     if not t1 > t0:
         raise ValueError("rk45 requires t1 > t0")
-    if len(x0) != 3:
-        raise ValueError(f"rk45 integrates 3 components, got {len(x0)}")
+    x = point(x0)
     if plane is not None and event_side not in (-1.0, 1.0):
         raise ValueError(f"rk45 needs event_side -1 or +1 with a plane, "
                          f"got {event_side!r}")
     ctl = control or StepControl()
     atol, rtol = ctl.atol, ctl.rtol
     isfinite = math.isfinite
-    x = tuple(float(v) for v in x0)
     t = t0
     fx = f(x)
     h = _initial_step(fx, x, t1 - t0, ctl)

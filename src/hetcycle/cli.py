@@ -50,6 +50,7 @@ from .model import (
     load_config,
     params_from_dict,
     params_to_dict,
+    point,
     read_assignment,
     validate_hypotheses,
 )
@@ -190,11 +191,9 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _params(args)
     try:
-        x0 = tuple(float(v) for v in args.x0.split(","))
+        x0 = point([float(v) for v in args.x0.split(",")])
     except ValueError:
         raise ConfigError(f"--x0 expects three comma-separated numbers, got {args.x0!r}")
-    if len(x0) != 3:
-        raise ConfigError("--x0 expects exactly three components")
     traj = integrate_hybrid(params, x0, (args.t0, args.t1))
     write_trajectory_csv(traj, args.out_traj)
     write_events_csv(traj, args.out_events)

@@ -21,13 +21,17 @@ never evaluated, so a long horizon cannot overflow it.
 
 Each zone binds one start once as an orbit ``t -> (x1, x2, x3)``, a tuple
 of floats (an ndarray per call was half its cost), holding every
-t-independent part; ``left_flow`` / ``right_flow`` keep their last orbit
-in a one-entry memo, as the orbit sampler and the cross-check evaluate one
-start under one parameter set many times in a row.  The memo is keyed by
-the identities of the ``x0`` tuple and the ``params`` object (== would
-share an entry between 0.0 and -0.0) and holds strong references to them,
-so their addresses cannot be reused while the entry lives.  A hit does the
-same operations in the same order as a miss, so results are bit-identical.
+t-independent part; ``left_flow`` / ``right_flow`` are one memoized body
+(``_memoized``) over ``left_orbit`` / ``right_orbit`` that keeps the last
+orbit in a one-entry memo, as the orbit sampler and the cross-check
+evaluate one start under one parameter set many times in a row.  The memo
+is keyed by the identities of the ``x0`` tuple and the ``params`` object
+(== would share an entry between 0.0 and -0.0) and holds strong references
+to them, so their addresses cannot be reused while the entry lives.  A hit
+does the same operations in the same order as a miss, so results are
+bit-identical.  A start that is not a tuple is read by ``model.point`` (a
+new tuple, so a miss); a tuple is unpacked by its orbit on a miss, so a
+start of other than three components raises ValueError either way.
 
 ``numeric_flow`` integrates the raw Cartesian fields with the adaptive
 Runge-Kutta oracle and exists solely to cross-check the formulas above.
@@ -42,7 +46,7 @@ import numpy as np
 
 from ._integrate import StepControl, rk45
 from .errors import BackwardBlowup
-from .model import SystemParams
+from .model import SystemParams, point
 
 #: Relative threshold on the normalized discriminant below which the
 #: repeated-root exponential branch is used (stability near coalescence).
@@ -107,11 +111,6 @@ def radial_law(r0_sq: float, rho: float):
     return law
 
 
-def radial_sq(r0_sq: float, t: float, rho: float) -> float:
-    """Squared radius after time t under r' = r(rho - r^2)."""
-    return radial_law(r0_sq, rho)(t)
-
-
 def _plane_rate(c: float, rate: float) -> float:
     """The rate to evaluate c e^{rate t} with: 0.0 on the invariant plane
     c = 0, where e^{rate t} could overflow and c e^{0 t} is c bit for bit."""
@@ -148,13 +147,13 @@ def left_orbit(x0, params: SystemParams):
     """The left-zone flow from the start ``x0`` as ``t -> (x1, x2, x3)``,
     a tuple of floats.  The planar part is ``planar_left_orbit``'s, written
     out because a nested call per sample would add about a tenth to each."""
-    x3 = x0[2]
+    x1, x2, x3 = x0
     mu = _plane_rate(x3, params.mu)
-    r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
+    r0_sq = x1 * x1 + x2 * x2
     if r0_sq == 0.0:
         return lambda t: (0.0, 0.0, x3 * math.exp(mu * t))
     law = radial_law(r0_sq, params.rho)
-    theta0 = math.atan2(x0[1], x0[0])
+    theta0 = math.atan2(x2, x1)
     omega = params.omega
 
     def orbit(t):
@@ -220,9 +219,10 @@ def right_orbit(x0, params: SystemParams):
     """The right-zone flow q + e^{Bt} (x0 - q) from the start ``x0`` as a
     function ``t -> (x1, x2, x3)``, a tuple of floats."""
     q1, q2, q3 = params.q1, params.q2, params.q3
-    y1 = x0[0] - q1
-    y2 = x0[1] - q2
-    y3 = x0[2] - q3
+    x1, x2, x3 = x0
+    y1 = x1 - q1
+    y2 = x2 - q2
+    y3 = x3 - q3
     lam = _plane_rate(y3, params.lam)
     if y1 == 0.0 and y2 == 0.0:
         # On the invariant line through q, where e^{Bt} could overflow,
@@ -241,38 +241,31 @@ def right_orbit(x0, params: SystemParams):
     return orbit
 
 
-# One-entry memo of each zone's last orbit, (x0, params, orbit), replaced
-# whole so a reader never pairs one start's keys with another's orbit.
-_left_memo = _right_memo = (None, None, None)
+def _memoized(orbit_of):
+    """``flow(x0, t, params) = orbit_of(x0, params)(t)``, 3 floats, with
+    the last (x0, params, orbit) in a one-entry memo, replaced whole so a
+    reader never pairs one start's keys with another's orbit."""
+    memo = (None, None, None)
+
+    def flow(x0, t: float, params: SystemParams) -> tuple:
+        nonlocal memo
+        if not isinstance(x0, tuple):
+            x0 = point(x0)
+        key_x0, key_params, orbit = memo
+        if key_x0 is not x0 or key_params is not params:
+            orbit = orbit_of(x0, params)
+            memo = (x0, params, orbit)
+        return orbit(t)
+
+    return flow
 
 
-def left_flow(x0, t: float, params: SystemParams) -> tuple:
-    """Closed-form left-zone flow ``left_orbit(x0, params)(t)``, 3 floats.
-
-    Raises BackwardBlowup for starts outside the cycle evaluated at or past
-    their finite backward escape time.  A tuple ``x0`` is read as it is;
-    any other sequence is converted to a tuple of floats first.
-    """
-    global _left_memo
-    if not isinstance(x0, tuple):
-        x0 = tuple(np.asarray(x0, dtype=float).tolist())
-    key_x0, key_params, orbit = _left_memo
-    if key_x0 is not x0 or key_params is not params:
-        orbit = left_orbit(x0, params)
-        _left_memo = (x0, params, orbit)
-    return orbit(t)
-
-
-def right_flow(x0, t: float, params: SystemParams) -> tuple:
-    """``right_orbit(x0, params)(t)``, 3 floats; ``x0`` as in ``left_flow``."""
-    global _right_memo
-    if not isinstance(x0, tuple):
-        x0 = tuple(np.asarray(x0, dtype=float).tolist())
-    key_x0, key_params, orbit = _right_memo
-    if key_x0 is not x0 or key_params is not params:
-        orbit = right_orbit(x0, params)
-        _right_memo = (x0, params, orbit)
-    return orbit(t)
+#: Closed-form left-zone flow ``left_orbit(x0, params)(t)``.  Raises
+#: BackwardBlowup for starts outside the cycle evaluated at or past their
+#: finite backward escape time.
+left_flow = _memoized(left_orbit)
+#: Closed-form right-zone flow ``right_orbit(x0, params)(t)``.
+right_flow = _memoized(right_orbit)
 
 
 def left_field(params: SystemParams):
@@ -313,9 +306,9 @@ def numeric_flow(x0, t: float, side: str, params: SystemParams,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = point(x0)
     if t == 0.0:
-        return x0.copy()
+        return np.array(x0)
     f = left_field(params) if side == "left" else right_field(params)
     if t < 0.0:
         fwd = f
@@ -323,5 +316,5 @@ def numeric_flow(x0, t: float, side: str, params: SystemParams,
         span = -t
     else:
         span = t
-    res = rk45(f, tuple(x0), 0.0, span, control=control, record=False)
+    res = rk45(f, x0, 0.0, span, control=control, record=False)
     return np.array(res.x_end)

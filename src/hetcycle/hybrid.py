@@ -33,7 +33,7 @@ import numpy as np
 from ._integrate import rk45
 from .errors import ConfigError, EventStorm, HetcycleError, SlidingDetected
 from .flows import left_field, left_flow, right_field, right_flow
-from .model import C_NORMAL, SystemParams
+from .model import C_NORMAL, SystemParams, point
 from .orbits import CSV_HEADER, write_csv
 
 
@@ -68,13 +68,14 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     """Forward simulation of the switched system over t_span = (t0, t1),
     at the stepper's default ``StepControl()``.
 
-    Raises ConfigError for an x0 or t_span that is not finite, ValueError
-    unless t1 > t0, EventStorm past ``MAX_EVENTS`` switchings (chattering
-    guard), SlidingDetected when both fields point at the plane at an
+    Raises ValueError for an x0 of other than three components (``point``)
+    or unless t1 > t0, ConfigError for an x0 or t_span that is not finite,
+    EventStorm past ``MAX_EVENTS`` switchings (chattering guard),
+    SlidingDetected when both fields point at the plane at an
     event, and StepFailure from the underlying stepper.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    x = tuple(float(v) for v in np.asarray(x0, dtype=float))
+    x = point(x0)
     if not all(map(math.isfinite, (*x, t0, t1))):
         raise ConfigError(f"non-finite x0 {x!r} or t_span {(t0, t1)!r}")
     if not t1 > t0:

@@ -27,7 +27,9 @@ the one check of the tolerance.
 The fields of ``SystemParams`` are the parameter schema: they name
 ``CONFIG_KEYS`` (``lam`` as ``lambda``), and constructing one is the one
 check of the values.  ``read_assignment`` is the one reader of a
-``key = value`` item, for config lines and ``--set`` alike.
+``key = value`` item, for config lines and ``--set`` alike, and
+``point`` the one reader of a point a caller passes (a start, q0, p),
+which it makes a float 3-tuple; ``SystemParams.q`` is one too.
 
 Everything here is an immutable value; every function is pure.
 """
@@ -38,8 +40,6 @@ import math
 import re
 from dataclasses import dataclass, fields
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -55,10 +55,14 @@ C_NORMAL = (1.0, 0.0, 1.0)
 DEFAULT_TOL = 1e-9
 
 
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+def point(x) -> tuple:
+    """The point ``x``, any sequence of three numbers, as a float 3-tuple:
+    the one reader of a point a caller passes.  Any other length raises
+    ValueError."""
+    if len(x) != 3:
+        raise ValueError(f"a point has 3 components, got {len(x)}")
+    x1, x2, x3 = x
+    return (float(x1), float(x2), float(x3))
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,8 @@ class SystemParams:
                     f"{key} must be positive, got {getattr(self, name)!r}")
 
     @property
-    def q(self) -> np.ndarray:
-        return _ro(np.array([self.q1, self.q2, self.q3]))
+    def q(self) -> tuple:
+        return (self.q1, self.q2, self.q3)
 
     @property
     def sqrt_rho(self) -> float:
@@ -104,8 +108,8 @@ class SystemParams:
 
     def plane_residual(self, x) -> float:
         """Signed offset of x from the switching plane (positive = right zone)."""
-        x = np.asarray(x, dtype=float)
-        return float(x[0] + x[2] - self.d)
+        x1, _, x3 = point(x)
+        return x1 + x3 - self.d
 
 
 #: Config key of each field whose name differs from it.
@@ -191,24 +195,6 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     )
     h3 = all(c.passed for c in checks)
     return HypothesisReport(h1, h2, h3, checks, eigs, kind)
-
-
-@dataclass(frozen=True)
-class LimitCycle:
-    """The left zone's saddle periodic orbit: the circle of radius
-    sqrt(rho) in the plane x3 = 0.  Its stable set is that punctured plane;
-    its unstable set is the cylinder x1^2 + x2^2 = rho."""
-
-    radius: float
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "LimitCycle":
-        return cls(params.sqrt_rho)
-
-    def distance(self, x) -> float:
-        """Radial-plus-vertical distance |r - radius| + |x3|, a float."""
-        x1, x2, x3 = np.asarray(x, dtype=float).tolist()
-        return abs(math.hypot(x1, x2) - self.radius) + abs(x3)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CertificateFailure, ConfigError, HypothesisFailure
 from .flows import left_flow, right_flow
-from .model import LimitCycle, SystemParams, classify_2x2
+from .model import SystemParams, classify_2x2, point
 from .verifier import CycleVerdict
 
 #: Allowed slack on closed containments ("on or inside the plane").
@@ -199,7 +199,7 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
     """
     plus = requirement.startswith("plus")
     flow = right_flow if plus else left_flow
-    x0 = tuple(np.asarray(x0, dtype=float).tolist())
+    x0 = point(x0)
     ts, xs = _sample_times(flow, x0, params, t0, t1, n_init, where)
     margin = _margin(params, ts, xs, requirement, flow, x0)
     if margin < -TOL_CONTAINMENT:
@@ -252,7 +252,7 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     (strictly on the equilibrium side).  Errors as in ``build_gamma1``."""
     horizons = _horizons(params, verdict, t_back, t_fwd)
     tb, tf = horizons["gamma_up_back"], horizons["gamma_up_fwd"]
-    p = tuple(np.asarray(p, dtype=float).tolist())
+    p = point(p)
     # Backward, p lies on the cylinder x1^2 + x2^2 = rho up to rounding;
     # the radial law treats it as on the cycle (flows.ON_CYCLE_BAND), so
     # its repulsion at rate 2 rho does not amplify that rounding.
@@ -268,6 +268,14 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     return back, fwd
 
 
+def _cycle_distance(params: SystemParams, x) -> float:
+    """Radial-plus-vertical distance |r - sqrt(rho)| + |x3| of x from the
+    left zone's saddle periodic orbit, the circle of radius sqrt(rho) in the
+    plane x3 = 0."""
+    x1, x2, x3 = point(x)
+    return abs(math.hypot(x1, x2) - params.sqrt_rho) + abs(x3)
+
+
 def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
                    t_back: Optional[float] = None,
                    t_fwd: Optional[float] = None) -> list:
@@ -281,7 +289,6 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
         _check_horizons(t_back, t_fwd)
         return []
     horizons = _horizons(params, verdict, t_back, t_fwd)
-    cycle = LimitCycle.from_params(params)
     q = params.q
     g1_back, g1_fwd = build_gamma1(params, verdict,
                                    horizons["gamma1_back"],
@@ -294,8 +301,8 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
         segments = (g1_back, g1_fwd, up_back, up_fwd)
         residuals = {
             "gamma1_back_to_q": float(np.linalg.norm(g1_back.xs[0] - q)),
-            "gamma1_fwd_to_cycle": cycle.distance(g1_fwd.xs[-1]),
-            "gamma_up_back_to_cycle": cycle.distance(up_back.xs[0]),
+            "gamma1_fwd_to_cycle": _cycle_distance(params, g1_fwd.xs[-1]),
+            "gamma_up_back_to_cycle": _cycle_distance(params, up_back.xs[0]),
             "gamma_up_fwd_to_q": float(np.linalg.norm(up_fwd.xs[-1] - q)),
         }
         ok = all(

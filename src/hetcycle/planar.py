@@ -53,7 +53,7 @@ from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine, OffLine,
 # (perfbench/tracing.py counts calls through them).
 from .flows import (block_exp, planar_left_flow,  # noqa: F401
                     planar_left_orbit, planar_matrix_exp, radial_blowup_time,
-                    radial_sq)
+                    radial_law)
 from .model import (DEFAULT_TOL, classify_2x2, tangency_ordinates,
                     window_tangency)
 
@@ -201,6 +201,7 @@ def _vdp_backward_return(u1, rho, omega):
     r0_sq = k * k + u1[1] * u1[1]
     theta0 = math.atan2(u1[1], k)
     t_floor = radial_blowup_time(r0_sq, rho)
+    law = radial_law(r0_sq, rho)
     period = 2.0 * math.pi / omega
     dt = period / 64.0
     eps = dt * 1e-6
@@ -221,7 +222,7 @@ def _vdp_backward_return(u1, rho, omega):
             centre = 2.0 * math.pi * n - theta0  # omega t at cos(theta) = 1
             t_edge = (centre - 0.5 * math.pi) / omega
             if t_edge > t_stop:
-                r_max = math.sqrt(radial_sq(r0_sq, t_edge, rho))
+                r_max = math.sqrt(law(t_edge))
                 half = math.acos(min(1.0, k / r_max))
             else:
                 half = 0.5 * math.pi

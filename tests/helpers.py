@@ -6,6 +6,7 @@ and use neither the closed forms nor the stay-set formulas being tested.
 self-test as a reference for the current one.
 """
 
+import csv
 import math
 import time
 
@@ -21,6 +22,13 @@ BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 
 #: Excursions above this count as "leaves the half-plane" in brute checks.
 EXIT_THRESHOLD = 1e-9
+
+
+def csv_rows(path) -> list:
+    """Every row of the CSV file at ``path``, read with the file closed
+    after."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class Budget:

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -8,7 +7,7 @@ import time
 
 import pytest
 
-from helpers import Budget
+from helpers import Budget, csv_rows
 
 from hetcycle import cli
 from hetcycle.cli import main, make_parser
@@ -58,7 +57,7 @@ def test_check_certify_builds_certificates(cfg, tmp_path):
     assert cert["containment_ok"]
     assert {s["role"] for s in cert["segments"]} == {
         "gamma1_back", "gamma1_fwd", "gamma_up_back", "gamma_up_fwd"}
-    rows = list(csv.reader(open(tmp_path / "orbits.csv", newline="")))
+    rows = csv_rows(tmp_path / "orbits.csv")
     assert rows[0] == ["t", "x1", "x2", "x3", "side", "role"]
 
 
@@ -237,7 +236,7 @@ def test_simulate_constant_at_q(cfg, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["n_events"] == 0
-    rows = list(csv.reader(open(tmp_path / "t.csv", newline="")))
+    rows = csv_rows(tmp_path / "t.csv")
     assert all(float(r[1]) == 1.2 for r in rows[1:])
 
 
@@ -252,7 +251,7 @@ def test_simulate_with_oracle(cfg, tmp_path):
     assert report["oracle"]["trials"] == 20
     assert report["oracle"]["max_error"] <= 1e-6
     # converges toward the cycle
-    rows = list(csv.reader(open(tmp_path / "t.csv", newline="")))
+    rows = csv_rows(tmp_path / "t.csv")
     last = rows[-1]
     r_end = math.hypot(float(last[1]), float(last[2]))
     assert abs(r_end - 1.0) <= 1e-4
@@ -407,7 +406,7 @@ def test_uncertified_check_clears_stale_segment_files(cfg, tmp_path):
                  "--out", str(tmp_path / "r2.json"), "--csv-dir", str(data),
                  "--csv", str(tmp_path / "all.csv")]) == 2
     assert list(data.iterdir()) == []
-    rows = list(csv.reader(open(tmp_path / "all.csv", newline="")))
+    rows = csv_rows(tmp_path / "all.csv")
     assert rows == [["t", "x1", "x2", "x3", "side", "role"]]
 
 

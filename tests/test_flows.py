@@ -15,7 +15,6 @@ from hetcycle.flows import (
     numeric_flow,
     radial_blowup_time,
     radial_law,
-    radial_sq,
     right_field,
     right_flow,
 )
@@ -262,8 +261,8 @@ def test_radial_law_matches_frozen_reference():
                         continue
                     assert got == want, (r0_sq, t)
                     outside += 1
-                assert _kernel_outcome(lambda t: (radial_sq(r0_sq, t, rho),),
-                                       t) == got
+                assert _kernel_outcome(
+                    lambda t: (radial_law(r0_sq, rho)(t),), t) == got
     assert inside and outside and near_escape
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_crosscheck
+from helpers import csv_rows, reference_crosscheck
 
 from hetcycle._integrate import (
     GRAZE_TOL,
@@ -172,12 +172,10 @@ def test_csv_outputs(tmp_path, ex1):
     epath = tmp_path / "events.csv"
     write_trajectory_csv(tr, tpath)
     write_events_csv(tr, epath)
-    import csv
-
-    rows = list(csv.reader(open(tpath, newline="")))
+    rows = csv_rows(tpath)
     assert rows[0] == ["t", "x1", "x2", "x3", "side", "role"]
     assert len(rows) - 1 == len(tr.ts)
-    erows = list(csv.reader(open(epath, newline="")))
+    erows = csv_rows(epath)
     assert erows[0] == ["t", "x1", "x2", "x3", "direction"]
     assert len(erows) - 1 == len(tr.events)
 

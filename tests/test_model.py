@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hetcycle.errors import ConfigError, HypothesisFailure
+from hetcycle.flows import left_flow, right_flow
+from hetcycle.hybrid import integrate_hybrid
 from hetcycle.model import (
     CONFIG_KEYS,
     SystemParams,
@@ -14,11 +16,14 @@ from hetcycle.model import (
     parse_config,
     params_from_dict,
     params_to_dict,
+    point,
     read_assignment,
     tangency_ordinates,
     validate_hypotheses,
 )
+from hetcycle.orbits import build_gamma_up
 from hetcycle.planar import analyze_vdp_line
+from hetcycle.verifier import certify
 
 
 def test_construction_rejects_nonpositive_rates(ex1):
@@ -287,3 +292,27 @@ def test_nonfinite_value_named(key, line, value):
 def test_parse_config_nonpositive_named():
     with pytest.raises(ConfigError, match="lambda"):
         parse_config(CONFIG_TEXT.replace("lambda = 2.0", "lambda = 0.0"))
+
+
+#: Calls passing a point of other than three components, by the reader
+#: they reach; each once dropped a component or raised IndexError.
+_MALFORMED_POINTS = {
+    "left_flow-2": lambda p: left_flow((1.0, 2.0), 0.5, p),
+    "left_flow-4-list": lambda p: left_flow([1, 0, 0, 9], 0.5, p),
+    "left_flow-4-tuple": lambda p: left_flow((1.0, 0.0, 0.0, 9.0), 0.5, p),
+    "right_flow-4-ndarray": lambda p: right_flow(np.array([1.3, 0, 0.1, 7]),
+                                                 0.5, p),
+    "integrate_hybrid-2": lambda p: integrate_hybrid(p, (0.5, 0.0),
+                                                     (0.0, 1.0)),
+    "build_gamma_up-2": lambda p: build_gamma_up(p, certify(p), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("call", _MALFORMED_POINTS.values(),
+                         ids=_MALFORMED_POINTS)
+def test_point_of_other_than_three_components_raises(ex1, call):
+    assert ex1.q == (ex1.q1, ex1.q2, ex1.q3)
+    got = point(np.array([1, 2, 3]))
+    assert got == (1.0, 2.0, 3.0) and all(type(v) is float for v in got)
+    with pytest.raises(ValueError):
+        call(ex1)
