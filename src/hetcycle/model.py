@@ -31,7 +31,9 @@ check of the values.  ``read_assignment`` is the one reader of a
 ``point`` the one reader of a point a caller passes (a start, q0, p),
 which it makes a float 3-tuple; ``SystemParams.q`` is one too.
 
-Everything here is an immutable value; every function is pure.
+Everything here is an immutable value; every function is pure.  The
+records every certification builds are ``NamedTuple``s, cheap to build;
+``SystemParams`` is a frozen dataclass, which checks its values.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ConfigError,
@@ -146,17 +148,15 @@ def classify_2x2(a11: float, a12: float, a21: float, a22: float):
     return kind, (complex(alpha, beta), complex(alpha, -beta))
 
 
-@dataclass(frozen=True)
-class H3Check:
+class H3Check(NamedTuple):
     name: str
     passed: bool
     margin: float
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the structural hypothesis checks; failure is data here,
-    not an error."""
+class HypothesisReport(NamedTuple):
+    """Outcome of the structural hypothesis checks, with its ``H3Check``
+    rows; failure is data here, not an error."""
 
     h1_holds: bool
     h2_holds: bool

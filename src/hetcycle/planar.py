@@ -36,14 +36,13 @@ position (``_refine``) until it is at most 1e-12 wide in time.  The seed
 points themselves sit on the line (tangentially), so a sampled scan starts
 a sliver before zero, and near-tangent returns are classified as an
 explicit 'ungeneric' branch instead of being forced into the generic
-dichotomy.
+dichotomy.  Its records are ``NamedTuple``s, cheap to build on each call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine, OffLine,
                      RootSearchError, UngenericBranch, WrongSpectralType,
@@ -58,8 +57,7 @@ from .model import (DEFAULT_TOL, classify_2x2, tangency_ordinates,
                     window_tangency)
 
 
-@dataclass(frozen=True)
-class VdpLineAnalysis:
+class VdpLineAnalysis(NamedTuple):
     """Tangency data of the oscillator against the vertical line x1 = k.
 
     ``regime`` is 'supercritical' when the discriminant of the tangency
@@ -308,8 +306,7 @@ def _refine(value, lo, f_lo, hi, f_hi):
     return 0.5 * (lo + hi), evals
 
 
-@dataclass(frozen=True)
-class PlanarLinearSystem:
+class PlanarLinearSystem(NamedTuple):
     """A 2x2 linear system with its spectral classification."""
 
     a11: float
@@ -326,10 +323,8 @@ class PlanarLinearSystem:
         """[[a11, a12], [a21, a22]]; ``spectrum`` is its ``classify_2x2``."""
         kind, eigs = spectrum or classify_2x2(a11, a12, a21, a22)
         if kind == "complex_stable":
-            alpha, beta = eigs[0].real, eigs[0].imag
-        else:
-            alpha = beta = None
-        return cls(a11, a12, a21, a22, kind, alpha, beta)
+            return cls(a11, a12, a21, a22, kind, eigs[0].real, eigs[0].imag)
+        return cls(a11, a12, a21, a22, kind)
 
     def apply(self, x) -> tuple:
         return (self.a11 * x[0] + self.a12 * x[1],
@@ -375,8 +370,7 @@ def node_stay_check(sys: PlanarLinearSystem, k_vec, x0,
     return margin >= -tol * max(1.0, math.hypot(a1, a2)), margin
 
 
-@dataclass(frozen=True)
-class SpiralWindow:
+class SpiralWindow(NamedTuple):
     """Half-open stay window [x_star_in, x_star_out) on the line {k.x = 1}
     for a stable-focus system: x_star_in is the point where the field is
     parallel to the line, x_star_out the first backward return of its

@@ -29,13 +29,13 @@ the cone condition).  No ``DerivedGeometry`` is built on the way.
 All conditions here are sufficient only: cycle_count 0 means "not
 certified", never "no cycle exists".  Strict inequalities are evaluated
 with zero slack; equality-type checks use the global tolerance.
+``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s, cheap to build.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # derive_geometry is unused here; perfbench/tracing.py wraps it by name.
 from .model import (DEFAULT_TOL, HypothesisReport, SystemParams,  # noqa: F401
@@ -46,8 +46,7 @@ from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
                      vdp_stay_check)
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """One named condition with its computed value, threshold and outcome."""
 
     name: str
@@ -57,8 +56,7 @@ class Evidence:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CycleVerdict:
+class CycleVerdict(NamedTuple):
     """Outcome of the certification with per-condition numeric evidence.
 
     ``theorem`` names the route that applied ('real_saddle',

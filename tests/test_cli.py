@@ -267,6 +267,20 @@ def test_simulate_takes_no_tol(cfg, tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("option", [["--oracle", "-3"],
+                                    ["--oracle", "2", "--seed", "-1"]])
+def test_simulate_negative_count_is_a_usage_error(cfg, tmp_path, capsys,
+                                                   option):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", cfg, "--x0", "0.5,0,0", "--t1", "1", *option,
+              "--out", str(tmp_path / "sim.json"),
+              "--out-traj", str(tmp_path / "t.csv"),
+              "--out-events", str(tmp_path / "e.csv")])
+    assert info.value.code == 2
+    assert f"argument {option[-2]}: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sim.json").exists()
+
+
 @pytest.mark.parametrize("sets", [
     # ln(1e6) / mu ~ 127,700 at 64 samples per revolution: ~13M samples
     ["mu=0.000108157206071524", "b12=0.00020812073504237238"],

@@ -146,7 +146,7 @@ def test_ungeneric_branch_raises_on_stay_set():
     a = analyze_vdp_line(1.0, 10.0, 1.2)
     for branch, words in (("ungeneric", "within tolerance"),
                           ("no_backward_return", "escapes")):
-        forced = a.__class__(**{**a.__dict__, "branch": branch})
+        forced = a._replace(branch=branch)
         with pytest.raises(UngenericBranch, match=words):
             vdp_stay_check(forced, 0.0)
 

@@ -8,8 +8,11 @@ from helpers import rim_sets
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow
-from hetcycle.model import SystemParams, derive_geometry, validate_hypotheses
-from hetcycle.planar import analyze_vdp_line, return_branch
+from hetcycle.model import (SystemParams, derive_geometry, l2_normal,
+                            validate_hypotheses)
+from hetcycle.planar import (PlanarLinearSystem, analyze_vdp_line,
+                             focus_stay_window, return_branch)
+from hetcycle.presets import example_params
 from hetcycle.verifier import Evidence, certify, cone_condition
 
 
@@ -217,6 +220,28 @@ def test_neither_spectrum_none_verdict(ex1):
 
 def test_verdict_determinism(ex2):
     assert certify(ex2) == certify(ex2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_records_are_immutable(n):
+    # example 1 takes the node route, 2 and 3 the focus route (SpiralWindow)
+    p = example_params(n)
+    report = validate_hypotheses(p)
+    verdict = certify(p)
+    assert verdict.theorem == ("real_saddle" if n == 1 else "saddle_focus")
+    sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
+    fields = [(report, "h3_holds"), (report.h3_details[0], "passed"),
+              (verdict, "cycle_count"), (verdict.evidence[0], "passed"),
+              (analyze_vdp_line(p.rho, p.omega, p.d), "regime"),
+              (sys, "a11")]
+    if n != 1:
+        fields.append((focus_stay_window(sys, l2_normal(p)), "x_star_out"))
+    for record, field in fields:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert getattr(record, field) == before
+    assert repr(verdict).startswith("CycleVerdict(theorem=")
 
 
 def test_certify_classifies_the_block_once(ex1, ex2, ex3, monkeypatch):
