@@ -25,14 +25,14 @@ whose ends clear the plane on the starting side by more than that (plus
 2 GRAZE_TOL) can neither cross nor graze.  A crossing is bisected on the
 same interpolant, written out for 3 components: each midpoint state is
 ``hermite`` of that fraction bit for bit, and n . x is summed in component
-order.
+order.  The run ends at the event state without evaluating the field there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import StepFailure
 from .model import point
@@ -86,27 +86,21 @@ class StepControl:
                              f"got atol={self.atol!r}, rtol={self.rtol!r}")
 
 
-@dataclass
-class IntegrationResult:
+class IntegrationResult(NamedTuple):
     """Accepted steps of one integration run.
 
-    ``ts``/``xs``/``fs`` hold the accepted mesh, states, and field values
-    (the field values make cubic-Hermite dense output possible between any
-    two consecutive entries).  When a plane was supplied and a decisive
-    crossing occurred, the run is truncated at the localized event and
-    ``event_t``/``event_x`` are set.
+    ``ts``/``xs`` hold the accepted mesh and its states (with
+    ``record=False`` only the final state), ``grazes`` the tangential
+    touches as (t, x).  After a decisive crossing of the plane the run ends
+    at the localized event ``event_t``/``event_x``, the last entries of
+    ``ts``/``xs``.
     """
 
     ts: list
     xs: list
-    fs: list
+    grazes: list
     event_t: Optional[float] = None
     event_x: Optional[tuple] = None
-    grazes: Optional[list] = None  # list of (t, x) tangential touches
-
-    @property
-    def x_end(self) -> tuple:
-        return self.xs[-1] if self.event_x is None else self.event_x
 
 
 def hermite(x0: Sequence[float], f0, x1, f1, h: float, s: float) -> tuple:
@@ -214,7 +208,6 @@ def rk45(
 
     ts = [t]
     xs = [x]
-    fs = [fx]
     grazes: list = []
     event_t = event_x = None
 
@@ -290,16 +283,16 @@ def rk45(
         if plane is not None:
             g1 = n1 * y1 + n2 * y2 + n3 * y3 - offset
             r1 = n1 * u1 + n2 * u2 + n3 * u3
-            if not _clears_plane(side * g0, side * g1, h * r0, h * r1):
+            m0, m1 = h * r0, h * r1
+            if not _clears_plane(side * g0, side * g1, m0, m1):
                 s_ev = _plane_event(plane, side, x, fx, x_new, f_new, h, t,
-                                    grazes)
+                                    g0, g1, m0, m1, grazes)
                 if s_ev is not None:
-                    event_x = hermite(x, fx, x_new, f_new, h, s_ev)
-                    event_t = t + s_ev * h
+                    x = event_x = hermite(x, fx, x_new, f_new, h, s_ev)
+                    t = event_t = t + s_ev * h
                     if record:
-                        ts.append(event_t)
-                        xs.append(event_x)
-                        fs.append(f(event_x))
+                        ts.append(t)
+                        xs.append(x)
                     break
             g0, r0 = g1, r1
 
@@ -308,17 +301,15 @@ def rk45(
         if record:
             ts.append(t)
             xs.append(x)
-            fs.append(fx)
         steps += 1
         # Growth factor min(5, 0.9 err^-0.2), the min written out; an
         # accepted err <= 1 keeps it >= 0.9, so no 0.2 floor can bind.
         fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
         h *= fac if fac < 5.0 else 5.0
 
-    if not record and event_t is None:
-        ts, xs, fs = [t], [x], [fx]
-    return IntegrationResult(ts, xs, fs, event_t=event_t, event_x=event_x,
-                             grazes=grazes)
+    if not record:
+        ts, xs = [t], [x]
+    return IntegrationResult(ts, xs, grazes, event_t, event_x)
 
 
 def _clears_plane(w0: float, w1: float, m0: float, m1: float) -> bool:
@@ -352,17 +343,15 @@ def _unit_roots(a: float, b: float, c: float) -> list:
     return sorted(s for s in roots if 0.0 < s < 1.0)
 
 
-def _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes):
+def _plane_event(plane, side, x, fx, x_new, f_new, h, t, g0, g1, m0, m1,
+                 grazes):
     """Scan one accepted step for a decisive crossing or a grazing touch.
 
+    ``g0``, ``g1`` are n . x - c at the step ends and ``m0``, ``m1`` the
+    end slopes h n . f, as ``rk45`` computed them for ``_clears_plane``.
     Returns the step fraction of a crossing (bisected onto the destination
     side), else None, possibly after appending a graze record.
     """
-    (n1, n2, n3), offset = plane
-    g0 = n1 * x[0] + n2 * x[1] + n3 * x[2] - offset
-    g1 = n1 * x_new[0] + n2 * x_new[1] + n3 * x_new[2] - offset
-    m0 = h * (n1 * fx[0] + n2 * fx[1] + n3 * fx[2])
-    m1 = h * (n1 * f_new[0] + n2 * f_new[1] + n3 * f_new[2])
     # g(s) is the cubic with end values g0, g1 and end slopes m0, m1; it is
     # monotone between consecutive roots of g', so only those are checked.
     crit = _unit_roots(6.0 * (g0 - g1) + 3.0 * (m0 + m1),
@@ -387,6 +376,7 @@ def _plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes):
     if crit:
         s_t, g_t = min(checks[1:-1], key=lambda c: abs(c[1]))
         if abs(g_t) <= GRAZE_TOL and abs(g_t) < min(abs(g0), abs(g1)):
+            (n1, n2, n3), offset = plane
             v1, v2, v3 = hermite(x, fx, x_new, f_new, h, s_t)
             shift = ((n1 * v1 + n2 * v2 + n3 * v3 - offset)
                      / (n1 * n1 + n2 * n2 + n3 * n3))

@@ -216,7 +216,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
+def non_negative_int(text: str) -> int:
     """An argparse type: an integer >= 0 (a trial count, a seed)."""
     n = int(text)
     if n < 0:
@@ -272,9 +272,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--out-traj", default="trajectory.csv")
     p.add_argument("--out-events", default="events.csv")
-    p.add_argument("--oracle", type=_count, default=0, metavar="N",
+    p.add_argument("--oracle", type=non_negative_int, default=0, metavar="N",
                    help="cross-check the closed forms with N random trials")
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(fn=_cmd_simulate)
     return parser
 

@@ -34,15 +34,14 @@ new tuple, so a miss); a tuple is unpacked by its orbit on a miss, so a
 start of other than three components raises ValueError either way.
 
 ``numeric_flow`` integrates the raw Cartesian fields with the adaptive
-Runge-Kutta oracle and exists solely to cross-check the formulas above.
+Runge-Kutta oracle and exists solely to cross-check the formulas above;
+like them, it returns a float 3-tuple (the stepper's final state).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
-
-import numpy as np
 
 from ._integrate import StepControl, rk45
 from .errors import BackwardBlowup
@@ -297,8 +296,8 @@ def right_field(params: SystemParams):
 
 
 def numeric_flow(x0, t: float, side: str, params: SystemParams,
-                 control: Optional[StepControl] = None) -> np.ndarray:
-    """Adaptive Runge-Kutta solution of the chosen zone field.
+                 control: Optional[StepControl] = None) -> tuple:
+    """Adaptive Runge-Kutta solution of the chosen zone field, 3 floats.
 
     Exists to cross-check the closed forms; backward times integrate the
     negated field forward.  Raises StepFailure if the controller underflows
@@ -308,7 +307,7 @@ def numeric_flow(x0, t: float, side: str, params: SystemParams,
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x0 = point(x0)
     if t == 0.0:
-        return np.array(x0)
+        return x0
     f = left_field(params) if side == "left" else right_field(params)
     if t < 0.0:
         fwd = f
@@ -316,5 +315,4 @@ def numeric_flow(x0, t: float, side: str, params: SystemParams,
         span = -t
     else:
         span = t
-    res = rk45(f, x0, 0.0, span, control=control, record=False)
-    return np.array(res.x_end)
+    return rk45(f, x0, 0.0, span, control=control, record=False).xs[-1]

@@ -8,7 +8,8 @@ step's dense-output interpolant; a crossing is localized by bisection on
 that interpolant until the event residual is at or below 1e-10, the state
 is handed to the other zone, and integration continues.  The plane itself
 belongs to the left zone (rule "<= d"), and the incoming side integrates
-up to the localized event time before the switch.
+up to the localized event time before the switch.  The samples are the
+stepper's float 3-tuples, handed on as they are.
 
 Tangential touches of the plane (an extremum of the cubic within 1e-8 of
 zero, without a sign change) are recorded as grazing events, projected
@@ -47,10 +48,11 @@ class SwitchEvent:
 @dataclass(frozen=True)
 class HybridTrajectory:
     """Sampled switched trajectory: accepted integrator steps tagged with
-    the zone that produced them, plus the localized switching events."""
+    the zone that produced them, plus the localized switching events;
+    ``ts``/``xs`` are tuples of the stepper's floats and float 3-tuples."""
 
-    ts: np.ndarray
-    xs: np.ndarray
+    ts: tuple
+    xs: tuple
     sides: tuple
     events: tuple
 
@@ -94,11 +96,13 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     while t < t1:
         res = rk45(fields[side], x, t, t1, plane=plane,
                    event_side=-1.0 if side == "left" else 1.0)
-        offset = 1 if ts and res.ts and res.ts[0] == ts[-1] else 0
+        # every run after the first starts at the event sample that the
+        # previous run recorded last
+        offset = 1 if ts else 0
         ts.extend(res.ts[offset:])
         xs.extend(res.xs[offset:])
         sides.extend([side] * (len(res.ts) - offset))
-        for (tg, xg) in res.grazes or ():
+        for (tg, xg) in res.grazes:
             events.append(SwitchEvent(tg, xg, f"graze_{side}"))
 
         if res.event_t is None:
@@ -120,8 +124,7 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
 
     # in time order: a run's grazes precede its crossing, where the next
     # run starts
-    return HybridTrajectory(np.array(ts), np.array(xs), tuple(sides),
-                            tuple(events))
+    return HybridTrajectory(tuple(ts), tuple(xs), tuple(sides), tuple(events))
 
 
 @dataclass(frozen=True)

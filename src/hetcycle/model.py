@@ -375,7 +375,7 @@ def params_from_dict(values: dict) -> SystemParams:
 
 def load_config(path) -> SystemParams:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

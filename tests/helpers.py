@@ -96,7 +96,8 @@ def max_functional(f, x0, t_end, g, ctl=BRUTE_CTL, n_sub=8):
         s3 = s2 * s
         weights.append((2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s,
                         -2.0 * s3 + 3.0 * s2, s3 - s2))
-    ts, xs, fs = res.ts, res.xs, res.fs
+    ts, xs = res.ts, res.xs
+    fs = [f(x) for x in xs]
     best = -math.inf
     for i in range(len(ts) - 1):
         h = ts[i + 1] - ts[i]

@@ -11,7 +11,7 @@ from helpers import Budget, csv_rows
 
 from hetcycle import cli
 from hetcycle.cli import main, make_parser
-from hetcycle.model import CONFIG_KEYS
+from hetcycle.model import CONFIG_KEYS, load_config
 from hetcycle.planar import MAX_RETURN_REVOLUTIONS
 
 CONFIG = """
@@ -216,6 +216,14 @@ def test_config_error_exit_1(tmp_path, capsys):
     assert err["error"] == "ConfigError" and "lambda" in err["message"]
 
 
+def test_config_with_byte_order_mark(tmp_path, cfg):
+    # editors on some platforms save UTF-8 with a leading BOM
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + CONFIG.lstrip().encode("utf-8"))
+    assert load_config(path) == load_config(cfg)
+    assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_unknown_key_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(CONFIG + "\nmystery = 1\n")
@@ -268,7 +276,9 @@ def test_simulate_takes_no_tol(cfg, tmp_path):
 
 
 @pytest.mark.parametrize("option", [["--oracle", "-3"],
-                                    ["--oracle", "2", "--seed", "-1"]])
+                                    ["--oracle", "2", "--seed", "-1"],
+                                    ["--oracle", "x"],
+                                    ["--oracle", "2", "--seed", "1.5"]])
 def test_simulate_negative_count_is_a_usage_error(cfg, tmp_path, capsys,
                                                    option):
     with pytest.raises(SystemExit) as info:
@@ -277,7 +287,12 @@ def test_simulate_negative_count_is_a_usage_error(cfg, tmp_path, capsys,
               "--out-traj", str(tmp_path / "t.csv"),
               "--out-events", str(tmp_path / "e.csv")])
     assert info.value.code == 2
-    assert f"argument {option[-2]}: must be >= 0" in capsys.readouterr().err
+    value = option[-1]
+    want = ("must be >= 0" if value.startswith("-")
+            else f"invalid non_negative_int value: {value!r}")
+    err = capsys.readouterr().err
+    assert f"argument {option[-2]}: {want}" in err
+    assert "_count" not in err
     assert not (tmp_path / "sim.json").exists()
 
 

@@ -126,6 +126,15 @@ def test_numeric_flow_identity_at_zero(ex1):
     np.testing.assert_array_equal(numeric_flow(x0, 0.0, "left", ex1), x0)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.4, -0.3])
+def test_numeric_flow_returns_float_triple(ex1, t):
+    # the stepper's final state as it is, like left_flow / right_flow
+    for side in ("left", "right"):
+        x = numeric_flow(np.array([0.4, -0.2, 0.7]), t, side, ex1)
+        assert type(x) is tuple and len(x) == 3
+        assert all(type(v) is float for v in x)
+
+
 def test_numeric_flow_agrees_left(ex1):
     rng = np.random.default_rng(7)
     checked = 0
@@ -141,7 +150,7 @@ def test_numeric_flow_agrees_left(ex1):
         if np.max(np.abs(ref)) > 1e3:
             continue
         got = numeric_flow(x0, t, "left", ex1)
-        assert np.max(np.abs(got - ref)) <= 1e-6
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-6
         checked += 1
 
 
@@ -154,7 +163,7 @@ def test_numeric_flow_agrees_right(ex2):
         if np.max(np.abs(ref)) > 1e3:
             continue
         got = numeric_flow(x0, t, "right", ex2)
-        assert np.max(np.abs(got - ref)) <= 1e-6
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-6
 
 
 def test_numeric_flow_stepfailure_past_blowup():

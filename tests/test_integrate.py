@@ -53,7 +53,7 @@ def test_non_finite_stage_rejects_the_step(stage, bad, component):
     h_first = 0.01 * span  # zero speed at the start
     assert res.ts[1] == h_first * 0.2
     assert res.ts[-1] == span
-    for x in res.xs + res.fs:
+    for x in res.xs:
         assert all(math.isfinite(v) for v in x)
 
 
@@ -179,6 +179,24 @@ def _both_bisections(plane, step, a, b, ga, gb, target):
     return _bits(got), _bits(want)
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_crossing_ends_at_the_event_without_a_field_call(record):
+    # x1 = e^t crosses the plane x1 + x3 = e at t = 1; the run ends at the
+    # event state, and nothing evaluates the field there
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return (x[0], -x[1], 0.0)
+
+    res = rk45(f, (1.0, 1.0, 0.0), 0.0, 3.0,
+               plane=((1.0, 0.0, 1.0), math.e), event_side=-1.0,
+               record=record)
+    assert res.event_x is not None and len(seen) > 6
+    assert res.event_x not in seen
+    assert res.xs[-1] == res.event_x and res.ts[-1] == res.event_t
+
+
 def test_step_limits_are_module_constants(monkeypatch):
     # every run shares the step budget and the step-size floor
     from hetcycle import _integrate
@@ -262,8 +280,12 @@ def test_plane_event_matches_generic_reference():
         t = float(rng.uniform(-5.0, 5.0))
         for side in (1.0, -1.0):
             got_grazes, want_grazes = [], []
+            normal, offset = plane
             got = _plane_event(plane, side, x, fx, x_new, f_new, h, t,
-                               got_grazes)
+                               _ref_dot(normal, x) - offset,
+                               _ref_dot(normal, x_new) - offset,
+                               h * _ref_dot(normal, fx),
+                               h * _ref_dot(normal, f_new), got_grazes)
             want = _ref_plane_event(plane, side, x, fx, x_new, f_new, h, t,
                                     want_grazes)
             assert _bits(got) == _bits(want)
