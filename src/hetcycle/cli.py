@@ -52,6 +52,7 @@ from .model import (
     params_to_dict,
     point,
     read_assignment,
+    read_number,
     validate_hypotheses,
 )
 from .presets import example_params
@@ -191,7 +192,7 @@ def _cmd_run(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _params(args)
     try:
-        x0 = point([float(v) for v in args.x0.split(",")])
+        x0 = point([read_number(v, "--x0") for v in args.x0.split(",")])
     except ValueError:
         raise ConfigError(f"--x0 expects three comma-separated numbers, got {args.x0!r}")
     traj = integrate_hybrid(params, x0, (args.t0, args.t1))
@@ -216,6 +217,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def number(text: str) -> float:
+    """An argparse type: the float ``model.read_number`` reads."""
+    return read_number(text, "invalid number")
+
+
 def non_negative_int(text: str) -> int:
     """An argparse type: an integer >= 0 (a trial count, a seed)."""
     n = int(text)
@@ -233,12 +239,12 @@ def _add_common(p):
 def _add_run(p):
     """Options of the certifying commands, ``check`` and ``example``."""
     _add_common(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=number, default=DEFAULT_TOL,
                    help="global tolerance for equality-type checks "
                         "(finite, >= 0)")
-    p.add_argument("--tback", type=float, default=None,
+    p.add_argument("--tback", type=number, default=None,
                    help="override backward horizons")
-    p.add_argument("--tfwd", type=float, default=None,
+    p.add_argument("--tfwd", type=number, default=None,
                    help="override forward horizons")
     p.add_argument("--csv", help="write all orbit segments to one CSV")
     p.add_argument("--csv-dir", help="write one CSV per orbit segment "
@@ -268,8 +274,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     _add_common(p)
     p.add_argument("--x0", required=True, metavar="X1,X2,X3")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=number, default=0.0)
+    p.add_argument("--t1", type=number, required=True)
     p.add_argument("--out-traj", default="trajectory.csv")
     p.add_argument("--out-events", default="events.csv")
     p.add_argument("--oracle", type=non_negative_int, default=0, metavar="N",

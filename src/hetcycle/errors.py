@@ -13,10 +13,6 @@ class HypothesisFailure(HetcycleError):
     """A structural hypothesis required by the requested operation fails."""
 
 
-class SingularMatrix(HetcycleError):
-    """A matrix inversion required by a geometric formula is impossible."""
-
-
 class DegenerateInterval(HetcycleError):
     """Interval endpoints coincide within tolerance."""
 
@@ -31,24 +27,17 @@ class StepFailure(HetcycleError):
 
 
 class InvalidLine(HetcycleError):
-    """Vertical test line meets the planar limit cycle; the stay-set
-    dichotomy needs the line strictly outside."""
-
-
-class ZeroNormal(HetcycleError):
-    """Line normal vector is zero."""
+    """Vertical test line the stay criterion cannot read: one meeting the
+    planar limit cycle (the dichotomy needs it strictly outside), or one
+    through the right block's equilibrium (y1 = c with c = 0)."""
 
 
 class WrongSpectralType(HetcycleError):
     """Planar system spectrum does not match the requested criterion."""
 
 
-class OffLine(HetcycleError):
-    """Query point does not lie on the reference line."""
-
-
 class DegenerateWindow(HetcycleError):
-    """Spiral tangency construction degenerates (zero denominator)."""
+    """Spiral tangency construction degenerates (a12 negligible)."""
 
 
 class UngenericBranch(HetcycleError):

@@ -18,18 +18,20 @@ Three structural hypotheses gate everything downstream:
 The plane objects of the certification are stated here, once: q3's
 subcase and connection points (``rim_subcase``), the discriminant and
 tangency ordinates on a line x1 = k (``tangency_ordinates``, which the
-verifier's regime reads too) and the tangency point of a planar linear
-field on {k . x = 1} (``window_tangency``, on L2 at ``l2_normal``); the
-geometry (``derive_geometry``) and the verdict read the same floats.
+verifier's regime reads too) and the tangency ordinate of a planar
+linear field on a vertical line {y1 = c} (``window_tangency``, on L2 at
+``l2_offset``); the geometry (``derive_geometry``) and the verdict read
+the same floats.
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.
 
 The fields of ``SystemParams`` are the parameter schema: they name
 ``CONFIG_KEYS`` (``lam`` as ``lambda``), and constructing one is the one
-check of the values.  ``read_assignment`` is the one reader of a
-``key = value`` item, for config lines and ``--set`` alike, and
-``point`` the one reader of a point a caller passes (a start, q0, p),
-which it makes a float 3-tuple; ``SystemParams.q`` is one too.
+check of the values.  The one readers: ``read_assignment`` of a
+``key = value`` item (config lines, ``--set``), ``read_number`` of a
+number from text (there and in the CLI's options), and ``point`` of a
+point a caller passes (a start, q0, p), as a float 3-tuple, which
+``SystemParams.q`` is too.
 
 Everything here is an immutable value; every function is pure.  The
 records every certification builds are ``NamedTuple``s, cheap to build;
@@ -43,12 +45,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
-from .errors import (
-    ConfigError,
-    DegenerateWindow,
-    HypothesisFailure,
-    SingularMatrix,
-)
+from .errors import ConfigError, DegenerateWindow, HypothesisFailure
 
 #: Fixed switching-plane normal: the plane is {x : x1 + x3 = d}.
 C_NORMAL = (1.0, 0.0, 1.0)
@@ -229,10 +226,9 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     Requires the placement hypothesis (h3); raises HypothesisFailure
     otherwise.  ``report`` is ``validate_hypotheses(params, tol)`` when the
     caller already holds it.  ``x_minus`` is the ``window_tangency`` of
-    the planar block on L2 (``l2_normal``), lifted: the point the verdict's
-    spiral window starts at.  For a block that is not a focus it is None
-    where that solve is undefined; for a focus it always exists, and the
-    solve's SingularMatrix/DegenerateWindow guards propagate.
+    the planar block on L2, lifted: the point the verdict's spiral window
+    starts at.  For a block that is not a focus it is None where that is
+    undefined; for a focus its DegenerateWindow guard propagates.
     """
     if report is None:
         report = validate_hypotheses(params, tol)
@@ -253,10 +249,9 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     p_plus, p_minus = rim_points.get("p_plus"), rim_points.get("p_minus")
 
     try:
-        u, v = window_tangency(params.b11, params.b12, params.b21,
-                               params.b22, l2_normal(params))
-        x_minus = (u + params.q1, v + params.q2, params.q3)
-    except (SingularMatrix, DegenerateWindow):
+        y = window_tangency(params.b11, params.b12, l2_offset(params))
+        x_minus = (d - params.q3, y + params.q2, params.q3)
+    except DegenerateWindow:
         if report.h2_holds:
             raise
         x_minus = None
@@ -298,51 +293,51 @@ def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
                          ("p_minus", (d - q3, -y, q3)))
 
 
-def l2_normal(params: SystemParams) -> tuple:
-    """Normal k of L2 as the line {k . y = 1} in the right block's planar
+def l2_offset(params: SystemParams) -> float:
+    """c < 0 (under h3) of L2 = {y1 = c} in the right block's planar
     coordinates y = (x1 - q1, x2 - q2) at height q3."""
-    return (1.0 / (params.d - params.q3 - params.q1), 0.0)
+    return params.d - params.q3 - params.q1
 
 
-def window_tangency(a11, a12, a21, a22, k) -> tuple:
-    """Point of {k.x = 1} where the planar field A x is parallel to the
-    line: A^{-1} k-perp / (k . A^{-1} k-perp) with k-perp = (-k2, k1)."""
-    det = a11 * a22 - a12 * a21
-    if det == 0.0:
-        raise SingularMatrix("planar system matrix is singular")
-    kp = (-k[1], k[0])
-    # w = A^{-1} k-perp
-    w = ((a22 * kp[0] - a12 * kp[1]) / det, (-a21 * kp[0] + a11 * kp[1]) / det)
-    denom = k[0] * w[0] + k[1] * w[1]
-    scale = math.hypot(*k) * math.hypot(*w)
-    # Unreachable for a genuinely complex spectrum (the zero set of the
-    # denominator requires a real discriminant); kept as a guard, relative
-    # so that it does not depend on the units of x and t.
-    if abs(denom) <= 1e-14 * scale:
-        raise DegenerateWindow("k . A^{-1} k-perp vanishes")
-    return (w[0] / denom, w[1] / denom)
+def window_tangency(a11, a12, c) -> float:
+    """Ordinate -a11 c / a12 where the planar field A y is parallel to the
+    line {y1 = c}.  DegenerateWindow when |a12| <= 1e-14 hypot(a11, a12),
+    relative so that it does not depend on the units of x and t: a focus
+    has a12 a21 < 0 unless it is one only through rounding."""
+    if abs(a12) <= 1e-14 * math.hypot(a11, a12):
+        raise DegenerateWindow(f"a12 = {a12!r} is negligible against "
+                               f"a11 = {a11!r}: no tangency on the line")
+    return -a11 * c / a12
 
 
-#: A value ``read_assignment`` reads: an ASCII decimal literal, or nan or
-#: inf (which ``SystemParams`` then refuses, naming the key).
+#: A number as text: an ASCII decimal literal, or nan or inf (which
+#: ``SystemParams`` and the CLI's checks then refuse as not finite).
 _NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
                      r"|nan|inf)")
 
 
+def read_number(text: str, where: str) -> float:
+    """The float of ``text``, which less surrounding whitespace must be a
+    ``_NUMBER`` (no digit separators, only the digits 0-9, '.' as the
+    decimal separator whatever the locale), else ConfigError
+    ``{where}: {text!r}``."""
+    text = text.strip()
+    if not _NUMBER.fullmatch(text):
+        raise ConfigError(f"{where}: {text!r}")
+    return float(text)
+
+
 def read_assignment(text: str, where: str) -> tuple:
     """(key, value) of one ``key = value`` item, the key one of
-    ``CONFIG_KEYS`` and the value a ``_NUMBER`` (no digit separators, no
-    other digits than 0-9, '.' as the decimal separator regardless of
-    locale); every ConfigError starts with ``where``."""
+    ``CONFIG_KEYS`` and the value a ``read_number``; every ConfigError
+    starts with ``where``."""
     key, eq, val = text.partition("=")
     if not eq:
         raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
-    key, val = key.strip(), val.strip()
+    key = key.strip()
     if key not in CONFIG_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    if not _NUMBER.fullmatch(val):
-        raise ConfigError(f"{where}: invalid number for {key!r}: {val!r}")
-    return key, float(val)
+    return key, read_number(val, f"{where}: invalid number for {key!r}")
 
 
 def parse_config(text: str) -> SystemParams:

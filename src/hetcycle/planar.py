@@ -16,15 +16,14 @@ Two questions drive the cycle certification and both are planar:
   that set, closed and widened by the same band; on L1 it is the
   verifier's q2 window.
 
-* For a stable planar linear system and a line {k . x = 1}, when does the
-  forward orbit of a line point stay in {k . x < 1}?  Node case
-  (``node_stay_check``): exactly when the field at the point does not push
-  outward (k . A x0 <= 0).  Focus case (``focus_stay_check``): exactly on
-  the half-open window [x_star_in, x_star_out) between the field-tangency
-  point and its first backward return (``focus_stay_window``).  Both
-  checks take a point of the line in planar coordinates, refuse one off it
-  (OffLine) with the same guard, and return (stays, value); on L2 they are
-  the verifier's node and focus theorems.
+* For a stable planar linear system and a vertical line {y1 = c}, c != 0,
+  when does the forward orbit of a line point (c, y2) stay on the side of
+  the equilibrium (the origin)?  Node case (``node_stay_check``): exactly
+  when the field there does not push outward.  Focus case
+  (``focus_stay_check``): exactly on the half-open window [y_in, y_out)
+  from the field-tangency ordinate to its first backward return
+  (``focus_stay_window``).  Like ``vdp_stay_check``, both test an
+  ordinate; on L2 they are the verifier's node and focus theorems.
 
 Root finding here runs on the closed-form flows, and both first returns
 are bracketed from the orbit's closed form.  The focus return lies on one
@@ -44,9 +43,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine, OffLine,
-                     RootSearchError, UngenericBranch, WrongSpectralType,
-                     ZeroNormal)
+from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
+                     RootSearchError, UngenericBranch, WrongSpectralType)
 # planar_left_flow and planar_matrix_exp are unused here but stay in this
 # module's namespace: the per-call kernels are looked up on it by name
 # (perfbench/tracing.py counts calls through them).
@@ -326,103 +324,74 @@ class PlanarLinearSystem(NamedTuple):
             return cls(a11, a12, a21, a22, kind, eigs[0].real, eigs[0].imag)
         return cls(a11, a12, a21, a22, kind)
 
-    def apply(self, x) -> tuple:
-        return (self.a11 * x[0] + self.a12 * x[1],
-                self.a21 * x[0] + self.a22 * x[1])
 
-
-#: Relative rounding of k . x0 that the stay checks forgive on top of
-#: tol: a point built on the line is on it only up to rounding.
-_ROUNDING = 4.0 * math.ulp(1.0)
-
-
-def _on_line(k_vec, x, tol):
-    """(k1, k2, |k|, x1, x2) as floats for a point x of {k . x = 1}:
-    ZeroNormal for k = 0, OffLine for an x off the line by more than tol
-    (relative to |k| |x|) and its rounding."""
-    k1, k2 = float(k_vec[0]), float(k_vec[1])
-    norm = math.hypot(k1, k2)
-    if norm == 0.0:
-        raise ZeroNormal("line normal must be nonzero")
-    u, v = float(x[0]), float(x[1])
-    on_line = k1 * u + k2 * v
-    if abs(on_line - 1.0) > (tol + _ROUNDING) * max(1.0,
-                                                    norm * math.hypot(u, v)):
-        raise OffLine(f"point is off the line: k.x0 = {on_line!r}")
-    return k1, k2, norm, u, v
-
-
-def node_stay_check(sys: PlanarLinearSystem, k_vec, x0,
+def node_stay_check(sys: PlanarLinearSystem, c: float, y2: float,
                     tol: float = DEFAULT_TOL) -> tuple:
-    """(stays, margin) of a stable-node system at a point x0 of
-    {k . x = 1}: the forward orbit remains in {k . x < 1} iff the field at
-    x0 does not push outward.  margin = -(k_hat . A x0), k_hat = k / |k|,
-    and stays is the closed band margin >= -tol * max(1, |A x0|), so a
-    tangential point stays.  OffLine for an x0 off the line by more than
-    tol (relative to |k| |x0|) and its rounding.
-    """
+    """(stays, margin) of a stable-node system at the point y = (c, y2) of
+    the line {y1 = c}: the forward orbit stays on the equilibrium's side
+    iff the field at y does not push outward.  margin = -sign(c) (A y)_1,
+    the field's inward component, and stays is the closed band
+    margin >= -tol * max(1, |A y|), so a tangential point stays.
+    InvalidLine for c = 0."""
     if sys.spectral_type != "real_stable":
         raise WrongSpectralType(
             f"node criterion needs a real stable spectrum, got {sys.spectral_type}")
-    k1, k2, norm, u, v = _on_line(k_vec, x0, tol)
-    a1, a2 = sys.apply((u, v))
-    margin = -(k1 / norm * a1 + k2 / norm * a2)
+    if c == 0.0:
+        raise InvalidLine("the line y1 = 0 passes through the equilibrium")
+    a1 = sys.a11 * c + sys.a12 * y2
+    a2 = sys.a21 * c + sys.a22 * y2
+    margin = -a1 if c > 0.0 else a1
     return margin >= -tol * max(1.0, math.hypot(a1, a2)), margin
 
 
 class SpiralWindow(NamedTuple):
-    """Half-open stay window [x_star_in, x_star_out) on the line {k.x = 1}
-    for a stable-focus system: x_star_in is the point where the field is
-    parallel to the line, x_star_out the first backward return of its
-    orbit to the line, reached at t_star_out after ``evaluations``
-    closed-form flow evaluations."""
+    """Half-open stay window [y_in, y_out) of ordinates on the line
+    {y1 = c} for a stable-focus system: the field is parallel to the line
+    at (c, y_in), whose orbit first returns to it backward at (c, y_out),
+    at t_star_out, after ``evaluations`` closed-form flow evaluations."""
 
-    x_star_in: tuple
-    x_star_out: tuple
-    k_vec: tuple
+    c: float
+    y_in: float
+    y_out: float
     t_star_out: float
     evaluations: int = 0
 
 
-def focus_stay_window(sys: PlanarLinearSystem, k_vec) -> SpiralWindow:
-    """Stay window of a stable-focus system on the line {k . x = 1}.
+def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
+    """Stay window of a stable-focus system on the vertical line {y1 = c}.
 
-    The tangency point is ``model.window_tangency``; the window's far end
-    is the first intersection of its backward (expanding) spiral with the
-    line.  That return is bracketed in closed form within the spiral's
-    next backward turn and refined to 1e-12 in time.  RootSearchError
-    when the spiral leaves the float range before it returns.
+    The tangency ordinate is ``model.window_tangency``; the window's far
+    end is the first return of its backward (expanding) spiral to the
+    line, bracketed in closed form within the spiral's next backward turn,
+    refined to 1e-12 in time on k1 x1(t) - 1 (k1 = 1/c), and read as the
+    ordinate at the refined time.  RootSearchError when that ordinate is
+    past the float range; InvalidLine for c = 0.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(
             f"focus window needs a complex stable spectrum, got {sys.spectral_type}")
-    k1, k2 = float(k_vec[0]), float(k_vec[1])
-    if k1 == 0.0 and k2 == 0.0:
-        raise ZeroNormal("line normal must be nonzero")
-    x_in = window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, (k1, k2))
+    if c == 0.0:
+        raise InvalidLine("the line y1 = 0 passes through the equilibrium")
+    y_in = window_tangency(sys.a11, sys.a12, c)
+    k1 = 1.0 / c
     exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
-    u, v = x_in
-
-    def flow(t):
-        m11, m12, m21, m22 = exp_ta(t)
-        return (m11 * u + m12 * v, m21 * u + m22 * v)
 
     def value(t):
         try:
-            x1, x2 = flow(t)
+            m11, m12, _, _ = exp_ta(t)
         except OverflowError:
             return math.inf  # only beyond the root, where e^{alpha t} grows
-        return k1 * x1 + k2 * x2 - 1.0
+        return k1 * (m11 * c + m12 * y_in) - 1.0
 
-    # Along the orbit, k . x(t) = e^{alpha t} C cos(beta t - phi) with
-    # C cos(phi) = 1 and tan(phi) = -alpha / beta (x_in is on the line and
-    # the field is parallel to it there).  Backward from t = 0, the value
-    # first exceeds 1 on the monotone branch between t_near, where the
-    # cosine turns positive again (k . x = 0), and the next maximum at
-    # t_far = -2 pi / beta (k . x = e^{-2 pi alpha / beta} > 1).
+    # Along the orbit, k1 x1(t) = e^{alpha t} C cos(beta t - phi) with
+    # C cos(phi) = 1 and tan(phi) = -alpha / beta ((c, y_in) is on the line
+    # and the field is parallel to it there).  Backward from t = 0, the
+    # value first exceeds 1 on the monotone branch between t_near, where
+    # the cosine turns positive again (x1 = 0), and the next maximum at
+    # t_far = -2 pi / beta (k1 x1 = e^{-2 pi alpha / beta} > 1).
     alpha, beta = sys.alpha, sys.beta
     t_near = (-math.atan(alpha / beta) - 1.5 * math.pi) / beta
-    growth = -2.0 * math.pi * alpha / beta  # log of k . x at t_far
+    growth = -2.0 * math.pi * alpha / beta  # log of k1 x1 at t_far
     try:
         # the return lies beyond t_near: e^{alpha t} overflowing there
         # overflows it at the return too
@@ -430,36 +399,28 @@ def focus_stay_window(sys: PlanarLinearSystem, k_vec) -> SpiralWindow:
         t_out, steps = _refine(
             value, -2.0 * math.pi / beta,
             math.expm1(growth) if growth < 709.0 else math.inf, t_near, -1.0)
-        x_out = flow(t_out)
-    except OverflowError as exc:
-        # e^{alpha t} (alpha < 0) grows by e^{2 pi |alpha| / beta} per
-        # backward turn; for a slowly rotating focus it passes the float
-        # range (about e^709) before the spiral comes back to the line
+        _, _, m21, m22 = exp_ta(t_out)
+        y_out = m21 * c + m22 * y_in
+    except OverflowError:
+        y_out = math.inf
+    # e^{alpha t} grows by e^{2 pi |alpha| / beta} per backward turn: for a
+    # slow focus, past the float range before the spiral returns
+    if not math.isfinite(y_out):
         raise RootSearchError(
             "the backward spiral leaves float range before returning to "
-            f"the line (alpha={sys.alpha!r}, beta={sys.beta!r})") from exc
-    # project the refined return exactly onto the line (residual is already
-    # ~1e-12 * field speed)
-    resid = k1 * x_out[0] + k2 * x_out[1] - 1.0
-    nsq = k1 * k1 + k2 * k2
-    x_out = (x_out[0] - resid * k1 / nsq, x_out[1] - resid * k2 / nsq)
-    return SpiralWindow(tuple(x_in), x_out, (k1, k2), t_out, steps + 1)
+            f"the line (alpha={sys.alpha!r}, beta={sys.beta!r})")
+    return SpiralWindow(c, y_in, y_out, t_out, steps + 1)
 
 
-def focus_stay_check(window: SpiralWindow, y, tol: float = DEFAULT_TOL) -> tuple:
-    """(stays, lam) of a point y of the window's line {k . x = 1}: lam is
-    y's parameter along [x_star_in, x_star_out), and y stays iff
-    -tol / len <= lam < 1 - tol / len (len = |x_star_out - x_star_in|), so
-    the tangency end is closed and the return end open.  DegenerateInterval
-    when len <= tol, before lam is formed; OffLine as ``node_stay_check``.
-    """
-    u, v = _on_line(window.k_vec, y, tol)[3:]
-    a0, a1 = window.x_star_in
-    d0, d1 = window.x_star_out[0] - a0, window.x_star_out[1] - a1
-    dd = d0 * d0 + d1 * d1
-    length = math.sqrt(dd)
-    if length <= tol:
+def focus_stay_check(window: SpiralWindow, y2: float,
+                     tol: float = DEFAULT_TOL) -> tuple:
+    """(stays, lam) of the point (c, y2) of the window's line: lam is y2's
+    parameter along [y_in, y_out), and y2 stays iff -tol / len <= lam <
+    1 - tol / len (len = |y_out - y_in|), so the tangency end is closed
+    and the return end open.  DegenerateInterval when len <= tol."""
+    span = window.y_out - window.y_in
+    if abs(span) <= tol:
         raise DegenerateInterval("window endpoints coincide within tolerance")
-    lam = ((u - a0) * d0 + (v - a1) * d1) / dd
-    band = tol / length
+    lam = (y2 - window.y_in) / span
+    band = tol / abs(span)
     return -band <= lam < 1.0 - band, lam

@@ -5,13 +5,13 @@ the left zone's saddle periodic orbit and the right zone's saddle
 equilibrium.  ``certify`` is the only way to one: the spectrum of the
 right planar block names the theorem (never the caller), and both
 theorems share one route that differs only in the planar check it
-applies on L2 = {k . y = 1} (k = ``l2_normal``, y = (x1 - q1, x2 - q2) at
-height q3), in one loop, to each connection point p at the L2 point with
-p's ordinate, y = (d - q3 - q1, p2 - q2):
+applies on L2 = {y1 = c} (c = ``l2_offset``, y = (x1 - q1, x2 - q2) at
+height q3), in one loop, to the ordinate y2 = p2 - q2 of each connection
+point p, as ``vdp_stay_check`` tests q2 on L1:
 
 * ``real_saddle`` (stable node): ``planar.node_stay_check``,
 * ``saddle_focus`` (stable focus): ``planar.focus_stay_check`` on the
-  half-open stay window [x_minus, x_plus) of ``planar.focus_stay_window``.
+  half-open stay window of ``planar.focus_stay_window``.
 
 One ``analyze_vdp_line`` of L1 = {x1 = d} decides the regime and is the
 only reading of it: in ``case_i`` (supercritical) every point of L1 flows
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional
 
 # derive_geometry is unused here; perfbench/tracing.py wraps it by name.
 from .model import (DEFAULT_TOL, HypothesisReport, SystemParams,  # noqa: F401
-                    derive_geometry, l2_normal, rim_subcase,
+                    derive_geometry, l2_offset, rim_subcase,
                     validate_hypotheses)
 from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
                      focus_stay_check, focus_stay_window, node_stay_check,
@@ -147,8 +147,8 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     ``vdp_stay_check`` of q2 (the q2 window) gates the shared
     equilibrium-to-cycle orbit, or v_star_exists fails when the
     orbit of v1 escapes before returning; subcases b/c add the cone
-    condition.  Only the planar criterion on L2 at the connection points
-    depends on the theorem: ``node_stay_check`` for a node block
+    condition.  Only the planar criterion on L2 at the connection points'
+    ordinates depends on the theorem: ``node_stay_check`` for a node block
     (``halfplane_*`` evidence, its signed margin), ``focus_stay_check``
     for a focus block (``window_*``, the parameter along the spiral
     window).  ``report`` is ``validate_hypotheses(params, tol)`` when the
@@ -189,22 +189,21 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     sys = PlanarLinearSystem.from_entries(
         params.b11, params.b12, params.b21, params.b22,
         (report.spectral_type, report.eigenvalues))
-    k = l2_normal(params)
+    c = l2_offset(params)
     if theorem == "real_saddle":
         window = None
-        check = functools.partial(node_stay_check, sys, k)
+        check = functools.partial(node_stay_check, sys, c)
         prefix, threshold = "halfplane", ">= 0"
-    else:  # the report prints the planar window lifted to 3D at height q3
-        w = focus_stay_window(sys, k)
-        window = tuple((x[0] + params.q1, x[1] + params.q2, params.q3)
-                       for x in (w.x_star_in, w.x_star_out))
+    else:  # the report prints the window lifted to L2 in 3D
+        w = focus_stay_window(sys, c)
+        window = tuple((params.d - params.q3, y + params.q2, params.q3)
+                       for y in (w.y_in, w.y_out))
         check = functools.partial(focus_stay_check, w)
         prefix, threshold = "window", "in [0, 1) along [x_minus, x_plus)"
     for label, p in points:
-        # the L2 point with p's ordinate: a rim point of subcase a or b
-        # itself sits up to the rim band off L2
-        y = (params.d - params.q3 - params.q1, p[1] - params.q2)
-        stays, value = check(y, tol)
+        # p's ordinate on L2: a rim point of subcase a or b itself sits up
+        # to the rim band off L2
+        stays, value = check(p[1] - params.q2, tol)
         evidence.append(Evidence(f"{prefix}_{label}", value, threshold,
                                  stays))
 

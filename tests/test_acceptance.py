@@ -21,7 +21,7 @@ from helpers import (
     semigroup_max_rel_err,
 )
 
-from hetcycle.model import derive_geometry, l2_normal
+from hetcycle.model import derive_geometry, l2_offset
 from hetcycle.hybrid import crosscheck_closed_forms
 from hetcycle.orbits import assemble_cycle
 from hetcycle.planar import (
@@ -50,12 +50,12 @@ def _l2_window(params):
     """The spiral stay window of the right block on L2."""
     sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
                                           params.b21, params.b22)
-    return focus_stay_window(sys, l2_normal(params))
+    return focus_stay_window(sys, l2_offset(params))
 
 
-def _l2_point(params, p):
-    """The L2 point with the ordinate of p, in planar coordinates."""
-    return (params.d - params.q3 - params.q1, p[1] - params.q2)
+def _l2_ordinate(params, p):
+    """The ordinate of p on L2, in planar coordinates."""
+    return p[1] - params.q2
 
 
 def test_criterion_2_example2_reproduction(ex2):
@@ -71,7 +71,7 @@ def test_criterion_2_example2_reproduction(ex2):
         assert x_plus[1] == pytest.approx(0.0476, abs=5e-3)
         # p1 = (-sqrt(rho), 0, d + sqrt(rho)), read at its L2 point
         p1 = (-math.sqrt(ex2.rho), 0.0, ex2.d + math.sqrt(ex2.rho))
-        assert focus_stay_check(_l2_window(ex2), _l2_point(ex2, p1),
+        assert focus_stay_check(_l2_window(ex2), _l2_ordinate(ex2, p1),
                                 tol=1e-9)[0]
 
 
@@ -84,7 +84,7 @@ def test_criterion_3_example3_reproduction(ex3):
         np.testing.assert_allclose(x_plus, [0.0, 27.6586, 2.0], atol=5e-2)
         w = _l2_window(ex3)
         for p in ((0.0, 1.0, 2.0), (0.0, -1.0, 2.0)):
-            assert focus_stay_check(w, _l2_point(ex3, p), tol=1e-9)[0]
+            assert focus_stay_check(w, _l2_ordinate(ex3, p), tol=1e-9)[0]
 
 
 def test_criterion_4_closed_form_crosscheck(ex1, ex2, ex3):
@@ -118,8 +118,12 @@ def test_criterion_6_node_stay_extensional():
             # sample away from the tangency locus by at least 1e-3
             tau = tau_star + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0)
             x0 = base + tau * u
-            sys = PlanarLinearSystem.from_entries(*map(float, m.ravel()))
-            predicted, _ = node_stay_check(sys, khat, x0)
+            # in the frame y = R x (rows khat, u) the line is {y1 = 1} and
+            # x0 is (1, tau)
+            r = np.array([khat, u])
+            sys = PlanarLinearSystem.from_entries(
+                *map(float, (r @ m @ r.T).ravel()))
+            predicted, _ = node_stay_check(sys, 1.0, float(tau))
             brute = brute_linear_stays(
                 (m[0, 0], m[0, 1], m[1, 0], m[1, 1]), khat, tuple(x0), slow)
             assert predicted == brute, (m, khat, tau - tau_star)
@@ -150,9 +154,9 @@ def test_criterion_7_stay_set_and_window_extensional(ex1, ex2, ex3):
             c0 = params.d - params.q3 - params.q1
             sys = PlanarLinearSystem.from_entries(params.b11, params.b12,
                                                   params.b21, params.b22)
-            w = focus_stay_window(sys, (1.0 / c0, 0.0))
-            y_lo = w.x_star_in[1] + params.q2
-            y_hi = w.x_star_out[1] + params.q2
+            w = focus_stay_window(sys, c0)
+            y_lo = w.y_in + params.q2
+            y_hi = w.y_out + params.q2
             span = y_hi - y_lo
             grid = np.linspace(y_lo - 0.15 * span - 0.5,
                                y_hi + 0.15 * span + 0.5, 50)

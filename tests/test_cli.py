@@ -342,6 +342,56 @@ def test_simulate_bad_x0(cfg, capsys):
     assert "x0" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("x0", ["0_5,0,0", "0.5,0,\u0660", "0.5,1_0,0",
+                                "\uff10.5,0,0"])
+def test_simulate_x0_reads_the_config_number_format(cfg, tmp_path, capsys,
+                                                    x0):
+    # a start component is read as a config value is: float() alone took
+    # '0_5' as 5.0, and an Arabic-Indic or a full-width digit as its value
+    assert main(["simulate", cfg, "--x0", x0, "--t1", "1",
+                 "--out", str(tmp_path / "sim.json"),
+                 "--out-traj", str(tmp_path / "t.csv"),
+                 "--out-events", str(tmp_path / "e.csv")]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and "x0" in error["message"]
+    assert not (tmp_path / "sim.json").exists()
+
+
+def test_simulate_x0_components_may_be_spaced(cfg, tmp_path):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", cfg, "--x0", "0.5, 0, 0", "--t1", "0.1",
+                 "--out", str(out), "--out-traj", str(tmp_path / "t.csv"),
+                 "--out-events", str(tmp_path / "e.csv")]) == 0
+    assert json.loads(out.read_text())["x0"] == [0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "1", "--tol", "1_0e-9"],
+    ["example", "1", "--tback", "\uff12"],
+    ["check", "CFG", "--tfwd", "1e"],
+    ["check", "CFG", "--tol", "0x0"],
+    ["simulate", "CFG", "--x0", "0.5,0,0", "--t1", "\uff12"],
+    ["simulate", "CFG", "--x0", "0.5,0,0", "--t1", "1", "--t0", "Infinity"],
+], ids=["tol_separator", "tback_fullwidth", "tfwd_exponent", "tol_hex",
+        "t1_fullwidth", "t0_spelling"])
+def test_numeric_option_reads_the_config_number_format(cfg, tmp_path, capsys,
+                                                       argv):
+    # --tol, --tback, --tfwd, --t0 and --t1 read one number format with
+    # config lines and --set: anything else is a usage error naming the
+    # option (float() alone took '1_0e-9' as 1e-08 and a full-width 2 as 2)
+    argv = [cfg if a == "CFG" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path / "r.json"),
+              "--out-traj" if argv[0] == "simulate" else "--csv-dir",
+              str(tmp_path / "t"), *(["--out-events", str(tmp_path / "e")]
+                                     if argv[0] == "simulate" else [])])
+    assert info.value.code == 2
+    option, value = argv[-2], argv[-1]
+    assert (f"argument {option}: invalid number value: {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_reports_are_deterministic(cfg, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -722,8 +772,24 @@ def _all_contained(report):
     (["example", "1", "--set", "q3=0.200000002"], (0,), None,
      lambda r: (r["verdict"]["subcase"], r["verdict"]["cycle_count"])
      == ("a", 1)),
+    # a slow focus whose backward spiral returns to L2 past the float
+    # range: no window (the return ordinate read as NaN decided the flag)
+    (["example", "3", *(f"--set={kv}" for kv in (
+        "rho=140.46091047545062", "omega=1.9759279372396619",
+        "mu=0.002118765617358894", "b11=-11.06719190451943",
+        "b12=-0.07740938625780615", "b21=0.03128756874096285",
+        "b22=-11.06719190451943", "lambda=0.01860353724249509",
+        "q1=26.916108971616854", "q2=56.151870142410296",
+        "q3=15.06448838726424", "d=26.916108971616854"))],
+     (1,), "RootSearchError", None),
+    # a focus only through rounding (b12 = 0, the discriminant rounds
+    # below 0): the field is nowhere parallel to L2
+    (["example", "3", "--set", "b11=-1.0292099090649256", "--set", "b12=0",
+      "--set", "b21=0.5", "--set", "b22=-1.0292099090649272"],
+     (1,), "DegenerateWindow", None),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
-        "short_window", "wide_tol", "rim_band_node"])
+        "short_window", "wide_tol", "rim_band_node", "return_overflows",
+        "rounding_focus"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hetcycle.errors import ConfigError, HypothesisFailure
+from hetcycle.errors import ConfigError, DegenerateWindow, HypothesisFailure
 from hetcycle.flows import left_flow, right_flow
 from hetcycle.hybrid import integrate_hybrid
 from hetcycle.model import (
@@ -18,7 +18,9 @@ from hetcycle.model import (
     params_to_dict,
     point,
     read_assignment,
+    read_number,
     tangency_ordinates,
+    window_tangency,
     validate_hypotheses,
 )
 from hetcycle.orbits import build_gamma_up
@@ -76,6 +78,38 @@ def test_read_assignment(text, result):
         key, value = read_assignment(text, "here")
         assert key == result[0] and type(value) is float
         assert value == result[1] or math.isnan(value) and math.isnan(result[1])
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2", 2.0), (" -0.5\t", -0.5), (".5", 0.5), ("1e-3", 1e-3),
+    ("-inf", -math.inf), ("1_0", None), ("\uff12", None), ("\u0660", None),
+    ("0x10", None), ("Infinity", None), ("", None), ("1 2", None),
+])
+def test_read_number(text, value):
+    # the number format of config values, shared by the CLI's options
+    if value is None:
+        with pytest.raises(ConfigError) as info:
+            read_number(text, "here")
+        assert str(info.value) == f"here: {text.strip()!r}"
+    else:
+        got = read_number(text, "here")
+        assert type(got) is float and got == value
+
+
+def test_window_tangency_is_where_the_field_is_parallel_to_the_line():
+    # (A y)_1 = a11 c + a12 y vanishes at the ordinate, to rounding, on
+    # both sides of the equilibrium; the guard is relative to the block
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        a11, a12 = rng.uniform(-5.0, 5.0, 2)
+        c = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
+        y = window_tangency(a11, a12, c)
+        assert abs(a11 * c + a12 * y) <= 4e-16 * (abs(a11 * c) + abs(a12 * y))
+    for scale in (1e-200, 1.0, 1e200):
+        with pytest.raises(DegenerateWindow):
+            window_tangency(-scale, 1e-15 * scale, 1.0)
+        assert window_tangency(-scale, 1e-13 * scale, 1.0) == pytest.approx(
+            1e13, rel=1e-15)
 
 
 def test_config_that_is_not_utf8_cannot_be_read(tmp_path):

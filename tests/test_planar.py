@@ -14,12 +14,9 @@ from hetcycle.errors import (
     DegenerateInterval,
     DegenerateWindow,
     InvalidLine,
-    OffLine,
     RootSearchError,
-    SingularMatrix,
     UngenericBranch,
     WrongSpectralType,
-    ZeroNormal,
 )
 from hetcycle.flows import (
     block_exp,
@@ -27,7 +24,7 @@ from hetcycle.flows import (
     planar_left_orbit,
     radial_blowup_time,
 )
-from hetcycle.model import l2_normal, window_tangency
+from hetcycle.model import l2_offset, window_tangency
 from hetcycle.planar import (
     ROOT_BRACKET,
     PlanarLinearSystem,
@@ -155,46 +152,50 @@ def test_node_stay_check_example1_mapping(ex1):
     # planar reduction in the stable plane of q: line offset d - q3 - q1
     c0 = ex1.d - ex1.q3 - ex1.q1
     sys = PlanarLinearSystem.from_entries(ex1.b11, ex1.b12, ex1.b21, ex1.b22)
-    x0 = (c0, 0.0 - ex1.q2)  # the L2 point with p0's ordinate
-    stays, margin = node_stay_check(sys, (1.0 / c0, 0.0), x0)
+    # p0's ordinate on L2
+    stays, margin = node_stay_check(sys, c0, 0.0 - ex1.q2)
     assert stays and margin == pytest.approx(0.4, abs=1e-12)
 
 
 def test_node_stay_check_boundary_counts_as_staying():
     sys = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
-    # at (0, 1) on {x2 = 1}: field (0, -2) has k.Ax = -2 <= 0
-    assert node_stay_check(sys, (0.0, 1.0), (0.0, 1.0)) == (True, 2.0)
+    # at (1, 0) on {x1 = 1} of the swapped system diag(-2, -1) (the twin
+    # of (0, 1) on {x2 = 1} of this one): field (-2, 0), margin 2
+    swapped = PlanarLinearSystem.from_entries(-2.0, 0.0, 0.0, -1.0)
+    assert node_stay_check(swapped, 1.0, 0.0) == (True, 2.0)
     # at (1, 0) on {x1 = 1}: field (-1, 0), margin 1
-    assert node_stay_check(sys, (1.0, 0.0), (1.0, 0.0)) == (True, 1.0)
-    # the margin is along the unit normal: the same line as {x1/2 = 1}
-    assert node_stay_check(sys, (0.5, 0.0), (2.0, 0.0)) == (True, 2.0)
-    # tangential point: k.Ax = 0 exactly, margin 0, stays
+    assert node_stay_check(sys, 1.0, 0.0) == (True, 1.0)
+    # the margin is the field's inward component, not scaled by 1 / c
+    assert node_stay_check(sys, 2.0, 0.0) == (True, 2.0)
+    # left of the equilibrium, inward is +x1: field (1, 0), margin 1
+    assert node_stay_check(sys, -1.0, 0.0) == (True, 1.0)
+    # tangential point: (A y)_1 = 0 exactly, margin 0, stays
     shear = PlanarLinearSystem.from_entries(-1.0, 1.0, 0.0, -2.0)
-    assert node_stay_check(shear, (1.0, 0.0), (1.0, 1.0)) == (True, 0.0)
-    # the closed band: an outward push within tol * max(1, |Ax|) stays
-    x = (1.0, 1.0 + 1e-10)
-    stays, margin = node_stay_check(shear, (1.0, 0.0), x)
+    assert node_stay_check(shear, 1.0, 1.0) == (True, 0.0)
+    # the closed band: an outward push within tol * max(1, |Ay|) stays
+    y2 = 1.0 + 1e-10
+    stays, margin = node_stay_check(shear, 1.0, y2)
     assert stays and -1e-9 < margin < 0.0
-    assert not node_stay_check(shear, (1.0, 0.0), x, tol=1e-11)[0]
+    assert not node_stay_check(shear, 1.0, y2, tol=1e-11)[0]
 
 
 def test_node_stay_check_takes_a_point_on_the_line_up_to_rounding():
-    # (1/49) * 49 rounds to 1 - 2^-53: on the line even with tol = 0
+    # the line {x1 = 49} as the normal form {(1/49) x1 = 1} held (49, 3)
+    # only up to rounding, as (1/49) * 49 rounds to 1 - 2^-53; given by
+    # its abscissa, the line holds it exactly, also at tol = 0
     sys = PlanarLinearSystem.from_entries(-2.0, 1.0, 0.0, -1.0)
     assert (1.0 / 49.0) * 49.0 != 1.0
-    assert node_stay_check(sys, (1.0 / 49.0, 0.0), (49.0, 3.0), tol=0.0) == (
-        True, 95.0)
+    assert node_stay_check(sys, 49.0, 3.0, tol=0.0) == (True, 95.0)
 
 
 def test_node_stay_check_errors():
     focus = PlanarLinearSystem.from_entries(-0.5, 4.0, -4.0, -0.5)
     with pytest.raises(WrongSpectralType):
-        node_stay_check(focus, (1.0, 0.0), (1.0, 0.0))
+        node_stay_check(focus, 1.0, 0.0)
+    # a line through the equilibrium has no side to stay on
     node = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
-    with pytest.raises(OffLine):
-        node_stay_check(node, (1.0, 0.0), (2.0, 0.0))
-    with pytest.raises(ZeroNormal):
-        node_stay_check(node, (0.0, 0.0), (2.0, 0.0), tol=2.0)
+    with pytest.raises(InvalidLine):
+        node_stay_check(node, 0.0, 2.0, tol=2.0)
 
 
 def test_node_stay_check_vs_brute_force_sample():
@@ -208,11 +209,14 @@ def test_node_stay_check_vs_brute_force_sample():
         if abs(khat @ (m @ u)) < 0.5:
             continue
         base = khat  # |khat| = 1 so khat . base = 1
-        sys = PlanarLinearSystem.from_entries(*map(float, m.ravel()))
         tau_star = -(khat @ (m @ base)) / (khat @ (m @ u))
         tau = tau_star + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 2.0)
         x0 = base + tau * u
-        predicted, margin = node_stay_check(sys, khat, x0)
+        # in the frame y = R x (rows khat, u) the line {khat . x = 1} is
+        # {y1 = 1} and x0 is (1, tau)
+        r = np.array([khat, u])
+        sys = PlanarLinearSystem.from_entries(*map(float, (r @ m @ r.T).ravel()))
+        predicted, margin = node_stay_check(sys, 1.0, float(tau))
         brute = brute_linear_stays((m[0, 0], m[0, 1], m[1, 0], m[1, 1]),
                                    khat, tuple(x0), slow)
         assert predicted == brute == (margin > 0.0)
@@ -222,49 +226,46 @@ def test_node_stay_check_vs_brute_force_sample():
 def test_focus_window_example2(ex2):
     c0 = ex2.d - ex2.q3 - ex2.q1
     sys = PlanarLinearSystem.from_entries(ex2.b11, ex2.b12, ex2.b21, ex2.b22)
-    w = focus_stay_window(sys, (1.0 / c0, 0.0))
-    assert w.x_star_in[1] + ex2.q2 == pytest.approx(-4.848, abs=1e-2)
-    assert w.x_star_out[1] + ex2.q2 == pytest.approx(0.0476, abs=5e-3)
-    for p in (w.x_star_in, w.x_star_out):
-        assert p[0] / c0 == pytest.approx(1.0, rel=1e-12)
+    w = focus_stay_window(sys, c0)
+    assert w.y_in + ex2.q2 == pytest.approx(-4.848, abs=1e-2)
+    assert w.y_out + ex2.q2 == pytest.approx(0.0476, abs=5e-3)
+    assert w.c == c0
 
 
 def test_focus_window_example3(ex3):
     c0 = ex3.d - ex3.q3 - ex3.q1
     sys = PlanarLinearSystem.from_entries(ex3.b11, ex3.b12, ex3.b21, ex3.b22)
-    w = focus_stay_window(sys, (1.0 / c0, 0.0))
-    assert w.x_star_in[1] + ex3.q2 == pytest.approx(-1.1667, abs=1e-3)
-    assert w.x_star_out[1] + ex3.q2 == pytest.approx(27.6586, abs=5e-2)
-    assert w.x_star_in != w.x_star_out
+    w = focus_stay_window(sys, c0)
+    assert w.y_in + ex3.q2 == pytest.approx(-1.1667, abs=1e-3)
+    assert w.y_out + ex3.q2 == pytest.approx(27.6586, abs=5e-2)
+    assert w.y_in != w.y_out
     assert w.t_star_out < 0.0
 
 
 def _ex3_window(ex3):
     c0 = ex3.d - ex3.q3 - ex3.q1
     sys = PlanarLinearSystem.from_entries(ex3.b11, ex3.b12, ex3.b21, ex3.b22)
-    return focus_stay_window(sys, (1.0 / c0, 0.0))
+    return focus_stay_window(sys, c0)
 
 
 def test_focus_window_closed_start_membership(ex3):
     w = _ex3_window(ex3)
     # tangency end included, return end excluded
-    assert focus_stay_check(w, w.x_star_in, tol=1e-9) == (True, 0.0)
-    assert focus_stay_check(w, w.x_star_out, tol=1e-9) == (False, 1.0)
+    assert focus_stay_check(w, w.y_in, tol=1e-9) == (True, 0.0)
+    assert focus_stay_check(w, w.y_out, tol=1e-9) == (False, 1.0)
 
 
 def test_focus_check_ends_and_bands(ex3):
-    # lam is the parameter along [x_star_in, x_star_out); the tangency end
-    # takes in the band tol / len below 0, the return end gives up the
-    # band below 1
+    # lam is the parameter along [y_in, y_out); the tangency end takes in
+    # the band tol / len below 0, the return end gives up the band below 1
     w = _ex3_window(ex3)
-    a, b = w.x_star_in, w.x_star_out
-    length = math.hypot(b[0] - a[0], b[1] - a[1])
+    a, b = w.y_in, w.y_out
+    length = abs(b - a)
     band = 1e-9 / length
     for lam, stays in ((0.5, True), (-0.5 * band, True), (-2.0 * band, False),
                        (1.0 - 2.0 * band, True), (1.0 - 0.5 * band, False),
                        (1.5, False), (-0.5, False)):
-        y = (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1]))
-        got, got_lam = focus_stay_check(w, y, tol=1e-9)
+        got, got_lam = focus_stay_check(w, a + lam * (b - a), tol=1e-9)
         assert got == stays, lam
         assert got_lam == pytest.approx(lam, abs=1e-14)
 
@@ -272,40 +273,41 @@ def test_focus_check_ends_and_bands(ex3):
 def test_focus_check_short_window_is_degenerate(ex3):
     # ends at most tol apart raise before lam is formed, also at tol 0 for
     # ends that coincide
-    same = SpiralWindow((1.0, 1e-200), (1.0, 1e-200), (1.0, 0.0), -1.0)
+    same = SpiralWindow(1.0, 1e-200, 1e-200, -1.0)
     with pytest.raises(DegenerateInterval):
-        focus_stay_check(same, (1.0, 0.0), tol=0.0)
+        focus_stay_check(same, 0.0, tol=0.0)
     # a genuinely short window: L2 1e-12 from q, so the spiral's window on
     # it is about 1e-11 long
     p = replace(ex3, d=1.000000000001, q1=1.000000000001, q3=1e-12)
     sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
-    w = focus_stay_window(sys, l2_normal(p))
+    w = focus_stay_window(sys, l2_offset(p))
     with pytest.raises(DegenerateInterval):
-        focus_stay_check(w, (p.d - p.q3 - p.q1, 0.0), tol=1e-9)
-
-
-def test_focus_check_refuses_off_line(ex3):
-    w = _ex3_window(ex3)
-    c0 = 1.0 / w.k_vec[0]
-    assert focus_stay_check(w, (c0 * (1.0 + 1e-10), 0.0), tol=1e-9)[0]
-    with pytest.raises(OffLine):
-        focus_stay_check(w, (c0 * (1.0 + 1e-6), 0.0), tol=1e-9)
-    # at tol 0 only the rounding of k . y is forgiven
-    focus_stay_check(w, (c0, 0.0), tol=0.0)
-    with pytest.raises(OffLine):
-        focus_stay_check(w, (c0 * (1.0 + 1e-12), 0.0), tol=0.0)
+        focus_stay_check(w, 0.0, tol=1e-9)
 
 
 def test_focus_window_errors():
     node = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
     with pytest.raises(WrongSpectralType):
-        focus_stay_window(node, (1.0, 0.0))
-    with pytest.raises(SingularMatrix):
-        window_tangency(1.0, 0.0, 0.0, 0.0, (1.0, 0.0))
-    # degenerate denominator is impossible for a true focus; exercise the
-    # guard on a real-spectrum matrix directly
+        focus_stay_window(node, 1.0)
+    focus = PlanarLinearSystem.from_entries(-0.5, 4.0, -4.0, -0.5)
+    with pytest.raises(InvalidLine):
+        focus_stay_window(focus, 0.0)
+    # a12 = 0 is impossible for a true focus; exercise the guard on a
+    # real-spectrum matrix directly
     with pytest.raises(DegenerateWindow):
-        window_tangency(-1.0, 0.0, 0.0, -2.0, (1.0, 0.0))
+        window_tangency(-1.0, 0.0, 1.0)
+
+
+def test_focus_window_return_past_float_range():
+    # a slowly rotating focus whose backward spiral meets L2 again only
+    # where its ordinate is past the float range: RootSearchError, not a
+    # window ending at inf or NaN
+    sys = PlanarLinearSystem.from_entries(
+        -11.06719190451943, -0.07740938625780615, 0.03128756874096285,
+        -11.06719190451943)
+    with pytest.raises(RootSearchError, match="float range"):
+        focus_stay_window(sys, 26.916108971616854 - 15.06448838726424
+                          - 26.916108971616854)
 
 
 def test_vdp_stay_set_vs_brute_force_sample():
@@ -370,10 +372,10 @@ def _reference_vdp_return(a, samples_per_rev=4096):
         max(1.0, a.k), samples_per_rev, allow_missing=True)
 
 
-def _reference_focus_return(sys, k_vec, samples_per_rev=4096):
-    """t_star_out of the spiral window by the reference scan."""
-    k1, k2 = k_vec
-    u, v = window_tangency(sys.a11, sys.a12, sys.a21, sys.a22, k_vec)
+def _reference_focus_return(sys, c, samples_per_rev=4096):
+    """t_star_out of the spiral window on {x1 = c} by the reference scan."""
+    u, v = c, window_tangency(sys.a11, sys.a12, c)
+    k1 = 1.0 / c
     exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
 
     def flow(t):
@@ -382,7 +384,7 @@ def _reference_focus_return(sys, k_vec, samples_per_rev=4096):
 
     try:
         return _reference_crossing(
-            flow, lambda p: k1 * p[0] + k2 * p[1] - 1.0,
+            flow, lambda p: k1 * p[0] - 1.0,
             2.0 * math.pi / sys.beta, -math.inf, 1.0, samples_per_rev,
             max_revs=10.0)[1]
     except OverflowError as exc:
@@ -392,7 +394,8 @@ def _reference_focus_return(sys, k_vec, samples_per_rev=4096):
 def _seeded_scans(seed, n):
     """n oscillator lines x1 = d and n focus systems on their line
     {x1 = d - q3 - q1 = -q3}, drawn as the benchmark's generator draws
-    them (omega log-uniform on [0.5, 15], |alpha| / beta in [1/40, 8])."""
+    them (omega log-uniform on [0.5, 15], |alpha| / beta in [1/40, 8]).
+    Each focus line is given by its abscissa -q3."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
@@ -405,7 +408,7 @@ def _seeded_scans(seed, n):
         sys = PlanarLinearSystem.from_entries(alpha, beta * s, -beta / s,
                                               alpha)
         q3 = rng.uniform(0.05, d + math.sqrt(rho) + 2.0)
-        out.append(((rho, omega, d), sys, (-1.0 / q3, 0.0)))
+        out.append(((rho, omega, d), sys, -q3))
     return out
 
 
@@ -421,7 +424,7 @@ def _same_return(t_new, t_ref, rate, scale):
 
 
 def test_scans_match_dense_reference():
-    for (rho, omega, k), sys, k_vec in _seeded_scans(606, 500):
+    for (rho, omega, k), sys, c in _seeded_scans(606, 500):
         a = analyze_vdp_line(rho, omega, k)
         if a.regime == "subcritical":
             _, t_ref = _reference_vdp_return(a)
@@ -431,9 +434,10 @@ def test_scans_match_dense_reference():
                 rate = rho * x1 - omega * x2 - x1 * (x1 * x1 + x2 * x2)
             assert _same_return(a.t_star, t_ref, rate, max(1.0, k)), (
                 rho, omega, k)
-        w = focus_stay_window(sys, k_vec)
-        rate = np.dot(k_vec, sys.apply(w.x_star_out))
-        assert _same_return(w.t_star_out, _reference_focus_return(sys, k_vec),
+        w = focus_stay_window(sys, c)
+        # x1' / c, the rate of the line value x1 / c - 1
+        rate = (sys.a11 * c + sys.a12 * w.y_out) / c
+        assert _same_return(w.t_star_out, _reference_focus_return(sys, c),
                             rate, 1.0)
 
 
@@ -445,13 +449,13 @@ def test_slow_focus_scan_matches_dense_reference():
                          (1.0 / 400.0, False)):
         sys = PlanarLinearSystem.from_entries(-1.0, 3.0 * beta, -beta / 3.0, -1.0)
         if finite:
-            w = focus_stay_window(sys, (0.5, 0.0))
-            t_ref = _reference_focus_return(sys, (0.5, 0.0), 64)
+            w = focus_stay_window(sys, 2.0)
+            t_ref = _reference_focus_return(sys, 2.0, 64)
             assert abs(w.t_star_out - t_ref) <= 1e-12
         else:
             for scan in (focus_stay_window, _reference_focus_return):
                 with pytest.raises(RootSearchError):
-                    scan(sys, (0.5, 0.0))
+                    scan(sys, 2.0)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 3.0])
@@ -459,18 +463,18 @@ def test_focus_window_time_rescaling(s):
     # e^{t sA} = e^{(st) A}: the same window, reached at t_star_out / s.
     # Each return time is within ROOT_BRACKET / 2 of the root in its own
     # time units, so s * t_s and t differ by at most (1 + s) ROOT_BRACKET / 2
-    # and x_star_out by that times the speed |A x_star_out| along the line.
-    for _, sys, k_vec in _seeded_scans(707, 40):
-        w = focus_stay_window(sys, k_vec)
+    # and y_out by that times the speed |A (c, y_out)| along the orbit.
+    for _, sys, c in _seeded_scans(707, 40):
+        w = focus_stay_window(sys, c)
         ws = focus_stay_window(PlanarLinearSystem.from_entries(
-            s * sys.a11, s * sys.a12, s * sys.a21, s * sys.a22), k_vec)
-        np.testing.assert_allclose(ws.x_star_in, w.x_star_in, rtol=1e-13)
+            s * sys.a11, s * sys.a12, s * sys.a21, s * sys.a22), c)
+        np.testing.assert_allclose(ws.y_in, w.y_in, rtol=1e-13)
         dt = 0.5 * (1.0 + s) * ROOT_BRACKET
         assert abs(s * ws.t_star_out - w.t_star_out) <= dt * (1.0 + 1e-6)
-        x, y = w.x_star_out
-        speed = math.hypot(*sys.apply((x, y)))
-        assert math.dist(ws.x_star_out, w.x_star_out) <= (
-            speed * dt * (1.0 + 1e-6) + 1e-14 * math.hypot(x, y))
+        speed = math.hypot(sys.a11 * c + sys.a12 * w.y_out,
+                           sys.a21 * c + sys.a22 * w.y_out)
+        assert abs(ws.y_out - w.y_out) <= (
+            speed * dt * (1.0 + 1e-6) + 1e-14 * math.hypot(c, w.y_out))
 
 
 #: Ceilings on the closed-form evaluations of one scan, and on their mean
@@ -489,15 +493,15 @@ def test_scan_evaluation_ceilings(ex1, ex2, ex3):
         assert a.evaluations <= VDP_EVALUATIONS
     for p in (ex2, ex3):
         sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
-        w = focus_stay_window(sys, (1.0 / (p.d - p.q3 - p.q1), 0.0))
+        w = focus_stay_window(sys, p.d - p.q3 - p.q1)
         assert 1 <= w.evaluations <= FOCUS_EVALUATIONS
     vdp, focus = [], []
-    for (rho, omega, k), sys, k_vec in _seeded_scans(808, 1000):
+    for (rho, omega, k), sys, c in _seeded_scans(808, 1000):
         a = analyze_vdp_line(rho, omega, k)
         assert (a.evaluations == 0) == (a.regime == "supercritical")
         if a.evaluations:
             vdp.append(a.evaluations)
-        focus.append(focus_stay_window(sys, k_vec).evaluations)
+        focus.append(focus_stay_window(sys, c).evaluations)
     assert max(vdp) <= VDP_EVALUATIONS and max(focus) <= FOCUS_EVALUATIONS
     assert sum(vdp) <= VDP_MEAN_EVALUATIONS * len(vdp)
     assert sum(focus) <= FOCUS_MEAN_EVALUATIONS * len(focus)

@@ -8,7 +8,7 @@ from helpers import rim_sets
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow
-from hetcycle.model import (SystemParams, derive_geometry, l2_normal,
+from hetcycle.model import (SystemParams, derive_geometry, l2_offset,
                             validate_hypotheses)
 from hetcycle.planar import (PlanarLinearSystem, analyze_vdp_line,
                              focus_stay_window, return_branch)
@@ -235,7 +235,7 @@ def test_records_are_immutable(n):
               (analyze_vdp_line(p.rho, p.omega, p.d), "regime"),
               (sys, "a11")]
     if n != 1:
-        fields.append((focus_stay_window(sys, l2_normal(p)), "x_star_out"))
+        fields.append((focus_stay_window(sys, l2_offset(p)), "y_out"))
     for record, field in fields:
         before = getattr(record, field)
         with pytest.raises(AttributeError):
@@ -324,8 +324,9 @@ def _scaled(p, s):
                    q3=s * p.q3, d=s * p.d)
 
 
-# 2^12 and 2^16 shrink the spiral tangency solve's denominator by s^-4,
-# below any absolute floor: its degeneracy guard is relative
+# 2^12 and 2^16 scale the right block by s^2 and L2's abscissa by s, far
+# past any absolute floor: the spiral tangency's degeneracy guard is
+# relative (|b12| against hypot(b11, b12))
 @pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 4.0, 4096.0, 65536.0])
 def test_scaling_keeps_verdict(ex1, ex2, ex3, s):
     for p in (ex1, ex2, ex3):
