@@ -182,16 +182,15 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     h1 = kind == "real_stable"
     h2 = kind == "complex_stable"
 
-    m1 = params.d - params.sqrt_rho
-    m2 = params.q1 + params.q3 - params.d
-    m3 = abs(params.q1 - params.d)
-    checks = (
-        H3Check("sqrt_rho_lt_d", m1 > 0.0, m1),
-        H3Check("cq_gt_d", m2 > 0.0, m2),
-        H3Check("q1_eq_d", m3 <= tol * max(1.0, abs(params.d)), m3),
-    )
-    h3 = all(c.passed for c in checks)
-    return HypothesisReport(h1, h2, h3, checks, eigs, kind)
+    d = params.d
+    m1 = d - math.sqrt(params.rho)
+    m2 = params.q1 + params.q3 - d
+    m3 = abs(params.q1 - d)
+    p1, p2 = m1 > 0.0, m2 > 0.0
+    p3 = m3 <= tol * (abs(d) if abs(d) > 1.0 else 1.0)  # tol max(1, |d|)
+    checks = (H3Check("sqrt_rho_lt_d", p1, m1), H3Check("cq_gt_d", p2, m2),
+              H3Check("q1_eq_d", p3, m3))
+    return HypothesisReport(h1, h2, p1 and p2 and p3, checks, eigs, kind)
 
 
 @dataclass(frozen=True)

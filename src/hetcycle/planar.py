@@ -49,8 +49,7 @@ from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
 # module's namespace: the per-call kernels are looked up on it by name
 # (perfbench/tracing.py counts calls through them).
 from .flows import (block_exp, planar_left_flow,  # noqa: F401
-                    planar_left_orbit, planar_matrix_exp, radial_blowup_time,
-                    radial_law)
+                    planar_matrix_exp, radial_blowup_time, radial_law)
 from .model import (DEFAULT_TOL, classify_2x2, tangency_ordinates,
                     window_tangency)
 
@@ -193,7 +192,6 @@ def _vdp_backward_return(u1, rho, omega):
     explodes within a fraction of dt.
     """
     k = u1[0]
-    orbit = planar_left_orbit(u1, rho, omega)
     r0_sq = k * k + u1[1] * u1[1]
     theta0 = math.atan2(u1[1], k)
     t_floor = radial_blowup_time(r0_sq, rho)
@@ -204,8 +202,8 @@ def _vdp_backward_return(u1, rho, omega):
     guard = 1e-10 * max(1.0, k)
     t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -40.0 * period
 
-    def value(t):
-        return orbit(t)[0] - k
+    def value(t):  # x1 of planar_left_orbit(u1, rho, omega), less k
+        return math.sqrt(law(t)) * math.cos(theta0 + omega * t) - k
 
     # The seed is on the line only up to rounding, so it closes a bracket
     # with no value: NaN makes the refine bisect until that end moves.
@@ -236,7 +234,10 @@ def _vdp_backward_return(u1, rho, omega):
                 evals += 1
                 if f > guard:
                     t_root, steps = _refine(value, t, f, t_neg, f_neg)
-                    return orbit(t_root), t_root, evals + steps + 1
+                    r = math.sqrt(law(t_root))
+                    theta = theta0 + omega * t_root
+                    return ((r * math.cos(theta), r * math.sin(theta)),
+                            t_root, evals + steps + 1)
                 if at_floor:
                     return None, None, evals
                 if f <= 0.0:
@@ -284,8 +285,9 @@ def _refine(value, lo, f_lo, hi, f_hi):
         t = lo + (hi - lo) * (f_lo / span) if span > 0.0 else math.nan
         if hi - lo > 0.5 * widths[evals % _STALL_STEPS] or not lo <= t <= hi:
             t = mid
-        else:
-            t = min(max(t, lo + nudge), hi - nudge)
+        else:  # clamped into [lo + nudge, hi - nudge]
+            t = (lo + nudge if t < lo + nudge else
+                 hi - nudge if t > hi - nudge else t)
         widths[evals % _STALL_STEPS] = hi - lo
         f = value(t)
         evals += 1

@@ -47,13 +47,21 @@ from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
 
 
 class Evidence(NamedTuple):
-    """One named condition with its computed value, threshold and outcome."""
+    """One named condition with its computed value, threshold and outcome.
+
+    ``form`` is the threshold text with a ``{!r}`` slot per number of
+    ``limits``; ``threshold`` renders it only when a report reads it."""
 
     name: str
     value: float
-    threshold: str
+    form: str
+    limits: tuple
     passed: bool
     note: str = ""
+
+    @property
+    def threshold(self) -> str:
+        return self.form.format(*self.limits)
 
 
 class CycleVerdict(NamedTuple):
@@ -89,7 +97,7 @@ def cone_condition(params: SystemParams) -> Evidence:
     omega, mu, d = params.omega, params.mu, params.d
     lhs = omega * omega * params.rho
     rhs = mu * mu * (d * d - params.rho)
-    return Evidence("cone", lhs, f"< {rhs!r}", lhs < rhs)
+    return Evidence("cone", lhs, "< {!r}", (rhs,), lhs < rhs)
 
 
 def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
@@ -99,11 +107,11 @@ def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
     passed = vdp_stay_check(analysis, params.q2, tol)
     vp, v2_star = analysis.varrho_plus, analysis.x_star[1]
     if analysis.branch == "x2star_above":
-        return Evidence("q2_window", params.q2, f"[{vp!r}, {v2_star!r}]",
+        return Evidence("q2_window", params.q2, "[{!r}, {!r}]", (vp, v2_star),
                         passed, note="branch: v2* above sigma_plus")
     return Evidence(
-        "q2_window", params.q2,
-        f"(-inf, {v2_star!r}] u [{vp!r}, +inf)", passed,
+        "q2_window", params.q2, "(-inf, {!r}] u [{!r}, +inf)",
+        (v2_star, vp), passed,
         note="branch: v2* below sigma_minus; left-infinite interval used "
              "(the mirrored sign reading is inconsistent with the stay set)")
 
@@ -111,12 +119,12 @@ def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
 def _q3_evidence(q3: float, subcase: str, lo: float, hi: float) -> Evidence:
     """The ``rim_subcase`` decision of q3 against the rims lo, hi."""
     if subcase == "none":
-        return Evidence("q3_subcase", q3, f"within [{lo!r}, {hi!r}]", False,
-                        note="q3 outside certification coverage")
-    threshold = (f"= {lo!r} (bottom rim)" if subcase == "a" else
-                 f"= {hi!r} (top rim)" if subcase == "b" else
-                 f"in ({lo!r}, {hi!r})")
-    return Evidence("q3_subcase", q3, threshold, True,
+        return Evidence("q3_subcase", q3, "within [{!r}, {!r}]", (lo, hi),
+                        False, note="q3 outside certification coverage")
+    form, limits = (("= {!r} (bottom rim)", (lo,)) if subcase == "a" else
+                    ("= {!r} (top rim)", (hi,)) if subcase == "b" else
+                    ("in ({!r}, {!r})", (lo, hi)))
+    return Evidence("q3_subcase", q3, form, limits, True,
                     note=f"subcase {subcase}")
 
 
@@ -124,17 +132,19 @@ def _none_verdict(evidence: list) -> CycleVerdict:
     return CycleVerdict("none", None, "none", 0, (), None, tuple(evidence))
 
 
-#: Route of each certifiable spectrum: (theorem, gate evidence, spectrum).
-_ROUTES = {"real_stable": ("real_saddle", "h1", "real stable"),
-           "complex_stable": ("saddle_focus", "h2", "complex stable")}
+#: Route of each certifiable spectrum: (theorem, gate evidence, its text).
+_ROUTES = {"real_stable": ("real_saddle", "h1",
+                           "right planar block real stable"),
+           "complex_stable": ("saddle_focus", "h2",
+                              "right planar block complex stable")}
 
 
 def _h3_evidence(report: HypothesisReport) -> Evidence:
+    if report.h3_holds:
+        return Evidence("h3", 1.0, "placement hypothesis", (), True)
     worst = min(report.h3_details, key=lambda c: c.passed)
-    return Evidence("h3", 1.0 if report.h3_holds else 0.0,
-                    "placement hypothesis", report.h3_holds,
-                    note="" if report.h3_holds else
-                    f"failing sub-check: {worst.name}")
+    return Evidence("h3", 0.0, "placement hypothesis", (), False,
+                    note=f"failing sub-check: {worst.name}")
 
 
 def certify(params: SystemParams, tol: float = DEFAULT_TOL,
@@ -159,10 +169,10 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     if report.spectral_type not in _ROUTES:
         return _none_verdict([
             Evidence("spectral_type", 0.0, "real stable or complex stable",
-                     False, note=f"got {report.spectral_type}"),
+                     (), False, note=f"got {report.spectral_type}"),
             _h3_evidence(report)])
-    theorem, gate, spectrum = _ROUTES[report.spectral_type]
-    evidence = [Evidence(gate, 1.0, f"right planar block {spectrum}", True),
+    theorem, gate, gate_text = _ROUTES[report.spectral_type]
+    evidence = [Evidence(gate, 1.0, gate_text, (), True),
                 _h3_evidence(report)]
     if not report.h3_holds:
         return _none_verdict(evidence)
@@ -174,8 +184,9 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
         if analysis.x_star is None:  # a coverage gap, not an exception
             evidence.append(Evidence(
                 "v_star_exists", 0.0, "backward orbit of v1 returns to L1",
-                False, note="the backward orbit escapes before returning; "
-                            "configuration outside certification coverage"))
+                (), False,
+                note="the backward orbit escapes before returning; "
+                     "configuration outside certification coverage"))
         else:
             evidence.append(_q2_window(params, analysis, tol))
             v_star = (analysis.k, analysis.x_star[1], 0.0)
@@ -193,18 +204,18 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     if theorem == "real_saddle":
         window = None
         check = functools.partial(node_stay_check, sys, c)
-        prefix, threshold = "halfplane", ">= 0"
+        prefix, form = "halfplane", ">= 0"
     else:  # the report prints the window lifted to L2 in 3D
         w = focus_stay_window(sys, c)
         window = tuple((params.d - params.q3, y + params.q2, params.q3)
                        for y in (w.y_in, w.y_out))
         check = functools.partial(focus_stay_check, w)
-        prefix, threshold = "window", "in [0, 1) along [x_minus, x_plus)"
+        prefix, form = "window", "in [0, 1) along [x_minus, x_plus)"
     for label, p in points:
         # p's ordinate on L2: a rim point of subcase a or b itself sits up
         # to the rim band off L2
         stays, value = check(p[1] - params.q2, tol)
-        evidence.append(Evidence(f"{prefix}_{label}", value, threshold,
+        evidence.append(Evidence(f"{prefix}_{label}", value, form, (),
                                  stays))
 
     # subcase 'none' implies no points and fails the q3_subcase evidence
