@@ -29,7 +29,9 @@ the cone condition).  No ``DerivedGeometry`` is built on the way.
 All conditions here are sufficient only: cycle_count 0 means "not
 certified", never "no cycle exists".  Strict inequalities are evaluated
 with zero slack; equality-type checks use the global tolerance.
-``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s, cheap to build.
+``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s, cheap to build; an
+``Evidence`` keeps its threshold's numbers (``limits``) beside its text
+(``form``), and ``certify`` formats no text: ``threshold`` renders it.
 """
 
 from __future__ import annotations

@@ -423,6 +423,20 @@ def _same_return(t_new, t_ref, rate, scale):
     return abs(t_new - t_ref) <= band and t_ref <= t_new + band
 
 
+def test_vdp_return_point_is_the_orbit_at_t_star(ex1, ex2):
+    # the scan builds x_star from the radial law and angle it binds itself:
+    # bit for bit the planar left orbit of u1 at t_star
+    lines = [(p.rho, p.omega, p.d) for p in (ex1, ex2)]
+    lines += [line for line, _, _ in _seeded_scans(808, 300)]
+    returns = 0
+    for rho, omega, k in lines:
+        a = analyze_vdp_line(rho, omega, k)
+        if a.x_star is not None:
+            returns += 1
+            assert a.x_star == planar_left_orbit(a.u1, rho, omega)(a.t_star)
+    assert returns == 88
+
+
 def test_scans_match_dense_reference():
     for (rho, omega, k), sys, c in _seeded_scans(606, 500):
         a = analyze_vdp_line(rho, omega, k)

@@ -153,6 +153,42 @@ def test_cone_condition_examples(ex2, ex3):
     assert not huge_omega.passed and huge_omega.value == math.inf
 
 
+#: (example, changed params, evidence, rendered threshold) for every kind
+#: of evidence, the texts as the reports printed them when each verdict
+#: formatted its own: gate, h3 (holding and failing), both q2 window
+#: branches, the four q3 subcases, cone (a square past the float range
+#: reading as inf) and the node and focus checks on L2.
+THRESHOLD_TEXTS = [
+    (1, {}, "h1", "right planar block real stable"),
+    (2, {}, "h2", "right planar block complex stable"),
+    (1, {"b11": 2.0}, "spectral_type", "real stable or complex stable"),
+    (1, {}, "h3", "placement hypothesis"),
+    (1, {"d": 0.9, "q1": 0.9}, "h3", "placement hypothesis"),
+    (1, {"omega": 1e160}, "v_star_exists",
+     "backward orbit of v1 returns to L1"),
+    (1, {}, "q2_window", "[-0.05313884846595452, 2.363045070247626]"),
+    (2, {}, "q2_window",
+     "(-inf, -4.416214485453859] u [-0.9045340337332911, +inf)"),
+    (1, {}, "q3_subcase", "= 0.19999999999999996 (bottom rim)"),
+    (2, {}, "q3_subcase", "= 2.7837651700316894 (top rim)"),
+    (3, {}, "q3_subcase", "in (1.0, 3.0)"),
+    (1, {"q3": 5.0}, "q3_subcase", "within [0.19999999999999996, 2.2]"),
+    (2, {}, "cone", "< 54.545454545454554"),
+    (3, {"mu": 1e300}, "cone", "< inf"),
+    (1, {}, "halfplane_p0", ">= 0"),
+    (2, {}, "window_p1", "in [0, 1) along [x_minus, x_plus)"),
+    (3, {}, "window_p_minus", "in [0, 1) along [x_minus, x_plus)"),
+]
+
+
+@pytest.mark.parametrize("n, changes, name, text", THRESHOLD_TEXTS)
+def test_threshold_texts(n, changes, name, text):
+    # the threshold is rendered from its numbers only when read
+    e = _evidence(certify(replace(example_params(n), **changes)), name)
+    assert e.threshold == text
+    assert all(type(x) is float for x in e.limits)
+
+
 def test_verdict_example1(ex1):
     v = certify(ex1)
     assert v.theorem == "real_saddle"
