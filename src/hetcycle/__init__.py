@@ -13,6 +13,7 @@ from .hybrid import (
 from .model import (
     DerivedGeometry,
     HypothesisReport,
+    PlanarLinearSystem,
     SystemParams,
     derive_geometry,
     load_config,
@@ -28,7 +29,6 @@ from .orbits import (
     default_horizons,
 )
 from .planar import (
-    PlanarLinearSystem,
     SpiralWindow,
     VdpLineAnalysis,
     analyze_vdp_line,

@@ -68,8 +68,8 @@ def _hypotheses_dict(report):
             {"name": c.name, "passed": c.passed, "margin": c.margin}
             for c in report.h3_details
         ],
-        "eigenvalues": [[e.real, e.imag] for e in report.eigenvalues],
-        "spectral_type": report.spectral_type,
+        "eigenvalues": [[e.real, e.imag] for e in report.block.eigenvalues],
+        "spectral_type": report.block.spectral_type,
     }
 
 

@@ -14,10 +14,11 @@ corrupt the root finding built on top of this flow.  Only ``radial_law``
 evaluates the law; a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
 
 Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
-closed form, split by eigenvalue type (distinct real / repeated / complex
-pair).  On an invariant set through q (the stable plane x3 = q3, the
-unstable line x1 = q1, x2 = q2) the exponential of the zero offset is
-never evaluated, so a long horizon cannot overflow it.
+closed form, split by the ``branch`` of the block's one spectrum,
+``SystemParams.block`` (distinct real / repeated / complex pair).  On an
+invariant set through q (the stable plane x3 = q3, the unstable line
+x1 = q1, x2 = q2) the exponential of the zero offset is never evaluated,
+so a long horizon cannot overflow it.
 
 Each zone binds one start once as an orbit ``t -> (x1, x2, x3)``, a tuple
 of floats (an ndarray per call was half its cost), holding every
@@ -45,11 +46,7 @@ from typing import Optional
 
 from ._integrate import StepControl, rk45
 from .errors import BackwardBlowup
-from .model import SystemParams, point
-
-#: Relative threshold on the normalized discriminant below which the
-#: repeated-root exponential branch is used (stability near coalescence).
-_REPEATED_ROOT_TOL = 1e-12
+from .model import PlanarLinearSystem, SystemParams, point
 
 #: Band of |rho / r0^2 - 1| within which a start is on the limit cycle
 #: (r^2 = rho for every t).  A point built on the cycle lies on it only up
@@ -164,32 +161,25 @@ def left_orbit(x0, params: SystemParams):
     return orbit
 
 
-def block_exp(a11: float, a12: float, a21: float, a22: float):
-    """exp(t * A) of a fixed 2x2 matrix A as a function
+def block_exp(sys: PlanarLinearSystem):
+    """exp(t * A) of the block ``sys`` as a function
     ``t -> (m11, m12, m21, m22)``.
 
-    Branches once on the sign of the trace/determinant discriminant; only
-    the exponentials and trigonometric factors are left to each t.  The
-    distinct-real branch is written with the two scalar exponentials
+    The formula is the one of ``sys.branch``, built from its a = tr / 2 and
+    w; only the exponentials and trigonometric factors are left to each t.
+    The distinct-real branch is written with the two scalar exponentials
     directly so large |t| cannot overflow through cosh/sinh when the
     combined exponent is moderate.
     """
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a21
-    disc = tr * tr - 4.0 * det
-    a = 0.5 * tr
-    scale = max(1.0, tr * tr, abs(det))
-    d11 = a11 - a
-    d22 = a22 - a
-    if abs(disc) <= _REPEATED_ROOT_TOL * scale:
+    a11, a12, a21, a22, _, branch, a, w, _ = sys
+    d11, d22 = a11 - a, a22 - a
+    if branch == "repeated":
         def exp_ta(t):
             c = math.exp(a * t)
             sl = c * t
             return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
-    elif disc > 0.0:
-        w = 0.5 * math.sqrt(disc)
-        hi = a + w
-        lo = a - w
+    elif branch == "real":
+        hi, lo = a + w, a - w
 
         def exp_ta(t):
             e_hi = math.exp(hi * t)
@@ -198,8 +188,6 @@ def block_exp(a11: float, a12: float, a21: float, a22: float):
             sl = 0.5 * (e_hi - e_lo) / w
             return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
     else:
-        w = 0.5 * math.sqrt(-disc)
-
         def exp_ta(t):
             e = math.exp(a * t)
             c = e * math.cos(w * t)
@@ -211,7 +199,7 @@ def block_exp(a11: float, a12: float, a21: float, a22: float):
 def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
                       t: float) -> tuple:
     """Entries (m11, m12, m21, m22) of exp(t * A) for a 2x2 matrix A."""
-    return block_exp(a11, a12, a21, a22)(t)
+    return block_exp(PlanarLinearSystem.from_entries(a11, a12, a21, a22))(t)
 
 
 def right_orbit(x0, params: SystemParams):
@@ -229,7 +217,7 @@ def right_orbit(x0, params: SystemParams):
         # is the full product's sum unless every term of it is -0.0.
         x1, x2 = q1 + 0.0, q2 + 0.0
         return lambda t: (x1, x2, q3 + y3 * math.exp(lam * t))
-    exp_tb = block_exp(params.b11, params.b12, params.b21, params.b22)
+    exp_tb = block_exp(params.block)
 
     def orbit(t):
         m11, m12, m21, m22 = exp_tb(t)

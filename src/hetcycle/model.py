@@ -21,7 +21,8 @@ tangency ordinates on a line x1 = k (``tangency_ordinates``, which the
 verifier's regime reads too) and the tangency ordinate of a planar
 linear field on a vertical line {y1 = c} (``window_tangency``, on L2 at
 ``l2_offset``); the geometry (``derive_geometry``) and the verdict read
-the same floats.
+the same floats.  So is the right block's spectrum (``PlanarLinearSystem``,
+held by ``SystemParams.block`` for the theorem, flows, window and horizons).
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.
 
@@ -35,11 +36,13 @@ point a caller passes (a start, q0, p), as a float 3-tuple, which
 
 Everything here is an immutable value; every function is pure.  The
 records every certification builds are ``NamedTuple``s, cheap to build;
-``SystemParams`` is a frozen dataclass, which checks its values.
+``SystemParams`` is a frozen dataclass, which checks its values; its
+``block`` is computed on first use and kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, fields
@@ -105,6 +108,12 @@ class SystemParams:
     def sqrt_rho(self) -> float:
         return math.sqrt(self.rho)
 
+    @functools.cached_property
+    def block(self) -> "PlanarLinearSystem":
+        """The right planar block with its spectrum, derived once."""
+        return PlanarLinearSystem.from_entries(self.b11, self.b12, self.b21,
+                                               self.b22)
+
     def plane_residual(self, x) -> float:
         """Signed offset of x from the switching plane (positive = right zone)."""
         x1, _, x3 = point(x)
@@ -122,27 +131,56 @@ _POSITIVE_FIELD_KEYS = tuple(
 CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 
 
-def classify_2x2(a11: float, a12: float, a21: float, a22: float):
-    """Spectral classification of a 2x2 real matrix from trace/determinant.
+#: Relative band of the repeated-root flow formula: |disc| <= 1e-12 *
+#: max(tr^2, |det|), in the block's own units (no absolute floor).
+_REPEATED_ROOT_TOL = 1e-12
 
-    Returns (spectral_type, (ev1, ev2)) with eigenvalues as complex numbers;
-    a complex pair is reported with positive imaginary part first.  The
-    quadratic formula is used (never an iterative solver) so the result is
-    deterministic and exact up to rounding.
+
+class PlanarLinearSystem(NamedTuple):
+    """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
+    ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
+    4 a12 a21 (no cancellation when a12 a21 = 0), a = tr / 2 and
+    w = sqrt(|disc|) / 2.  The sign of disc alone names the family and so
+    the theorem: disc >= 0, real ``eigenvalues`` low first (a triangular
+    block's diagonal, exactly), 'real_stable' when both are negative;
+    disc < 0, a +/- i w, 'complex_stable' when a < 0; else 'other'.
+    ``branch`` only picks the formula of ``flows.block_exp``: 'repeated'
+    when |disc| <= _REPEATED_ROOT_TOL * max(tr^2, |det|), else 'real' or
+    'complex'.  A complex block in that band has w <= 1e-6 |a|: its spiral
+    grows by e^{2 pi 1e6} or more per turn, which
+    ``planar.focus_stay_window`` refuses (RootSearchError).
     """
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a21
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        l1 = 0.5 * (tr - root)
-        l2 = 0.5 * (tr + root)
-        kind = "real_stable" if (l1 < 0.0 and l2 < 0.0) else "other"
-        return kind, (complex(l1, 0.0), complex(l2, 0.0))
-    alpha = 0.5 * tr
-    beta = 0.5 * math.sqrt(-disc)
-    kind = "complex_stable" if alpha < 0.0 else "other"
-    return kind, (complex(alpha, beta), complex(alpha, -beta))
+
+    a11: float
+    a12: float
+    a21: float
+    a22: float
+    spectral_type: str
+    branch: str
+    a: float
+    w: float
+    eigenvalues: tuple
+
+    @classmethod
+    def from_entries(cls, a11, a12, a21, a22) -> "PlanarLinearSystem":
+        tr, h = a11 + a22, a11 - a22
+        disc = h * h + 4.0 * a12 * a21
+        a, w = 0.5 * tr, 0.5 * math.sqrt(abs(disc))
+        if disc >= 0.0:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
+            den = h + math.copysign(2.0 * w, h)
+            s = 2.0 * a12 * a21 / den if den else 0.0
+            lo, hi = a11 + s, a22 - s
+            if hi < lo:
+                lo, hi = hi, lo
+            eigs = (complex(lo), complex(hi))
+            kind = "real_stable" if hi < 0.0 else "other"
+        else:
+            eigs = (complex(a, w), complex(a, -w))
+            kind = "complex_stable" if a < 0.0 else "other"
+        band = _REPEATED_ROOT_TOL * max(tr * tr, abs(a11 * a22 - a12 * a21))
+        branch = ("repeated" if abs(disc) <= band else
+                  "real" if disc > 0.0 else "complex")
+        return cls(a11, a12, a21, a22, kind, branch, a, w, eigs)
 
 
 class H3Check(NamedTuple):
@@ -153,14 +191,13 @@ class H3Check(NamedTuple):
 
 class HypothesisReport(NamedTuple):
     """Outcome of the structural hypothesis checks, with its ``H3Check``
-    rows; failure is data here, not an error."""
+    rows and the ``block`` h1/h2 read; failure is data, not an error."""
 
     h1_holds: bool
     h2_holds: bool
     h3_holds: bool
     h3_details: tuple
-    eigenvalues: tuple
-    spectral_type: str
+    block: PlanarLinearSystem
 
 
 def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> HypothesisReport:
@@ -178,10 +215,6 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     """
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tol must be finite and non-negative, got {tol!r}")
-    kind, eigs = classify_2x2(params.b11, params.b12, params.b21, params.b22)
-    h1 = kind == "real_stable"
-    h2 = kind == "complex_stable"
-
     d = params.d
     m1 = d - math.sqrt(params.rho)
     m2 = params.q1 + params.q3 - d
@@ -190,7 +223,9 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     p3 = m3 <= tol * (abs(d) if abs(d) > 1.0 else 1.0)  # tol max(1, |d|)
     checks = (H3Check("sqrt_rho_lt_d", p1, m1), H3Check("cq_gt_d", p2, m2),
               H3Check("q1_eq_d", p3, m3))
-    return HypothesisReport(h1, h2, p1 and p2 and p3, checks, eigs, kind)
+    kind = params.block.spectral_type
+    return HypothesisReport(kind == "real_stable", kind == "complex_stable",
+                            p1 and p2 and p3, checks, params.block)
 
 
 @dataclass(frozen=True)

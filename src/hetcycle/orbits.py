@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CertificateFailure, ConfigError, HypothesisFailure
 from .flows import left_flow, right_flow
-from .model import SystemParams, classify_2x2, point
+from .model import SystemParams, point
 from .verifier import CycleVerdict
 
 #: Allowed slack on closed containments ("on or inside the plane").
@@ -86,8 +86,7 @@ def default_horizons(params: SystemParams) -> dict:
     radial rate 2*rho at the cycle, the left vertical rate mu (cylinder
     unwinding), and the slowest stable rate of the right planar block."""
     span = math.log(1.0 / HORIZON_TARGET)
-    kind, eigs = classify_2x2(params.b11, params.b12, params.b21, params.b22)
-    slow = min(abs(e.real) for e in eigs)
+    slow = min(abs(e.real) for e in params.block.eigenvalues)
     if slow == 0.0:
         raise HypothesisFailure("right planar block has a non-contracting mode")
     return {

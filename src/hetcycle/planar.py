@@ -50,7 +50,7 @@ from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
 # (perfbench/tracing.py counts calls through them).
 from .flows import (block_exp, planar_left_flow,  # noqa: F401
                     planar_matrix_exp, radial_blowup_time, radial_law)
-from .model import (DEFAULT_TOL, classify_2x2, tangency_ordinates,
+from .model import (DEFAULT_TOL, PlanarLinearSystem, tangency_ordinates,
                     window_tangency)
 
 
@@ -306,27 +306,6 @@ def _refine(value, lo, f_lo, hi, f_hi):
     return 0.5 * (lo + hi), evals
 
 
-class PlanarLinearSystem(NamedTuple):
-    """A 2x2 linear system with its spectral classification."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-    spectral_type: str
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-
-    @classmethod
-    def from_entries(cls, a11: float, a12: float, a21: float, a22: float,
-                     spectrum: Optional[tuple] = None) -> "PlanarLinearSystem":
-        """[[a11, a12], [a21, a22]]; ``spectrum`` is its ``classify_2x2``."""
-        kind, eigs = spectrum or classify_2x2(a11, a12, a21, a22)
-        if kind == "complex_stable":
-            return cls(a11, a12, a21, a22, kind, eigs[0].real, eigs[0].imag)
-        return cls(a11, a12, a21, a22, kind)
-
-
 def node_stay_check(sys: PlanarLinearSystem, c: float, y2: float,
                     tol: float = DEFAULT_TOL) -> tuple:
     """(stays, margin) of a stable-node system at the point y = (c, y2) of
@@ -364,10 +343,11 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
 
     The tangency ordinate is ``model.window_tangency``; the window's far
     end is the first return of its backward (expanding) spiral to the
-    line, bracketed in closed form within the spiral's next backward turn,
-    refined to 1e-12 in time on k1 x1(t) - 1 (k1 = 1/c), and read as the
-    ordinate at the refined time.  RootSearchError when that ordinate is
-    past the float range; InvalidLine for c = 0.
+    line, bracketed by ``sys.a`` and ``sys.w`` within the spiral's next
+    backward turn, refined to 1e-12 in time on k1 x1(t) - 1 (k1 = 1/c)
+    along ``block_exp(sys)``, read as the ordinate at that time.
+    RootSearchError when it is past the float range (as for any focus in
+    the repeated-root band); InvalidLine for c = 0.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(
@@ -376,7 +356,7 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
         raise InvalidLine("the line y1 = 0 passes through the equilibrium")
     y_in = window_tangency(sys.a11, sys.a12, c)
     k1 = 1.0 / c
-    exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
+    exp_ta = block_exp(sys)
 
     def value(t):
         try:
@@ -391,7 +371,7 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
     # value first exceeds 1 on the monotone branch between t_near, where
     # the cosine turns positive again (x1 = 0), and the next maximum at
     # t_far = -2 pi / beta (k1 x1 = e^{-2 pi alpha / beta} > 1).
-    alpha, beta = sys.alpha, sys.beta
+    alpha, beta = sys.a, sys.w
     t_near = (-math.atan(alpha / beta) - 1.5 * math.pi) / beta
     growth = -2.0 * math.pi * alpha / beta  # log of k1 x1 at t_far
     try:
@@ -410,7 +390,7 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
     if not math.isfinite(y_out):
         raise RootSearchError(
             "the backward spiral leaves float range before returning to "
-            f"the line (alpha={sys.alpha!r}, beta={sys.beta!r})")
+            f"the line (alpha={alpha!r}, beta={beta!r})")
     return SpiralWindow(c, y_in, y_out, t_out, steps + 1)
 
 

@@ -43,9 +43,8 @@ from typing import NamedTuple, Optional
 from .model import (DEFAULT_TOL, HypothesisReport, SystemParams,  # noqa: F401
                     derive_geometry, l2_offset, rim_subcase,
                     validate_hypotheses)
-from .planar import (PlanarLinearSystem, VdpLineAnalysis, analyze_vdp_line,
-                     focus_stay_check, focus_stay_window, node_stay_check,
-                     vdp_stay_check)
+from .planar import (VdpLineAnalysis, analyze_vdp_line, focus_stay_check,
+                     focus_stay_window, node_stay_check, vdp_stay_check)
 
 
 class Evidence(NamedTuple):
@@ -168,12 +167,13 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     """
     if report is None:
         report = validate_hypotheses(params, tol)
-    if report.spectral_type not in _ROUTES:
+    sys = report.block
+    if sys.spectral_type not in _ROUTES:
         return _none_verdict([
             Evidence("spectral_type", 0.0, "real stable or complex stable",
-                     (), False, note=f"got {report.spectral_type}"),
+                     (), False, note=f"got {sys.spectral_type}"),
             _h3_evidence(report)])
-    theorem, gate, gate_text = _ROUTES[report.spectral_type]
+    theorem, gate, gate_text = _ROUTES[sys.spectral_type]
     evidence = [Evidence(gate, 1.0, gate_text, (), True),
                 _h3_evidence(report)]
     if not report.h3_holds:
@@ -199,9 +199,6 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     if subcase in ("b", "c"):
         evidence.append(cone_condition(params))
 
-    sys = PlanarLinearSystem.from_entries(
-        params.b11, params.b12, params.b21, params.b22,
-        (report.spectral_type, report.eigenvalues))
     c = l2_offset(params)
     if theorem == "real_saddle":
         window = None

@@ -168,7 +168,7 @@ def test_criterion_7_stay_set_and_window_extensional(ex1, ex2, ex3):
                 brute = brute_affine_stays_above(
                     (params.b11, params.b12, params.b21, params.b22),
                     (params.q1, params.q2), line_x1,
-                    (line_x1, float(y)), abs(sys.alpha))
+                    (line_x1, float(y)), abs(sys.a))
                 assert predicted == brute, (params.d, float(y))
 
 

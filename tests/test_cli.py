@@ -782,14 +782,29 @@ def _all_contained(report):
         "q1=26.916108971616854", "q2=56.151870142410296",
         "q3=15.06448838726424", "d=26.916108971616854"))],
      (1,), "RootSearchError", None),
-    # a focus only through rounding (b12 = 0, the discriminant rounds
-    # below 0): the field is nowhere parallel to L2
+    # a triangular block (b12 = 0) with diagonal entries 2 ulp apart: once
+    # a focus through rounding of tr^2 - 4 det (exit 1, DegenerateWindow),
+    # its spectrum is real and it takes the node route
     (["example", "3", "--set", "b11=-1.0292099090649256", "--set", "b12=0",
       "--set", "b21=0.5", "--set", "b22=-1.0292099090649272"],
-     (1,), "DegenerateWindow", None),
+     (0,), None,
+     lambda r: (r["verdict"]["theorem"], r["verdict"]["regime"],
+                r["verdict"]["subcase"], r["verdict"]["cycle_count"])
+     == ("real_saddle", "case_i", "c", 2) and _all_contained(r)),
+    # a focus with rates near 1e-6, once inside an absolute repeated-root
+    # band: one certified cycle, as its twin scaled by 16 has
+    (["example", "2", *(f"--set={kv}" for kv in (
+        "rho=1.7225157317705857", "omega=2.4480501069987852",
+        "mu=0.4386184050052798", "b11=-9.694814540121535e-07",
+        "b12=-1.804892770862274e-06", "b21=9.852611088887626e-08",
+        "b22=-9.694814540121535e-07", "lambda=0.018782423058652915",
+        "q1=9.888177507590518", "q2=-0.05141019404000463",
+        "q3=8.57573103943626", "d=9.888177507590518"))],
+     (0,), None,
+     lambda r: r["verdict"]["cycle_count"] == 1 and _all_contained(r)),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
-        "rounding_focus"])
+        "rounding_focus", "small_rate_focus"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with

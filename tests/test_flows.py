@@ -496,13 +496,13 @@ def _ref_planar_left_flow(xy, t, rho, omega):
 
 
 def _ref_planar_matrix_exp(a11, a12, a21, a22, t):
-    from hetcycle.flows import _REPEATED_ROOT_TOL
+    from hetcycle.model import _REPEATED_ROOT_TOL
 
     tr = a11 + a22
     det = a11 * a22 - a12 * a21
-    disc = tr * tr - 4.0 * det
+    disc = (a11 - a22) * (a11 - a22) + 4.0 * a12 * a21
     a = 0.5 * tr
-    scale = max(1.0, tr * tr, abs(det))
+    scale = max(tr * tr, abs(det))
     if abs(disc) <= _REPEATED_ROOT_TOL * scale:
         e = math.exp(a * t)
         c, sl = e, e * t
@@ -535,11 +535,11 @@ def _kernel_outcome(fn, *args):
 
 
 def _branch(a11, a12, a21, a22):
-    from hetcycle.flows import _REPEATED_ROOT_TOL
+    from hetcycle.model import _REPEATED_ROOT_TOL
 
     tr = a11 + a22
-    disc = tr * tr - 4.0 * (a11 * a22 - a12 * a21)
-    scale = max(1.0, tr * tr, abs(a11 * a22 - a12 * a21))
+    disc = (a11 - a22) * (a11 - a22) + 4.0 * a12 * a21
+    scale = max(tr * tr, abs(a11 * a22 - a12 * a21))
     if abs(disc) <= _REPEATED_ROOT_TOL * scale:
         return "repeated"
     return "real" if disc > 0.0 else "complex"
@@ -547,6 +547,7 @@ def _branch(a11, a12, a21, a22):
 
 def test_block_exp_matches_per_call_reference():
     from hetcycle.flows import block_exp, planar_matrix_exp
+    from hetcycle.model import PlanarLinearSystem
 
     rng = np.random.default_rng(30)
     blocks = []
@@ -557,25 +558,69 @@ def test_block_exp_matches_per_call_reference():
                        0.0, -rng.uniform(0.1, 4.0)))  # distinct real
         c = -rng.uniform(0.1, 4.0)
         blocks.append((c, rng.uniform(-3.0, 3.0), 0.0, c))  # exact repeat
-    # the repeated-root threshold: disc = 4 eps against 1e-12 * scale with
-    # scale = tr^2 = 4, just inside and just outside on both sides
-    for eps in (0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12, 1e-12, -1e-12):
-        blocks.append((-1.0, 1.0, eps, -1.0))
+    # the repeated-root threshold, relative: disc = 4 eps s^2 against
+    # 1e-12 * scale with scale = tr^2 = 4 s^2, just inside and just outside
+    # on both sides, at unit rates and at rates 2^-20 and 2^20 (no floor:
+    # at 2^-20 every block here was once inside an absolute band of 1e-12)
+    for s in (1.0, 2.0 ** -20, 2.0 ** 20):
+        for eps in (0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12, 1e-12, -1e-12):
+            blocks.append((-s, s, eps * s, -s))
+        assert [_branch(-s, s, e * s, -s) for e in (0.9e-12, -0.9e-12)] == [
+            "repeated", "repeated"]
+        assert [_branch(-s, s, e * s, -s) for e in (1.1e-12, -1.1e-12)] == [
+            "real", "complex"]
     branches = {_branch(*m) for m in blocks}
     assert branches == {"repeated", "real", "complex"}
-    assert [_branch(-1.0, 1.0, e, -1.0) for e in (0.9e-12, -0.9e-12)] == [
-        "repeated", "repeated"]
-    assert [_branch(-1.0, 1.0, e, -1.0) for e in (1.1e-12, -1.1e-12)] == [
-        "real", "complex"]
     ts = [0.0, -0.0, 1e-9, -1e-9] + list(rng.uniform(-6.0, 6.0, size=20))
     ts += [-400.0, -800.0, 800.0]  # exp overflows on the backward side
     for m in blocks:
-        exp_ta = block_exp(*m)
+        sys = PlanarLinearSystem.from_entries(*m)
+        assert sys.branch == _branch(*m)
+        exp_ta = block_exp(sys)
         for t in ts:
             t = float(t)
             want = _kernel_outcome(_ref_planar_matrix_exp, *m, t)
             assert _kernel_outcome(exp_ta, t) == want, (m, t)
             assert _kernel_outcome(planar_matrix_exp, *m, t) == want, (m, t)
+
+
+def test_block_exp_matches_mpmath_on_small_rate_blocks():
+    # an independent reference: the 40-digit matrix exponential, on blocks
+    # whose rates are far below 1, at times up to 20 of the block's own
+    # time scale 1/|a|.  1e-9 of the largest entry bounds the repeated-root
+    # formula inside its band (|w t| <= 1e-6 |a t|) and the cancellation
+    # of the real formula at the band's edge; the rest meet it to 1e-15.
+    import mpmath
+
+    from hetcycle.flows import block_exp
+    from hetcycle.model import PlanarLinearSystem
+
+    s = 2.0 ** -20
+    blocks = [(-9.694814540121535e-07, -1.804892770862274e-06,
+               9.852611088887626e-08, -9.694814540121535e-07),  # focus, 1e-6
+              (-2.0 * s, s, 0.0, -s), (-0.5 * s, 4.0 * s, -4.0 * s, -0.5 * s),
+              (-s, s, 0.0, -s), (-s, 3.0 * s / 150.0, -s / 450.0, -s)]
+    blocks += [(-s, s, e * s, -s) for e in (0.5e-12, -0.5e-12, 2e-12, -2e-12)]
+    for m in blocks:
+        sys = PlanarLinearSystem.from_entries(*m)
+        exp_ta = block_exp(sys)
+        ts = [k / abs(sys.a) for k in (-20.0, -10.0, -3.0, -1.0, -0.3, 0.5,
+                                       2.0, 10.0)]
+        if sys.spectral_type == "complex_stable":
+            ts.append(-2.0 * math.pi / sys.w)  # one backward turn
+        a = mpmath.matrix([[m[0], m[1]], [m[2], m[3]]])
+        for t in ts:
+            try:
+                got = exp_ta(t)
+            except OverflowError:  # past the float range, as the reference
+                assert abs(sys.a * t) > 700.0
+                continue
+            with mpmath.workdps(40):
+                e = mpmath.expm(a * t)
+            want = (e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+            big = max(abs(v) for v in want)
+            assert max(abs(g - v) for g, v in zip(got, want)) <= 1e-9 * big, (
+                m, t)
 
 
 def test_planar_left_orbit_matches_per_call_reference():

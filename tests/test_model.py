@@ -10,6 +10,7 @@ from hetcycle.flows import left_flow, right_flow
 from hetcycle.hybrid import integrate_hybrid
 from hetcycle.model import (
     CONFIG_KEYS,
+    PlanarLinearSystem,
     SystemParams,
     derive_geometry,
     load_config,
@@ -122,16 +123,52 @@ def test_config_that_is_not_utf8_cannot_be_read(tmp_path):
 def test_hypotheses_example1(ex1):
     rep = validate_hypotheses(ex1)
     assert rep.h1_holds and not rep.h2_holds and rep.h3_holds
-    eigs = sorted(e.real for e in rep.eigenvalues)
+    eigs = sorted(e.real for e in rep.block.eigenvalues)
     assert eigs == [-2.0, -1.0]
-    assert all(e.imag == 0 for e in rep.eigenvalues)
+    assert all(e.imag == 0 for e in rep.block.eigenvalues)
 
 
 def test_hypotheses_example2(ex2):
     rep = validate_hypotheses(ex2)
     assert rep.h2_holds and not rep.h1_holds and rep.h3_holds
-    e = rep.eigenvalues[0]
+    e = rep.block.eigenvalues[0]
     assert e.real == pytest.approx(-0.5) and abs(e.imag) == pytest.approx(4.0)
+
+
+def test_triangular_block_spectrum_is_its_diagonal():
+    # (a11 - a22)^2 + 4 a12 a21 does not cancel when a12 a21 = 0: diagonal
+    # entries a few ulp apart give a real spectrum that is exactly
+    # {b11, b22} (tr^2 - 4 det reads a negative discriminant on some), and
+    # only the flow formula, by the relative band, is the repeated one
+    rng = np.random.default_rng(26)
+    for _ in range(500):
+        b11 = -math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
+        b22 = b11
+        for _ in range(int(rng.integers(1, 9))):
+            b22 = math.nextafter(b22, math.copysign(math.inf, rng.normal()))
+        off = b11 * float(rng.uniform(-8.0, 8.0))
+        for entries in ((b11, 0.0, off, b22), (b11, off, 0.0, b22),
+                        (b11, -0.0, off, b22), (b22, off, -0.0, b11)):
+            block = PlanarLinearSystem.from_entries(*entries)
+            assert block.spectral_type == "real_stable", entries
+            assert {e.real for e in block.eigenvalues} == {b11, b22}
+            assert all(e.imag == 0.0 for e in block.eigenvalues)
+            assert block.branch == "repeated"
+
+
+def test_blocks_inside_the_repeated_root_band():
+    # the sign of the discriminant names the family (and so the theorem)
+    # at any rate; the band picks only the flow formula
+    for s in (1.0, 2.0 ** -20, 2.0 ** 20):
+        node = PlanarLinearSystem.from_entries(-s, s, 0.5e-12 * s, -s)
+        focus = PlanarLinearSystem.from_entries(-s, s, -0.5e-12 * s, -s)
+        assert (node.spectral_type, node.branch) == ("real_stable", "repeated")
+        assert (focus.spectral_type, focus.branch) == ("complex_stable",
+                                                       "repeated")
+        assert focus.w <= 1e-6 * abs(focus.a)
+        far = PlanarLinearSystem.from_entries(-s, s, -2e-12 * s, -s)
+        assert (far.spectral_type, far.branch) == ("complex_stable",
+                                                   "complex")
 
 
 def test_hypotheses_mutually_exclusive(ex1, ex2, ex3):

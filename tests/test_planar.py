@@ -376,7 +376,7 @@ def _reference_focus_return(sys, c, samples_per_rev=4096):
     """t_star_out of the spiral window on {x1 = c} by the reference scan."""
     u, v = c, window_tangency(sys.a11, sys.a12, c)
     k1 = 1.0 / c
-    exp_ta = block_exp(sys.a11, sys.a12, sys.a21, sys.a22)
+    exp_ta = block_exp(sys)
 
     def flow(t):
         m11, m12, m21, m22 = exp_ta(t)
@@ -385,7 +385,7 @@ def _reference_focus_return(sys, c, samples_per_rev=4096):
     try:
         return _reference_crossing(
             flow, lambda p: k1 * p[0] - 1.0,
-            2.0 * math.pi / sys.beta, -math.inf, 1.0, samples_per_rev,
+            2.0 * math.pi / sys.w, -math.inf, 1.0, samples_per_rev,
             max_revs=10.0)[1]
     except OverflowError as exc:
         raise RootSearchError("float range") from exc
@@ -470,6 +470,16 @@ def test_slow_focus_scan_matches_dense_reference():
             for scan in (focus_stay_window, _reference_focus_return):
                 with pytest.raises(RootSearchError):
                     scan(sys, 2.0)
+
+
+def test_focus_inside_the_repeated_root_band_is_refused():
+    # beta <= 1e-6 |alpha|: the spiral grows by e^{2 pi 1e6} or more per
+    # backward turn, past the float range, at any rate
+    for s in (1.0, 2.0 ** -20, 2.0 ** 20):
+        sys = PlanarLinearSystem.from_entries(-s, s, -0.5e-12 * s, -s)
+        assert sys.branch == "repeated"
+        with pytest.raises(RootSearchError):
+            focus_stay_window(sys, 2.0 / s)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 3.0])

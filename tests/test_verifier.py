@@ -7,9 +7,10 @@ import pytest
 from helpers import rim_sets
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
-from hetcycle.flows import left_flow
+from hetcycle.flows import left_flow, numeric_flow, right_flow
 from hetcycle.model import (SystemParams, derive_geometry, l2_offset,
                             validate_hypotheses)
+from hetcycle.orbits import assemble_cycle
 from hetcycle.planar import (PlanarLinearSystem, analyze_vdp_line,
                              focus_stay_window, return_branch)
 from hetcycle.presets import example_params
@@ -281,22 +282,66 @@ def test_records_are_immutable(n):
 
 
 def test_certify_classifies_the_block_once(ex1, ex2, ex3, monkeypatch):
-    # the L2 planar system reuses the hypothesis report's spectrum
-    from hetcycle import model, planar
+    # one spectrum per parameter set: the theorem choice, the L2 check, the
+    # flows and the horizons of certify and assemble_cycle all read the
+    # record that PlanarLinearSystem.from_entries built once
+    import sys
 
     calls = []
+    build = PlanarLinearSystem.from_entries
 
-    def counted(*entries):
+    def counted(cls, *entries):
         calls.append(entries)
-        return classify(*entries)
+        return build(*entries)
 
-    classify = model.classify_2x2
-    monkeypatch.setattr(model, "classify_2x2", counted)
-    monkeypatch.setattr(planar, "classify_2x2", counted)
+    # no module keeps the builder under a name of its own, so patching it
+    # on the class patches it wherever it is looked up
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("hetcycle")]
+    assert not [(m, k) for m in modules for k, v in vars(m).items()
+                if callable(v) and v == build]
+    monkeypatch.setattr(PlanarLinearSystem, "from_entries",
+                        classmethod(counted))
     for p in (ex1, ex2, ex3):
+        p = replace(p)  # a new object, whose spectrum is not derived yet
         calls.clear()
-        assert certify(p).certified
+        verdict = certify(p)
+        assert verdict.certified
+        assert assemble_cycle(p, verdict)
         assert calls == [(p.b11, p.b12, p.b21, p.b22)]
+
+
+#: A focus with rates near 1e-6 (alpha = -9.7e-7, beta = 4.2e-7): its
+#: discriminant, -7.1e-13, once fell inside a repeated-root band with an
+#: absolute floor of 1e-12, so its spiral window was refined on a flow that
+#: does not rotate, and it certified no cycle.
+SMALL_RATE_FOCUS = dict(
+    rho=1.7225157317705857, omega=2.4480501069987852,
+    mu=0.4386184050052798, b11=-9.694814540121535e-07,
+    b12=-1.804892770862274e-06, b21=9.852611088887626e-08,
+    b22=-9.694814540121535e-07, lam=0.018782423058652915,
+    q1=9.888177507590518, q2=-0.05141019404000463, q3=8.57573103943626,
+    d=9.888177507590518)
+
+
+def test_small_rate_focus_certifies_as_its_scaled_twin(ex2):
+    p = replace(ex2, **SMALL_RATE_FOCUS)
+    twin = _scaled(p, 16.0)  # rates x 256: far from any band
+    v, vt = certify(p), certify(twin)
+    assert (v.theorem, v.cycle_count) == (vt.theorem, vt.cycle_count) == (
+        "saddle_focus", 1)
+    # the window's far end (x_plus's ordinate on L2) scales with lengths,
+    # bit for bit; a 40-digit evaluation of the first return gives -17678.39
+    far = v.window[1][1] - p.q2
+    assert vt.window[1][1] - twin.q2 == 16.0 * far
+    assert far == pytest.approx(-17678.39096355185, rel=1e-9)
+    # over one backward turn of the spiral, the block's own time scale,
+    # the closed form meets the Runge-Kutta oracle to 1e-6 relative (the
+    # non-rotating flow missed it by more than the orbit's size)
+    t = -2.0 * math.pi / p.block.w
+    x0 = v.window[0]
+    got, want = right_flow(x0, t, p), numeric_flow(x0, t, "right", p)
+    assert math.dist(got, want) <= 1e-6 * math.dist(want, p.q)
 
 
 def test_subcase_exclusivity_and_points(ex1, ex2, ex3):
