@@ -111,7 +111,9 @@ def _certificate_dict(cert):
 def build_run_report(params: SystemParams, tol: float, certify_orbits: bool,
                      t_back=None, t_fwd=None):
     """Run the full pipeline and return (report dict, verdict, certificates).
-    The hypotheses are validated once; the verdict reuses that report."""
+    The hypotheses are validated once; the verdict reuses that report.  A
+    bad horizon override raises ConfigError first, whatever the verdict."""
+    orbits.check_horizons(t_back, t_fwd)
     t0 = time.perf_counter()
     hyp = validate_hypotheses(params, tol)
     t1 = time.perf_counter()

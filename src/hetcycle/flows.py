@@ -15,10 +15,10 @@ evaluates the law; a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
 
 Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
 closed form, split by the ``branch`` of the block's one spectrum,
-``SystemParams.block`` (distinct real / repeated / complex pair).  On an
-invariant set through q (the stable plane x3 = q3, the unstable line
-x1 = q1, x2 = q2) the exponential of the zero offset is never evaluated,
-so a long horizon cannot overflow it.
+``SystemParams.block``: the sign of its discriminant (distinct real /
+repeated / complex pair).  On an invariant set through q (the stable plane
+x3 = q3, the unstable line x1 = q1, x2 = q2) the exponential of the zero
+offset is never evaluated, so a long horizon cannot overflow it.
 
 Each zone binds one start once as an orbit ``t -> (x1, x2, x3)``, a tuple
 of floats (an ndarray per call was half its cost), holding every
@@ -167,9 +167,10 @@ def block_exp(sys: PlanarLinearSystem):
 
     The formula is the one of ``sys.branch``, built from its a = tr / 2 and
     w; only the exponentials and trigonometric factors are left to each t.
-    The distinct-real branch is written with the two scalar exponentials
-    directly so large |t| cannot overflow through cosh/sinh when the
-    combined exponent is moderate.
+    The distinct-real branch takes the larger of e^{(a +/- w) t} from its
+    own exponent (no overflow through cosh/sinh at large |t|) and the
+    smaller as the larger times 1 + m, m = expm1(-2 w |t|), so sinh(w t) / w
+    has no cancellation at any w > 0, as sin(w t) / w has none.
     """
     a11, a12, a21, a22, _, branch, a, w, _ = sys
     d11, d22 = a11 - a, a22 - a
@@ -179,13 +180,16 @@ def block_exp(sys: PlanarLinearSystem):
             sl = c * t
             return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
     elif branch == "real":
-        hi, lo = a + w, a - w
+        hi, lo, w2 = a + w, a - w, 2.0 * w
 
         def exp_ta(t):
-            e_hi = math.exp(hi * t)
-            e_lo = math.exp(lo * t)
-            c = 0.5 * (e_hi + e_lo)
-            sl = 0.5 * (e_hi - e_lo) / w
+            if t > 0.0:
+                big, m = math.exp(hi * t), math.expm1(-w2 * t)
+                sl = -0.5 * big * m / w
+            else:
+                big, m = math.exp(lo * t), math.expm1(w2 * t)
+                sl = 0.5 * big * m / w
+            c = big + 0.5 * big * m
             return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
     else:
         def exp_ta(t):

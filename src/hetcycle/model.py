@@ -131,11 +131,6 @@ _POSITIVE_FIELD_KEYS = tuple(
 CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 
 
-#: Relative band of the repeated-root flow formula: |disc| <= 1e-12 *
-#: max(tr^2, |det|), in the block's own units (no absolute floor).
-_REPEATED_ROOT_TOL = 1e-12
-
-
 class PlanarLinearSystem(NamedTuple):
     """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
     ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
@@ -143,12 +138,9 @@ class PlanarLinearSystem(NamedTuple):
     w = sqrt(|disc|) / 2.  The sign of disc alone names the family and so
     the theorem: disc >= 0, real ``eigenvalues`` low first (a triangular
     block's diagonal, exactly), 'real_stable' when both are negative;
-    disc < 0, a +/- i w, 'complex_stable' when a < 0; else 'other'.
-    ``branch`` only picks the formula of ``flows.block_exp``: 'repeated'
-    when |disc| <= _REPEATED_ROOT_TOL * max(tr^2, |det|), else 'real' or
-    'complex'.  A complex block in that band has w <= 1e-6 |a|: its spiral
-    grows by e^{2 pi 1e6} or more per turn, which
-    ``planar.focus_stay_window`` refuses (RootSearchError).
+    disc < 0, a +/- i w, 'complex_stable' when a < 0; else 'other'.  The
+    same sign names ``branch``, the formula of ``flows.block_exp``: 'real'
+    for disc > 0, 'repeated' for disc == 0, 'complex' for disc < 0.
     """
 
     a11: float
@@ -177,9 +169,8 @@ class PlanarLinearSystem(NamedTuple):
         else:
             eigs = (complex(a, w), complex(a, -w))
             kind = "complex_stable" if a < 0.0 else "other"
-        band = _REPEATED_ROOT_TOL * max(tr * tr, abs(a11 * a22 - a12 * a21))
-        branch = ("repeated" if abs(disc) <= band else
-                  "real" if disc > 0.0 else "complex")
+        branch = ("real" if disc > 0.0 else
+                  "repeated" if disc == 0.0 else "complex")
         return cls(a11, a12, a21, a22, kind, branch, a, w, eigs)
 
 
@@ -336,8 +327,9 @@ def l2_offset(params: SystemParams) -> float:
 def window_tangency(a11, a12, c) -> float:
     """Ordinate -a11 c / a12 where the planar field A y is parallel to the
     line {y1 = c}.  DegenerateWindow when |a12| <= 1e-14 hypot(a11, a12),
-    relative so that it does not depend on the units of x and t: a focus
-    has a12 a21 < 0 unless it is one only through rounding."""
+    relative so that it does not depend on the units of x and t.  A focus
+    has a12 != 0 (its disc < 0 needs a12 a21 < 0), so the guard refuses
+    only an a12 negligible against a11."""
     if abs(a12) <= 1e-14 * math.hypot(a11, a12):
         raise DegenerateWindow(f"a12 = {a12!r} is negligible against "
                                f"a11 = {a11!r}: no tangency on the line")

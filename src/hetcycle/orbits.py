@@ -97,7 +97,7 @@ def default_horizons(params: SystemParams) -> dict:
     }
 
 
-def _check_horizons(t_back, t_fwd) -> None:
+def check_horizons(t_back, t_fwd) -> None:
     """ConfigError unless each override is None or a positive finite time."""
     for name, value in (("t_back", t_back), ("t_fwd", t_fwd)):
         if value is not None and not 0.0 < value < math.inf:
@@ -110,7 +110,7 @@ def _horizons(params: SystemParams, verdict: CycleVerdict, t_back,
               t_fwd) -> dict:
     """The four horizons, ``t_back``/``t_fwd`` overriding the defaults
     (computed only if one is missing).  Raises as in ``build_gamma1``."""
-    _check_horizons(t_back, t_fwd)
+    check_horizons(t_back, t_fwd)
     if not verdict.certified:
         raise HypothesisFailure("verdict does not certify a cycle")
     if t_back is None or t_fwd is None:
@@ -284,8 +284,8 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
     default horizons are per-family contraction times.  An override that
     is not a positive finite time raises ConfigError.
     """
+    check_horizons(t_back, t_fwd)
     if not verdict.certified:
-        _check_horizons(t_back, t_fwd)
         return []
     horizons = _horizons(params, verdict, t_back, t_fwd)
     q = params.q

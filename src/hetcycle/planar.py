@@ -345,9 +345,10 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
     end is the first return of its backward (expanding) spiral to the
     line, bracketed by ``sys.a`` and ``sys.w`` within the spiral's next
     backward turn, refined to 1e-12 in time on k1 x1(t) - 1 (k1 = 1/c)
-    along ``block_exp(sys)``, read as the ordinate at that time.
-    RootSearchError when it is past the float range (as for any focus in
-    the repeated-root band); InvalidLine for c = 0.
+    along ``block_exp(sys)`` (the complex formula, from the same a and w),
+    read as the ordinate at that time.
+    RootSearchError when it is past the float range (as for any focus with
+    w <= 1e-6 |a|); InvalidLine for c = 0.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(

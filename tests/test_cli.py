@@ -145,13 +145,19 @@ def test_reused_csv_dir_holds_only_this_runs_segments(tmp_path):
 
 @pytest.mark.parametrize("value", ["inf", "0", "nan", "-1"])
 @pytest.mark.parametrize("option", ["--tback", "--tfwd"])
-def test_bad_horizon_exit_1(tmp_path, capsys, option, value):
-    assert main(["example", "1", "--out", str(tmp_path / "r.json"),
-                 "--csv-dir", str(tmp_path / "data"),
-                 f"{option}={value}"]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert "must be a positive finite time" in err["message"]
+def test_bad_horizon_exit_1(cfg, tmp_path, capsys, option, value):
+    # refused as --tol is, whatever the verdict: on a certified set, on one
+    # that certifies nothing (exit 2 with a good horizon) and without
+    # --certify, where no orbit is built
+    out = tmp_path / "r.json"
+    for argv in (["example", "1", "--csv-dir", str(tmp_path / "data")],
+                 ["check", cfg, "--certify", "--set", "q3=5.0"],
+                 ["check", cfg]):
+        assert main(argv + ["--out", str(out), f"{option}={value}"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "must be a positive finite time" in err["message"]
+        assert not out.exists()
     assert not (tmp_path / "data").exists()
 
 

@@ -483,9 +483,8 @@ def test_right_flow_float_path_matches_array_reference(ex1, ex2, ex3):
             _assert_float_path_matches(right_flow, _array_right_flow, x0, t, p)
 
 
-# The per-call planar kernels as they stood before each was split into a
-# factory that binds its t-independent part once; the factories must
-# reproduce them bit for bit.
+# The planar kernels written out per call; the factories, which bind the
+# t-independent part once, must reproduce them bit for bit.
 def _ref_planar_left_flow(xy, t, rho, omega):
     r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
     if r0_sq == 0.0:
@@ -496,22 +495,23 @@ def _ref_planar_left_flow(xy, t, rho, omega):
 
 
 def _ref_planar_matrix_exp(a11, a12, a21, a22, t):
-    from hetcycle.model import _REPEATED_ROOT_TOL
-
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a21
     disc = (a11 - a22) * (a11 - a22) + 4.0 * a12 * a21
-    a = 0.5 * tr
-    scale = max(tr * tr, abs(det))
-    if abs(disc) <= _REPEATED_ROOT_TOL * scale:
+    a = 0.5 * (a11 + a22)
+    if disc == 0.0:
         e = math.exp(a * t)
         c, sl = e, e * t
     elif disc > 0.0:
+        # the larger of e^{(a +/- w) t}, and the smaller as the larger
+        # times 1 + m with m = expm1(-2 w |t|)
         w = 0.5 * math.sqrt(disc)
-        e_hi = math.exp((a + w) * t)
-        e_lo = math.exp((a - w) * t)
-        c = 0.5 * (e_hi + e_lo)
-        sl = 0.5 * (e_hi - e_lo) / w
+        if t > 0.0:
+            e_big, m = math.exp((a + w) * t), math.expm1(-2.0 * w * t)
+            half_diff = -0.5 * e_big * m  # (e_hi - e_lo) / 2
+        else:
+            e_big, m = math.exp((a - w) * t), math.expm1(2.0 * w * t)
+            half_diff = 0.5 * e_big * m
+        c = e_big + 0.5 * e_big * m  # (e_hi + e_lo) / 2
+        sl = half_diff / w
     else:
         w = 0.5 * math.sqrt(-disc)
         e = math.exp(a * t)
@@ -535,14 +535,10 @@ def _kernel_outcome(fn, *args):
 
 
 def _branch(a11, a12, a21, a22):
-    from hetcycle.model import _REPEATED_ROOT_TOL
-
-    tr = a11 + a22
+    """The sign of the discriminant, by name."""
     disc = (a11 - a22) * (a11 - a22) + 4.0 * a12 * a21
-    scale = max(tr * tr, abs(a11 * a22 - a12 * a21))
-    if abs(disc) <= _REPEATED_ROOT_TOL * scale:
-        return "repeated"
-    return "real" if disc > 0.0 else "complex"
+    return ("real" if disc > 0.0 else
+            "repeated" if disc == 0.0 else "complex")
 
 
 def test_block_exp_matches_per_call_reference():
@@ -558,17 +554,14 @@ def test_block_exp_matches_per_call_reference():
                        0.0, -rng.uniform(0.1, 4.0)))  # distinct real
         c = -rng.uniform(0.1, 4.0)
         blocks.append((c, rng.uniform(-3.0, 3.0), 0.0, c))  # exact repeat
-    # the repeated-root threshold, relative: disc = 4 eps s^2 against
-    # 1e-12 * scale with scale = tr^2 = 4 s^2, just inside and just outside
-    # on both sides, at unit rates and at rates 2^-20 and 2^20 (no floor:
-    # at 2^-20 every block here was once inside an absolute band of 1e-12)
+    # tiny discriminants, disc = 4 eps s^2, on both sides of 0, at unit
+    # rates and at rates 2^-20 and 2^20: the branch is the sign of disc
+    # however small
     for s in (1.0, 2.0 ** -20, 2.0 ** 20):
         for eps in (0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12, 1e-12, -1e-12):
             blocks.append((-s, s, eps * s, -s))
-        assert [_branch(-s, s, e * s, -s) for e in (0.9e-12, -0.9e-12)] == [
-            "repeated", "repeated"]
-        assert [_branch(-s, s, e * s, -s) for e in (1.1e-12, -1.1e-12)] == [
-            "real", "complex"]
+            assert _branch(-s, s, eps * s, -s) == (
+                "real" if eps > 0.0 else "complex")
     branches = {_branch(*m) for m in blocks}
     assert branches == {"repeated", "real", "complex"}
     ts = [0.0, -0.0, 1e-9, -1e-9] + list(rng.uniform(-6.0, 6.0, size=20))
@@ -584,28 +577,33 @@ def test_block_exp_matches_per_call_reference():
             assert _kernel_outcome(planar_matrix_exp, *m, t) == want, (m, t)
 
 
-def test_block_exp_matches_mpmath_on_small_rate_blocks():
-    # an independent reference: the 40-digit matrix exponential, on blocks
-    # whose rates are far below 1, at times up to 20 of the block's own
-    # time scale 1/|a|.  1e-9 of the largest entry bounds the repeated-root
-    # formula inside its band (|w t| <= 1e-6 |a t|) and the cancellation
-    # of the real formula at the band's edge; the rest meet it to 1e-15.
+def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
+    # an independent reference: the 40-digit matrix exponential, at times
+    # up to 20 of the block's own time scale 1/|a|, on blocks whose rates
+    # are far below 1, far above it and near it, with discriminants from
+    # exactly 0 to 1e-8 a^2 on both sides: every branch meets it to 1e-14
+    # of the largest entry, the real one too as w -> 0 (no cancellation)
     import mpmath
 
     from hetcycle.flows import block_exp
     from hetcycle.model import PlanarLinearSystem
 
-    s = 2.0 ** -20
-    blocks = [(-9.694814540121535e-07, -1.804892770862274e-06,
-               9.852611088887626e-08, -9.694814540121535e-07),  # focus, 1e-6
-              (-2.0 * s, s, 0.0, -s), (-0.5 * s, 4.0 * s, -4.0 * s, -0.5 * s),
-              (-s, s, 0.0, -s), (-s, 3.0 * s / 150.0, -s / 450.0, -s)]
-    blocks += [(-s, s, e * s, -s) for e in (0.5e-12, -0.5e-12, 2e-12, -2e-12)]
+    blocks = [(ex1.b11, ex1.b12, ex1.b21, ex1.b22),
+              (-9.694814540121535e-07, -1.804892770862274e-06,
+               9.852611088887626e-08, -9.694814540121535e-07)]  # focus, 1e-6
+    for s in (1.0, 2.0 ** -20, 2.0 ** 20):
+        blocks += [(-2.0 * s, s, 0.0, -s),
+                   (-0.5 * s, 4.0 * s, -4.0 * s, -0.5 * s),
+                   (-s, s, 0.0, -s), (-s, 3.0 * s / 150.0, -s / 450.0, -s),
+                   (-s, s, 0.0, math.nextafter(-s, 0.0))]  # one ulp apart
+        # disc = 4 s (eps s / 4) = eps a^2
+        blocks += [(-s, s, 0.25 * eps * s, -s)
+                   for eps in (0.5e-12, -0.5e-12, 2e-12, -2e-12, 1e-8, -1e-8)]
     for m in blocks:
         sys = PlanarLinearSystem.from_entries(*m)
         exp_ta = block_exp(sys)
-        ts = [k / abs(sys.a) for k in (-20.0, -10.0, -3.0, -1.0, -0.3, 0.5,
-                                       2.0, 10.0)]
+        ts = [k / abs(sys.a) for k in (-20.0, -10.0, -3.0, -1.0, -0.3, -1e-3,
+                                       -1e-6, 1e-6, 1e-3, 0.5, 2.0, 10.0)]
         if sys.spectral_type == "complex_stable":
             ts.append(-2.0 * math.pi / sys.w)  # one backward turn
         a = mpmath.matrix([[m[0], m[1]], [m[2], m[3]]])
@@ -619,7 +617,7 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks():
                 e = mpmath.expm(a * t)
             want = (e[0, 0], e[0, 1], e[1, 0], e[1, 1])
             big = max(abs(v) for v in want)
-            assert max(abs(g - v) for g, v in zip(got, want)) <= 1e-9 * big, (
+            assert max(abs(g - v) for g, v in zip(got, want)) <= 1e-14 * big, (
                 m, t)
 
 

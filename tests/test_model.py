@@ -139,7 +139,8 @@ def test_triangular_block_spectrum_is_its_diagonal():
     # (a11 - a22)^2 + 4 a12 a21 does not cancel when a12 a21 = 0: diagonal
     # entries a few ulp apart give a real spectrum that is exactly
     # {b11, b22} (tr^2 - 4 det reads a negative discriminant on some), and
-    # only the flow formula, by the relative band, is the repeated one
+    # the flow formula of distinct real roots, the repeated one only when
+    # the diagonal entries are equal
     rng = np.random.default_rng(26)
     for _ in range(500):
         b11 = -math.exp(rng.uniform(math.log(1e-8), math.log(1e8)))
@@ -153,22 +154,56 @@ def test_triangular_block_spectrum_is_its_diagonal():
             assert block.spectral_type == "real_stable", entries
             assert {e.real for e in block.eigenvalues} == {b11, b22}
             assert all(e.imag == 0.0 for e in block.eigenvalues)
-            assert block.branch == "repeated"
+            assert block.branch == ("repeated" if b11 == b22 else "real")
+
+
+def test_a_focus_never_has_a_zero_off_diagonal_entry():
+    # disc = (a11 - a22)^2 + 4 a12 a21 < 0 needs fl(4 a12 a21) < 0 (the
+    # square is >= 0, and a rounded product keeps its sign or is 0), so a
+    # focus has nonzero a12 and a21 of opposite signs, and window_tangency
+    # never meets a12 = 0 (even where fl(a12 a21) itself underflows to
+    # -0.0).  Entries over many decades, down to ulp-level and subnormal.
+    rng = np.random.default_rng(27)
+    kinds = {"real": 0, "repeated": 0, "complex": 0}
+    for _ in range(4000):
+        s = math.exp(rng.uniform(math.log(1e-150), math.log(1e150)))
+        a11 = -s
+        a22 = a11
+        for _ in range(int(rng.integers(0, 4))):
+            a22 = math.nextafter(a22, math.copysign(math.inf, rng.normal()))
+
+        def entry():
+            pick = int(rng.integers(0, 4))
+            size = (math.ulp(s) * int(rng.integers(1, 5)), s * rng.uniform(),
+                    5e-324, 0.0)[pick]
+            return math.copysign(size, rng.normal())
+
+        a12, a21 = entry(), entry()
+        block = PlanarLinearSystem.from_entries(a11, a12, a21, a22)
+        kinds[block.branch] += 1
+        if block.branch == "complex":
+            assert a12 != 0.0 and a21 != 0.0 and (a12 > 0.0) != (a21 > 0.0), (
+                a11, a12, a21, a22)
+            assert block.spectral_type == "complex_stable"
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_blocks_inside_the_repeated_root_band():
     # the sign of the discriminant names the family (and so the theorem)
-    # at any rate; the band picks only the flow formula
+    # and the flow formula alike, at any rate and however small |disc|
+    # (no repeated-root band)
     for s in (1.0, 2.0 ** -20, 2.0 ** 20):
         node = PlanarLinearSystem.from_entries(-s, s, 0.5e-12 * s, -s)
         focus = PlanarLinearSystem.from_entries(-s, s, -0.5e-12 * s, -s)
-        assert (node.spectral_type, node.branch) == ("real_stable", "repeated")
+        assert (node.spectral_type, node.branch) == ("real_stable", "real")
         assert (focus.spectral_type, focus.branch) == ("complex_stable",
-                                                       "repeated")
+                                                       "complex")
         assert focus.w <= 1e-6 * abs(focus.a)
         far = PlanarLinearSystem.from_entries(-s, s, -2e-12 * s, -s)
         assert (far.spectral_type, far.branch) == ("complex_stable",
                                                    "complex")
+        on = PlanarLinearSystem.from_entries(-s, s, 0.0, -s)
+        assert (on.spectral_type, on.branch) == ("real_stable", "repeated")
 
 
 def test_hypotheses_mutually_exclusive(ex1, ex2, ex3):

@@ -473,11 +473,12 @@ def test_slow_focus_scan_matches_dense_reference():
 
 
 def test_focus_inside_the_repeated_root_band_is_refused():
-    # beta <= 1e-6 |alpha|: the spiral grows by e^{2 pi 1e6} or more per
-    # backward turn, past the float range, at any rate
+    # beta <= 1e-6 |alpha|, on the complex formula (no repeated-root band):
+    # the spiral grows by e^{2 pi 1e6} or more per backward turn, past the
+    # float range, at any rate
     for s in (1.0, 2.0 ** -20, 2.0 ** 20):
         sys = PlanarLinearSystem.from_entries(-s, s, -0.5e-12 * s, -s)
-        assert sys.branch == "repeated"
+        assert sys.branch == "complex"
         with pytest.raises(RootSearchError):
             focus_stay_window(sys, 2.0 / s)
 
