@@ -36,10 +36,6 @@ class WrongSpectralType(HetcycleError):
     """Planar system spectrum does not match the requested criterion."""
 
 
-class DegenerateWindow(HetcycleError):
-    """Spiral tangency construction degenerates (a12 negligible)."""
-
-
 class UngenericBranch(HetcycleError):
     """Computed data falls on a boundary the classification does not cover."""
 

@@ -18,11 +18,12 @@ Three structural hypotheses gate everything downstream:
 The plane objects of the certification are stated here, once: q3's
 subcase and connection points (``rim_subcase``), the discriminant and
 tangency ordinates on a line x1 = k (``tangency_ordinates``, which the
-verifier's regime reads too) and the tangency ordinate of a planar
-linear field on a vertical line {y1 = c} (``window_tangency``, on L2 at
-``l2_offset``); the geometry (``derive_geometry``) and the verdict read
-the same floats.  So is the right block's spectrum (``PlanarLinearSystem``,
-held by ``SystemParams.block`` for the theorem, flows, window and horizons).
+verifier's regime reads too) and the tangency ordinate -a11 c / a12 of a
+planar linear field on a vertical line {y1 = c} (``window_tangency``, on
+L2 at ``l2_offset``; a12 != 0 for every focus); the geometry
+(``derive_geometry``) and the verdict read the same floats.  So is the
+right block's spectrum (``PlanarLinearSystem``, held by
+``SystemParams.block`` for the theorem, flows, window and horizons).
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.
 
@@ -48,7 +49,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
-from .errors import ConfigError, DegenerateWindow, HypothesisFailure
+from .errors import ConfigError, HypothesisFailure
 
 #: Fixed switching-plane normal: the plane is {x : x1 + x3 = d}.
 C_NORMAL = (1.0, 0.0, 1.0)
@@ -228,9 +229,9 @@ class DerivedGeometry:
     unstable line meets the plane; ``p_plus``/``p_minus`` are the cylinder-
     plane-stable-plane intersections, present exactly in ``rim_subcase``
     'c', which builds them; ``x_minus`` is the tangency point of the
-    right-zone spiral on L2 = {x3 = q3}.  sigma_plus/minus are the
-    ``tangency_ordinates`` of L1 = {x1 = d, x3 = 0}, when real.  Points are
-    float 3-tuples.
+    right-zone spiral on L2 = {x3 = q3}, None exactly when b12 == 0.
+    sigma_plus/minus are the ``tangency_ordinates`` of L1 = {x1 = d,
+    x3 = 0}, when real.  Points are float 3-tuples.
     """
 
     p0: tuple
@@ -252,8 +253,8 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     otherwise.  ``report`` is ``validate_hypotheses(params, tol)`` when the
     caller already holds it.  ``x_minus`` is the ``window_tangency`` of
     the planar block on L2, lifted: the point the verdict's spiral window
-    starts at.  For a block that is not a focus it is None where that is
-    undefined; for a focus its DegenerateWindow guard propagates.
+    starts at.  It is None exactly when b12 == 0, where the field is
+    nowhere parallel to L2 (never for a focus).
     """
     if report is None:
         report = validate_hypotheses(params, tol)
@@ -273,13 +274,10 @@ def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
     rim_points = dict(rim_subcase(params, tol)[3])
     p_plus, p_minus = rim_points.get("p_plus"), rim_points.get("p_minus")
 
-    try:
+    x_minus = None
+    if params.b12 != 0.0:
         y = window_tangency(params.b11, params.b12, l2_offset(params))
         x_minus = (d - params.q3, y + params.q2, params.q3)
-    except DegenerateWindow:
-        if report.h2_holds:
-            raise
-        x_minus = None
 
     return DerivedGeometry(p0, p1, q0, sigma_plus, sigma_minus, v1,
                            p_plus, p_minus, x_minus)
@@ -326,13 +324,8 @@ def l2_offset(params: SystemParams) -> float:
 
 def window_tangency(a11, a12, c) -> float:
     """Ordinate -a11 c / a12 where the planar field A y is parallel to the
-    line {y1 = c}.  DegenerateWindow when |a12| <= 1e-14 hypot(a11, a12),
-    relative so that it does not depend on the units of x and t.  A focus
-    has a12 != 0 (its disc < 0 needs a12 a21 < 0), so the guard refuses
-    only an a12 negligible against a11."""
-    if abs(a12) <= 1e-14 * math.hypot(a11, a12):
-        raise DegenerateWindow(f"a12 = {a12!r} is negligible against "
-                               f"a11 = {a11!r}: no tangency on the line")
+    line {y1 = c}, for a12 != 0 (a focus has it: its disc < 0 needs
+    a12 a21 < 0).  It is infinite where the quotient overflows."""
     return -a11 * c / a12
 
 

@@ -141,7 +141,8 @@ def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
         for lo in range(0, len(ts), SAMPLE_CHUNK_ROWS):
             chunk = ts[lo:lo + SAMPLE_CHUNK_ROWS].tolist()
             xs[lo:lo + len(chunk)] = [flow(x0, t, params) for t in chunk]
-        gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
+        with np.errstate(over="ignore"):  # an infinite length is refused
+            gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         least = float(gaps.sum()) / MAX_SAMPLE_GAP + 1.0
         if least > MAX_SEGMENT_SAMPLES:
             raise CertificateFailure(

@@ -341,14 +341,15 @@ class SpiralWindow(NamedTuple):
 def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
     """Stay window of a stable-focus system on the vertical line {y1 = c}.
 
-    The tangency ordinate is ``model.window_tangency``; the window's far
-    end is the first return of its backward (expanding) spiral to the
-    line, bracketed by ``sys.a`` and ``sys.w`` within the spiral's next
-    backward turn, refined to 1e-12 in time on k1 x1(t) - 1 (k1 = 1/c)
-    along ``block_exp(sys)`` (the complex formula, from the same a and w),
-    read as the ordinate at that time.
-    RootSearchError when it is past the float range (as for any focus with
-    w <= 1e-6 |a|); InvalidLine for c = 0.
+    The tangency ordinate is ``model.window_tangency`` (a focus has
+    a12 != 0); the window's far end is the first return of its backward
+    (expanding) spiral to the line, bracketed by ``sys.a`` and ``sys.w``
+    within the spiral's next backward turn, refined to 1e-12 in time on
+    k1 x1(t) - 1 (k1 = 1/c) along ``block_exp(sys)`` (the complex formula,
+    from the same a and w), read as the ordinate at that time.
+    RootSearchError when either end is past the float range (the tangency
+    ordinate, as -a11 c / a12 can overflow, or the return, as for any focus
+    with w <= 1e-6 |a|); InvalidLine for c = 0.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(
@@ -356,6 +357,10 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
     if c == 0.0:
         raise InvalidLine("the line y1 = 0 passes through the equilibrium")
     y_in = window_tangency(sys.a11, sys.a12, c)
+    if not math.isfinite(y_in):
+        raise RootSearchError(
+            f"the tangency ordinate -a11 c / a12 = {y_in!r} is past the "
+            f"float range (a11={sys.a11!r}, a12={sys.a12!r}, c={c!r})")
     k1 = 1.0 / c
     exp_ta = block_exp(sys)
 

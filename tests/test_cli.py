@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from helpers import Budget, csv_rows
 
-from hetcycle import cli
+from hetcycle import cli, errors
 from hetcycle.cli import main, make_parser
-from hetcycle.model import CONFIG_KEYS, load_config
+from hetcycle.model import CONFIG_KEYS, load_config, params_to_dict
 from hetcycle.planar import MAX_RETURN_REVOLUTIONS
+from hetcycle.presets import example_params
 
 CONFIG = """
 rho = 1.0
@@ -789,8 +792,8 @@ def _all_contained(report):
         "q3=15.06448838726424", "d=26.916108971616854"))],
      (1,), "RootSearchError", None),
     # a triangular block (b12 = 0) with diagonal entries 2 ulp apart: once
-    # a focus through rounding of tr^2 - 4 det (exit 1, DegenerateWindow),
-    # its spectrum is real and it takes the node route
+    # a focus through rounding of tr^2 - 4 det (exit 1, no tangency on L2
+    # at b12 = 0), its spectrum is real and it takes the node route
     (["example", "3", "--set", "b11=-1.0292099090649256", "--set", "b12=0",
       "--set", "b21=0.5", "--set", "b22=-1.0292099090649272"],
      (0,), None,
@@ -808,13 +811,25 @@ def _all_contained(report):
         "q3=8.57573103943626", "d=9.888177507590518"))],
      (0,), None,
      lambda r: r["verdict"]["cycle_count"] == 1 and _all_contained(r)),
+    # stiff blocks whose orbit certificate needs infinitely many samples:
+    # the refusal is the one JSON object on stderr, with no numpy warning
+    # (a node, and a focus with b12 tiny against b11)
+    (["example", "1", "--set", "b12=1e-200", "--set", "b21=1e200"],
+     (1,), "CertificateFailure", None),
+    (["example", "2", "--set", "b12=1e-300", "--set", "b21=-1.6e301"],
+     (1,), "CertificateFailure", None),
+    # a focus whose tangency ordinate -a11 c / a12 overflows
+    (["example", "2", "--set", "b12=2e-310", "--set", "b21=-8e307"],
+     (1,), "RootSearchError", lambda e: "tangency ordinate" in e["message"]),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
-        "rounding_focus", "small_rate_focus"])
+        "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
+        "tangency_overflows"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with
-    # stderr empty, or exactly one JSON error object of the expected type
+    # stderr empty, or exactly one JSON error object of the expected type;
+    # ``check`` reads the report, or the error object
     (tmp_path / "rim_band.cfg").write_text(RIM_BAND_FOCUS)
     out = tmp_path / "r.json"
     argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
@@ -826,4 +841,84 @@ def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
         report = json.loads(out.read_text(), parse_constant=_reject_token)
         assert check is None or check(report)
     else:
-        assert json.loads(err)["error"] == error
+        failure = json.loads(err)
+        assert failure["error"] == error
+        assert check is None or check(failure)
+
+
+@pytest.mark.parametrize("b12, b21", [("1e-14", "-1.6e15"),
+                                      ("1e-15", "-1.6e16")])
+def test_focus_with_a_small_b12_certifies(tmp_path, capsys, b12, b21):
+    # example 2's spectrum -0.5 +/- 4i with b12 tiny against b11: the
+    # window's ordinates scale with 1/b12, and both sets certify one cycle
+    # (subcase b), the smaller b12 as its twin does
+    path = tmp_path / "ex2.cfg"
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in
+                            params_to_dict(example_params(2)).items()))
+    out = tmp_path / "r.json"
+    code = main(["check", str(path), "--set", f"b12={b12}",
+                 "--set", f"b21={b21}", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    verdict = json.loads(out.read_text())["verdict"]
+    assert (verdict["subcase"], verdict["cycle_count"]) == ("b", 1)
+    scale = 1e-14 / float(b12)
+    x_minus, x_plus = verdict["window"]["x_minus"], verdict["window"]["x_plus"]
+    assert x_minus[1] == pytest.approx(-1.3919e14 * scale, rel=1e-4)
+    assert x_plus[1] == pytest.approx(1.8190e15 * scale, rel=1e-4)
+
+
+def _wide_sets(seed, n):
+    """n config dicts over many decades: rho, omega, mu and lambda
+    log-uniform on [1e-3, 1e3], node and focus blocks (alternating) with
+    rates log-uniform on [1e-4, 1e3], q3 on a rim, between the rims or
+    above them; every set satisfies the placement hypothesis h3."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    for i in range(n):
+        rho, omega, mu, lam = (log_uniform(1e-3, 1e3) for _ in range(4))
+        sr = math.sqrt(rho)
+        d = sr * log_uniform(1.001, 10.0)
+        if i % 2 == 0:  # node -l1, -l2, coupled one way or both ways
+            l1, l2 = log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)
+            b12 = log_uniform(1e-4, 1e3) * rng.choice([-1.0, 1.0])
+            b21 = (l1 * l2 / b12 * rng.uniform(0.0, 0.9)
+                   if rng.random() < 0.5 else 0.0)  # det > 0, disc >= 0
+            block = (-l1, b12, b21, -l2)
+        else:  # focus alpha +/- i beta, sheared by s
+            alpha, beta = -log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)
+            s = log_uniform(1e-2, 1e2) * rng.choice([-1.0, 1.0])
+            block = (alpha, beta * s, -beta / s, alpha)
+        q3 = (d - sr, d + sr, rng.uniform(d - sr, d + sr),
+              d + sr * log_uniform(1.001, 10.0))[int(rng.integers(4))]
+        out.append(dict(zip(CONFIG_KEYS, map(float, (
+            rho, omega, mu, *block, lam, d, sr * rng.uniform(-5.0, 5.0),
+            q3, d)))))
+    return out
+
+
+def test_wide_draw_exits_typed(tmp_path, capsys):
+    # a seeded draw over many decades: each set is a verdict (exit 0 or 2,
+    # stderr empty) or exactly one JSON object naming a typed error (exit
+    # 1), never a raw exception or a warning
+    path, out = tmp_path / "wide.cfg", str(tmp_path / "r.json")
+    codes = Counter()
+    with Budget("wide draw check", 20.0):
+        for values in _wide_sets(2028, 1000):
+            path.write_text("".join(f"{k} = {v!r}\n"
+                                    for k, v in values.items()))
+            code = main(["check", str(path), "--out", out])
+            err = capsys.readouterr().err
+            if code == 1:
+                failure = json.loads(err)
+                assert set(failure) == {"error", "message"}, values
+                assert issubclass(getattr(errors, failure["error"]),
+                                  errors.HetcycleError), values
+                codes[failure["error"]] += 1
+            else:
+                assert code in (0, 2) and err == "", values
+                codes[code] += 1
+    assert codes[0] > 0 and codes[2] > 0, codes

@@ -12,7 +12,6 @@ from helpers import (
 
 from hetcycle.errors import (
     DegenerateInterval,
-    DegenerateWindow,
     InvalidLine,
     RootSearchError,
     UngenericBranch,
@@ -292,10 +291,13 @@ def test_focus_window_errors():
     focus = PlanarLinearSystem.from_entries(-0.5, 4.0, -4.0, -0.5)
     with pytest.raises(InvalidLine):
         focus_stay_window(focus, 0.0)
-    # a12 = 0 is impossible for a true focus; exercise the guard on a
-    # real-spectrum matrix directly
-    with pytest.raises(DegenerateWindow):
-        window_tangency(-1.0, 0.0, 1.0)
+    # example 2's diagonal with b12 = 2e-310, b21 = -8e307: a focus whose
+    # tangency ordinate -a11 c / a12 overflows, refused before the refine
+    # with an error naming the ordinate
+    focus = PlanarLinearSystem.from_entries(-0.5, 2e-310, -8e307, -0.5)
+    assert focus.spectral_type == "complex_stable"
+    with pytest.raises(RootSearchError, match="tangency ordinate"):
+        focus_stay_window(focus, -1.0)
 
 
 def test_focus_window_return_past_float_range():
@@ -470,6 +472,72 @@ def test_slow_focus_scan_matches_dense_reference():
             for scan in (focus_stay_window, _reference_focus_return):
                 with pytest.raises(RootSearchError):
                     scan(sys, 2.0)
+
+
+def _seeded_foci(seed, n):
+    """n stable-focus blocks (a11 + a22) / 2 +/- i w, with |a| and w
+    log-uniform on [1e-4, 1e3], unequal diagonal entries and off-diagonal
+    entries sheared by up to 1e3, each with a line offset c of either
+    sign."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        alpha = -math.exp(rng.uniform(math.log(1e-4), math.log(1e3)))
+        beta = math.exp(rng.uniform(math.log(1e-4), math.log(1e3)))
+        h = beta * rng.uniform(0.0, 0.9)  # |a11 - a22| / 2 < w keeps disc < 0
+        s = float(math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+                  * rng.choice([-1.0, 1.0]))
+        sys = PlanarLinearSystem.from_entries(alpha + h, beta * s,
+                                              -beta / s, alpha - h)
+        c = float(rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0]))
+        out.append((sys, c))
+    return out
+
+
+def test_focus_window_scales_exactly_with_b12(ex2, ex3):
+    # (a12, a21) -> (a12 2^-k, a21 2^k) is the similarity by diag(1, 2^k):
+    # the spectrum keeps its bits, and so does every line value the refine
+    # reads (m12 y_in is (a12 sl 2^-k)(y_in 2^k)), so both window ends
+    # scale by exactly 2^k at the same return time after the same
+    # evaluations; the window is refused exactly where a scaled end is not
+    # finite.  That holds while m12 = a12 sl cannot overflow in either
+    # system (|sl| <= e^growth / w over the bracket, growth = -2 pi a / w):
+    # a spiral that grows near the float range within one turn can
+    # overflow m12 in one system only, whose refine then reads inf for the
+    # other's large finite value and may take another step.
+    # Example 2's spectrum with b12 = 1.1e-289 has a window end of 1.6e290,
+    # past the float range at k = 60, where every entry is still normal.
+    tiny = replace(ex2, b12=1.1e-289, b21=-16.0 / 1.1e-289)
+    cases = [(PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22),
+              l2_offset(p)) for p in (ex2, ex3, tiny)]
+    cases += _seeded_foci(28, 200)
+    scaled_windows = refusals = 0
+    for sys, c in cases:
+        assert sys.spectral_type == "complex_stable"
+        try:
+            w = focus_stay_window(sys, c)
+        except RootSearchError:
+            w = None
+        spectrum = repr(sys[4:])  # spectral_type, branch, a, w, eigenvalues
+        log_sl = -2.0 * math.pi * sys.a / sys.w - math.log(sys.w)
+        for k in range(-60, 61, 10):
+            f = 2.0 ** k
+            scaled = PlanarLinearSystem.from_entries(
+                sys.a11, sys.a12 / f, sys.a21 * f, sys.a22)
+            assert repr(scaled[4:]) == spectrum, (sys, k)
+            if math.log(abs(sys.a12) * max(1.0, 1.0 / f)) + log_sl >= 709.0:
+                continue  # m12 may overflow in one of the two systems
+            # a window refused in one system is refused in every one
+            ends = (math.inf,) if w is None else (w.y_in * f, w.y_out * f)
+            if not all(map(math.isfinite, ends)):
+                with pytest.raises(RootSearchError):
+                    focus_stay_window(scaled, c)
+                refusals += 1
+                continue
+            assert repr(focus_stay_window(scaled, c)) == repr(SpiralWindow(
+                c, *ends, w.t_star_out, w.evaluations)), (sys, c, k)
+            scaled_windows += 1
+    assert scaled_windows >= 1500 and refusals > 0
 
 
 def test_focus_inside_the_repeated_root_band_is_refused():

@@ -510,8 +510,11 @@ def test_geometry_x_minus_is_the_window_start(ex1, ex2, ex3):
         assert derive_geometry(p).x_minus == window[0], p
         checked += 1
     assert checked >= 150
-    # for a block that is not a focus, x_minus is None where undefined
+    # x_minus is None exactly when b12 == 0, where the field is nowhere
+    # parallel to L2; a node with b12 != 0 has one, however small b12 is
     assert derive_geometry(replace(ex1, b12=0.0)).x_minus is None
+    for b12 in (1.0, 1e-300, -5e-324):
+        assert derive_geometry(replace(ex1, b12=b12)).x_minus is not None
 
 
 # q3 values at fl(hi - band) (or fl(lo + band)) of the rim band: the
