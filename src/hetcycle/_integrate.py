@@ -89,11 +89,10 @@ class StepControl:
 class IntegrationResult(NamedTuple):
     """Accepted steps of one integration run.
 
-    ``ts``/``xs`` hold the accepted mesh and its states (with
-    ``record=False`` only the final state), ``grazes`` the tangential
-    touches as (t, x).  After a decisive crossing of the plane the run ends
-    at the localized event ``event_t``/``event_x``, the last entries of
-    ``ts``/``xs``.
+    ``ts``/``xs`` hold the accepted mesh and its states, ``grazes`` the
+    tangential touches as (t, x).  After a decisive crossing of the plane
+    the run ends at the localized event ``event_t``/``event_x``, the last
+    entries of ``ts``/``xs``.
     """
 
     ts: list
@@ -175,7 +174,6 @@ def rk45(
     control: Optional[StepControl] = None,
     plane: Optional[tuple] = None,
     event_side: Optional[float] = None,
-    record: bool = True,
 ) -> IntegrationResult:
     """Integrate the autonomous field ``f`` from ``t0`` to ``t1`` (t1 > t0).
 
@@ -290,25 +288,21 @@ def rk45(
                 if s_ev is not None:
                     x = event_x = hermite(x, fx, x_new, f_new, h, s_ev)
                     t = event_t = t + s_ev * h
-                    if record:
-                        ts.append(t)
-                        xs.append(x)
+                    ts.append(t)
+                    xs.append(x)
                     break
             g0, r0 = g1, r1
 
         t, x, fx = t + h, x_new, f_new
         x1, x2, x3, a1, a2, a3 = y1, y2, y3, u1, u2, u3
-        if record:
-            ts.append(t)
-            xs.append(x)
+        ts.append(t)
+        xs.append(x)
         steps += 1
         # Growth factor min(5, 0.9 err^-0.2), the min written out; an
         # accepted err <= 1 keeps it >= 0.9, so no 0.2 floor can bind.
         fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
         h *= fac if fac < 5.0 else 5.0
 
-    if not record:
-        ts, xs = [t], [x]
     return IntegrationResult(ts, xs, grazes, event_t, event_x)
 
 

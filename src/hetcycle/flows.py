@@ -307,4 +307,4 @@ def numeric_flow(x0, t: float, side: str, params: SystemParams,
         span = -t
     else:
         span = t
-    return rk45(f, x0, 0.0, span, control=control, record=False).xs[-1]
+    return rk45(f, x0, 0.0, span, control=control).xs[-1]

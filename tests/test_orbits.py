@@ -187,13 +187,17 @@ def test_assemble_cycle_flow_call_counts(ex1, ex2, ex3, verdicts,
         assert (calls["left"], calls["right"]) == ORBIT_FLOW_CALLS[n]
 
 
-@pytest.mark.parametrize("chunk_rows", [orbits.SAMPLE_CHUNK_ROWS, 97])
-def test_segment_rows_are_the_flow_values(ex1, ex2, ex3, verdicts,
-                                          chunk_rows, monkeypatch):
-    # each segment's rows are the closed form at its times, also when they
-    # span several chunks (no segment of examples 1-3 exceeds 4096 rows);
-    # the starts are those build_gamma1/build_gamma_up bind
-    monkeypatch.setattr(orbits, "SAMPLE_CHUNK_ROWS", chunk_rows)
+def _rows_are_flow_values(seg, x0, params) -> bool:
+    """Whether each row of ``seg`` is flow(x0, t, params) at its t, bit for
+    bit, the flow being the closed form of the segment's side."""
+    flow = right_flow if seg.side == "right" else left_flow
+    want = np.array([flow(x0, t, params) for t in seg.ts.tolist()])
+    return seg.xs.tobytes() == want.tobytes()
+
+
+def test_segment_rows_are_the_flow_values(ex1, ex2, ex3, verdicts):
+    # each segment's rows are the closed form at its times; the starts are
+    # those build_gamma1/build_gamma_up bind
     for n, params in ((1, ex1), (2, ex2), (3, ex3)):
         verdict = verdicts[n]
         for cert, p in zip(assemble_cycle(params, verdict),
@@ -203,9 +207,41 @@ def test_segment_rows_are_the_flow_values(ex1, ex2, ex3, verdicts,
                       tuple(np.asarray(verdict.q0, dtype=float).tolist()),
                       p, (p[0], p[1], params.q3))
             for seg, x0 in zip(cert.orbit_segments, starts):
-                flow = right_flow if seg.side == "right" else left_flow
-                want = np.array([flow(x0, t, params) for t in seg.ts])
-                assert seg.xs.tobytes() == want.tobytes(), (n, seg.role)
+                assert _rows_are_flow_values(seg, x0, params), (n, seg.role)
+    # a forward segment of 12,441 samples, a long one
+    _, fwd = build_gamma1(ex1, verdicts[1], t_fwd=60.0)
+    q0 = tuple(np.asarray(verdicts[1].q0, dtype=float).tolist())
+    assert len(fwd.ts) == 12441
+    assert _rows_are_flow_values(fwd, q0, ex1)
+
+
+def test_tangency_rescan_calls_the_flow_once_per_fine_time(ex1):
+    # the forward segment from a cylinder point off the stable plane of q
+    # (test_certificate_failure_for_wrong_point) crosses the plane: its
+    # coarse strict margin is <= 0, so _margin re-evaluates the flow on a
+    # 33-point grid spanning the worst sample's neighbours, t = 0 excluded
+    x0 = (-1.0, 0.0, ex1.q3)
+    t1 = default_horizons(ex1)["gamma_up_fwd"]
+    ts, xs = orbits._sample_times(right_flow, x0, ex1, 0.0, t1, 257, "test")
+    kept = ts != 0.0
+    vals = (xs[:, 0] + xs[:, 2] - ex1.d)[kept]
+    assert vals.min() <= 0.0
+    seen = []
+
+    def counted(x, t, params):
+        seen.append(t)
+        return right_flow(x, t, params)
+
+    margin = orbits._margin(ex1, ts, xs, "plus_strict", counted, x0)
+    i = int(vals.argmin())
+    kept_ts = ts[kept]
+    fine = np.linspace(kept_ts[max(0, i - 1)],
+                       kept_ts[min(len(kept_ts) - 1, i + 1)], 33)
+    fine = fine[fine != 0.0].tolist()
+    assert seen == fine
+    fine_vals = [x[0] + x[2] - ex1.d for x in (right_flow(x0, t, ex1)
+                                                for t in fine)]
+    assert margin == min(float(vals.min()), min(fine_vals))
 
 
 def test_csv_schema_round_trip(tmp_path, ex1, verdicts):
