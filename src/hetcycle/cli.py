@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -169,6 +170,21 @@ def _emit_segments(certificates, csv_path, csv_dir) -> None:
         orbits.write_segments_csv_dir(segments, csv_dir)
 
 
+def _check_outputs(outputs, csv_dir=None) -> None:
+    """ConfigError, before any work, for two (option, path) ``outputs`` on
+    one file, or on a segment CSV name that ``csv_dir``'s run overwrites."""
+    segment_dir = os.path.realpath(csv_dir) if csv_dir else None
+    seen = {segment_dir: "--csv-dir"} if csv_dir else {}
+    for opt, path in ((opt, path) for opt, path in outputs if path):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {opt} name one file: {path!r}")
+        folder, name = os.path.split(real)
+        if folder == segment_dir and orbits._SEGMENT_CSV_NAME.fullmatch(name):
+            raise ConfigError(f"{opt} {path!r} is a segment CSV of --csv-dir")
+        seen[real] = opt
+
+
 def _params(args) -> SystemParams:
     """The command's system: built-in example ``n`` or the config file,
     with the ``--set`` overrides applied."""
@@ -182,16 +198,19 @@ def _params(args) -> SystemParams:
 def _cmd_run(args) -> int:
     """``check`` and ``example``: certify, build the orbit certificates
     (always for ``example``), write the report and the segment CSVs."""
+    csv_dir = args.csv_dir or (f"example{args.n}_data"
+                               if args.command == "example" else None)
+    _check_outputs((("--out", args.out), ("--csv", args.csv)), csv_dir)
     report, verdict, certs = build_run_report(
         _params(args), args.tol, args.certify, args.tback, args.tfwd)
     _emit_report(report, args.out)
-    csv_dir = args.csv_dir or (f"example{args.n}_data"
-                               if args.command == "example" else None)
     _emit_segments(certs, args.csv, csv_dir)
     return 0 if verdict.certified else 2
 
 
 def _cmd_simulate(args) -> int:
+    _check_outputs((("--out", args.out), ("--out-traj", args.out_traj),
+                    ("--out-events", args.out_events)))
     params = _params(args)
     try:
         x0 = point([read_number(v, "--x0") for v in args.x0.split(",")])

@@ -22,17 +22,19 @@ offset is never evaluated, so a long horizon cannot overflow it.
 
 Each zone binds one start once as an orbit ``t -> (x1, x2, x3)``, a tuple
 of floats (an ndarray per call was half its cost), holding every
-t-independent part; ``left_flow`` / ``right_flow`` are one memoized body
-(``_memoized``) over ``left_orbit`` / ``right_orbit`` that keeps the last
-orbit in a one-entry memo, as the orbit sampler and the cross-check
-evaluate one start under one parameter set many times in a row.  The memo
-is keyed by the identities of the ``x0`` tuple and the ``params`` object
-(== would share an entry between 0.0 and -0.0) and holds strong references
-to them, so their addresses cannot be reused while the entry lives.  A hit
-does the same operations in the same order as a miss, so results are
-bit-identical.  A start that is not a tuple is read by ``model.point`` (a
-new tuple, so a miss); a tuple is unpacked by its orbit on a miss, so a
-start of other than three components raises ValueError either way.
+t-independent part.  ``left_orbit`` reads only rho, omega and mu, so it is
+the planar flow too (x3 = mu = 0).  ``left_flow`` / ``right_flow`` are one
+memoized body (``_memoized``) over ``left_orbit`` / ``right_orbit`` that
+keeps the last orbit in a one-entry memo, as the orbit sampler and the
+cross-check evaluate one start under one parameter set many times in a row.
+The memo is keyed by the identities of the ``x0`` tuple and the ``params``
+object (== would share an entry between 0.0 and -0.0) and holds strong
+references to them, so their addresses cannot be reused while the entry
+lives.  A hit does the same operations in the same order as a miss, so
+results are bit-identical.  A start that is not a tuple is read by
+``model.point`` (a new tuple, so a miss); a tuple is unpacked by its orbit
+on a miss, so a start of other than three components raises ValueError
+either way.
 
 ``numeric_flow`` integrates the raw Cartesian fields with the adaptive
 Runge-Kutta oracle and exists solely to cross-check the formulas above;
@@ -113,44 +115,16 @@ def _plane_rate(c: float, rate: float) -> float:
     return rate if c != 0.0 else 0.0
 
 
-def planar_left_orbit(xy, rho: float, omega: float):
-    """The planar left flow (the x3 = 0 dynamics) from the start ``xy`` as
-    a function ``t -> (x1, x2)``.
-
-    The start's radial law and angle are bound once, so a scan that
-    samples one orbit many times pays only for the t-dependent part.
-    """
-    r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
-    if r0_sq == 0.0:
-        return lambda t: (0.0, 0.0)
-    law = radial_law(r0_sq, rho)
-    theta0 = math.atan2(xy[1], xy[0])
-
-    def orbit(t):
-        r = math.sqrt(law(t))
-        theta = theta0 + omega * t
-        return (r * math.cos(theta), r * math.sin(theta))
-
-    return orbit
-
-
-def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
-    """Planar restriction of the left flow (the x3 = 0 dynamics)."""
-    return planar_left_orbit(xy, rho, omega)(t)
-
-
-def left_orbit(x0, params: SystemParams):
+def left_orbit(x0, rho: float, omega: float, mu: float):
     """The left-zone flow from the start ``x0`` as ``t -> (x1, x2, x3)``,
-    a tuple of floats.  The planar part is ``planar_left_orbit``'s, written
-    out because a nested call per sample would add about a tenth to each."""
+    a tuple of floats; the one builder of the left closed form."""
     x1, x2, x3 = x0
-    mu = _plane_rate(x3, params.mu)
+    mu = _plane_rate(x3, mu)
     r0_sq = x1 * x1 + x2 * x2
     if r0_sq == 0.0:
         return lambda t: (0.0, 0.0, x3 * math.exp(mu * t))
-    law = radial_law(r0_sq, params.rho)
+    law = radial_law(r0_sq, rho)
     theta0 = math.atan2(x2, x1)
-    omega = params.omega
 
     def orbit(t):
         r = math.sqrt(law(t))
@@ -159,6 +133,11 @@ def left_orbit(x0, params: SystemParams):
                 x3 * math.exp(mu * t))
 
     return orbit
+
+
+def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
+    """The (x1, x2) of ``left_orbit`` from (x1, x2, 0) at mu = 0."""
+    return left_orbit((xy[0], xy[1], 0.0), rho, omega, 0.0)(t)[:2]
 
 
 def block_exp(sys: PlanarLinearSystem):
@@ -251,10 +230,10 @@ def _memoized(orbit_of):
     return flow
 
 
-#: Closed-form left-zone flow ``left_orbit(x0, params)(t)``.  Raises
-#: BackwardBlowup for starts outside the cycle evaluated at or past their
-#: finite backward escape time.
-left_flow = _memoized(left_orbit)
+#: Closed-form left-zone flow ``left_orbit(x0, rho, omega, mu)(t)``.
+#: Raises BackwardBlowup for starts outside the cycle evaluated at or past
+#: their finite backward escape time.
+left_flow = _memoized(lambda x0, p: left_orbit(x0, p.rho, p.omega, p.mu))
 #: Closed-form right-zone flow ``right_orbit(x0, params)(t)``.
 right_flow = _memoized(right_orbit)
 

@@ -245,19 +245,18 @@ class DerivedGeometry:
     x_minus: Optional[tuple]
 
 
-def derive_geometry(params: SystemParams, tol: float = DEFAULT_TOL,
-                    report: Optional[HypothesisReport] = None) -> DerivedGeometry:
+def derive_geometry(params: SystemParams,
+                    tol: float = DEFAULT_TOL) -> DerivedGeometry:
     """Compute every switching-plane object by its closed formula.
 
-    Requires the placement hypothesis (h3); raises HypothesisFailure
-    otherwise.  ``report`` is ``validate_hypotheses(params, tol)`` when the
-    caller already holds it.  ``x_minus`` is the ``window_tangency`` of
+    Requires the placement hypothesis (h3), checked by its own
+    ``validate_hypotheses(params, tol)``; raises HypothesisFailure
+    otherwise.  ``x_minus`` is the ``window_tangency`` of
     the planar block on L2, lifted: the point the verdict's spiral window
     starts at.  It is None exactly when b12 == 0, where the field is
     nowhere parallel to L2 (never for a focus).
     """
-    if report is None:
-        report = validate_hypotheses(params, tol)
+    report = validate_hypotheses(params, tol)
     if not report.h3_holds:
         failed = [c.name for c in report.h3_details if not c.passed]
         raise HypothesisFailure(f"placement hypothesis fails: {', '.join(failed)}")

@@ -202,7 +202,7 @@ def _vdp_backward_return(u1, rho, omega):
     guard = 1e-10 * max(1.0, k)
     t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -40.0 * period
 
-    def value(t):  # x1 of planar_left_orbit(u1, rho, omega), less k
+    def value(t):  # x1 of left_orbit from (*u1, 0) (flows), less k
         return math.sqrt(law(t)) * math.cos(theta0 + omega * t) - k
 
     # The seed is on the line only up to rounding, so it closes a bracket
@@ -234,6 +234,7 @@ def _vdp_backward_return(u1, rho, omega):
                 evals += 1
                 if f > guard:
                     t_root, steps = _refine(value, t, f, t_neg, f_neg)
+                    # the (x1, x2) of left_orbit at t_root, bit for bit
                     r = math.sqrt(law(t_root))
                     theta = theta0 + omega * t_root
                     return ((r * math.cos(theta), r * math.sin(theta)),

@@ -545,6 +545,33 @@ def test_simulate_out_traj_is_a_directory_exit_1(cfg, tmp_path, capsys):
     assert str(tmp_path) in err["message"]
 
 
+@pytest.mark.parametrize("argv, kept", [
+    (["example", "1", "--csv", "r.json", "--out", "r.json"], "r.json"),
+    (["simulate", "system.cfg", "--x0", "0.5,0,0", "--t1", "1",
+      "--out-traj", "t.csv", "--out-events", "t.csv"], "t.csv"),
+    # the stale-segment cleanup of D would delete the report
+    (["example", "1", "--csv-dir", "D", "--out", "D/05_gamma_up_fwd.csv"],
+     "D/05_gamma_up_fwd.csv"),
+    # one file by a relative and an absolute spelling
+    (["check", "system.cfg", "--certify", "--out", "same.csv",
+      "--csv", "{tmp}/same.csv"], "same.csv"),
+], ids=["csv_is_out", "traj_is_events", "out_in_csv_dir",
+        "relative_and_absolute"])
+def test_outputs_naming_one_file_exit_1(cfg, tmp_path, capsys, monkeypatch,
+                                        argv, kept):
+    # refused before any work: one ConfigError object on stderr, a file
+    # already at the path byte-unchanged and nothing else written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "D").mkdir()
+    (tmp_path / kept).write_bytes(b"kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert (tmp_path / kept).read_bytes() == b"kept\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_main_builds_its_parser_once(cfg, tmp_path, monkeypatch):
     built = []
 

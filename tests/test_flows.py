@@ -621,8 +621,10 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
                 m, t)
 
 
-def test_planar_left_orbit_matches_per_call_reference():
-    from hetcycle.flows import planar_left_flow, planar_left_orbit
+def test_planar_left_flow_matches_per_call_reference():
+    # left_orbit bound once in the plane x3 = 0 and planar_left_flow per
+    # call: the reference's (x1, x2) bit for bit
+    from hetcycle.flows import left_orbit, planar_left_flow
 
     rng = np.random.default_rng(31)
     for _ in range(40):
@@ -634,7 +636,7 @@ def test_planar_left_orbit_matches_per_call_reference():
             th = rng.uniform(-math.pi, math.pi)
             starts.append((scale * sr * math.cos(th), scale * sr * math.sin(th)))
         for xy in starts:
-            orbit = planar_left_orbit(xy, rho, omega)
+            orbit = left_orbit((*xy, 0.0), rho, omega, 0.0)
             ts = [0.0, -0.0] + list(rng.uniform(-4.0, 6.0, size=12))
             r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
             t_blow = radial_blowup_time(r0_sq, rho)
@@ -643,11 +645,12 @@ def test_planar_left_orbit_matches_per_call_reference():
             for t in ts:
                 t = float(t)
                 want = _kernel_outcome(_ref_planar_left_flow, xy, t, rho, omega)
-                assert _kernel_outcome(orbit, t) == want, (xy, t)
+                assert _kernel_outcome(lambda t: orbit(t)[:2], t) == want, (
+                    xy, t)
                 assert _kernel_outcome(planar_left_flow, xy, t, rho,
                                        omega) == want, (xy, t)
     # a start outside the cycle raises at its escape time, same message
-    orbit = planar_left_orbit((2.0, 0.0), 1.0, 3.0)
+    orbit = left_orbit((2.0, 0.0, 0.0), 1.0, 3.0, 0.0)
     with pytest.raises(BackwardBlowup, match="requested t="):
         orbit(radial_blowup_time(4.0, 1.0))
 

@@ -20,7 +20,6 @@ from hetcycle.errors import (
 from hetcycle.flows import (
     block_exp,
     planar_left_flow,
-    planar_left_orbit,
     radial_blowup_time,
 )
 from hetcycle.model import l2_offset, window_tangency
@@ -368,7 +367,8 @@ def _reference_vdp_return(a, samples_per_rev=4096):
     """(x_star, t_star) of a subcritical analysis by the reference scan."""
     u1 = a.u1
     return _reference_crossing(
-        planar_left_orbit(u1, a.rho, a.omega), lambda p: p[0] - a.k,
+        lambda t: planar_left_flow(u1, t, a.rho, a.omega),
+        lambda p: p[0] - a.k,
         2.0 * math.pi / a.omega,
         radial_blowup_time(u1[0] * u1[0] + u1[1] * u1[1], a.rho),
         max(1.0, a.k), samples_per_rev, allow_missing=True)
@@ -435,7 +435,7 @@ def test_vdp_return_point_is_the_orbit_at_t_star(ex1, ex2):
         a = analyze_vdp_line(rho, omega, k)
         if a.x_star is not None:
             returns += 1
-            assert a.x_star == planar_left_orbit(a.u1, rho, omega)(a.t_star)
+            assert a.x_star == planar_left_flow(a.u1, a.t_star, rho, omega)
     assert returns == 88
 
 

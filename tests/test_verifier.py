@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import rim_sets
+from helpers import Budget, rim_sets
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow, numeric_flow, right_flow
@@ -449,6 +449,59 @@ def test_scaling_keeps_verdict_on_rim_sets(s):
             else:
                 k = EVIDENCE_POWER[kind if kind == "halfplane" else ea.name]
                 assert eb.value == ea.value * s ** k, (p, ea.name)
+
+
+#: Entry family -> (the test for its names, the fields outside its
+#: footprint).  The footprints: L1 entries (rho, omega, d, q1, q2, tol),
+#: L2 entries (B, rho, d, q1, q2, q3, tol), cone (omega, rho, mu, d, q1);
+#: q1 is in each only because h3 gates every entry.
+FOOTPRINT_FREE = {
+    "L1": (lambda name: name in ("q2_window", "v_star_exists"),
+           ("mu", "b11", "b12", "b21", "b22", "lam", "q3")),
+    "L2": (lambda name: name.startswith(("halfplane_", "window_")),
+           ("omega", "mu", "lam")),
+    "cone": (lambda name: name == "cone",
+             ("b11", "b12", "b21", "b22", "lam", "q2", "q3")),
+}
+
+
+def _perturbed(p, field, rng):
+    """``p`` with ``field`` moved: a rate scaled by up to e, any other
+    field shifted by up to half its size (or by up to 0.5 from 0)."""
+    v = getattr(p, field)
+    if field in ("omega", "mu", "lam"):
+        return replace(p, **{field: v * math.exp(rng.uniform(-1.0, 1.0))})
+    return replace(p, **{field: v + rng.uniform(-0.5, 0.5) * max(1.0, abs(v))})
+
+
+def test_evidence_keeps_its_footprint():
+    # Moving one field outside an entry family's footprint leaves every
+    # entry of the family that both verdicts hold bit for bit as it was.
+    rng = np.random.default_rng(30)
+    compared = dict.fromkeys(FOOTPRINT_FREE, 0)
+    with Budget("evidence footprints", 10.0):
+        for p in rim_sets(30, 300):
+            try:
+                base = certify(p)
+            except HetcycleError:
+                continue
+            for family, (member, free) in FOOTPRINT_FREE.items():
+                want = {e.name: e for e in base.evidence if member(e.name)}
+                for field in free:
+                    try:
+                        got = certify(_perturbed(p, field, rng))
+                    except HetcycleError:
+                        continue
+                    for e in got.evidence:
+                        a = want.get(e.name)
+                        if a is None:
+                            continue
+                        assert (repr(e.value), e.form, repr(e.limits),
+                                e.passed, e.note) == (
+                            repr(a.value), a.form, repr(a.limits),
+                            a.passed, a.note), (p, field, e.name)
+                        compared[family] += 1
+    assert all(n >= 900 for n in compared.values()), compared
 
 
 def test_scaling_keeps_the_focus_verdicts():
