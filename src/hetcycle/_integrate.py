@@ -22,9 +22,9 @@ tangential touch of the interpolant without sampling.  Most steps are far
 from the plane and skip that check: the cubic is a convex blend of its end
 values plus at most 4/27 (|m0| + |m1|) from its end slopes, so a step
 whose ends clear the plane on the starting side by more than that (plus
-2 GRAZE_TOL) can neither cross nor graze.  A crossing is bisected on the
-same interpolant, written out for 3 components: each midpoint state is
-``hermite`` of that fraction bit for bit, and n . x is summed in component
+2 GRAZE_TOL) can neither cross nor graze.  ``hermite``, written out for 3
+components like the stepper, is the one interpolant: a crossing is bisected
+by evaluating each midpoint state through it, n . x summed in component
 order.  The run ends at the event state without evaluating the field there.
 """
 
@@ -103,17 +103,18 @@ class IntegrationResult(NamedTuple):
 
 
 def hermite(x0: Sequence[float], f0, x1, f1, h: float, s: float) -> tuple:
-    """Cubic Hermite interpolant on one step, s in [0, 1]."""
+    """Cubic Hermite interpolant of one 3-component step, s in [0, 1]."""
+    (xa1, xa2, xa3), (fa1, fa2, fa3) = x0, f0
+    (xb1, xb2, xb3), (fb1, fb2, fb3) = x1, f1
     s2 = s * s
     s3 = s2 * s
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
+    c10 = (s3 - 2.0 * s2 + s) * h
     h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return tuple(
-        h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
-        for a, fa, b, fb in zip(x0, f0, x1, f1)
-    )
+    c11 = (s3 - s2) * h
+    return (h00 * xa1 + c10 * fa1 + h01 * xb1 + c11 * fb1,
+            h00 * xa2 + c10 * fa2 + h01 * xb2 + c11 * fb2,
+            h00 * xa3 + c10 * fa3 + h01 * xb3 + c11 * fb3)
 
 
 def _initial_step(f0, x0, span: float, ctl: StepControl) -> float:
@@ -127,31 +128,19 @@ def _initial_step(f0, x0, span: float, ctl: StepControl) -> float:
 
 
 def _bisect_event(plane, x0, f0, x1, f1, h, a, b, ga, gb, target_sign):
-    """Bisect g = n . x - c along the Hermite interpolant of one
-    3-component step, from the bracket [a, b] with values ``ga``, ``gb``,
-    until both bracket values are within ``EVENT_RESIDUAL``; return the
-    endpoint whose sign matches ``target_sign`` so the hand-off state lands
-    on the destination side.  Each midpoint state is ``hermite(..., m)``
-    bit for bit, and its g is summed in component order."""
+    """Bisect g = n . x - c along the Hermite interpolant of one step, from
+    the bracket [a, b] with values ``ga``, ``gb``, until both bracket values
+    are within ``EVENT_RESIDUAL``; return the endpoint whose sign matches
+    ``target_sign`` so the hand-off state lands on the destination side.
+    Each midpoint state is ``hermite(..., m)``, and its g is summed in
+    component order."""
     (n1, n2, n3), offset = plane
-    xa1, xa2, xa3 = x0
-    fa1, fa2, fa3 = f0
-    xb1, xb2, xb3 = x1
-    fb1, fb2, fb3 = f1
     for _ in range(200):
         if abs(ga) <= EVENT_RESIDUAL and abs(gb) <= EVENT_RESIDUAL:
             break
         m = 0.5 * (a + b)
-        m2 = m * m
-        m3 = m2 * m
-        h00 = 2.0 * m3 - 3.0 * m2 + 1.0
-        c10 = (m3 - 2.0 * m2 + m) * h
-        h01 = -2.0 * m3 + 3.0 * m2
-        c11 = (m3 - m2) * h
-        gm = (n1 * (h00 * xa1 + c10 * fa1 + h01 * xb1 + c11 * fb1)
-              + n2 * (h00 * xa2 + c10 * fa2 + h01 * xb2 + c11 * fb2)
-              + n3 * (h00 * xa3 + c10 * fa3 + h01 * xb3 + c11 * fb3)
-              - offset)
+        v1, v2, v3 = hermite(x0, f0, x1, f1, h, m)
+        gm = n1 * v1 + n2 * v2 + n3 * v3 - offset
         if (gm > 0.0) == (ga > 0.0):
             a, ga = m, gm
         else:

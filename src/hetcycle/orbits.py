@@ -70,7 +70,14 @@ class OrbitSample:
 @dataclass(frozen=True)
 class CycleCertificate:
     """Bundle of the four segments forming one heteroclinic cycle, with
-    endpoint residuals against the two limit sets."""
+    endpoint residuals against the two limit sets.
+
+    ``containment_ok`` holds when every strict segment's margin is > 0
+    and every closed one's is >= -TOL_CONTAINMENT.  A segment below
+    -TOL_CONTAINMENT has already raised CertificateFailure, so the flag
+    is False when a strict margin lies in [-TOL_CONTAINMENT, 0] (or a
+    margin is NaN).
+    """
 
     orbit_segments: tuple
     endpoint_residuals: dict
@@ -320,8 +327,9 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
             "gamma_up_back_to_cycle": _cycle_distance(params, up_back.xs[0]),
             "gamma_up_fwd_to_q": float(np.linalg.norm(up_fwd.xs[-1] - q)),
         }
-        ok = all(
-            seg.containment_margin >= -TOL_CONTAINMENT for seg in segments)
+        ok = all(s.containment_margin > 0.0 if s.requirement.endswith("strict")
+                 else s.containment_margin >= -TOL_CONTAINMENT
+                 for s in segments)
         certificates.append(CycleCertificate(segments, residuals, ok,
                                              dict(horizons)))
     return certificates

@@ -240,6 +240,15 @@ def test_unknown_key_exit_1(tmp_path, capsys):
     assert "mystery" in json.loads(capsys.readouterr().err)["message"]
 
 
+def test_duplicate_key_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG + "rho = 1.0\n")
+    assert main(["check", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError",
+                   "message": "line 14: duplicate key 'rho'"}
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.cfg")]) == 1
 
@@ -272,6 +281,22 @@ def test_simulate_with_oracle(cfg, tmp_path):
     last = rows[-1]
     r_end = math.hypot(float(last[1]), float(last[2]))
     assert abs(r_end - 1.0) <= 1e-4
+
+
+def test_simulate_reversed_span_exit_1(cfg, tmp_path, capsys):
+    # refused by integrate_hybrid once the config is read: the one JSON
+    # ValueError object on stderr, and no output written
+    before = sorted(tmp_path.iterdir())
+    code = main(["simulate", cfg, "--x0", "0.5,0,0", "--t0", "1",
+                 "--t1", "0.5", "--out", str(tmp_path / "sim.json"),
+                 "--out-traj", str(tmp_path / "t.csv"),
+                 "--out-events", str(tmp_path / "e.csv")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "integrate_hybrid requires t1 > t0 "
+                              "(forward only)"}
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_simulate_takes_no_tol(cfg, tmp_path):
@@ -399,6 +424,18 @@ def test_numeric_option_reads_the_config_number_format(cfg, tmp_path, capsys,
     assert (f"argument {option}: invalid number value: {value!r}"
             in capsys.readouterr().err)
     assert not (tmp_path / "r.json").exists()
+
+
+def test_check_without_out_prints_the_report(cfg, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["check", cfg, "--certify", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    capsys.readouterr()
+    assert main(["check", cfg, "--certify"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written.pop("timing")
+    printed.pop("timing")
+    assert printed == written
 
 
 def test_reports_are_deterministic(cfg, tmp_path):

@@ -1,10 +1,11 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import semigroup_max_rel_err
+from helpers import Budget, semigroup_max_rel_err
 
 from hetcycle._integrate import StepControl
 from hetcycle.errors import BackwardBlowup, StepFailure
@@ -164,6 +165,53 @@ def test_numeric_flow_agrees_right(ex2):
             continue
         got = numeric_flow(x0, t, "right", ex2)
         assert np.max(np.abs(np.subtract(got, ref))) <= 1e-6
+
+
+def _scaled_blocks(rng, n):
+    """n right blocks, nodes and foci alternating, whose overall rate is
+    log-uniform on [1e-6, 1e6] and whose two drawn rates are at most 100
+    apart, sheared by up to 100 either way; a node is coupled one way or
+    both ways."""
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    blocks = []
+    for i in range(n):
+        scale, ratio = log_uniform(1e-6, 1e6), log_uniform(1.0, 100.0)
+        shear = log_uniform(1e-2, 1e2) * float(rng.choice([-1.0, 1.0]))
+        if i % 2 == 0:  # node -l1, -l2; det > 0 and disc >= 0
+            l1, l2 = rng.permutation([scale, scale * ratio]).tolist()
+            b12 = scale * shear
+            b21 = (l1 * l2 / b12 * rng.uniform(0.0, 0.9)
+                   if rng.random() < 0.5 else 0.0)
+            blocks.append((-l1, b12, b21, -l2))
+        else:  # focus -scale +/- i beta
+            beta = scale * ratio ** float(rng.choice([-1.0, 1.0]))
+            blocks.append((-scale, beta * shear, -beta / shear, -scale))
+    return blocks
+
+
+def test_right_flow_matches_oracle_on_its_own_time_scale(ex1):
+    # each block is checked at 0.3 T and T, T = 3 / |slowest rate|: a
+    # fixed horizon in time units stops short of a slow block's scale.
+    # The last block is the small-rate focus (time scale 1e6) whose old
+    # repeated-root formula missed the oracle by 1.3e-2 at t = 3e6.
+    rng = np.random.default_rng(2031)
+    blocks = _scaled_blocks(rng, 300) + [
+        (-9.694814540121535e-07, -1.804892770862274e-06,
+         9.852611088887626e-08, -9.694814540121535e-07)]
+    with Budget("right_flow against rk45 on each block's time scale", 15.0):
+        for b11, b12, b21, b22 in blocks:
+            p = replace(ex1, b11=b11, b12=b12, b21=b21, b22=b22)
+            slow = min(abs(e.real) for e in p.block.eigenvalues)
+            x0 = (p.q1 + rng.uniform(-1.0, 1.0),
+                  p.q2 + rng.uniform(-1.0, 1.0), p.q3)
+            for t in (0.9 / slow, 3.0 / slow):
+                got = right_flow(x0, t, p)
+                want = numeric_flow(x0, t, "right", p)
+                err = max(abs(a - b) for a, b in zip(got, want))
+                assert err <= 1e-5, ((b11, b12, b21, b22), t, err)
 
 
 def test_numeric_flow_stepfailure_past_blowup():

@@ -11,6 +11,7 @@ from hetcycle._integrate import (
     _bisect_event,
     _plane_event,
     _unit_roots,
+    hermite,
     rk45,
 )
 
@@ -79,8 +80,8 @@ def test_overflowing_state_rejects_the_step(rtol, component):
 
 # The event bisection and dense output as they stood with a generic
 # component count (``_bisect_hermite``, ``hermite``, ``_dot``); the
-# unrolled 3-component bisection must return the same step fraction bit
-# for bit.  ``_dot`` was ``sum()`` of the products: the same left-to-right
+# 3-component ``hermite`` must return the same states, and the bisection
+# through it the same step fraction, bit for bit.  ``_dot`` was ``sum()`` of the products: the same left-to-right
 # sum on Python 3.11 and earlier, compensated on 3.12, so the reference
 # spells the 3.11 order out.
 def _ref_hermite(x0, f0, x1, f1, h, s):
@@ -211,6 +212,18 @@ def test_step_limits_are_module_constants(monkeypatch):
         rk45(circle, (1.0, 0.0, 0.0), 0.0, 10.0)
 
 
+def test_hermite_matches_generic_reference():
+    rng = np.random.default_rng(76)
+    for _ in range(2000):
+        x, fx, x_new, f_new, h, _ = _random_step(rng)
+        # the step ends, a fraction near each, and interior fractions
+        for s in (0.0, 1.0, float(rng.uniform(0.0, 1e-9)),
+                  1.0 - float(rng.uniform(0.0, 1e-9)),
+                  *rng.uniform(0.0, 1.0, size=4).tolist()):
+            assert (_bits(hermite(x, fx, x_new, f_new, h, s))
+                    == _bits(_ref_hermite(x, fx, x_new, f_new, h, s)))
+
+
 def test_event_bisection_matches_generic_reference():
     rng = np.random.default_rng(77)
     crossings = 0
@@ -256,6 +269,17 @@ def test_event_bisection_ties_and_stalls_match_reference():
                 got, want = _both_bisections(plane, step, a, b, ga, gb,
                                              target)
                 assert got == want
+
+
+@pytest.mark.parametrize("b, c, roots", [
+    (2.0, -1.0, [0.5]),     # the linear case: one root, inside (0, 1)
+    (1.0, 1.0, []),         # its root -1 is outside
+    (1.0, 0.0, []),         # a root at 0 is not strictly inside
+    (0.0, 1.0, []),         # a = b = 0: a constant has no root
+    (0.0, 0.0, []),         # nor does the zero polynomial
+])
+def test_unit_roots_linear_case(b, c, roots):
+    assert _unit_roots(0.0, b, c) == roots
 
 
 def test_plane_event_matches_generic_reference():

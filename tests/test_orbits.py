@@ -109,6 +109,23 @@ def test_certificate_margins_and_residuals(ex1, ex2, ex3, verdicts):
                 assert r <= 1e-3, (n, name, r)
 
 
+def test_strict_margin_at_zero_is_not_ok(ex1, verdicts, monkeypatch):
+    # a strict margin of -1e-12 is within TOL_CONTAINMENT, so the segment
+    # is built, but a strict containment it does not prove
+    margin = orbits._margin
+
+    def dipped(params, ts, xs, requirement, flow, x0):
+        if requirement == "minus_strict":
+            return -1e-12
+        return margin(params, ts, xs, requirement, flow, x0)
+
+    monkeypatch.setattr(orbits, "_margin", dipped)
+    (cert,) = assemble_cycle(ex1, verdicts[1])
+    assert [s.containment_margin for s in cert.orbit_segments
+            if s.requirement == "minus_strict"] == [-1e-12]
+    assert cert.containment_ok is False
+
+
 def test_endpoint_residuals_are_plain_floats(ex1, ex2, ex3, verdicts):
     # reports serialize these without conversion, so no numpy scalar
     for n, p in ((1, ex1), (2, ex2), (3, ex3)):
