@@ -104,8 +104,10 @@ class IntegrationResult(NamedTuple):
 
 def hermite(x0: Sequence[float], f0, x1, f1, h: float, s: float) -> tuple:
     """Cubic Hermite interpolant of one 3-component step, s in [0, 1]."""
-    (xa1, xa2, xa3), (fa1, fa2, fa3) = x0, f0
-    (xb1, xb2, xb3), (fb1, fb2, fb3) = x1, f1
+    xa1, xa2, xa3 = x0
+    fa1, fa2, fa3 = f0
+    xb1, xb2, xb3 = x1
+    fb1, fb2, fb3 = f1
     s2 = s * s
     s3 = s2 * s
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
