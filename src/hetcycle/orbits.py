@@ -70,14 +70,9 @@ class OrbitSample:
 @dataclass(frozen=True)
 class CycleCertificate:
     """Bundle of the four segments forming one heteroclinic cycle, with
-    endpoint residuals against the two limit sets.
-
-    ``containment_ok`` holds when every strict segment's margin is > 0
-    and every closed one's is >= -TOL_CONTAINMENT.  A segment below
-    -TOL_CONTAINMENT has already raised CertificateFailure, so the flag
-    is False when a strict margin lies in [-TOL_CONTAINMENT, 0] (or a
-    margin is NaN).
-    """
+    endpoint residuals against the two limit sets.  ``containment_ok``:
+    every strict margin > 0 and every closed one >= -TOL_CONTAINMENT (a
+    margin below -TOL_CONTAINMENT has raised CertificateFailure before)."""
 
     orbit_segments: tuple
     endpoint_residuals: dict
@@ -327,9 +322,10 @@ def assemble_cycle(params: SystemParams, verdict: CycleVerdict,
             "gamma_up_back_to_cycle": _cycle_distance(params, up_back.xs[0]),
             "gamma_up_fwd_to_q": float(np.linalg.norm(up_fwd.xs[-1] - q)),
         }
-        ok = all(s.containment_margin > 0.0 if s.requirement.endswith("strict")
-                 else s.containment_margin >= -TOL_CONTAINMENT
-                 for s in segments)
+        ok = all(seg.containment_margin > 0.0
+                 if seg.requirement.endswith("strict")
+                 else seg.containment_margin >= -TOL_CONTAINMENT
+                 for seg in segments)
         certificates.append(CycleCertificate(segments, residuals, ok,
                                              dict(horizons)))
     return certificates

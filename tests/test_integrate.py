@@ -81,9 +81,9 @@ def test_overflowing_state_rejects_the_step(rtol, component):
 # The event bisection and dense output as they stood with a generic
 # component count (``_bisect_hermite``, ``hermite``, ``_dot``); the
 # 3-component ``hermite`` must return the same states, and the bisection
-# through it the same step fraction, bit for bit.  ``_dot`` was ``sum()`` of the products: the same left-to-right
-# sum on Python 3.11 and earlier, compensated on 3.12, so the reference
-# spells the 3.11 order out.
+# through it the same step fraction, bit for bit.  ``_dot`` was ``sum()``
+# of the products: the same left-to-right sum on Python 3.11 and earlier,
+# compensated on 3.12, so the reference spells the 3.11 order out.
 def _ref_hermite(x0, f0, x1, f1, h, s):
     s2 = s * s
     s3 = s2 * s
