@@ -22,10 +22,12 @@ with floats serialized by ``repr`` (a non-finite one as the string "inf",
 ``main(argv)`` returns the exit code instead of exiting, so it can be
 called from Python.  It builds its argument parser on the first call and
 reuses it for every later call in the process (importing this module
-builds nothing; ``make_parser()`` still returns a fresh parser).  Typed
-errors, ``ValueError`` and ``OSError`` (an output path that cannot be
-written) are reported as one JSON object ``{"error", "message"}`` on
-stderr with exit 1; a usage error exits 2 through argparse.
+builds nothing; ``make_parser()`` still returns a fresh parser).  One
+clause reports every refusal as one JSON object ``{"error", "message"}``
+on stderr, the error being the exception's class name, with exit 1: a
+typed error (a bad option or config is a ``ConfigError``), an ``OSError``
+(an output path that cannot be written) or a ``ValueError`` the OS raises
+(a path with an embedded NUL).  A usage error exits 2 through argparse.
 """
 
 from __future__ import annotations
@@ -318,12 +320,8 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (HetcycleError, OSError) as exc:
+    except (HetcycleError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(json.dumps({"error": "ValueError", "message": str(exc)}),
               file=sys.stderr)
         return 1
 

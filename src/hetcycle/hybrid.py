@@ -70,8 +70,8 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     """Forward simulation of the switched system over t_span = (t0, t1),
     at the stepper's default ``StepControl()``.
 
-    Raises ValueError for an x0 of other than three components (``point``)
-    or unless t1 > t0, ConfigError for an x0 or t_span that is not finite,
+    Raises ValueError for an x0 of other than three components (``point``),
+    ConfigError for an x0 or t_span that is not finite or unless t1 > t0,
     EventStorm past ``MAX_EVENTS`` switchings (chattering guard),
     SlidingDetected when both fields point at the plane at an
     event, and StepFailure from the underlying stepper.
@@ -81,7 +81,7 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     if not all(map(math.isfinite, (*x, t0, t1))):
         raise ConfigError(f"non-finite x0 {x!r} or t_span {(t0, t1)!r}")
     if not t1 > t0:
-        raise ValueError("integrate_hybrid requires t1 > t0 (forward only)")
+        raise ConfigError("integrate_hybrid requires t1 > t0 (forward only)")
     fields = {"left": left_field(params), "right": right_field(params)}
     plane = (C_NORMAL, params.d)
     side = active_side(params, x)

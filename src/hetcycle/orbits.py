@@ -15,9 +15,9 @@ explicit horizons chosen so the relevant contraction factor reaches a
 target (1e-6 by default), and report endpoint residuals against the limit
 sets plus the worst signed margin of every required half-space
 containment.  Strict containments exclude the junction sample, which lies
-on the plane by construction; a strict margin crossing zero triggers local
-time refinement before the certificate is failed, so near-tangencies are
-not misreported.
+on the plane by construction; a strict margin at or below zero is
+re-scanned on a finer local time grid, and the worse of the two readings
+is kept: the re-scan can only find a deeper dip, never clear a failure.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ def _margin(params: SystemParams, ts, xs, requirement: str, flow,
     requirement 'minus_strict' : d - x1 - x3 > 0 for t != 0
     requirement 'minus_closed' : d - x1 - x3 >= -tol everywhere
     A strict margin at or below zero is re-examined on a 16x finer local
-    grid of flow(x0, t, params) before being accepted as the minimum
-    (tangency guard).
+    grid of flow(x0, t, params); the lower of the two readings is returned,
+    so the re-scan can deepen a dip and never clear one.
     """
     resid = xs[:, 0] + xs[:, 2] - params.d
     sign = 1.0 if requirement.startswith("plus") else -1.0

@@ -16,7 +16,7 @@ from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup
 from hetcycle.flows import left_field, left_flow, right_field, right_flow
 from hetcycle.hybrid import CrosscheckReport, _draw_start
-from hetcycle.model import C_NORMAL, SystemParams
+from hetcycle.model import C_NORMAL, CONFIG_KEYS, SystemParams
 
 BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 
@@ -242,4 +242,37 @@ def rim_sets(seed, n):
             mu=math.exp(rng.uniform(math.log(0.5), math.log(4.0))),
             b11=b11, b12=b12, b21=b21, b22=b22, lam=rng.uniform(0.5, 4.0),
             q1=d, q2=rng.uniform(-5.0, 5.0), q3=q3, d=d))
+    return out
+
+
+def wide_sets(seed, n):
+    """n config dicts over many decades: rho, omega, mu and lambda
+    log-uniform on [1e-3, 1e3], node and focus blocks (alternating) with
+    rates log-uniform on [1e-4, 1e3], q3 on a rim, between the rims or
+    above them; every set satisfies the placement hypothesis h3."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    for i in range(n):
+        rho, omega, mu, lam = (log_uniform(1e-3, 1e3) for _ in range(4))
+        sr = math.sqrt(rho)
+        d = sr * log_uniform(1.001, 10.0)
+        if i % 2 == 0:  # node -l1, -l2, coupled one way or both ways
+            l1, l2 = log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)
+            b12 = log_uniform(1e-4, 1e3) * rng.choice([-1.0, 1.0])
+            b21 = (l1 * l2 / b12 * rng.uniform(0.0, 0.9)
+                   if rng.random() < 0.5 else 0.0)  # det > 0, disc >= 0
+            block = (-l1, b12, b21, -l2)
+        else:  # focus alpha +/- i beta, sheared by s
+            alpha, beta = -log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)
+            s = log_uniform(1e-2, 1e2) * rng.choice([-1.0, 1.0])
+            block = (alpha, beta * s, -beta / s, alpha)
+        q3 = (d - sr, d + sr, rng.uniform(d - sr, d + sr),
+              d + sr * log_uniform(1.001, 10.0))[int(rng.integers(4))]
+        out.append(dict(zip(CONFIG_KEYS, map(float, (
+            rho, omega, mu, *block, lam, d, sr * rng.uniform(-5.0, 5.0),
+            q3, d)))))
     return out

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import Budget, csv_rows
+from helpers import Budget, csv_rows, wide_sets
 
 from hetcycle import cli, errors
 from hetcycle.cli import main, make_parser
@@ -285,7 +285,7 @@ def test_simulate_with_oracle(cfg, tmp_path):
 
 def test_simulate_reversed_span_exit_1(cfg, tmp_path, capsys):
     # refused by integrate_hybrid once the config is read: the one JSON
-    # ValueError object on stderr, and no output written
+    # ConfigError object on stderr, and no output written
     before = sorted(tmp_path.iterdir())
     code = main(["simulate", cfg, "--x0", "0.5,0,0", "--t0", "1",
                  "--t1", "0.5", "--out", str(tmp_path / "sim.json"),
@@ -293,7 +293,7 @@ def test_simulate_reversed_span_exit_1(cfg, tmp_path, capsys):
                  "--out-events", str(tmp_path / "e.csv")])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError",
+    assert err == {"error": "ConfigError",
                    "message": "integrate_hybrid requires t1 > t0 "
                               "(forward only)"}
     assert sorted(tmp_path.iterdir()) == before
@@ -560,6 +560,16 @@ def test_check_unwritable_out_exit_1(cfg, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FileNotFoundError"
     assert str(out) in err["message"]
+
+
+def test_out_with_a_nul_byte_exit_1(cfg, tmp_path, capsys):
+    # the OS refuses the path with a ValueError, printed under its own
+    # class name by the clause that prints every refusal
+    before = sorted(tmp_path.iterdir())
+    assert main(["check", cfg, "--out", str(tmp_path / "a\x00b")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "embedded null byte"}
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_example_csv_dir_is_a_file_exit_1(tmp_path, capsys):
@@ -943,39 +953,6 @@ def test_focus_with_a_small_b12_certifies(tmp_path, capsys, b12, b21):
     assert x_plus[1] == pytest.approx(1.8190e15 * scale, rel=1e-4)
 
 
-def _wide_sets(seed, n):
-    """n config dicts over many decades: rho, omega, mu and lambda
-    log-uniform on [1e-3, 1e3], node and focus blocks (alternating) with
-    rates log-uniform on [1e-4, 1e3], q3 on a rim, between the rims or
-    above them; every set satisfies the placement hypothesis h3."""
-    rng = np.random.default_rng(seed)
-
-    def log_uniform(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    out = []
-    for i in range(n):
-        rho, omega, mu, lam = (log_uniform(1e-3, 1e3) for _ in range(4))
-        sr = math.sqrt(rho)
-        d = sr * log_uniform(1.001, 10.0)
-        if i % 2 == 0:  # node -l1, -l2, coupled one way or both ways
-            l1, l2 = log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)
-            b12 = log_uniform(1e-4, 1e3) * rng.choice([-1.0, 1.0])
-            b21 = (l1 * l2 / b12 * rng.uniform(0.0, 0.9)
-                   if rng.random() < 0.5 else 0.0)  # det > 0, disc >= 0
-            block = (-l1, b12, b21, -l2)
-        else:  # focus alpha +/- i beta, sheared by s
-            alpha, beta = -log_uniform(1e-4, 1e3), log_uniform(1e-4, 1e3)
-            s = log_uniform(1e-2, 1e2) * rng.choice([-1.0, 1.0])
-            block = (alpha, beta * s, -beta / s, alpha)
-        q3 = (d - sr, d + sr, rng.uniform(d - sr, d + sr),
-              d + sr * log_uniform(1.001, 10.0))[int(rng.integers(4))]
-        out.append(dict(zip(CONFIG_KEYS, map(float, (
-            rho, omega, mu, *block, lam, d, sr * rng.uniform(-5.0, 5.0),
-            q3, d)))))
-    return out
-
-
 def test_wide_draw_exits_typed(tmp_path, capsys):
     # a seeded draw over many decades: each set is a verdict (exit 0 or 2,
     # stderr empty) or exactly one JSON object naming a typed error (exit
@@ -983,7 +960,7 @@ def test_wide_draw_exits_typed(tmp_path, capsys):
     path, out = tmp_path / "wide.cfg", str(tmp_path / "r.json")
     codes = Counter()
     with Budget("wide draw check", 20.0):
-        for values in _wide_sets(2028, 1000):
+        for values in wide_sets(2028, 1000):
             path.write_text("".join(f"{k} = {v!r}\n"
                                     for k, v in values.items()))
             code = main(["check", str(path), "--out", out])

@@ -113,8 +113,13 @@ def test_grazing_recorded_without_switch(ex1):
 
 
 def test_backward_only_rejected(ex1):
-    with pytest.raises(ValueError):
-        integrate_hybrid(ex1, (0.0, 0.0, 0.0), (1.0, 0.0))
+    # a span that ends where or before it starts is an input error, a
+    # ConfigError (also a ValueError)
+    for t_span in ((1.0, 0.0), (0.0, 0.0), (0.0, -1.0)):
+        with pytest.raises(ConfigError) as info:
+            integrate_hybrid(ex1, (0.0, 0.0, 0.0), t_span)
+        assert str(info.value) == ("integrate_hybrid requires t1 > t0 "
+                                   "(forward only)")
 
 
 @pytest.mark.parametrize("x0, t_span", [

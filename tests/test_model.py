@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hetcycle._integrate import rk45
 from hetcycle.errors import ConfigError, HypothesisFailure
-from hetcycle.flows import left_flow, right_flow
+from hetcycle.flows import left_flow, numeric_flow, right_flow
 from hetcycle.hybrid import integrate_hybrid
 from hetcycle.model import (
     CONFIG_KEYS,
@@ -24,8 +25,9 @@ from hetcycle.model import (
     window_tangency,
     validate_hypotheses,
 )
-from hetcycle.orbits import build_gamma_up
+from hetcycle.orbits import build_gamma_up, default_horizons
 from hetcycle.planar import analyze_vdp_line
+from hetcycle.presets import example_params
 from hetcycle.verifier import certify
 
 
@@ -423,3 +425,37 @@ def test_point_of_other_than_three_components_raises(ex1, call):
     assert got == (1.0, 2.0, 3.0) and all(type(v) is float for v in got)
     with pytest.raises(ValueError):
         call(ex1)
+
+
+#: Guards on a caller's arguments, one call each, with the error it raises
+#: and the start of its message.
+_BAD_ARGUMENTS = {
+    "rk45-empty-span": (
+        lambda p: rk45(lambda x: x, (1.0, 0.0, 0.0), 1.0, 1.0),
+        ValueError, "rk45 requires t1 > t0"),
+    "numeric_flow-side": (
+        lambda p: numeric_flow((1.0, 0.0, 0.0), 1.0, "up", p),
+        ValueError, "side must be 'left' or 'right', got 'up'"),
+    "params_from_dict-extra-key": (
+        lambda p: params_from_dict({**params_to_dict(p), "nope": 3.0}),
+        ConfigError, "unknown keys: nope"),
+    "analyze_vdp_line-rho": (
+        lambda p: analyze_vdp_line(0.0, 1.0, 2.0),
+        ValueError, "rho and omega must be positive"),
+    "example_params-4": (
+        lambda p: example_params(4),
+        ValueError, "no built-in example 4"),
+    # eigenvalues 0 and -1: no horizon contracts the zero mode
+    "default_horizons-zero-rate": (
+        lambda p: default_horizons(dataclasses.replace(p, b11=0.0)),
+        HypothesisFailure, "right planar block has a non-contracting mode"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _BAD_ARGUMENTS.values(),
+                         ids=_BAD_ARGUMENTS)
+def test_bad_argument_is_refused(ex1, call, error, message):
+    with pytest.raises(error) as info:
+        call(ex1)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)

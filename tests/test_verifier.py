@@ -1,18 +1,20 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import Budget, rim_sets
+from helpers import Budget, rim_sets, wide_sets
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow, numeric_flow, right_flow
 from hetcycle.model import (SystemParams, derive_geometry, l2_offset,
-                            validate_hypotheses)
+                            params_from_dict, validate_hypotheses)
 from hetcycle.orbits import assemble_cycle
 from hetcycle.planar import (PlanarLinearSystem, analyze_vdp_line,
-                             focus_stay_window, return_branch)
+                             focus_stay_window, return_branch,
+                             tangency_band)
 from hetcycle.presets import example_params
 from hetcycle.verifier import Evidence, certify, cone_condition
 
@@ -809,3 +811,63 @@ def test_rim_band_edges_one_subcase_decision():
             assert (v.subcase == "c") == (
                 derive_geometry(p).p_plus is not None), p
     assert subcases == {"a", "b", "c", "none"}
+
+
+def _wide_verdicts():
+    """(params, verdict) of each set of the wide draw that certify
+    answers."""
+    for values in wide_sets(2028, 1000):
+        p = params_from_dict(values)
+        try:
+            yield p, certify(p)
+        except HetcycleError:
+            continue
+
+
+def _entry(verdict, name):
+    return next((e for e in verdict.evidence if e.name == name), None)
+
+
+def test_passing_cone_passes_at_larger_mu():
+    # omega^2 rho < mu^2 (d^2 - rho) only grows easier with mu: a passing
+    # cone entry still passes one ulp up and at every larger mu tried
+    checked = 0
+    with Budget("cone order in mu", 10.0):
+        for p, verdict in _wide_verdicts():
+            cone = _entry(verdict, "cone")
+            if cone is None or not cone.passed:
+                continue
+            for mu in (math.nextafter(p.mu, math.inf), 1.5 * p.mu,
+                       10.0 * p.mu, 1e3 * p.mu):
+                assert _entry(certify(replace(p, mu=mu)), "cone").passed, \
+                    (p, mu)
+            checked += 1
+    assert checked >= 200, checked
+
+
+def test_q2_window_passes_form_an_interval_or_its_complement():
+    # q2 swept over a grid three window widths wide and each end of the
+    # window and of its tol band, and one ulp either side: the passes are
+    # one interval on branch x2star_above, the complement of one on
+    # x2star_below
+    shapes = {"x2star_above": r"0*1+0*", "x2star_below": r"1+0+1+"}
+    branches = dict.fromkeys(shapes, 0)
+    with Budget("q2 window order", 10.0):
+        for p, verdict in _wide_verdicts():
+            if _entry(verdict, "q2_window") is None:
+                continue
+            a = analyze_vdp_line(p.rho, p.omega, p.d)
+            vp, xs = a.varrho_plus, a.x_star[1]
+            band = tangency_band(vp, a.varrho_minus)
+            lo, hi = min(vp, xs), max(vp, xs)
+            q2s = set(np.linspace(lo - (hi - lo), hi + (hi - lo), 31).tolist())
+            for end in (vp, xs, vp - band, xs + band):
+                q2s.update((math.nextafter(end, -math.inf), end,
+                            math.nextafter(end, math.inf)))
+            passes = "".join(
+                "1" if _entry(certify(replace(p, q2=q2)), "q2_window").passed
+                else "0" for q2 in sorted(q2s))
+            assert re.fullmatch(shapes[a.branch], passes), (p, passes)
+            branches[a.branch] += 1
+    above, below = branches["x2star_above"], branches["x2star_below"]
+    assert above >= 200 and below >= 10, branches
