@@ -11,11 +11,9 @@ from .hybrid import (
     integrate_hybrid,
 )
 from .model import (
-    DerivedGeometry,
     HypothesisReport,
     PlanarLinearSystem,
     SystemParams,
-    derive_geometry,
     load_config,
     parse_config,
     validate_hypotheses,
@@ -51,7 +49,6 @@ __all__ = [
     "CrosscheckReport",
     "CycleCertificate",
     "CycleVerdict",
-    "DerivedGeometry",
     "Evidence",
     "HybridTrajectory",
     "HypothesisReport",
@@ -69,7 +66,6 @@ __all__ = [
     "cone_condition",
     "crosscheck_closed_forms",
     "default_horizons",
-    "derive_geometry",
     "example_params",
     "focus_stay_check",
     "focus_stay_window",

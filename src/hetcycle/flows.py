@@ -135,11 +135,6 @@ def left_orbit(x0, rho: float, omega: float, mu: float):
     return orbit
 
 
-def planar_left_flow(xy, t: float, rho: float, omega: float) -> tuple:
-    """The (x1, x2) of ``left_orbit`` from (x1, x2, 0) at mu = 0."""
-    return left_orbit((xy[0], xy[1], 0.0), rho, omega, 0.0)(t)[:2]
-
-
 def block_exp(sys: PlanarLinearSystem):
     """exp(t * A) of the block ``sys`` as a function
     ``t -> (m11, m12, m21, m22)``.
@@ -177,12 +172,6 @@ def block_exp(sys: PlanarLinearSystem):
             sl = e * math.sin(w * t) / w
             return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
     return exp_ta
-
-
-def planar_matrix_exp(a11: float, a12: float, a21: float, a22: float,
-                      t: float) -> tuple:
-    """Entries (m11, m12, m21, m22) of exp(t * A) for a 2x2 matrix A."""
-    return block_exp(PlanarLinearSystem.from_entries(a11, a12, a21, a22))(t)
 
 
 def right_orbit(x0, params: SystemParams):

@@ -20,10 +20,10 @@ subcase and connection points (``rim_subcase``), the discriminant and
 tangency ordinates on a line x1 = k (``tangency_ordinates``, which the
 verifier's regime reads too) and the tangency ordinate -a11 c / a12 of a
 planar linear field on a vertical line {y1 = c} (``window_tangency``, on
-L2 at ``l2_offset``; a12 != 0 for every focus); the geometry
-(``derive_geometry``) and the verdict read the same floats.  So is the
-right block's spectrum (``PlanarLinearSystem``, held by
-``SystemParams.block`` for the theorem, flows, window and horizons).
+L2 at ``l2_offset``; a12 != 0 for every focus), which the verdict
+reads as they are.  So is the right block's spectrum
+(``PlanarLinearSystem``, held by ``SystemParams.block`` for the theorem,
+flows, window and horizons).
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.
 
@@ -47,9 +47,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .errors import ConfigError, HypothesisFailure
+from .errors import ConfigError
 
 #: Fixed switching-plane normal: the plane is {x : x1 + x3 = d}.
 C_NORMAL = (1.0, 0.0, 1.0)
@@ -218,68 +218,6 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     kind = params.block.spectral_type
     return HypothesisReport(kind == "real_stable", kind == "complex_stable",
                             p1 and p2 and p3, checks, params.block)
-
-
-@dataclass(frozen=True)
-class DerivedGeometry:
-    """Named points on the switching plane.
-
-    ``p0``/``p1`` are where the cycle's unstable cylinder meets the plane
-    at its lowest/highest vertical height; ``q0`` is where the equilibrium's
-    unstable line meets the plane; ``p_plus``/``p_minus`` are the cylinder-
-    plane-stable-plane intersections, present exactly in ``rim_subcase``
-    'c', which builds them; ``x_minus`` is the tangency point of the
-    right-zone spiral on L2 = {x3 = q3}, None exactly when b12 == 0.
-    sigma_plus/minus are the ``tangency_ordinates`` of L1 = {x1 = d,
-    x3 = 0}, when real.  Points are float 3-tuples.
-    """
-
-    p0: tuple
-    p1: tuple
-    q0: tuple
-    sigma_plus: Optional[float]
-    sigma_minus: Optional[float]
-    v1: Optional[tuple]
-    p_plus: Optional[tuple]
-    p_minus: Optional[tuple]
-    x_minus: Optional[tuple]
-
-
-def derive_geometry(params: SystemParams,
-                    tol: float = DEFAULT_TOL) -> DerivedGeometry:
-    """Compute every switching-plane object by its closed formula.
-
-    Requires the placement hypothesis (h3), checked by its own
-    ``validate_hypotheses(params, tol)``; raises HypothesisFailure
-    otherwise.  ``x_minus`` is the ``window_tangency`` of
-    the planar block on L2, lifted: the point the verdict's spiral window
-    starts at.  It is None exactly when b12 == 0, where the field is
-    nowhere parallel to L2 (never for a focus).
-    """
-    report = validate_hypotheses(params, tol)
-    if not report.h3_holds:
-        failed = [c.name for c in report.h3_details if not c.passed]
-        raise HypothesisFailure(f"placement hypothesis fails: {', '.join(failed)}")
-
-    d = params.d
-    sr = params.sqrt_rho
-    p0 = (sr, 0.0, d - sr)
-    p1 = (-sr, 0.0, d + sr)
-    q0 = (d, params.q2, 0.0)
-
-    _, sigma_plus, sigma_minus = tangency_ordinates(params.rho, params.omega, d)
-    v1 = None if sigma_plus is None else (d, sigma_plus, 0.0)
-
-    rim_points = dict(rim_subcase(params, tol)[3])
-    p_plus, p_minus = rim_points.get("p_plus"), rim_points.get("p_minus")
-
-    x_minus = None
-    if params.b12 != 0.0:
-        y = window_tangency(params.b11, params.b12, l2_offset(params))
-        x_minus = (d - params.q3, y + params.q2, params.q3)
-
-    return DerivedGeometry(p0, p1, q0, sigma_plus, sigma_minus, v1,
-                           p_plus, p_minus, x_minus)
 
 
 def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:

@@ -45,13 +45,13 @@ from typing import NamedTuple, Optional
 
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
                      RootSearchError, UngenericBranch, WrongSpectralType)
-# planar_left_flow and planar_matrix_exp are unused here but stay in this
-# module's namespace: the per-call kernels are looked up on it by name
-# (perfbench/tracing.py counts calls through them).
-from .flows import (block_exp, planar_left_flow,  # noqa: F401
-                    planar_matrix_exp, radial_blowup_time, radial_law)
+from .flows import block_exp, radial_blowup_time, radial_law
 from .model import (DEFAULT_TOL, PlanarLinearSystem, tangency_ordinates,
                     window_tangency)
+
+# perfbench/tracing.py wraps these two names by lookup; nothing calls them,
+# and ROADMAP item 1 stage B deletes them along with the wrappers.
+planar_left_flow = planar_matrix_exp = None
 
 
 class VdpLineAnalysis(NamedTuple):

@@ -24,7 +24,7 @@ where q3 sits relative to the plane heights d -/+ sqrt(rho) of the
 cylinder rim, at the bottom ('a', one cycle through p0), at the top ('b',
 one cycle through p1, plus the cone condition omega^2 rho < mu^2 (d^2 -
 rho)), or strictly between ('c', two cycles through p_plus/p_minus, plus
-the cone condition).  No ``DerivedGeometry`` is built on the way.
+the cone condition).
 
 All conditions here are sufficient only: cycle_count 0 means "not
 certified", never "no cycle exists".  Strict inequalities are evaluated
@@ -39,12 +39,14 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
-# derive_geometry is unused here; perfbench/tracing.py wraps it by name.
-from .model import (DEFAULT_TOL, HypothesisReport, SystemParams,  # noqa: F401
-                    derive_geometry, l2_offset, rim_subcase,
-                    validate_hypotheses)
+from .model import (DEFAULT_TOL, HypothesisReport, SystemParams, l2_offset,
+                    rim_subcase, validate_hypotheses)
 from .planar import (VdpLineAnalysis, analyze_vdp_line, focus_stay_check,
                      focus_stay_window, node_stay_check, vdp_stay_check)
+
+# perfbench/tracing.py wraps this name by lookup; nothing calls it, and
+# ROADMAP item 1 stage B deletes it along with the wrapper.
+derive_geometry = None
 
 
 class Evidence(NamedTuple):

@@ -21,7 +21,7 @@ from helpers import (
     semigroup_max_rel_err,
 )
 
-from hetcycle.model import derive_geometry, l2_offset
+from hetcycle.model import l2_offset, tangency_ordinates
 from hetcycle.hybrid import crosscheck_closed_forms
 from hetcycle.orbits import assemble_cycle
 from hetcycle.planar import (
@@ -39,8 +39,8 @@ def test_criterion_1_example1_reproduction(ex1):
     with Budget("1 example-1 reproduction", 1.0):
         verdict = certify(ex1)
         assert verdict.cycle_count == 1
-        geo = derive_geometry(ex1)
-        assert geo.sigma_plus == pytest.approx(-0.05314, abs=1e-4)
+        sigma_plus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)[1]
+        assert sigma_plus == pytest.approx(-0.05314, abs=1e-4)
         assert verdict.v_star[1] == pytest.approx(2.363, abs=5e-3)
         hp = {e.name: e for e in verdict.evidence}["halfplane_p0"]
         assert hp.value == pytest.approx(0.4, abs=1e-12)
@@ -62,9 +62,10 @@ def test_criterion_2_example2_reproduction(ex2):
     with Budget("2 example-2 reproduction", 1.0):
         verdict = certify(ex2)
         assert verdict.cycle_count == 1
-        geo = derive_geometry(ex2)
-        assert geo.sigma_plus == pytest.approx(-0.9045, abs=1e-3)
-        assert geo.sigma_minus == pytest.approx(-2.4121, abs=1e-3)
+        _, sigma_plus, sigma_minus = tangency_ordinates(ex2.rho, ex2.omega,
+                                                        ex2.d)
+        assert sigma_plus == pytest.approx(-0.9045, abs=1e-3)
+        assert sigma_minus == pytest.approx(-2.4121, abs=1e-3)
         assert verdict.v_star[1] == pytest.approx(-4.4162, abs=5e-3)
         x_minus, x_plus = verdict.window
         assert x_minus[1] == pytest.approx(-4.848, abs=1e-2)

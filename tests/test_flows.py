@@ -383,14 +383,15 @@ def _array_left_flow(x0, t, params):
 
 
 def _array_right_flow(x0, t, params):
-    from hetcycle.flows import planar_matrix_exp
+    from hetcycle.flows import block_exp
+    from hetcycle.model import PlanarLinearSystem
 
     x0 = np.asarray(x0, dtype=float)
     y1 = x0[0] - params.q1
     y2 = x0[1] - params.q2
     y3 = x0[2] - params.q3
-    m11, m12, m21, m22 = planar_matrix_exp(
-        params.b11, params.b12, params.b21, params.b22, t)
+    m11, m12, m21, m22 = block_exp(PlanarLinearSystem.from_entries(
+        params.b11, params.b12, params.b21, params.b22))(t)
     return np.array([
         params.q1 + m11 * y1 + m12 * y2,
         params.q2 + m21 * y1 + m22 * y2,
@@ -590,7 +591,7 @@ def _branch(a11, a12, a21, a22):
 
 
 def test_block_exp_matches_per_call_reference():
-    from hetcycle.flows import block_exp, planar_matrix_exp
+    from hetcycle.flows import block_exp
     from hetcycle.model import PlanarLinearSystem
 
     rng = np.random.default_rng(30)
@@ -622,7 +623,6 @@ def test_block_exp_matches_per_call_reference():
             t = float(t)
             want = _kernel_outcome(_ref_planar_matrix_exp, *m, t)
             assert _kernel_outcome(exp_ta, t) == want, (m, t)
-            assert _kernel_outcome(planar_matrix_exp, *m, t) == want, (m, t)
 
 
 def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
@@ -670,9 +670,9 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
 
 
 def test_planar_left_flow_matches_per_call_reference():
-    # left_orbit bound once in the plane x3 = 0 and planar_left_flow per
-    # call: the reference's (x1, x2) bit for bit
-    from hetcycle.flows import left_orbit, planar_left_flow
+    # left_orbit bound once in the plane x3 = 0: the reference's (x1, x2)
+    # bit for bit
+    from hetcycle.flows import left_orbit
 
     rng = np.random.default_rng(31)
     for _ in range(40):
@@ -695,24 +695,18 @@ def test_planar_left_flow_matches_per_call_reference():
                 want = _kernel_outcome(_ref_planar_left_flow, xy, t, rho, omega)
                 assert _kernel_outcome(lambda t: orbit(t)[:2], t) == want, (
                     xy, t)
-                assert _kernel_outcome(planar_left_flow, xy, t, rho,
-                                       omega) == want, (xy, t)
     # a start outside the cycle raises at its escape time, same message
     orbit = left_orbit((2.0, 0.0, 0.0), 1.0, 3.0, 0.0)
     with pytest.raises(BackwardBlowup, match="requested t="):
         orbit(radial_blowup_time(4.0, 1.0))
 
 
-def test_right_flow_block_memo_follows_the_params_object(ex2, ex3,
-                                                        monkeypatch):
+def test_right_flow_block_memo_follows_the_params_object(ex2, ex3):
     import dataclasses
 
     from hetcycle import flows
     from hetcycle.model import SystemParams
 
-    # the array reference above, on the per-call matrix exponential
-    # (right_flow itself no longer calls planar_matrix_exp)
-    monkeypatch.setattr(flows, "planar_matrix_exp", _ref_planar_matrix_exp)
     fields = {f.name: getattr(ex2, f.name) for f in dataclasses.fields(ex2)}
     twin_a, twin_b = SystemParams(**fields), SystemParams(**fields)
     assert twin_a == twin_b and twin_a is not twin_b

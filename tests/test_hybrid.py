@@ -23,7 +23,7 @@ from hetcycle.hybrid import (
     write_events_csv,
     write_trajectory_csv,
 )
-from hetcycle.model import derive_geometry
+from hetcycle.model import tangency_ordinates
 
 
 def test_equilibrium_is_stationary(ex1):
@@ -102,8 +102,9 @@ def test_sliding_detected(ex1):
 
 
 def test_grazing_recorded_without_switch(ex1):
-    geo = derive_geometry(ex1)
-    x0 = left_flow(geo.v1, -0.01, ex1)  # passes the line tangency at t=0.01
+    sigma_plus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)[1]
+    v1 = (ex1.d, sigma_plus, 0.0)
+    x0 = left_flow(v1, -0.01, ex1)  # passes the line tangency at t=0.01
     tr = integrate_hybrid(ex1, x0, (0.0, 0.05))
     grazes = [e for e in tr.events if e.direction == "graze_left"]
     assert grazes
@@ -324,8 +325,8 @@ def test_rk45_graze_inside_a_step_with_clear_ends():
 def test_event_times_never_decrease(ex1, ex2, ex3):
     # a graze followed by a crossing: the height x3 = 1e-12 grows at rate
     # mu until the orbit leaves through the plane
-    geo = derive_geometry(ex1)
-    x0 = left_flow((geo.v1[0], geo.v1[1], 1e-12), -0.01, ex1)
+    sigma_plus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)[1]
+    x0 = left_flow((ex1.d, sigma_plus, 1e-12), -0.01, ex1)
     tr = integrate_hybrid(ex1, x0, (0.0, 8.0))
     assert [e.direction for e in tr.events] == ["graze_left", "left_to_right"]
     crossings = 0

@@ -13,7 +13,7 @@ from hetcycle.model import (
     CONFIG_KEYS,
     PlanarLinearSystem,
     SystemParams,
-    derive_geometry,
+    l2_offset,
     load_config,
     parse_config,
     params_from_dict,
@@ -21,6 +21,7 @@ from hetcycle.model import (
     point,
     read_assignment,
     read_number,
+    rim_subcase,
     tangency_ordinates,
     window_tangency,
     validate_hypotheses,
@@ -228,36 +229,54 @@ def test_h3_fails_when_d_equals_sqrt_rho():
                      lam=2, q1=1.0, q2=0, q3=0.5, d=1.0)
     rep = validate_hypotheses(p)
     assert not rep.h3_holds
-    with pytest.raises(HypothesisFailure):
-        derive_geometry(p)
+    v = certify(p)
+    assert v.theorem == "none" and v.cycle_count == 0
 
 
 def test_geometry_example1(ex1):
-    geo = derive_geometry(ex1)
-    assert geo.sigma_plus == pytest.approx(-0.05314, abs=1e-4)
-    np.testing.assert_allclose(geo.q0, [1.2, 0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(geo.p0, [1.0, 0.0, 0.2], atol=1e-14)
-    np.testing.assert_allclose(geo.v1, [1.2, geo.sigma_plus, 0.0], atol=1e-14)
-    assert geo.p_plus is None  # q3 sits on the bottom rim, not inside
+    _, sigma_plus, _ = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)
+    assert sigma_plus == pytest.approx(-0.05314, abs=1e-4)
+    assert analyze_vdp_line(ex1.rho, ex1.omega, ex1.d).u1 == (ex1.d,
+                                                             sigma_plus)
+    np.testing.assert_allclose(certify(ex1).q0, [1.2, 0.0, 0.0], atol=1e-14)
+    # q3 sits on the bottom rim, not inside: p0 is the only point
+    ((label, p0),) = rim_subcase(ex1)[3]
+    assert label == "p0"
+    np.testing.assert_allclose(p0, [1.0, 0.0, 0.2], atol=1e-14)
 
 
 def test_geometry_example3_x_minus(ex3):
-    geo = derive_geometry(ex3)
-    np.testing.assert_allclose(geo.x_minus, [0.0, -1.1667, 2.0], atol=1e-3)
+    np.testing.assert_allclose(certify(ex3).window[0], [0.0, -1.1667, 2.0],
+                               atol=1e-3)
     # no real tangency ordinates in the strong-contraction regime
-    assert geo.sigma_plus is None and geo.v1 is None
-    np.testing.assert_allclose(geo.p_plus, [0.0, 1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(geo.p_minus, [0.0, -1.0, 2.0], atol=1e-12)
+    assert tangency_ordinates(ex3.rho, ex3.omega, ex3.d)[1:] == (None, None)
+    points = dict(rim_subcase(ex3)[3])
+    np.testing.assert_allclose(points["p_plus"], [0.0, 1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(points["p_minus"], [0.0, -1.0, 2.0],
+                               atol=1e-12)
+
+
+def _plane_points(p):
+    """Every switching-plane point of ``p`` with a closed formula: the rim
+    points of q3 at p.q3, at the bottom rim and at the top rim, q0, the L1
+    tangency point (d, sigma_plus, 0) and the L2 tangency point x_minus."""
+    sr = p.sqrt_rho
+    pts = [x for q3 in (p.q3, p.d - sr, p.d + sr)
+           for _, x in rim_subcase(dataclasses.replace(p, q3=q3))[3]]
+    pts.append((p.d, p.q2, 0.0))
+    sigma_plus = tangency_ordinates(p.rho, p.omega, p.d)[1]
+    if sigma_plus is not None:
+        pts.append((p.d, sigma_plus, 0.0))
+    if p.b12 != 0.0:
+        y = window_tangency(p.b11, p.b12, l2_offset(p))
+        pts.append((p.d - p.q3, y + p.q2, p.q3))
+    return pts
 
 
 def test_geometry_points_on_plane(ex1, ex2, ex3):
     for p in (ex1, ex2, ex3):
-        geo = derive_geometry(p)
-        pts = [geo.p0, geo.p1, geo.q0, geo.v1, geo.p_plus, geo.p_minus,
-               geo.x_minus]
-        for x in pts:
-            if x is None:
-                continue
+        assert certify(p).q0 == (p.d, p.q2, 0.0)
+        for x in _plane_points(p):
             assert abs(x[0] + x[2] - p.d) <= 1e-12 * max(1.0, abs(p.d))
 
 
@@ -274,11 +293,7 @@ def test_geometry_plane_membership_random_params():
                          b21=rng.uniform(-2, 2), b22=rng.uniform(-3, -0.5),
                          lam=rng.uniform(0.5, 4.0),
                          q1=d, q2=rng.uniform(-3, 3), q3=q3, d=d)
-        geo = derive_geometry(p)
-        for x in (geo.p0, geo.p1, geo.q0, geo.v1, geo.p_plus, geo.p_minus,
-                  geo.x_minus):
-            if x is None:
-                continue
+        for x in _plane_points(p):
             assert abs(x[0] + x[2] - p.d) <= 1e-12 * max(1.0, abs(p.d))
         count += 1
 
@@ -293,11 +308,9 @@ def test_sigma_vieta_identities():
         omega = rng.uniform(2.0, 15.0)
         if omega * omega < 4 * d * d * (d * d - rho):
             continue
-        p = SystemParams(rho=rho, omega=omega, mu=1.0, b11=-2, b12=1, b21=0,
-                         b22=-1, lam=1.0, q1=d, q2=0.0, q3=0.1, d=d)
-        geo = derive_geometry(p)
-        prod = geo.sigma_plus * geo.sigma_minus
-        tot = geo.sigma_plus + geo.sigma_minus
+        _, sigma_plus, sigma_minus = tangency_ordinates(rho, omega, d)
+        prod = sigma_plus * sigma_minus
+        tot = sigma_plus + sigma_minus
         assert prod == pytest.approx(d * d - rho, rel=1e-10)
         assert tot == pytest.approx(-omega / d, rel=1e-10)
         checked += 1
@@ -328,8 +341,7 @@ def test_tangency_ordinates_are_stable_at_large_omega(omega):
 
 
 def test_x_minus_reproduces_formula(ex2):
-    geo = derive_geometry(ex2)
-    x = geo.x_minus
+    x = certify(ex2).window[0]
     assert abs(x[0] + x[2] - ex2.d) <= 1e-12
     # direct re-evaluation of the defining formula with the full matrix
     b = np.array([[ex2.b11, ex2.b12, 0], [ex2.b21, ex2.b22, 0], [0, 0, ex2.lam]])
@@ -339,8 +351,9 @@ def test_x_minus_reproduces_formula(ex2):
 
 
 def test_p_pm_on_cylinder(ex3):
-    geo = derive_geometry(ex3)
-    for x in (geo.p_plus, geo.p_minus):
+    subcase, _, _, points = rim_subcase(ex3)
+    assert subcase == "c"
+    for _, x in points:
         assert abs(x[0] ** 2 + x[1] ** 2 - ex3.rho) <= 1e-12 * ex3.rho
 
 

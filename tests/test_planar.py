@@ -19,10 +19,10 @@ from hetcycle.errors import (
 )
 from hetcycle.flows import (
     block_exp,
-    planar_left_flow,
+    left_orbit,
     radial_blowup_time,
 )
-from hetcycle.model import l2_offset, window_tangency
+from hetcycle.model import l2_offset, tangency_ordinates, window_tangency
 from hetcycle.planar import (
     ROOT_BRACKET,
     PlanarLinearSystem,
@@ -88,7 +88,7 @@ def test_x_star_residual_and_exclusion():
     for rho, omega, k in ((1.0, 10.0, 1.2),
                           (1.0, math.sqrt(35.0), math.sqrt(35.0 / 11.0))):
         a = analyze_vdp_line(rho, omega, k)
-        x = planar_left_flow(a.u1, a.t_star, rho, omega)
+        x = left_orbit((*a.u1, 0.0), rho, omega, 0.0)(a.t_star)
         assert abs(x[0] - k) <= 1e-9
         assert not (a.varrho_minus < a.x_star[1] < a.varrho_plus)
 
@@ -366,8 +366,9 @@ def _reference_crossing(flow, line_value, period, t_floor, scale,
 def _reference_vdp_return(a, samples_per_rev=4096):
     """(x_star, t_star) of a subcritical analysis by the reference scan."""
     u1 = a.u1
+    orbit = left_orbit((*u1, 0.0), a.rho, a.omega, 0.0)
     return _reference_crossing(
-        lambda t: planar_left_flow(u1, t, a.rho, a.omega),
+        lambda t: orbit(t)[:2],
         lambda p: p[0] - a.k,
         2.0 * math.pi / a.omega,
         radial_blowup_time(u1[0] * u1[0] + u1[1] * u1[1], a.rho),
@@ -435,7 +436,8 @@ def test_vdp_return_point_is_the_orbit_at_t_star(ex1, ex2):
         a = analyze_vdp_line(rho, omega, k)
         if a.x_star is not None:
             returns += 1
-            assert a.x_star == planar_left_flow(a.u1, a.t_star, rho, omega)
+            orbit = left_orbit((*a.u1, 0.0), rho, omega, 0.0)
+            assert a.x_star == orbit(a.t_star)[:2]
     assert returns == 88
 
 
@@ -665,13 +667,9 @@ def _tangency_sets():
 
 @pytest.mark.parametrize("s", _tangency_sets())
 def test_geometry_and_line_analysis_share_the_tangency_solve(s):
-    from hetcycle.model import SystemParams, derive_geometry
-
-    p = SystemParams(rho=s["rho"], omega=s["omega"], mu=1.0, b11=-2.0,
-                     b12=1.0, b21=0.0, b22=-1.0, lam=1.0, q1=s["d"], q2=0.0,
-                     q3=0.1, d=s["d"])
-    geo = derive_geometry(p)
-    a = analyze_vdp_line(p.rho, p.omega, p.d)
+    sigma_plus, sigma_minus = tangency_ordinates(s["rho"], s["omega"],
+                                                 s["d"])[1:]
+    a = analyze_vdp_line(s["rho"], s["omega"], s["d"])
     assert a.regime == "subcritical"
-    assert geo.sigma_plus.hex() == a.varrho_plus.hex()
-    assert geo.sigma_minus.hex() == a.varrho_minus.hex()
+    assert sigma_plus.hex() == a.varrho_plus.hex()
+    assert sigma_minus.hex() == a.varrho_minus.hex()

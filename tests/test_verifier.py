@@ -9,8 +9,9 @@ from helpers import Budget, rim_sets, wide_sets
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow, numeric_flow, right_flow
-from hetcycle.model import (SystemParams, derive_geometry, l2_offset,
-                            params_from_dict, validate_hypotheses)
+from hetcycle.model import (SystemParams, l2_offset, params_from_dict,
+                            rim_subcase, tangency_ordinates,
+                            validate_hypotheses, window_tangency)
 from hetcycle.orbits import assemble_cycle
 from hetcycle.planar import (PlanarLinearSystem, analyze_vdp_line,
                              focus_stay_window, return_branch,
@@ -102,8 +103,8 @@ def test_q2_window_branch1_pass(ex1):
 
 
 def test_q2_window_branch1_closed_endpoint(ex1):
-    geo = derive_geometry(ex1)
-    p = replace(ex1, q2=geo.sigma_plus)  # exactly at the closed endpoint
+    sigma_plus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)[1]
+    p = replace(ex1, q2=sigma_plus)  # exactly at the closed endpoint
     assert _evidence(certify(p), "q2_window").passed
 
 
@@ -136,10 +137,10 @@ def test_q2_window_branch2_pass(ex2):
 def test_q2_window_ungeneric_raises(ex1):
     # a first return strictly between the tangency ordinates is neither
     # branch of the dichotomy
-    geo = derive_geometry(ex1)
-    mid = 0.5 * (geo.sigma_plus + geo.sigma_minus)
+    _, sigma_plus, sigma_minus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)
+    mid = 0.5 * (sigma_plus + sigma_minus)
     with pytest.raises(UngenericBranch):
-        return_branch(mid, geo.sigma_plus, geo.sigma_minus)
+        return_branch(mid, sigma_plus, sigma_minus)
 
 
 def test_cone_condition_examples(ex2, ex3):
@@ -373,9 +374,9 @@ def test_q2_sweep_inside_window(ex1):
     """Sweeping q2 through the window changes nothing while the outward
     half-plane value c.B(p0 - q) = 0.4 - q2 stays nonnegative; past 0.4 that
     condition (which also depends on q2) flips the verdict."""
-    geo = derive_geometry(ex1)
+    sigma_plus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)[1]
     v2 = certify(ex1).v_star[1]
-    for q2 in np.linspace(geo.sigma_plus + 1e-6, 0.4, 9):
+    for q2 in np.linspace(sigma_plus + 1e-6, 0.4, 9):
         v = certify(replace(ex1, q2=float(q2)))
         assert v.cycle_count == 1
     for q2 in np.linspace(0.41, v2 - 1e-6, 5):
@@ -547,14 +548,14 @@ def test_certify_reuses_a_given_report(ex1, ex2, ex3):
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
 def test_invalid_tol_is_a_config_error(ex1, tol):
-    for check in (validate_hypotheses, derive_geometry, certify):
+    for check in (validate_hypotheses, certify):
         with pytest.raises(ConfigError):
             check(ex1, tol)
 
 
 def test_geometry_x_minus_is_the_window_start(ex1, ex2, ex3):
-    # one solve of the spiral tangency point on L2: the geometry's x_minus
-    # and the verdict's window agree bit for bit
+    # one solve of the spiral tangency point on L2: x_minus lifted from
+    # window_tangency and the verdict's window agree bit for bit
     assert certify(ex1).window is None
     checked = 0
     for p in [ex2, ex3] + rim_sets(12, 400)[1::2]:  # the focus blocks
@@ -562,14 +563,10 @@ def test_geometry_x_minus_is_the_window_start(ex1, ex2, ex3):
             window = certify(p).window
         except HetcycleError:
             continue
-        assert derive_geometry(p).x_minus == window[0], p
+        y = window_tangency(p.b11, p.b12, l2_offset(p))
+        assert (p.d - p.q3, y + p.q2, p.q3) == window[0], p
         checked += 1
     assert checked >= 150
-    # x_minus is None exactly when b12 == 0, where the field is nowhere
-    # parallel to L2; a node with b12 != 0 has one, however small b12 is
-    assert derive_geometry(replace(ex1, b12=0.0)).x_minus is None
-    for b12 in (1.0, 1e-300, -5e-324):
-        assert derive_geometry(replace(ex1, b12=b12)).x_minus is not None
 
 
 # q3 values at fl(hi - band) (or fl(lo + band)) of the rim band: the
@@ -586,13 +583,13 @@ def test_rim_band_edge_certifies(example, q3):
     p = replace(example_params(example), q3=q3)
     v = certify(p)
     assert v.subcase == "c"
-    assert derive_geometry(p).p_plus is not None
+    assert "p_plus" in dict(rim_subcase(p)[3])
     assert len(v.connecting_points) == v.cycle_count
 
 
 def test_connecting_points_are_the_geometry_points():
-    # one rim_subcase builds the verdict's connection points and the
-    # geometry's p0, p1 and p_plus/p_minus: the same floats bit for bit
+    # the verdict's connection points are the rim formulas' p0, p1 and
+    # p_plus/p_minus, the same floats bit for bit
     from hetcycle.presets import example_params
 
     sets = rim_sets(13, 300) + [replace(example_params(n), q3=q3)
@@ -603,9 +600,10 @@ def test_connecting_points_are_the_geometry_points():
             v = certify(p)
         except HetcycleError:
             continue
-        geo = derive_geometry(p)
-        want = {"a": (geo.p0,), "b": (geo.p1,),
-                "c": (geo.p_plus, geo.p_minus)}.get(v.subcase)
+        d, sr, q3 = p.d, p.sqrt_rho, p.q3
+        y = math.sqrt(max(p.rho - (d - q3) * (d - q3), 0.0))
+        want = {"a": ((sr, 0.0, d - sr),), "b": ((-sr, 0.0, d + sr),),
+                "c": ((d - q3, y, q3), (d - q3, -y, q3))}.get(v.subcase)
         got = v.connecting_points
         assert repr(got) == repr(want if v.certified else ()), p
         certified += v.certified
@@ -809,7 +807,7 @@ def test_rim_band_edges_one_subcase_decision():
                 continue
             subcases.add(v.subcase)
             assert (v.subcase == "c") == (
-                derive_geometry(p).p_plus is not None), p
+                "p_plus" in dict(rim_subcase(p)[3])), p
     assert subcases == {"a", "b", "c", "none"}
 
 
