@@ -12,20 +12,21 @@ comparisons (``v if v > u else u``, the pick ``max`` makes) rather than
 with any non-finite update or error component is given err = inf before
 the norm is formed, and is retried at 0.2 h.
 
-Events are crossings of an affine plane n . x = c, located on the cubic
-Hermite dense output of each accepted step (Shampine & Thompson, "Event
-location for ordinary differential equations", 2000).  Along one step the
-switching function g(s) = n . x(s) - c is itself an exact scalar cubic
-whose end slopes are h n . f, so its extrema are the roots of a quadratic:
-checking g there and at the step ends finds every crossing and every
-tangential touch of the interpolant without sampling.  Most steps are far
-from the plane and skip that check: the cubic is a convex blend of its end
-values plus at most 4/27 (|m0| + |m1|) from its end slopes, so a step
-whose ends clear the plane on the starting side by more than that (plus
-2 GRAZE_TOL) can neither cross nor graze.  ``hermite``, written out for 3
-components like the stepper, is the one interpolant: a crossing is bisected
-by evaluating each midpoint state through it, n . x summed in component
-order.  The run ends at the event state without evaluating the field there.
+Events are crossings of the switching plane x1 + x3 = d, located on the
+cubic Hermite dense output of each accepted step (Shampine & Thompson,
+"Event location for ordinary differential equations", 2000).  Along one
+step the switching function g(s) = x1(s) + x3(s) - d is itself an exact
+scalar cubic whose end slopes are h (f1 + f3), so its extrema are the
+roots of a quadratic: checking g there and at the step ends finds every
+crossing and every tangential touch of the interpolant without sampling.
+Most steps are far from the plane and skip that check: the cubic is a
+convex blend of its end values plus at most 4/27 (|m0| + |m1|) from its
+end slopes, so a step whose ends clear the plane on the starting side by
+more than that (plus 2 GRAZE_TOL) can neither cross nor graze.
+``hermite``, written out for 3 components like the stepper, is the one
+interpolant: a crossing is bisected by evaluating each midpoint state
+through it.  The run ends at the event state without evaluating the field
+there.
 """
 
 from __future__ import annotations
@@ -129,20 +130,18 @@ def _initial_step(f0, x0, span: float, ctl: StepControl) -> float:
     return min(h, span)
 
 
-def _bisect_event(plane, x0, f0, x1, f1, h, a, b, ga, gb, target_sign):
-    """Bisect g = n . x - c along the Hermite interpolant of one step, from
+def _bisect_event(d, x0, f0, x1, f1, h, a, b, ga, gb, target_sign):
+    """Bisect g = x1 + x3 - d along the Hermite interpolant of one step, from
     the bracket [a, b] with values ``ga``, ``gb``, until both bracket values
     are within ``EVENT_RESIDUAL``; return the endpoint whose sign matches
     ``target_sign`` so the hand-off state lands on the destination side.
-    Each midpoint state is ``hermite(..., m)``, and its g is summed in
-    component order."""
-    (n1, n2, n3), offset = plane
+    Each midpoint state is ``hermite(..., m)``."""
     for _ in range(200):
         if abs(ga) <= EVENT_RESIDUAL and abs(gb) <= EVENT_RESIDUAL:
             break
         m = 0.5 * (a + b)
-        v1, v2, v3 = hermite(x0, f0, x1, f1, h, m)
-        gm = n1 * v1 + n2 * v2 + n3 * v3 - offset
+        v1, _, v3 = hermite(x0, f0, x1, f1, h, m)
+        gm = v1 + v3 - d
         if (gm > 0.0) == (ga > 0.0):
             a, ga = m, gm
         else:
@@ -171,13 +170,13 @@ def rk45(
     ``x0`` has 3 components and ``f`` maps a 3-tuple to a 3-tuple; other
     lengths of ``x0`` raise ValueError.
 
-    ``plane``, when given, is ``(normal, offset)`` of the event plane
-    n . x = c with a 3-component normal; integration stops at the first
+    ``plane``, when given, is the offset d of the event plane
+    x1 + x3 = d, the switching plane; integration stops at the first
     decisive crossing away from ``event_side``, the sign (-1 or +1,
-    ValueError otherwise) of n . x - c in the region the trajectory starts
-    in.  Tangential touches within ``GRAZE_TOL`` of the plane without a
-    crossing are collected in ``grazes``, projected onto the plane, and do
-    not stop the run.
+    ValueError otherwise) of x1 + x3 - d in the region the trajectory
+    starts in.  Tangential touches within ``GRAZE_TOL`` of the plane
+    without a crossing are collected in ``grazes``, projected onto the
+    plane, and do not stop the run.
 
     Raises StepFailure when the controller underflows ``H_MIN`` or exceeds
     ``MAX_STEPS``.
@@ -203,10 +202,10 @@ def rk45(
     x1, x2, x3 = x
     a1, a2, a3 = fx
     if plane is not None:
-        (n1, n2, n3), offset = plane
-        # n . x - c and n . f at the start of the current step
-        g0 = n1 * x1 + n2 * x2 + n3 * x3 - offset
-        r0 = n1 * a1 + n2 * a2 + n3 * a3
+        # g = x1 + x3 - d (d = plane) and f1 + f3 at the start of the
+        # current step
+        g0 = x1 + x3 - plane
+        r0 = a1 + a3
         side = event_side
 
     steps = 0
@@ -270,8 +269,8 @@ def rk45(
         u1, u2, u3 = f_new
 
         if plane is not None:
-            g1 = n1 * y1 + n2 * y2 + n3 * y3 - offset
-            r1 = n1 * u1 + n2 * u2 + n3 * u3
+            g1 = y1 + y3 - plane
+            r1 = u1 + u3
             m0, m1 = h * r0, h * r1
             if not _clears_plane(side * g0, side * g1, m0, m1):
                 s_ev = _plane_event(plane, side, x, fx, x_new, f_new, h, t,
@@ -328,12 +327,12 @@ def _unit_roots(a: float, b: float, c: float) -> list:
     return sorted(s for s in roots if 0.0 < s < 1.0)
 
 
-def _plane_event(plane, side, x, fx, x_new, f_new, h, t, g0, g1, m0, m1,
+def _plane_event(d, side, x, fx, x_new, f_new, h, t, g0, g1, m0, m1,
                  grazes):
     """Scan one accepted step for a decisive crossing or a grazing touch.
 
-    ``g0``, ``g1`` are n . x - c at the step ends and ``m0``, ``m1`` the
-    end slopes h n . f, as ``rk45`` computed them for ``_clears_plane``.
+    ``g0``, ``g1`` are x1 + x3 - d at the step ends and ``m0``, ``m1`` the
+    end slopes h (f1 + f3), as ``rk45`` computed them for ``_clears_plane``.
     Returns the step fraction of a crossing (bisected onto the destination
     side), else None, possibly after appending a graze record.
     """
@@ -353,18 +352,16 @@ def _plane_event(plane, side, x, fx, x_new, f_new, h, t, g0, g1, m0, m1,
     target = -side
     for (s_lo, g_lo), (s_hi, g_hi) in zip(checks, checks[1:]):
         if g_hi * target > _DECISIVE:
-            return _bisect_event(plane, x, fx, x_new, f_new, h,
+            return _bisect_event(d, x, fx, x_new, f_new, h,
                                  s_lo, s_hi, g_lo, g_hi, target)
 
     # No crossing: an interior extremum nearer the plane than both ends is
-    # a tangential touch; it is projected onto the plane exactly.
+    # a tangential touch; it is projected onto the plane exactly, along
+    # its normal (1, 0, 1).
     if crit:
         s_t, g_t = min(checks[1:-1], key=lambda c: abs(c[1]))
         if abs(g_t) <= GRAZE_TOL and abs(g_t) < min(abs(g0), abs(g1)):
-            (n1, n2, n3), offset = plane
             v1, v2, v3 = hermite(x, fx, x_new, f_new, h, s_t)
-            shift = ((n1 * v1 + n2 * v2 + n3 * v3 - offset)
-                     / (n1 * n1 + n2 * n2 + n3 * n3))
-            grazes.append((t + s_t * h, (v1 - shift * n1, v2 - shift * n2,
-                                         v3 - shift * n3)))
+            shift = (v1 + v3 - d) / 2.0
+            grazes.append((t + s_t * h, (v1 - shift, v2, v3 - shift)))
     return None

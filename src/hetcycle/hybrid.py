@@ -2,7 +2,7 @@
 
 This simulator knows nothing about the closed-form solutions: it
 integrates whichever zone field is active with the adaptive Runge-Kutta
-oracle and hands it the switching plane x1 + x3 = d as (C_NORMAL, d).
+oracle, whose event plane is the switching plane x1 + x3 = d.
 Along each accepted step the switching function is an exact cubic of the
 step's dense-output interpolant; a crossing is localized by bisection on
 that interpolant until the event residual is at or below 1e-10, the state
@@ -34,7 +34,7 @@ import numpy as np
 from ._integrate import rk45
 from .errors import ConfigError, EventStorm, HetcycleError, SlidingDetected
 from .flows import left_field, left_flow, right_field, right_flow
-from .model import C_NORMAL, SystemParams, point
+from .model import SystemParams, point
 from .orbits import CSV_HEADER, write_csv
 
 
@@ -83,7 +83,6 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     if not t1 > t0:
         raise ConfigError("integrate_hybrid requires t1 > t0 (forward only)")
     fields = {"left": left_field(params), "right": right_field(params)}
-    plane = (C_NORMAL, params.d)
     side = active_side(params, x)
     t = t0
 
@@ -94,7 +93,7 @@ def integrate_hybrid(params: SystemParams, x0, t_span) -> HybridTrajectory:
     n_switches = 0
 
     while t < t1:
-        res = rk45(fields[side], x, t, t1, plane=plane,
+        res = rk45(fields[side], x, t, t1, plane=params.d,
                    event_side=-1.0 if side == "left" else 1.0)
         # every run after the first starts at the event sample that the
         # previous run recorded last
@@ -159,7 +158,6 @@ def crosscheck_closed_forms(params: SystemParams, trials: int,
     margin = 0.05 * max(1.0, d)
     sr = params.sqrt_rho
     fields = {"left": left_field(params), "right": right_field(params)}
-    plane = (C_NORMAL, d)
     max_err = 0.0
     worst = None
     for i in range(trials):
@@ -167,7 +165,7 @@ def crosscheck_closed_forms(params: SystemParams, trials: int,
         x0 = _draw_start(params, side, rng, margin, sr)
         # First simulator segment only: up to the first switching event or
         # the horizon (what happens at the hand-off is irrelevant here).
-        res = rk45(fields[side], x0, 0.0, CROSSCHECK_HORIZON, plane=plane,
+        res = rk45(fields[side], x0, 0.0, CROSSCHECK_HORIZON, plane=d,
                    event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, (x1, x2, x3) in zip(res.ts, res.xs):

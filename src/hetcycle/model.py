@@ -51,9 +51,6 @@ from typing import NamedTuple
 
 from .errors import ConfigError
 
-#: Fixed switching-plane normal: the plane is {x : x1 + x3 = d}.
-C_NORMAL = (1.0, 0.0, 1.0)
-
 #: Default absolute tolerance for equality-type checks on normalized values.
 DEFAULT_TOL = 1e-9
 

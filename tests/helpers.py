@@ -16,7 +16,7 @@ from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup
 from hetcycle.flows import left_field, left_flow, right_field, right_flow
 from hetcycle.hybrid import CrosscheckReport, _draw_start
-from hetcycle.model import C_NORMAL, CONFIG_KEYS, SystemParams
+from hetcycle.model import CONFIG_KEYS, SystemParams
 
 BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 
@@ -200,13 +200,12 @@ def reference_crosscheck(params, trials, seed, horizon=5.0, control=None):
     margin = 0.05 * max(1.0, d)
     sr = params.sqrt_rho
     fields = {"left": left_field(params), "right": right_field(params)}
-    plane = (C_NORMAL, d)
     max_err = 0.0
     worst = None
     for i in range(trials):
         side = "left" if i % 2 == 0 else "right"
         x0 = _draw_start(params, side, rng, margin, sr)
-        res = rk45(fields[side], x0, 0.0, horizon, control=ctl, plane=plane,
+        res = rk45(fields[side], x0, 0.0, horizon, control=ctl, plane=d,
                    event_side=-1.0 if side == "left" else 1.0)
         flow = left_flow if side == "left" else right_flow
         for t, x in zip(res.ts, res.xs):

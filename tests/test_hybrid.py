@@ -189,23 +189,24 @@ def test_csv_outputs(tmp_path, ex1):
 def test_rk45_plane_crossing_linear_field():
     # x1 = e^t, x3 = 0: the plane x1 + x3 = e is crossed at t = 1
     res = rk45(lambda x: (x[0], -x[1], 0.0), (1.0, 1.0, 0.0), 0.0, 3.0,
-               plane=((1.0, 0.0, 1.0), math.e), event_side=-1.0)
+               plane=math.e, event_side=-1.0)
     assert res.event_t == pytest.approx(1.0, abs=1e-8)
     assert abs(res.event_x[0] + res.event_x[2] - math.e) <= 1e-10
     assert res.ts[-1] == res.event_t and res.grazes == []
 
 
 def test_rk45_plane_graze_on_tangent_circle():
-    # unit circle through (cos 1, -sin 1) touches the plane x1 = 1 at t = 1
+    # unit circle through (cos 1, -sin 1) at x3 = 0 touches the plane
+    # x1 + x3 = 1 at t = 1
     ctl = StepControl(rtol=1e-12, atol=1e-14)
     res = rk45(lambda x: (-x[1], x[0], 0.0),
                (math.cos(1.0), -math.sin(1.0), 0.0), 0.0, 2.0, control=ctl,
-               plane=((1.0, 0.0, 0.0), 1.0), event_side=-1.0)
+               plane=1.0, event_side=-1.0)
     assert res.event_t is None and res.ts[-1] == 2.0
     assert len(res.grazes) == 1
     t_g, x_g = res.grazes[0]
     assert t_g == pytest.approx(1.0, abs=1e-6)
-    assert abs(x_g[0] - 1.0) <= 1e-15
+    assert abs(x_g[0] + x_g[2] - 1.0) <= 1e-15
 
 
 def test_integrate_hybrid_example1_sample_count(ex1):
@@ -224,7 +225,7 @@ def test_rk45_rejects_other_dimensions():
 def test_rk45_plane_needs_a_side(event_side):
     with pytest.raises(ValueError, match="event_side"):
         rk45(lambda x: (x[0], -x[1], 0.0), (1.0, 1.0, 0.0), 0.0, 3.0,
-             plane=((1.0, 0.0, 1.0), math.e), event_side=event_side)
+             plane=math.e, event_side=event_side)
 
 
 def test_step_control_needs_positive_atol():
@@ -246,7 +247,7 @@ def test_plane_clearance_bound_is_sound():
     # starting side on a dense grid, and the full scan finds nothing
     rng = np.random.default_rng(2024)
     s = np.linspace(0.0, 1.0, 4001)
-    plane = ((1.0, 0.0, 0.0), 0.0)
+    plane = 0.0
     skipped = 0
     for i in range(3000):
         side = 1.0 if i % 2 else -1.0
@@ -292,7 +293,7 @@ def test_rk45_crossing_inside_a_step_with_clear_ends():
     f, x0, ctl, free, i = _circle_step_over_peak()
     c = 0.99
     assert 1.0 - free.xs[i][0] > 0.04 and 1.0 - free.xs[i + 1][0] > 0.04
-    res = rk45(f, x0, 0.0, 2.0, control=ctl, plane=((1.0, 0.0, 0.0), c),
+    res = rk45(f, x0, 0.0, 2.0, control=ctl, plane=c,
                event_side=-1.0)
     assert res.ts[:-1] == free.ts[:i + 1]
     assert free.ts[i] < res.event_t < 1.0
@@ -313,13 +314,13 @@ def test_rk45_graze_inside_a_step_with_clear_ends():
         else:
             hi = m2
     c = hermite(xa, fa, xb, fb, h, 0.5 * (lo + hi))[0] + 5e-9
-    res = rk45(f, x0, 0.0, 2.0, control=ctl, plane=((1.0, 0.0, 0.0), c),
+    res = rk45(f, x0, 0.0, 2.0, control=ctl, plane=c,
                event_side=-1.0)
     assert res.event_t is None and res.ts == free.ts
     assert len(res.grazes) == 1
     t_g, x_g = res.grazes[0]
     assert free.ts[i] < t_g < free.ts[i + 1]
-    assert abs(x_g[0] - c) <= 1e-15
+    assert abs(x_g[0] + x_g[2] - c) <= 1e-15
 
 
 def test_event_times_never_decrease(ex1, ex2, ex3):

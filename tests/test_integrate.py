@@ -104,6 +104,10 @@ def _ref_dot(a, b):
     return acc
 
 
+#: Normal of the event plane x1 + x3 = d, dotted in the generic form.
+_NORMAL = (1.0, 0.0, 1.0)
+
+
 def _ref_bisect_hermite(g, x0, f0, x1, f1, h, s_lo, s_hi, g_lo, g_hi,
                         target_sign):
     a, b = s_lo, s_hi
@@ -127,8 +131,8 @@ def _ref_bisect_hermite(g, x0, f0, x1, f1, h, s_lo, s_hi, g_lo, g_hi,
     return a if abs(ga) <= abs(gb) else b
 
 
-def _ref_plane_event(plane, side, x, fx, x_new, f_new, h, t, grazes):
-    normal, offset = plane
+def _ref_plane_event(offset, side, x, fx, x_new, f_new, h, t, grazes):
+    normal = _NORMAL
     g0 = _ref_dot(normal, x) - offset
     g1 = _ref_dot(normal, x_new) - offset
     m0 = h * _ref_dot(normal, fx)
@@ -167,16 +171,14 @@ def _random_step(rng):
     f_new = tuple((rng.uniform(-3.0, 3.0, size=3)
                    * 10.0 ** rng.uniform(-3.0, 2.0)).tolist())
     h = float(10.0 ** rng.uniform(-4.0, 0.0))
-    normal = tuple(rng.uniform(-1.0, 1.0, size=3).tolist())
-    return x, fx, x_new, f_new, h, normal
+    return x, fx, x_new, f_new, h
 
 
-def _both_bisections(plane, step, a, b, ga, gb, target):
+def _both_bisections(offset, step, a, b, ga, gb, target):
     x, fx, x_new, f_new, h = step
-    normal, offset = plane
-    want = _ref_bisect_hermite(lambda y: _ref_dot(normal, y) - offset,
+    want = _ref_bisect_hermite(lambda y: _ref_dot(_NORMAL, y) - offset,
                                x, fx, x_new, f_new, h, a, b, ga, gb, target)
-    got = _bisect_event(plane, x, fx, x_new, f_new, h, a, b, ga, gb, target)
+    got = _bisect_event(offset, x, fx, x_new, f_new, h, a, b, ga, gb, target)
     return _bits(got), _bits(want)
 
 
@@ -190,7 +192,7 @@ def test_crossing_ends_at_the_event_without_a_field_call():
         return (x[0], -x[1], 0.0)
 
     res = rk45(f, (1.0, 1.0, 0.0), 0.0, 3.0,
-               plane=((1.0, 0.0, 1.0), math.e), event_side=-1.0)
+               plane=math.e, event_side=-1.0)
     assert res.event_x is not None and len(seen) > 6
     assert res.event_x not in seen
     assert res.xs[-1] == res.event_x and res.ts[-1] == res.event_t
@@ -215,7 +217,7 @@ def test_step_limits_are_module_constants(monkeypatch):
 def test_hermite_matches_generic_reference():
     rng = np.random.default_rng(76)
     for _ in range(2000):
-        x, fx, x_new, f_new, h, _ = _random_step(rng)
+        x, fx, x_new, f_new, h = _random_step(rng)
         # the step ends, a fraction near each, and interior fractions
         for s in (0.0, 1.0, float(rng.uniform(0.0, 1e-9)),
                   1.0 - float(rng.uniform(0.0, 1e-9)),
@@ -228,20 +230,19 @@ def test_event_bisection_matches_generic_reference():
     rng = np.random.default_rng(77)
     crossings = 0
     for _ in range(2000):
-        x, fx, x_new, f_new, h, normal = _random_step(rng)
-        step = (x, fx, x_new, f_new, h)
+        step = x, fx, x_new, f_new, h = _random_step(rng)
         # a plane through an interior point of the interpolant, so the
         # step ends are on opposite sides more often than not
         s_mid = float(rng.uniform(0.05, 0.95))
-        offset = _ref_dot(normal, _ref_hermite(x, fx, x_new, f_new, h, s_mid))
-        plane = (normal, offset)
-        ga = _ref_dot(normal, x) - offset
-        gb = _ref_dot(normal, x_new) - offset
+        offset = _ref_dot(_NORMAL,
+                          _ref_hermite(x, fx, x_new, f_new, h, s_mid))
+        ga = _ref_dot(_NORMAL, x) - offset
+        gb = _ref_dot(_NORMAL, x_new) - offset
         if (ga > 0.0) == (gb > 0.0):
             continue
         crossings += 1
         for target in (1.0, -1.0):
-            got, want = _both_bisections(plane, step, 0.0, 1.0, ga, gb,
+            got, want = _both_bisections(offset, step, 0.0, 1.0, ga, gb,
                                          target)
             assert got == want
     assert crossings > 500
@@ -250,15 +251,14 @@ def test_event_bisection_matches_generic_reference():
 def test_event_bisection_ties_and_stalls_match_reference():
     rng = np.random.default_rng(78)
     for _ in range(300):
-        x, fx, x_new, f_new, h, normal = _random_step(rng)
-        step = (x, fx, x_new, f_new, h)
-        plane = (normal, float(rng.uniform(-1.0, 1.0)))
+        step = _random_step(rng)
+        offset = float(rng.uniform(-1.0, 1.0))
         for target in (1.0, -1.0):
             # |ga| == |gb| within the residual: no bisection step, and the
             # tie goes to the endpoint on the target side
             r = float(rng.uniform(0.0, 1.0)) * EVENT_RESIDUAL
             for ga, gb in ((r, -r), (-r, r), (r, r), (0.0, -0.0)):
-                got, want = _both_bisections(plane, step, 0.0, 1.0, ga, gb,
+                got, want = _both_bisections(offset, step, 0.0, 1.0, ga, gb,
                                              target)
                 assert got == want
             # a bracket narrower than 1e-17 stops after one midpoint, with
@@ -266,7 +266,7 @@ def test_event_bisection_ties_and_stalls_match_reference():
             a = float(rng.uniform(0.0, 1e-15))
             b = a + float(rng.uniform(0.5, 1.9)) * 1e-17
             for ga, gb in ((1.0, -1.0), (-2.0, 2.0), (1.0, -2.0)):
-                got, want = _both_bisections(plane, step, a, b, ga, gb,
+                got, want = _both_bisections(offset, step, a, b, ga, gb,
                                              target)
                 assert got == want
 
@@ -286,7 +286,8 @@ def test_plane_event_matches_generic_reference():
     rng = np.random.default_rng(79)
     found = {"crossing": 0, "graze": 0, "none": 0}
     for i in range(3000):
-        x, fx, x_new, f_new, h, normal = _random_step(rng)
+        x, fx, x_new, f_new, h = _random_step(rng)
+        normal = _NORMAL
         # put the plane near an interior extremum of the interpolant, at
         # distances from grazing to clearly crossing
         g_at = lambda s: _ref_dot(  # noqa: E731
@@ -298,17 +299,16 @@ def test_plane_event_matches_generic_reference():
                            6.0 * (g1 - g0) - 4.0 * m0 - 2.0 * m1, m0)
         base = g_at(crit[0]) if crit else g_at(float(rng.uniform()))
         delta = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-13, -6)
-        plane = (normal, base + (delta if i % 4 else 0.0))
+        offset = base + (delta if i % 4 else 0.0)
         t = float(rng.uniform(-5.0, 5.0))
         for side in (1.0, -1.0):
             got_grazes, want_grazes = [], []
-            normal, offset = plane
-            got = _plane_event(plane, side, x, fx, x_new, f_new, h, t,
+            got = _plane_event(offset, side, x, fx, x_new, f_new, h, t,
                                _ref_dot(normal, x) - offset,
                                _ref_dot(normal, x_new) - offset,
                                h * _ref_dot(normal, fx),
                                h * _ref_dot(normal, f_new), got_grazes)
-            want = _ref_plane_event(plane, side, x, fx, x_new, f_new, h, t,
+            want = _ref_plane_event(offset, side, x, fx, x_new, f_new, h, t,
                                     want_grazes)
             assert _bits(got) == _bits(want)
             assert _bits(got_grazes) == _bits(want_grazes)
