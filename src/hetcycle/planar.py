@@ -175,7 +175,8 @@ def _vdp_backward_return(u1, rho, omega):
 
     Returns (point, t, evaluations), or (None, None, evaluations) when the
     orbit escapes (or the 40-revolution cap is reached) first.  Raises
-    RootSearchError once MAX_RETURN_REVOLUTIONS revolutions held neither.
+    RootSearchError once MAX_RETURN_REVOLUTIONS revolutions held neither,
+    or before stepping when they cannot hold either (below).
 
     The orbit is x1 = r(t) cos(theta0 + omega t) with r growing backward
     (u1 lies outside the cycle), so a crossing needs
@@ -190,6 +191,12 @@ def _vdp_backward_return(u1, rho, omega):
     floor is a sliver inside the backward escape time; the first grid point
     past it is replaced by one last probe at the floor, because the radius
     explodes within a fraction of dt.
+
+    Every sample lies after t_last = -(MAX_RETURN_REVOLUTIONS + 2) periods,
+    a revolution of rounding margin included.  The law is monotone in t, so
+    when the floor lies before t_last and r(t_last) - k is within the
+    guard, no sample can cross or reach the floor: the RootSearchError is
+    raised before stepping.
     """
     k = u1[0]
     r0_sq = k * k + u1[1] * u1[1]
@@ -201,6 +208,14 @@ def _vdp_backward_return(u1, rho, omega):
     eps = dt * 1e-6
     guard = 1e-10 * max(1.0, k)
     t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -40.0 * period
+    t_last = -(MAX_RETURN_REVOLUTIONS + 2) * period
+    if t_stop < t_last:
+        try:
+            hopeless = math.sqrt(law(t_last)) - k <= guard
+        except BackwardBlowup:
+            hopeless = False
+        if hopeless:
+            raise _no_return(k, omega)
 
     def value(t):  # x1 of left_orbit from (*u1, 0) (flows), less k
         return math.sqrt(law(t)) * math.cos(theta0 + omega * t) - k
@@ -248,7 +263,11 @@ def _vdp_backward_return(u1, rho, omega):
             n -= 1
     except BackwardBlowup:
         return None, None, evals
-    raise RootSearchError(
+    raise _no_return(k, omega)
+
+
+def _no_return(k, omega):
+    return RootSearchError(
         f"no backward return to the line x1={k!r} within "
         f"{MAX_RETURN_REVOLUTIONS} revolutions (omega={omega!r})")
 

@@ -21,6 +21,7 @@ from hetcycle.flows import (
     block_exp,
     left_orbit,
     radial_blowup_time,
+    radial_law,
 )
 from hetcycle.model import l2_offset, tangency_ordinates, window_tangency
 from hetcycle.planar import (
@@ -600,6 +601,41 @@ def test_scan_evaluation_ceilings(ex1, ex2, ex3):
     assert max(vdp) <= VDP_EVALUATIONS and max(focus) <= FOCUS_EVALUATIONS
     assert sum(vdp) <= VDP_MEAN_EVALUATIONS * len(vdp)
     assert sum(focus) <= FOCUS_MEAN_EVALUATIONS * len(focus)
+
+
+@pytest.mark.parametrize("rho, omega, k, message", [
+    # example 1's L1 = {x1 = d} at omega = 1e17 and 1e20
+    (1.0, 1e17, 1.2, "no backward return to the line x1=1.2 within 10000 "
+                     "revolutions (omega=1e+17)"),
+    (1.0, 1e20, 1.2, "no backward return to the line x1=1.2 within 10000 "
+                     "revolutions (omega=1e+20)"),
+    # a tiny cycle: the guard 1e-10 is 1e27 radii, and the escape lies
+    # about 8e73 revolutions back
+    (6.4e-76, 1.0, 1.001 * math.sqrt(6.4e-76),
+     "no backward return to the line x1=2.5323519502628377e-38 within "
+     "10000 revolutions (omega=1.0)"),
+])
+def test_hopeless_return_scan_is_refused_before_stepping(
+        monkeypatch, rho, omega, k, message):
+    # the scan would step all MAX_RETURN_REVOLUTIONS revolutions (20,000
+    # to 30,000 law evaluations) to this RootSearchError; the radius at
+    # the last sample decides it in closed form
+    from hetcycle import planar
+    calls = []
+
+    def counted_law(r0_sq, rho):
+        law = radial_law(r0_sq, rho)
+
+        def counted(t):
+            calls.append(t)
+            return law(t)
+        return counted
+
+    monkeypatch.setattr(planar, "radial_law", counted_law)
+    with pytest.raises(RootSearchError) as info:
+        analyze_vdp_line(rho, omega, k)
+    assert str(info.value) == message
+    assert len(calls) <= 2
 
 
 def test_refine_brackets_to_the_contract():

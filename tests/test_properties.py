@@ -94,3 +94,30 @@ def test_check_exits_typed_on_every_admissible_set(tmp_path, capsys):
 
     with Budget("property: check exits typed", 20.0):
         exits_typed()
+
+
+def test_check_certify_exits_typed_on_every_admissible_set(tmp_path, capsys):
+    # as check does, with the certificates built and their segment CSVs
+    # written: exit 0 or 2 with stderr empty, or exit 1 with exactly one
+    # JSON object naming a HetcycleError
+    path, out = tmp_path / "set.cfg", str(tmp_path / "r.json")
+    csv_dir = str(tmp_path / "csv")
+
+    @_deterministic(100)
+    @given(admissible_sets())
+    def certifies_typed(p):
+        path.write_text("".join(f"{k} = {v!r}\n"
+                                for k, v in params_to_dict(p).items()))
+        code = main(["check", str(path), "--certify", "--out", out,
+                     "--csv-dir", csv_dir])
+        err = capsys.readouterr().err
+        if code == 1:
+            failure = json.loads(err)
+            assert set(failure) == {"error", "message"}, p
+            assert issubclass(getattr(errors, failure["error"]),
+                              errors.HetcycleError), p
+        else:
+            assert code in (0, 2) and err == "", p
+
+    with Budget("property: check --certify exits typed", 20.0):
+        certifies_typed()
