@@ -44,9 +44,8 @@ like them, it returns a float 3-tuple (the stepper's final state).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from ._integrate import StepControl, rk45
+from ._integrate import rk45
 from .errors import BackwardBlowup
 from .model import PlanarLinearSystem, SystemParams, point
 
@@ -255,8 +254,7 @@ def right_field(params: SystemParams):
     return f
 
 
-def numeric_flow(x0, t: float, side: str, params: SystemParams,
-                 control: Optional[StepControl] = None) -> tuple:
+def numeric_flow(x0, t: float, side: str, params: SystemParams) -> tuple:
     """Adaptive Runge-Kutta solution of the chosen zone field, 3 floats.
 
     Exists to cross-check the closed forms; backward times integrate the
@@ -275,4 +273,4 @@ def numeric_flow(x0, t: float, side: str, params: SystemParams,
         span = -t
     else:
         span = t
-    return rk45(f, x0, 0.0, span, control=control).xs[-1]
+    return rk45(f, x0, 0.0, span).xs[-1]

@@ -369,16 +369,20 @@ def write_csv(path, blocks, header=CSV_HEADER) -> None:
 
     A block is formatted column by column, ``CSV_CHUNK_ROWS`` rows per
     write; a constant column (``_constant_repr``) is formatted once.
+    ValueError, before the block is written, when its ``ts`` and ``xs``
+    differ in length.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_plain(header)) + "\r\n")
         for ts, xs, labels in blocks:
             tail = "".join("," + v for v in _plain(labels)) + "\r\n"
             # reshape: an empty block may come as [] rather than (0, 3)
-            x1, x2, x3 = np.asarray(xs, dtype=float).reshape(len(xs), 3).T
+            n = len(xs)
+            if len(ts) != n:
+                raise ValueError(f"a block has {len(ts)} times and {n} states")
+            x1, x2, x3 = np.asarray(xs, dtype=float).reshape(n, 3).T
             cols = (np.asarray(ts, dtype=float), x1, x2, x3)
             consts = [_constant_repr(col) for col in cols]
-            n = min(map(len, cols))
             for lo in range(0, n, CSV_CHUNK_ROWS):
                 hi = min(lo + CSV_CHUNK_ROWS, n)
                 chunk = [map(repr, col[lo:hi].tolist()) if const is None

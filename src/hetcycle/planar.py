@@ -62,22 +62,19 @@ class VdpLineAnalysis(NamedTuple):
     (every point of the line flows inside and stays, within tol) and
     'subcritical' otherwise, also when omega^2 and so the discriminant
     are past the float range.  In the subcritical regime the tangency
-    ordinates are ``varrho_plus`` >= ``varrho_minus``, ``u1`` is the upper
-    tangency point, ``x_star`` is the first intersection of the backward
-    orbit of u1 with the line, and ``branch`` is the ``return_branch`` of
-    its ordinate: above varrho_plus, below varrho_minus, or 'ungeneric'
-    within ``tangency_band`` of either.  ``evaluations`` counts the
-    closed-form orbit evaluations the search for x_star made (0 in the
-    supercritical regime).
+    ordinates are ``varrho_plus`` >= ``varrho_minus``, the upper tangency
+    point is u1 = (k, varrho_plus), ``x_star`` is the first intersection
+    of the backward orbit of u1 with the line, and ``branch`` is the
+    ``return_branch`` of its ordinate: above varrho_plus, below
+    varrho_minus, or 'ungeneric' within ``tangency_band`` of either.
+    ``evaluations`` counts the closed-form orbit evaluations the search for
+    x_star made (0 in the supercritical regime).
     """
 
-    rho: float
-    omega: float
     k: float
     regime: str
     varrho_plus: Optional[float] = None
     varrho_minus: Optional[float] = None
-    u1: Optional[tuple] = None
     x_star: Optional[tuple] = None
     t_star: Optional[float] = None
     branch: Optional[str] = None
@@ -105,15 +102,15 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     elif disc > band:
         x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
     else:
-        return VdpLineAnalysis(rho, omega, k, "supercritical")
+        return VdpLineAnalysis(k, "supercritical")
     # The backward orbit escapes to infinity in finite time; when its total
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
     # dichotomy does not cover: branch 'no_backward_return'.
     branch = ("no_backward_return" if x_star is None
               else return_branch(x_star[1], vp, vm, tol))
-    return VdpLineAnalysis(rho, omega, k, "subcritical", vp, vm, (k, vp),
-                           x_star, t_star, branch, evals)
+    return VdpLineAnalysis(k, "subcritical", vp, vm, x_star, t_star, branch,
+                           evals)
 
 
 def tangency_band(vp: float, vm: float, tol: float = DEFAULT_TOL) -> float:
@@ -224,7 +221,6 @@ def _vdp_backward_return(u1, rho, omega):
     # with no value: NaN makes the refine bisect until that end moves.
     t_neg, f_neg = -eps, math.nan
     evals = 0
-    j_done = 0
     n = 0
     try:  # a radius escaping in rounding before the floor escapes too
         while n >= -MAX_RETURN_REVOLUTIONS:
@@ -238,7 +234,9 @@ def _vdp_backward_return(u1, rho, omega):
             t_near = (centre + half) / omega
             if t_near <= t_stop:
                 return None, None, evals
-            j = max(j_done + 1, math.ceil((-eps - t_near) / dt))
+            # half <= pi/2: this near edge lies 32 dt or more before the last
+            # far edge, so no grid point repeats; j >= 1 skips the seed
+            j = max(1, math.ceil((-eps - t_near) / dt))
             j_end = math.ceil((-eps - (centre - half) / omega) / dt)
             while j <= j_end:
                 t = -eps - j * dt
@@ -259,7 +257,6 @@ def _vdp_backward_return(u1, rho, omega):
                 if f <= 0.0:
                     t_neg, f_neg = t, f
                 j += 1
-            j_done = max(j_done, j_end)
             n -= 1
     except BackwardBlowup:
         return None, None, evals

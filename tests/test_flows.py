@@ -7,7 +7,7 @@ import pytest
 
 from helpers import Budget, semigroup_max_rel_err
 
-from hetcycle._integrate import StepControl
+from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup, StepFailure
 from hetcycle.flows import (
     ON_CYCLE_BAND,
@@ -118,7 +118,7 @@ def test_right_flow_repeated_eigenvalue_branch():
     p = SystemParams(rho=1, omega=1, mu=1, b11=-1.0, b12=1.0, b21=0.0,
                      b22=-1.0, lam=1, q1=1.2, q2=0, q3=0.2, d=1.2)
     x = right_flow((0.5, 0.5, 0.2), 0.7, p)
-    n = numeric_flow((0.5, 0.5, 0.2), 0.7, "right", p, TIGHT)
+    n = rk45(right_field(p), (0.5, 0.5, 0.2), 0.0, 0.7, control=TIGHT).xs[-1]
     np.testing.assert_allclose(x, n, atol=1e-9)
 
 

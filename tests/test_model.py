@@ -236,8 +236,8 @@ def test_h3_fails_when_d_equals_sqrt_rho():
 def test_geometry_example1(ex1):
     _, sigma_plus, _ = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)
     assert sigma_plus == pytest.approx(-0.05314, abs=1e-4)
-    assert analyze_vdp_line(ex1.rho, ex1.omega, ex1.d).u1 == (ex1.d,
-                                                             sigma_plus)
+    a = analyze_vdp_line(ex1.rho, ex1.omega, ex1.d)
+    assert (a.k, a.varrho_plus) == (ex1.d, sigma_plus)
     np.testing.assert_allclose(certify(ex1).q0, [1.2, 0.0, 0.0], atol=1e-14)
     # q3 sits on the bottom rim, not inside: p0 is the only point
     ((label, p0),) = rim_subcase(ex1)[3]

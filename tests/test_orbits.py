@@ -382,6 +382,13 @@ def test_write_csv_percent_label(tmp_path):
                                                   blocks, CSV_HEADER)
 
 
+def test_write_csv_refuses_a_block_of_unequal_lengths(tmp_path):
+    # 3 times against 2 states: no row is dropped silently
+    block = ((0.0, 0.5, 1.0), ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), ("left",))
+    with pytest.raises(ValueError, match="3 times and 2 states"):
+        write_csv(tmp_path / "x.csv", [block])
+
+
 def test_forward_failure_message_has_plain_floats(ex1, verdicts):
     # p starts on the cycle side of the plane, so the forward right-zone
     # segment fails its containment; the message names p as plain floats

@@ -89,7 +89,7 @@ def test_x_star_residual_and_exclusion():
     for rho, omega, k in ((1.0, 10.0, 1.2),
                           (1.0, math.sqrt(35.0), math.sqrt(35.0 / 11.0))):
         a = analyze_vdp_line(rho, omega, k)
-        x = left_orbit((*a.u1, 0.0), rho, omega, 0.0)(a.t_star)
+        x = left_orbit((k, a.varrho_plus, 0.0), rho, omega, 0.0)(a.t_star)
         assert abs(x[0] - k) <= 1e-9
         assert not (a.varrho_minus < a.x_star[1] < a.varrho_plus)
 
@@ -364,15 +364,16 @@ def _reference_crossing(flow, line_value, period, t_floor, scale,
         j += 1
 
 
-def _reference_vdp_return(a, samples_per_rev=4096):
-    """(x_star, t_star) of a subcritical analysis by the reference scan."""
-    u1 = a.u1
-    orbit = left_orbit((*u1, 0.0), a.rho, a.omega, 0.0)
+def _reference_vdp_return(a, rho, omega, samples_per_rev=4096):
+    """(x_star, t_star) of a subcritical analysis of the oscillator (rho,
+    omega) by the reference scan."""
+    u1 = (a.k, a.varrho_plus)
+    orbit = left_orbit((*u1, 0.0), rho, omega, 0.0)
     return _reference_crossing(
         lambda t: orbit(t)[:2],
         lambda p: p[0] - a.k,
-        2.0 * math.pi / a.omega,
-        radial_blowup_time(u1[0] * u1[0] + u1[1] * u1[1], a.rho),
+        2.0 * math.pi / omega,
+        radial_blowup_time(u1[0] * u1[0] + u1[1] * u1[1], rho),
         max(1.0, a.k), samples_per_rev, allow_missing=True)
 
 
@@ -437,7 +438,7 @@ def test_vdp_return_point_is_the_orbit_at_t_star(ex1, ex2):
         a = analyze_vdp_line(rho, omega, k)
         if a.x_star is not None:
             returns += 1
-            orbit = left_orbit((*a.u1, 0.0), rho, omega, 0.0)
+            orbit = left_orbit((k, a.varrho_plus, 0.0), rho, omega, 0.0)
             assert a.x_star == orbit(a.t_star)[:2]
     assert returns == 88
 
@@ -446,7 +447,7 @@ def test_scans_match_dense_reference():
     for (rho, omega, k), sys, c in _seeded_scans(606, 500):
         a = analyze_vdp_line(rho, omega, k)
         if a.regime == "subcritical":
-            _, t_ref = _reference_vdp_return(a)
+            _, t_ref = _reference_vdp_return(a, rho, omega)
             rate = None
             if a.x_star is not None:  # x1' of the planar field at x_star
                 x1, x2 = a.x_star
@@ -638,6 +639,35 @@ def test_hopeless_return_scan_is_refused_before_stepping(
     assert len(calls) <= 2
 
 
+def test_return_scan_at_its_revolution_cap(monkeypatch):
+    # example 1's L1 near the omega at which the return leaves the cap's
+    # reach: found on the last revolutions; missed after stepping every
+    # revolution, since the precheck is one-sided (a band of omega about
+    # 2.5e-4 wide, relative); missed by the precheck, after 1 evaluation
+    from hetcycle import planar
+    calls = []
+
+    def counted_law(r0_sq, rho):
+        law = radial_law(r0_sq, rho)
+
+        def counted(t):
+            calls.append(t)
+            return law(t)
+        return counted
+
+    monkeypatch.setattr(planar, "radial_law", counted_law)
+    assert analyze_vdp_line(1.0, 2.764e14, 1.2).branch == "ungeneric"
+    assert len(calls) == 29_999
+    for omega, evaluations in ((2.7648e14, 30_002), (2.766e14, 1)):
+        calls.clear()
+        with pytest.raises(RootSearchError) as info:
+            analyze_vdp_line(1.0, omega, 1.2)
+        assert str(info.value) == (
+            f"no backward return to the line x1=1.2 within 10000 "
+            f"revolutions (omega={omega!r})")
+        assert len(calls) == evaluations
+
+
 def test_refine_brackets_to_the_contract():
     # a smooth root, and a steep exponential on which false position keeps
     # one end for thousands of steps unless the stall safeguard bisects:
@@ -674,7 +704,7 @@ def test_vdp_return_within_the_first_sample_step(rho, omega, k, t_star):
     a = analyze_vdp_line(rho, omega, k)
     assert a.branch == "x2star_below"
     assert a.t_star == pytest.approx(t_star, abs=1e-12)
-    _, t_ref = _reference_vdp_return(a)
+    _, t_ref = _reference_vdp_return(a, rho, omega)
     assert a.t_star == pytest.approx(t_ref, abs=1e-12)
 
 
