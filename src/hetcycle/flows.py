@@ -10,8 +10,9 @@ linear drift in theta and an exponential in x3.  For r0 > sqrt(rho) the
 radial solution escapes to infinity at the finite backward time
 t = log(1 - rho/r0^2) / (2 rho); evaluation at or past it raises
 BackwardBlowup rather than clamping, because silent saturation would
-corrupt the root finding built on top of this flow.  Only ``radial_law``
-evaluates the law; a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
+corrupt the root finding built on top of this flow.  ``radial_law``
+evaluates the law (``planar``'s L1 scan, a cancellation-free form of it);
+a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
 
 Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
 closed form, split by the ``branch`` of the block's one spectrum,

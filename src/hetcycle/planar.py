@@ -28,14 +28,15 @@ Two questions drive the cycle certification and both are planar:
 Root finding here runs on the closed-form flows, and both first returns
 are bracketed from the orbit's closed form.  The focus return lies on one
 monotone branch between two analytically known times, so it needs no
-sampling.  The oscillator return is sampled at 64 points per revolution,
-but only inside the angular windows where the growing radius lets the
-orbit reach the line.  Each bracket is refined by safeguarded false
-position (``_refine``) until it is at most 1e-12 wide in time.  The seed
-points themselves sit on the line (tangentially), so a sampled scan starts
-a sliver before zero, and near-tangent returns are classified as an
-explicit 'ungeneric' branch instead of being forced into the generic
-dichotomy.  Its records are ``NamedTuple``s, cheap to build on each call.
+sampling.  The oscillator return lies within the first backward
+revolution, sampled at 64 points per revolution only where the growing
+radius lets the orbit reach the line.  Each bracket is refined by
+safeguarded false position (``_refine``) to 1e-12 in the time unit of its
+turn (1 / omega; absolute for the focus).  The seed points themselves sit
+on the line (tangentially), so a sampled scan starts a sliver before zero,
+and near-tangent returns are classified as an explicit 'ungeneric' branch
+instead of being forced into the generic dichotomy.  Its records are
+``NamedTuple``s, cheap to build on each call.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
                      RootSearchError, UngenericBranch, WrongSpectralType)
-from .flows import block_exp, radial_blowup_time, radial_law
+from .flows import ON_CYCLE_BAND, block_exp
 from .model import (DEFAULT_TOL, PlanarLinearSystem, tangency_ordinates,
                     window_tangency)
 
@@ -159,124 +160,118 @@ def vdp_stay_check(analysis: VdpLineAnalysis, y2: float,
     return y2 <= xs + band or y2 >= vp - band
 
 
-#: Revolutions (about 8 us each) the backward-return scan steps through
-#: before it raises RootSearchError.  A fast oscillator reaches the line
-#: only after a number of them that grows with omega: 36,174 for example 1
-#: at omega = 1e15, 1e5 times as many at 1e20.
-MAX_RETURN_REVOLUTIONS = 10_000
-
-
 def _vdp_backward_return(u1, rho, omega):
     """First t < 0 at which the orbit of the tangency point u1 = (k, v)
-    returns to the line x1 = k, excluding the seed at t = 0.
+    returns to the line x1 = k, the seed at t = 0 excluded: (point, t,
+    evaluations), the point (k, +-sqrt(r^2 - k^2)) on the orbit's side of
+    the x1 axis; or (None, None, evaluations) when the orbit escapes first.
 
-    Returns (point, t, evaluations), or (None, None, evaluations) when the
-    orbit escapes (or the 40-revolution cap is reached) first.  Raises
-    RootSearchError once MAX_RETURN_REVOLUTIONS revolutions held neither,
-    or before stepping when they cannot hold either (below).
-
-    The orbit is x1 = r(t) cos(theta0 + omega t) with r growing backward
-    (u1 lies outside the cycle), so a crossing needs
-    cos(theta) >= k / r(t) >= k / r_max, with r_max the radius at the far
-    edge of the current cos > 0 window.  Only the grid points
-    t_j = -eps - j dt (dt = period / 64) inside those sub-windows are
-    sampled, plus the first one past each far edge; the grid points skipped
-    cannot be past the line.  The seed sits tangentially on the line, so
-    its residual is machine noise: a crossing is the first sample
-    decisively past the line (value > guard), bracketed against the latest
-    earlier sample at or below zero and refined by ``_refine``.  The scan
-    floor is a sliver inside the backward escape time; the first grid point
-    past it is replaced by one last probe at the floor, because the radius
-    explodes within a fraction of dt.
-
-    Every sample lies after t_last = -(MAX_RETURN_REVOLUTIONS + 2) periods,
-    a revolution of rounding margin included.  The law is monotone in t, so
-    when the floor lies before t_last and r(t_last) - k is within the
-    guard, no sample can cross or reach the floor: the RootSearchError is
-    raised before stepping.
+    u1 lies outside the cycle, so r grows backward, and at the centre
+    t_c = -(2 pi + theta0) / omega of the first backward revolution
+    x1 = r(t_c) > k: the return lies in (max(t_c, floor), 0), the floor a
+    sliver inside the escape time.  Of the grid t_j = -eps - j dt (dt =
+    period / 64) only the points where cos(theta) >= k / r_max (r_max the
+    largest radius in the cos > 0 window n = 0 or -1) can be past the line
+    and are sampled.  The first one past it is bracketed against the one
+    before, or against the seed (NaN, as its value is rounding noise: the
+    refine bisects); else a last probe at max(t_c, floor) is past it at
+    t_c, or just before the escape if the orbit crosses there.  ``_refine``
+    stops at ``ROOT_BRACKET`` / omega.  x1 - k = (r^2 - k^2) / (r + k) -
+    2 r sin^2(theta / 2) is free of cancellation: with b = 1 - rho / r0^2
+    from an exact k^2 - rho and m = expm1(-2 rho t), flows' radial law is
+    r^2 = rho / (rho / r0^2 - b m), r^2 - k^2 = r^2 m b r0^2 / rho + v^2,
+    and theta is theta0 + omega t or omega (t - t_c) - 2 pi, from the
+    nearer end.  Within ``ON_CYCLE_BAND`` u1 stays on the cycle: no return.
     """
-    k = u1[0]
-    r0_sq = k * k + u1[1] * u1[1]
-    theta0 = math.atan2(u1[1], k)
-    t_floor = radial_blowup_time(r0_sq, rho)
-    law = radial_law(r0_sq, rho)
-    period = 2.0 * math.pi / omega
-    dt = period / 64.0
+    k, v = u1
+    r0_sq, v_sq = k * k + v * v, v * v
+    if abs(rho / r0_sq - 1.0) <= ON_CYCLE_BAND:
+        return None, None, 0
+    b = (_square_less(k, rho) + v_sq) / r0_sq  # 1 - rho / r0^2
+    at_start, gain, two_rho = rho / r0_sq, b * r0_sq / rho, 2.0 * rho
+    theta0 = math.atan2(v, k)
+    t_c = -(2.0 * math.pi + theta0) / omega
+    t_far = -(math.pi + theta0) / omega  # theta = -pi, between the windows
+    dt = 2.0 * math.pi / omega / 64.0
     eps = dt * 1e-6
-    guard = 1e-10 * max(1.0, k)
-    t_stop = t_floor + dt * 1e-9 if t_floor > -math.inf else -40.0 * period
-    t_last = -(MAX_RETURN_REVOLUTIONS + 2) * period
-    if t_stop < t_last:
-        try:
-            hopeless = math.sqrt(law(t_last)) - k <= guard
-        except BackwardBlowup:
-            hopeless = False
-        if hopeless:
-            raise _no_return(k, omega)
+    t_stop = math.log(b) / two_rho + dt * 1e-9
+    t_lo = max(t_c, t_stop)
+    half_theta0, half_omega = 0.5 * theta0, 0.5 * omega
 
-    def value(t):  # x1 of left_orbit from (*u1, 0) (flows), less k
-        return math.sqrt(law(t)) * math.cos(theta0 + omega * t) - k
+    def radius_sq(t):  # (r^2, expm1(-2 rho t)) along the orbit
+        m = math.expm1(-two_rho * t)
+        den = at_start - b * m
+        if not den > 0.0:  # within rounding of the escape
+            raise BackwardBlowup(f"radial solution escapes before t={t!r}")
+        return rho / den, m
 
-    # The seed is on the line only up to rounding, so it closes a bracket
-    # with no value: NaN makes the refine bisect until that end moves.
-    t_neg, f_neg = -eps, math.nan
+    def value(t):  # x1 - k: radius_sq written out, one call less per step
+        m = math.expm1(-two_rho * t)
+        den = at_start - b * m
+        if not den > 0.0:
+            raise BackwardBlowup(f"radial solution escapes before t={t!r}")
+        r_sq = rho / den
+        r = math.sqrt(r_sq)
+        s = math.sin(half_theta0 + half_omega * t if t > t_far
+                     else half_omega * (t - t_c))  # theta / 2, nearer end
+        return (r_sq * gain * m + v_sq) / (r + k) - 2.0 * r * s * s
+
+    grid = []  # the sampled grid indices, in the order of the scan
     evals = 0
-    n = 0
     try:  # a radius escaping in rounding before the floor escapes too
-        while n >= -MAX_RETURN_REVOLUTIONS:
-            centre = 2.0 * math.pi * n - theta0  # omega t at cos(theta) = 1
-            t_edge = (centre - 0.5 * math.pi) / omega
-            if t_edge > t_stop:
-                r_max = math.sqrt(law(t_edge))
-                half = math.acos(min(1.0, k / r_max))
-            else:
-                half = 0.5 * math.pi
-            t_near = (centre + half) / omega
-            if t_near <= t_stop:
-                return None, None, evals
-            # half <= pi/2: this near edge lies 32 dt or more before the last
-            # far edge, so no grid point repeats; j >= 1 skips the seed
-            j = max(1, math.ceil((-eps - t_near) / dt))
-            j_end = math.ceil((-eps - (centre - half) / omega) / dt)
-            while j <= j_end:
-                t = -eps - j * dt
-                at_floor = t <= t_stop
-                if at_floor:
-                    t = t_stop
-                f = value(t)
-                evals += 1
-                if f > guard:
-                    t_root, steps = _refine(value, t, f, t_neg, f_neg)
-                    # the (x1, x2) of left_orbit at t_root, bit for bit
-                    r = math.sqrt(law(t_root))
-                    theta = theta0 + omega * t_root
-                    return ((r * math.cos(theta), r * math.sin(theta)),
-                            t_root, evals + steps + 1)
-                if at_floor:
-                    return None, None, evals
-                if f <= 0.0:
-                    t_neg, f_neg = t, f
-                j += 1
-            n -= 1
+        for centre in (-theta0, -2.0 * math.pi - theta0):  # omega t at cos = 1
+            t_edge = max((centre - 0.5 * math.pi) / omega, t_c)
+            half = (math.acos(min(1.0, k / math.sqrt(radius_sq(t_edge)[0])))
+                    if t_edge > t_stop else 0.5 * math.pi)
+            near, far = (centre + half) / omega, (centre - half) / omega
+            if near <= t_stop:
+                break  # the orbit escapes before it reaches this window
+            # j >= 1 skips the seed; the window n = -1 ends past t_c
+            grid += range(max(1, math.ceil((-eps - near) / dt)),
+                          math.ceil((-eps - far) / dt) + 1)
+        else:  # then the probe at t_lo ends the scan, even where rounding
+            grid.append(math.inf)  # leaves the last grid point after t_c
+        t_neg, f_neg = -eps, math.nan
+        for j in grid:
+            t = -eps - j * dt
+            if t <= t_lo:
+                t = t_lo
+            f = value(t)
+            evals += 1
+            if f > 0.0 or t == t_c:  # t_c: past, though r - k may underflow
+                t, steps = _refine(value, t, f, t_neg, f_neg,
+                                   ROOT_BRACKET / omega)
+                r_sq, m = radius_sq(t)
+                theta = theta0 + omega * t if t > t_far else omega * (t - t_c)
+                x2 = math.copysign(math.sqrt(r_sq * gain * m + v_sq),
+                                   math.sin(theta))
+                return (k, x2), t, evals + steps + 1
+            if t == t_lo:
+                break
+            t_neg, f_neg = t, f
     except BackwardBlowup:
-        return None, None, evals
-    raise _no_return(k, omega)
+        pass
+    return None, None, evals
 
 
-def _no_return(k, omega):
-    return RootSearchError(
-        f"no backward return to the line x1={k!r} within "
-        f"{MAX_RETURN_REVOLUTIONS} revolutions (omega={omega!r})")
+def _square_less(k, rho):
+    """k * k - rho rounded once: Dekker's exact square k * k = p + e."""
+    p = k * k
+    c = 134217729.0 * k  # 2^27 + 1: Veltkamp's split k = hi + lo
+    hi = c - (c - k)
+    lo = k - hi
+    return (p - rho) + (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)
 
 
-#: Width in t below which a refined bracket is accepted; its midpoint is
-#: the returned root.
+#: Width below which a refined bracket is accepted, in units of the time
+#: scale the caller passes (1 / omega for the oscillator return; absolute
+#: for the focus return); its midpoint is the returned root.
 ROOT_BRACKET = 1e-12
 #: Steps after which a refine that has not halved its bracket bisects.
 _STALL_STEPS = 10
 
 
-def _refine(value, lo, f_lo, hi, f_hi):
+def _refine(value, lo, f_lo, hi, f_hi, width):
     """Root of ``value`` in a bracket lo < hi with value(lo) > 0 >= value(hi)
     (the sign convention of a backward scan: lo is the earlier time).
 
@@ -287,14 +282,14 @@ def _refine(value, lo, f_lo, hi, f_hi):
     root straddles it and collapses the bracket.  The midpoint is taken
     instead when the interpolant leaves the bracket (as with a non-finite
     end value) or when the last ``_STALL_STEPS`` steps have not halved the
-    bracket.  Stops once hi - lo <= ROOT_BRACKET and returns
-    (midpoint, evaluations).
+    bracket.  Stops once hi - lo <= width, or at adjacent floats, and
+    returns (midpoint, evaluations).
     """
-    nudge = 0.5 * ROOT_BRACKET
+    nudge = 0.5 * width
     moved = 0  # +1: lo moved last, -1: hi moved last
     evals = 0
     widths = [math.inf] * _STALL_STEPS  # bracket widths of the last steps
-    while hi - lo > ROOT_BRACKET:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats
@@ -403,7 +398,8 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
         math.exp(alpha * t_near)
         t_out, steps = _refine(
             value, -2.0 * math.pi / beta,
-            math.expm1(growth) if growth < 709.0 else math.inf, t_near, -1.0)
+            math.expm1(growth) if growth < 709.0 else math.inf, t_near, -1.0,
+            ROOT_BRACKET)
         _, _, m21, m22 = exp_ta(t_out)
         y_out = m21 * c + m22 * y_in
     except OverflowError:

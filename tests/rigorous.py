@@ -1,0 +1,127 @@
+"""Reference answers in mpmath at 60 digits, independent of the package's
+float arithmetic: the first piece of a rigorous reference verdict.
+
+``first_return`` is the first backward return to the line x1 = k of the
+oscillator orbit through the line point u1 = (k, v), exact from its float
+inputs.  In polar coordinates r' = r (rho - r^2), theta' = omega, so
+
+    r(t)^2 = rho / (1 - b e^{-2 rho t}),   b = 1 - rho / r0^2,
+
+and for r0 > sqrt(rho) the radius grows backward and escapes at
+t_esc = log(b) / (2 rho).  The angle is measured from the centre
+t_c = -(2 pi + theta0) / omega of the first backward revolution,
+psi = omega (t - t_c), so theta = psi - 2 pi, t = 0 is psi = 2 pi + theta0
+and
+
+    x1 - k = (r^2 - k^2) / (r + k) - 2 r sin^2(psi / 2),
+    r^2 - k^2 = r^2 (r0^2 - rho) / rho expm1(-2 rho t) + v^2,
+
+both exact identities, so that a return a fraction 1e-150 of the radius
+past the line still has 60 significant digits.  At t_c, x1 = r(t_c) > k,
+so the first return lies in (max(t_c, t_esc), 0) or the orbit escapes
+first.  Only where cos(psi) > 0 can x1 exceed k:
+
+* psi in (3 pi / 2, 2 pi + theta0), next to the tangential seed: x1 - k
+  may change sign twice there, so the part where cos(psi) > k / r is
+  sampled at 64 points, at least 4 times as densely as the package's
+  scan grid, and geometrically towards both ends;
+* psi in (0, pi / 2), just after t_c: r and cos(psi) both fall as psi
+  grows, so x1 does, and there is exactly one return when x1 > k at the
+  lower end (t_c, or the escape, where x1 grows without bound).
+
+The first sign change is refined to 18 digits by bisection, then
+false position (Illinois).
+"""
+
+from typing import NamedTuple, Optional
+
+import mpmath as mp
+
+DPS = 60
+
+
+class FirstReturn(NamedTuple):
+    """``t`` and ordinate ``x2`` of the first backward return (None when
+    the orbit escapes first), and the centre ``t_c`` of the first backward
+    revolution, all rounded to floats."""
+
+    t_c: float
+    t: Optional[float]
+    x2: Optional[float]
+
+
+def first_return(rho, omega, k, v) -> FirstReturn:
+    """The first backward return of the orbit of (k, v) to x1 = k."""
+    with mp.workdps(DPS):
+        rho, omega, k, v = (mp.mpf(x) for x in (rho, omega, k, v))
+        r0_sq = k * k + v * v
+        b = (r0_sq - rho) / r0_sq
+        assert b > 0, "the line point must lie outside the cycle"
+        turn = 2 * mp.pi + mp.atan2(v, k)  # psi at t = 0
+        t_c = -turn / omega
+        psi_esc = omega * (mp.log(b) / (2 * rho) - t_c)
+        gain = (r0_sq - rho) / rho
+
+        def radius(psi):  # (r^2, expm1(-2 rho t)) at t = t_c + psi / omega
+            x = -2 * rho * (t_c + psi / omega)
+            # exp(x) - 1 keeps 54 digits at |x| >= 1e-6, in a third the time
+            m = mp.exp(x) - 1 if abs(x) >= 1e-6 else mp.expm1(x)
+            den = 1 - b * (1 + m)
+            assert den > 0, "sampled past the escape"
+            return rho / den, m
+
+        def value(psi):  # x1 - k at psi
+            r_sq, m = radius(psi)
+            r = mp.sqrt(r_sq)
+            excess = r_sq * gain * m + v * v  # r^2 - k^2
+            return excess / (r + k) - 2 * r * mp.sin(psi / 2) ** 2
+
+        def crossing(lo, hi, f_lo=None):  # the one return in (lo, hi)
+            f_hi = None  # x1 - k, unknown at the seed, t_c and the escape
+            side = 0
+            while hi - lo > mp.mpf(10) ** -18 * hi:
+                if lo == 0:
+                    mid = hi / 10 ** 8
+                elif hi > 4 * lo:  # geometric while the ends differ in scale
+                    mid = mp.sqrt(lo * hi)
+                elif f_lo is None or f_hi is None:
+                    mid = (lo + hi) / 2
+                else:  # false position, Illinois: halve a value kept twice
+                    mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+                f = value(mid)
+                if f > 0:
+                    lo, f_lo = mid, f
+                    if side == 1 and f_hi is not None:
+                        f_hi /= 2
+                    side = 1
+                else:
+                    hi, f_hi = mid, f
+                    if side == -1 and f_lo is not None:
+                        f_lo /= 2
+                    side = -1
+            psi = (lo + hi) / 2
+            r = mp.sqrt(radius(psi)[0])
+            return FirstReturn(float(t_c), float(t_c + psi / omega),
+                               float(r * mp.sin(psi)))
+
+        # x1 > k needs cos(psi) > k / r, and r falls as psi grows
+        low = max(3 * mp.pi / 2, psi_esc)
+        if psi_esc < low:
+            low = max(low, 2 * mp.pi - mp.acos(k / mp.sqrt(radius(low)[0])))
+        if low < turn:
+            span = turn - low
+            grid = {turn - span * i / 64 for i in range(1, 64)}
+            # x1 - k ~ -c t^2 next to the seed, whose sign 60 digits
+            # resolve down to a relative |t| of about 1e-25; stop at 1e-6
+            grid.update(turn - span / mp.mpf(2) ** j for j in range(1, 20))
+            if psi_esc > 3 * mp.pi / 2:
+                grid.update(low + span / mp.mpf(2) ** j for j in range(1, 60))
+            hi = turn  # the seed, on the line
+            for psi in sorted(grid, reverse=True):
+                f = value(psi)
+                if f > 0:
+                    return crossing(psi, hi, f)
+                hi = psi
+        if psi_esc < mp.pi / 2:
+            return crossing(max(mp.mpf(0), psi_esc), mp.pi / 2)
+        return FirstReturn(float(t_c), None, None)

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from helpers import Budget, csv_rows, wide_sets
+from rigorous import first_return
 
 from hetcycle import cli, errors
 from hetcycle.cli import main, make_parser
 from hetcycle.model import CONFIG_KEYS, load_config, params_to_dict
-from hetcycle.planar import MAX_RETURN_REVOLUTIONS
+from hetcycle.planar import ROOT_BRACKET, analyze_vdp_line
 from hetcycle.presets import example_params
 
 CONFIG = """
@@ -735,19 +736,54 @@ def test_tiny_radius_declines_through_v_star(tmp_path, capsys, rho):
     assert not evidence["v_star_exists"]["passed"]
 
 
-@pytest.mark.parametrize("omega", ["1e17", "1e20"])
+@pytest.mark.parametrize("omega", ["1e17", "1e20", "1e153", "1.3e154"])
 def test_fast_oscillator_exits_with_json(tmp_path, capsys, omega):
-    # the tangency point barely moves outward in a revolution, so the
-    # backward return lies billions of revolutions back: the scan gives up
-    # after MAX_RETURN_REVOLUTIONS with one JSON error, not a hang
+    # the tangency point barely moves outward in a revolution, so its orbit
+    # returns just after the centre t_c of the first backward revolution,
+    # a fraction 1e-17 to 1e-154 of the radius past the line, at an
+    # ordinate (the 60-digit reference's) far inside the tangency band:
+    # 'ungeneric', refused with one JSON error, not a hang
     with Budget(f"omega={omega} backward-return scan", 1.0):
         code = main(["example", "1", "--set", f"omega={omega}",
                      "--out", str(tmp_path / "r.json"),
                      "--csv-dir", str(tmp_path / "d")])
     assert code == 1
     error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "RootSearchError"
-    assert f"{MAX_RETURN_REVOLUTIONS} revolutions" in error["message"]
+    assert error["error"] == "UngenericBranch"
+    p = example_params(1)
+    a = analyze_vdp_line(p.rho, float(omega), p.d)
+    ref = first_return(p.rho, float(omega), p.d, a.varrho_plus)
+    assert a.branch == "ungeneric" and ref.t_c < a.t_star < 0.0
+    assert a.x_star[1] == pytest.approx(ref.x2, rel=1e-12)
+
+
+#: Example 1 on a slow cycle of radius 1.48e-4 whose L1 lies a fraction
+#: 4e-7 of that radius outside it, with q2 = 1e-7.
+NEAR_CYCLE = ["--set", "rho=2.2032754357979087e-08",
+              "--set", "omega=0.002804815871082732",
+              "--set", "d=0.00014843440323535802",
+              "--set", "q1=0.00014843440323535802",
+              "--set", "q3=0.00014843440323535802",
+              "--set", "mu=100", "--set", "q2=1e-7"]
+
+
+def test_near_cycle_line_reads_its_first_return(cfg, capsys):
+    # The first backward return of v1's orbit is at t = -2240.14, just
+    # after t_c, at ordinate 1.32e-9: within the tangency band 1.9e-8 of
+    # sigma_plus, so the q2 window is not decided and the set is refused.
+    # A scan that accepted only crossings past an absolute guard of 1e-10
+    # returned one 9,975 revolutions back (t = -2.23e7, ordinate 1.72e-7)
+    # and certified 2 cycles, q2 lying in [sigma_plus, v2*].
+    assert main(["check", cfg, *NEAR_CYCLE]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UngenericBranch"
+    rho, omega, d = 2.2032754357979087e-08, 0.002804815871082732, \
+        0.00014843440323535802
+    a = analyze_vdp_line(rho, omega, d)
+    ref = first_return(rho, omega, d, a.varrho_plus)
+    assert a.branch == "ungeneric" and ref.t_c < a.t_star < 0.0
+    assert a.t_star == pytest.approx(ref.t, abs=ROOT_BRACKET / omega)
+    assert a.x_star[1] == pytest.approx(ref.x2, rel=1e-9)
 
 
 def _reject_token(token):

@@ -159,9 +159,10 @@ def test_cone_condition_examples(ex2, ex3):
 
 #: (example, changed params, evidence, rendered threshold) for every kind
 #: of evidence, the texts as the reports printed them when each verdict
-#: formatted its own: gate, h3 (holding and failing), both q2 window
-#: branches, the four q3 subcases, cone (a square past the float range
-#: reading as inf) and the node and focus checks on L2.
+#: formatted its own (v2* as refined to 1e-12 / omega): gate, h3 (holding
+#: and failing), both q2 window branches, the four q3 subcases, cone (a
+#: square past the float range reading as inf) and the node and focus
+#: checks on L2.
 THRESHOLD_TEXTS = [
     (1, {}, "h1", "right planar block real stable"),
     (2, {}, "h2", "right planar block complex stable"),
@@ -170,9 +171,9 @@ THRESHOLD_TEXTS = [
     (1, {"d": 0.9, "q1": 0.9}, "h3", "placement hypothesis"),
     (1, {"omega": 1e160}, "v_star_exists",
      "backward orbit of v1 returns to L1"),
-    (1, {}, "q2_window", "[-0.05313884846595452, 2.363045070247626]"),
+    (1, {}, "q2_window", "[-0.05313884846595452, 2.363045070247754]"),
     (2, {}, "q2_window",
-     "(-inf, -4.416214485453859] u [-0.9045340337332911, +inf)"),
+     "(-inf, -4.4162144854757255] u [-0.9045340337332911, +inf)"),
     (1, {}, "q3_subcase", "= 0.19999999999999996 (bottom rim)"),
     (2, {}, "q3_subcase", "= 2.7837651700316894 (top rim)"),
     (3, {}, "q3_subcase", "in (1.0, 3.0)"),
