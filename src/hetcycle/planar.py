@@ -25,18 +25,16 @@ Two questions drive the cycle certification and both are planar:
   (``focus_stay_window``).  Like ``vdp_stay_check``, both test an
   ordinate; on L2 they are the verifier's node and focus theorems.
 
-Root finding here runs on the closed-form flows, and both first returns
-are bracketed from the orbit's closed form.  The focus return lies on one
-monotone branch between two analytically known times, so it needs no
-sampling.  The oscillator return lies within the first backward
+Both first returns are bracketed from the orbit's closed form and refined
+by safeguarded false position (``_refine``) to ``ROOT_BRACKET`` in their
+own turn's angle, and so scale exactly with a power-of-2 time unit.  The
+focus return is one dimensionless root in the spiral's angle, between
+analytic bounds.  The oscillator return lies within the first backward
 revolution, sampled at 64 points per revolution only where the growing
-radius lets the orbit reach the line.  Each bracket is refined by
-safeguarded false position (``_refine``) to 1e-12 in the time unit of its
-turn (1 / omega; absolute for the focus).  The seed points themselves sit
-on the line (tangentially), so a sampled scan starts a sliver before zero,
-and near-tangent returns are classified as an explicit 'ungeneric' branch
-instead of being forced into the generic dichotomy.  Its records are
-``NamedTuple``s, cheap to build on each call.
+radius lets the orbit reach the line; its seed sits on the line
+(tangentially), so the scan starts a sliver before zero, and near-tangent
+returns are an explicit 'ungeneric' branch instead of being forced into
+the generic dichotomy.  Its records are ``NamedTuple``s, cheap to build.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
                      RootSearchError, UngenericBranch, WrongSpectralType)
-from .flows import ON_CYCLE_BAND, block_exp
+from .flows import ON_CYCLE_BAND
 from .model import (DEFAULT_TOL, PlanarLinearSystem, tangency_ordinates,
                     window_tangency)
 
@@ -263,9 +261,10 @@ def _square_less(k, rho):
     return (p - rho) + (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)
 
 
-#: Width below which a refined bracket is accepted, in units of the time
-#: scale the caller passes (1 / omega for the oscillator return; absolute
-#: for the focus return); its midpoint is the returned root.
+#: Width below which a refined bracket is accepted, in the angle of the
+#: turn the root lies in (omega t for the oscillator; for the focus, the
+#: spiral's angle s relative to its bracket's upper end, which is below
+#: pi); its midpoint is the returned root.
 ROOT_BRACKET = 1e-12
 #: Steps after which a refine that has not halved its bracket bisects.
 _STALL_STEPS = 10
@@ -273,7 +272,8 @@ _STALL_STEPS = 10
 
 def _refine(value, lo, f_lo, hi, f_hi, width):
     """Root of ``value`` in a bracket lo < hi with value(lo) > 0 >= value(hi)
-    (the sign convention of a backward scan: lo is the earlier time).
+    (the sign convention of a backward scan: lo is the earlier time); the
+    end values passed may be estimates of those signs, or NaN.
 
     False position with the Anderson-Bjorck weight: when the same end moves
     twice in a row, the value kept at the other end is scaled by
@@ -355,13 +355,18 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
 
     The tangency ordinate is ``model.window_tangency`` (a focus has
     a12 != 0); the window's far end is the first return of its backward
-    (expanding) spiral to the line, bracketed by ``sys.a`` and ``sys.w``
-    within the spiral's next backward turn, refined to 1e-12 in time on
-    k1 x1(t) - 1 (k1 = 1/c) along ``block_exp(sys)`` (the complex formula,
-    from the same a and w), read as the ordinate at that time.
-    RootSearchError when either end is past the float range (the tangency
-    ordinate, as -a11 c / a12 can overflow, or the return, as for any focus
-    with w <= 1e-6 |a|); InvalidLine for c = 0.
+    (expanding) spiral to the line.  In the angle s = w t + 2 pi from the
+    spiral's previous maximum, y1 / c = u(s) = e^{g (s - 2 pi)} (cos s -
+    g sin s) with g = a / w alone, and u - 1 = expm1(g (s - 2 pi) +
+    log1p(-2 sin^2(s/2) - g sin s)) has no cancellation at small s.  As
+    (log u)'' = -(1 + g^2) / (cos s - g sin s)^2 <= -1, (log u)'(0) = 0
+    and log u(0) = growth = -2 pi g, the root lies in (0, min(pi/2 -
+    atan g, sqrt(2 growth))); it is refined to ``ROOT_BRACKET`` times the
+    upper end.  On the line y2 = (y1' - a11 y1) / a12, so y_out = y_in -
+    c w (1 + g^2) e^{g (s - 2 pi)} sin(s) / a12 at t = (s - 2 pi) / w.
+    RootSearchError when g underflows (the return would be rounding) or
+    either end is past the float range (-a11 c / a12 can overflow, and so
+    can the return of a strongly damped focus); InvalidLine for c = 0.
     """
     if sys.spectral_type != "complex_stable":
         raise WrongSpectralType(
@@ -373,44 +378,39 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
         raise RootSearchError(
             f"the tangency ordinate -a11 c / a12 = {y_in!r} is past the "
             f"float range (a11={sys.a11!r}, a12={sys.a12!r}, c={c!r})")
-    k1 = 1.0 / c
-    exp_ta = block_exp(sys)
-
-    def value(t):
-        try:
-            m11, m12, _, _ = exp_ta(t)
-        except OverflowError:
-            return math.inf  # only beyond the root, where e^{alpha t} grows
-        return k1 * (m11 * c + m12 * y_in) - 1.0
-
-    # Along the orbit, k1 x1(t) = e^{alpha t} C cos(beta t - phi) with
-    # C cos(phi) = 1 and tan(phi) = -alpha / beta ((c, y_in) is on the line
-    # and the field is parallel to it there).  Backward from t = 0, the
-    # value first exceeds 1 on the monotone branch between t_near, where
-    # the cosine turns positive again (x1 = 0), and the next maximum at
-    # t_far = -2 pi / beta (k1 x1 = e^{-2 pi alpha / beta} > 1).
     alpha, beta = sys.a, sys.w
-    t_near = (-math.atan(alpha / beta) - 1.5 * math.pi) / beta
-    growth = -2.0 * math.pi * alpha / beta  # log of k1 x1 at t_far
-    try:
-        # the return lies beyond t_near: e^{alpha t} overflowing there
-        # overflows it at the return too
-        math.exp(alpha * t_near)
-        t_out, steps = _refine(
-            value, -2.0 * math.pi / beta,
-            math.expm1(growth) if growth < 709.0 else math.inf, t_near, -1.0,
-            ROOT_BRACKET)
-        _, _, m21, m22 = exp_ta(t_out)
-        y_out = m21 * c + m22 * y_in
+    g = alpha / beta
+    if not -g >= 2.0 ** -1022:  # zero or subnormal
+        raise RootSearchError(f"the damping ratio a / w = {g!r} underflows "
+                              f"(alpha={alpha!r}, beta={beta!r})")
+    growth, two_pi = -2.0 * math.pi * g, 2.0 * math.pi
+
+    def value(s):
+        h = math.sin(0.5 * s)
+        z = -2.0 * h * h - g * math.sin(s)  # cos s - g sin s - 1
+        if not z > -1.0:
+            return -1.0  # past the zero of u: below the line
+        x = g * (s - two_pi) + math.log1p(z)
+        return math.expm1(x) if x < 709.0 else math.inf
+
+    # u - 1 at the upper end: -1 where u = 0, else (|g| < 0.3) estimated by
+    # log u's leading term -s^4 / 12 = -growth^2 / 3 below its bound there
+    hi, f_hi = 0.5 * math.pi - math.atan(g), -1.0
+    if growth < 0.5 * hi * hi:
+        hi, f_hi = math.sqrt(2.0 * growth), math.expm1(-growth * growth / 3.0)
+    s, steps = _refine(value, 0.0,
+                       math.expm1(growth) if growth < 709.0 else math.inf,
+                       hi, f_hi, ROOT_BRACKET * hi)
+    try:  # u grows by e^growth per backward turn, so a slow focus overflows
+        y_out = y_in - (c * beta * (1.0 + g * g) * math.exp(g * (s - two_pi))
+                        * math.sin(s) / sys.a12)
     except OverflowError:
         y_out = math.inf
-    # e^{alpha t} grows by e^{2 pi |alpha| / beta} per backward turn: for a
-    # slow focus, past the float range before the spiral returns
     if not math.isfinite(y_out):
         raise RootSearchError(
             "the backward spiral leaves float range before returning to "
             f"the line (alpha={alpha!r}, beta={beta!r})")
-    return SpiralWindow(c, y_in, y_out, t_out, steps + 1)
+    return SpiralWindow(c, y_in, y_out, (s - two_pi) / beta, steps + 1)
 
 
 def focus_stay_check(window: SpiralWindow, y2: float,

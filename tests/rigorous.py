@@ -1,5 +1,5 @@
 """Reference answers in mpmath at 60 digits, independent of the package's
-float arithmetic: the first piece of a rigorous reference verdict.
+float arithmetic: the first pieces of a rigorous reference verdict.
 
 ``first_return`` is the first backward return to the line x1 = k of the
 oscillator orbit through the line point u1 = (k, v), exact from its float
@@ -31,8 +31,21 @@ first.  Only where cos(psi) > 0 can x1 exceed k:
 
 The first sign change is refined to 18 digits by bisection, then
 false position (Illinois).
+
+``focus_return`` is the far end of the stay window of a stable focus
+y' = A y on the line y1 = c, exact from the float entries of A.  With
+spectrum alpha +/- i beta, g = alpha / beta and s = beta t + 2 pi, the
+orbit of the tangency point (c, -a11 c / a12) reads y1 / c = u(s) =
+e^{g (s - 2 pi)} (cos s - g sin s).  log u is concave ((log u)'' <= -1),
+flat at s = 0 where it equals growth = -2 pi g, so it falls through 0
+exactly once in (0, min(pi / 2 - atan g, sqrt(2 growth))).  It is read in
+the form g (s - 2 pi) + log1p(-2 sin^2(s / 2) - g sin s), whose terms keep
+their digits for any g, bisected until log u > -1 at the bracket's upper
+end (it is -inf where u = 0), then refined to 40 digits by Newton's
+method from that end, which concavity keeps at or past the root.
 """
 
+import math
 from typing import NamedTuple, Optional
 
 import mpmath as mp
@@ -125,3 +138,76 @@ def first_return(rho, omega, k, v) -> FirstReturn:
         if psi_esc < mp.pi / 2:
             return crossing(max(mp.mpf(0), psi_esc), mp.pi / 2)
         return FirstReturn(float(t_c), None, None)
+
+
+class FocusReturn(NamedTuple):
+    """The first backward return of a focus spiral to its line, rounded to
+    floats: the ratio ``g`` = alpha / beta, the angle ``s`` of the return,
+    its time ``t`` = (s - 2 pi) / beta, the ends ``y_in`` and ``y_out``
+    and the window's ``span`` y_out - y_in (both infinite past the float
+    range); ``slope`` = d log|span| / ds and ``rate`` = |d log u / ds| at
+    s, and ``drift`` = |g| (2 pi + |d log(cos s - g sin s) / dg|), the
+    size of log u's terms and of their change per relative change of g."""
+
+    g: float
+    s: float
+    t: float
+    y_in: float
+    y_out: float
+    span: float
+    slope: float
+    rate: float
+    drift: float
+
+
+def focus_return(a11, a12, a21, a22, c) -> FocusReturn:
+    """The far end of the focus window on y1 = c of the block [[a11, a12],
+    [a21, a22]] (a stable focus, c != 0)."""
+    with mp.workdps(DPS):
+        a11, a12, a21, a22, c = (mp.mpf(x) for x in (a11, a12, a21, a22, c))
+        disc = (a11 - a22) ** 2 + 4 * a12 * a21
+        assert disc < 0 and a11 + a22 < 0, "the block must be a stable focus"
+        alpha, beta = (a11 + a22) / 2, mp.sqrt(-disc) / 2
+        g = alpha / beta
+
+        def log_u(s):
+            z = -2 * mp.sin(s / 2) ** 2 - g * mp.sin(s)  # cos s - g sin s - 1
+            if z <= -1:  # past the zero of u, or within 60 digits of it
+                return mp.ninf
+            return g * (s - 2 * mp.pi) + mp.log1p(z)
+
+        # bisection until the upper end's value is above -1 (it is -inf
+        # where u = 0), then Newton's method from that end: log u is concave
+        # and falling, so each tangent step lands at or right of the root
+        lo = mp.mpf(0)
+        hi = min(mp.pi / 2 - mp.atan(g), mp.sqrt(-4 * mp.pi * g))
+        f_hi, tiny = log_u(hi), mp.mpf(10) ** -40
+        while not f_hi > -1 and hi - lo > tiny * hi:
+            mid = (lo + hi) / 2
+            f = log_u(mid)
+            if f > 0:
+                lo = mid
+            else:
+                hi, f_hi = mid, f
+        while f_hi > -1:
+            sin = mp.sin(hi)
+            step = f_hi * (mp.cos(hi) - g * sin) / ((1 + g * g) * sin)
+            if abs(step) <= tiny * hi:
+                break
+            hi += step
+            f_hi = log_u(hi)
+        s = hi
+        sin, lin = mp.sin(s), mp.cos(s) - g * mp.sin(s)
+        y_in = -a11 * c / a12
+        span = (-c * beta * (1 + g * g) * mp.exp(g * (s - 2 * mp.pi))
+                * sin / a12)
+
+        def rounded(x):  # inf past the float range
+            return float(x) if abs(x) < mp.mpf(2) ** 1024 else \
+                math.copysign(math.inf, x)
+
+        return FocusReturn(
+            float(g), float(s), float((s - 2 * mp.pi) / beta), float(y_in),
+            rounded(y_in + span), rounded(span),
+            float(g + mp.cos(s) / sin), float((1 + g * g) * sin / lin),
+            float(abs(g) * (2 * mp.pi + abs(sin / lin))))

@@ -989,6 +989,25 @@ def test_focus_with_a_small_b12_certifies(tmp_path, capsys, b12, b21):
     assert x_plus[1] == pytest.approx(1.8190e15 * scale, rel=1e-4)
 
 
+def test_near_undamped_focus_certifies(tmp_path, capsys):
+    # example 2 with b11 = b22 = -1e-16 (a / w = -2.5e-17): the spiral's
+    # window on L2 reaches 6.0 above q2 (60 digits: 5.999999999999999),
+    # past p1's ordinate 4.5, so check certifies one cycle; a refine to an
+    # absolute width in t once read 3.5666 and certified none
+    path = tmp_path / "ex2.cfg"
+    path.write_text("".join(f"{k} = {v!r}\n" for k, v in
+                            params_to_dict(example_params(2)).items()))
+    out = tmp_path / "r.json"
+    code = main(["check", str(path), "--set", "b11=-1e-16",
+                 "--set", "b22=-1e-16", "--set", "b12=3.2893968591199364e-08",
+                 "--set", "b21=-486411360.0534272", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    verdict = json.loads(out.read_text())["verdict"]
+    assert (verdict["subcase"], verdict["cycle_count"]) == ("b", 1)
+    x_plus = verdict["window"]["x_plus"]
+    assert x_plus[1] + 4.5 == pytest.approx(6.0, rel=1e-12)
+
+
 def test_wide_draw_exits_typed(tmp_path, capsys):
     # a seeded draw over many decades: each set is a verdict (exit 0 or 2,
     # stderr empty) or exactly one JSON object naming a typed error (exit

@@ -11,7 +11,7 @@ from helpers import (
     brute_vdp_stays,
     random_real_stable_2x2,
 )
-from rigorous import first_return
+from rigorous import first_return, focus_return
 
 from hetcycle.errors import (
     DegenerateInterval,
@@ -20,12 +20,8 @@ from hetcycle.errors import (
     UngenericBranch,
     WrongSpectralType,
 )
-from hetcycle.flows import (
-    block_exp,
-    left_orbit,
-    radial_blowup_time,
-)
-from hetcycle.model import l2_offset, tangency_ordinates, window_tangency
+from hetcycle.flows import left_orbit, radial_blowup_time
+from hetcycle.model import l2_offset, tangency_ordinates
 from hetcycle.planar import (
     ROOT_BRACKET,
     PlanarLinearSystem,
@@ -324,47 +320,6 @@ def test_vdp_stay_set_vs_brute_force_sample():
 # --- first-return scans against reference scans -----------------------------
 
 
-def _reference_crossing(flow, line_value, period, scale, samples_per_rev):
-    """The sampled scan the closed-form focus bracket replaced, kept as
-    its reference: samples_per_rev points per revolution backward from a
-    sliver before t = 0 over 10 revolutions, the first sample past
-    ``scale`` * 1e-10 bracketed against the latest earlier sample at or
-    below zero, bisected to 1e-12 in t."""
-    dt = period / samples_per_rev
-    eps = dt * 1e-6
-    guard = 1e-10 * scale
-    t_stop = -10.0 * period
-
-    t_prev = -eps
-    t_neg = t_prev if line_value(flow(t_prev)) <= 0.0 else None
-    j = 1
-    hit_floor = False
-    while True:
-        t_cur = -eps - j * dt
-        if t_cur <= t_stop:
-            if hit_floor:
-                raise RootSearchError("no backward line crossing")
-            t_cur = t_stop
-            hit_floor = True
-        f_cur = line_value(flow(t_cur))
-        if f_cur > guard:
-            if t_neg is None:
-                t_neg = t_prev
-            lo, hi = t_cur, t_neg
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if line_value(flow(mid)) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_root = 0.5 * (lo + hi)
-            return flow(t_root), t_root
-        if f_cur <= 0.0:
-            t_neg = t_cur
-        t_prev = t_cur
-        j += 1
-
-
 def _matches_reference(a, rho, omega, tol=1e-9):
     """Whether the subcritical analysis ``a`` of the oscillator (rho,
     omega) escapes where ``rigorous.first_return`` does, or returns where
@@ -395,24 +350,6 @@ def _branch(x2, vp, vm, tol=1e-9):
         return "between"
 
 
-def _reference_focus_return(sys, c, samples_per_rev=4096):
-    """t_star_out of the spiral window on {x1 = c} by the reference scan."""
-    u, v = c, window_tangency(sys.a11, sys.a12, c)
-    k1 = 1.0 / c
-    exp_ta = block_exp(sys)
-
-    def flow(t):
-        m11, m12, m21, m22 = exp_ta(t)
-        return (m11 * u + m12 * v, m21 * u + m22 * v)
-
-    try:
-        return _reference_crossing(
-            flow, lambda p: k1 * p[0] - 1.0,
-            2.0 * math.pi / sys.w, 1.0, samples_per_rev)[1]
-    except OverflowError as exc:
-        raise RootSearchError("float range") from exc
-
-
 def _seeded_scans(seed, n):
     """n oscillator lines x1 = d and n focus systems on their line
     {x1 = d - q3 - q1 = -q3}, drawn as the benchmark's generator draws
@@ -434,13 +371,42 @@ def _seeded_scans(seed, n):
     return out
 
 
-def _same_return(t_new, t_ref, rate, scale):
-    """Both focus scans find the same return: to the absolute ROOT_BRACKET
-    in t plus the band in which rounding of the line value (a few ulp of
-    ``scale``) hides its sign at the crossing rate ``rate``.  The
-    reference, sampling 64 times as densely, finds none earlier."""
-    band = ROOT_BRACKET + 8.0 * math.ulp(scale) / abs(rate)
-    return abs(t_new - t_ref) <= band and t_ref <= t_new + band
+def _matches_focus_reference(sys, c, tol=1e-9):
+    """Whether ``focus_stay_window`` on {y1 = c} and ``focus_stay_check``
+    answer as ``rigorous.focus_return`` does.  A refusal exactly where g =
+    a / w underflows or the far end is past the float range.  Else
+    t_star_out and y_out within the refine's half width ROOT_BRACKET hi /
+    2 in s (hi the bracket's upper end), plus the shift that rounding of
+    log u's terms and of g (16 ulp of ``drift``) makes at the crossing
+    ``rate``, carried to t by 1 / w and to the span by ``slope``; plus 16
+    ulp of the span and an ulp of each end.  And DegenerateInterval where
+    the reference span is at most tol, outside that band around tol."""
+    ref = focus_return(sys.a11, sys.a12, sys.a21, sys.a22, c)
+    try:
+        w = focus_stay_window(sys, c)
+    except RootSearchError:
+        return not (abs(ref.g) >= 2.0 ** -1022 and math.isfinite(ref.y_out))
+    if not (abs(ref.g) >= 2.0 ** -1022 and math.isfinite(ref.y_out)):
+        return False
+    g, eps = ref.g, math.ulp(1.0)
+    hi = min(0.5 * math.pi - math.atan(g), math.sqrt(-4.0 * math.pi * g))
+    ds = (0.5 * ROOT_BRACKET * hi + math.ulp(ref.s)
+          + 16.0 * eps * ref.drift / ref.rate)
+    dt = abs(ref.t) * (ds / (2.0 * math.pi - ref.s) + 8.0 * eps)
+    dy = (abs(ref.span) * (abs(ref.slope) * ds
+                           + 16.0 * eps * (1.0 + ref.drift))
+          + 2.0 * math.ulp(ref.y_in) + math.ulp(ref.y_out))
+    if not (abs(w.y_in - ref.y_in) <= math.ulp(ref.y_in)
+            and abs(w.t_star_out - ref.t) <= dt
+            and abs(w.y_out - ref.y_out) <= dy):
+        return False
+    try:
+        focus_stay_check(w, 0.0, tol)
+        degenerate = False
+    except DegenerateInterval:
+        degenerate = True
+    return (abs(abs(ref.span) - tol) <= dy + math.ulp(ref.y_in)
+            or degenerate == (abs(ref.span) <= tol))
 
 
 def test_vdp_return_point_is_the_orbit_at_t_star(ex1, ex2):
@@ -468,17 +434,12 @@ def test_vdp_return_point_is_the_orbit_at_t_star(ex1, ex2):
 
 
 def test_scans_match_dense_reference():
-    # the oscillator returns against the 60-digit reference, the focus
-    # returns against the dense scan
+    # the oscillator and focus returns against their 60-digit references
     for (rho, omega, k), sys, c in _seeded_scans(606, 500):
         a = analyze_vdp_line(rho, omega, k)
         if a.regime == "subcritical":
             assert _matches_reference(a, rho, omega), (rho, omega, k)
-        w = focus_stay_window(sys, c)
-        # x1' / c, the rate of the line value x1 / c - 1
-        rate = (sys.a11 * c + sys.a12 * w.y_out) / c
-        assert _same_return(w.t_star_out, _reference_focus_return(sys, c),
-                            rate, 1.0)
+        assert _matches_focus_reference(sys, c), (sys, c)
 
 
 def _near_cycle_lines(seed, n):
@@ -555,20 +516,77 @@ def test_vdp_return_scales_exactly(s):
 
 
 def test_slow_focus_scan_matches_dense_reference():
-    # 2 pi |alpha| / beta past the float range of exp: the far end of the
-    # bracket overflows while the return itself is representable (both
-    # scans find it), or the return overflows too (both raise)
+    # 2 pi |alpha| / beta past the float range of exp: u - 1 is inf at the
+    # bracket's lower end while the return itself is representable, or the
+    # return overflows too; both as the 60-digit reference has it
     for beta, finite in ((1.0 / 150.0, True), (1.0 / 200.0, True),
                          (1.0 / 400.0, False)):
         sys = PlanarLinearSystem.from_entries(-1.0, 3.0 * beta, -beta / 3.0, -1.0)
-        if finite:
-            w = focus_stay_window(sys, 2.0)
-            t_ref = _reference_focus_return(sys, 2.0, 64)
-            assert abs(w.t_star_out - t_ref) <= 1e-12
-        else:
-            for scan in (focus_stay_window, _reference_focus_return):
-                with pytest.raises(RootSearchError):
-                    scan(sys, 2.0)
+        assert _matches_focus_reference(sys, 2.0), beta
+        if not finite:
+            with pytest.raises(RootSearchError, match="float range"):
+                focus_stay_window(sys, 2.0)
+
+
+def _damped_foci(seed, n):
+    """n stable-focus blocks whose damping per turn |g| = |a| / w is
+    log-uniform on [1e-300, 1e3] (on [1e-3, 1e3] for every other block),
+    with w log-uniform on [1, 1e3], the diagonal split by up to 0.9
+    min(|a|, w) and the off-diagonal sheared by up to 1e3 (times sqrt|g|
+    for every other block, which keeps the window of a near-undamped focus
+    long), each with a line offset c of either sign; and each again with
+    the block scaled by 2^k, k in [-20, 20], which keeps every entry
+    normal."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        beta = math.exp(rng.uniform(0.0, math.log(1e3)))
+        g = 10.0 ** rng.uniform(-300.0 if i % 2 else -3.0, 3.0)
+        alpha, h = -beta * g, rng.uniform(0.0, 0.9) * min(beta * g, beta)
+        s = float(10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0])
+                  * (math.sqrt(g) if i % 4 < 2 else 1.0))
+        entries = (alpha + h, beta * s, -beta / s, alpha - h)
+        c = float(rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0]))
+        f = 2.0 ** int(rng.integers(-20, 21))
+        for scale in (1.0, f):
+            out.append((PlanarLinearSystem.from_entries(
+                *(x * scale for x in entries)), c))
+    return out
+
+
+def test_focus_returns_match_the_reference_at_every_damping():
+    # From near-undamped foci, whose return lies about sqrt(4 pi |g|) short
+    # of a full turn (below the float resolution of w t), to strongly
+    # damped ones past the float range: each far end, DegenerateInterval
+    # and refusal is the 60-digit reference's, also where g underflows
+    seen = Counter()
+    with Budget("focus returns against the reference", 20.0):
+        for sys, c in _damped_foci(37, 300):
+            assert sys.spectral_type == "complex_stable"
+            assert _matches_focus_reference(sys, c), (sys, c)
+            try:
+                w = focus_stay_window(sys, c)
+                short = abs(w.y_out - w.y_in) <= 1e-9
+                seen["short" if short else "window"] += 1
+            except RootSearchError:
+                seen["refused"] += 1
+    print(dict(seen))
+    assert seen["window"] >= 100 and seen["short"] >= 100 and seen["refused"]
+    for alpha in (-1e-310, -5e-324):  # g subnormal: refused, not rounding
+        sys = PlanarLinearSystem.from_entries(alpha, 1.0, -1.0, alpha)
+        assert _matches_focus_reference(sys, 1.0)
+        with pytest.raises(RootSearchError, match="underflows"):
+            focus_stay_window(sys, 1.0)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e10, 1e11, 1e12])
+def test_focus_far_end_does_not_move_with_the_time_scale(s):
+    # the block (-0.5 s, 4 s; -4 s, -0.5 s) on c = -1, whose far end an
+    # absolute refine width once moved to 1.6315, 1.6960 and 1.3158 at
+    # s = 1e10, 1e11 and 1e12; 60 digits give 1.6336152981086356 at every s
+    w = focus_stay_window(PlanarLinearSystem.from_entries(
+        -0.5 * s, 4.0 * s, -4.0 * s, -0.5 * s), -1.0)
+    assert w.y_out == pytest.approx(1.6336152981086356, rel=1e-12)
 
 
 def _seeded_foci(seed, n):
@@ -593,17 +611,13 @@ def _seeded_foci(seed, n):
 
 def test_focus_window_scales_exactly_with_b12(ex2, ex3):
     # (a12, a21) -> (a12 2^-k, a21 2^k) is the similarity by diag(1, 2^k):
-    # the spectrum keeps its bits, and so does every line value the refine
-    # reads (m12 y_in is (a12 sl 2^-k)(y_in 2^k)), so both window ends
-    # scale by exactly 2^k at the same return time after the same
+    # the spectrum keeps its bits, and the refine reads g = a / w alone, so
+    # both window ends scale by exactly 2^k (y_in = -a11 c / a12, and the
+    # span divides by a12 last) at the same return time after the same
     # evaluations; the window is refused exactly where a scaled end is not
-    # finite.  That holds while m12 = a12 sl cannot overflow in either
-    # system (|sl| <= e^growth / w over the bracket, growth = -2 pi a / w):
-    # a spiral that grows near the float range within one turn can
-    # overflow m12 in one system only, whose refine then reads inf for the
-    # other's large finite value and may take another step.
-    # Example 2's spectrum with b12 = 1.1e-289 has a window end of 1.6e290,
-    # past the float range at k = 60, where every entry is still normal.
+    # finite.  Example 2's spectrum with b12 = 1.1e-289 has a window end of
+    # 1.6e290, past the float range at k = 60, where every entry is still
+    # normal.
     tiny = replace(ex2, b12=1.1e-289, b21=-16.0 / 1.1e-289)
     cases = [(PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22),
               l2_offset(p)) for p in (ex2, ex3, tiny)]
@@ -616,14 +630,11 @@ def test_focus_window_scales_exactly_with_b12(ex2, ex3):
         except RootSearchError:
             w = None
         spectrum = repr(sys[4:])  # spectral_type, branch, a, w, eigenvalues
-        log_sl = -2.0 * math.pi * sys.a / sys.w - math.log(sys.w)
         for k in range(-60, 61, 10):
             f = 2.0 ** k
             scaled = PlanarLinearSystem.from_entries(
                 sys.a11, sys.a12 / f, sys.a21 * f, sys.a22)
             assert repr(scaled[4:]) == spectrum, (sys, k)
-            if math.log(abs(sys.a12) * max(1.0, 1.0 / f)) + log_sl >= 709.0:
-                continue  # m12 may overflow in one of the two systems
             # a window refused in one system is refused in every one
             ends = (math.inf,) if w is None else (w.y_in * f, w.y_out * f)
             if not all(map(math.isfinite, ends)):
@@ -634,6 +645,7 @@ def test_focus_window_scales_exactly_with_b12(ex2, ex3):
             assert repr(focus_stay_window(scaled, c)) == repr(SpiralWindow(
                 c, *ends, w.t_star_out, w.evaluations)), (sys, c, k)
             scaled_windows += 1
+    assert scaled_windows + refusals == 13 * len(cases)  # no pair skipped
     assert scaled_windows >= 1500 and refusals > 0
 
 
@@ -651,20 +663,28 @@ def test_focus_inside_the_repeated_root_band_is_refused():
 @pytest.mark.parametrize("s", [0.25, 0.5, 2.0, 3.0])
 def test_focus_window_time_rescaling(s):
     # e^{t sA} = e^{(st) A}: the same window, reached at t_star_out / s.
-    # Each return time is within ROOT_BRACKET / 2 of the root in its own
-    # time units, so s * t_s and t differ by at most (1 + s) ROOT_BRACKET / 2
-    # and y_out by that times the speed |A (c, y_out)| along the orbit.
+    # The refine reads g = a / w alone, which a power-of-2 s keeps to the
+    # bit, and so the window is the same to the bit.  At s = 3, g moves by
+    # a few ulp.  Each return angle w t + 2 pi lies within ROOT_BRACKET
+    # pi / 2 of its root (the bracket's upper end is below pi), so the two
+    # angles differ by at most ROOT_BRACKET pi plus their rounding, and
+    # the span y_out - y_in by that times its log-derivative g + cot(angle).
     for _, sys, c in _seeded_scans(707, 40):
         w = focus_stay_window(sys, c)
-        ws = focus_stay_window(PlanarLinearSystem.from_entries(
-            s * sys.a11, s * sys.a12, s * sys.a21, s * sys.a22), c)
+        scaled = PlanarLinearSystem.from_entries(
+            s * sys.a11, s * sys.a12, s * sys.a21, s * sys.a22)
+        ws = focus_stay_window(scaled, c)
+        if s != 3.0:
+            assert ws == w._replace(t_star_out=w.t_star_out / s), (sys, c)
+            continue
+        angle = sys.w * w.t_star_out + 2.0 * math.pi
+        d_angle = ROOT_BRACKET * math.pi + 8.0 * math.ulp(2.0 * math.pi)
         np.testing.assert_allclose(ws.y_in, w.y_in, rtol=1e-13)
-        dt = 0.5 * (1.0 + s) * ROOT_BRACKET
-        assert abs(s * ws.t_star_out - w.t_star_out) <= dt * (1.0 + 1e-6)
-        speed = math.hypot(sys.a11 * c + sys.a12 * w.y_out,
-                           sys.a21 * c + sys.a22 * w.y_out)
+        assert abs(scaled.w * ws.t_star_out + 2.0 * math.pi - angle) <= d_angle
+        span = w.y_out - w.y_in
+        slope = sys.a / sys.w + 1.0 / math.tan(angle)
         assert abs(ws.y_out - w.y_out) <= (
-            speed * dt * (1.0 + 1e-6) + 1e-14 * math.hypot(c, w.y_out))
+            abs(span * slope) * d_angle + 1e-14 * math.hypot(c, w.y_out))
 
 
 #: Ceilings on the closed-form evaluations of one scan, and on their mean

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import Budget, rim_sets, wide_sets
+from rigorous import focus_return
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow, numeric_flow, right_flow
@@ -346,6 +347,28 @@ def test_small_rate_focus_certifies_as_its_scaled_twin(ex2):
     x0 = v.window[0]
     got, want = right_flow(x0, t, p), numeric_flow(x0, t, "right", p)
     assert math.dist(got, want) <= 1e-6 * math.dist(want, p.q)
+
+
+#: Example 2 with b11 = b22 = -1e-16 and b12 b21 = -16: a focus whose
+#: damping per radian g = a / w is -2.5e-17, so its spiral returns to L2
+#: about sqrt(4 pi |g|) = 1.8e-8 radians short of a full turn, below the
+#: float resolution of w t.
+NEAR_UNDAMPED_FOCUS = dict(b11=-1e-16, b22=-1e-16, b12=3.2893968591199364e-08,
+                           b21=-486411360.0534272)
+
+
+def test_near_undamped_focus_window_is_the_references(ex2):
+    # the 60-digit window on L2 is [-8.46e-9, 6.0) above q2 and holds p1's
+    # ordinate 4.5 above it, so one cycle; a refine to an absolute width in
+    # t read the far end 3.5666 from rounding and certified none
+    p = replace(ex2, **NEAR_UNDAMPED_FOCUS)
+    ref = focus_return(p.b11, p.b12, p.b21, p.b22, l2_offset(p))
+    v = certify(p)
+    assert (v.theorem, v.subcase, v.cycle_count) == ("saddle_focus", "b", 1)
+    x_minus, x_plus = v.window
+    assert x_minus[1] - p.q2 == pytest.approx(ref.y_in, rel=1e-15)
+    assert x_plus[1] - p.q2 == pytest.approx(ref.y_out, rel=1e-12)
+    assert ref.y_in < 0.0 - p.q2 < ref.y_out
 
 
 def test_subcase_exclusivity_and_points(ex1, ex2, ex3):
