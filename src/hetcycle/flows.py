@@ -4,15 +4,15 @@ Left zone: in polar coordinates the planar part obeys r' = r(rho - r^2),
 theta' = omega, and the axis obeys x3' = mu x3.  The radial law integrates
 to a logistic curve in r^2,
 
-    r(t)^2 = rho / (1 + (rho / r0^2 - 1) exp(-2 rho t)),
+    r(t)^2 = rho / (1 - b exp(-2 rho t)),   b = (r0^2 - rho) / r0^2,
 
-linear drift in theta and an exponential in x3.  For r0 > sqrt(rho) the
-radial solution escapes to infinity at the finite backward time
-t = log(1 - rho/r0^2) / (2 rho); evaluation at or past it raises
-BackwardBlowup rather than clamping, because silent saturation would
-corrupt the root finding built on top of this flow.  ``radial_law``
-evaluates the law (``planar``'s L1 scan, a cancellation-free form of it);
-a start within ``ON_CYCLE_BAND`` of the cycle stays on it.
+linear drift in theta and an exponential in x3.  ``radial_law`` states it
+once, from an exact offset b, for ``left_orbit`` and ``planar``'s L1
+first-return scan; a start with |b| <= ``ON_CYCLE_BAND`` stays on the
+cycle.  For b > 0 the radius escapes to infinity at the finite backward
+time log(b) / (2 rho); evaluation at or past it raises BackwardBlowup
+rather than clamping, because silent saturation would corrupt the root
+finding built on top of this flow.
 
 Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
 closed form, split by the ``branch`` of the block's one spectrum,
@@ -50,63 +50,77 @@ from ._integrate import rk45
 from .errors import BackwardBlowup
 from .model import PlanarLinearSystem, SystemParams, point
 
-#: Band of |rho / r0^2 - 1| within which a start is on the limit cycle
-#: (r^2 = rho for every t).  A point built on the cycle lies on it only up
-#: to rounding, which the law's backward repulsion at rate 2 rho would grow
-#: into a spurious blow-up or a large residual.
+#: Band of |b| = |r0^2 - rho| / r0^2 within which a start is on the limit
+#: cycle (r^2 = rho for every t).  A point built on the cycle lies on it only
+#: up to rounding, which the law's backward repulsion at rate 2 rho would
+#: grow into a spurious blow-up or a large residual.
 ON_CYCLE_BAND = 1e-12
 
 
-def _offset(r0_sq: float, rho: float) -> float:
-    """The radial law's offset rho / r0^2 - 1 of a start with r0 != 0,
-    as 0.0 inside ``ON_CYCLE_BAND``."""
-    a = rho / r0_sq - 1.0
-    return 0.0 if abs(a) <= ON_CYCLE_BAND else a
+def radial_law(x1: float, x2: float, rho: float) -> tuple:
+    """The radial law r' = r(rho - r^2) from the start (x1, x2), as
+    (r0^2, b, t_escape, r_sq): the offset b (0.0 on the cycle, -inf at the
+    origin), the escape time (-inf unless b > 0) and t -> r(t)^2.
 
-
-def radial_blowup_time(r0_sq: float, rho: float) -> float:
-    """Finite backward escape time of the radial law; -inf when the start
-    radius is inside the limit cycle or on it (``ON_CYCLE_BAND``)."""
-    a = _offset(r0_sq, rho) if r0_sq > rho else 0.0
-    if a == 0.0:
-        return -math.inf
-    return math.log(-a) / (2.0 * rho)
-
-
-def radial_law(r0_sq: float, rho: float):
-    """The squared radius under r' = r(rho - r^2) from the squared start
-    radius ``r0_sq``, as a function ``t -> r(t)^2``.
-
-    Evaluated in log space so that neither deep forward times (r -> cycle)
-    nor deep backward times (r -> 0 from inside) overflow.  A start outside
-    the cycle raises BackwardBlowup at or past its backward escape time.
+    r0^2 - rho is the fsum of the exact squares and -rho, so the offset
+    b = (r0^2 - rho) / r0^2 is rounded once.  With x = -2 rho t, r(t)^2 =
+    rho / den has den = rho / r0^2 - b expm1(x), which returns r0 within
+    2 ulp at t = 0: outside the cycle (b > 0) at every time after the
+    escape t_escape = log(b) / (2 rho) (log1p(-rho / r0^2) for b > 1/2),
+    and inside while |x| <= log 2, where its terms cancel by a factor 3 at
+    most.  Elsewhere inside, den = 1 + e^s with s = log|b| + x, read as
+    rho / den = exp(log rho - s) / (1 + e^{-s}) for s > 0: no time cancels,
+    overflows or underflows early, and where rho / r0^2 overflows, log|b| =
+    log(rho - r0^2) - log(r0^2) is still finite.  BackwardBlowup is raised
+    at or past t_escape, and where den rounds to 0 just after it.
     """
+    p1, p2 = x1 * x1, x2 * x2
+    r0_sq = p1 + p2
     if r0_sq == 0.0:
-        return lambda t: 0.0
-    a = _offset(r0_sq, rho)
-    if a == 0.0:
-        return lambda t: rho
-    log_a = math.log(abs(a))
-    two_rho = 2.0 * rho
-    if a < 0.0:
-        def law(t):
-            s = log_a - two_rho * t
-            # outside the cycle: the denominator 1 - e^s vanishes at the
-            # blow-up, and in rounding already where e^s rounds to 1
-            den = 1.0 - math.exp(s) if s < 0.0 else 0.0
-            if den == 0.0:
-                raise BackwardBlowup(
-                    f"radial solution escapes at t={log_a / two_rho!r}; "
-                    f"requested t={float(t)!r}")
-            return rho / den
+        return 0.0, -math.inf, -math.inf, lambda t: 0.0
+    if r0_sq < math.inf:
+        # x^2 = p + (h^2 - p) + 2 h l + l^2 exactly on Veltkamp's split
+        # x = h + l (Dekker), and fsum rounds r0^2 - rho once
+        c1, c2 = 134217729.0 * x1, 134217729.0 * x2  # 2^27 + 1
+        h1, h2 = c1 - (c1 - x1), c2 - (c2 - x2)
+        l1, l2 = x1 - h1, x2 - h2
+        diff = math.fsum((p1, p2, -rho, h1 * h1 - p1, 2.0 * h1 * l1, l1 * l1,
+                          h2 * h2 - p2, 2.0 * h2 * l2, l2 * l2))
+        b = diff / r0_sq
+    else:  # r0^2 past the float range: b = 1 within rounding
+        diff, b = r0_sq, 1.0
+    if abs(b) <= ON_CYCLE_BAND:
+        return r0_sq, 0.0, -math.inf, lambda t: rho
+    start, two_rho = rho / r0_sq, 2.0 * rho
+    if b > 0.0:
+        t_escape = (math.log1p(-start) if b > 0.5 else math.log(b)) / two_rho
+
+        def r_sq(t):
+            den = start - b * math.expm1(-two_rho * t) if t > t_escape else 0.0
+            if den > 0.0:
+                return rho / den
+            raise BackwardBlowup(f"radial solution escapes at t={t_escape!r}; "
+                                 f"requested t={float(t)!r}")
+
+        return r0_sq, b, t_escape, r_sq
+    # inside: log|b| and the |x| of the expm1 form, none where rho / r0^2
+    # (and so b) overflows
+    if b > -math.inf:
+        log_b, near = math.log(-b), math.log(2.0)
     else:
-        def law(t):
-            s = log_a - two_rho * t
-            if s > 0.0:
-                es = math.exp(-s)
-                return rho * es / (1.0 + es)
-            return rho / (1.0 + math.exp(s))
-    return law
+        log_b, near = math.log(-diff) - math.log(r0_sq), -1.0
+    log_rho = math.log(rho)
+
+    def r_sq(t):
+        x = -two_rho * t
+        if -near <= x <= near:
+            return rho / (start - b * math.expm1(x))
+        s = log_b + x
+        if s > 0.0:
+            return math.exp(log_rho - s) / (1.0 + math.exp(-s))
+        return rho / (1.0 + math.exp(s))
+
+    return r0_sq, b, -math.inf, r_sq
 
 
 def _plane_rate(c: float, rate: float) -> float:
@@ -120,14 +134,13 @@ def left_orbit(x0, rho: float, omega: float, mu: float):
     a tuple of floats; the one builder of the left closed form."""
     x1, x2, x3 = x0
     mu = _plane_rate(x3, mu)
-    r0_sq = x1 * x1 + x2 * x2
+    r0_sq, _, _, r_sq = radial_law(x1, x2, rho)
     if r0_sq == 0.0:
         return lambda t: (0.0, 0.0, x3 * math.exp(mu * t))
-    law = radial_law(r0_sq, rho)
     theta0 = math.atan2(x2, x1)
 
     def orbit(t):
-        r = math.sqrt(law(t))
+        r = math.sqrt(r_sq(t))
         theta = theta0 + omega * t
         return (r * math.cos(theta), r * math.sin(theta),
                 x3 * math.exp(mu * t))

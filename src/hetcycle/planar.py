@@ -29,12 +29,12 @@ Both first returns are bracketed from the orbit's closed form and refined
 by safeguarded false position (``_refine``) to ``ROOT_BRACKET`` in their
 own turn's angle, and so scale exactly with a power-of-2 time unit.  The
 focus return is one dimensionless root in the spiral's angle, between
-analytic bounds.  The oscillator return lies within the first backward
-revolution, sampled at 64 points per revolution only where the growing
-radius lets the orbit reach the line; its seed sits on the line
-(tangentially), so the scan starts a sliver before zero, and near-tangent
-returns are an explicit 'ungeneric' branch instead of being forced into
-the generic dichotomy.  Its records are ``NamedTuple``s, cheap to build.
+analytic bounds.  The oscillator return, on ``flows.radial_law``, lies
+within the first backward revolution, sampled at 64 points per revolution
+only where the growing radius lets the orbit reach the line; its seed sits
+on the line (tangentially), so the scan starts a sliver before zero, and
+near-tangent returns are an explicit 'ungeneric' branch instead of being
+forced into the generic dichotomy.  Its records are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
                      RootSearchError, UngenericBranch, WrongSpectralType)
-from .flows import ON_CYCLE_BAND
+from .flows import radial_law
 from .model import (DEFAULT_TOL, PlanarLinearSystem, tangency_ordinates,
                     window_tangency)
 
@@ -174,52 +174,41 @@ def _vdp_backward_return(u1, rho, omega):
     before, or against the seed (NaN, as its value is rounding noise: the
     refine bisects); else a last probe at max(t_c, floor) is past it at
     t_c, or just before the escape if the orbit crosses there.  ``_refine``
-    stops at ``ROOT_BRACKET`` / omega.  x1 - k = (r^2 - k^2) / (r + k) -
-    2 r sin^2(theta / 2) is free of cancellation: with b = 1 - rho / r0^2
-    from an exact k^2 - rho and m = expm1(-2 rho t), flows' radial law is
-    r^2 = rho / (rho / r0^2 - b m), r^2 - k^2 = r^2 m b r0^2 / rho + v^2,
-    and theta is theta0 + omega t or omega (t - t_c) - 2 pi, from the
-    nearer end.  Within ``ON_CYCLE_BAND`` u1 stays on the cycle: no return.
+    stops at ``ROOT_BRACKET`` / omega.  r, the escape and the on-cycle rule
+    (no return) are ``flows.radial_law``'s; x1 - k = (r^2 - k^2) / (r + k)
+    - 2 r sin^2(theta / 2) has no cancellation: r^2 - k^2 = r^2 b r0^2 /
+    rho expm1(-2 rho t) + v^2 from the law's exact offset b, and theta is
+    theta0 + omega t or omega (t - t_c) - 2 pi, from the nearer end.
     """
     k, v = u1
-    r0_sq, v_sq = k * k + v * v, v * v
-    if abs(rho / r0_sq - 1.0) <= ON_CYCLE_BAND:
+    r0_sq, b, t_escape, r_sq_of = radial_law(k, v, rho)
+    if b == 0.0:
         return None, None, 0
-    b = (_square_less(k, rho) + v_sq) / r0_sq  # 1 - rho / r0^2
-    at_start, gain, two_rho = rho / r0_sq, b * r0_sq / rho, 2.0 * rho
+    v_sq, two_rho = v * v, 2.0 * rho
+    gain = b * r0_sq / rho  # (r0^2 - rho) / rho
     theta0 = math.atan2(v, k)
     t_c = -(2.0 * math.pi + theta0) / omega
     t_far = -(math.pi + theta0) / omega  # theta = -pi, between the windows
     dt = 2.0 * math.pi / omega / 64.0
     eps = dt * 1e-6
-    t_stop = math.log(b) / two_rho + dt * 1e-9
+    t_stop = t_escape + dt * 1e-9
     t_lo = max(t_c, t_stop)
     half_theta0, half_omega = 0.5 * theta0, 0.5 * omega
 
-    def radius_sq(t):  # (r^2, expm1(-2 rho t)) along the orbit
-        m = math.expm1(-two_rho * t)
-        den = at_start - b * m
-        if not den > 0.0:  # within rounding of the escape
-            raise BackwardBlowup(f"radial solution escapes before t={t!r}")
-        return rho / den, m
-
-    def value(t):  # x1 - k: radius_sq written out, one call less per step
-        m = math.expm1(-two_rho * t)
-        den = at_start - b * m
-        if not den > 0.0:
-            raise BackwardBlowup(f"radial solution escapes before t={t!r}")
-        r_sq = rho / den
+    def value(t):  # x1 - k
+        r_sq = r_sq_of(t)
         r = math.sqrt(r_sq)
         s = math.sin(half_theta0 + half_omega * t if t > t_far
                      else half_omega * (t - t_c))  # theta / 2, nearer end
-        return (r_sq * gain * m + v_sq) / (r + k) - 2.0 * r * s * s
+        return ((r_sq * gain * math.expm1(-two_rho * t) + v_sq) / (r + k)
+                - 2.0 * r * s * s)
 
     grid = []  # the sampled grid indices, in the order of the scan
     evals = 0
     try:  # a radius escaping in rounding before the floor escapes too
         for centre in (-theta0, -2.0 * math.pi - theta0):  # omega t at cos = 1
             t_edge = max((centre - 0.5 * math.pi) / omega, t_c)
-            half = (math.acos(min(1.0, k / math.sqrt(radius_sq(t_edge)[0])))
+            half = (math.acos(min(1.0, k / math.sqrt(r_sq_of(t_edge))))
                     if t_edge > t_stop else 0.5 * math.pi)
             near, far = (centre + half) / omega, (centre - half) / omega
             if near <= t_stop:
@@ -239,10 +228,10 @@ def _vdp_backward_return(u1, rho, omega):
             if f > 0.0 or t == t_c:  # t_c: past, though r - k may underflow
                 t, steps = _refine(value, t, f, t_neg, f_neg,
                                    ROOT_BRACKET / omega)
-                r_sq, m = radius_sq(t)
                 theta = theta0 + omega * t if t > t_far else omega * (t - t_c)
-                x2 = math.copysign(math.sqrt(r_sq * gain * m + v_sq),
-                                   math.sin(theta))
+                x2 = math.copysign(
+                    math.sqrt(r_sq_of(t) * gain * math.expm1(-two_rho * t)
+                              + v_sq), math.sin(theta))
                 return (k, x2), t, evals + steps + 1
             if t == t_lo:
                 break
@@ -250,15 +239,6 @@ def _vdp_backward_return(u1, rho, omega):
     except BackwardBlowup:
         pass
     return None, None, evals
-
-
-def _square_less(k, rho):
-    """k * k - rho rounded once: Dekker's exact square k * k = p + e."""
-    p = k * k
-    c = 134217729.0 * k  # 2^27 + 1: Veltkamp's split k = hi + lo
-    hi = c - (c - k)
-    lo = k - hi
-    return (p - rho) + (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)
 
 
 #: Width below which a refined bracket is accepted, in the angle of the

@@ -1,6 +1,15 @@
 """Reference answers in mpmath at 60 digits, independent of the package's
 float arithmetic: the first pieces of a rigorous reference verdict.
 
+``radial_sq`` is the left zone's radial law r' = r (rho - r^2) from the
+float start (x1, x2), exact from its float inputs:
+
+    r(t)^2 = rho / (1 - b e^{-2 rho t}),   b = (r0^2 - rho) / r0^2,
+
+with b formed in 60 digits from the exact r0^2 = x1^2 + x2^2.  60 digits
+leave more than 40 where 1 - b e^{-2 rho t} cancels by up to 1e15, and
+mpmath's exponent range has no overflow or underflow.
+
 ``first_return`` is the first backward return to the line x1 = k of the
 oscillator orbit through the line point u1 = (k, v), exact from its float
 inputs.  In polar coordinates r' = r (rho - r^2), theta' = omega, so
@@ -51,6 +60,20 @@ from typing import NamedTuple, Optional
 import mpmath as mp
 
 DPS = 60
+
+
+def radial_sq(x1, x2, rho, t) -> Optional[float]:
+    """r(t)^2 of the radial law from (x1, x2), rounded to a float (0.0 or
+    inf past the float range); None at or past the backward escape."""
+    with mp.workdps(DPS):
+        x1, x2, rho, t = (mp.mpf(x) for x in (x1, x2, rho, t))
+        r0_sq = x1 * x1 + x2 * x2
+        if r0_sq == 0:
+            return 0.0
+        den = 1 - (r0_sq - rho) / r0_sq * mp.exp(-2 * rho * t)
+        if den <= 0:
+            return None
+        return float(rho / den)
 
 
 class FirstReturn(NamedTuple):

@@ -1,11 +1,14 @@
 import math
 import struct
 from dataclasses import replace
+from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 
 from helpers import Budget, semigroup_max_rel_err
+from rigorous import first_return, radial_sq
 
 from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup, StepFailure
@@ -13,14 +16,28 @@ from hetcycle.flows import (
     ON_CYCLE_BAND,
     left_field,
     left_flow,
+    left_orbit,
     numeric_flow,
-    radial_blowup_time,
     radial_law,
     right_field,
     right_flow,
 )
 
 TIGHT = StepControl(rtol=1e-12, atol=1e-14)
+
+
+class _Law(NamedTuple):
+    """radial_law's (r0^2, b, t_escape, r_sq), by name."""
+
+    r0_sq: float
+    b: float
+    t_escape: float
+    r_sq: object
+
+
+def _law(x1, x2, rho):
+    return _Law(*radial_law(x1, x2, rho))
+
 
 # Oracle values frozen from the adaptive Runge-Kutta integration of the raw
 # fields at rtol 1e-13 (see numeric_flow); the closed forms must match.
@@ -51,7 +68,7 @@ def test_left_flow_matches_frozen_oracle(ex1):
 
 def test_left_flow_backward_blowup_boundary():
     p = _plain_params()
-    t_blow = radial_blowup_time(4.0, p.rho)  # start (2, 0, 0)
+    t_blow = _law(2.0, 0.0, p.rho).t_escape  # start (2, 0, 0)
     assert t_blow == pytest.approx(math.log(0.75) / 2.0)
     with pytest.raises(BackwardBlowup):
         left_flow((2.0, 0.0, 0.0), t_blow, p)
@@ -245,45 +262,104 @@ def test_left_flow_radial_monotonicity(ex1):
     assert all(b < a for a, b in zip(outside, outside[1:]))
 
 
-# The radial law as it stood before the on-cycle band, written out per
-# call; radial_law must reproduce it bit for bit outside the band.
-def _frozen_radial_sq(r0_sq, t, rho):
+# The radial law written out per call, from the start's coordinates; the
+# law bound once (radial_law, and left_orbit through it) must reproduce it
+# bit for bit, and it must meet the 60-digit rigorous.radial_sq.
+def _frozen_offset(x1, x2, rho):
+    """(r0^2, b, log|b|) of the start: b = (r0^2 - rho) / r0^2 from the
+    exact squares (Veltkamp's split) rounded once by fsum; b = -inf at
+    the origin, and no log|b| in the on-cycle band."""
+    r0_sq = x1 * x1 + x2 * x2
+    if r0_sq == 0.0:
+        return 0.0, -math.inf, math.inf
+    terms = [-rho]
+    for x in (x1, x2):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        lo = x - hi
+        terms += [x * x, ((hi * hi - x * x) + 2.0 * hi * lo) + lo * lo]
+    diff = math.fsum(terms)
+    b = diff / r0_sq
+    if abs(b) <= ON_CYCLE_BAND:
+        return r0_sq, b, None
+    if b > 0.5:
+        log_b = math.log1p(-(rho / r0_sq))
+    elif b > -math.inf:
+        log_b = math.log(abs(b))
+    else:
+        log_b = math.log(-diff) - math.log(r0_sq)
+    return r0_sq, b, log_b
+
+
+def _frozen_escape(x1, x2, rho):
+    """The backward escape time, -inf inside the cycle or on it."""
+    _, b, log_b = _frozen_offset(x1, x2, rho)
+    if b <= ON_CYCLE_BAND:
+        return -math.inf
+    return log_b / (2.0 * rho)
+
+
+def _frozen_radial_sq(x1, x2, t, rho):
+    r0_sq, b, log_b = _frozen_offset(x1, x2, rho)
     if r0_sq == 0.0:
         return 0.0
-    a = rho / r0_sq - 1.0
-    if a == 0.0:
+    if abs(b) <= ON_CYCLE_BAND:
         return rho
-    s = math.log(abs(a)) - 2.0 * rho * t
-    if a < 0.0:
-        if s >= 0.0:
-            t_blow = math.log(-a) / (2.0 * rho)
-            raise BackwardBlowup(
-                f"radial solution escapes at t={t_blow!r}; "
-                f"requested t={float(t)!r}")
-        return rho / (1.0 - math.exp(s))
+    start = rho / r0_sq
+    if b > 0.0:
+        t_escape = log_b / (2.0 * rho)
+        den = start - b * math.expm1(-(2.0 * rho) * t) if t > t_escape else 0.0
+        if den > 0.0:
+            return rho / den
+        raise BackwardBlowup(f"radial solution escapes at t={t_escape!r}; "
+                             f"requested t={float(t)!r}")
+    x = -(2.0 * rho) * t
+    if b > -math.inf and -math.log(2.0) <= x <= math.log(2.0):
+        return rho / (start - b * math.expm1(x))
+    s = log_b + x
     if s > 0.0:
-        es = math.exp(-s)
-        return rho * es / (1.0 + es)
+        return math.exp(math.log(rho) - s) / (1.0 + math.exp(-s))
     return rho / (1.0 + math.exp(s))
 
 
-def _in_band(r0_sq, rho):
-    return r0_sq != 0.0 and abs(rho / r0_sq - 1.0) <= ON_CYCLE_BAND
+def _in_band(x1, x2, rho):
+    r0_sq, b, _ = _frozen_offset(x1, x2, rho)
+    return r0_sq != 0.0 and abs(b) <= ON_CYCLE_BAND
 
 
-def _ref_radial_sq(r0_sq, t, rho):
-    """The frozen law, with rho for a start inside the on-cycle band."""
-    return rho if _in_band(r0_sq, rho) else _frozen_radial_sq(r0_sq, t, rho)
+def _assert_meets_rigorous(x1, x2, t, rho, got):
+    """r(t)^2 within 1e-13 of the 60-digit law, where the law evaluates
+    within a factor 100 of rho outside the cycle (the escape's own
+    conditioning grows as r^2 / rho), or the raise at or past the escape.
+    """
+    want = radial_sq(x1, x2, rho, t)
+    if got is BackwardBlowup:
+        assert want is None or want > 1e12 * rho, (x1, x2, t, rho)
+    elif want is not None and want <= 100.0 * max(rho, x1 * x1 + x2 * x2):
+        assert abs(got - want) <= 1e-13 * want, (x1, x2, t, rho, got, want)
+
+
+def _assert_radius_meets_rigorous(x0, t, rho, orbit):
+    """The radius of the left orbit ``orbit`` of the start ``x0`` at ``t``
+    against the 60-digit law, off the on-cycle band (where r^2 = rho)."""
+    if _in_band(x0[0], x0[1], rho):
+        return
+    try:
+        x = orbit(t)
+    except BackwardBlowup:
+        got = BackwardBlowup
+    else:
+        got = x[0] * x[0] + x[1] * x[1]
+    _assert_meets_rigorous(float(x0[0]), float(x0[1]), float(t), rho, got)
 
 
 def _band_starts(rho):
-    """Squared start radii just inside and just outside the band on both
-    sides of the cycle, with the offset each gives."""
+    """Starts (x1, 0) just inside and just outside the band on both sides
+    of the cycle, with the offset |b| each aims at."""
     out = []
     for rel in (0.5e-12, 0.99e-12, 1.01e-12, 2e-12, 1e-9):
         for sign in (1.0, -1.0):
-            r0_sq = rho / (1.0 + sign * rel)
-            out.append((r0_sq, rho / r0_sq - 1.0))
+            out.append((math.sqrt(rho / (1.0 - sign * rel)), sign * rel))
     return out
 
 
@@ -292,54 +368,185 @@ def test_radial_law_matches_frozen_reference():
     inside = outside = near_escape = 0
     for _ in range(60):
         rho = rng.uniform(0.3, 2.0)
-        starts = [0.0, rho] + [rho * rng.uniform(0.01, 3.0) for _ in range(6)]
-        starts += [r0_sq for r0_sq, _ in _band_starts(rho)]
-        for r0_sq in starts:
-            law = radial_law(r0_sq, rho)
+        sr = math.sqrt(rho)
+        starts = [(0.0, 0.0), (sr, 0.0)]
+        for _ in range(6):
+            th = rng.uniform(-math.pi, math.pi)
+            r = sr * math.sqrt(rng.uniform(0.01, 3.0))
+            starts.append((r * math.cos(th), r * math.sin(th)))
+        starts += [(x1, 0.0) for x1, _ in _band_starts(rho)]
+        for x1, x2 in starts:
+            law = _law(x1, x2, rho)
             ts = [0.0, -0.0] + list(rng.uniform(-40.0, 40.0, size=8))
-            t_blow = radial_blowup_time(r0_sq, rho)
+            t_blow = _frozen_escape(x1, x2, rho)
+            assert law.t_escape == t_blow, (x1, x2)
             if t_blow > -math.inf:
                 ts += [t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow - 1.0]
             for t in ts:
                 t = float(t)
-                got = _kernel_outcome(lambda t: (law(t),), t)
-                if _in_band(r0_sq, rho):
-                    assert got == ((rho,), _bits((rho,))), (r0_sq, t)
+                got = _kernel_outcome(lambda t: (law.r_sq(t),), t)
+                if _in_band(x1, x2, rho):
+                    assert got == ((rho,), _bits((rho,))), (x1, x2, t)
                     inside += 1
                 else:
-                    try:
-                        want = _kernel_outcome(
-                            lambda t: (_frozen_radial_sq(r0_sq, t, rho),), t)
-                    except ZeroDivisionError:
-                        # e^s rounded to 1 just inside the escape time: the
-                        # frozen law divided by zero, the live one raises
-                        assert got[0] is BackwardBlowup, (r0_sq, t)
-                        near_escape += 1
-                        continue
-                    assert got == want, (r0_sq, t)
+                    want = _kernel_outcome(
+                        lambda t: (_frozen_radial_sq(x1, x2, t, rho),), t)
+                    assert got == want, (x1, x2, t)
+                    if got[0] is BackwardBlowup:
+                        near_escape += t > t_blow - 1e-6
+                        _assert_meets_rigorous(x1, x2, t, rho, BackwardBlowup)
+                    else:
+                        _assert_meets_rigorous(x1, x2, t, rho, got[0][0])
                     outside += 1
                 assert _kernel_outcome(
-                    lambda t: (radial_law(r0_sq, rho)(t),), t) == got
+                    lambda t: (_law(x1, x2, rho).r_sq(t),), t) == got
     assert inside and outside and near_escape
 
 
 def test_on_cycle_band_edges():
     rho = 1.3
-    for r0_sq, a in _band_starts(rho):
-        t_blow = radial_blowup_time(r0_sq, rho)
-        if abs(a) <= ON_CYCLE_BAND:
+    for x1, rel in _band_starts(rho):
+        law = _law(x1, 0.0, rho)
+        r0_sq, b, log_b = _frozen_offset(x1, 0.0, rho)
+        assert law.b == (0.0 if abs(b) <= ON_CYCLE_BAND else b)
+        if abs(b) <= ON_CYCLE_BAND:
             # on the cycle: no escape time, r^2 = rho at every time
-            assert t_blow == -math.inf
-            assert radial_law(r0_sq, rho)(-1e3) == rho
-        elif a < 0.0:
-            assert t_blow == math.log(1.0 - rho / r0_sq) / (2.0 * rho)
+            assert law.t_escape == -math.inf
+            assert law.r_sq(-1e3) == rho
+        elif b > 0.0:
+            # the escape log(b) / (2 rho), b from the exact offset, within
+            # 4 ulp of the 60-digit escape time
+            assert law.t_escape == log_b / (2.0 * rho)
+            with mpmath.workdps(60):
+                exact = mpmath.mpf(x1) ** 2
+                ref = mpmath.log((exact - rho) / exact) / (2 * rho)
+            assert abs(law.t_escape - float(ref)) <= 4.0 * math.ulp(
+                law.t_escape)
             with pytest.raises(BackwardBlowup, match="requested t="):
-                radial_law(r0_sq, rho)(t_blow * (1.0 + 1e-9))
+                law.r_sq(law.t_escape * (1.0 + 1e-9))
+            law.r_sq(law.t_escape * (1.0 - 1e-9))
         else:
-            assert t_blow == -math.inf
+            assert law.t_escape == -math.inf
     # the band reaches both sides of the cycle at each edge
-    assert sorted(abs(a) <= ON_CYCLE_BAND for _, a in _band_starts(rho)) \
-        == [False] * 6 + [True] * 4
+    assert sorted(abs(_frozen_offset(x1, 0.0, rho)[1]) <= ON_CYCLE_BAND
+                  for x1, _ in _band_starts(rho)) == [False] * 6 + [True] * 4
+
+
+def test_left_orbit_meets_rigorous_along_a_near_cycle_l1_return():
+    # The L1 line k / sqrt(rho) - 1 = 1.4e-10 whose first-return scan an
+    # offset formed by cancellation misplaced: along [t*, 0] the orbit of
+    # the tangency point keeps r^2 to 1e-13 of the 60-digit law (that
+    # offset missed it by 9.6e-7).
+    from hetcycle.model import tangency_ordinates
+
+    rho, omega, k = (0.0016230609822102907, 0.00015704353400870005,
+                     0.04028723101266667)
+    vp = tangency_ordinates(rho, omega, k)[1]
+    t_star = first_return(rho, omega, k, vp).t
+    assert t_star == pytest.approx(-6686.3677, abs=1e-4)
+    orbit = left_orbit((k, vp, 0.0), rho, omega, 0.0)
+    worst = 0.0
+    for t in [t_star * i / 200.0 for i in range(201)]:
+        x1, x2, _ = orbit(t)
+        want = radial_sq(k, vp, rho, t)
+        worst = max(worst, abs(x1 * x1 + x2 * x2 - want) / want)
+    assert worst <= 1e-13, worst
+
+
+def test_radial_law_meets_rigorous_near_the_cycle():
+    # 400 starts with rho log-uniform in [1e-3, 10] and |rho / r0^2 - 1|
+    # log-uniform in [1e-11, 1e-3], on both sides of the cycle, at a uniform
+    # angle (so |x1| < |x2| half the time); backward until the offset has
+    # grown 1e6-fold, or outside the cycle until r^2 = 100 rho (past it the
+    # escape's own conditioning, r^2 / rho, takes over), and forward to
+    # 5 / rho.  Every r^2 is within 1e-12 of the 60-digit law (an offset
+    # formed by cancellation missed it by 5.7e-9).
+    rng = np.random.default_rng(38)
+    worst = 0.0
+    with Budget("radial law near the cycle against the reference", 10.0):
+        for i in range(400):
+            rho = 10.0 ** rng.uniform(-3.0, 1.0)
+            a = 10.0 ** rng.uniform(-11.0, -3.0) * (1.0 if i % 2 else -1.0)
+            r0, th = math.sqrt(rho / (1.0 + a)), rng.uniform(-math.pi, math.pi)
+            x1, x2 = r0 * math.cos(th), r0 * math.sin(th)
+            law = _law(x1, x2, rho)
+            growth = 1e6 if a > 0.0 else min(1e6, 0.99 / law.b)
+            t_back = -math.log(growth) / (2.0 * rho)
+            ts = [t_back * j / 11.0 for j in range(12)]
+            ts += [5.0 / rho * j / 7.0 for j in range(1, 8)]
+            for t in ts:
+                want = radial_sq(x1, x2, rho, t)
+                worst = max(worst, abs(law.r_sq(t) - want) / want)
+    assert worst <= 1e-12, worst
+
+
+def test_radial_law_returns_the_start():
+    # r(0) is within 2 ulp of the exact radius of the start, over four
+    # decades either side of the cycle (an offset formed by cancellation
+    # was off by up to 231,819 ulp), and a start far outside a small cycle
+    # keeps its coordinate (it moved by -4.96e-8)
+    rng = np.random.default_rng(3838)
+    worst = 0.0
+    for _ in range(20000):
+        rho = 10.0 ** rng.uniform(-6.0, 6.0)
+        r = math.sqrt(rho) * 10.0 ** rng.uniform(-3.0, 3.0)
+        th = rng.uniform(-math.pi, math.pi)
+        x1, x2 = r * math.cos(th), r * math.sin(th)
+        got = math.sqrt(_law(x1, x2, rho).r_sq(0.0))
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt(mpmath.mpf(x1) ** 2 + mpmath.mpf(x2) ** 2))
+        worst = max(worst, abs(got - want) / math.ulp(want))
+    assert worst <= 2.0, worst
+    x = left_orbit((1.2, 0.0, 0.0), 1e-10, 1.0, 0.0)(0.0)
+    assert abs(x[0] - 1.2) <= math.ulp(1.2), x
+
+
+def test_radial_law_edge_starts():
+    # the origin is an equilibrium of the law
+    law = _law(0.0, -0.0, 1.0)
+    assert (law.r0_sq, law.t_escape) == (0.0, -math.inf)
+    assert [law.r_sq(t) for t in (-1e3, 0.0, 1e3)] == [0.0] * 3
+    assert left_orbit((0.0, -0.0, 0.5), 1.0, 1.0, 1.0)(2.0)[:2] == (0.0, 0.0)
+    # a subnormal r0^2: rho / r0^2 overflows, yet the start keeps its
+    # radius to the precision of r0^2, and the orbit reaches the cycle
+    law = _law(1e-160, 0.0, 1.0)
+    r0_sq = 1e-160 * 1e-160
+    assert 0.0 < r0_sq < 2.0 ** -1022
+    assert abs(law.r_sq(0.0) - r0_sq) <= math.ulp(r0_sq)
+    x = left_orbit((1e-160, 0.0, 0.0), 1.0, 1.0, 0.0)
+    assert abs(x(0.0)[0] - math.sqrt(r0_sq)) <= math.ulp(r0_sq) / r0_sq \
+        * math.sqrt(r0_sq)
+    assert abs(math.hypot(*x(400.0)[:2]) - 1.0) <= 1e-12
+    # forward from a tiny start never raises, and r grows to the cycle
+    for rho in (1.0, 1e-3, 1e3):
+        law = _law(1e-150, 0.0, rho)
+        rs = [law.r_sq(t / rho) for t in (0.0, 1.0, 100.0, 300.0, 346.0,
+                                           400.0, 1e4, math.inf)]
+        assert all(a <= b for a, b in zip(rs, rs[1:])), rs
+        assert rs[-2] == rs[-1] == rho
+    # deep backward inside the cycle: r^2 follows the 60-digit law down to
+    # the float range's end, with no overflow and no early 0
+    for x1, rho in ((0.5, 1.0), (0.999, 1.0), (1e-100, 1e-3), (3.0, 1e4)):
+        law = _law(x1, 0.0, rho)
+        for t in (-1.0, -10.0, -100.0, -300.0, -355.0, -372.0, -1e4):
+            t /= rho
+            got, want = law.r_sq(t), radial_sq(x1, 0.0, rho, t)
+            if want >= 2.0 ** -1022:
+                assert abs(got - want) <= 1e-12 * want, (x1, rho, t)
+            else:
+                assert got <= 2.0 ** -1022 and (got > 0.0) == (want > 0.0)
+    # the escape: BackwardBlowup past it, not before it
+    for x1, x2, rho in ((2.0, 0.0, 1.0), (1.2, 0.0, 1e-10),
+                        (0.0, 1.0 + 1e-9, 1.0), (3e5, -4e5, 7.0),
+                        (0.03, 0.04, 1e-3 * (1.0 - 1e-6))):
+        law = _law(x1, x2, rho)
+        assert law.t_escape < 0.0
+        with pytest.raises(BackwardBlowup, match="requested t="):
+            law.r_sq(law.t_escape * (1.0 + 1e-9))
+        assert law.r_sq(law.t_escape * (1.0 - 1e-9)) > 0.0
+        want = radial_sq(x1, x2, rho, law.t_escape * (1.0 - 1e-9))
+        assert law.r_sq(law.t_escape * (1.0 - 1e-9)) == pytest.approx(
+            want, rel=1e-5)
 
 
 def test_left_flow_on_cycle_start_stays_on_the_cylinder(ex1):
@@ -348,7 +555,7 @@ def test_left_flow_on_cycle_start_stays_on_the_cylinder(ex1):
     sr = ex1.sqrt_rho
     for scale in (1.0 + 4e-16, 1.0 - 4e-16):
         x0 = (sr * scale * math.cos(0.3), sr * scale * math.sin(0.3), 0.2)
-        assert _in_band(x0[0] * x0[0] + x0[1] * x0[1], ex1.rho)
+        assert _in_band(x0[0], x0[1], ex1.rho)
         x = left_flow(x0, -30.0, ex1)
         assert math.hypot(x[0], x[1]) == pytest.approx(sr, rel=1e-15)
 
@@ -366,14 +573,15 @@ def test_left_flow_stable_plane_past_exp_overflow(ex1):
 
 
 # The numpy-array closed forms as they stood before the flows moved to
-# Python floats; the float path must reproduce them bit for bit.
+# Python floats, the left one on the frozen radial law above; the float
+# path must reproduce them bit for bit.
 def _array_left_flow(x0, t, params):
     x0 = np.asarray(x0, dtype=float)
     r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
     if r0_sq == 0.0:
         x1 = x2 = 0.0
     else:
-        r_sq = _ref_radial_sq(r0_sq, t, params.rho)
+        r_sq = _frozen_radial_sq(x0[0], x0[1], t, params.rho)
         r = math.sqrt(r_sq)
         theta = math.atan2(x0[1], x0[0]) + params.omega * t
         x1 = r * math.cos(theta)
@@ -443,14 +651,15 @@ def test_left_flow_float_path_matches_array_reference(ex1, ex2, ex3):
             x0 = (r * math.cos(th), r * math.sin(th), rng.uniform(-1.0, 1.0))
             t = rng.uniform(-3.0, 6.0)
             _assert_float_path_matches(left_flow, _array_left_flow, x0, t, p)
+            _assert_radius_meets_rigorous(
+                x0, t, p.rho, lambda t: left_flow(x0, t, p))
         # the origin of the plane (r0 = 0), a start on the cycle, and the
         # backward escape time of a start outside it, at and just past it
         for x0, t in (((0.0, 0.0, 0.3), -2.0), ((0.0, 0.0, 0.0), 5.0),
                       ((sr, 0.0, 0.1), -4.0)):
             _assert_float_path_matches(left_flow, _array_left_flow, x0, t, p)
         x0 = (1.5 * sr, -0.2 * sr, 0.4)
-        t_blow = radial_blowup_time(x0[0] * x0[0] + x0[1] * x0[1],
-                                    p.rho)
+        t_blow = _frozen_escape(x0[0], x0[1], p.rho)
         for t in (t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow + 1e-3):
             _assert_float_path_matches(left_flow, _array_left_flow, x0, t, p)
         assert _outcome(left_flow, x0, t_blow, p) is BackwardBlowup
@@ -481,7 +690,7 @@ def test_left_flow_start_memo_matches_array_reference(ex1, ex2, ex3):
         (0.5, 0.0, 0.1), (0.5, -0.0, -0.0),
     ]
     assert p.rho / (0.0 * 0.0 + (-1.0) * (-1.0)) - 1.0 == 0.0
-    t_blow = radial_blowup_time(2.0 * 2.0 + 0.5 * 0.5, p.rho)
+    t_blow = _frozen_escape(2.0, 0.5, p.rho)
     times = (-0.7, 0.0, -0.0, 0.3, 4.0, t_blow, t_blow - 1e-9,
              t_blow + 1e-9)
     assert isinstance(_flow_outcome(_array_left_flow, starts[1], t_blow, p),
@@ -495,6 +704,9 @@ def test_left_flow_start_memo_matches_array_reference(ex1, ex2, ex3):
                 for params in (p, twin, ex1, ex2, ex3, p):
                     want = _flow_outcome(_array_left_flow, starts[i], t,
                                          params)
+                    _assert_radius_meets_rigorous(
+                        held, t, params.rho,
+                        lambda t: left_flow(held, t, params))
                     assert _flow_outcome(left_flow, held, t, params) == want
                     assert _flow_outcome(left_flow, held, np.float64(t),
                                          params) == want
@@ -538,7 +750,7 @@ def _ref_planar_left_flow(xy, t, rho, omega):
     r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
     if r0_sq == 0.0:
         return (0.0, 0.0)
-    r = math.sqrt(_ref_radial_sq(r0_sq, t, rho))
+    r = math.sqrt(_frozen_radial_sq(xy[0], xy[1], t, rho))
     theta = math.atan2(xy[1], xy[0]) + omega * t
     return (r * math.cos(theta), r * math.sin(theta))
 
@@ -672,7 +884,6 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
 def test_planar_left_flow_matches_per_call_reference():
     # left_orbit bound once in the plane x3 = 0: the reference's (x1, x2)
     # bit for bit
-    from hetcycle.flows import left_orbit
 
     rng = np.random.default_rng(31)
     for _ in range(40):
@@ -686,8 +897,7 @@ def test_planar_left_flow_matches_per_call_reference():
         for xy in starts:
             orbit = left_orbit((*xy, 0.0), rho, omega, 0.0)
             ts = [0.0, -0.0] + list(rng.uniform(-4.0, 6.0, size=12))
-            r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
-            t_blow = radial_blowup_time(r0_sq, rho)
+            t_blow = _frozen_escape(xy[0], xy[1], rho)
             if t_blow > -math.inf:  # the backward escape, at and around it
                 ts += [t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow - 1.0]
             for t in ts:
@@ -695,10 +905,11 @@ def test_planar_left_flow_matches_per_call_reference():
                 want = _kernel_outcome(_ref_planar_left_flow, xy, t, rho, omega)
                 assert _kernel_outcome(lambda t: orbit(t)[:2], t) == want, (
                     xy, t)
+                _assert_radius_meets_rigorous(xy, t, rho, orbit)
     # a start outside the cycle raises at its escape time, same message
     orbit = left_orbit((2.0, 0.0, 0.0), 1.0, 3.0, 0.0)
     with pytest.raises(BackwardBlowup, match="requested t="):
-        orbit(radial_blowup_time(4.0, 1.0))
+        orbit(_frozen_escape(2.0, 0.0, 1.0))
 
 
 def test_right_flow_block_memo_follows_the_params_object(ex2, ex3):

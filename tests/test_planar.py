@@ -20,7 +20,7 @@ from hetcycle.errors import (
     UngenericBranch,
     WrongSpectralType,
 )
-from hetcycle.flows import left_orbit, radial_blowup_time
+from hetcycle.flows import left_orbit, radial_law
 from hetcycle.model import l2_offset, tangency_ordinates
 from hetcycle.planar import (
     ROOT_BRACKET,
@@ -476,8 +476,7 @@ def test_near_cycle_returns_match_the_reference():
             if a.regime == "subcritical":
                 assert _matches_reference(a, rho, omega), (rho, omega, k)
             if a.t_star is not None:
-                r0_sq = k * k + a.varrho_plus * a.varrho_plus
-                floor = radial_blowup_time(r0_sq, rho)
+                floor = radial_law(k, a.varrho_plus, rho)[2]  # t_escape
                 late += omega * (a.t_star - floor) < 2.0 * math.pi / 64.0
     print(dict(seen), "returns within a grid step of the escape:", late)
     assert all(seen[b] for b in ("x2star_above", "x2star_below",
