@@ -8,8 +8,8 @@ to a logistic curve in r^2,
 
 linear drift in theta and an exponential in x3.  ``radial_law`` states it
 once, from an exact offset b, for ``left_orbit`` and ``planar``'s L1
-first-return scan; a start with |b| <= ``ON_CYCLE_BAND`` stays on the
-cycle.  For b > 0 the radius escapes to infinity at the finite backward
+first-return scan; ``left_orbit`` alone holds |b| <= ``ON_CYCLE_BAND`` on
+the cycle.  For b > 0 the radius escapes to infinity at the finite backward
 time log(b) / (2 rho); evaluation at or past it raises BackwardBlowup
 rather than clamping, because silent saturation would corrupt the root
 finding built on top of this flow.
@@ -50,13 +50,6 @@ from ._integrate import rk45
 from .errors import BackwardBlowup
 from .model import PlanarLinearSystem, SystemParams, point
 
-#: Band of |b| = |r0^2 - rho| / r0^2 within which a start is on the limit
-#: cycle (r^2 = rho for every t).  A point built on the cycle lies on it only
-#: up to rounding, which the law's backward repulsion at rate 2 rho would
-#: grow into a spurious blow-up or a large residual.
-ON_CYCLE_BAND = 1e-12
-
-
 def radial_law(x1: float, x2: float, rho: float) -> tuple:
     """The radial law r' = r(rho - r^2) from the start (x1, x2), as
     (r0^2, b, t_escape, r_sq): the offset b (0.0 on the cycle, -inf at the
@@ -89,7 +82,7 @@ def radial_law(x1: float, x2: float, rho: float) -> tuple:
         b = diff / r0_sq
     else:  # r0^2 past the float range: b = 1 within rounding
         diff, b = r0_sq, 1.0
-    if abs(b) <= ON_CYCLE_BAND:
+    if b == 0.0:  # exactly on the cycle
         return r0_sq, 0.0, -math.inf, lambda t: rho
     start, two_rho = rho / r0_sq, 2.0 * rho
     if b > 0.0:
@@ -129,17 +122,28 @@ def _plane_rate(c: float, rate: float) -> float:
     return rate if c != 0.0 else 0.0
 
 
+#: Band of |b| = |r0^2 - rho| / r0^2 within which ``left_orbit`` holds a
+#: start on the limit cycle (r^2 = rho for every t).  A point built on the
+#: cycle lies on it only up to rounding, which the law's backward repulsion
+#: at rate 2 rho would grow into a spurious blow-up or a large residual.
+ON_CYCLE_BAND = 1e-12
+
+
 def left_orbit(x0, rho: float, omega: float, mu: float):
-    """The left-zone flow from the start ``x0`` as ``t -> (x1, x2, x3)``,
-    a tuple of floats; the one builder of the left closed form."""
+    """The left-zone flow from ``x0`` (itself at t = 0, off the x3 axis) as
+    ``t -> (x1, x2, x3)``, floats; the one builder of the left closed form."""
     x1, x2, x3 = x0
     mu = _plane_rate(x3, mu)
-    r0_sq, _, _, r_sq = radial_law(x1, x2, rho)
+    r0_sq, b, _, r_sq = radial_law(x1, x2, rho)
     if r0_sq == 0.0:
         return lambda t: (0.0, 0.0, x3 * math.exp(mu * t))
+    if abs(b) <= ON_CYCLE_BAND:
+        r_sq = lambda t: rho  # noqa: E731
     theta0 = math.atan2(x2, x1)
 
     def orbit(t):
+        if t == 0.0:
+            return x1, x2, x3
         r = math.sqrt(r_sq(t))
         theta = theta0 + omega * t
         return (r * math.cos(theta), r * math.sin(theta),

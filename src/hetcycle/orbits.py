@@ -271,8 +271,8 @@ def build_gamma_up(params: SystemParams, verdict: CycleVerdict, p,
     tb, tf = horizons["gamma_up_back"], horizons["gamma_up_fwd"]
     p = point(p)
     # Backward, p lies on the cylinder x1^2 + x2^2 = rho up to rounding;
-    # the radial law treats it as on the cycle (flows.ON_CYCLE_BAND), so
-    # its repulsion at rate 2 rho does not amplify that rounding.
+    # the left orbit holds it on the cycle (flows.ON_CYCLE_BAND), so the
+    # radial law's repulsion at rate 2 rho does not amplify that rounding.
     back = _segment(params, p, -tb, 0.0, _per_revolution(params, tb),
                     "gamma_up_back", "minus_strict",
                     "backward cylinder segment")

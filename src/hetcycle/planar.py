@@ -29,12 +29,11 @@ Both first returns are bracketed from the orbit's closed form and refined
 by safeguarded false position (``_refine``) to ``ROOT_BRACKET`` in their
 own turn's angle, and so scale exactly with a power-of-2 time unit.  The
 focus return is one dimensionless root in the spiral's angle, between
-analytic bounds.  The oscillator return, on ``flows.radial_law``, lies
-within the first backward revolution, sampled at 64 points per revolution
-only where the growing radius lets the orbit reach the line; its seed sits
-on the line (tangentially), so the scan starts a sliver before zero, and
-near-tangent returns are an explicit 'ungeneric' branch instead of being
-forced into the generic dichotomy.  Its records are ``NamedTuple``s.
+analytic bounds.  The oscillator return lies in the first backward
+revolution, on the exact ``flows.radial_law``; its seed sits on the line
+(tangentially), so the scan starts a sliver before zero, and near-tangent
+returns are an explicit 'ungeneric' branch instead of being forced into
+the generic dichotomy.  Its records are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -164,78 +163,68 @@ def _vdp_backward_return(u1, rho, omega):
     evaluations), the point (k, +-sqrt(r^2 - k^2)) on the orbit's side of
     the x1 axis; or (None, None, evaluations) when the orbit escapes first.
 
-    u1 lies outside the cycle, so r grows backward, and at the centre
-    t_c = -(2 pi + theta0) / omega of the first backward revolution
-    x1 = r(t_c) > k: the return lies in (max(t_c, floor), 0), the floor a
-    sliver inside the escape time.  Of the grid t_j = -eps - j dt (dt =
-    period / 64) only the points where cos(theta) >= k / r_max (r_max the
-    largest radius in the cos > 0 window n = 0 or -1) can be past the line
-    and are sampled.  The first one past it is bracketed against the one
-    before, or against the seed (NaN, as its value is rounding noise: the
-    refine bisects); else a last probe at max(t_c, floor) is past it at
-    t_c, or just before the escape if the orbit crosses there.  ``_refine``
-    stops at ``ROOT_BRACKET`` / omega.  r, the escape and the on-cycle rule
-    (no return) are ``flows.radial_law``'s; x1 - k = (r^2 - k^2) / (r + k)
-    - 2 r sin^2(theta / 2) has no cancellation: r^2 - k^2 = r^2 b r0^2 /
-    rho expm1(-2 rho t) + v^2 from the law's exact offset b, and theta is
+    The argument of ``tests/rigorous.first_return``.  theta = theta0 +
+    omega t, theta0 = atan2(v, k) in (-pi/2, 0), and u1 lies outside the
+    cycle, so r grows backward up to the escape of ``flows.radial_law``
+    (t_stop is a sliver inside it).  Arc A, theta in (-pi/2, theta0): x1
+    may rise past k and fall back, so the grid t_j = -eps - j dt (dt =
+    period / 64), clamped to t_stop, is sampled where cos(theta) >= k /
+    r_max (r_max the radius at theta = -pi/2); the first point past the
+    line is bracketed against the one before, or against the seed (NaN,
+    its value being rounding noise: the refine bisects).  Arc B, theta in
+    [-3 pi/2, -pi/2]: cos(theta) <= 0, so x1 < k.  Arc C, theta in (-2 pi,
+    -3 pi/2): x1 = r cos(theta) rises strictly backward from 0 at t_hi to
+    r(t_c) > k at t_c = -(2 pi + theta0) / omega, or without bound at the
+    escape, so its one crossing is refined in (max(t_c, t_stop), t_hi)
+    from NaN and -k, neither end evaluated.  ``_refine`` stops at
+    ``ROOT_BRACKET`` / omega.  x1 - k = (r^2 - k^2) / (r + k) - 2 r
+    sin^2(theta / 2) has no cancellation: r^2 - k^2 = r^2 b r0^2 / rho
+    expm1(-2 rho t) + v^2 from the law's exact offset b, and theta is
     theta0 + omega t or omega (t - t_c) - 2 pi, from the nearer end.
     """
     k, v = u1
     r0_sq, b, t_escape, r_sq_of = radial_law(k, v, rho)
-    if b == 0.0:
-        return None, None, 0
     v_sq, two_rho = v * v, 2.0 * rho
     gain = b * r0_sq / rho  # (r0^2 - rho) / rho
     theta0 = math.atan2(v, k)
     t_c = -(2.0 * math.pi + theta0) / omega
-    t_far = -(math.pi + theta0) / omega  # theta = -pi, between the windows
+    t_hi = -(1.5 * math.pi + theta0) / omega  # theta = -3 pi / 2: x1 = 0
     dt = 2.0 * math.pi / omega / 64.0
     eps = dt * 1e-6
     t_stop = t_escape + dt * 1e-9
-    t_lo = max(t_c, t_stop)
     half_theta0, half_omega = 0.5 * theta0, 0.5 * omega
 
     def value(t):  # x1 - k
         r_sq = r_sq_of(t)
         r = math.sqrt(r_sq)
-        s = math.sin(half_theta0 + half_omega * t if t > t_far
+        s = math.sin(half_theta0 + half_omega * t if t > t_hi
                      else half_omega * (t - t_c))  # theta / 2, nearer end
         return ((r_sq * gain * math.expm1(-two_rho * t) + v_sq) / (r + k)
                 - 2.0 * r * s * s)
 
-    grid = []  # the sampled grid indices, in the order of the scan
+    def crossing(lo, f_lo, hi, f_hi, evals):  # sin(theta) < 0 on arc A only
+        t, steps = _refine(value, lo, f_lo, hi, f_hi, ROOT_BRACKET / omega)
+        x2 = math.sqrt(r_sq_of(t) * gain * math.expm1(-two_rho * t) + v_sq)
+        return (k, -x2 if t > t_hi else x2), t, evals + steps + 1
+
     evals = 0
-    try:  # a radius escaping in rounding before the floor escapes too
-        for centre in (-theta0, -2.0 * math.pi - theta0):  # omega t at cos = 1
-            t_edge = max((centre - 0.5 * math.pi) / omega, t_c)
-            half = (math.acos(min(1.0, k / math.sqrt(r_sq_of(t_edge))))
-                    if t_edge > t_stop else 0.5 * math.pi)
-            near, far = (centre + half) / omega, (centre - half) / omega
-            if near <= t_stop:
-                break  # the orbit escapes before it reaches this window
-            # j >= 1 skips the seed; the window n = -1 ends past t_c
-            grid += range(max(1, math.ceil((-eps - near) / dt)),
-                          math.ceil((-eps - far) / dt) + 1)
-        else:  # then the probe at t_lo ends the scan, even where rounding
-            grid.append(math.inf)  # leaves the last grid point after t_c
+    try:  # a radius escaping in rounding after t_stop escapes too
+        t_edge = -(0.5 * math.pi + theta0) / omega  # theta = -pi/2
+        half = (math.acos(min(1.0, k / math.sqrt(r_sq_of(t_edge))))
+                if t_edge > t_stop else 0.5 * math.pi)
         t_neg, f_neg = -eps, math.nan
-        for j in grid:
-            t = -eps - j * dt
-            if t <= t_lo:
-                t = t_lo
+        last = math.ceil((-eps + (half + theta0) / omega) / dt)  # theta -half
+        for j in range(1, last + 1):
+            t = max(-eps - j * dt, t_stop)
             f = value(t)
             evals += 1
-            if f > 0.0 or t == t_c:  # t_c: past, though r - k may underflow
-                t, steps = _refine(value, t, f, t_neg, f_neg,
-                                   ROOT_BRACKET / omega)
-                theta = theta0 + omega * t if t > t_far else omega * (t - t_c)
-                x2 = math.copysign(
-                    math.sqrt(r_sq_of(t) * gain * math.expm1(-two_rho * t)
-                              + v_sq), math.sin(theta))
-                return (k, x2), t, evals + steps + 1
-            if t == t_lo:
-                break
+            if f > 0.0:
+                return crossing(t, f, t_neg, f_neg, evals)
+            if t == t_stop:
+                return None, None, evals  # the escape comes on arc A
             t_neg, f_neg = t, f
+        if t_hi > t_stop:
+            return crossing(max(t_c, t_stop), math.nan, t_hi, -k, evals)
     except BackwardBlowup:
         pass
     return None, None, evals

@@ -263,12 +263,13 @@ def test_left_flow_radial_monotonicity(ex1):
 
 
 # The radial law written out per call, from the start's coordinates; the
-# law bound once (radial_law, and left_orbit through it) must reproduce it
-# bit for bit, and it must meet the 60-digit rigorous.radial_sq.
+# law bound once (radial_law, and left_orbit through it off the on-cycle
+# band) must reproduce it bit for bit, and it must meet the 60-digit
+# rigorous.radial_sq.
 def _frozen_offset(x1, x2, rho):
     """(r0^2, b, log|b|) of the start: b = (r0^2 - rho) / r0^2 from the
     exact squares (Veltkamp's split) rounded once by fsum; b = -inf at
-    the origin, and no log|b| in the on-cycle band."""
+    the origin, and no log|b| exactly on the cycle (b = 0)."""
     r0_sq = x1 * x1 + x2 * x2
     if r0_sq == 0.0:
         return 0.0, -math.inf, math.inf
@@ -280,7 +281,7 @@ def _frozen_offset(x1, x2, rho):
         terms += [x * x, ((hi * hi - x * x) + 2.0 * hi * lo) + lo * lo]
     diff = math.fsum(terms)
     b = diff / r0_sq
-    if abs(b) <= ON_CYCLE_BAND:
+    if b == 0.0:
         return r0_sq, b, None
     if b > 0.5:
         log_b = math.log1p(-(rho / r0_sq))
@@ -294,7 +295,7 @@ def _frozen_offset(x1, x2, rho):
 def _frozen_escape(x1, x2, rho):
     """The backward escape time, -inf inside the cycle or on it."""
     _, b, log_b = _frozen_offset(x1, x2, rho)
-    if b <= ON_CYCLE_BAND:
+    if b <= 0.0:
         return -math.inf
     return log_b / (2.0 * rho)
 
@@ -303,7 +304,7 @@ def _frozen_radial_sq(x1, x2, t, rho):
     r0_sq, b, log_b = _frozen_offset(x1, x2, rho)
     if r0_sq == 0.0:
         return 0.0
-    if abs(b) <= ON_CYCLE_BAND:
+    if b == 0.0:
         return rho
     start = rho / r0_sq
     if b > 0.0:
@@ -325,6 +326,13 @@ def _frozen_radial_sq(x1, x2, t, rho):
 def _in_band(x1, x2, rho):
     r0_sq, b, _ = _frozen_offset(x1, x2, rho)
     return r0_sq != 0.0 and abs(b) <= ON_CYCLE_BAND
+
+
+def _frozen_orbit_radial_sq(x1, x2, t, rho):
+    """The left orbit's r(t)^2: rho in the on-cycle band, else the law."""
+    if _in_band(x1, x2, rho):
+        return rho
+    return _frozen_radial_sq(x1, x2, t, rho)
 
 
 def _assert_meets_rigorous(x1, x2, t, rho, got):
@@ -365,7 +373,7 @@ def _band_starts(rho):
 
 def test_radial_law_matches_frozen_reference():
     rng = np.random.default_rng(40)
-    inside = outside = near_escape = 0
+    in_band = off_band = near_escape = 0
     for _ in range(60):
         rho = rng.uniform(0.3, 2.0)
         sr = math.sqrt(rho)
@@ -384,36 +392,35 @@ def test_radial_law_matches_frozen_reference():
                 ts += [t_blow, t_blow - 1e-9, t_blow + 1e-9, t_blow - 1.0]
             for t in ts:
                 t = float(t)
+                # the law never snaps a start onto the cycle, so the
+                # on-cycle band follows the exact law too
                 got = _kernel_outcome(lambda t: (law.r_sq(t),), t)
-                if _in_band(x1, x2, rho):
-                    assert got == ((rho,), _bits((rho,))), (x1, x2, t)
-                    inside += 1
+                want = _kernel_outcome(
+                    lambda t: (_frozen_radial_sq(x1, x2, t, rho),), t)
+                assert got == want, (x1, x2, t)
+                if got[0] is BackwardBlowup:
+                    near_escape += t > t_blow - 1e-6
+                    _assert_meets_rigorous(x1, x2, t, rho, BackwardBlowup)
                 else:
-                    want = _kernel_outcome(
-                        lambda t: (_frozen_radial_sq(x1, x2, t, rho),), t)
-                    assert got == want, (x1, x2, t)
-                    if got[0] is BackwardBlowup:
-                        near_escape += t > t_blow - 1e-6
-                        _assert_meets_rigorous(x1, x2, t, rho, BackwardBlowup)
-                    else:
-                        _assert_meets_rigorous(x1, x2, t, rho, got[0][0])
-                    outside += 1
+                    _assert_meets_rigorous(x1, x2, t, rho, got[0][0])
+                if _in_band(x1, x2, rho):
+                    in_band += 1
+                else:
+                    off_band += 1
                 assert _kernel_outcome(
                     lambda t: (_law(x1, x2, rho).r_sq(t),), t) == got
-    assert inside and outside and near_escape
+    assert in_band and off_band and near_escape
 
 
 def test_on_cycle_band_edges():
     rho = 1.3
+    params = replace(_plain_params(), rho=rho)
     for x1, rel in _band_starts(rho):
         law = _law(x1, 0.0, rho)
         r0_sq, b, log_b = _frozen_offset(x1, 0.0, rho)
-        assert law.b == (0.0 if abs(b) <= ON_CYCLE_BAND else b)
-        if abs(b) <= ON_CYCLE_BAND:
-            # on the cycle: no escape time, r^2 = rho at every time
-            assert law.t_escape == -math.inf
-            assert law.r_sq(-1e3) == rho
-        elif b > 0.0:
+        # the law's offset is the exact one, inside the band too
+        assert law.b == b != 0.0
+        if b > 0.0:
             # the escape log(b) / (2 rho), b from the exact offset, within
             # 4 ulp of the 60-digit escape time
             assert law.t_escape == log_b / (2.0 * rho)
@@ -427,6 +434,23 @@ def test_on_cycle_band_edges():
             law.r_sq(law.t_escape * (1.0 - 1e-9))
         else:
             assert law.t_escape == -math.inf
+        # left_flow holds a start in the band on the cycle, r^2 = rho at
+        # every time; off it, the orbit follows the law, which by t = -20
+        # has escaped outside the cycle (log(b) / (2 rho) > -11 here) and
+        # shrunk r^2 to about rho e^{2 rho t} / |b| inside
+        t = -20.0
+        if abs(b) <= ON_CYCLE_BAND:
+            theta = params.omega * t
+            assert _bits(left_flow((x1, 0.0, 0.0), t, params)[:2]) == _bits(
+                (math.sqrt(rho) * math.cos(theta),
+                 math.sqrt(rho) * math.sin(theta)))
+        elif b > 0.0:
+            with pytest.raises(BackwardBlowup):
+                left_flow((x1, 0.0, 0.0), t, params)
+        else:
+            x = left_flow((x1, 0.0, 0.0), t, params)
+            assert x[0] * x[0] + x[1] * x[1] == pytest.approx(
+                law.r_sq(t), rel=1e-14)
     # the band reaches both sides of the cycle at each edge
     assert sorted(abs(_frozen_offset(x1, 0.0, rho)[1]) <= ON_CYCLE_BAND
                   for x1, _ in _band_starts(rho)) == [False] * 6 + [True] * 4
@@ -499,6 +523,48 @@ def test_radial_law_returns_the_start():
     assert worst <= 2.0, worst
     x = left_orbit((1.2, 0.0, 0.0), 1e-10, 1.0, 0.0)(0.0)
     assert abs(x[0] - 1.2) <= math.ulp(1.2), x
+
+
+def test_left_orbit_returns_its_start_at_time_zero():
+    # the start comes back bit for bit at t = +-0.0, inside, outside and in
+    # the on-cycle band (where the orbit is held at r = sqrt(rho)); a start
+    # rebuilt from its radius and angle moved x1 by an ulp
+    rng = np.random.default_rng(3939)
+    in_band = 0
+    with Budget("left orbits return their starts", 5.0):
+        for i in range(20000):
+            rho = 10.0 ** rng.uniform(-6.0, 6.0)
+            if i % 2:
+                a = 10.0 ** rng.uniform(-16.0, -12.0) * rng.choice([-1.0, 1.0])
+                r = math.sqrt(rho / (1.0 - a))
+            else:
+                r = math.sqrt(rho) * 10.0 ** rng.uniform(-3.0, 3.0)
+            th = rng.uniform(-math.pi, math.pi)
+            x0 = (r * math.cos(th), r * math.sin(th), rng.uniform(-1.0, 1.0))
+            orbit = left_orbit(x0, rho, rng.uniform(0.1, 10.0), 1.0)
+            for t in (0.0, -0.0):
+                assert _bits(orbit(t)) == _bits(x0), (x0, rho)
+            in_band += _in_band(x0[0], x0[1], rho)
+    assert in_band > 5000
+
+
+def test_radial_law_offset_one_ulp_outside_the_cycle():
+    # the law never snaps a start onto the cycle: 1 ulp outside it, on
+    # either axis, b > 0 is the exact offset, rounded, and the orbit
+    # escapes backward at log(b) / (2 rho)
+    with Budget("the law 1 ulp outside the cycle", 1.0):
+        for rho in (1.3, 2.0, 1e-6, 7e5):
+            x = math.nextafter(math.sqrt(rho), math.inf)
+            for x1, x2 in ((x, 0.0), (0.0, -x)):
+                law = _law(x1, x2, rho)
+                with mpmath.workdps(60):
+                    exact = mpmath.mpf(x) ** 2
+                    b = float((exact - rho) / exact)
+                assert 0.0 < law.b <= 1e-15
+                assert abs(law.b - b) <= 2.0 * math.ulp(b), (rho, law.b, b)
+                assert law.t_escape == math.log(law.b) / (2.0 * rho)
+                with pytest.raises(BackwardBlowup):
+                    law.r_sq(law.t_escape)
 
 
 def test_radial_law_edge_starts():
@@ -580,8 +646,10 @@ def _array_left_flow(x0, t, params):
     r0_sq = x0[0] * x0[0] + x0[1] * x0[1]
     if r0_sq == 0.0:
         x1 = x2 = 0.0
+    elif t == 0.0:  # the start, bit for bit
+        x1, x2 = x0[0], x0[1]
     else:
-        r_sq = _frozen_radial_sq(x0[0], x0[1], t, params.rho)
+        r_sq = _frozen_orbit_radial_sq(x0[0], x0[1], t, params.rho)
         r = math.sqrt(r_sq)
         theta = math.atan2(x0[1], x0[0]) + params.omega * t
         x1 = r * math.cos(theta)
@@ -750,7 +818,9 @@ def _ref_planar_left_flow(xy, t, rho, omega):
     r0_sq = xy[0] * xy[0] + xy[1] * xy[1]
     if r0_sq == 0.0:
         return (0.0, 0.0)
-    r = math.sqrt(_frozen_radial_sq(xy[0], xy[1], t, rho))
+    if t == 0.0:  # the start, bit for bit
+        return (xy[0], xy[1])
+    r = math.sqrt(_frozen_orbit_radial_sq(xy[0], xy[1], t, rho))
     theta = math.atan2(xy[1], xy[0]) + omega * t
     return (r * math.cos(theta), r * math.sin(theta))
 

@@ -109,6 +109,16 @@ def test_certificate_margins_and_residuals(ex1, ex2, ex3, verdicts):
                 assert r <= 1e-3, (n, name, r)
 
 
+def test_gamma1_forward_starts_on_the_plane(ex1, ex2, ex3, verdicts):
+    # the forward piece starts at q0, on the switching plane: its first
+    # sample is q0 bit for bit, so its closed margin is 0 (a start rebuilt
+    # from its radius and angle read -2.2e-16 on example 2)
+    for n, p in ((1, ex1), (2, ex2), (3, ex3)):
+        _, fwd = build_gamma1(p, verdicts[n])
+        assert tuple(fwd.xs[0]) == tuple(verdicts[n].q0)
+        assert fwd.containment_margin == 0.0
+
+
 def test_strict_margin_at_zero_is_not_ok(ex1, verdicts, monkeypatch):
     # a strict margin of -1e-12 is within TOL_CONTAINMENT, so the segment
     # is built, but a strict containment it does not prove

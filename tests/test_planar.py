@@ -442,15 +442,16 @@ def test_scans_match_dense_reference():
         assert _matches_focus_reference(sys, c), (sys, c)
 
 
-def _near_cycle_lines(seed, n):
+def _near_cycle_lines(seed, n, gap=(1e-10, 1e-1)):
     """n lines x1 = k just outside the cycle of random oscillators: rho
-    log-uniform on [1e-8, 1e8], k / sqrt(rho) - 1 on [1e-10, 1e-1] and
-    omega / rho on [1e-3, 1e16]."""
+    log-uniform on [1e-8, 1e8], k / sqrt(rho) - 1 on ``gap`` and omega /
+    rho on [1e-3, 1e16]."""
     rng = np.random.default_rng(seed)
+    lo, hi = math.log10(gap[0]), math.log10(gap[1])
     out = []
     for _ in range(n):
         rho = 10.0 ** rng.uniform(-8.0, 8.0)
-        k = math.sqrt(rho) * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0))
+        k = math.sqrt(rho) * (1.0 + 10.0 ** rng.uniform(lo, hi))
         out.append((rho, rho * 10.0 ** rng.uniform(-3.0, 16.0), k))
     return out
 
@@ -459,8 +460,8 @@ def test_near_cycle_returns_match_the_reference():
     # Lines on which a scan that took only crossings past an absolute guard
     # returned a later one, or none within its revolution cap.  Every
     # return, escape and branch is the 60-digit reference's, returns
-    # within a grid step of the escape among them (only the probe at the
-    # floor can find a return past the last grid sample).
+    # within a grid step of the escape among them (found on arc C, whose
+    # one crossing is refined from the arc's ends).
     seen, late = Counter(), 0
     with Budget("near-cycle first returns against the reference", 20.0):
         for rho, omega, k in _near_cycle_lines(2036, 150):
@@ -482,6 +483,48 @@ def test_near_cycle_returns_match_the_reference():
     assert all(seen[b] for b in ("x2star_above", "x2star_below",
                                  "ungeneric", "no_backward_return"))
     assert late >= 5
+
+
+def test_returns_next_to_the_cycle_match_the_reference():
+    # Lines k / sqrt(rho) - 1 in [2.5e-16, 1e-12], where u1's offset b =
+    # (r0^2 - rho) / r0^2 is inside the band |b| <= 1e-12 in which the left
+    # orbit holds a start on the cycle.  The scan reads u1 through the
+    # exact law, so every return, escape and branch is the 60-digit
+    # reference's (a law that snapped u1 onto the cycle read 132 of these
+    # 150 lines as escaping before their return).
+    seen = Counter()
+    with Budget("first returns next to the cycle against the reference",
+                20.0):
+        for rho, omega, k in _near_cycle_lines(3939, 150, (2.5e-16, 1e-12)):
+            try:
+                a = analyze_vdp_line(rho, omega, k)
+            except UngenericBranch:  # strictly between the tangency pair
+                _, vp, vm = tangency_ordinates(rho, omega, k)
+                x2 = first_return(rho, omega, k, vp).x2
+                assert _branch(x2, vp, vm) == "between", (rho, omega, k)
+                seen["between"] += 1
+                continue
+            seen[a.branch] += 1
+            if a.regime == "subcritical":
+                assert _matches_reference(a, rho, omega), (rho, omega, k)
+    print(dict(seen))
+    assert seen["x2star_above"] + seen["x2star_below"] + seen["ungeneric"] \
+        >= 140
+
+
+@pytest.mark.parametrize("rho, omega, k", [
+    (1.0, 10.0, 1.2),  # example 1's L1
+    (1.0, 10.0, 1.0000000000001),  # 1e-13 outside its cycle
+], ids=["example1", "example1_next_to_the_cycle"])
+def test_example1_l1_returns_match_the_reference(rho, omega, k):
+    # example 1's v2* = 2.363045070248615 is 4.34e-13 from the reference
+    # 2.3630450702481807 (the full-revolution scan's 2.363045070247754 was
+    # 4.27e-13 from it), and next to the cycle the return at t = -0.62832,
+    # x2 = 7.087e-07, is found where a law that snapped u1 onto the cycle
+    # read an escape
+    a = analyze_vdp_line(rho, omega, k)
+    assert a.branch == "x2star_above"
+    assert _matches_reference(a, rho, omega)
 
 
 @pytest.mark.parametrize("s", [2.0 ** -60, 2.0 ** 40],

@@ -172,7 +172,7 @@ THRESHOLD_TEXTS = [
     (1, {"d": 0.9, "q1": 0.9}, "h3", "placement hypothesis"),
     (1, {"omega": 1e160}, "v_star_exists",
      "backward orbit of v1 returns to L1"),
-    (1, {}, "q2_window", "[-0.05313884846595452, 2.363045070247754]"),
+    (1, {}, "q2_window", "[-0.05313884846595452, 2.363045070248615]"),
     (2, {}, "q2_window",
      "(-inf, -4.4162144854757255] u [-0.9045340337332911, +inf)"),
     (1, {}, "q3_subcase", "= 0.19999999999999996 (bottom rim)"),
@@ -193,6 +193,25 @@ def test_threshold_texts(n, changes, name, text):
     e = _evidence(certify(replace(example_params(n), **changes)), name)
     assert e.threshold == text
     assert all(type(x) is float for x in e.limits)
+
+
+def test_q2_window_next_to_the_cycle(ex1):
+    # L1 = {x1 = d} 1e-13 outside example 1's cycle: the backward orbit of
+    # u1 returns at t = -0.62832 with x2 = 7.087419944322185e-07 (the
+    # 60-digit rigorous.first_return), where a radial law that snapped u1
+    # onto the cycle read an escape and failed v_star_exists; the window
+    # ends at the line analysis' return (which test_planar checks against
+    # the reference), and the cone fails
+    with Budget("example 1's q2 window next to the cycle", 1.0):
+        p = replace(ex1, d=1.0000000000001, q1=1.0000000000001)
+        v = certify(p)
+        a = analyze_vdp_line(p.rho, p.omega, p.d)
+    names = {e.name: e for e in v.evidence}
+    assert "v_star_exists" not in names
+    q2 = names["q2_window"]
+    assert q2.passed and q2.limits == (a.varrho_plus, a.x_star[1])
+    assert q2.limits[1] == pytest.approx(7.087419944322185e-07, rel=1e-12)
+    assert v.cycle_count == 0 and not names["cone"].passed
 
 
 def test_verdict_example1(ex1):
