@@ -296,8 +296,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="event-detecting simulation")
     p.add_argument("config")
     _add_common(p)
-    p.add_argument("--x0", required=True, metavar="X1,X2,X3")
-    p.add_argument("--t0", type=number, default=0.0)
+    p.add_argument("--x0", required=True, metavar="X1,X2,X3",
+                   help="start; a negative x1 needs =: --x0=-0.5,0,0")
+    p.add_argument("--t0", type=number, default=0.0,
+                   help="start time; a negative one needs =: --t0=-1e-3")
     p.add_argument("--t1", type=number, required=True)
     p.add_argument("--out-traj", default="trajectory.csv")
     p.add_argument("--out-events", default="events.csv")

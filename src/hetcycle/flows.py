@@ -14,12 +14,13 @@ time log(b) / (2 rho); evaluation at or past it raises BackwardBlowup
 rather than clamping, because silent saturation would corrupt the root
 finding built on top of this flow.
 
-Right zone: x(t) = q + e^{Bt} (x0 - q) with the 2x2 block exponential in
-closed form, split by the ``branch`` of the block's one spectrum,
-``SystemParams.block``: the sign of its discriminant (distinct real /
-repeated / complex pair).  On an invariant set through q (the stable plane
-x3 = q3, the unstable line x1 = q1, x2 = q2) the exponential of the zero
-offset is never evaluated, so a long horizon cannot overflow it.
+Right zone: x(t) = q + e^{Bt} (x0 - q) in the Putzer form e^{Bt} =
+c(t) I + s(t) (B - a I), a = tr B / 2: only c and s follow the ``branch``
+of the block's one spectrum, ``SystemParams.block`` (the sign of its
+discriminant: distinct real / repeated / complex pair).  On an invariant
+set through q (the stable plane x3 = q3, the unstable line x1 = q1,
+x2 = q2) the exponential of the zero offset is never evaluated, so a long
+horizon cannot overflow it.
 
 Each zone binds one start once as an orbit ``t -> (x1, x2, x3)``, a tuple
 of floats (an ndarray per call was half its cost), holding every
@@ -153,65 +154,61 @@ def left_orbit(x0, rho: float, omega: float, mu: float):
 
 
 def block_exp(sys: PlanarLinearSystem):
-    """exp(t * A) of the block ``sys`` as a function
-    ``t -> (m11, m12, m21, m22)``.
-
-    The formula is the one of ``sys.branch``, built from its a = tr / 2 and
-    w; only the exponentials and trigonometric factors are left to each t.
-    The distinct-real branch takes the larger of e^{(a +/- w) t} from its
-    own exponent (no overflow through cosh/sinh at large |t|) and the
-    smaller as the larger times 1 + m, m = expm1(-2 w |t|), so sinh(w t) / w
-    has no cancellation at any w > 0, as sin(w t) / w has none.
+    """The two scalars of e^{tA} = c I + s (A - a I), a = tr / 2, for the
+    block ``sys`` as ``t -> (c, s)``, from its ``branch``, a and w alone:
+    e^{at} (1, t) repeated, e^{at} (cos wt, sin(wt) / w) complex and
+    e^{at} (cosh wt, sinh(wt) / w) real.  The real branch takes the larger
+    of e^{(a +/- w) t} from its own exponent (no overflow through cosh/sinh
+    at large |t|) and the smaller as the larger times 1 + m, m =
+    expm1(-2 w |t|), so sinh(wt) / w has no cancellation at any w > 0, as
+    sin(wt) / w has none.
     """
-    a11, a12, a21, a22, _, branch, a, w, _ = sys
-    d11, d22 = a11 - a, a22 - a
+    _, _, _, _, _, branch, a, w, _ = sys
     if branch == "repeated":
         def exp_ta(t):
             c = math.exp(a * t)
-            sl = c * t
-            return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
+            return c, c * t
     elif branch == "real":
         hi, lo, w2 = a + w, a - w, 2.0 * w
 
         def exp_ta(t):
             if t > 0.0:
                 big, m = math.exp(hi * t), math.expm1(-w2 * t)
-                sl = -0.5 * big * m / w
+                s = -0.5 * big * m / w
             else:
                 big, m = math.exp(lo * t), math.expm1(w2 * t)
-                sl = 0.5 * big * m / w
-            c = big + 0.5 * big * m
-            return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
+                s = 0.5 * big * m / w
+            return big + 0.5 * big * m, s
     else:
         def exp_ta(t):
             e = math.exp(a * t)
-            c = e * math.cos(w * t)
-            sl = e * math.sin(w * t) / w
-            return (c + d11 * sl, a12 * sl, a21 * sl, c + d22 * sl)
+            return e * math.cos(w * t), e * math.sin(w * t) / w
     return exp_ta
 
 
 def right_orbit(x0, params: SystemParams):
-    """The right-zone flow q + e^{Bt} (x0 - q) from the start ``x0`` as a
-    function ``t -> (x1, x2, x3)``, a tuple of floats."""
+    """The right-zone flow q + e^{Bt} y, y = x0 - q, from the start ``x0``
+    as ``t -> (x1, x2, x3)``, floats: q + c y + s z in the plane, with
+    ``block_exp``'s (c, s) and z = (B - a I) y bound once."""
     q1, q2, q3 = params.q1, params.q2, params.q3
     x1, x2, x3 = x0
-    y1 = x1 - q1
-    y2 = x2 - q2
-    y3 = x3 - q3
+    y1, y2, y3 = x1 - q1, x2 - q2, x3 - q3
     lam = _plane_rate(y3, params.lam)
     if y1 == 0.0 and y2 == 0.0:
         # On the invariant line through q, where e^{Bt} could overflow,
-        # no exponential is built: e^{Bt} (0, 0) is added as +0.0, which
-        # is the full product's sum unless every term of it is -0.0.
+        # no exponential is built: c y + s z is added as +0.0, which is
+        # q + c y + s z unless each of its three terms is -0.0.
         x1, x2 = q1 + 0.0, q2 + 0.0
         return lambda t: (x1, x2, q3 + y3 * math.exp(lam * t))
-    exp_tb = block_exp(params.block)
+    b11, b12, b21, b22, _, _, a, _, _ = block = params.block
+    z1 = (b11 - a) * y1 + b12 * y2
+    z2 = b21 * y1 + (b22 - a) * y2
+    exp_tb = block_exp(block)
 
     def orbit(t):
-        m11, m12, m21, m22 = exp_tb(t)
-        return (q1 + m11 * y1 + m12 * y2,
-                q2 + m21 * y1 + m22 * y2,
+        c, s = exp_tb(t)
+        return (q1 + c * y1 + s * z1,
+                q2 + c * y2 + s * z2,
                 q3 + y3 * math.exp(lam * t))
 
     return orbit

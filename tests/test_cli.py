@@ -400,6 +400,24 @@ def test_simulate_x0_components_may_be_spaced(cfg, tmp_path):
     assert json.loads(out.read_text())["x0"] == [0.5, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("argv, x0, t_span", [
+    (["--x0=-0.5,0,0", "--t1", "1"], [-0.5, 0.0, 0.0], [0.0, 1.0]),
+    (["--x0", "0.5,0,0", "--t0=-1e-3", "--t1", "1"], [0.5, 0.0, 0.0],
+     [-1e-3, 1.0]),
+], ids=["x0", "t0"])
+def test_simulate_negative_values_in_the_equals_form(cfg, tmp_path, argv, x0,
+                                                     t_span):
+    # argparse reads a separate '-0.5,0,0' or '-1e-3' as an option on some
+    # Pythons; joined by '=' it is the option's value on all of them
+    out, traj = tmp_path / "sim.json", tmp_path / "t.csv"
+    assert main(["simulate", cfg, *argv, "--out", str(out),
+                 "--out-traj", str(traj),
+                 "--out-events", str(tmp_path / "e.csv")]) == 0
+    report = json.loads(out.read_text())
+    assert report["x0"] == x0 and report["t_span"] == t_span
+    assert len(csv_rows(traj)) - 1 == report["n_samples"] > 1
+
+
 @pytest.mark.parametrize("argv", [
     ["example", "1", "--tol", "1_0e-9"],
     ["example", "1", "--tback", "\uff12"],

@@ -666,11 +666,15 @@ def _array_right_flow(x0, t, params):
     y1 = x0[0] - params.q1
     y2 = x0[1] - params.q2
     y3 = x0[2] - params.q3
-    m11, m12, m21, m22 = block_exp(PlanarLinearSystem.from_entries(
-        params.b11, params.b12, params.b21, params.b22))(t)
+    sys = PlanarLinearSystem.from_entries(params.b11, params.b12, params.b21,
+                                          params.b22)
+    c, s = block_exp(sys)(t)
+    # q + c y + s (B - a I) y
+    z1 = (params.b11 - sys.a) * y1 + params.b12 * y2
+    z2 = params.b21 * y1 + (params.b22 - sys.a) * y2
     return np.array([
-        params.q1 + m11 * y1 + m12 * y2,
-        params.q2 + m21 * y1 + m22 * y2,
+        params.q1 + c * y1 + s * z1,
+        params.q2 + c * y2 + s * z2,
         params.q3 + (y3 * math.exp(params.lam * t) if y3 != 0.0 else y3),
     ])
 
@@ -872,6 +876,16 @@ def _branch(a11, a12, a21, a22):
             "repeated" if disc == 0.0 else "complex")
 
 
+def _block_entries(sys, exp_ta):
+    """t -> the four entries of e^{tA} = c I + s (A - a I) from
+    ``block_exp``'s (c, s) at t."""
+    def entries(t):
+        c, s = exp_ta(t)
+        return (c + (sys.a11 - sys.a) * s, sys.a12 * s, sys.a21 * s,
+                c + (sys.a22 - sys.a) * s)
+    return entries
+
+
 def test_block_exp_matches_per_call_reference():
     from hetcycle.flows import block_exp
     from hetcycle.model import PlanarLinearSystem
@@ -900,7 +914,7 @@ def test_block_exp_matches_per_call_reference():
     for m in blocks:
         sys = PlanarLinearSystem.from_entries(*m)
         assert sys.branch == _branch(*m)
-        exp_ta = block_exp(sys)
+        exp_ta = _block_entries(sys, block_exp(sys))
         for t in ts:
             t = float(t)
             want = _kernel_outcome(_ref_planar_matrix_exp, *m, t)
@@ -931,7 +945,7 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
                    for eps in (0.5e-12, -0.5e-12, 2e-12, -2e-12, 1e-8, -1e-8)]
     for m in blocks:
         sys = PlanarLinearSystem.from_entries(*m)
-        exp_ta = block_exp(sys)
+        exp_ta = _block_entries(sys, block_exp(sys))
         ts = [k / abs(sys.a) for k in (-20.0, -10.0, -3.0, -1.0, -0.3, -1e-3,
                                        -1e-6, 1e-6, 1e-3, 0.5, 2.0, 10.0)]
         if sys.spectral_type == "complex_stable":
@@ -949,6 +963,65 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
             big = max(abs(v) for v in want)
             assert max(abs(g - v) for g, v in zip(got, want)) <= 1e-14 * big, (
                 m, t)
+
+
+def _orbit_test_blocks(rng):
+    """Blocks at rates 2^-20, 1 and 2^20: complex pairs with w / |a| down
+    to 1e-6, near-repeated real pairs with disc down to 1e-24 a^2 and
+    triangular shears (some with a repeated diagonal)."""
+    blocks = []
+    for s in (2.0 ** -20, 1.0, 2.0 ** 20):
+        for _ in range(45):
+            a = -s * rng.uniform(0.2, 3.0)
+            w = abs(a) * 10.0 ** rng.uniform(-6.0, 1.0)
+            k = 10.0 ** rng.uniform(-1.0, 1.0)
+            blocks.append((a, w * k, -w / k, a))
+            eps, k = 10.0 ** rng.uniform(-24.0, -8.0), rng.uniform(0.5, 2.0)
+            blocks.append((a, k * s, 0.25 * eps * a * a / (k * s), a))
+            d1, d2 = -s * rng.uniform(0.2, 3.0), -s * rng.uniform(0.2, 3.0)
+            blocks.append((d1, s * rng.uniform(-20.0, 20.0), 0.0,
+                           d1 if rng.uniform() < 0.3 else d2))
+    return blocks
+
+
+def test_right_orbit_matches_mpmath():
+    # q + e^{tB} y against the 40-digit matrix exponential, at times up
+    # to 20 of the block's own time scale 1/|a|: the combination
+    # q + c y + s (B - a I) y meets it to 1e-14 max(1, |y|), and x3 its
+    # exponential to 1e-14 of its size
+    from hetcycle.flows import right_orbit
+    from hetcycle.model import SystemParams
+
+    rng = np.random.default_rng(40)
+    blocks = _orbit_test_blocks(rng)
+    assert {_branch(*m) for m in blocks} == {"real", "repeated", "complex"}
+    with Budget("right_orbit against mpmath.expm", 20.0):
+        for m in blocks:
+            q = rng.uniform(-2.0, 2.0, size=3).tolist()
+            p = SystemParams(rho=1, omega=1, mu=1, b11=m[0], b12=m[1],
+                             b21=m[2], b22=m[3], q1=q[0], q2=q[1], q3=q[2],
+                             lam=rng.uniform(0.5, 2.0) * abs(m[0] + m[3]),
+                             d=1.0)
+            r, th = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-3.2, 3.2)
+            x0 = (q[0] + r * math.cos(th), q[1] + r * math.sin(th),
+                  q[2] + rng.uniform(-1.0, 1.0))
+            orbit = right_orbit(x0, p)
+            with mpmath.workdps(40):  # y = x0 - q of the float start
+                y = [mpmath.mpf(x) - mpmath.mpf(v) for x, v in zip(x0, q)]
+                bound = 1e-14 * max(1.0, float(mpmath.hypot(y[0], y[1])))
+            b = mpmath.matrix([[m[0], m[1]], [m[2], m[3]]])
+            for k in (1e-6, 1e-3, 0.5, 2.0, 20.0):
+                t = k / abs(p.block.a)
+                got = orbit(t)
+                with mpmath.workdps(40):
+                    e = mpmath.expm(b * t)
+                    want = (q[0] + e[0, 0] * y[0] + e[0, 1] * y[1],
+                            q[1] + e[1, 0] * y[0] + e[1, 1] * y[1],
+                            q[2] + mpmath.exp(p.lam * t) * y[2])
+                    err = max(abs(got[0] - want[0]), abs(got[1] - want[1]))
+                    err3 = abs(got[2] - want[2])
+                assert err <= bound, (m, t, err / bound)
+                assert err3 <= 1e-14 * max(1.0, abs(want[2])), (m, t, err3)
 
 
 def test_planar_left_flow_matches_per_call_reference():
@@ -991,8 +1064,8 @@ def test_right_flow_block_memo_follows_the_params_object(ex2, ex3):
     fields = {f.name: getattr(ex2, f.name) for f in dataclasses.fields(ex2)}
     twin_a, twin_b = SystemParams(**fields), SystemParams(**fields)
     assert twin_a == twin_b and twin_a is not twin_b
-    # equal under == (0.0 == -0.0), yet their blocks differ in m12's sign
-    base = dict(fields, q1=-0.0, q2=-0.0, b11=-1.5, b22=-0.5, b21=0.7)
+    # equal under == (0.0 == -0.0), yet their blocks differ in b12's sign
+    base = dict(fields, q1=-0.0, q2=-0.0, b11=-0.5, b22=-1.5, b21=0.7)
     pos = SystemParams(**dict(base, b12=0.0))
     neg = SystemParams(**dict(base, b12=-0.0))
     assert pos == neg
@@ -1007,8 +1080,10 @@ def test_right_flow_block_memo_follows_the_params_object(ex2, ex3):
                     want = _array_right_flow(x0, t, params)
                     assert _float3_bytes(got) == want.tobytes()
                     assert (np.signbit(got) == np.signbit(want)).all()
-    # each params object binds its own block, so m12 keeps the sign of
-    # b12: with q1 = -0.0 and m11 y1 underflowing to -0.0, x1 = m12 y2
+    # each params object binds its own block, so z = (B - a I) y keeps the
+    # sign of b12: (b11 - a) y1 = 0.5 y1 underflows to -0.0, so z1 =
+    # -0.0 + b12 y2 is b12's signed zero, and with q1 = -0.0 and c y1
+    # underflowing to -0.0 as well, x1 = s z1 carries it
     x0 = (-5e-324, 1.0, 0.0)
     for params in (pos, neg, pos):
         want = math.copysign(1.0, params.b12)

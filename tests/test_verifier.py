@@ -808,6 +808,42 @@ def test_certify_builds_no_geometry(ex1, ex2, ex3, monkeypatch):
             pass
 
 
+# Each boundary of the examples' verdicts, pinned at the two adjacent
+# floats between which it flips: (example, key, below, above, verdict
+# below, verdict above), a verdict being (cycle_count, subcase, failed
+# evidence).  Example 1's q2 window opens at fl(sigma_plus -
+# tangency_band), the upper float of the first pair; its half-plane test
+# closes 1e-9 above q2 = 0.4.  Example 3's q3 crosses the rim bands
+# [rim - 3e-9, rim + 3e-9] about the rims 1 and 3 (one float of each
+# pair is fl(rim -/+ 3e-9)), and its cone is strict: fl(sqrt(3)) fails.
+VERDICT_FLIPS = [
+    (1, "q2", -0.05313885674614901, -0.053138856746149,
+     (0, "a", "q2_window"), (1, "a", "")),
+    (1, "q2", 0.4000000009999999, 0.40000000099999994,
+     (1, "a", ""), (0, "a", "halfplane_p0")),
+    (3, "q3", 0.999999997, 0.9999999970000001,
+     (0, "none", "q3_subcase"), (1, "a", "")),
+    (3, "q3", 1.0000000029999998, 1.000000003, (1, "a", ""), (2, "c", "")),
+    (3, "q3", 2.9999999969999998, 2.999999997, (2, "c", ""), (1, "b", "")),
+    (3, "q3", 3.000000003, 3.0000000030000002,
+     (1, "b", ""), (0, "none", "q3_subcase")),
+    (3, "mu", 1.7320508075688772, 1.7320508075688774,
+     (0, "c", "cone"), (2, "c", "")),
+]
+
+
+@pytest.mark.parametrize("example, key, below, above, want_below, want_above",
+                         VERDICT_FLIPS)
+def test_verdict_flips_between_adjacent_floats(example, key, below, above,
+                                               want_below, want_above):
+    assert math.nextafter(below, math.inf) == above
+    base = example_params(example)
+    for x, want in ((below, want_below), (above, want_above)):
+        v = certify(replace(base, **{key: x}))
+        failed = ",".join(e.name for e in v.evidence if not e.passed)
+        assert (v.cycle_count, v.subcase, failed) == want, (key, x)
+
+
 def _rim_edge_values(lo, hi, band):
     """fl(lo -/+ band) and fl(hi -/+ band), each with the two floats on
     either side of it."""
