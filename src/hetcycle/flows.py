@@ -54,7 +54,9 @@ from .model import PlanarLinearSystem, SystemParams, point
 def radial_law(x1: float, x2: float, rho: float) -> tuple:
     """The radial law r' = r(rho - r^2) from the start (x1, x2), as
     (r0^2, b, t_escape, r_sq): the offset b (0.0 on the cycle, -inf at the
-    origin), the escape time (-inf unless b > 0) and t -> r(t)^2.
+    origin), the escape time (-inf unless b > 0) and t -> r(t)^2.  Outside
+    the cycle r_sq(t, True) is (r^2, r^2 - r0^2), the excess r^2 (r0^2 -
+    rho) / rho expm1(-2 rho t) read from the same expm1.
 
     r0^2 - rho is the fsum of the exact squares and -rho, so the offset
     b = (r0^2 - rho) / r0^2 is rounded once.  With x = -2 rho t, r(t)^2 =
@@ -88,11 +90,14 @@ def radial_law(x1: float, x2: float, rho: float) -> tuple:
     start, two_rho = rho / r0_sq, 2.0 * rho
     if b > 0.0:
         t_escape = (math.log1p(-start) if b > 0.5 else math.log(b)) / two_rho
+        gain = diff / rho
 
-        def r_sq(t):
-            den = start - b * math.expm1(-two_rho * t) if t > t_escape else 0.0
+        def r_sq(t, excess=False):
+            m = math.expm1(-two_rho * t) if t > t_escape else math.inf
+            den = start - b * m
             if den > 0.0:
-                return rho / den
+                sq = rho / den
+                return (sq, sq * gain * m) if excess else sq
             raise BackwardBlowup(f"radial solution escapes at t={t_escape!r}; "
                                  f"requested t={float(t)!r}")
 

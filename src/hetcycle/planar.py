@@ -30,10 +30,12 @@ by safeguarded false position (``_refine``) to ``ROOT_BRACKET`` in their
 own turn's angle, and so scale exactly with a power-of-2 time unit.  The
 focus return is one dimensionless root in the spiral's angle, between
 analytic bounds.  The oscillator return lies in the first backward
-revolution, on the exact ``flows.radial_law``; its seed sits on the line
-(tangentially), so the scan starts a sliver before zero, and near-tangent
-returns are an explicit 'ungeneric' branch instead of being forced into
-the generic dichotomy.  Its records are ``NamedTuple``s.
+revolution, on the exact ``flows.radial_law``, unsampled: its first
+quarter turn holds a return exactly when the orbit escapes within it.
+Its seed sits on the line (tangentially), so a refine ends a sliver
+before zero, and near-tangent returns are an explicit 'ungeneric' branch
+instead of being forced into the generic dichotomy.  Its records are
+``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -163,68 +165,60 @@ def _vdp_backward_return(u1, rho, omega):
     evaluations), the point (k, +-sqrt(r^2 - k^2)) on the orbit's side of
     the x1 axis; or (None, None, evaluations) when the orbit escapes first.
 
-    The argument of ``tests/rigorous.first_return``.  theta = theta0 +
-    omega t, theta0 = atan2(v, k) in (-pi/2, 0), and u1 lies outside the
-    cycle, so r grows backward up to the escape of ``flows.radial_law``
-    (t_stop is a sliver inside it).  Arc A, theta in (-pi/2, theta0): x1
-    may rise past k and fall back, so the grid t_j = -eps - j dt (dt =
-    period / 64), clamped to t_stop, is sampled where cos(theta) >= k /
-    r_max (r_max the radius at theta = -pi/2); the first point past the
-    line is bracketed against the one before, or against the seed (NaN,
-    its value being rounding noise: the refine bisects).  Arc B, theta in
-    [-3 pi/2, -pi/2]: cos(theta) <= 0, so x1 < k.  Arc C, theta in (-2 pi,
-    -3 pi/2): x1 = r cos(theta) rises strictly backward from 0 at t_hi to
-    r(t_c) > k at t_c = -(2 pi + theta0) / omega, or without bound at the
-    escape, so its one crossing is refined in (max(t_c, t_stop), t_hi)
-    from NaN and -k, neither end evaluated.  ``_refine`` stops at
-    ``ROOT_BRACKET`` / omega.  x1 - k = (r^2 - k^2) / (r + k) - 2 r
-    sin^2(theta / 2) has no cancellation: r^2 - k^2 = r^2 b r0^2 / rho
-    expm1(-2 rho t) + v^2 from the law's exact offset b, and theta is
-    theta0 + omega t or omega (t - t_c) - 2 pi, from the nearer end.
+    theta = theta0 + omega t, theta0 = atan2(v, k) in (-pi/2, 0), and u1
+    lies outside the cycle, so r grows backward up to the escape of
+    ``flows.radial_law`` (t_stop is a sliver inside it).  Arc A, theta in
+    (-pi/2, theta0): backward, w = r^2 - rho > 0 grows (w' = 2 w r^2), and
+    where x1 > 0 is critical x1'' = x1 (w^2 + 2 rho w - omega^2), so its
+    maxima come before its minima.  u1 is a maximum: w0 = 2 (k^2 - rho) /
+    (1 + sqrt(1 - y)) <= 2 (k^2 - rho), y = 4 k^2 (k^2 - rho) / omega^2 <
+    1, so w0^2 + 2 rho w0 <= y omega^2 < omega^2.  So x1 falls, has at
+    most one minimum, then rises: with the escape on arc A (x1 -> inf)
+    there is one return, refined in (t_stop, -eps) from t_stop's value
+    and NaN at the seed (rounding noise there: the refine bisects), or
+    none if t_stop's value is <= 0; else (x1 -> 0 at theta = -pi/2) none.
+    Arc B, theta in [-3 pi/2, -pi/2]: cos(theta) <= 0, so x1 < k.  Arc C,
+    theta in (-2 pi, -3 pi/2): x1 rises strictly backward from 0 at t_hi
+    to r(t_c) > k at t_c = -(2 pi + theta0) / omega, or without bound at
+    the escape, so its one crossing is refined in (max(t_c, t_stop),
+    t_hi) from NaN and -1, neither end evaluated.  ``_refine`` stops at
+    ``ROOT_BRACKET`` / omega, on (x1 - k) / r = (r^2 - k^2) / (r (r + k))
+    - 2 sin^2(theta / 2): x1 - k's sign and root, in (-1, 0) at t_hi and
+    bounded at the escape, where x1 - k is not.  r^2 - k^2 = (r^2 - r0^2)
+    + v^2 from the law's excess, and theta is theta0 + omega t or omega
+    (t - t_c) - 2 pi, from the nearer end: no cancellation.
     """
     k, v = u1
-    r0_sq, b, t_escape, r_sq_of = radial_law(k, v, rho)
-    v_sq, two_rho = v * v, 2.0 * rho
-    gain = b * r0_sq / rho  # (r0^2 - rho) / rho
+    _, _, t_escape, law = radial_law(k, v, rho)
+    v_sq = v * v
     theta0 = math.atan2(v, k)
     t_c = -(2.0 * math.pi + theta0) / omega
     t_hi = -(1.5 * math.pi + theta0) / omega  # theta = -3 pi / 2: x1 = 0
-    dt = 2.0 * math.pi / omega / 64.0
-    eps = dt * 1e-6
-    t_stop = t_escape + dt * 1e-9
+    dt = 2.0 * math.pi / omega / 64.0  # the slivers' unit
+    eps, t_stop = dt * 1e-6, t_escape + dt * 1e-9
     half_theta0, half_omega = 0.5 * theta0, 0.5 * omega
 
-    def value(t):  # x1 - k
-        r_sq = r_sq_of(t)
+    def value(t):  # (x1 - k) / r
+        r_sq, excess = law(t, True)
         r = math.sqrt(r_sq)
         s = math.sin(half_theta0 + half_omega * t if t > t_hi
                      else half_omega * (t - t_c))  # theta / 2, nearer end
-        return ((r_sq * gain * math.expm1(-two_rho * t) + v_sq) / (r + k)
-                - 2.0 * r * s * s)
+        return (excess + v_sq) / (r * (r + k)) - 2.0 * s * s
 
     def crossing(lo, f_lo, hi, f_hi, evals):  # sin(theta) < 0 on arc A only
         t, steps = _refine(value, lo, f_lo, hi, f_hi, ROOT_BRACKET / omega)
-        x2 = math.sqrt(r_sq_of(t) * gain * math.expm1(-two_rho * t) + v_sq)
+        x2 = math.sqrt(law(t, True)[1] + v_sq)
         return (k, -x2 if t > t_hi else x2), t, evals + steps + 1
 
     evals = 0
     try:  # a radius escaping in rounding after t_stop escapes too
-        t_edge = -(0.5 * math.pi + theta0) / omega  # theta = -pi/2
-        half = (math.acos(min(1.0, k / math.sqrt(r_sq_of(t_edge))))
-                if t_edge > t_stop else 0.5 * math.pi)
-        t_neg, f_neg = -eps, math.nan
-        last = math.ceil((-eps + (half + theta0) / omega) / dt)  # theta -half
-        for j in range(1, last + 1):
-            t = max(-eps - j * dt, t_stop)
-            f = value(t)
-            evals += 1
+        if t_stop > -(0.5 * math.pi + theta0) / omega:  # escape on arc A
+            evals = 1
+            f = value(t_stop)
             if f > 0.0:
-                return crossing(t, f, t_neg, f_neg, evals)
-            if t == t_stop:
-                return None, None, evals  # the escape comes on arc A
-            t_neg, f_neg = t, f
-        if t_hi > t_stop:
-            return crossing(max(t_c, t_stop), math.nan, t_hi, -k, evals)
+                return crossing(t_stop, f, -eps, math.nan, 1)
+        elif t_hi > t_stop:
+            return crossing(max(t_c, t_stop), math.nan, t_hi, -1.0, 0)
     except BackwardBlowup:
         pass
     return None, None, evals

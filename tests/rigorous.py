@@ -30,10 +30,12 @@ past the line still has 60 significant digits.  At t_c, x1 = r(t_c) > k,
 so the first return lies in (max(t_c, t_esc), 0) or the orbit escapes
 first.  Only where cos(psi) > 0 can x1 exceed k:
 
-* psi in (3 pi / 2, 2 pi + theta0), next to the tangential seed: x1 - k
-  may change sign twice there, so the part where cos(psi) > k / r is
-  sampled at 64 points, at least 4 times as densely as the package's
-  scan grid, and geometrically towards both ends;
+* psi in (3 pi / 2, 2 pi + theta0), next to the tangential seed: the
+  package proves that x1 - k changes sign there at most once, and only
+  where the orbit escapes within this arc; the reference samples the
+  part where cos(psi) > k / r anyway, at 64 points and geometrically
+  towards both ends, so that it stays independent of that argument (the
+  bound cos(psi) = k / r is read from the exact r^2 - k^2);
 * psi in (0, pi / 2), just after t_c: r and cos(psi) both fall as psi
   grows, so x1 does, and there is exactly one return when x1 > k at the
   lower end (t_c, or the escape, where x1 grows without bound).
@@ -98,18 +100,18 @@ def first_return(rho, omega, k, v) -> FirstReturn:
         psi_esc = omega * (mp.log(b) / (2 * rho) - t_c)
         gain = (r0_sq - rho) / rho
 
-        def radius(psi):  # (r^2, expm1(-2 rho t)) at t = t_c + psi / omega
+        def radius(psi):  # (r^2, r^2 - k^2) at t = t_c + psi / omega
             x = -2 * rho * (t_c + psi / omega)
             # exp(x) - 1 keeps 54 digits at |x| >= 1e-6, in a third the time
             m = mp.exp(x) - 1 if abs(x) >= 1e-6 else mp.expm1(x)
             den = 1 - b * (1 + m)
             assert den > 0, "sampled past the escape"
-            return rho / den, m
+            r_sq = rho / den
+            return r_sq, r_sq * gain * m + v * v
 
         def value(psi):  # x1 - k at psi
-            r_sq, m = radius(psi)
+            r_sq, excess = radius(psi)
             r = mp.sqrt(r_sq)
-            excess = r_sq * gain * m + v * v  # r^2 - k^2
             return excess / (r + k) - 2 * r * mp.sin(psi / 2) ** 2
 
         def crossing(lo, hi, f_lo=None):  # the one return in (lo, hi)
@@ -140,10 +142,13 @@ def first_return(rho, omega, k, v) -> FirstReturn:
             return FirstReturn(float(t_c), float(t_c + psi / omega),
                                float(r * mp.sin(psi)))
 
-        # x1 > k needs cos(psi) > k / r, and r falls as psi grows
+        # x1 > k needs cos(psi) > k / r, and r falls as psi grows; the
+        # angle of cos = k / r is read from the exact excess r^2 - k^2, as
+        # r itself can round below k where v^2 / k^2 and the growth per
+        # turn lie below 60 digits
         low = max(3 * mp.pi / 2, psi_esc)
         if psi_esc < low:
-            low = max(low, 2 * mp.pi - mp.acos(k / mp.sqrt(radius(low)[0])))
+            low = max(low, 2 * mp.pi - mp.atan2(mp.sqrt(radius(low)[1]), k))
         if low < turn:
             span = turn - low
             grid = {turn - span * i / 64 for i in range(1, 64)}

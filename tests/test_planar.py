@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -517,14 +518,125 @@ def test_returns_next_to_the_cycle_match_the_reference():
     (1.0, 10.0, 1.0000000000001),  # 1e-13 outside its cycle
 ], ids=["example1", "example1_next_to_the_cycle"])
 def test_example1_l1_returns_match_the_reference(rho, omega, k):
-    # example 1's v2* = 2.363045070248615 is 4.34e-13 from the reference
-    # 2.3630450702481807 (the full-revolution scan's 2.363045070247754 was
-    # 4.27e-13 from it), and next to the cycle the return at t = -0.62832,
-    # x2 = 7.087e-07, is found where a law that snapped u1 onto the cycle
-    # read an escape
+    # example 1's v2* = 2.3630450702477748 is 4.06e-13 from the reference
+    # 2.3630450702481807 (the scan that sampled arc A read
+    # 2.363045070248615, 4.34e-13 from it, and the full-revolution scan
+    # 2.363045070247754, 4.27e-13), and next to the cycle the return at
+    # t = -0.62832, x2 = 7.087e-07, is found where a law that snapped u1
+    # onto the cycle read an escape
     a = analyze_vdp_line(rho, omega, k)
     assert a.branch == "x2star_above"
     assert _matches_reference(a, rho, omega)
+
+
+def _escape_angle(rho, omega, k, v):
+    """theta0 + omega t_esc, the angle at which the backward orbit of the
+    line point (k, v) escapes (outside the cycle), in 60 digits."""
+    with mp.workdps(60):
+        rho, omega, k, v = (mp.mpf(x) for x in (rho, omega, k, v))
+        r0_sq = k * k + v * v
+        t_esc = mp.log((r0_sq - rho) / r0_sq) / (2 * rho)
+        return float(mp.atan2(v, k) + omega * t_esc)
+
+
+def _extreme_lines(seed, n):
+    """n lines x1 = k outside the cycle at extreme scales: rho log-uniform
+    on [1e-150, 1e150], k / sqrt(rho) on [1.001, 10], and omega / rho
+    log-uniform on [1e-3, 1e3] for every other line (escapes within a
+    quarter turn among them) and on [1e-3, 1e150 / rho] for the rest."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        e = rng.uniform(-150.0, 150.0)
+        rho = 10.0 ** e
+        k = math.sqrt(rho) * rng.uniform(1.001, 10.0)
+        out.append((rho, 10.0 ** rng.uniform(e - 3.0, e + 3.0 if i % 2
+                                              else 150.0), k))
+    return out
+
+
+def _double_tangency_lines(seed, n):
+    """n lines just inside the subcritical regime: omega = 2 k sqrt(k^2 -
+    rho) (1 + delta), the double tangency at delta = 0, with delta
+    log-uniform on [1e-12, 1e-6]; rho and k as in ``_near_cycle_lines``,
+    k / sqrt(rho) - 1 on [1e-10, 10]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        rho = 10.0 ** rng.uniform(-8.0, 8.0)
+        k = math.sqrt(rho) * (1.0 + 10.0 ** rng.uniform(-10.0, 1.0))
+        delta = 10.0 ** rng.uniform(-12.0, -6.0)
+        out.append((rho, 2.0 * k * math.sqrt(k * k - rho) * (1.0 + delta), k))
+    return out
+
+
+#: A line whose 60-digit reference once raised TypeError (comparing a
+#: complex arc bound): v^2 / k^2 and the growth per turn lie below 60
+#: digits, so its radius rounded below k.
+EXTREME_RATIO_LINE = (0.006832078916366508, 2.0007726525196053e+69,
+                      0.43400294519427385)
+
+
+def test_the_seed_is_a_strict_maximum_of_x1():
+    # the package's argument for arc A: at u1 = (k, v), w0 = r0^2 - rho is
+    # the smaller root of k^2 w^2 - omega^2 w + omega^2 (k^2 - rho) = 0,
+    # and w0^2 + 2 rho w0 < omega^2, so x1'' < 0 there (equality holds at
+    # the double tangency, which ``_double_tangency_lines`` approach); for
+    # the exact tangency ordinate and for the package's rounded one
+    lines = ([EXTREME_RATIO_LINE] + _extreme_lines(4242, 400)
+             + _near_cycle_lines(4242, 200)
+             + _double_tangency_lines(4242, 200)
+             + [line for line, _, _ in _seeded_scans(808, 300)])
+    seen, closest = 0, 0.0
+    with mp.workdps(60):
+        for rho, omega, k in lines:
+            disc, vp, _ = tangency_ordinates(rho, omega, k)
+            if not 0.0 < disc < math.inf:
+                continue
+            rho_, omega_, k_ = (mp.mpf(x) for x in (rho, omega, k))
+            gap = k_ * k_ - rho_
+            y = 4 * k_ * k_ * gap / (omega_ * omega_)
+            if not y < 1:  # a double or no tangency, up to rounding of disc
+                continue
+            root = mp.sqrt(1 - y)
+            v = -2 * k_ * gap / (omega_ * (1 + root))  # the upper ordinate
+            w0 = gap + v * v
+            assert abs(w0 - 2 * gap / (1 + root)) <= 1e-40 * w0
+            for w in (w0, gap + mp.mpf(vp) ** 2):
+                assert w * w + 2 * rho_ * w < omega_ * omega_, (rho, omega, k)
+            seen += 1
+            closest = max(closest, (w0 * w0 + 2 * rho_ * w0) / omega_ ** 2)
+    assert seen >= 750 and closest > 1.0 - 1e-5
+
+
+def test_first_return_lies_on_arc_a_where_the_escape_does():
+    # The reference samples arc A (theta in (-pi / 2, theta0)) and the
+    # package does not: it returns there exactly when the escape lies
+    # there.  Both agree on every line, extreme ratios included.
+    lines = ([EXTREME_RATIO_LINE] + _extreme_lines(2042, 300)
+             + [line for line, _, _ in _seeded_scans(2042, 150)])
+    seen = Counter()
+    with Budget("arc A of the first return against the reference", 30.0):
+        for rho, omega, k in lines:
+            disc, vp, vm = tangency_ordinates(rho, omega, k)
+            if not 0.0 < disc < math.inf:
+                continue
+            ref = first_return(rho, omega, k, vp)
+            edge = -0.5 * math.pi
+            escape_on_a = _escape_angle(rho, omega, k, vp) > edge
+            on_a = (ref.t is not None
+                    and math.atan2(vp, k) + omega * ref.t > edge)
+            assert on_a == escape_on_a, (rho, omega, k)
+            seen[escape_on_a] += 1
+            try:
+                a = analyze_vdp_line(rho, omega, k)
+            except UngenericBranch:  # strictly between the tangency pair
+                assert _branch(ref.x2, vp, vm) == "between", (rho, omega, k)
+                continue
+            if a.regime == "subcritical":
+                assert _matches_reference(a, rho, omega), (rho, omega, k)
+    print(dict(seen))
+    assert seen[True] >= 10 and seen[False] >= 200
 
 
 @pytest.mark.parametrize("s", [2.0 ** -60, 2.0 ** 40],
@@ -731,30 +843,43 @@ def test_focus_window_time_rescaling(s):
 
 #: Ceilings on the closed-form evaluations of one scan, and on their mean
 #: over a seeded batch.  A focus scan needs no sampling; an oscillator scan
-#: samples only where the orbit can reach the line (about 21 per scan if it
-#: sampled every cos(theta) > 0 window).
+#: samples nothing either: one evaluation where the escape lies on arc A,
+#: then one refine on arc A or arc C.  ``VDP_EVALUATIONS`` bounds any line
+#: (arc C's refine bisects longer when its return lies next to t_c), and
+#: ``VDP_BATCH_EVALUATIONS`` the examples and the benchmark's draw.
 FOCUS_EVALUATIONS = 16
 VDP_EVALUATIONS = 48
+VDP_BATCH_EVALUATIONS = 16
 FOCUS_MEAN_EVALUATIONS = 8.0
-VDP_MEAN_EVALUATIONS = 14.0
+VDP_MEAN_EVALUATIONS = 10.5
 
 
 def test_scan_evaluation_ceilings(ex1, ex2, ex3):
     for p in (ex1, ex2, ex3):
         a = analyze_vdp_line(p.rho, p.omega, p.d)
-        assert a.evaluations <= VDP_EVALUATIONS
+        assert a.evaluations <= VDP_BATCH_EVALUATIONS
     for p in (ex2, ex3):
         sys = PlanarLinearSystem.from_entries(p.b11, p.b12, p.b21, p.b22)
         w = focus_stay_window(sys, p.d - p.q3 - p.q1)
         assert 1 <= w.evaluations <= FOCUS_EVALUATIONS
-    vdp, focus = [], []
+    vdp, focus, on_arc_b = [], [], 0
     for (rho, omega, k), sys, c in _seeded_scans(808, 1000):
         a = analyze_vdp_line(rho, omega, k)
-        assert (a.evaluations == 0) == (a.regime == "supercritical")
+        # no evaluation exactly where the line is supercritical or u1's
+        # backward orbit escapes on arc B (theta in [-3 pi / 2, -pi / 2],
+        # where x1 <= 0)
+        escape_on_b = (a.regime == "subcritical" and -1.5 * math.pi
+                       <= _escape_angle(rho, omega, k, a.varrho_plus)
+                       <= -0.5 * math.pi)
+        on_arc_b += escape_on_b
+        assert (a.evaluations == 0) == (a.regime == "supercritical"
+                                        or escape_on_b)
         if a.evaluations:
             vdp.append(a.evaluations)
         focus.append(focus_stay_window(sys, c).evaluations)
-    assert max(vdp) <= VDP_EVALUATIONS and max(focus) <= FOCUS_EVALUATIONS
+    assert on_arc_b == 279
+    assert max(vdp) <= VDP_BATCH_EVALUATIONS
+    assert max(focus) <= FOCUS_EVALUATIONS
     assert sum(vdp) <= VDP_MEAN_EVALUATIONS * len(vdp)
     assert sum(focus) <= FOCUS_MEAN_EVALUATIONS * len(focus)
 

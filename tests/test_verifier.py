@@ -172,9 +172,9 @@ THRESHOLD_TEXTS = [
     (1, {"d": 0.9, "q1": 0.9}, "h3", "placement hypothesis"),
     (1, {"omega": 1e160}, "v_star_exists",
      "backward orbit of v1 returns to L1"),
-    (1, {}, "q2_window", "[-0.05313884846595452, 2.363045070248615]"),
+    (1, {}, "q2_window", "[-0.05313884846595452, 2.3630450702477748]"),
     (2, {}, "q2_window",
-     "(-inf, -4.4162144854757255] u [-0.9045340337332911, +inf)"),
+     "(-inf, -4.416214485475618] u [-0.9045340337332911, +inf)"),
     (1, {}, "q3_subcase", "= 0.19999999999999996 (bottom rim)"),
     (2, {}, "q3_subcase", "= 2.7837651700316894 (top rim)"),
     (3, {}, "q3_subcase", "in (1.0, 3.0)"),
