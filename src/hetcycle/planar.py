@@ -12,9 +12,9 @@ Two questions drive the cycle certification and both are planar:
   is an explicit interval (or complement of one) bounded by the upper
   tangency point u1 and the first backward return x_star of the orbit
   through u1.  ``return_branch`` decides which, with the band
-  ``tangency_band``, and ``vdp_stay_check`` tests a point of L against
-  that set, closed and widened by the same band; on L1 it is the
-  verifier's q2 window.
+  ``tangency_band`` kept on the analysis, and ``vdp_stay_check`` tests a
+  point of L against that set, closed and widened by that band; on L1 it
+  is the verifier's q2 window.
 
 * For a stable planar linear system and a vertical line {y1 = c}, c != 0,
   when does the forward orbit of a line point (c, y2) stay on the side of
@@ -66,9 +66,10 @@ class VdpLineAnalysis(NamedTuple):
     point is u1 = (k, varrho_plus), ``x_star`` is the first intersection
     of the backward orbit of u1 with the line, and ``branch`` is the
     ``return_branch`` of its ordinate: above varrho_plus, below
-    varrho_minus, or 'ungeneric' within ``tangency_band`` of either.
-    ``evaluations`` counts the closed-form orbit evaluations the search for
-    x_star made (0 in the supercritical regime).
+    varrho_minus, or 'ungeneric' within ``band`` of either: the pair's
+    ``tangency_band``, by which ``vdp_stay_check`` widens (0.0 without a
+    return).  ``evaluations`` counts the closed-form orbit evaluations the
+    search for x_star made (0 in the supercritical regime).
     """
 
     k: float
@@ -79,6 +80,7 @@ class VdpLineAnalysis(NamedTuple):
     t_star: Optional[float] = None
     branch: Optional[str] = None
     evaluations: int = 0
+    band: float = 0.0
 
 
 def analyze_vdp_line(rho: float, omega: float, k: float,
@@ -94,12 +96,12 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
         raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, sqrt(rho)={math.sqrt(rho)!r}")
     disc, vp, vm = tangency_ordinates(rho, omega, k)
     scale = max(1.0, abs(k * k - rho), omega * omega / (4.0 * k * k))
-    band = 4.0 * k * k * tol * scale if tol else 0.0  # not 0 * inf at tol 0
+    disc_band = 4.0 * k * k * tol * scale if tol else 0.0  # not 0 * inf
     if disc == math.inf:
         # omega^2 past the float range makes the discriminant and its band
         # inf: subcritical, but u1 itself is not known and is not followed
         x_star, t_star, evals = None, None, 0
-    elif disc > band:
+    elif disc > disc_band:
         x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
     else:
         return VdpLineAnalysis(k, "supercritical")
@@ -107,10 +109,11 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
     # dichotomy does not cover: branch 'no_backward_return'.
+    band = 0.0 if x_star is None else tangency_band(vp, vm, tol)
     branch = ("no_backward_return" if x_star is None
-              else return_branch(x_star[1], vp, vm, tol))
+              else return_branch(x_star[1], vp, vm, band))
     return VdpLineAnalysis(k, "subcritical", vp, vm, x_star, t_star, branch,
-                           evals)
+                           evals, band)
 
 
 def tangency_band(vp: float, vm: float, tol: float = DEFAULT_TOL) -> float:
@@ -118,11 +121,9 @@ def tangency_band(vp: float, vm: float, tol: float = DEFAULT_TOL) -> float:
     return tol * max(1.0, abs(vp), abs(vm))
 
 
-def return_branch(x2: float, vp: float, vm: float,
-                  tol: float = DEFAULT_TOL) -> str:
+def return_branch(x2: float, vp: float, vm: float, band: float) -> str:
     """Branch of a first-return ordinate x2 against the tangency ordinates
-    vm <= vp; strictly between them (outside the band) UngenericBranch."""
-    band = tangency_band(vp, vm, tol)
+    vm <= vp, 'ungeneric' within ``band``; strictly between UngenericBranch."""
     if abs(x2 - vp) <= band or abs(x2 - vm) <= band:
         return "ungeneric"
     if x2 > vp:
@@ -134,11 +135,10 @@ def return_branch(x2: float, vp: float, vm: float,
         f"between the tangency ordinates ({vm!r}, {vp!r})")
 
 
-def vdp_stay_check(analysis: VdpLineAnalysis, y2: float,
-                   tol: float = DEFAULT_TOL) -> bool:
+def vdp_stay_check(analysis: VdpLineAnalysis, y2: float) -> bool:
     """Whether the forward orbit of the point (k, y2) of the analysed line
     stays in {x1 <= k}, with each finite end of the stay set widened by
-    ``tangency_band``: the whole line when supercritical; for
+    the analysis' ``band``: the whole line when supercritical; for
     'x2star_above' the interval [varrho_plus, x_star]; for 'x2star_below'
     the complement (-inf, x_star] u [varrho_plus, +inf).  UngenericBranch
     on a branch the dichotomy does not cover."""
@@ -152,8 +152,7 @@ def vdp_stay_check(analysis: VdpLineAnalysis, y2: float,
         raise UngenericBranch(
             "first backward return is within tolerance of a tangency "
             "ordinate; the generic dichotomy does not apply")
-    vp, xs = analysis.varrho_plus, analysis.x_star[1]
-    band = tangency_band(vp, analysis.varrho_minus, tol)
+    vp, xs, band = analysis.varrho_plus, analysis.x_star[1], analysis.band
     if analysis.branch == "x2star_above":
         return vp - band <= y2 <= xs + band
     return y2 <= xs + band or y2 >= vp - band
@@ -361,10 +360,12 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
     hi, f_hi = 0.5 * math.pi - math.atan(g), -1.0
     if growth < 0.5 * hi * hi:
         hi, f_hi = math.sqrt(2.0 * growth), math.expm1(-growth * growth / 3.0)
-    s, steps = _refine(value, 0.0,
-                       math.expm1(growth) if growth < 709.0 else math.inf,
-                       hi, f_hi, ROOT_BRACKET * hi)
-    try:  # u grows by e^growth per backward turn, so a slow focus overflows
+    try:  # u grows by e^growth per backward turn: past e^{growth / 2} each
+        # return overflows (g (s - 2 pi) > growth / 2, s < hi < pi), unrefined
+        math.exp(0.5 * growth)
+        s, steps = _refine(value, 0.0,
+                           math.expm1(growth) if growth < 709.0 else math.inf,
+                           hi, f_hi, ROOT_BRACKET * hi)
         y_out = y_in - (c * beta * (1.0 + g * g) * math.exp(g * (s - two_pi))
                         * math.sin(s) / sys.a12)
     except OverflowError:

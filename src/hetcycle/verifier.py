@@ -103,11 +103,10 @@ def cone_condition(params: SystemParams) -> Evidence:
     return Evidence("cone", lhs, "< {!r}", (rhs,), lhs < rhs)
 
 
-def _q2_window(params: SystemParams, analysis: VdpLineAnalysis,
-               tol: float) -> Evidence:
+def _q2_window(params: SystemParams, analysis: VdpLineAnalysis) -> Evidence:
     """q2 against the stay set of L1 by ``vdp_stay_check``, which raises
     UngenericBranch on an 'ungeneric' branch."""
-    passed = vdp_stay_check(analysis, params.q2, tol)
+    passed = vdp_stay_check(analysis, params.q2)
     vp, v2_star = analysis.varrho_plus, analysis.x_star[1]
     if analysis.branch == "x2star_above":
         return Evidence("q2_window", params.q2, "[{!r}, {!r}]", (vp, v2_star),
@@ -192,7 +191,7 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
                 note="the backward orbit escapes before returning; "
                      "configuration outside certification coverage"))
         else:
-            evidence.append(_q2_window(params, analysis, tol))
+            evidence.append(_q2_window(params, analysis))
             v_star = (analysis.k, analysis.x_star[1], 0.0)
 
     subcase, lo, hi, points = rim_subcase(params, tol)

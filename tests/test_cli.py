@@ -555,10 +555,12 @@ def test_uncertified_check_clears_stale_segment_files(cfg, tmp_path):
 
 
 @pytest.mark.parametrize("alpha,beta", [(-4.0, 0.01), (-1.0, 0.001)])
-def test_check_certify_slow_focus_no_overflow(tmp_path, capsys, alpha, beta):
+def test_check_certify_slow_focus_no_overflow(tmp_path, capsys, focus_refines,
+                                              alpha, beta):
     # example 2 with a slowly rotating focus block: the backward spiral
     # grows by e^{2 pi |alpha| / beta} per turn and leaves float range
-    # before it returns to L2; a typed error, not an OverflowError
+    # before it returns to L2; a typed error, not an OverflowError, and
+    # decided before the window's refine, as e^{pi |alpha| / beta} overflows
     d = math.sqrt(35.0 / 11.0)
     path = tmp_path / "slow_focus.cfg"
     path.write_text(
@@ -571,6 +573,7 @@ def test_check_certify_slow_focus_no_overflow(tmp_path, capsys, alpha, beta):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "RootSearchError"
     assert "float range" in err["message"]
+    assert focus_refines == []
 
 
 def test_check_unwritable_out_exit_1(cfg, tmp_path, capsys):

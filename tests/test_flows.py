@@ -412,6 +412,20 @@ def test_radial_law_matches_frozen_reference():
     assert in_band and off_band and near_escape
 
 
+def test_left_orbit_from_a_start_past_the_float_range():
+    # r0^2 = 1e400 overflows, so the law takes its offset b as 1 (rho /
+    # r0^2 rounds away) and escapes at t = 0: the start itself, then r^2
+    # as the 60-digit law has it once back in range, and backward none
+    orbit = left_orbit((1e200, 0.0, 0.0), 1.0, 1.0, 0.0)
+    assert repr(orbit(0.0)) == repr((1e200, 0.0, 0.0))
+    for t in (1e-9, 1e-3, 0.5, 3.0, 40.0):
+        x1, x2, _ = orbit(t)
+        want = radial_sq(1e200, 0.0, 1.0, t)
+        assert abs(x1 * x1 + x2 * x2 - want) <= 1e-15 * want, (t, want)
+    with pytest.raises(BackwardBlowup):
+        orbit(-1e-3)
+
+
 def test_on_cycle_band_edges():
     rho = 1.3
     params = replace(_plain_params(), rho=rho)

@@ -33,6 +33,7 @@ from hetcycle.planar import (
     focus_stay_window,
     node_stay_check,
     return_branch,
+    tangency_band,
     vdp_stay_check,
 )
 
@@ -95,35 +96,35 @@ def test_x_star_residual_and_exclusion():
 
 
 def test_stay_set_example1_contains_q2():
-    a = analyze_vdp_line(1.0, 10.0, 1.2)
-    assert vdp_stay_check(a, 0.0, 0.0)  # sigma_plus < 0 < x2*
+    a = analyze_vdp_line(1.0, 10.0, 1.2, 0.0)
+    assert vdp_stay_check(a, 0.0)  # sigma_plus < 0 < x2*
 
 
 def test_stay_set_endpoint_bookkeeping_case_above():
     # both ends of the interval [u1, x2*] are closed, and at tol 0 the
     # next float outward is out
-    a = analyze_vdp_line(1.0, 10.0, 1.2)
+    a = analyze_vdp_line(1.0, 10.0, 1.2, 0.0)
     u1 = a.varrho_plus
     xs = a.x_star[1]
-    assert vdp_stay_check(a, u1, 0.0) and vdp_stay_check(a, xs, 0.0)
-    assert not vdp_stay_check(a, math.nextafter(u1, -math.inf), 0.0)
-    assert not vdp_stay_check(a, math.nextafter(xs, math.inf), 0.0)
+    assert vdp_stay_check(a, u1) and vdp_stay_check(a, xs)
+    assert not vdp_stay_check(a, math.nextafter(u1, -math.inf))
+    assert not vdp_stay_check(a, math.nextafter(xs, math.inf))
 
 
 def test_stay_set_endpoint_bookkeeping_case_below():
-    a = analyze_vdp_line(1.0, math.sqrt(35.0), math.sqrt(35.0 / 11.0))
+    a = analyze_vdp_line(1.0, math.sqrt(35.0), math.sqrt(35.0 / 11.0), 0.0)
     u1 = a.varrho_plus
     xs = a.x_star[1]
-    assert vdp_stay_check(a, u1, 0.0) and vdp_stay_check(a, xs, 0.0)
-    assert not vdp_stay_check(a, math.nextafter(u1, -math.inf), 0.0)
-    assert not vdp_stay_check(a, math.nextafter(xs, math.inf), 0.0)
+    assert vdp_stay_check(a, u1) and vdp_stay_check(a, xs)
+    assert not vdp_stay_check(a, math.nextafter(u1, -math.inf))
+    assert not vdp_stay_check(a, math.nextafter(xs, math.inf))
     # interior of the excluded wedge
-    assert not vdp_stay_check(a, 0.5 * (u1 + xs), 0.0)
+    assert not vdp_stay_check(a, 0.5 * (u1 + xs))
 
 
 def test_stay_set_supercritical():
-    a = analyze_vdp_line(1.0, 1.0, 2.0)
-    assert vdp_stay_check(a, -0.25, 0.0)
+    a = analyze_vdp_line(1.0, 1.0, 2.0, 0.0)
+    assert vdp_stay_check(a, -0.25)
 
     a1 = analyze_vdp_line(1.0, 10.0, 1.2)
     assert vdp_stay_check(a1, 0.0)
@@ -135,7 +136,7 @@ def test_stay_set_boundary_discriminant():
     for tol in (0.0, 1e-9):
         a = analyze_vdp_line(3.0, 4.0, 2.0, tol)
         assert a.regime == "supercritical" and a.evaluations == 0
-        assert vdp_stay_check(a, -1.0, tol)
+        assert vdp_stay_check(a, -1.0)
 
 
 def test_ungeneric_branch_raises_on_stay_set():
@@ -346,7 +347,7 @@ def _matches_reference(a, rho, omega, tol=1e-9):
 def _branch(x2, vp, vm, tol=1e-9):
     """``return_branch``, or 'between' where it raises UngenericBranch."""
     try:
-        return return_branch(x2, vp, vm, tol)
+        return return_branch(x2, vp, vm, tangency_band(vp, vm, tol))
     except UngenericBranch:
         return "between"
 
@@ -669,14 +670,17 @@ def test_vdp_return_scales_exactly(s):
     assert returns >= 300
 
 
-def test_slow_focus_scan_matches_dense_reference():
+def test_slow_focus_scan_matches_dense_reference(focus_refines):
     # 2 pi |alpha| / beta past the float range of exp: u - 1 is inf at the
     # bracket's lower end while the return itself is representable, or the
-    # return overflows too; both as the 60-digit reference has it
+    # return overflows too, refused without a refine as e^{pi |alpha| /
+    # beta} overflows; both as the 60-digit reference has it
     for beta, finite in ((1.0 / 150.0, True), (1.0 / 200.0, True),
                          (1.0 / 400.0, False)):
         sys = PlanarLinearSystem.from_entries(-1.0, 3.0 * beta, -beta / 3.0, -1.0)
+        focus_refines.clear()
         assert _matches_focus_reference(sys, 2.0), beta
+        assert len(focus_refines) == (1 if finite else 0), beta
         if not finite:
             with pytest.raises(RootSearchError, match="float range"):
                 focus_stay_window(sys, 2.0)

@@ -120,6 +120,7 @@ def test_q2_window_widened_ends(ex1, ex2, example, branch, tol):
     assert a.branch == branch
     vp, vm, xs = a.varrho_plus, a.varrho_minus, a.x_star[1]
     band = tol * max(1.0, abs(vp), abs(vm))
+    assert a.band == band
     if branch == "x2star_above":  # [vp - band, xs + band]
         ends = ((vp - band, -math.inf), (xs + band, math.inf))
     else:  # (-inf, xs + band] u [vp - band, +inf)
@@ -141,7 +142,8 @@ def test_q2_window_ungeneric_raises(ex1):
     _, sigma_plus, sigma_minus = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)
     mid = 0.5 * (sigma_plus + sigma_minus)
     with pytest.raises(UngenericBranch):
-        return_branch(mid, sigma_plus, sigma_minus)
+        return_branch(mid, sigma_plus, sigma_minus,
+                      tangency_band(sigma_plus, sigma_minus))
 
 
 def test_cone_condition_examples(ex2, ex3):
