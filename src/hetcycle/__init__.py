@@ -2,13 +2,14 @@
 piecewise-affine 3D system (saddle periodic orbit in the left zone, saddle
 equilibrium in the right zone)."""
 
-from ._integrate import StepControl
-from .flows import left_flow, numeric_flow, right_flow
+from .flows import left_flow, right_flow
 from .hybrid import (
     CrosscheckReport,
     HybridTrajectory,
+    StepControl,
     crosscheck_closed_forms,
     integrate_hybrid,
+    numeric_flow,
 )
 from .model import (
     HypothesisReport,

@@ -1,4 +1,4 @@
-"""Closed-form flows of the two zone fields, plus a numeric oracle.
+"""Closed-form flows of the two zone fields.
 
 Left zone: in polar coordinates the planar part obeys r' = r(rho - r^2),
 theta' = omega, and the axis obeys x3' = mu x3.  The radial law integrates
@@ -37,17 +37,12 @@ results are bit-identical.  A start that is not a tuple is read by
 ``model.point`` (a new tuple, so a miss); a tuple is unpacked by its orbit
 on a miss, so a start of other than three components raises ValueError
 either way.
-
-``numeric_flow`` integrates the raw Cartesian fields with the adaptive
-Runge-Kutta oracle and exists solely to cross-check the formulas above;
-like them, it returns a float 3-tuple (the stepper's final state).
 """
 
 from __future__ import annotations
 
 import math
 
-from ._integrate import rk45
 from .errors import BackwardBlowup
 from .model import PlanarLinearSystem, SystemParams, point
 
@@ -244,53 +239,3 @@ def _memoized(orbit_of):
 left_flow = _memoized(lambda x0, p: left_orbit(x0, p.rho, p.omega, p.mu))
 #: Closed-form right-zone flow ``right_orbit(x0, params)(t)``.
 right_flow = _memoized(right_orbit)
-
-
-def left_field(params: SystemParams):
-    """Raw Cartesian left-zone vector field (for the numeric oracle)."""
-    rho, omega, mu = params.rho, params.omega, params.mu
-
-    def f(x):
-        x1, x2, x3 = x
-        rr = x1 * x1 + x2 * x2
-        return (rho * x1 - omega * x2 - x1 * rr,
-                omega * x1 + rho * x2 - x2 * rr,
-                mu * x3)
-
-    return f
-
-
-def right_field(params: SystemParams):
-    """Raw Cartesian right-zone vector field (for the numeric oracle)."""
-    b11, b12, b21, b22, lam = params.b11, params.b12, params.b21, params.b22, params.lam
-    q1, q2, q3 = params.q1, params.q2, params.q3
-
-    def f(x):
-        x1, x2, x3 = x
-        y1 = x1 - q1
-        y2 = x2 - q2
-        return (b11 * y1 + b12 * y2, b21 * y1 + b22 * y2, lam * (x3 - q3))
-
-    return f
-
-
-def numeric_flow(x0, t: float, side: str, params: SystemParams) -> tuple:
-    """Adaptive Runge-Kutta solution of the chosen zone field, 3 floats.
-
-    Exists to cross-check the closed forms; backward times integrate the
-    negated field forward.  Raises StepFailure if the controller underflows
-    (for the left field this is how backward blow-up manifests).
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x0 = point(x0)
-    if t == 0.0:
-        return x0
-    f = left_field(params) if side == "left" else right_field(params)
-    if t < 0.0:
-        fwd = f
-        f = lambda x: tuple(-v for v in fwd(x))  # noqa: E731
-        span = -t
-    else:
-        span = t
-    return rk45(f, x0, 0.0, span).xs[-1]

@@ -132,7 +132,9 @@ CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 class PlanarLinearSystem(NamedTuple):
     """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
     ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
-    4 a12 a21 (no cancellation when a12 a21 = 0), a = tr / 2 and
+    4 a12 a21 (no cancellation when a12 a21 = 0; the float of its exact
+    rational value where the rounded sum is within its rounding of 0, so
+    its sign is exact), a = tr / 2 and
     w = sqrt(|disc|) / 2.  The sign of disc alone names the family and so
     the theorem: disc >= 0, real ``eigenvalues`` low first (a triangular
     block's diagonal, exactly), 'real_stable' when both are negative;
@@ -155,6 +157,10 @@ class PlanarLinearSystem(NamedTuple):
     def from_entries(cls, a11, a12, a21, a22) -> "PlanarLinearSystem":
         tr, h = a11 + a22, a11 - a22
         disc = h * h + 4.0 * a12 * a21
+        if abs(disc) <= 1e-15 * (h * h + 4.0 * abs(a12 * a21)) < math.inf:
+            from fractions import Fraction  # loads decimal: only if needed
+            f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
+            disc = float((f11 - f22) ** 2 + 4 * f12 * f21)
         a, w = 0.5 * tr, 0.5 * math.sqrt(abs(disc))
         if disc >= 0.0:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
             den = h + math.copysign(2.0 * w, h)

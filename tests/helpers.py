@@ -12,10 +12,16 @@ import time
 
 import numpy as np
 
-from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup
-from hetcycle.flows import left_field, left_flow, right_field, right_flow
-from hetcycle.hybrid import CrosscheckReport, _draw_start
+from hetcycle.flows import left_flow, right_flow
+from hetcycle.hybrid import (
+    CrosscheckReport,
+    StepControl,
+    _draw_start,
+    left_field,
+    right_field,
+    rk45,
+)
 from hetcycle.model import CONFIG_KEYS, SystemParams
 
 BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)

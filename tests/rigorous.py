@@ -54,9 +54,13 @@ the form g (s - 2 pi) + log1p(-2 sin^2(s / 2) - g sin s), whose terms keep
 their digits for any g, bisected until log u > -1 at the bracket's upper
 end (it is -inf where u = 0), then refined to 40 digits by Newton's
 method from that end, which concavity keeps at or past the root.
+
+``spectrum_branch`` is exact: the sign of a block's discriminant from its
+float entries in ``fractions.Fraction``.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import mpmath as mp
@@ -239,3 +243,12 @@ def focus_return(a11, a12, a21, a22, c) -> FocusReturn:
             rounded(y_in + span), rounded(span),
             float(g + mp.cos(s) / sin), float((1 + g * g) * sin / lin),
             float(abs(g) * (2 * mp.pi + abs(sin / lin))))
+
+
+def spectrum_branch(a11, a12, a21, a22) -> str:
+    """The flow formula of the block [[a11, a12], [a21, a22]] named by the
+    exact sign of disc = (a11 - a22)^2 + 4 a12 a21 of its float entries:
+    'real' (> 0), 'repeated' (= 0) or 'complex' (< 0)."""
+    f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
+    disc = (f11 - f22) ** 2 + 4 * f12 * f21
+    return "real" if disc > 0 else "repeated" if disc == 0 else "complex"

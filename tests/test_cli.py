@@ -963,11 +963,17 @@ def _all_contained(report):
      lambda e: "horizon gamma_up_back" in e["message"]),
     (["example", "1", "--set", "b22=-1e-320", "--tfwd", "10"], (0,), None,
      lambda r: r["verdict"]["cycle_count"] == 1 and _all_contained(r)),
+    # a near-repeated block whose rounded discriminant is +, its exact one
+    # -1.8e-18: a slow focus (beta 6.8e-10), refused, not a real saddle
+    (["example", "1", "--set", "b11=-1.5449091657235188",
+      "--set", "b12=-4.707058610506759", "--set", "b21=0.0083234848556282",
+      "--set", "b22=-1.94078354508701"], (1,), "RootSearchError",
+     lambda e: "float range" in e["message"]),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
         "tangency_overflows", "slow_block_horizon", "slow_lambda_horizon",
-        "slow_mu_horizon", "slow_block_override"])
+        "slow_mu_horizon", "slow_block_override", "rounded_disc_focus"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with

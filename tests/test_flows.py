@@ -10,17 +10,20 @@ import pytest
 from helpers import Budget, semigroup_max_rel_err
 from rigorous import first_return, radial_sq
 
-from hetcycle._integrate import StepControl, rk45
 from hetcycle.errors import BackwardBlowup, StepFailure
 from hetcycle.flows import (
     ON_CYCLE_BAND,
-    left_field,
     left_flow,
     left_orbit,
-    numeric_flow,
     radial_law,
-    right_field,
     right_flow,
+)
+from hetcycle.hybrid import (
+    StepControl,
+    left_field,
+    numeric_flow,
+    right_field,
+    rk45,
 )
 
 TIGHT = StepControl(rtol=1e-12, atol=1e-14)
@@ -229,6 +232,29 @@ def test_right_flow_matches_oracle_on_its_own_time_scale(ex1):
                 want = numeric_flow(x0, t, "right", p)
                 err = max(abs(a - b) for a, b in zip(got, want))
                 assert err <= 1e-5, ((b11, b12, b21, b22), t, err)
+
+
+def test_left_flow_matches_oracle_on_its_own_time_scale(ex1):
+    # the left twin of the test above: rates scaled together over six
+    # decades, each set checked at 0.9 T and 3 T, T = 1 / min(rho, mu),
+    # relative to the cycle's radius or the height reached
+    rng = np.random.default_rng(2045)
+    with Budget("left_flow against rk45 on each set's time scale", 10.0):
+        for _ in range(120):
+            s = 10.0 ** rng.uniform(-6.0, 0.0)
+            rho, omega, mu = (s * rng.uniform(0.3, 2.0),
+                              s * rng.uniform(0.5, 3.0),
+                              s * rng.uniform(0.05, 1.0))
+            p = replace(ex1, rho=rho, omega=omega, mu=mu)
+            sr = math.sqrt(rho)
+            r, th = sr * rng.uniform(0.3, 1.6), rng.uniform(0.0, 2.0 * math.pi)
+            x0 = (r * math.cos(th), r * math.sin(th), sr * rng.uniform(-1, 1))
+            for t in (0.9 / min(rho, mu), 3.0 / min(rho, mu)):
+                got = left_flow(x0, t, p)
+                want = numeric_flow(x0, t, "left", p)
+                err = (max(abs(a - b) for a, b in zip(got, want))
+                       / max(sr, abs(want[2])))
+                assert err <= 1e-7, ((rho, omega, mu), x0, t, err)
 
 
 def test_numeric_flow_stepfailure_past_blowup():

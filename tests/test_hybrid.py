@@ -5,21 +5,20 @@ import pytest
 
 from helpers import csv_rows, reference_crosscheck
 
-from hetcycle._integrate import (
+from hetcycle import hybrid
+from hetcycle.errors import ConfigError, EventStorm, SlidingDetected
+from hetcycle.flows import left_flow, right_flow
+from hetcycle.hybrid import (
     GRAZE_TOL,
     StepControl,
     _clears_plane,
     _plane_event,
-    hermite,
-    rk45,
-)
-from hetcycle import hybrid
-from hetcycle.errors import ConfigError, EventStorm, SlidingDetected
-from hetcycle.flows import left_flow, numeric_flow, right_flow
-from hetcycle.hybrid import (
     active_side,
     crosscheck_closed_forms,
+    hermite,
     integrate_hybrid,
+    numeric_flow,
+    rk45,
     write_events_csv,
     write_trajectory_csv,
 )

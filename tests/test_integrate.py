@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hetcycle._integrate import (
+from hetcycle.hybrid import (
     EVENT_RESIDUAL,
     GRAZE_TOL,
     StepControl,
@@ -200,16 +200,16 @@ def test_crossing_ends_at_the_event_without_a_field_call():
 
 def test_step_limits_are_module_constants(monkeypatch):
     # every run shares the step budget and the step-size floor
-    from hetcycle import _integrate
+    from hetcycle import hybrid
     from hetcycle.errors import StepFailure
 
     circle = lambda x: (-x[1], x[0], 0.0)  # noqa: E731
     assert not hasattr(StepControl(), "max_steps")
-    monkeypatch.setattr(_integrate, "MAX_STEPS", 3)
+    monkeypatch.setattr(hybrid, "MAX_STEPS", 3)
     with pytest.raises(StepFailure, match="max_steps=3"):
         rk45(circle, (1.0, 0.0, 0.0), 0.0, 10.0)
-    monkeypatch.setattr(_integrate, "MAX_STEPS", 2_000_000)
-    monkeypatch.setattr(_integrate, "H_MIN", 1.0)
+    monkeypatch.setattr(hybrid, "MAX_STEPS", 2_000_000)
+    monkeypatch.setattr(hybrid, "H_MIN", 1.0)
     with pytest.raises(StepFailure, match="underflow"):
         rk45(circle, (1.0, 0.0, 0.0), 0.0, 10.0)
 

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hetcycle._integrate import rk45
+from helpers import Budget
+from rigorous import spectrum_branch
+
 from hetcycle.errors import ConfigError, HypothesisFailure
-from hetcycle.flows import left_flow, numeric_flow, right_flow
-from hetcycle.hybrid import integrate_hybrid
+from hetcycle.flows import left_flow, right_flow
+from hetcycle.hybrid import integrate_hybrid, numeric_flow, rk45
 from hetcycle.model import (
     CONFIG_KEYS,
     PlanarLinearSystem,
@@ -208,6 +211,41 @@ def test_blocks_inside_the_repeated_root_band():
                                                    "complex")
         on = PlanarLinearSystem.from_entries(-s, s, 0.0, -s)
         assert (on.spectral_type, on.branch) == ("real_stable", "repeated")
+
+
+def test_near_repeated_blocks_follow_the_exact_discriminant_sign():
+    # a21 = -h^2 (1 + eps) / (4 a12) puts the exact disc within a relative
+    # 1e-12 of 0, where the rounded one can carry the wrong sign; the
+    # family and the flow formula follow the exact sign
+    rng = random.Random(45)
+    kinds = {"real": 0, "repeated": 0, "complex": 0}
+    with Budget("exact discriminant sign", 10.0):
+        for _ in range(20_000):
+            a11 = -rng.uniform(0.1, 4.0)
+            h = (rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 2.0)
+                 * 10.0 ** rng.uniform(-8.0, 0.0))
+            a12 = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 5.0)
+            eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17.0, -12.0)
+            entries = (a11, a12, -h * h * (1.0 + eps) / (4.0 * a12), a11 - h)
+            block = PlanarLinearSystem.from_entries(*entries)
+            assert block.branch == spectrum_branch(*entries), entries
+            if block.a < 0.0:  # a stable focus exactly when complex
+                assert ((block.spectral_type == "complex_stable")
+                        == (block.branch == "complex")), entries
+            kinds[block.branch] += 1
+    assert min(kinds["real"], kinds["complex"]) > 5000, kinds
+
+
+def test_rounded_discriminant_of_the_wrong_sign_is_a_focus(ex1):
+    # disc rounds to 0.0 here (a repeated eigenvalue), exactly it is
+    # -1.8e-18: a complex pair (beta 6.8e-10), so h1 (a real saddle) fails
+    p = dataclasses.replace(
+        ex1, b11=-1.5449091657235188, b12=-4.707058610506759,
+        b21=0.0083234848556282, b22=-1.94078354508701)
+    block = p.block
+    assert (block.spectral_type, block.branch) == ("complex_stable", "complex")
+    assert 6e-10 < block.w < 7e-10
+    assert not validate_hypotheses(p).h1_holds
 
 
 def test_hypotheses_mutually_exclusive(ex1, ex2, ex3):

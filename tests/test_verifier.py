@@ -9,7 +9,8 @@ from helpers import Budget, rim_sets, wide_sets
 from rigorous import focus_return
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
-from hetcycle.flows import left_flow, numeric_flow, right_flow
+from hetcycle.flows import left_flow, right_flow
+from hetcycle.hybrid import numeric_flow
 from hetcycle.model import (SystemParams, l2_offset, params_from_dict,
                             rim_subcase, tangency_ordinates,
                             validate_hypotheses, window_tangency)
