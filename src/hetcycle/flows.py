@@ -155,21 +155,24 @@ def left_orbit(x0, rho: float, omega: float, mu: float):
 
 def block_exp(sys: PlanarLinearSystem):
     """The two scalars of e^{tA} = c I + s (A - a I), a = tr / 2, for the
-    block ``sys`` as ``t -> (c, s)``, from its ``branch``, a and w alone:
+    block ``sys`` as ``t -> (c, s)``, from its ``branch``, a and w:
     e^{at} (1, t) repeated, e^{at} (cos wt, sin(wt) / w) complex and
-    e^{at} (cosh wt, sinh(wt) / w) real.  The real branch takes the larger
-    of e^{(a +/- w) t} from its own exponent (no overflow through cosh/sinh
+    e^{at} (cosh wt, sinh(wt) / w) real.  The real branch reads its rates
+    lo <= hi from the block's ``eigenvalues``, and takes the larger of
+    e^{lo t}, e^{hi t} from its own exponent (no overflow through cosh/sinh
     at large |t|) and the smaller as the larger times 1 + m, m =
     expm1(-2 w |t|), so sinh(wt) / w has no cancellation at any w > 0, as
     sin(wt) / w has none.
     """
-    _, _, _, _, _, branch, a, w, _ = sys
+    _, _, _, _, _, branch, a, w, eigenvalues = sys
     if branch == "repeated":
         def exp_ta(t):
             c = math.exp(a * t)
             return c, c * t
     elif branch == "real":
-        hi, lo, w2 = a + w, a - w, 2.0 * w
+        # the rates as the spectrum holds them: a +/- w cancels once they
+        # differ by more than about 2^53, and drops the slow one
+        lo, hi, w2 = eigenvalues[0].real, eigenvalues[1].real, 2.0 * w
 
         def exp_ta(t):
             if t > 0.0:

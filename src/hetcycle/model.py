@@ -36,7 +36,8 @@ point a caller passes (a start, q0, p), as a float 3-tuple, which
 ``SystemParams.q`` is too.
 
 Everything here is an immutable value; every function is pure.  The
-records every certification builds are ``NamedTuple``s, cheap to build;
+records every certification builds are ``NamedTuple``s
+(``validate_hypotheses`` builds its own through ``_make``);
 ``SystemParams`` is a frozen dataclass, which checks its values; its
 ``block`` is computed on first use and kept.
 """
@@ -216,11 +217,14 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     m3 = abs(params.q1 - d)
     p1, p2 = m1 > 0.0, m2 > 0.0
     p3 = m3 <= tol * (abs(d) if abs(d) > 1.0 else 1.0)  # tol max(1, |d|)
-    checks = (H3Check("sqrt_rho_lt_d", p1, m1), H3Check("cq_gt_d", p2, m2),
-              H3Check("q1_eq_d", p3, m3))
-    kind = params.block.spectral_type
-    return HypothesisReport(kind == "real_stable", kind == "complex_stable",
-                            p1 and p2 and p3, checks, params.block)
+    checks = (H3Check._make(("sqrt_rho_lt_d", p1, m1)),
+              H3Check._make(("cq_gt_d", p2, m2)),
+              H3Check._make(("q1_eq_d", p3, m3)))
+    block = params.block
+    kind = block.spectral_type
+    return HypothesisReport._make((kind == "real_stable",
+                                   kind == "complex_stable",
+                                   p1 and p2 and p3, checks, block))
 
 
 def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:

@@ -35,7 +35,7 @@ quarter turn holds a return exactly when the orbit escapes within it.
 Its seed sits on the line (tangentially), so a refine ends a sliver
 before zero, and near-tangent returns are an explicit 'ungeneric' branch
 instead of being forced into the generic dichotomy.  Its records are
-``NamedTuple``s.
+``NamedTuple``s, built through their ``_make``.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     elif disc > disc_band:
         x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
     else:
-        return VdpLineAnalysis(k, "supercritical")
+        return VdpLineAnalysis._make((k, "supercritical", None, None, None,
+                                      None, None, 0, 0.0))
     # The backward orbit escapes to infinity in finite time; when its total
     # rotation before the escape is too small it never returns to the line
     # at all (possible for strong radial rates), which the classical
@@ -112,8 +113,8 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     band = 0.0 if x_star is None else tangency_band(vp, vm, tol)
     branch = ("no_backward_return" if x_star is None
               else return_branch(x_star[1], vp, vm, band))
-    return VdpLineAnalysis(k, "subcritical", vp, vm, x_star, t_star, branch,
-                           evals, band)
+    return VdpLineAnalysis._make((k, "subcritical", vp, vm, x_star, t_star,
+                                  branch, evals, band))
 
 
 def tangency_band(vp: float, vm: float, tol: float = DEFAULT_TOL) -> float:
@@ -374,7 +375,8 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
         raise RootSearchError(
             "the backward spiral leaves float range before returning to "
             f"the line (alpha={alpha!r}, beta={beta!r})")
-    return SpiralWindow(c, y_in, y_out, (s - two_pi) / beta, steps + 1)
+    return SpiralWindow._make((c, y_in, y_out, (s - two_pi) / beta,
+                               steps + 1))
 
 
 def focus_stay_check(window: SpiralWindow, y2: float,

@@ -29,14 +29,15 @@ the cone condition).
 All conditions here are sufficient only: cycle_count 0 means "not
 certified", never "no cycle exists".  Strict inequalities are evaluated
 with zero slack; equality-type checks use the global tolerance.
-``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s, cheap to build; an
-``Evidence`` keeps its threshold's numbers (``limits``) beside its text
-(``form``), and ``certify`` formats no text: ``threshold`` renders it.
+``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s; ``certify`` builds
+each through its ``_make``, and the gate and passing h3 entries, the
+same value on every call, are module constants.  An ``Evidence`` keeps
+its threshold's numbers (``limits``) beside its text (``form``), and
+``certify`` formats no text: ``threshold`` renders it.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Optional
 
 from .model import (DEFAULT_TOL, HypothesisReport, SystemParams, l2_offset,
@@ -100,7 +101,7 @@ def cone_condition(params: SystemParams) -> Evidence:
     omega, mu, d = params.omega, params.mu, params.d
     lhs = omega * omega * params.rho
     rhs = mu * mu * (d * d - params.rho)
-    return Evidence("cone", lhs, "< {!r}", (rhs,), lhs < rhs)
+    return Evidence._make(("cone", lhs, "< {!r}", (rhs,), lhs < rhs, ""))
 
 
 def _q2_window(params: SystemParams, analysis: VdpLineAnalysis) -> Evidence:
@@ -109,8 +110,9 @@ def _q2_window(params: SystemParams, analysis: VdpLineAnalysis) -> Evidence:
     passed = vdp_stay_check(analysis, params.q2)
     vp, v2_star = analysis.varrho_plus, analysis.x_star[1]
     if analysis.branch == "x2star_above":
-        return Evidence("q2_window", params.q2, "[{!r}, {!r}]", (vp, v2_star),
-                        passed, note="branch: v2* above sigma_plus")
+        return Evidence._make(("q2_window", params.q2, "[{!r}, {!r}]",
+                               (vp, v2_star), passed,
+                               "branch: v2* above sigma_plus"))
     return Evidence(
         "q2_window", params.q2, "(-inf, {!r}] u [{!r}, +inf)",
         (v2_star, vp), passed,
@@ -118,32 +120,38 @@ def _q2_window(params: SystemParams, analysis: VdpLineAnalysis) -> Evidence:
              "(the mirrored sign reading is inconsistent with the stay set)")
 
 
+#: (form, note) of the q3_subcase entry of each covered subcase.
+_SUBCASE_TEXT = {"a": ("= {!r} (bottom rim)", "subcase a"),
+                 "b": ("= {!r} (top rim)", "subcase b"),
+                 "c": ("in ({!r}, {!r})", "subcase c")}
+
+
 def _q3_evidence(q3: float, subcase: str, lo: float, hi: float) -> Evidence:
     """The ``rim_subcase`` decision of q3 against the rims lo, hi."""
     if subcase == "none":
         return Evidence("q3_subcase", q3, "within [{!r}, {!r}]", (lo, hi),
                         False, note="q3 outside certification coverage")
-    form, limits = (("= {!r} (bottom rim)", (lo,)) if subcase == "a" else
-                    ("= {!r} (top rim)", (hi,)) if subcase == "b" else
-                    ("in ({!r}, {!r})", (lo, hi)))
-    return Evidence("q3_subcase", q3, form, limits, True,
-                    note=f"subcase {subcase}")
+    form, note = _SUBCASE_TEXT[subcase]
+    limits = (lo,) if subcase == "a" else (hi,) if subcase == "b" else (lo, hi)
+    return Evidence._make(("q3_subcase", q3, form, limits, True, note))
 
 
 def _none_verdict(evidence: list) -> CycleVerdict:
     return CycleVerdict("none", None, "none", 0, (), None, tuple(evidence))
 
 
-#: Route of each certifiable spectrum: (theorem, gate evidence, its text).
-_ROUTES = {"real_stable": ("real_saddle", "h1",
-                           "right planar block real stable"),
-           "complex_stable": ("saddle_focus", "h2",
-                              "right planar block complex stable")}
+#: Route of each certifiable spectrum: (theorem, its passing gate entry).
+_ROUTES = {"real_stable": ("real_saddle", Evidence(
+               "h1", 1.0, "right planar block real stable", (), True)),
+           "complex_stable": ("saddle_focus", Evidence(
+               "h2", 1.0, "right planar block complex stable", (), True))}
+#: The h3 entry of every set whose placement holds.
+_H3_PASSED = Evidence("h3", 1.0, "placement hypothesis", (), True)
 
 
 def _h3_evidence(report: HypothesisReport) -> Evidence:
     if report.h3_holds:
-        return Evidence("h3", 1.0, "placement hypothesis", (), True)
+        return _H3_PASSED
     worst = min(report.h3_details, key=lambda c: c.passed)
     return Evidence("h3", 0.0, "placement hypothesis", (), False,
                     note=f"failing sub-check: {worst.name}")
@@ -174,9 +182,8 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
             Evidence("spectral_type", 0.0, "real stable or complex stable",
                      (), False, note=f"got {sys.spectral_type}"),
             _h3_evidence(report)])
-    theorem, gate, gate_text = _ROUTES[sys.spectral_type]
-    evidence = [Evidence(gate, 1.0, gate_text, (), True),
-                _h3_evidence(report)]
+    theorem, gate = _ROUTES[sys.spectral_type]
+    evidence = [gate, _h3_evidence(report)]
     if not report.h3_holds:
         return _none_verdict(evidence)
     analysis = analyze_vdp_line(params.rho, params.omega, params.d, tol)
@@ -201,26 +208,27 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
         evidence.append(cone_condition(params))
 
     c = l2_offset(params)
+    q2 = params.q2
     if theorem == "real_saddle":
-        window = None
-        check = functools.partial(node_stay_check, sys, c)
+        w = window = None
         prefix, form = "halfplane", ">= 0"
     else:  # the report prints the window lifted to L2 in 3D
         w = focus_stay_window(sys, c)
-        window = tuple((params.d - params.q3, y + params.q2, params.q3)
-                       for y in (w.y_in, w.y_out))
-        check = functools.partial(focus_stay_check, w)
+        x1, q3 = params.d - params.q3, params.q3
+        window = ((x1, w.y_in + q2, q3), (x1, w.y_out + q2, q3))
         prefix, form = "window", "in [0, 1) along [x_minus, x_plus)"
     for label, p in points:
         # p's ordinate on L2: a rim point of subcase a or b itself sits up
         # to the rim band off L2
-        stays, value = check(p[1] - params.q2, tol)
-        evidence.append(Evidence(f"{prefix}_{label}", value, form, (),
-                                 stays))
+        y2 = p[1] - q2
+        stays, value = (node_stay_check(sys, c, y2, tol) if w is None else
+                        focus_stay_check(w, y2, tol))
+        evidence.append(Evidence._make((f"{prefix}_{label}", value, form, (),
+                                        stays, "")))
 
     # subcase 'none' implies no points and fails the q3_subcase evidence
-    connecting = (tuple(p for _, p in points)
-                  if all(e.passed for e in evidence) else ())
-    return CycleVerdict(theorem, regime, subcase, len(connecting), connecting,
-                        (params.d, params.q2, 0.0), tuple(evidence), v_star,
-                        window)
+    connecting = (tuple([p for _, p in points])
+                  if all([e.passed for e in evidence]) else ())
+    return CycleVerdict._make((theorem, regime, subcase, len(connecting),
+                               connecting, (params.d, q2, 0.0),
+                               tuple(evidence), v_star, window))

@@ -9,12 +9,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import Budget, csv_rows, wide_sets
+from helpers import WIDE_DECADES_SET, Budget, csv_rows, wide_sets
 from rigorous import first_return
 
 from hetcycle import cli, errors
 from hetcycle.cli import main, make_parser
 from hetcycle.model import CONFIG_KEYS, load_config, params_to_dict
+from hetcycle.orbits import HORIZON_TARGET
 from hetcycle.planar import ROOT_BRACKET, analyze_vdp_line
 from hetcycle.presets import example_params
 
@@ -969,17 +970,29 @@ def _all_contained(report):
       "--set", "b12=-4.707058610506759", "--set", "b21=0.0083234848556282",
       "--set", "b22=-1.94078354508701"], (1,), "RootSearchError",
      lambda e: "float range" in e["message"]),
+    # a node with rates -1 and -1e17, further apart than 2^53: the slow
+    # one carries gamma_up_fwd to q, and the certificate holds
+    (["example", "1", "--set", "b11=-1", "--set", "b22=-1e17"], (0,), None,
+     lambda r: _all_contained(r) and r["certificates"][0][
+         "endpoint_residuals"]["gamma_up_fwd_to_q"] <= HORIZON_TARGET),
+    # helpers.WIDE_DECADES_SET: refused, naming the forward segment
+    (["check", "wide.cfg", "--certify"], (1,), "CertificateFailure",
+     lambda e: "forward segment" in e["message"]),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
         "tangency_overflows", "slow_block_horizon", "slow_lambda_horizon",
-        "slow_mu_horizon", "slow_block_override", "rounded_disc_focus"])
+        "slow_mu_horizon", "slow_block_override", "rounded_disc_focus",
+        "separated_rates_node", "wide_decades"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with
     # stderr empty, or exactly one JSON error object of the expected type;
     # ``check`` reads the report, or the error object
     (tmp_path / "rim_band.cfg").write_text(RIM_BAND_FOCUS)
+    (tmp_path / "wide.cfg").write_text("".join(
+        f"{k} = {v!r}\n"
+        for k, v in params_to_dict(WIDE_DECADES_SET).items()))
     out = tmp_path / "r.json"
     argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
     code = main([*argv, "--out", str(out), "--csv-dir", str(tmp_path / "d")])

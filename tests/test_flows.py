@@ -876,14 +876,18 @@ def _ref_planar_matrix_exp(a11, a12, a21, a22, t):
         e = math.exp(a * t)
         c, sl = e, e * t
     elif disc > 0.0:
-        # the larger of e^{(a +/- w) t}, and the smaller as the larger
-        # times 1 + m with m = expm1(-2 w |t|)
+        # the larger of e^{lo t}, e^{hi t}, and the smaller as the larger
+        # times 1 + m with m = expm1(-2 w |t|); the rates lo <= hi as the
+        # block's spectrum holds them (a +/- w cancels on stiff blocks)
+        from hetcycle.model import PlanarLinearSystem
+        lo, hi = (e.real for e in PlanarLinearSystem.from_entries(
+            a11, a12, a21, a22).eigenvalues)
         w = 0.5 * math.sqrt(disc)
         if t > 0.0:
-            e_big, m = math.exp((a + w) * t), math.expm1(-2.0 * w * t)
+            e_big, m = math.exp(hi * t), math.expm1(-2.0 * w * t)
             half_diff = -0.5 * e_big * m  # (e_hi - e_lo) / 2
         else:
-            e_big, m = math.exp((a - w) * t), math.expm1(2.0 * w * t)
+            e_big, m = math.exp(lo * t), math.expm1(2.0 * w * t)
             half_diff = 0.5 * e_big * m
         c = e_big + 0.5 * e_big * m  # (e_hi + e_lo) / 2
         sl = half_diff / w
@@ -966,7 +970,10 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
     # up to 20 of the block's own time scale 1/|a|, on blocks whose rates
     # are far below 1, far above it and near it, with discriminants from
     # exactly 0 to 1e-8 a^2 on both sides: every branch meets it to 1e-14
-    # of the largest entry, the real one too as w -> 0 (no cancellation)
+    # of the largest entry, the real one too as w -> 0 (no cancellation).
+    # Real blocks whose rates differ by factors up to 1e30 meet it too, at
+    # times up to 20 of their slow time scale: a +/- w would cancel the
+    # slow rate there and keep e^{tA} near its start
     import mpmath
 
     from hetcycle.flows import block_exp
@@ -983,11 +990,21 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
         # disc = 4 s (eps s / 4) = eps a^2
         blocks += [(-s, s, 0.25 * eps * s, -s)
                    for eps in (0.5e-12, -0.5e-12, 2e-12, -2e-12, 1e-8, -1e-8)]
+    # separated rates l1 << l2: triangular either way round, and coupled
+    # both ways (b12 b21 = l1 l2 / 2, so det > 0 and the slow rate ~ l1 / 2)
+    for l1 in (1.0, 1e-10, 1e-3):
+        for ratio in (1e3, 1e10, 1e17, 1e20, 1e30):
+            l2 = l1 * ratio
+            blocks += [(-l1, l1, 0.0, -l2), (-l2, l2, 0.0, -l1),
+                       (-l1, l2, 0.5 * l1, -l2)]
     for m in blocks:
         sys = PlanarLinearSystem.from_entries(*m)
         exp_ta = _block_entries(sys, block_exp(sys))
         ts = [k / abs(sys.a) for k in (-20.0, -10.0, -3.0, -1.0, -0.3, -1e-3,
                                        -1e-6, 1e-6, 1e-3, 0.5, 2.0, 10.0)]
+        if sys.branch == "real":  # the slow rate's own time scale
+            slow = abs(sys.eigenvalues[1].real)
+            ts += [k / slow for k in (1e-3, 0.3, 1.0, 3.0, 20.0)]
         if sys.spectral_type == "complex_stable":
             ts.append(-2.0 * math.pi / sys.w)  # one backward turn
         a = mpmath.matrix([[m[0], m[1]], [m[2], m[3]]])

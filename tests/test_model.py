@@ -271,6 +271,33 @@ def test_h3_fails_when_d_equals_sqrt_rho():
     assert v.theorem == "none" and v.cycle_count == 0
 
 
+def test_zero_eigenvalue_is_neither_node_nor_focus(ex1):
+    # eigenvalues -1 and 0: h1 needs both strictly negative
+    p = dataclasses.replace(ex1, b11=-1.0, b12=1.0, b21=0.0, b22=0.0)
+    rep = validate_hypotheses(p)
+    assert rep.block.eigenvalues == (-1.0, 0.0)
+    assert rep.block.spectral_type == "other"
+    assert not rep.h1_holds and not rep.h2_holds
+    assert certify(p).theorem == "none"
+
+
+def test_h3_fails_when_q1_plus_q3_equals_d(ex1):
+    # q3 = 0 puts q1 + q3 on d exactly: the strict sub-check fails at 0.0
+    rep = validate_hypotheses(dataclasses.replace(ex1, q3=0.0))
+    by_name = {c.name: c for c in rep.h3_details}
+    assert not rep.h3_holds
+    assert not by_name["cq_gt_d"].passed and by_name["cq_gt_d"].margin == 0.0
+
+
+@pytest.mark.parametrize("offset, passed", [(3e-9, True), (5e-9, False)])
+def test_q1_eq_d_band_scales_with_d(ex1, offset, passed):
+    # at d = 4 the band is tol |d| = 4e-9, not tol
+    p = dataclasses.replace(ex1, rho=1.0, d=4.0, q1=4.0 + offset, q3=3.5)
+    rep = validate_hypotheses(p, 1e-9)
+    (check,) = [c for c in rep.h3_details if c.name == "q1_eq_d"]
+    assert check.passed is passed and rep.h3_holds is passed
+
+
 def test_geometry_example1(ex1):
     _, sigma_plus, _ = tangency_ordinates(ex1.rho, ex1.omega, ex1.d)
     assert sigma_plus == pytest.approx(-0.05314, abs=1e-4)

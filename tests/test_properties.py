@@ -6,10 +6,10 @@ one.  Runs are deterministic (``derandomize``, no example database)."""
 import json
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import Budget
+from helpers import WIDE_DECADES_SET, Budget
 
 from hetcycle import errors
 from hetcycle.cli import main
@@ -105,6 +105,7 @@ def test_check_certify_exits_typed_on_every_admissible_set(tmp_path, capsys):
 
     @_deterministic(100)
     @given(admissible_sets())
+    @example(WIDE_DECADES_SET)  # past the draws' decades
     def certifies_typed(p):
         path.write_text("".join(f"{k} = {v!r}\n"
                                 for k, v in params_to_dict(p).items()))

@@ -161,6 +161,18 @@ def test_cone_condition_examples(ex2, ex3):
     assert not huge_omega.passed and huge_omega.value == math.inf
 
 
+def test_cone_at_equality_is_not_certified(ex1):
+    # omega^2 rho = mu^2 (d^2 - rho) = 0.5 exactly in subcase c: the
+    # strict cone fails, and with it alone the two cycles
+    p = replace(ex1, rho=0.5, d=1.0, q1=1.0, omega=1.0, mu=1.0, q3=1.0,
+                q2=0.0)
+    v = certify(p)
+    by_name = {e.name: e for e in v.evidence}
+    assert (v.theorem, v.subcase, v.cycle_count) == ("real_saddle", "c", 0)
+    assert by_name["cone"].value == by_name["cone"].limits[0] == 0.5
+    assert [e.name for e in v.evidence if not e.passed] == ["cone"]
+
+
 #: (example, changed params, evidence, rendered threshold) for every kind
 #: of evidence, the texts as the reports printed them when each verdict
 #: formatted its own (v2* as refined to 1e-12 / omega): gate, h3 (holding
