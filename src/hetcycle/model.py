@@ -25,7 +25,9 @@ reads as they are.  So is the right block's spectrum
 (``PlanarLinearSystem``, held by ``SystemParams.block`` for the theorem,
 flows, window and horizons).
 ``validate_hypotheses`` is the one gate every certification passes, and
-the one check of the tolerance.
+the one check of the tolerance.  The one rule for the sign of a strict
+inequality is stated here too (``SIGN_REL``, ``exact_value``): every
+strict entry of a verdict reads its exact sign in the float parameters.
 
 The fields of ``SystemParams`` are the parameter schema: they name
 ``CONFIG_KEYS`` (``lam`` as ``lambda``), and constructing one is the one
@@ -54,6 +56,38 @@ from .errors import ConfigError
 
 #: Default absolute tolerance for equality-type checks on normalized values.
 DEFAULT_TOL = 1e-9
+
+#: The one rule for the sign of a strict entry: its float form m decides
+#: when abs(m) > SIGN_REL * size + SIGN_TINY, size the sum of its terms'
+#: magnitudes; otherwise ``exact_value`` decides.  Each form here rounds
+#: at most 7 u = 7 * 2^-53 of its size, and its underflow adds at most
+#: 2^-1020: where a product underflows, every factor that later scales it
+#: is below 2^52 (for the tangency discriminant where k^2 > rho; below
+#: that both of its terms are positive).  So a float form that decides
+#: has the exact sign.  An inf or NaN form never decides.  SIGN_TINY only
+#: sends an entry to the exact path; it decides none.
+SIGN_REL = 2.0 ** -49
+SIGN_TINY = 2.0 ** -1000
+#: The least magnitude whose float is not finite: 2^1024 - 2^970.
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def exact_value(form, *args) -> float:
+    """The value of ``form`` at ``args`` in rational arithmetic, as a float
+    with the exact sign: each argument a float, or a tuple of floats
+    standing for their exact sum, is read exactly, and ``form`` is the
+    entry's expression (after Shewchuk's adaptive predicates, 1997).  Its
+    float is returned; where that underflows, the least subnormal of its
+    sign, and where it overflows, an infinity of its sign."""
+    from fractions import Fraction  # loads decimal: only on this path
+    x = form(*[sum(map(Fraction, a)) if type(a) is tuple else Fraction(a)
+               for a in args])
+    if abs(x) >= _FLOAT_OVERFLOW:
+        return math.inf if x > 0 else -math.inf
+    v = float(x)
+    if v == 0.0 and x:
+        return 5e-324 if x > 0 else -5e-324
+    return v
 
 
 def point(x) -> tuple:
@@ -133,15 +167,14 @@ CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 class PlanarLinearSystem(NamedTuple):
     """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
     ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
-    4 a12 a21 (no cancellation when a12 a21 = 0; the float of its exact
-    rational value where the rounded sum is within its rounding of 0, so
-    its sign is exact), a = tr / 2 and
-    w = sqrt(|disc|) / 2.  The sign of disc alone names the family and so
-    the theorem: disc >= 0, real ``eigenvalues`` low first (a triangular
-    block's diagonal, exactly), 'real_stable' when both are negative;
-    disc < 0, a +/- i w, 'complex_stable' when a < 0; else 'other'.  The
-    same sign names ``branch``, the formula of ``flows.block_exp``: 'real'
-    for disc > 0, 'repeated' for disc == 0, 'complex' for disc < 0.
+    4 a12 a21 (no cancellation when a12 a21 = 0; its sign is exact by the
+    ``SIGN_REL`` rule), a = tr / 2 and w = sqrt(|disc|) / 2.  The sign of
+    disc alone names the family and so the theorem: disc >= 0, real
+    ``eigenvalues`` low first (a triangular block's diagonal, exactly),
+    'real_stable' when both are negative; disc < 0, a +/- i w,
+    'complex_stable' when a < 0; else 'other'.  The same sign names
+    ``branch``, the formula of ``flows.block_exp``: 'real' for disc > 0,
+    'repeated' for disc == 0, 'complex' for disc < 0.
     """
 
     a11: float
@@ -158,10 +191,10 @@ class PlanarLinearSystem(NamedTuple):
     def from_entries(cls, a11, a12, a21, a22) -> "PlanarLinearSystem":
         tr, h = a11 + a22, a11 - a22
         disc = h * h + 4.0 * a12 * a21
-        if abs(disc) <= 1e-15 * (h * h + 4.0 * abs(a12 * a21)) < math.inf:
-            from fractions import Fraction  # loads decimal: only if needed
-            f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
-            disc = float((f11 - f22) ** 2 + 4 * f12 * f21)
+        size = h * h + 4.0 * abs(a12 * a21)
+        if not abs(disc) > SIGN_REL * size + SIGN_TINY:
+            disc = exact_value(lambda a11, a12, a21, a22: (a11 - a22) ** 2
+                               + 4 * a12 * a21, a11, a12, a21, a22)
         a, w = 0.5 * tr, 0.5 * math.sqrt(abs(disc))
         if disc >= 0.0:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
             den = h + math.copysign(2.0 * w, h)
@@ -202,8 +235,10 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     h1/h2 classify the right planar block's spectrum; h3 bundles three
     placement sub-checks, each reported with its margin:
 
-    * ``sqrt_rho_lt_d``: d - sqrt(rho) > 0 (strict, zero slack),
-    * ``cq_gt_d``: q1 + q3 - d > 0 (strict, zero slack),
+    * ``sqrt_rho_lt_d``: d > sqrt(rho), decided as the exact sign of
+      d^2 - rho (``SIGN_REL``), with margin d - sqrt(rho), which can read
+      0.0 where d^2 > rho holds;
+    * ``cq_gt_d``: q1 + q3 - d > 0, its exact sign, with that margin;
     * ``q1_eq_d``: |q1 - d| <= tol * max(1, |d|).
 
     Every certification passes through here, so this is where a ``tol``
@@ -211,11 +246,17 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     """
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tol must be finite and non-negative, got {tol!r}")
-    d = params.d
-    m1 = d - math.sqrt(params.rho)
-    m2 = params.q1 + params.q3 - d
-    m3 = abs(params.q1 - d)
-    p1, p2 = m1 > 0.0, m2 > 0.0
+    d, rho, q1, q3 = params.d, params.rho, params.q1, params.q3
+    m1 = d - math.sqrt(rho)
+    m2 = q1 + q3 - d
+    m3 = abs(q1 - d)
+    d2 = d * d
+    s1 = d2 - rho
+    if not abs(s1) > SIGN_REL * (d2 + rho) + SIGN_TINY:
+        s1 = exact_value(lambda d, rho: d * d - rho, d, rho)
+    if not abs(m2) > SIGN_REL * (abs(q1) + abs(q3) + d) + SIGN_TINY:
+        m2 = exact_value(lambda q1, q3, d: q1 + q3 - d, q1, q3, d)
+    p1, p2 = s1 > 0.0, m2 > 0.0
     p3 = m3 <= tol * (abs(d) if abs(d) > 1.0 else 1.0)  # tol max(1, |d|)
     checks = (H3Check._make(("sqrt_rho_lt_d", p1, m1)),
               H3Check._make(("cq_gt_d", p2, m2)),
@@ -231,13 +272,20 @@ def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:
     """(disc, y_plus, y_minus): discriminant and roots y_plus >= y_minus
     (None if disc < 0) of k y^2 + omega y + k (k^2 - rho) = 0, the
     ordinates where the left planar field is tangent to the line x1 = k
-    (omega, k > 0).  y_minus = (-omega - sqrt(disc)) / (2k) and y_plus =
-    (k^2 - rho) / y_minus, so neither root cancels at large omega."""
-    disc = omega * omega - 4.0 * k * k * (k * k - rho)
+    (omega, k > 0).  disc = omega^2 - 4 k^2 (k^2 - rho) has the exact
+    sign (``SIGN_REL``; inf past the float range), which both the roots
+    and the L1 regime read.  y_minus = (-omega - sqrt(disc)) / (2k) and
+    y_plus = (k^2 - rho) / y_minus, so neither root cancels at large
+    omega."""
+    w2, k4, k2 = omega * omega, 4.0 * k * k, k * k
+    disc = w2 - k4 * (k2 - rho)
+    if not abs(disc) > SIGN_REL * (w2 + k4 * (k2 + rho)) + SIGN_TINY:
+        disc = exact_value(lambda rho, omega, k: omega * omega
+                           - 4 * k * k * (k * k - rho), rho, omega, k)
     if disc < 0.0:
         return disc, None, None
     y_minus = (-omega - math.sqrt(disc)) / (2.0 * k)
-    return disc, (k * k - rho) / y_minus, y_minus
+    return disc, (k2 - rho) / y_minus, y_minus
 
 
 def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:

@@ -7,7 +7,7 @@ Two questions drive the cycle certification and both are planar:
   that never re-enter {x1 >= k}?  The answer is a dichotomy on the
   tangency quadratic k y^2 + omega y + k (k^2 - rho) = 0 (solved by
   ``model.tangency_ordinates``), decided once, in ``analyze_vdp_line``,
-  with a tol band on its discriminant: without two distinct real roots
+  by the exact sign of its discriminant: without two distinct real roots
   every point of L flows into {x1 < k} and stays; with them the stay set
   is an explicit interval (or complement of one) bounded by the upper
   tangency point u1 and the first backward return x_star of the orbit
@@ -46,8 +46,8 @@ from typing import NamedTuple, Optional
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
                      RootSearchError, UngenericBranch, WrongSpectralType)
 from .flows import radial_law
-from .model import (DEFAULT_TOL, PlanarLinearSystem, tangency_ordinates,
-                    window_tangency)
+from .model import (DEFAULT_TOL, SIGN_REL, SIGN_TINY, PlanarLinearSystem,
+                    exact_value, tangency_ordinates, window_tangency)
 
 # perfbench/tracing.py wraps these two names by lookup; nothing calls them,
 # and ROADMAP item 1 stage B deletes them along with the wrappers.
@@ -57,19 +57,19 @@ planar_left_flow = planar_matrix_exp = None
 class VdpLineAnalysis(NamedTuple):
     """Tangency data of the oscillator against the vertical line x1 = k.
 
-    ``regime`` is 'supercritical' when the discriminant of the tangency
-    quadratic is at most 4 k^2 tol max(1, |k^2 - rho|, omega^2 / (4 k^2))
-    (every point of the line flows inside and stays, within tol) and
-    'subcritical' otherwise, also when omega^2 and so the discriminant
-    are past the float range.  In the subcritical regime the tangency
-    ordinates are ``varrho_plus`` >= ``varrho_minus``, the upper tangency
-    point is u1 = (k, varrho_plus), ``x_star`` is the first intersection
-    of the backward orbit of u1 with the line, and ``branch`` is the
-    ``return_branch`` of its ordinate: above varrho_plus, below
-    varrho_minus, or 'ungeneric' within ``band`` of either: the pair's
-    ``tangency_band``, by which ``vdp_stay_check`` widens (0.0 without a
-    return).  ``evaluations`` counts the closed-form orbit evaluations the
-    search for x_star made (0 in the supercritical regime).
+    ``regime`` is 'supercritical' when the exact discriminant of the
+    tangency quadratic (``model.tangency_ordinates``) is at most 0 (every
+    point of the line flows inside and stays) and 'subcritical' when it
+    is positive, also past the float range.  In the subcritical regime
+    the tangency ordinates are ``varrho_plus`` >= ``varrho_minus``, the
+    upper tangency point is u1 = (k, varrho_plus), ``x_star`` is the
+    first intersection of the backward orbit of u1 with the line, and
+    ``branch`` is the ``return_branch`` of its ordinate: above
+    varrho_plus, below varrho_minus, or 'ungeneric' within ``band`` of
+    either: the pair's ``tangency_band``, by which ``vdp_stay_check``
+    widens (0.0 without a return).  ``evaluations`` counts the
+    closed-form orbit evaluations the search for x_star made (0 in the
+    supercritical regime).
     """
 
     k: float
@@ -95,13 +95,11 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     if not k > math.sqrt(rho):
         raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, sqrt(rho)={math.sqrt(rho)!r}")
     disc, vp, vm = tangency_ordinates(rho, omega, k)
-    scale = max(1.0, abs(k * k - rho), omega * omega / (4.0 * k * k))
-    disc_band = 4.0 * k * k * tol * scale if tol else 0.0  # not 0 * inf
     if disc == math.inf:
-        # omega^2 past the float range makes the discriminant and its band
-        # inf: subcritical, but u1 itself is not known and is not followed
+        # a discriminant past the float range: subcritical, but u1 itself
+        # is not known and is not followed
         x_star, t_star, evals = None, None, 0
-    elif disc > disc_band:
+    elif disc > 0.0:
         x_star, t_star, evals = _vdp_backward_return((k, vp), rho, omega)
     else:
         return VdpLineAnalysis._make((k, "supercritical", None, None, None,
@@ -281,23 +279,43 @@ def _refine(value, lo, f_lo, hi, f_hi, width):
     return 0.5 * (lo + hi), evals
 
 
-def node_stay_check(sys: PlanarLinearSystem, c: float, y2: float,
-                    tol: float = DEFAULT_TOL) -> tuple:
+def node_stay_check(sys: PlanarLinearSystem, c, y2) -> tuple:
     """(stays, margin) of a stable-node system at the point y = (c, y2) of
     the line {y1 = c}: the forward orbit stays on the equilibrium's side
     iff the field at y does not push outward.  margin = -sign(c) (A y)_1,
-    the field's inward component, and stays is the closed band
-    margin >= -tol * max(1, |A y|), so a tangential point stays.
-    InvalidLine for c = 0."""
+    the field's inward component, and y stays iff its exact margin is
+    >= 0 (``model.SIGN_REL``), so a tangential point stays.  c and y2 are
+    floats, or tuples of floats standing for their exact sums, whose
+    floats are their sums from the left (``certify`` passes L2's offset
+    as (d, -q3, -q1) and an ordinate as (p2, -q2)).  InvalidLine for
+    c = 0."""
     if sys.spectral_type != "real_stable":
         raise WrongSpectralType(
             f"node criterion needs a real stable spectrum, got {sys.spectral_type}")
-    if c == 0.0:
+    cs = c if type(c) is tuple else (c,)
+    ys = y2 if type(y2) is tuple else (y2,)
+    c_f = c_size = y_f = y_size = 0.0
+    for t in cs:
+        c_f += t
+        c_size += abs(t)
+    for t in ys:
+        y_f += t
+        y_size += abs(t)
+    a11, a12 = sys.a11, sys.a12
+    a1 = a11 * c_f + a12 * y_f
+    margin = -a1 if c_f > 0.0 else a1
+    size = abs(a11) * c_size + abs(a12) * y_size
+    if not (abs(c_f) > SIGN_REL * c_size
+            and abs(margin) > SIGN_REL * size + SIGN_TINY):
+        margin = exact_value(_node_margin, a11, a12, cs, ys)
+    return margin >= 0.0, margin
+
+
+def _node_margin(a11, a12, c, y2):
+    if not c:
         raise InvalidLine("the line y1 = 0 passes through the equilibrium")
-    a1 = sys.a11 * c + sys.a12 * y2
-    a2 = sys.a21 * c + sys.a22 * y2
-    margin = -a1 if c > 0.0 else a1
-    return margin >= -tol * max(1.0, math.hypot(a1, a2)), margin
+    a1 = a11 * c + a12 * y2
+    return -a1 if c > 0 else a1
 
 
 class SpiralWindow(NamedTuple):

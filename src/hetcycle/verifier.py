@@ -27,8 +27,12 @@ rho)), or strictly between ('c', two cycles through p_plus/p_minus, plus
 the cone condition).
 
 All conditions here are sufficient only: cycle_count 0 means "not
-certified", never "no cycle exists".  Strict inequalities are evaluated
-with zero slack; equality-type checks use the global tolerance.
+certified", never "no cycle exists".  Strict inequalities (h1-h3, the
+regime, the cone, the node's half-plane) are evaluated with zero slack:
+each is the exact sign of its expression in the float parameters, by the
+one rule of ``model.SIGN_REL`` and ``model.exact_value``.  ``tol`` reaches
+only the equality-type checks (the rim subcases, q1 = d) and the L1
+tangency and focus-window bands.
 ``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s; ``certify`` builds
 each through its ``_make``, and the gate and passing h3 entries, the
 same value on every call, are module constants.  An ``Evidence`` keeps
@@ -40,8 +44,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .model import (DEFAULT_TOL, HypothesisReport, SystemParams, l2_offset,
-                    rim_subcase, validate_hypotheses)
+from .model import (DEFAULT_TOL, SIGN_REL, SIGN_TINY, HypothesisReport,
+                    SystemParams, exact_value, l2_offset, rim_subcase,
+                    validate_hypotheses)
 from .planar import (VdpLineAnalysis, analyze_vdp_line, focus_stay_check,
                      focus_stay_window, node_stay_check, vdp_stay_check)
 
@@ -97,11 +102,21 @@ class CycleVerdict(NamedTuple):
 
 def cone_condition(params: SystemParams) -> Evidence:
     """Backward-containment condition on the cylinder: the vertical field
-    must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly."""
-    omega, mu, d = params.omega, params.mu, params.d
-    lhs = omega * omega * params.rho
-    rhs = mu * mu * (d * d - params.rho)
-    return Evidence._make(("cone", lhs, "< {!r}", (rhs,), lhs < rhs, ""))
+    must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly.
+    The evidence shows both sides' floats; the exact sign of their
+    difference decides (``model.SIGN_REL``), from the terms (mu d)^2,
+    mu (mu rho) and omega (omega rho), whose underflow is never scaled up
+    past 2^52 (each scaling factor is below 2^52 where its product
+    underflows)."""
+    omega, mu, d, rho = params.omega, params.mu, params.d, params.rho
+    lhs = omega * omega * rho
+    rhs = mu * mu * (d * d - rho)
+    md, mr, wr = mu * d, mu * (mu * rho), omega * (omega * rho)
+    m = md * md - mr - wr
+    if not abs(m) > SIGN_REL * (md * md + mr + wr) + SIGN_TINY:
+        m = exact_value(lambda omega, mu, d, rho: mu * mu * (d * d - rho)
+                        - omega * omega * rho, omega, mu, d, rho)
+    return Evidence._make(("cone", lhs, "< {!r}", (rhs,), m > 0.0, ""))
 
 
 def _q2_window(params: SystemParams, analysis: VdpLineAnalysis) -> Evidence:
@@ -207,22 +222,21 @@ def certify(params: SystemParams, tol: float = DEFAULT_TOL,
     if subcase in ("b", "c"):
         evidence.append(cone_condition(params))
 
-    c = l2_offset(params)
     q2 = params.q2
     if theorem == "real_saddle":
         w = window = None
         prefix, form = "halfplane", ">= 0"
+        c = (params.d, -params.q3, -params.q1)  # d - q3 - q1, exactly
     else:  # the report prints the window lifted to L2 in 3D
-        w = focus_stay_window(sys, c)
+        w = focus_stay_window(sys, l2_offset(params))
         x1, q3 = params.d - params.q3, params.q3
         window = ((x1, w.y_in + q2, q3), (x1, w.y_out + q2, q3))
         prefix, form = "window", "in [0, 1) along [x_minus, x_plus)"
     for label, p in points:
         # p's ordinate on L2: a rim point of subcase a or b itself sits up
         # to the rim band off L2
-        y2 = p[1] - q2
-        stays, value = (node_stay_check(sys, c, y2, tol) if w is None else
-                        focus_stay_check(w, y2, tol))
+        stays, value = (node_stay_check(sys, c, (p[1], -q2)) if w is None
+                        else focus_stay_check(w, p[1] - q2, tol))
         evidence.append(Evidence._make((f"{prefix}_{label}", value, form, (),
                                         stays, "")))
 

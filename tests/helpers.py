@@ -9,6 +9,7 @@ self-test as a reference for the current one.
 import csv
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,8 +31,8 @@ BRUTE_CTL = StepControl(rtol=1e-10, atol=1e-13)
 EXIT_THRESHOLD = 1e-9
 
 #: A node block in a set whose rates span 1e-280 to 1e-118, q3 on the top
-#: rim: its forward segment from p1 would need 5e38 samples, past the cap
-#: (once a raw OverflowError, e^{(a + w) t} at the horizon t = 6e243).
+#: rim: its halfplane_p1 margin is -7.54e-118, so no cycle (it once passed
+#: an absolute floor of -1e-9).
 WIDE_DECADES_SET = SystemParams(
     rho=2.7494991552796795, omega=4.8189404004761046e-250,
     mu=8.811513560637065e-123, b11=-5.236571851390653e-155,
@@ -39,6 +40,10 @@ WIDE_DECADES_SET = SystemParams(
     b22=-2.175560379146909e-243, lam=5.363872064758833e-231,
     q1=15.083844040981553, q2=4.317537572183681, q3=16.742005418917874,
     d=15.083844040981553)
+#: Its mirror in q2, whose halfplane_p1 margin is +7.54e-118: one cycle,
+#: whose forward segment from p1 would need 5e38 samples, past the cap
+#: (once a raw OverflowError, e^{(a + w) t} at the horizon t = 6e243).
+WIDE_DECADES_MIRROR = replace(WIDE_DECADES_SET, q2=-4.317537572183681)
 
 
 def csv_rows(path) -> list:

@@ -56,7 +56,10 @@ end (it is -inf where u = 0), then refined to 40 digits by Newton's
 method from that end, which concavity keeps at or past the root.
 
 ``spectrum_branch`` is exact: the sign of a block's discriminant from its
-float entries in ``fractions.Fraction``.
+float entries in ``fractions.Fraction``.  So are ``strict_signs``, the
+sign of each strict algebraic entry of a verdict, and ``node_margin``, the
+node theorem's margin at a point of L2, each written out here from the
+paper's inequality and not from the package's forms.
 """
 
 import math
@@ -252,3 +255,43 @@ def spectrum_branch(a11, a12, a21, a22) -> str:
     f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
     disc = (f11 - f22) ** 2 + 4 * f12 * f21
     return "real" if disc > 0 else "repeated" if disc == 0 else "complex"
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class StrictSigns(NamedTuple):
+    """The exact sign, -1, 0 or 1, of each strict algebraic entry of a
+    verdict: the block's discriminant (the spectrum's family), d^2 - rho
+    (h3's d > sqrt(rho)), q1 + q3 - d (h3's q1 + q3 > d), omega^2 -
+    4 d^2 (d^2 - rho) (the L1 regime: subcritical iff > 0) and
+    mu^2 (d^2 - rho) - omega^2 rho (the cone: passes iff > 0)."""
+
+    disc: int
+    sqrt_rho_lt_d: int
+    cq_gt_d: int
+    regime: int
+    cone: int
+
+
+def strict_signs(params) -> StrictSigns:
+    """The ``StrictSigns`` of ``params``, from its floats in Fraction."""
+    f = {k: Fraction(getattr(params, k)) for k in (
+        "rho", "omega", "mu", "b11", "b12", "b21", "b22", "q1", "q3", "d")}
+    rho, omega, mu, d = f["rho"], f["omega"], f["mu"], f["d"]
+    d_sq = d * d
+    return StrictSigns(
+        _sign((f["b11"] - f["b22"]) ** 2 + 4 * f["b12"] * f["b21"]),
+        _sign(d_sq - rho), _sign(f["q1"] + f["q3"] - d),
+        _sign(omega ** 2 - 4 * d_sq * (d_sq - rho)),
+        _sign(mu ** 2 * (d_sq - rho) - omega ** 2 * rho))
+
+
+def node_margin(params, p2) -> Fraction:
+    """The node theorem's margin -sign(c) (b11 c + b12 (p2 - q2)), c = d -
+    q3 - q1, at the point of L2 with the float ordinate p2, exactly."""
+    c = Fraction(params.d) - Fraction(params.q3) - Fraction(params.q1)
+    inward = -(Fraction(params.b11) * c + Fraction(params.b12)
+               * (Fraction(p2) - Fraction(params.q2)))
+    return inward if c > 0 else -inward

@@ -9,7 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import WIDE_DECADES_SET, Budget, csv_rows, wide_sets
+from helpers import (WIDE_DECADES_MIRROR, WIDE_DECADES_SET, Budget,
+                     csv_rows, wide_sets)
 from rigorous import first_return
 
 from hetcycle import cli, errors
@@ -808,6 +809,43 @@ def test_near_cycle_line_reads_its_first_return(cfg, capsys):
     assert a.x_star[1] == pytest.approx(ref.x2, rel=1e-9)
 
 
+def _example1_in_units(s):
+    """Example 1 in units s (lengths times s, rates times s^2), q2 = 3 s,
+    as a config file."""
+    values = dict(rho=s * s, omega=10 * s * s, mu=5 * s * s, b11=-2 * s * s,
+                  b12=s * s, b21=0.0, b22=-s * s, q1=1.2 * s, q2=3 * s,
+                  q3=0.2 * s, d=1.2 * s)
+    values["lambda"] = 2 * s * s
+    return "".join(f"{k} = {v!r}\n" for k, v in values.items())
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-6])
+def test_example1_in_small_units_is_not_certified(tmp_path, capsys, s):
+    # q2 = 3 s lies past v2* = 2.363 s and outward of the half-plane at
+    # every scale: no cycle.  At s = 1e-6 the discriminant 9.7e-23 once lay
+    # under the regime's absolute band 5.8e-21 and read case_i, and the
+    # half-plane margin -2.6e-6 passed the node's floor: 1 cycle, whose
+    # certificate then failed containment
+    path, out = tmp_path / "s.cfg", tmp_path / "r.json"
+    path.write_text(_example1_in_units(s))
+    assert main(["check", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["regime"] == "case_ii"
+    assert [e["name"] for e in verdict["evidence"] if not e["passed"]] == [
+        "q2_window", "halfplane_p0"]
+
+
+def test_example1_in_tiny_units_is_refused(tmp_path, capsys):
+    # at s = 2^-40 the tangency band's own floor tol * max(1, ...) still
+    # swallows sigma_plus and v2*: refused as ungeneric, where an error
+    # bound on the return would decide 0 cycles
+    path = tmp_path / "s.cfg"
+    path.write_text(_example1_in_units(2.0 ** -40))
+    assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UngenericBranch"
+
+
 def _reject_token(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -975,24 +1013,30 @@ def _all_contained(report):
     (["example", "1", "--set", "b11=-1", "--set", "b22=-1e17"], (0,), None,
      lambda r: _all_contained(r) and r["certificates"][0][
          "endpoint_residuals"]["gamma_up_fwd_to_q"] <= HORIZON_TARGET),
-    # helpers.WIDE_DECADES_SET: refused, naming the forward segment
-    (["check", "wide.cfg", "--certify"], (1,), "CertificateFailure",
+    # helpers.WIDE_DECADES_SET: its exact halfplane_p1 margin is
+    # negative, so no cycle; its mirror in q2 certifies one and is
+    # refused, naming the forward segment
+    (["check", "wide.cfg", "--certify"], (2,), None,
+     lambda r: [e["name"] for e in r["verdict"]["evidence"]
+                if not e["passed"]] == ["halfplane_p1"]),
+    (["check", "wide_mirror.cfg", "--certify"], (1,), "CertificateFailure",
      lambda e: "forward segment" in e["message"]),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
         "tangency_overflows", "slow_block_horizon", "slow_lambda_horizon",
         "slow_mu_horizon", "slow_block_override", "rounded_disc_focus",
-        "separated_rates_node", "wide_decades"])
+        "separated_rates_node", "wide_decades", "wide_decades_mirror"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with
     # stderr empty, or exactly one JSON error object of the expected type;
     # ``check`` reads the report, or the error object
     (tmp_path / "rim_band.cfg").write_text(RIM_BAND_FOCUS)
-    (tmp_path / "wide.cfg").write_text("".join(
-        f"{k} = {v!r}\n"
-        for k, v in params_to_dict(WIDE_DECADES_SET).items()))
+    for name, p in (("wide", WIDE_DECADES_SET),
+                    ("wide_mirror", WIDE_DECADES_MIRROR)):
+        (tmp_path / f"{name}.cfg").write_text("".join(
+            f"{k} = {v!r}\n" for k, v in params_to_dict(p).items()))
     out = tmp_path / "r.json"
     argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
     code = main([*argv, "--out", str(out), "--csv-dir", str(tmp_path / "d")])

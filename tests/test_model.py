@@ -281,6 +281,40 @@ def test_zero_eigenvalue_is_neither_node_nor_focus(ex1):
     assert certify(p).theorem == "none"
 
 
+def test_centre_is_neither_node_nor_focus(ex1):
+    # eigenvalues +-i: h2 needs a strictly negative real part
+    p = dataclasses.replace(ex1, b11=0.0, b12=1.0, b21=-1.0, b22=0.0)
+    rep = validate_hypotheses(p)
+    assert (rep.block.branch, rep.block.a) == ("complex", 0.0)
+    assert rep.block.spectral_type == "other"
+    assert not rep.h1_holds and not rep.h2_holds
+    assert certify(p).theorem == "none"
+
+
+def test_h3_fails_when_d_squared_equals_rho(ex1):
+    # rho = 4, d = 2: d^2 - rho is 0 exactly, so d > sqrt(rho) fails
+    p = dataclasses.replace(ex1, rho=4.0, d=2.0, q1=2.0, q3=1.0)
+    rep = validate_hypotheses(p)
+    by_name = {c.name: c for c in rep.h3_details}
+    assert not rep.h3_holds
+    assert [c.name for c in rep.h3_details if not c.passed] == [
+        "sqrt_rho_lt_d"]
+    assert by_name["sqrt_rho_lt_d"].margin == 0.0
+
+
+def test_h3_reads_d_past_sqrt_rho_exactly(ex1):
+    # d = fl(sqrt(2)), rho = 2: fl(sqrt(2))^2 = 2 + 4.4e-16 > 2 exactly,
+    # so d > sqrt(rho) holds, though the margin d - fl(sqrt(rho)) is 0.0
+    d = math.sqrt(2.0)
+    assert Fraction(d) ** 2 > 2
+    p = dataclasses.replace(ex1, rho=2.0, d=d, q1=d, q3=1.0)
+    rep = validate_hypotheses(p)
+    by_name = {c.name: c for c in rep.h3_details}
+    assert rep.h3_holds
+    assert by_name["sqrt_rho_lt_d"].passed
+    assert by_name["sqrt_rho_lt_d"].margin == 0.0
+
+
 def test_h3_fails_when_q1_plus_q3_equals_d(ex1):
     # q3 = 0 puts q1 + q3 on d exactly: the strict sub-check fails at 0.0
     rep = validate_hypotheses(dataclasses.replace(ex1, q3=0.0))
@@ -403,6 +437,13 @@ def test_tangency_ordinates_are_stable_at_large_omega(omega):
     assert abs(y_minus - want_minus) <= 4 * math.ulp(want_minus)
     assert y_plus != 0.0
     assert analyze_vdp_line(1.0, omega, 1.2).varrho_plus == y_plus
+
+
+def test_double_tangency_has_one_ordinate():
+    # rho = 0.75, omega = k = 1: disc = 1 - 4 (1 - 0.75) is 0 exactly, so
+    # both roots are -omega / (2k) = -0.5, and the line is supercritical
+    assert tangency_ordinates(0.75, 1.0, 1.0) == (0.0, -0.5, -0.5)
+    assert analyze_vdp_line(0.75, 1.0, 1.0).regime == "supercritical"
 
 
 def test_x_minus_reproduces_formula(ex2):

@@ -172,20 +172,25 @@ def test_node_stay_check_boundary_counts_as_staying():
     # tangential point: (A y)_1 = 0 exactly, margin 0, stays
     shear = PlanarLinearSystem.from_entries(-1.0, 1.0, 0.0, -2.0)
     assert node_stay_check(shear, 1.0, 1.0) == (True, 0.0)
-    # the closed band: an outward push within tol * max(1, |Ay|) stays
+    # no band: an outward push of 1e-10 leaves, whatever its size
     y2 = 1.0 + 1e-10
     stays, margin = node_stay_check(shear, 1.0, y2)
-    assert stays and -1e-9 < margin < 0.0
-    assert not node_stay_check(shear, 1.0, y2, tol=1e-11)[0]
+    assert not stays and -1e-9 < margin < 0.0
+    # coordinates given as exact sums: at y2 = 1 + 2^-60 the float margin
+    # reads 0, the exact one -2^-60, which leaves; with c = 1 + 2^-60 too
+    # the point is tangential again, margin 0, and stays
+    tiny = 2.0 ** -60
+    assert node_stay_check(shear, 1.0, (1.0, tiny)) == (False, -tiny)
+    assert node_stay_check(shear, (1.0, tiny), (1.0, tiny)) == (True, 0.0)
 
 
 def test_node_stay_check_takes_a_point_on_the_line_up_to_rounding():
     # the line {x1 = 49} as the normal form {(1/49) x1 = 1} held (49, 3)
     # only up to rounding, as (1/49) * 49 rounds to 1 - 2^-53; given by
-    # its abscissa, the line holds it exactly, also at tol = 0
+    # its abscissa, the line holds it exactly
     sys = PlanarLinearSystem.from_entries(-2.0, 1.0, 0.0, -1.0)
     assert (1.0 / 49.0) * 49.0 != 1.0
-    assert node_stay_check(sys, 49.0, 3.0, tol=0.0) == (True, 95.0)
+    assert node_stay_check(sys, 49.0, 3.0) == (True, 95.0)
 
 
 def test_node_stay_check_errors():
@@ -195,7 +200,10 @@ def test_node_stay_check_errors():
     # a line through the equilibrium has no side to stay on
     node = PlanarLinearSystem.from_entries(-1.0, 0.0, 0.0, -2.0)
     with pytest.raises(InvalidLine):
-        node_stay_check(node, 0.0, 2.0, tol=2.0)
+        node_stay_check(node, 0.0, 2.0)
+    # also an offset whose exact sum is 0 where its float sum is not
+    with pytest.raises(InvalidLine):
+        node_stay_check(node, (1.0, 2.0 ** -60, -1.0, -(2.0 ** -60)), 2.0)
 
 
 def test_node_stay_check_vs_brute_force_sample():

@@ -9,12 +9,14 @@ import math
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import WIDE_DECADES_SET, Budget
+from helpers import WIDE_DECADES_MIRROR, WIDE_DECADES_SET, Budget
+from rigorous import node_margin, spectrum_branch, strict_signs
 
 from hetcycle import errors
 from hetcycle.cli import main
-from hetcycle.model import SystemParams, params_to_dict, validate_hypotheses
-from hetcycle.verifier import CycleVerdict, certify
+from hetcycle.model import (SystemParams, params_to_dict, rim_subcase,
+                            tangency_ordinates, validate_hypotheses)
+from hetcycle.verifier import CycleVerdict, certify, cone_condition
 
 #: Decades either side of 1 that each rate, block rate and shear spans.
 DECADES = 150.0
@@ -72,6 +74,47 @@ def test_certify_answers_every_admissible_set():
         answers()
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_strict_entries_agree_with_the_exact_reference():
+    # every strict algebraic entry, in every verdict and also where a
+    # later entry refuses, decides as rigorous.py's own Fraction decision
+    # of it; each signed value has the sign of its passed
+    @_deterministic(1000)
+    @given(admissible_sets())
+    def agrees(p):
+        ref = strict_signs(p)
+        report = validate_hypotheses(p)
+        assert report.block.branch == spectrum_branch(
+            p.b11, p.b12, p.b21, p.b22), p
+        h3 = {c.name: c for c in report.h3_details}
+        for name in ("sqrt_rho_lt_d", "cq_gt_d"):
+            assert h3[name].passed == (getattr(ref, name) > 0), (name, p)
+        assert h3["cq_gt_d"].passed == (h3["cq_gt_d"].margin > 0.0), p
+        assert _sign(tangency_ordinates(p.rho, p.omega, p.d)[0]) == (
+            ref.regime), p
+        assert cone_condition(p).passed == (ref.cone > 0), p
+        try:
+            verdict = certify(p)
+        except errors.HetcycleError:
+            return
+        assert verdict.regime == ("case_ii" if ref.regime > 0 else "case_i")
+        evidence = {e.name: e for e in verdict.evidence}
+        if "cone" in evidence:
+            assert evidence["cone"].passed == (ref.cone > 0), p
+        for label, point in rim_subcase(p)[3]:
+            e = evidence.get(f"halfplane_{label}")
+            if e is not None:
+                exact = node_margin(p, point[1])
+                assert e.passed == (exact >= 0) == (e.value >= 0.0), p
+                assert _sign(e.value) == _sign(exact), p
+
+    with Budget("property: strict entries are exact", 20.0):
+        agrees()
+
+
 def test_check_exits_typed_on_every_admissible_set(tmp_path, capsys):
     # exit 0 or 2 with stderr empty, or exit 1 with exactly one JSON
     # object naming a HetcycleError
@@ -105,7 +148,8 @@ def test_check_certify_exits_typed_on_every_admissible_set(tmp_path, capsys):
 
     @_deterministic(100)
     @given(admissible_sets())
-    @example(WIDE_DECADES_SET)  # past the draws' decades
+    @example(WIDE_DECADES_SET)  # past the draws' decades: exit 2
+    @example(WIDE_DECADES_MIRROR)  # and exit 1, a typed refusal
     def certifies_typed(p):
         path.write_text("".join(f"{k} = {v!r}\n"
                                 for k, v in params_to_dict(p).items()))

@@ -51,3 +51,33 @@ def test_oracle_names_no_closed_form():
                 if isinstance(n, (ast.Name, ast.Attribute))}
     assert set(found) == oracle
     assert all(not names & closed for names in found.values()), found
+
+
+
+def test_exact_arithmetic_is_named_once():
+    # the one exact-sign rule: fractions and Fraction are named in src
+    # only inside model.exact_value, and node_stay_check takes no tolerance
+    where = set()
+    for path in pathlib.Path(hetcycle.__file__).parent.glob("*.py"):
+        for top in _module_ast(path.stem).body:
+            name = getattr(top, "name", None)  # a def or class, else None
+            where.update((path.stem, name) for node in ast.walk(top)
+                         if _names_fraction(node))
+    assert where == {("model", "exact_value")}
+    (node_check,) = [f for f in _module_ast("planar").body
+                     if getattr(f, "name", None) == "node_stay_check"]
+    arguments = node_check.args
+    assert [a.arg for a in arguments.args] == ["sys", "c", "y2"]
+    assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg)
+
+
+def _names_fraction(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "Fraction"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "Fraction"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "fractions"
+    if isinstance(node, ast.Import):
+        return any(a.name == "fractions" for a in node.names)
+    return False

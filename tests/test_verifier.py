@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import Budget, rim_sets, wide_sets
-from rigorous import focus_return
+from rigorous import focus_return, strict_signs
 
 from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
 from hetcycle.flows import left_flow, right_flow
@@ -35,7 +35,8 @@ def test_regime_classification(ex1, ex3):
 def test_regime_reads_the_tangency_discriminant(ex1):
     # d^2 - rho against omega^2 / (4 d^2) once rounded apart from the sign
     # of omega^2 - 4 d^2 (d^2 - rho) at tol 0, and certify raised
-    # UngenericBranch; case_ii now always means a subcritical L1
+    # UngenericBranch; case_ii now always means a subcritical L1, and
+    # both read the exact sign of that discriminant
     boundary = 2.0 * ex1.d * math.sqrt(ex1.d * ex1.d - ex1.rho)
     omegas = [1.5919798993705918]
     for _ in range(4):
@@ -44,26 +45,30 @@ def test_regime_reads_the_tangency_discriminant(ex1):
     assert min(omegas) <= boundary <= max(omegas)
     for omega in omegas:
         p = replace(ex1, omega=omega)
+        exact = strict_signs(p).regime > 0
         for tol in (0.0, 1e-9):
             v = certify(p, tol)
             subcritical = analyze_vdp_line(p.rho, omega, p.d, tol).regime == (
                 "subcritical")
-            assert (v.regime == "case_ii") == subcritical, (omega, tol)
-    assert certify(replace(ex1, omega=1.5919798993705918), 0.0).regime == (
-        "case_i")
+            assert (v.regime == "case_ii") == subcritical == exact, (
+                omega, tol)
+    # the float discriminant of this omega reads 0.0, its exact one 4.3e-16
+    p = replace(ex1, omega=1.5919798993705918)
+    assert p.omega * p.omega - 4.0 * p.d * p.d * (p.d * p.d - p.rho) == 0.0
+    assert strict_signs(p).regime == 1
+    assert certify(p, 0.0).regime == "case_ii"
 
 
 def test_regime_is_one_reading_of_the_line(ex1):
     # omega just past the regime boundary: the discriminant (5.07e-10) is
-    # inside the band at tol 1e-9, so the line analysis and certify both
-    # read the supercritical case_i, without a scan; at tol 0 both read
-    # subcritical
+    # positive, and no tol band reads it as 0 any more, so the line
+    # analysis and certify both read the subcritical case_ii at every tol
     p = replace(ex1, omega=1.5919798993705918 * (1 + 1e-10))
-    a = analyze_vdp_line(p.rho, p.omega, p.d, 1e-9)
-    assert (a.regime, a.evaluations) == ("supercritical", 0)
-    assert certify(p, 1e-9).regime == "case_i"
-    assert analyze_vdp_line(p.rho, p.omega, p.d, 0.0).regime == "subcritical"
-    assert certify(p, 0.0).regime == "case_ii"
+    assert strict_signs(p).regime == 1
+    for tol in (0.0, 1e-9):
+        assert analyze_vdp_line(p.rho, p.omega, p.d, tol).regime == (
+            "subcritical")
+        assert certify(p, tol).regime == "case_ii"
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
@@ -159,6 +164,20 @@ def test_cone_condition_examples(ex2, ex3):
     assert huge_mu.passed and huge_mu.threshold == "< inf"
     huge_omega = cone_condition(replace(ex2, omega=1e160))
     assert not huge_omega.passed and huge_omega.value == math.inf
+
+
+@pytest.mark.parametrize("q2, margin, count", [
+    (0.39999999999999997, 2.0 ** -54, 1), (0.4, 0.0, 1),
+    (0.4000000000000001, -(2.0 ** -54), 0)])
+def test_half_plane_reads_the_parameters(ex1, q2, margin, count):
+    # example 1's p0 margin is -2 (d - q3 - q1) - q2, exactly 0 at q2 = 0.4
+    # (2 fl(0.2) = fl(0.4)); the rounded offset d - q3 - q1 =
+    # -0.19999999999999996 read it as -1.1e-16 at 0.4 and as -5.6e-17 at
+    # the float below, where the exact margin is +5.6e-17
+    v = certify(replace(ex1, q2=q2))
+    e = _evidence(v, "halfplane_p0")
+    assert (e.value, e.passed, v.cycle_count) == (margin, count == 1, count)
+    assert l2_offset(ex1) == -0.19999999999999996
 
 
 def test_cone_at_equality_is_not_certified(ex1):
@@ -828,14 +847,13 @@ def test_certify_builds_no_geometry(ex1, ex2, ex3, monkeypatch):
 # below, verdict above), a verdict being (cycle_count, subcase, failed
 # evidence).  Example 1's q2 window opens at fl(sigma_plus -
 # tangency_band), the upper float of the first pair; its half-plane test
-# closes 1e-9 above q2 = 0.4.  Example 3's q3 crosses the rim bands
+# closes at q2 = 0.4, where the exact margin is 0.  Example 3's q3 crosses the rim bands
 # [rim - 3e-9, rim + 3e-9] about the rims 1 and 3 (one float of each
 # pair is fl(rim -/+ 3e-9)), and its cone is strict: fl(sqrt(3)) fails.
 VERDICT_FLIPS = [
     (1, "q2", -0.05313885674614901, -0.053138856746149,
      (0, "a", "q2_window"), (1, "a", "")),
-    (1, "q2", 0.4000000009999999, 0.40000000099999994,
-     (1, "a", ""), (0, "a", "halfplane_p0")),
+    (1, "q2", 0.4, 0.4000000000000001, (1, "a", ""), (0, "a", "halfplane_p0")),
     (3, "q3", 0.999999997, 0.9999999970000001,
      (0, "none", "q3_subcase"), (1, "a", "")),
     (3, "q3", 1.0000000029999998, 1.000000003, (1, "a", ""), (2, "c", "")),
