@@ -26,8 +26,13 @@ reads as they are.  So is the right block's spectrum
 flows, window and horizons).
 ``validate_hypotheses`` is the one gate every certification passes, and
 the one check of the tolerance.  The one rule for the sign of a strict
-inequality is stated here too (``SIGN_REL``, ``exact_value``): every
+inequality is stated here too (``decided``, ``exact_value``): every
 strict entry of a verdict reads its exact sign in the float parameters.
+Its list: the block's discriminant and determinant (h1, h2, in
+``PlanarLinearSystem``), h3's d^2 > rho (``clearance``, which the guard
+of ``planar.analyze_vdp_line`` reads too) and q1 + q3 > d, L2's offset
+(``l2_offset``), the L1 tangency discriminant (``tangency_ordinates``),
+the cone and the node margin (in ``verifier`` and ``planar``).
 
 The fields of ``SystemParams`` are the parameter schema: they name
 ``CONFIG_KEYS`` (``lam`` as ``lambda``), and constructing one is the one
@@ -58,18 +63,25 @@ from .errors import ConfigError
 DEFAULT_TOL = 1e-9
 
 #: The one rule for the sign of a strict entry: its float form m decides
-#: when abs(m) > SIGN_REL * size + SIGN_TINY, size the sum of its terms'
-#: magnitudes; otherwise ``exact_value`` decides.  Each form here rounds
-#: at most 7 u = 7 * 2^-53 of its size, and its underflow adds at most
-#: 2^-1020: where a product underflows, every factor that later scales it
-#: is below 2^52 (for the tangency discriminant where k^2 > rho; below
-#: that both of its terms are positive).  So a float form that decides
-#: has the exact sign.  An inf or NaN form never decides.  SIGN_TINY only
-#: sends an entry to the exact path; it decides none.
+#: when ``decided(m, size)``, size the sum of its terms' magnitudes;
+#: otherwise ``exact_value`` decides.  Each form here rounds at most
+#: 7 u = 7 * 2^-53 of its size, and its underflow adds at most 2^-1020:
+#: where a product underflows, every factor that later scales it is below
+#: 2^52 (for the tangency discriminant where k^2 > rho; below that both of
+#: its terms are positive).  So a float form that decides has the exact
+#: sign.  An inf or NaN form never decides.  SIGN_TINY only sends an entry
+#: to the exact path; it decides none.
 SIGN_REL = 2.0 ** -49
 SIGN_TINY = 2.0 ** -1000
 #: The least magnitude whose float is not finite: 2^1024 - 2^970.
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def decided(m: float, size: float) -> bool:
+    """Whether the float form ``m`` of a strict entry, whose terms'
+    magnitudes sum to ``size``, has the exact sign: abs(m) > SIGN_REL *
+    size + SIGN_TINY.  Where it has not, ``exact_value`` decides."""
+    return abs(m) > SIGN_REL * size + SIGN_TINY
 
 
 def exact_value(form, *args) -> float:
@@ -88,6 +100,17 @@ def exact_value(form, *args) -> float:
     if v == 0.0 and x:
         return 5e-324 if x > 0 else -5e-324
     return v
+
+
+def clearance(k: float, rho: float) -> float:
+    """k^2 - rho with its exact sign: positive iff the line x1 = k clears
+    the cycle of radius sqrt(rho) (k > 0), which h3's d > sqrt(rho) and
+    ``planar.analyze_vdp_line``'s guard both read."""
+    k2 = k * k
+    m = k2 - rho
+    if decided(m, k2 + rho):
+        return m
+    return exact_value(lambda k, rho: k * k - rho, k, rho)
 
 
 def point(x) -> tuple:
@@ -167,14 +190,17 @@ CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 class PlanarLinearSystem(NamedTuple):
     """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
     ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
-    4 a12 a21 (no cancellation when a12 a21 = 0; its sign is exact by the
-    ``SIGN_REL`` rule), a = tr / 2 and w = sqrt(|disc|) / 2.  The sign of
-    disc alone names the family and so the theorem: disc >= 0, real
-    ``eigenvalues`` low first (a triangular block's diagonal, exactly),
-    'real_stable' when both are negative; disc < 0, a +/- i w,
-    'complex_stable' when a < 0; else 'other'.  The same sign names
-    ``branch``, the formula of ``flows.block_exp``: 'real' for disc > 0,
-    'repeated' for disc == 0, 'complex' for disc < 0.
+    4 a12 a21 (no cancellation when a12 a21 = 0), a = tr / 2 and w =
+    sqrt(|disc|) / 2, on the block scaled by an exact power of two where
+    disc is past the float range.  The exact sign of disc (``decided``)
+    names the family and ``branch``, the formula of ``flows.block_exp``:
+    'real' for disc > 0, 'repeated' for disc == 0, 'complex' for disc < 0.
+    disc >= 0 has real ``eigenvalues``, low first (a triangular block's
+    diagonal, exactly), and is 'real_stable' when tr < 0 and det = a11 a22
+    - a12 a21 > 0, det's sign exact; where that sign takes the exact path,
+    the eigenvalue of lesser magnitude is det divided by the other, so the
+    pair's product has det's sign.  disc < 0 has a +/- i w,
+    'complex_stable' when tr < 0.  Any other block is 'other'.
     """
 
     a11: float
@@ -191,25 +217,42 @@ class PlanarLinearSystem(NamedTuple):
     def from_entries(cls, a11, a12, a21, a22) -> "PlanarLinearSystem":
         tr, h = a11 + a22, a11 - a22
         disc = h * h + 4.0 * a12 * a21
-        size = h * h + 4.0 * abs(a12 * a21)
-        if not abs(disc) > SIGN_REL * size + SIGN_TINY:
+        if not decided(disc, h * h + 4.0 * abs(a12 * a21)):
             disc = exact_value(lambda a11, a12, a21, a22: (a11 - a22) ** 2
                                + 4 * a12 * a21, a11, a12, a21, a22)
-        a, w = 0.5 * tr, 0.5 * math.sqrt(abs(disc))
-        if disc >= 0.0:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
+        branch = ("real" if disc > 0.0 else
+                  "repeated" if disc == 0.0 else "complex")
+        scaled = math.isinf(disc)
+        if scaled:  # the spectrum of the block scaled by 2^-e, exactly
+            m = 2.0 ** (math.frexp(max(abs(a11), abs(a12), abs(a21),
+                                       abs(a22)))[1] - 1)
+            sub = cls.from_entries(a11 / m, a12 / m, a21 / m, a22 / m)
+            a, w = m * sub.a, m * sub.w
+            lo, hi = [m * z.real for z in sub.eigenvalues]
+        else:
+            a, w = 0.5 * tr, 0.5 * math.sqrt(abs(disc))
+        if disc < 0.0:
+            return cls(a11, a12, a21, a22,
+                       "complex_stable" if tr < 0.0 else "other", branch,
+                       a, w, (complex(a, w), complex(a, -w)))
+        if not scaled:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
             den = h + math.copysign(2.0 * w, h)
             s = 2.0 * a12 * a21 / den if den else 0.0
             lo, hi = a11 + s, a22 - s
-            if hi < lo:
-                lo, hi = hi, lo
-            eigs = (complex(lo), complex(hi))
-            kind = "real_stable" if hi < 0.0 else "other"
-        else:
-            eigs = (complex(a, w), complex(a, -w))
-            kind = "complex_stable" if a < 0.0 else "other"
-        branch = ("real" if disc > 0.0 else
-                  "repeated" if disc == 0.0 else "complex")
-        return cls(a11, a12, a21, a22, kind, branch, a, w, eigs)
+        det = a11 * a22 - a12 * a21
+        if scaled or not decided(det, abs(a11 * a22) + abs(a12 * a21)):
+            det = exact_value(lambda a11, a12, a21, a22: a11 * a22
+                              - a12 * a21, a11, a12, a21, a22)
+            big = lo if abs(lo) > abs(hi) else hi
+            if big:
+                lo, hi = big, exact_value(
+                    lambda a11, a12, a21, a22, big: (a11 * a22 - a12 * a21)
+                    / big, a11, a12, a21, a22, big)
+        if hi < lo:
+            lo, hi = hi, lo
+        return cls(a11, a12, a21, a22,
+                   "real_stable" if tr < 0.0 and det > 0.0 else "other",
+                   branch, a, w, (complex(lo), complex(hi)))
 
 
 class H3Check(NamedTuple):
@@ -236,7 +279,7 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     placement sub-checks, each reported with its margin:
 
     * ``sqrt_rho_lt_d``: d > sqrt(rho), decided as the exact sign of
-      d^2 - rho (``SIGN_REL``), with margin d - sqrt(rho), which can read
+      d^2 - rho (``clearance``), with margin d - sqrt(rho), which can read
       0.0 where d^2 > rho holds;
     * ``cq_gt_d``: q1 + q3 - d > 0, its exact sign, with that margin;
     * ``q1_eq_d``: |q1 - d| <= tol * max(1, |d|).
@@ -247,18 +290,13 @@ def validate_hypotheses(params: SystemParams, tol: float = DEFAULT_TOL) -> Hypot
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tol must be finite and non-negative, got {tol!r}")
     d, rho, q1, q3 = params.d, params.rho, params.q1, params.q3
-    m1 = d - math.sqrt(rho)
     m2 = q1 + q3 - d
-    m3 = abs(q1 - d)
-    d2 = d * d
-    s1 = d2 - rho
-    if not abs(s1) > SIGN_REL * (d2 + rho) + SIGN_TINY:
-        s1 = exact_value(lambda d, rho: d * d - rho, d, rho)
-    if not abs(m2) > SIGN_REL * (abs(q1) + abs(q3) + d) + SIGN_TINY:
+    if not decided(m2, abs(q1) + abs(q3) + d):
         m2 = exact_value(lambda q1, q3, d: q1 + q3 - d, q1, q3, d)
-    p1, p2 = s1 > 0.0, m2 > 0.0
+    m3 = abs(q1 - d)
+    p1, p2 = clearance(d, rho) > 0.0, m2 > 0.0
     p3 = m3 <= tol * (abs(d) if abs(d) > 1.0 else 1.0)  # tol max(1, |d|)
-    checks = (H3Check._make(("sqrt_rho_lt_d", p1, m1)),
+    checks = (H3Check._make(("sqrt_rho_lt_d", p1, d - math.sqrt(rho))),
               H3Check._make(("cq_gt_d", p2, m2)),
               H3Check._make(("q1_eq_d", p3, m3)))
     block = params.block
@@ -273,13 +311,13 @@ def tangency_ordinates(rho: float, omega: float, k: float) -> tuple:
     (None if disc < 0) of k y^2 + omega y + k (k^2 - rho) = 0, the
     ordinates where the left planar field is tangent to the line x1 = k
     (omega, k > 0).  disc = omega^2 - 4 k^2 (k^2 - rho) has the exact
-    sign (``SIGN_REL``; inf past the float range), which both the roots
+    sign (``decided``; inf past the float range), which both the roots
     and the L1 regime read.  y_minus = (-omega - sqrt(disc)) / (2k) and
     y_plus = (k^2 - rho) / y_minus, so neither root cancels at large
     omega."""
     w2, k4, k2 = omega * omega, 4.0 * k * k, k * k
     disc = w2 - k4 * (k2 - rho)
-    if not abs(disc) > SIGN_REL * (w2 + k4 * (k2 + rho)) + SIGN_TINY:
+    if not decided(disc, w2 + k4 * (k2 + rho)):
         disc = exact_value(lambda rho, omega, k: omega * omega
                            - 4 * k * k * (k * k - rho), rho, omega, k)
     if disc < 0.0:
@@ -309,9 +347,14 @@ def rim_subcase(params: SystemParams, tol: float = DEFAULT_TOL) -> tuple:
 
 
 def l2_offset(params: SystemParams) -> float:
-    """c < 0 (under h3) of L2 = {y1 = c} in the right block's planar
-    coordinates y = (x1 - q1, x2 - q2) at height q3."""
-    return params.d - params.q3 - params.q1
+    """c of L2 = {y1 = c} in the right block's planar coordinates y =
+    (x1 - q1, x2 - q2) at height q3: d - q3 - q1, with its exact sign
+    (``decided``), so c < 0 wherever h3's q1 + q3 > d holds."""
+    d, q3, q1 = params.d, params.q3, params.q1
+    c = d - q3 - q1
+    if decided(c, d + abs(q3) + abs(q1)):
+        return c
+    return exact_value(lambda d, q3, q1: d - q3 - q1, d, q3, q1)
 
 
 def window_tangency(a11, a12, c) -> float:

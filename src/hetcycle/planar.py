@@ -46,7 +46,7 @@ from typing import NamedTuple, Optional
 from .errors import (BackwardBlowup, DegenerateInterval, InvalidLine,
                      RootSearchError, UngenericBranch, WrongSpectralType)
 from .flows import radial_law
-from .model import (DEFAULT_TOL, SIGN_REL, SIGN_TINY, PlanarLinearSystem,
+from .model import (DEFAULT_TOL, PlanarLinearSystem, clearance, decided,
                     exact_value, tangency_ordinates, window_tangency)
 
 # perfbench/tracing.py wraps these two names by lookup; nothing calls them,
@@ -88,12 +88,14 @@ def analyze_vdp_line(rho: float, omega: float, k: float,
     """Classify the line x1 = k against the oscillator and, in the
     subcritical regime, locate the tangency pair and first backward return.
 
-    Requires k > sqrt(rho); raises InvalidLine otherwise.
+    Requires k > sqrt(rho), read as the exact sign of k^2 - rho
+    (``model.clearance``, as h3 reads d > sqrt(rho)); raises InvalidLine
+    otherwise.
     """
     if rho <= 0 or omega <= 0:
         raise ValueError("rho and omega must be positive")
-    if not k > math.sqrt(rho):
-        raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, sqrt(rho)={math.sqrt(rho)!r}")
+    if not clearance(k, rho) > 0.0:
+        raise InvalidLine(f"need k > sqrt(rho); got k={k!r}, rho={rho!r}")
     disc, vp, vm = tangency_ordinates(rho, omega, k)
     if disc == math.inf:
         # a discriminant past the float range: subcritical, but u1 itself
@@ -284,7 +286,7 @@ def node_stay_check(sys: PlanarLinearSystem, c, y2) -> tuple:
     the line {y1 = c}: the forward orbit stays on the equilibrium's side
     iff the field at y does not push outward.  margin = -sign(c) (A y)_1,
     the field's inward component, and y stays iff its exact margin is
-    >= 0 (``model.SIGN_REL``), so a tangential point stays.  c and y2 are
+    >= 0 (``model.decided``), so a tangential point stays.  c and y2 are
     floats, or tuples of floats standing for their exact sums, whose
     floats are their sums from the left (``certify`` passes L2's offset
     as (d, -q3, -q1) and an ordinate as (p2, -q2)).  InvalidLine for
@@ -305,8 +307,7 @@ def node_stay_check(sys: PlanarLinearSystem, c, y2) -> tuple:
     a1 = a11 * c_f + a12 * y_f
     margin = -a1 if c_f > 0.0 else a1
     size = abs(a11) * c_size + abs(a12) * y_size
-    if not (abs(c_f) > SIGN_REL * c_size
-            and abs(margin) > SIGN_REL * size + SIGN_TINY):
+    if not (decided(c_f, c_size) and decided(margin, size)):
         margin = exact_value(_node_margin, a11, a12, cs, ys)
     return margin >= 0.0, margin
 

@@ -30,9 +30,11 @@ All conditions here are sufficient only: cycle_count 0 means "not
 certified", never "no cycle exists".  Strict inequalities (h1-h3, the
 regime, the cone, the node's half-plane) are evaluated with zero slack:
 each is the exact sign of its expression in the float parameters, by the
-one rule of ``model.SIGN_REL`` and ``model.exact_value``.  ``tol`` reaches
-only the equality-type checks (the rim subcases, q1 = d) and the L1
-tangency and focus-window bands.
+one rule of ``model.decided`` and ``model.exact_value``, and each once:
+h1 from the block's exact determinant, L1's guard by h3's d^2 > rho, and
+L2's offset ``l2_offset`` with the sign h3's q1 + q3 > d gave it.
+``tol`` reaches only the equality-type checks (the rim subcases, q1 = d)
+and the L1 tangency and focus-window bands.
 ``Evidence`` and ``CycleVerdict`` are ``NamedTuple``s; ``certify`` builds
 each through its ``_make``, and the gate and passing h3 entries, the
 same value on every call, are module constants.  An ``Evidence`` keeps
@@ -44,9 +46,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .model import (DEFAULT_TOL, SIGN_REL, SIGN_TINY, HypothesisReport,
-                    SystemParams, exact_value, l2_offset, rim_subcase,
-                    validate_hypotheses)
+from .model import (DEFAULT_TOL, HypothesisReport, SystemParams, decided,
+                    exact_value, l2_offset, rim_subcase, validate_hypotheses)
 from .planar import (VdpLineAnalysis, analyze_vdp_line, focus_stay_check,
                      focus_stay_window, node_stay_check, vdp_stay_check)
 
@@ -104,7 +105,7 @@ def cone_condition(params: SystemParams) -> Evidence:
     """Backward-containment condition on the cylinder: the vertical field
     must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly.
     The evidence shows both sides' floats; the exact sign of their
-    difference decides (``model.SIGN_REL``), from the terms (mu d)^2,
+    difference decides (``model.decided``), from the terms (mu d)^2,
     mu (mu rho) and omega (omega rho), whose underflow is never scaled up
     past 2^52 (each scaling factor is below 2^52 where its product
     underflows)."""
@@ -113,7 +114,7 @@ def cone_condition(params: SystemParams) -> Evidence:
     rhs = mu * mu * (d * d - rho)
     md, mr, wr = mu * d, mu * (mu * rho), omega * (omega * rho)
     m = md * md - mr - wr
-    if not abs(m) > SIGN_REL * (md * md + mr + wr) + SIGN_TINY:
+    if not decided(m, md * md + mr + wr):
         m = exact_value(lambda omega, mu, d, rho: mu * mu * (d * d - rho)
                         - omega * omega * rho, omega, mu, d, rho)
     return Evidence._make(("cone", lhs, "< {!r}", (rhs,), m > 0.0, ""))

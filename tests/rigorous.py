@@ -56,7 +56,9 @@ end (it is -inf where u = 0), then refined to 40 digits by Newton's
 method from that end, which concavity keeps at or past the root.
 
 ``spectrum_branch`` is exact: the sign of a block's discriminant from its
-float entries in ``fractions.Fraction``.  So are ``strict_signs``, the
+float entries in ``fractions.Fraction``.  So is ``stability``, the
+block's kind (stable node, stable focus or other) and its determinant's
+sign.  So are ``strict_signs``, the
 sign of each strict algebraic entry of a verdict, and ``node_margin``, the
 node theorem's margin at a point of L2, each written out here from the
 paper's inequality and not from the package's forms.
@@ -255,6 +257,20 @@ def spectrum_branch(a11, a12, a21, a22) -> str:
     f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
     disc = (f11 - f22) ** 2 + 4 * f12 * f21
     return "real" if disc > 0 else "repeated" if disc == 0 else "complex"
+
+
+def stability(a11, a12, a21, a22) -> tuple:
+    """(kind, det sign) of the block [[a11, a12], [a21, a22]] from the
+    exact disc, trace and determinant of its float entries: 'real_stable'
+    (disc >= 0, tr < 0, det > 0), 'complex_stable' (disc < 0, tr < 0) or
+    'other', and the sign -1, 0 or 1 of det = a11 a22 - a12 a21."""
+    f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
+    tr, det = f11 + f22, f11 * f22 - f12 * f21
+    if (f11 - f22) ** 2 + 4 * f12 * f21 < 0:
+        kind = "complex_stable" if tr < 0 else "other"
+    else:
+        kind = "real_stable" if tr < 0 and det > 0 else "other"
+    return kind, _sign(det)
 
 
 def _sign(x) -> int:

@@ -923,6 +923,13 @@ def _evidence(report):
     return {e["name"]: e for e in report["verdict"]["evidence"]}
 
 
+def _failing(report):
+    """(theorem, names of the failing evidence entries) of a report."""
+    verdict = report["verdict"]
+    return verdict["theorem"], [e["name"] for e in verdict["evidence"]
+                                if not e["passed"]]
+
+
 def _all_contained(report):
     certs = report["certificates"]
     return bool(certs) and all(c["containment_ok"] for c in certs)
@@ -1021,12 +1028,45 @@ def _all_contained(report):
                 if not e["passed"]] == ["halfplane_p1"]),
     (["check", "wide_mirror.cfg", "--certify"], (1,), "CertificateFailure",
      lambda e: "forward segment" in e["message"]),
+    # a block whose rounded smaller eigenvalue is -2.8e-17 and whose exact
+    # det -8.0e-15 is negative: a planar saddle, so h1 fails (once a
+    # certified real saddle), its eigenvalue of the exact det's sign
+    (["example", "1", "--set", "b11=-0.1278200608836935",
+      "--set", "b12=3.4752528883375913", "--set", "b21=20.327846978465907",
+      "--set", "b22=-552.6863970897278"], (2,), None,
+     lambda r: _failing(r) == ("none", ["spectral_type"])
+     and r["hypothesis_report"]["eigenvalues"]
+     == [[-552.8142171506115, 0.0], [1.4498161484295127e-17, 0.0]]),
+    # d = fl(sqrt(2)), whose square exceeds rho = 2: h3's d > sqrt(rho)
+    # and L1's guard read one exact sign (once InvalidLine on L1)
+    (["example", "1", "--set", "rho=2.0", "--set", "d=1.4142135623730951",
+      "--set", "q1=1.4142135623730951", "--set", "q3=0.5"], (2,), None,
+     lambda r: _failing(r) == ("real_saddle",
+                               ["cone", "halfplane_p_minus"])
+     and r["verdict"]["cycle_count"] == 0),
+    # d - q3 - q1 rounds to 0.0 and is -5e-9 exactly: the focus window
+    # reads the offset h3 decided (once InvalidLine on L2)
+    (["check", "ex2.cfg", "--set", "rho=9999999980000002.0",
+      "--set", "d=100000000.0", "--set", "q1=100000000.0",
+      "--set", "q3=5e-09", "--set", "q2=0.0"], (0,), None,
+     lambda r: (r["verdict"]["theorem"], r["verdict"]["subcase"],
+                r["verdict"]["cycle_count"]) == ("saddle_focus", "a", 1)),
+    # a node whose discriminant is past the float range: its eigenvalues
+    # come from the block scaled by a power of two (once NaN, and 'other'),
+    # and its certificate has finite horizons
+    (["example", "1", "--set", "b11=-3e200", "--set", "b12=1e200",
+      "--set", "b21=1e199", "--set", "b22=-1e200"], (0,), None,
+     lambda r: _failing(r) == ("real_saddle", []) and _all_contained(r)
+     and all(math.isfinite(t)
+             for t in r["certificates"][0]["horizons"].values())),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
         "tangency_overflows", "slow_block_horizon", "slow_lambda_horizon",
         "slow_mu_horizon", "slow_block_override", "rounded_disc_focus",
-        "separated_rates_node", "wide_decades", "wide_decades_mirror"])
+        "separated_rates_node", "wide_decades", "wide_decades_mirror",
+        "singular_node", "root_two_line", "offset_rounds_to_zero",
+        "huge_node"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with
@@ -1034,7 +1074,8 @@ def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
     # ``check`` reads the report, or the error object
     (tmp_path / "rim_band.cfg").write_text(RIM_BAND_FOCUS)
     for name, p in (("wide", WIDE_DECADES_SET),
-                    ("wide_mirror", WIDE_DECADES_MIRROR)):
+                    ("wide_mirror", WIDE_DECADES_MIRROR),
+                    ("ex2", example_params(2))):
         (tmp_path / f"{name}.cfg").write_text("".join(
             f"{k} = {v!r}\n" for k, v in params_to_dict(p).items()))
     out = tmp_path / "r.json"

@@ -973,7 +973,8 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
     # of the largest entry, the real one too as w -> 0 (no cancellation).
     # Real blocks whose rates differ by factors up to 1e30 meet it too, at
     # times up to 20 of their slow time scale: a +/- w would cancel the
-    # slow rate there and keep e^{tA} near its start
+    # slow rate there and keep e^{tA} near its start.  So do near-singular
+    # nodes, whose slow rate is det over the fast one
     import mpmath
 
     from hetcycle.flows import block_exp
@@ -997,6 +998,12 @@ def test_block_exp_matches_mpmath_on_small_rate_blocks(ex1):
             l2 = l1 * ratio
             blocks += [(-l1, l1, 0.0, -l2), (-l2, l2, 0.0, -l1),
                        (-l1, l2, 0.5 * l1, -l2)]
+    # near-singular true nodes (det 1.2e-17 and 1.5e-15 exactly) whose
+    # rounded a11 + s reads 0.0: the slow rate comes from the exact det
+    blocks += [(-1.303928193760727, -3.891098390922299, -1.1139837238350385,
+                -3.3242783583246602),
+               (-8.557365677512372, -0.18779725405889502, -129.33306710443384,
+                -2.8383027880944924)]
     for m in blocks:
         sys = PlanarLinearSystem.from_entries(*m)
         exp_ta = _block_entries(sys, block_exp(sys))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import Budget
-from rigorous import spectrum_branch
+from rigorous import spectrum_branch, stability
 
 from hetcycle.errors import ConfigError, HypothesisFailure
 from hetcycle.flows import left_flow, right_flow
@@ -16,6 +16,7 @@ from hetcycle.model import (
     CONFIG_KEYS,
     PlanarLinearSystem,
     SystemParams,
+    clearance,
     l2_offset,
     load_config,
     parse_config,
@@ -246,6 +247,85 @@ def test_rounded_discriminant_of_the_wrong_sign_is_a_focus(ex1):
     assert (block.spectral_type, block.branch) == ("complex_stable", "complex")
     assert 6e-10 < block.w < 7e-10
     assert not validate_hypotheses(p).h1_holds
+
+
+def test_near_singular_blocks_follow_the_exact_determinant(ex1):
+    # a22 = a12 a21 / a11 (1 + eps) puts the exact det within a relative
+    # 1e-12 of 0, where the rounded smaller eigenvalue a11 + s can carry
+    # the wrong sign; the kind follows tr < 0 and the exact det (rigorous's
+    # own Fraction decision), every real pair's product has det's sign, and
+    # certify in example 1's geometry (on every fourth draw) routes by
+    # that kind
+    rng = random.Random(5)
+    routes = {"real_stable": "real_saddle", "complex_stable": "saddle_focus",
+              "other": "none"}
+    kinds = {"real_stable": 0, "other": 0}
+    with Budget("exact determinant sign", 25.0):
+        for i in range(200_000):
+            a11 = -10.0 ** rng.uniform(-3.0, 3.0)
+            a12 = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            a21 = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            a22 = a12 * a21 / a11 * (1.0 + rng.choice((1.0, -1.0))
+                                     * 10.0 ** rng.uniform(-17.0, -12.0))
+            entries = (a11, a12, a21, a22)
+            if not all(map(math.isfinite, entries)):
+                continue
+            block = PlanarLinearSystem.from_entries(*entries)
+            kind, det_sign = stability(*entries)
+            assert block.spectral_type == kind, entries
+            kinds[kind] += 1
+            if block.branch != "complex":
+                lo, hi = (e.real for e in block.eigenvalues)
+                product = lo * hi
+                assert (product > 0.0) - (product < 0.0) == det_sign, entries
+            if i % 4 == 0:
+                p = dataclasses.replace(ex1, b11=a11, b12=a12, b21=a21,
+                                        b22=a22)
+                assert certify(p).theorem == routes[kind], entries
+    assert min(kinds.values()) > 50_000, kinds
+
+
+def test_singular_node_reads_the_exact_determinant():
+    # the rounded a11 + s is -2.8e-17; the exact det is -8.0e-15, so the
+    # block is a planar saddle, and its smaller eigenvalue det / -552.8
+    block = PlanarLinearSystem.from_entries(
+        -0.1278200608836935, 3.4752528883375913, 20.327846978465907,
+        -552.6863970897278)
+    assert block.spectral_type == "other"
+    assert block.eigenvalues == (-552.8142171506115 + 0j,
+                                 1.4498161484295127e-17 + 0j)
+
+
+def test_spectrum_past_the_float_range_is_finite():
+    # disc = 4.4e400: the pair comes from the block scaled by a power of
+    # two, within a few ulp of the 40-digit eigenvalues, and the node is
+    # a node (once NaN eigenvalues and 'other')
+    block = PlanarLinearSystem.from_entries(-3e200, 1e200, 1e199, -1e200)
+    assert (block.spectral_type, block.branch) == ("real_stable", "real")
+    want = (-3.0488088481701515e200, -9.5119115182984842e199)
+    for got, ref in zip(block.eigenvalues, want):
+        assert got.imag == 0.0 and abs(got.real - ref) <= 4 * math.ulp(ref)
+    assert math.isfinite(block.w) and block.a == -2e200
+    # a triangular block past it keeps its diagonal, exactly
+    tri = PlanarLinearSystem.from_entries(-1e200, 0.0, 1e300, -3e200)
+    assert tri.spectral_type == "real_stable"
+    assert tri.eigenvalues == (-3e200 + 0j, -1e200 + 0j)
+
+
+def test_l1_guard_and_l2_offset_read_h3_exact_signs(ex1, ex2):
+    # fl(sqrt(2))^2 > 2: h3 and L1's guard read d > sqrt(rho) alike
+    d = 1.4142135623730951
+    assert d == math.sqrt(2.0) and clearance(d, 2.0) > 0.0
+    p = dataclasses.replace(ex1, rho=2.0, d=d, q1=d, q3=0.5)
+    assert validate_hypotheses(p).h3_holds
+    assert analyze_vdp_line(p.rho, p.omega, p.d).regime == "subcritical"
+    assert clearance(1.0, 1.0) == 0.0 and clearance(2.0, 4.0) == 0.0
+    # d - q3 - q1 rounds to 0.0; exactly it is -5e-9, the sign h3 gave
+    # q1 + q3 - d
+    p = dataclasses.replace(ex2, rho=9999999980000002.0, d=1e8, q1=1e8,
+                            q3=5e-9, q2=0.0)
+    assert validate_hypotheses(p).h3_holds
+    assert l2_offset(p) == -5e-9
 
 
 def test_hypotheses_mutually_exclusive(ex1, ex2, ex3):

@@ -81,3 +81,40 @@ def _names_fraction(node) -> bool:
     if isinstance(node, ast.Import):
         return any(a.name == "fractions" for a in node.names)
     return False
+
+
+def _functions(module):
+    return {f.name: f for f in _module_ast(module).body
+            if isinstance(f, ast.FunctionDef)}
+
+
+def test_sign_rule_is_spelled_once():
+    # SIGN_REL and SIGN_TINY are named in src only where model defines
+    # them and in its one predicate, decided, which every strict entry's
+    # filter calls
+    where = set()
+    for path in pathlib.Path(hetcycle.__file__).parent.glob("*.py"):
+        for top in _module_ast(path.stem).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name)
+                        and node.id in ("SIGN_REL", "SIGN_TINY")):
+                    where.add((path.stem, getattr(top, "name", None)
+                               or top.targets[0].id))
+    assert where == {("model", "SIGN_REL"), ("model", "SIGN_TINY"),
+                     ("model", "decided")}
+
+
+def test_l1_guard_reads_h3_clearance():
+    # analyze_vdp_line's k > sqrt(rho) and h3's d > sqrt(rho) call one
+    # exact-sign function of k^2 - rho, and the guard compares nothing
+    # against a float square root
+    def calls(func):
+        return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                for n in ast.walk(func) if isinstance(n, ast.Call)}
+
+    line = _functions("planar")["analyze_vdp_line"]
+    assert "clearance" in calls(line)
+    assert "clearance" in calls(_functions("model")["validate_hypotheses"])
+    for node in ast.walk(line):
+        if isinstance(node, ast.Compare):
+            assert "sqrt" not in calls(node), ast.unparse(node)
