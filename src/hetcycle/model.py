@@ -191,15 +191,20 @@ class PlanarLinearSystem(NamedTuple):
     """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
     ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
     4 a12 a21 (no cancellation when a12 a21 = 0), a = tr / 2 and w =
-    sqrt(|disc|) / 2, on the block scaled by an exact power of two where
-    disc is past the float range.  The exact sign of disc (``decided``)
-    names the family and ``branch``, the formula of ``flows.block_exp``:
-    'real' for disc > 0, 'repeated' for disc == 0, 'complex' for disc < 0.
+    sqrt(|disc|) / 2; where one of these forms or the pair is past the
+    float range, it and the pair come from the block over the power of two
+    m that puts its largest entry in [1, 2), scaled back by m (where that
+    block's small entries underflow, these are approximate).  The exact
+    sign of disc (``decided``) names the family and ``branch``, the
+    formula of ``flows.block_exp``: 'real' for disc > 0, 'repeated' for
+    disc == 0, 'complex' for disc < 0.
     disc >= 0 has real ``eigenvalues``, low first (a triangular block's
     diagonal, exactly), and is 'real_stable' when tr < 0 and det = a11 a22
     - a12 a21 > 0, det's sign exact; where that sign takes the exact path,
     the eigenvalue of lesser magnitude is det divided by the other, so the
-    pair's product has det's sign.  disc < 0 has a +/- i w,
+    pair's product has det's sign; an eigenvalue past the float range
+    reads as an infinity of its sign, and the other is still det divided
+    by it in exact arithmetic.  disc < 0 has a +/- i w,
     'complex_stable' when tr < 0.  Any other block is 'other'.
     """
 
@@ -222,32 +227,35 @@ class PlanarLinearSystem(NamedTuple):
                                + 4 * a12 * a21, a11, a12, a21, a22)
         branch = ("real" if disc > 0.0 else
                   "repeated" if disc == 0.0 else "complex")
-        scaled = math.isinf(disc)
-        if scaled:  # the spectrum of the block scaled by 2^-e, exactly
+        m, a, w = 1.0, 0.5 * tr, 0.5 * math.sqrt(abs(disc))
+        lo = hi = a
+        if disc >= 0.0:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
+            den = h + math.copysign(2.0 * w, h)
+            s = 2.0 * a12 * a21 / den if den else 0.0
+            lo, hi = a11 + s, a22 - s
+        scaled = not all(map(math.isfinite, (a, w, lo, hi)))
+        if scaled:  # those forms on the block over m, a power of two
             m = 2.0 ** (math.frexp(max(abs(a11), abs(a12), abs(a21),
                                        abs(a22)))[1] - 1)
             sub = cls.from_entries(a11 / m, a12 / m, a21 / m, a22 / m)
-            a, w = m * sub.a, m * sub.w
-            lo, hi = [m * z.real for z in sub.eigenvalues]
-        else:
-            a, w = 0.5 * tr, 0.5 * math.sqrt(abs(disc))
+            if not math.isfinite(a):
+                a = m * sub.a
+            if not math.isfinite(w):
+                w = m * sub.w
+            lo, hi = [z.real for z in sub.eigenvalues]  # in units of m
         if disc < 0.0:
             return cls(a11, a12, a21, a22,
                        "complex_stable" if tr < 0.0 else "other", branch,
                        a, w, (complex(a, w), complex(a, -w)))
-        if not scaled:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
-            den = h + math.copysign(2.0 * w, h)
-            s = 2.0 * a12 * a21 / den if den else 0.0
-            lo, hi = a11 + s, a22 - s
         det = a11 * a22 - a12 * a21
         if scaled or not decided(det, abs(a11 * a22) + abs(a12 * a21)):
             det = exact_value(lambda a11, a12, a21, a22: a11 * a22
                               - a12 * a21, a11, a12, a21, a22)
             big = lo if abs(lo) > abs(hi) else hi
-            if big:
-                lo, hi = big, exact_value(
-                    lambda a11, a12, a21, a22, big: (a11 * a22 - a12 * a21)
-                    / big, a11, a12, a21, a22, big)
+            if big:  # big is finite: m times it may not be
+                lo, hi = m * big, exact_value(
+                    lambda a11, a12, a21, a22, m, big: (a11 * a22
+                    - a12 * a21) / (m * big), a11, a12, a21, a22, m, big)
         if hi < lo:
             lo, hi = hi, lo
         return cls(a11, a12, a21, a22,

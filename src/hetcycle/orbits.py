@@ -211,13 +211,15 @@ def _segment(params: SystemParams, x0, t0: float, t1: float, n_init: int,
     """Sample the closed-form orbit of x0 on [t0, t1] and check its
     containment.  A 'plus' requirement is the equilibrium side (right
     zone), a 'minus' one the cycle side (left zone); ``where`` names the
-    segment in the CertificateFailure raised when the margin is violated
-    or the samples would exceed MAX_SEGMENT_SAMPLES.
+    segment in the CertificateFailure raised when the margin is violated,
+    a sample is not finite or the samples would exceed MAX_SEGMENT_SAMPLES.
     """
     plus = requirement.startswith("plus")
     flow = right_flow if plus else left_flow
     x0 = point(x0)
     ts, xs = _sample_times(flow, x0, params, t0, t1, n_init, where)
+    if not np.isfinite(xs).all():  # e.g. a rate past the float range
+        raise CertificateFailure(f"{where} has a sample that is not finite")
     margin = _margin(params, ts, xs, requirement, flow, x0)
     if margin < -TOL_CONTAINMENT:
         raise CertificateFailure(

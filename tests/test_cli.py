@@ -1059,6 +1059,20 @@ def _all_contained(report):
      lambda r: _failing(r) == ("real_saddle", []) and _all_contained(r)
      and all(math.isfinite(t)
              for t in r["certificates"][0]["horizons"].values())),
+    # a node whose fast eigenvalue -2.5e308 is past the float range: still
+    # a node by the exact det, and its forward segment, which that rate
+    # leaves without a finite sample, is refused by name (once a raw
+    # OverflowError)
+    (["example", "1", "--set", "b11=-1.5e308", "--set", "b12=1e308",
+      "--set", "b21=1e308", "--set", "b22=-1.5e308"], (1,),
+     "CertificateFailure", lambda e: e["message"].startswith(
+         "forward segment from") and "not finite" in e["message"]),
+    # a nilpotent block whose float forms 2 a12 a21 and a11 a22 overflow:
+    # eigenvalues 0, 0 and no stable kind (once a raw OverflowError)
+    (["example", "1", "--set", "b11=1e200", "--set", "b12=1e200",
+      "--set", "b21=-1e200", "--set", "b22=-1e200"], (2,), None,
+     lambda r: _failing(r) == ("none", ["spectral_type"])
+     and r["hypothesis_report"]["eigenvalues"] == [[0.0, 0.0], [0.0, 0.0]]),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
@@ -1066,7 +1080,7 @@ def _all_contained(report):
         "slow_mu_horizon", "slow_block_override", "rounded_disc_focus",
         "separated_rates_node", "wide_decades", "wide_decades_mirror",
         "singular_node", "root_two_line", "offset_rounds_to_zero",
-        "huge_node"])
+        "huge_node", "overflowing_node", "overflowing_nilpotent"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with
