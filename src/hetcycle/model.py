@@ -188,23 +188,25 @@ CONFIG_KEYS = tuple(key for _, key in _FIELD_KEYS)
 
 
 class PlanarLinearSystem(NamedTuple):
-    """The 2x2 matrix [[a11, a12], [a21, a22]] and its spectrum, which only
-    ``from_entries`` derives, in closed form: disc = (a11 - a22)^2 +
-    4 a12 a21 (no cancellation when a12 a21 = 0), a = tr / 2 and w =
-    sqrt(|disc|) / 2; where one of these forms or the pair is past the
-    float range, it and the pair come from the block over the power of two
-    m that puts its largest entry in [1, 2), scaled back by m (where that
-    block's small entries underflow, these are approximate).  The exact
-    sign of disc (``decided``) names the family and ``branch``, the
-    formula of ``flows.block_exp``: 'real' for disc > 0, 'repeated' for
-    disc == 0, 'complex' for disc < 0.
-    disc >= 0 has real ``eigenvalues``, low first (a triangular block's
-    diagonal, exactly), and is 'real_stable' when tr < 0 and det = a11 a22
-    - a12 a21 > 0, det's sign exact; where that sign takes the exact path,
-    the eigenvalue of lesser magnitude is det divided by the other, so the
-    pair's product has det's sign; an eigenvalue past the float range
-    reads as an infinity of its sign, and the other is still det divided
-    by it in exact arithmetic.  disc < 0 has a +/- i w,
+    """The 2x2 matrix A = [[a11, a12], [a21, a22]] and its spectrum, which only
+    ``from_entries`` derives, in closed form on one normal form B =
+    D^-1 A D / m: D = diag(1, 2^j) brings |a12| and |a21| within a factor 4
+    of each other (both read as 0 where either is), and m is the power of two
+    that puts B's largest entry in [1, 2).  Powers of two scale exactly (the
+    balancing of Parlett & Reinsch, 1969), so 2^k A has 2^k times A's
+    spectrum where it stays normal, and a block whose own forms neither
+    overflow nor underflow reads as on A.  On B, disc = (b11 - b22)^2 +
+    4 b12 b21 (no cancellation when b12 b21 = 0) has the exact sign
+    (``decided``), which names the family and ``branch``, the formula of
+    ``flows.block_exp``: 'real' for disc > 0, 'repeated' for disc == 0,
+    'complex' for disc < 0; w = m sqrt(|disc|) / 2, on the exact path from
+    the float of 2^t disc (t = 1000, or 2000 where b11 = b22), a normal one.
+    tr's sign and a = a11 / 2 + a22 / 2 are read on A.  disc >= 0 has real
+    ``eigenvalues``, low first (a triangular block's diagonal, exactly; past
+    the float range an infinity of its sign), and is 'real_stable' when
+    tr < 0 and det = a11 a22 - a12 a21 > 0, det's sign exact; where that
+    takes the exact path, the smaller eigenvalue is det / (m big) in A's
+    units, exactly, big the other in B's.  disc < 0 has a +/- i w,
     'complex_stable' when tr < 0.  Any other block is 'other'.
     """
 
@@ -220,47 +222,43 @@ class PlanarLinearSystem(NamedTuple):
 
     @classmethod
     def from_entries(cls, a11, a12, a21, a22) -> "PlanarLinearSystem":
-        tr, h = a11 + a22, a11 - a22
-        disc = h * h + 4.0 * a12 * a21
-        if not decided(disc, h * h + 4.0 * abs(a12 * a21)):
-            disc = exact_value(lambda a11, a12, a21, a22: (a11 - a22) ** 2
-                               + 4 * a12 * a21, a11, a12, a21, a22)
+        j = (math.frexp(a21)[1] - math.frexp(a12)[1]) // 2
+        off = ((a12, j), (a21, -j)) if a12 and a21 else ((0.0, 0), (0.0, 0))
+        scales = ((a11, 0), *off, (a22, 0))
+        k = max([math.frexp(x)[1] + e for x, e in scales if x], default=1) - 1
+        b11, b12, b21, b22 = [math.ldexp(x, e - k) for x, e in scales]
+        m, h = math.ldexp(1.0, k), b11 - b22
+        disc, t = h * h + 4.0 * b12 * b21, 0
+        if not decided(disc, h * h + 4.0 * abs(b12 * b21)):
+            t = 1000 if h else 2000  # |disc| < 2^-43, or 2^-999 if h = 0
+            disc = exact_value(lambda a11, a12, a21, a22, m: ((a11 - a22)
+                               ** 2 + 4 * a12 * a21) * 2 ** t / (m * m),
+                               a11, a12, a21, a22, m)
         branch = ("real" if disc > 0.0 else
                   "repeated" if disc == 0.0 else "complex")
-        m, a, w = 1.0, 0.5 * tr, 0.5 * math.sqrt(abs(disc))
-        lo = hi = a
-        if disc >= 0.0:  # a11 + s, a22 - s; s^2 + h s = a12 a21, |s| least
-            den = h + math.copysign(2.0 * w, h)
-            s = 2.0 * a12 * a21 / den if den else 0.0
-            lo, hi = a11 + s, a22 - s
-        scaled = not all(map(math.isfinite, (a, w, lo, hi)))
-        if scaled:  # those forms on the block over m, a power of two
-            m = 2.0 ** (math.frexp(max(abs(a11), abs(a12), abs(a21),
-                                       abs(a22)))[1] - 1)
-            sub = cls.from_entries(a11 / m, a12 / m, a21 / m, a22 / m)
-            if not math.isfinite(a):
-                a = m * sub.a
-            if not math.isfinite(w):
-                w = m * sub.w
-            lo, hi = [z.real for z in sub.eigenvalues]  # in units of m
+        root, tr, a = math.sqrt(abs(disc)), a11 + a22, a11 / 2 + a22 / 2
+        # w on B, and w from root, not m wb: wb can be subnormal if t > 0
+        wb = math.ldexp(root, -1 - t // 2)
+        w = math.ldexp(root, k - 1 - t // 2) if t else m * (root / 2)
         if disc < 0.0:
             return cls(a11, a12, a21, a22,
                        "complex_stable" if tr < 0.0 else "other", branch,
                        a, w, (complex(a, w), complex(a, -w)))
-        det = a11 * a22 - a12 * a21
-        if scaled or not decided(det, abs(a11 * a22) + abs(a12 * a21)):
-            det = exact_value(lambda a11, a12, a21, a22: a11 * a22
-                              - a12 * a21, a11, a12, a21, a22)
-            big = lo if abs(lo) > abs(hi) else hi
-            if big:  # big is finite: m times it may not be
-                lo, hi = m * big, exact_value(
-                    lambda a11, a12, a21, a22, m, big: (a11 * a22
-                    - a12 * a21) / (m * big), a11, a12, a21, a22, m, big)
-        if hi < lo:
-            lo, hi = hi, lo
+        den = h + math.copysign(2.0 * wb, h)
+        s = 2.0 * b12 * b21 / den if den else 0.0
+        lo, hi = b11 + s, b22 - s  # s^2 + h s = b12 b21, |s| least
+        det = b11 * b22 - b12 * b21
+        big = lo if abs(lo) > abs(hi) else hi
+        if decided(det, abs(b11 * b22) + abs(b12 * b21)) or not big:
+            pair = m * lo, m * hi
+        else:  # the exact det's sign, and the smaller eigenvalue det / (m big)
+            pair = m * big, exact_value(
+                lambda a11, a12, a21, a22, m, big: (a11 * a22 - a12 * a21)
+                / (m * big), a11, a12, a21, a22, m, big)
+            det = pair[1] if big > 0.0 else -pair[1]
         return cls(a11, a12, a21, a22,
                    "real_stable" if tr < 0.0 and det > 0.0 else "other",
-                   branch, a, w, (complex(lo), complex(hi)))
+                   branch, a, w, tuple(map(complex, sorted(pair))))
 
 
 class H3Check(NamedTuple):

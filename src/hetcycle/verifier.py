@@ -104,11 +104,11 @@ class CycleVerdict(NamedTuple):
 def cone_condition(params: SystemParams) -> Evidence:
     """Backward-containment condition on the cylinder: the vertical field
     must dominate the rotation, omega^2 rho < mu^2 (d^2 - rho), strictly.
-    The evidence shows both sides' floats; the exact sign of their
-    difference decides (``model.decided``), from the terms (mu d)^2,
-    mu (mu rho) and omega (omega rho), whose underflow is never scaled up
-    past 2^52 (each scaling factor is below 2^52 where its product
-    underflows)."""
+    The exact sign of the difference decides (``model.decided``), from
+    the terms (mu d)^2, mu (mu rho) and omega (omega rho), whose underflow
+    is never scaled up past 2^52 (each scaling factor is below 2^52 where
+    its product underflows).  The evidence shows both sides' floats, and
+    a note where they compare the other way (both underflow, or are inf)."""
     omega, mu, d, rho = params.omega, params.mu, params.d, params.rho
     lhs = omega * omega * rho
     rhs = mu * mu * (d * d - rho)
@@ -117,7 +117,9 @@ def cone_condition(params: SystemParams) -> Evidence:
     if not decided(m, md * md + mr + wr):
         m = exact_value(lambda omega, mu, d, rho: mu * mu * (d * d - rho)
                         - omega * omega * rho, omega, mu, d, rho)
-    return Evidence._make(("cone", lhs, "< {!r}", (rhs,), m > 0.0, ""))
+    note = "" if (lhs < rhs) == (m > 0.0) else ("the floats shown round; "
+            "the exact sign of mu^2 (d^2 - rho) - omega^2 rho decided")
+    return Evidence._make(("cone", lhs, "< {!r}", (rhs,), m > 0.0, note))
 
 
 def _q2_window(params: SystemParams, analysis: VdpLineAnalysis) -> Evidence:

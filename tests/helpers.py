@@ -7,7 +7,9 @@ self-test as a reference for the current one.
 """
 
 import csv
+import importlib.util
 import math
+import pathlib
 import time
 from dataclasses import replace
 
@@ -264,6 +266,17 @@ def rim_sets(seed, n):
             b11=b11, b12=b12, b21=b21, b22=b22, lam=rng.uniform(0.5, 4.0),
             q1=d, q2=rng.uniform(-5.0, 5.0), q3=q3, d=d))
     return out
+
+
+def bench_sets(seed, n):
+    """``perfbench/gen.py``'s ``param_sets(seed, n)``, the benchmark's own
+    seeded draw, as config dicts: seed 1 at n = 3000 is part of the
+    identity batch."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("gen", path / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [values for values, _, _ in gen.param_sets(seed, n)]
 
 
 def wide_sets(seed, n):

@@ -61,7 +61,9 @@ block's kind (stable node, stable focus or other) and its determinant's
 sign.  So are ``strict_signs``, the
 sign of each strict algebraic entry of a verdict, and ``node_margin``, the
 node theorem's margin at a point of L2, each written out here from the
-paper's inequality and not from the package's forms.
+paper's inequality and not from the package's forms.  ``spectrum`` adds
+the block's eigenvalues at 60 digits, the small real root as det over
+the large one.
 """
 
 import math
@@ -271,6 +273,31 @@ def stability(a11, a12, a21, a22) -> tuple:
     else:
         kind = "real_stable" if tr < 0 and det > 0 else "other"
     return kind, _sign(det)
+
+
+def spectrum(a11, a12, a21, a22) -> tuple:
+    """(kind, eigenvalues) of the block [[a11, a12], [a21, a22]] from its
+    float entries: ``stability``'s kind, and the eigenvalues as 60-digit
+    ``mpc``, low first when real, else a + i w then a - i w.  tr, det and
+    disc = tr^2 - 4 det are exact in Fraction; a = tr / 2 and w =
+    sqrt(|disc|) / 2.  A real pair is big = a + sign(a) w, the root of
+    greater magnitude, and det / big, so the small root keeps its digits
+    however much a - sign(a) w would cancel; mpmath's exponent range has
+    no overflow or underflow."""
+    f11, f12, f21, f22 = map(Fraction, (a11, a12, a21, a22))
+    tr, det = f11 + f22, f11 * f22 - f12 * f21
+    disc = (f11 - f22) ** 2 + 4 * f12 * f21
+    with mp.workdps(DPS):
+        def mpf(x):
+            return mp.mpf(x.numerator) / x.denominator
+        a, w = mpf(tr) / 2, mp.sqrt(abs(mpf(disc))) / 2
+        if disc < 0:
+            pair = (mp.mpc(a, w), mp.mpc(a, -w))
+        else:
+            big = a + w if a >= 0 else a - w
+            small = mpf(det) / big if big else big
+            pair = tuple(mp.mpc(x) for x in sorted((big, small)))
+    return stability(a11, a12, a21, a22)[0], pair
 
 
 def _sign(x) -> int:

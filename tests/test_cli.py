@@ -1073,6 +1073,26 @@ def _all_contained(report):
       "--set", "b21=-1e200", "--set", "b22=-1e200"], (2,), None,
      lambda r: _failing(r) == ("none", ["spectral_type"])
      and r["hypothesis_report"]["eigenvalues"] == [[0.0, 0.0], [0.0, 0.0]]),
+    # example 2's focus at 1e-200, whose products underflow: its
+    # spectrum -5e-201 +/- 4e-200 i (once +/- 1.1e-162 i, the root of the
+    # least subnormal), and the window's far end -0.0524 (once 1.8e19) puts
+    # p1 past it: no cycle, as example 2 at q2 = -4.6 (once one, whose
+    # certificate then needed 1.1e7 samples)
+    (["check", "ex2.cfg", "--set", "q2=-4.6", "--set", "b11=-5e-201",
+      "--set", "b22=-5e-201", "--set", "b12=4e-200", "--set", "b21=-4e-200"],
+     (2,), None,
+     lambda r: r["verdict"]["cycle_count"] == 0
+     and r["hypothesis_report"]["eigenvalues"]
+     == [[-5e-201, 4e-200], [-5e-201, -4e-200]]
+     and r["verdict"]["window"]["x_plus"][1] == -0.05239863189374283),
+    # a node at 1e-200: its eigenvalues (once -2e-200 and -7.5e-201, its
+    # diagonal) and the horizon its slow rate sets
+    (["example", "1", "--set", "b11=-2e-200", "--set", "b12=1e-200",
+      "--set", "b21=0.5e-200", "--set", "b22=-1e-200"], (0,), None,
+     lambda r: r["hypothesis_report"]["eigenvalues"]
+     == [[-2.3660254037844386e-200, 0.0], [-6.3397459621556136e-201, 0.0]]
+     and r["certificates"][0]["horizons"]["gamma_up_fwd"]
+     == pytest.approx(2.179e201, rel=1e-3)),
 ], ids=["q2_band", "rim_band_focus", "regime_boundary", "q2_far",
         "short_window", "wide_tol", "rim_band_node", "return_overflows",
         "rounding_focus", "small_rate_focus", "stiff_node", "stiff_focus",
@@ -1080,7 +1100,8 @@ def _all_contained(report):
         "slow_mu_horizon", "slow_block_override", "rounded_disc_focus",
         "separated_rates_node", "wide_decades", "wide_decades_mirror",
         "singular_node", "root_two_line", "offset_rounds_to_zero",
-        "huge_node", "overflowing_node", "overflowing_nilpotent"])
+        "huge_node", "overflowing_node", "overflowing_nilpotent",
+        "tiny_focus", "tiny_node"])
 def test_boundary_inputs_exit_with_json(tmp_path, capsys, argv, codes,
                                         error, check):
     # inputs at the edges of the theorems' conditions: a verdict with

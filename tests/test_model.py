@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import Budget
-from rigorous import spectrum_branch, stability
+from helpers import Budget, bench_sets
+from rigorous import spectrum, spectrum_branch, stability
 
 from hetcycle.errors import ConfigError, HypothesisFailure
 from hetcycle.flows import left_flow, right_flow
@@ -324,6 +324,151 @@ def test_eigenvalue_past_the_float_range_keeps_the_exact_kind():
     assert (block.spectral_type, 1) == stability(*entries)
     lo, hi = (e.real for e in block.eigenvalues)
     assert lo == -math.inf and abs(hi + 5e307) <= 4 * math.ulp(5e307)
+
+
+def _is_normal(x):
+    return x == 0.0 or 2.0 ** -1022 <= abs(x) < math.inf
+
+
+def _spectrum_numbers(block):
+    return [block.a, block.w] + [p for e in block.eigenvalues
+                                 for p in (e.real, e.imag)]
+
+
+def test_spectrum_commutes_with_power_of_two_scaling():
+    # the blocks of the benchmark's seed-1 draw and of examples 1-3, scaled
+    # by 2^k: wherever the entries and the numbers stay normal, 2^k A has
+    # A's kind and branch and exactly 2^k times its a, w and eigenvalues
+    # (63,863 of the 243,243 scaled blocks differed when A's own forms
+    # were read first and a power of two only where they overflowed)
+    keys = ("b11", "b12", "b21", "b22")
+    blocks = [tuple(v[k] for k in keys) for v in bench_sets(1, 3000)]
+    blocks += [tuple(getattr(example_params(n), k) for k in keys)
+               for n in (1, 2, 3)]
+    compared = 0
+    with Budget("spectrum under 2^k scaling", 20.0):
+        for entries in blocks:
+            block = PlanarLinearSystem.from_entries(*entries)
+            numbers = _spectrum_numbers(block)
+            for k in range(-1000, 1001, 25):
+                scaled = [math.ldexp(x, k) for x in entries]
+                want = [math.ldexp(x, k) for x in numbers]
+                if not all(map(_is_normal, scaled + want)):
+                    continue
+                got = PlanarLinearSystem.from_entries(*scaled)
+                assert (got.spectral_type, got.branch) == (
+                    block.spectral_type, block.branch), (entries, k)
+                assert _spectrum_numbers(got) == want, (entries, k)
+                compared += 1
+    assert compared > 200_000, compared
+
+
+def _extreme_blocks(n):
+    """n draws of ``random.Random(12)`` over six families of blocks at the
+    ends of the float range (those with an entry past it dropped): a
+    common scale 2^k, k in [-1070, 1020]; independent entries
+    +/-10^U(-320, 307); the same, triangular; a diagonal ratio up to
+    1e300; an off-diagonal ratio up to 1e300 at a fixed product; and
+    stable foci scaled by 2^k, k in [-1000, 1000]."""
+    rng = random.Random(12)
+
+    def sign():
+        return rng.choice((-1.0, 1.0))
+
+    for i in range(n):
+        family = i % 6
+        if family == 0:
+            k = rng.randint(-1070, 1020)
+            entries = [math.ldexp(rng.uniform(-2.0, 2.0), k) for _ in range(4)]
+        elif family in (1, 2):
+            entries = [sign() * 10.0 ** rng.uniform(-320.0, 307.0)
+                       for _ in range(4)]
+            if family == 2:
+                entries[rng.choice((1, 2))] = 0.0
+        elif family in (3, 4):
+            s = 10.0 ** rng.uniform(-150.0, 150.0)
+            entries = [sign() * s * rng.uniform(0.1, 1.0) for _ in range(4)]
+            if family == 3:
+                entries[rng.choice((0, 3))] *= 10.0 ** (
+                    sign() * rng.uniform(100.0, 300.0))
+            else:
+                r = 10.0 ** rng.uniform(-300.0, 300.0)
+                entries[1] *= r
+                entries[2] /= r
+        else:
+            alpha, beta = -rng.uniform(0.01, 1.0), rng.uniform(0.01, 10.0)
+            delta = rng.uniform(-0.5, 0.5) * beta
+            a12 = sign() * beta * 10.0 ** rng.uniform(-3.0, 3.0)
+            k = rng.randint(-1000, 1000)
+            entries = [math.ldexp(x, k) for x in (
+                alpha + delta, a12, -(beta * beta + delta * delta) / a12,
+                alpha - delta)]
+        if all(map(math.isfinite, entries)):
+            yield tuple(entries)
+
+
+def test_spectrum_matches_the_60_digit_reference_on_extreme_blocks():
+    # the kind is exact, and each part of each eigenvalue is within 1e-12
+    # of the 60-digit reference, or within 2^-1074 of it: below 2^-1022 a
+    # float holds few digits.  The first 12,000 of the battery's 60,000
+    # draws, for time (all of them take about 16 s).  Of all 57,959 finite
+    # draws, 5,106 pairs were off by more when A's own forms were read
+    # first; one is now, draw 21,870, whose small root is off 1.1e-12:
+    # there det's float cancels 7,758-fold but decides its sign, and the
+    # root b11 + s keeps only the digits the cancellation leaves
+    tiny = 2.0 ** -1074
+    with Budget("spectrum against the 60-digit reference", 20.0):
+        for entries in _extreme_blocks(12_000):
+            block = PlanarLinearSystem.from_entries(*entries)
+            kind, pair = spectrum(*entries)
+            assert block.spectral_type == kind, entries
+            for got, ref in zip(block.eigenvalues, pair):
+                for g, r in ((got.real, ref.real), (got.imag, ref.imag)):
+                    if abs(r) >= 2 ** 1024 - 2 ** 970:  # its float is inf
+                        assert g == math.copysign(math.inf, r), entries
+                    else:
+                        assert abs(g - r) <= max(1e-12 * abs(r), tiny), (
+                            entries, got, ref)
+
+
+@pytest.mark.parametrize("entries, kind, eigenvalues", [
+    # example 2's focus at 1e-200: its products underflow, and its
+    # imaginary part once read 1.1e-162, the root of the least subnormal
+    ((-5e-201, 4e-200, -4e-200, -5e-201), "complex_stable",
+     (-5e-201 + 4e-200j, -5e-201 - 4e-200j)),
+    # a node at 1e-200 (once -2e-200 and -7.5e-201, its diagonal)
+    ((-2e-200, 1e-200, 0.5e-200, -1e-200), "real_stable",
+     (-2.3660254037844386e-200 + 0j, -6.3397459621556136e-201 + 0j)),
+    # a focus whose imaginary part is 2^996 below its real part: its disc
+    # is subnormal on B, and read from 2^2000 times the exact one
+    ((-1.0, 1e-300, -1e-300, -1.0), "complex_stable",
+     (-1 + 1e-300j, -1 - 1e-300j)),
+    ((-1e300, 1e-10, -1e-10, -1e300), "complex_stable",
+     (-1e300 + 1e-10j, -1e300 - 1e-10j)),
+    # tr read on A, not on B, where the diagonal underflows
+    ((-1e-300, 1e300, 0.0, -1e-300), "real_stable",
+     (-1e-300 + 0j, -1e-300 + 0j)),
+    # a triangular block's small eigenvalue is its diagonal entry, det
+    # over the other in A's units (not a quotient on B scaled back)
+    ((-7.6e-284, 5.0, 0.0, -1.8e107), "real_stable",
+     (-1.8e107 + 0j, -7.6e-284 + 0j)),
+    # a read on A, where the diagonal lies 1e400 below the off-diagonal
+    ((-1e-200, 1e200, -1e200, -1e-200), "complex_stable",
+     (-1e-200 + 1e200j, -1e-200 - 1e200j)),
+    # a planar saddle whose (4 a12) a21 overflowed to -inf while
+    # |a12 a21| = 3.7e45 did not: the rounded disc read -inf, decided, and
+    # the block was a stable focus
+    ((-6.885860261849214e+22, 6.583596773858469e+307,
+      -5.597063934658088e-263, 6.884322888549574e+22), "other",
+     (-3.249718353170847e+22 + 0j, 3.248180979871207e+22 + 0j)),
+], ids=["tiny_focus", "tiny_node", "flat_focus", "huge_flat_focus",
+        "underflowing_diagonal", "far_triangular", "far_diagonal",
+        "overflowing_product"])
+def test_spectrum_of_blocks_whose_products_leave_the_float_range(
+        entries, kind, eigenvalues):
+    block = PlanarLinearSystem.from_entries(*entries)
+    assert (block.spectral_type, block.eigenvalues) == (kind, eigenvalues)
+    assert stability(*entries)[0] == kind
 
 
 def test_l1_guard_and_l2_offset_read_h3_exact_signs(ex1, ex2):

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import Budget, rim_sets, wide_sets
+from helpers import Budget, bench_sets, rim_sets, wide_sets
 from rigorous import focus_return, strict_signs
 
-from hetcycle.errors import ConfigError, HetcycleError, UngenericBranch
+from hetcycle.errors import (ConfigError, HetcycleError, RootSearchError,
+                             UngenericBranch)
 from hetcycle.flows import left_flow, right_flow
 from hetcycle.hybrid import numeric_flow
 from hetcycle.model import (SystemParams, l2_offset, params_from_dict,
@@ -164,6 +165,75 @@ def test_cone_condition_examples(ex2, ex3):
     assert huge_mu.passed and huge_mu.threshold == "< inf"
     huge_omega = cone_condition(replace(ex2, omega=1e160))
     assert not huge_omega.passed and huge_omega.value == math.inf
+
+
+def test_cone_note_explains_floats_that_compare_the_other_way(ex2, ex3):
+    # both sides underflow to 0.0: "0.0 < 0.0" is false, and the exact
+    # sign of mu^2 (d^2 - rho) - omega^2 rho = 3e-400 - 1e-400 decides
+    tiny = cone_condition(replace(ex3, omega=1e-200, mu=1e-200))
+    assert (tiny.value, tiny.threshold, tiny.passed) == (0.0, "< 0.0", True)
+    assert "exact sign" in tiny.note
+    # both sides overflow: "inf < inf" is false, and the exact margin
+    # 1e320 (4 - 1) - 1e320 decides; at omega = 2 mu it fails exactly,
+    # which inf < inf agrees with, so no note
+    big = cone_condition(replace(ex3, omega=1e160, mu=1e160))
+    assert (big.value, big.threshold, big.passed) == (math.inf, "< inf",
+                                                      True)
+    assert "exact sign" in big.note
+    fails = cone_condition(replace(ex3, omega=2e160, mu=1e160))
+    assert (fails.value, fails.limits, fails.passed, fails.note) == (
+        math.inf, (math.inf,), False, "")
+    # floats that agree with the exact sign: no note
+    assert cone_condition(ex2).note == cone_condition(ex3).note == ""
+
+
+def _outcome(p):
+    """(theorem, regime, subcase, cycle_count, evidence flags) of the
+    verdict on ``p``, or (error type, message) of its refusal."""
+    try:
+        v = certify(p)
+    except HetcycleError as exc:
+        return type(exc), str(exc)
+    return (v.theorem, v.regime, v.subcase, v.cycle_count,
+            tuple(e.passed for e in v.evidence))
+
+
+def test_scaling_the_block_moves_no_verdict():
+    # B -> 2^k B scales time alone: the orbits, the windows on L1 and L2
+    # and so the verdict stay, for k from -1060 (subnormal entries) to
+    # 1000.  968 of the 62,400 outcomes moved when B's spectrum depended
+    # on its units, 37 of the 600 sets at every k <= -560.  The one class
+    # that still moves: at k = 1000 the focus window's far end
+    # y_in - c beta (1 + g^2) ... / a12 overflows in c beta, so five focus
+    # sets are refused; their subcase at k = 0 is a (three), c or none
+    moved = []
+    with Budget("block scaled by 2^k", 40.0):
+        for values in bench_sets(1, 600):
+            p = params_from_dict(values)
+            base = _outcome(p)
+            for k in range(-1060, 1001, 20):
+                got = _outcome(replace(p, **{
+                    b: math.ldexp(getattr(p, b), k)
+                    for b in ("b11", "b12", "b21", "b22")}))
+                if got != base:
+                    moved.append((k, base, got))
+    for k, base, got in moved:
+        assert k == 1000 and base[0] == "saddle_focus", (k, base, got)
+        assert got[0] is RootSearchError and got[1].startswith(
+            "the backward spiral leaves float range"), (k, base, got)
+    assert sorted(base[2] for _, base, _ in moved) == [
+        "a", "a", "a", "c", "none"], moved
+
+
+def test_tiny_focus_reads_as_its_unscaled_twin(ex2):
+    # example 2's block at about 1e-200 (b11 = -5e-201 against -0.5): the
+    # same verdict as example 2 at q2 = -4.6, 0 cycles, where its
+    # imaginary part once read 1.1e-162 and the window reached 1.8e19
+    twin = replace(ex2, q2=-4.6)
+    tiny = replace(twin, b11=-5e-201, b12=4e-200, b21=-4e-200, b22=-5e-201)
+    verdict = certify(tiny)
+    assert verdict == certify(twin) and verdict.cycle_count == 0
+    assert verdict.window[1][1] == -0.05239863189374283
 
 
 @pytest.mark.parametrize("q2, margin, count", [
