@@ -156,7 +156,7 @@ def _strict(value):
 def _emit_report(report: dict, out_path) -> None:
     text = json.dumps(_strict(report), indent=2, allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with orbits.open_output(out_path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -182,7 +182,7 @@ def _check_outputs(outputs, csv_dir=None) -> None:
         if real in seen:
             raise ConfigError(f"{seen[real]} and {opt} name one file: {path!r}")
         folder, name = os.path.split(real)
-        if folder == segment_dir and orbits._SEGMENT_CSV_NAME.fullmatch(name):
+        if folder == segment_dir and orbits.is_segment_csv_name(name):
             raise ConfigError(f"{opt} {path!r} is a segment CSV of --csv-dir")
         seen[real] = opt
 

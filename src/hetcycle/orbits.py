@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import os
 import re
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
@@ -363,6 +365,35 @@ def _constant_repr(col: np.ndarray):
     return None
 
 
+def _open_in_place(path, flags):
+    """``open``'s own flags less O_TRUNC, and the mode 0o666 that ``open``
+    gives a new file (``os.open``'s default 0o777 would be executable)."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def open_output(path, newline=None):
+    """``open(path, "w", newline=newline, encoding="utf-8")``, except that
+    an existing file is written over from offset 0, not emptied first, and
+    on exit, also after an error, a regular file is cut at the length
+    written; ``/dev/null`` or a FIFO is not cut.  The bytes left are those
+    ``open(path, "w")`` leaves, and the file keeps its inode, mode and
+    links.
+
+    ext4 (``auto_da_alloc``) starts writeback at close of a file that held
+    data and was truncated to size 0, as ``open(path, "w")`` truncates it;
+    a cut to a nonzero length forces none.  A process killed mid-write may
+    leave the new bytes followed by the old file's tail.
+    """
+    with open(path, "w", newline=newline, encoding="utf-8",
+              opener=_open_in_place) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_csv(path, blocks, header=CSV_HEADER) -> None:
     """Write ``header``, then for each block ``(ts, xs, labels)`` one row
     per sample: t, x1, x2, x3 by ``repr`` (exact round trip) followed by
@@ -372,9 +403,9 @@ def write_csv(path, blocks, header=CSV_HEADER) -> None:
     A block is formatted column by column, ``CSV_CHUNK_ROWS`` rows per
     write; a constant column (``_constant_repr``) is formatted once.
     ValueError, before the block is written, when its ``ts`` and ``xs``
-    differ in length.
+    differ in length.  The file is opened by ``open_output``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(",".join(_plain(header)) + "\r\n")
         for ts, xs, labels in blocks:
             tail = "".join("," + v for v in _plain(labels)) + "\r\n"
@@ -406,6 +437,12 @@ _SEGMENT_CSV_NAME = re.compile(
     r"[0-9]{2,}_(gamma1_back|gamma1_fwd|gamma_up_back|gamma_up_fwd)\.csv")
 
 
+def is_segment_csv_name(name: str) -> bool:
+    """Whether the base name ``name`` is one ``write_segments_csv_dir``
+    writes, or removes when a later run writes fewer segments."""
+    return _SEGMENT_CSV_NAME.fullmatch(name) is not None
+
+
 def write_segments_csv_dir(segments, dirpath) -> list:
     """One CSV per segment, named ``<index>_<role>.csv``; returns paths.
 
@@ -422,7 +459,7 @@ def write_segments_csv_dir(segments, dirpath) -> list:
     written = {os.path.basename(path) for path in paths}
     for name in os.listdir(dirpath):
         path = os.path.join(dirpath, name)
-        if (name not in written and _SEGMENT_CSV_NAME.fullmatch(name)
+        if (name not in written and is_segment_csv_name(name)
                 and os.path.isfile(path)):
             os.remove(path)
     return paths

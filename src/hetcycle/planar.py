@@ -386,8 +386,12 @@ def focus_stay_window(sys: PlanarLinearSystem, c: float) -> SpiralWindow:
         s, steps = _refine(value, 0.0,
                            math.expm1(growth) if growth < 709.0 else math.inf,
                            hi, f_hi, ROOT_BRACKET * hi)
-        y_out = y_in - (c * beta * (1.0 + g * g) * math.exp(g * (s - two_pi))
-                        * math.sin(s) / sys.a12)
+        # beta and a12 over one power of two: the same quotient, without
+        # c beta overflowing where the block's rates near 1e300
+        e = math.frexp(beta)[1]
+        y_out = y_in - (c * math.ldexp(beta, -e) * (1.0 + g * g)
+                        * math.exp(g * (s - two_pi)) * math.sin(s)
+                        / math.ldexp(sys.a12, -e))
     except OverflowError:
         y_out = math.inf
     if not math.isfinite(y_out):

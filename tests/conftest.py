@@ -21,14 +21,14 @@ def ex3():
 
 @pytest.fixture
 def focus_refines(monkeypatch):
-    """A list that gets the arguments of each ``planar._refine`` call that
-    ``planar.focus_stay_window`` makes."""
+    """A list that gets the arguments ``(value, lo, f_lo, ...)`` of each
+    ``planar._refine`` call that ``planar.focus_stay_window`` makes."""
     calls = []
     refine = planar._refine
 
     def counted(value, *args):
         if value.__qualname__.startswith("focus_stay_window."):
-            calls.append(args)
+            calls.append((value, *args))
         return refine(value, *args)
 
     monkeypatch.setattr(planar, "_refine", counted)

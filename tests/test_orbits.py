@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -397,6 +399,63 @@ def test_write_csv_refuses_a_block_of_unequal_lengths(tmp_path):
     block = ((0.0, 0.5, 1.0), ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), ("left",))
     with pytest.raises(ValueError, match="3 times and 2 states"):
         write_csv(tmp_path / "x.csv", [block])
+
+
+CSV_BLOCKS = [((0.0, 0.5), ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), ("left", "a")),
+              ((1.0,), ((7.0, 8.0, 9.0),), ("right", "b"))]
+
+
+def test_write_csv_over_a_longer_file_equals_a_fresh_write(tmp_path):
+    # the file is written over from offset 0, not emptied first: the old
+    # tail past the new bytes is cut
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    write_csv(fresh, CSV_BLOCKS)
+    old.write_bytes(b"9" * 4096)
+    write_csv(old, CSV_BLOCKS)
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_write_csv_over_a_file_keeps_its_inode_mode_and_links(tmp_path):
+    path, link, hard = (tmp_path / "out.csv", tmp_path / "link.csv",
+                        tmp_path / "hard.csv")
+    path.write_bytes(b"9" * 4096)
+    path.chmod(0o600)
+    link.symlink_to(path)
+    os.link(path, hard)
+    inode = path.stat().st_ino
+    write_csv(link, CSV_BLOCKS)
+    assert link.is_symlink() and path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert hard.read_bytes() == path.read_bytes()
+    assert path.read_bytes().startswith(b"t,x1,x2,x3,side,role\r\n0.0,")
+
+
+def test_new_output_gets_the_mode_open_gives(tmp_path):
+    # 0o666 less the umask, as open(path, "w") creates it: not os.open's
+    # default 0o777, which would make the file executable
+    mask = os.umask(0o027)
+    try:
+        write_csv(tmp_path / "new.csv", CSV_BLOCKS)
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+
+
+def test_write_csv_failing_on_its_second_block_leaves_the_first(tmp_path):
+    # as when the file was emptied on open: the header and the first block,
+    # and nothing of the old file past them
+    first, path = tmp_path / "first.csv", tmp_path / "out.csv"
+    write_csv(first, CSV_BLOCKS[:1])
+    path.write_bytes(b"9" * 4096)
+    bad = ((0.0, 1.0), ((1.0, 2.0, 3.0),), ("left", "c"))
+    with pytest.raises(ValueError, match="2 times and 1 states"):
+        write_csv(path, [CSV_BLOCKS[0], bad])
+    assert path.read_bytes() == first.read_bytes()
+
+
+def test_write_csv_to_a_device_is_not_cut():
+    # /dev/null cannot be truncated (EINVAL); only regular files are cut
+    write_csv(os.devnull, CSV_BLOCKS)
 
 
 def test_forward_failure_message_has_plain_floats(ex1, verdicts):

@@ -240,6 +240,18 @@ def test_focus_window_example2(ex2):
     assert w.c == c0
 
 
+def test_focus_value_reads_minus_one_past_the_zero_of_u(ex2, focus_refines):
+    # past u's zero at pi/2 - atan g (and before pi), cos s - g sin s - 1
+    # <= -1 lies outside log1p's domain: the window's value function reads
+    # -1 there, below the line, and raises nothing
+    sys = PlanarLinearSystem.from_entries(ex2.b11, ex2.b12, ex2.b21, ex2.b22)
+    focus_stay_window(sys, l2_offset(ex2))
+    (value, *_), = focus_refines
+    s = 2.197
+    assert 0.5 * math.pi - math.atan(sys.a / sys.w) < s < math.pi
+    assert value(s) == -1.0
+
+
 def test_focus_window_example3(ex3):
     c0 = ex3.d - ex3.q3 - ex3.q1
     sys = PlanarLinearSystem.from_entries(ex3.b11, ex3.b12, ex3.b21, ex3.b22)

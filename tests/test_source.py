@@ -71,6 +71,20 @@ def test_exact_arithmetic_is_named_once():
     assert not (arguments.kwonlyargs or arguments.vararg or arguments.kwarg)
 
 
+def test_outputs_open_through_one_opener():
+    # every file the program writes opens through orbits.open_output: the
+    # builtin open is called in src only there and in the config read
+    where = set()
+    for path in pathlib.Path(hetcycle.__file__).parent.glob("*.py"):
+        for top in _module_ast(path.stem).body:
+            where.update((path.stem, getattr(top, "name", None))
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == "open")
+    assert where == {("model", "load_config"), ("orbits", "open_output")}
+
+
 def _names_fraction(node) -> bool:
     if isinstance(node, ast.Name):
         return node.id == "Fraction"
